@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all vet staticcheck govulncheck fmt-check build test race fuzz bench bench-publish bench-store serve-smoke scenarios scenarios-slow engine-dist docs-check ci clean
+.PHONY: all vet staticcheck govulncheck fmt-check build test race fuzz bench bench-publish bench-store bench-check serve-smoke scenarios scenarios-slow engine-dist docs-check ci clean
 
 all: fmt-check vet build test
 
@@ -118,8 +118,15 @@ bench-store:
 	$(GO) run ./tools/benchjson < bench_store.out > BENCH_store.json
 	@rm -f bench_store.out
 
+# bench-check vets and tests the end-to-end benchmark (bench/, declared
+# in BENCHMARK.json). It is a separate module, so `go test ./...` never
+# compiles it: this is what notices a change to internal/server's or
+# internal/gateway's exported API that breaks it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # serve-smoke boots the nettrailsd daemon on an ephemeral port and
-# drives /healthz and /query end to end (plus the churn/pinned-version
+# drives /v1/healthz and /v1/query end to end (plus the churn/pinned-version
 # checks) — the CI face of the query server. The gateway smoke boots a
 # real 3-shard deployment behind nettrailsgw.
 serve-smoke:
@@ -153,7 +160,7 @@ engine-dist:
 docs-check:
 	$(GO) run ./tools/docscheck
 
-ci: fmt-check vet staticcheck govulncheck build race fuzz serve-smoke scenarios engine-dist docs-check bench
+ci: fmt-check vet staticcheck govulncheck build race bench-check fuzz serve-smoke scenarios engine-dist docs-check bench
 
 # clean removes scratch files only; BENCH_*.json are committed
 # trajectory artifacts and must survive a clean.

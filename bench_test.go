@@ -491,7 +491,7 @@ func BenchmarkServeQueries(b *testing.B) {
 					defer wg.Done()
 					client := ts.Client()
 					for next.Add(1) <= int64(b.N) {
-						resp, err := client.Post(ts.URL+"/query", "application/json",
+						resp, err := client.Post(ts.URL+"/v1/query", "application/json",
 							strings.NewReader(query))
 						if err != nil {
 							failures.Add(1)
@@ -720,7 +720,7 @@ func BenchmarkQueryCache(b *testing.B) {
 	defer ts.Close()
 	postQuery := func(b *testing.B, body string, wantCache string) {
 		b.Helper()
-		resp, err := ts.Client().Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,9 +20,8 @@
 // cmd/nettrailsgw in front to federate queries across them (see
 // docs/DEPLOYMENT.md for the full topology walkthrough).
 //
-// The HTTP surface is versioned under /v1/ (legacy unversioned paths
-// remain as deprecated aliases); repro/client is the typed Go SDK for
-// it. See docs/API.md.
+// The HTTP surface is versioned under /v1/; repro/client is the typed
+// Go SDK for it. See docs/API.md.
 package main
 
 import (

@@ -95,11 +95,22 @@ type cluster struct {
 
 func (c *cluster) nextStep() uint64 { c.step++; return c.step }
 
+// OwnerOf is the one node-partitioning rule: the node at 0-based
+// position pos of the network's sorted node list belongs to part
+// pos mod n — dealt round-robin. Cluster members, serving shards and
+// gateways all derive ownership from it; n <= 1 means a single owner.
+func OwnerOf(pos, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return pos % n
+}
+
 // EnableCluster switches the engine into distributed mode over tr.
-// Node ownership is frozen at this call: the sorted node list is dealt
-// round-robin across the tr.Size() members (the same rule as
-// server.ShardOf, so a member's engine slice and its colocated shard
-// publisher cover the same nodes). Call it after the engine is fully
+// Node ownership is frozen at this call: OwnerOf deals the sorted node
+// list across the tr.Size() members (the rule serving shards use too,
+// so a member's engine slice and its colocated shard publisher cover
+// the same nodes). Call it after the engine is fully
 // built and any pre-replay facts are loaded, and before attaching a
 // snapshot publisher. Once enabled, facts inserted at nodes owned by a
 // peer become local no-ops (the peer applies them), and tuple deltas
@@ -121,7 +132,7 @@ func (e *Engine) EnableCluster(tr simnet.Transport) error {
 		nodeCount: len(e.nodes),
 	}
 	for pos, addr := range e.Nodes() {
-		c.owner[addr] = pos % size
+		c.owner[addr] = OwnerOf(pos, size)
 	}
 	e.cluster = c
 	e.Net.SendHook = func(m simnet.Message, deliverAt simnet.Time) bool {

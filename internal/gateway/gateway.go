@@ -24,27 +24,27 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"repro/client"
-	"repro/internal/buildinfo"
+	"repro/internal/engine"
 	"repro/internal/provgraph"
 	"repro/internal/provquery"
 	"repro/internal/rel"
 	"repro/internal/server"
 	"repro/internal/simnet"
-	"repro/internal/viz"
 )
 
 // Gateway federates the /v1 query surface over one sharded
-// deployment. It is safe for concurrent use.
+// deployment: it is the shard fan-out implementation of server.Backend,
+// served by the same handler set as a daemon. It is safe for concurrent
+// use.
 type Gateway struct {
 	info     server.Info
 	total    int
@@ -55,9 +55,9 @@ type Gateway struct {
 	localIdx int              // -1 when no colocated shard
 	localPub *server.Publisher
 
-	cache *gwCache
+	cache *server.ResultCache
 	times sync.Map // version -> simnet.Time (immutable once learned)
-	mux   *http.ServeMux
+	api   *server.Server
 }
 
 // Option configures a Gateway at construction.
@@ -79,7 +79,7 @@ func WithLocal(pub *server.Publisher) Option { return func(g *Gateway) { g.local
 // exactly once, identical node lists). With WithLocal, the colocated
 // shard needs no URL: urls covers the remaining shards.
 func New(ctx context.Context, urls []string, opts ...Option) (*Gateway, error) {
-	g := &Gateway{localIdx: -1, cache: newGwCache()}
+	g := &Gateway{localIdx: -1, cache: server.NewResultCache()}
 	for _, o := range opts {
 		o(g)
 	}
@@ -138,7 +138,7 @@ func New(ctx context.Context, urls []string, opts ...Option) (*Gateway, error) {
 			if g.clients[sh.Shard.Index] != nil {
 				return nil, fmt.Errorf("gateway: two servers claim shard %d/%d", sh.Shard.Index, g.total)
 			}
-			if !equalStrings(g.allNodes, sh.AllNodes) {
+			if !slices.Equal(g.allNodes, sh.AllNodes) {
 				return nil, fmt.Errorf("gateway: %s disagrees about the network's node list", u)
 			}
 			g.clients[sh.Shard.Index] = c
@@ -151,54 +151,59 @@ func New(ctx context.Context, urls []string, opts ...Option) (*Gateway, error) {
 	}
 	g.table = make(map[string]int, len(g.allNodes))
 	for i, addr := range g.allNodes {
-		g.table[addr] = server.ShardOf(i, g.total)
+		g.table[addr] = engine.OwnerOf(i, g.total)
 	}
-
-	g.mux = http.NewServeMux()
-	g.route("GET", "/v1/healthz", g.handleHealthz)
-	g.route("GET", "/v1/version", g.handleVersion)
-	g.route("GET", "/v1/shards", g.handleShards)
-	g.route("GET", "/v1/nodes", g.handleNodes)
-	g.route("GET", "/v1/state/{node}", g.handleState)
-	g.route("GET", "/v1/history/first", g.handleHistoryFirst)
-	g.route("POST", "/v1/query", g.handleQuery)
-	g.route("POST", "/v1/query/batch", g.handleQueryBatch)
-	g.route("GET", "/v1/proof.dot", g.handleProofDOT)
-	g.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		server.WriteErr(w, http.StatusNotFound, server.ErrUnknownEndpoint,
-			"unknown endpoint %s", r.URL.Path)
-	})
+	g.api = server.NewOver(g, g.info)
 	return g, nil
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// route mounts one method with a structured 405 for the rest, like
-// the shard server (the gateway has no legacy aliases).
-func (g *Gateway) route(method, pattern string, h http.HandlerFunc) {
-	g.mux.HandleFunc(method+" "+pattern, h)
-	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", method)
-		server.WriteErr(w, http.StatusMethodNotAllowed, server.ErrMethodNotAllowed,
-			"method %s not allowed on %s (allow %s)", r.Method, r.URL.Path, method)
-	})
-}
-
 // Handler returns the root handler for http.Serve.
-func (g *Gateway) Handler() http.Handler { return g.mux }
+func (g *Gateway) Handler() http.Handler { return g }
 
-// ServeHTTP implements http.Handler.
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler: the shared /v1 handler set over
+// this backend, with the request's downstream hops — what federation
+// really cost — reported in X-Shard-Hops.
+func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	hw := &hopWriter{ResponseWriter: w}
+	g.api.ServeHTTP(hw, r.WithContext(context.WithValue(r.Context(), hopsKey{}, hw)))
+}
+
+// hopWriter is one request's hop ledger. The backend methods add to it
+// through the request context (addHops), on the request goroutine only;
+// it stamps the total on the response just before the status line.
+type hopWriter struct {
+	http.ResponseWriter
+	hops    int
+	stamped bool
+}
+
+type hopsKey struct{}
+
+// addHops charges n downstream requests to the request ctx belongs to.
+func addHops(ctx context.Context, n int) {
+	if hw, ok := ctx.Value(hopsKey{}).(*hopWriter); ok {
+		hw.hops += n
+	}
+}
+
+func (w *hopWriter) stamp() {
+	if !w.stamped {
+		w.stamped = true
+		w.Header().Set("X-Shard-Hops", strconv.Itoa(w.hops))
+	}
+}
+
+// WriteHeader implements http.ResponseWriter.
+func (w *hopWriter) WriteHeader(code int) {
+	w.stamp()
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// Write implements http.ResponseWriter.
+func (w *hopWriter) Write(b []byte) (int, error) {
+	w.stamp()
+	return w.ResponseWriter.Write(b)
+}
 
 // Nodes returns every node address of the federated network, sorted.
 func (g *Gateway) Nodes() []string { return g.allNodes }
@@ -264,201 +269,137 @@ func (g *Gateway) remoteShards() int {
 	return len(g.clients)
 }
 
-// resolveVersion picks the snapshot version a request pins on every
-// shard: an explicit version is used as-is; version 0 resolves to the
-// minimum of the shards' current versions — the newest epoch every
-// shard has reached. hops counts the downstream requests spent.
-func (g *Gateway) resolveVersion(ctx context.Context, version uint64) (v uint64, hops int, apiErr *server.APIError) {
-	if version > 0 {
-		return version, 0, nil
-	}
+// shardHealth asks every shard where it stands: newest is the newest
+// epoch every shard has reached (the minimum of their current
+// versions), oldest the oldest every shard still retains — the
+// pinnable range across the whole deployment.
+func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, apiErr *server.APIError) {
 	versions := make([]uint64, len(g.clients))
+	oldests := make([]uint64, len(g.clients))
 	err := g.forEachShard(func(i int, c *client.Client, isLocal bool) error {
 		if isLocal {
 			versions[i] = g.localPub.Current().Version
+			oldests[i], _ = g.localPub.Versions()
 			return nil
 		}
 		h, err := c.Health(ctx)
 		if err != nil {
 			return err
 		}
-		versions[i] = h.Version
+		versions[i], oldests[i] = h.Version, h.Oldest
 		return nil
 	})
-	hops = g.remoteShards()
+	addHops(ctx, g.remoteShards())
 	if err != nil {
-		return 0, hops, downstreamError(err)
+		return 0, 0, downstreamError(err)
 	}
-	for _, cur := range versions {
-		if v == 0 || cur < v {
-			v = cur
+	return slices.Min(versions), slices.Max(oldests), nil
+}
+
+// Pin implements server.Backend: an explicit version is pinned as-is;
+// version 0 resolves to the newest epoch every shard has reached.
+func (g *Gateway) Pin(ctx context.Context, version uint64) (server.Pin, *server.APIError) {
+	if version == 0 {
+		var apiErr *server.APIError
+		if version, _, apiErr = g.shardHealth(ctx); apiErr != nil {
+			return server.Pin{}, apiErr
 		}
 	}
-	return v, hops, nil
+	t, apiErr := g.timeOf(ctx, version)
+	if apiErr != nil {
+		return server.Pin{}, apiErr
+	}
+	return server.Pin{Version: version, Time: t}, nil
 }
 
 // timeOf resolves the virtual time of a pinned version (identical on
 // every shard of a deterministic run), caching it forever — versions
-// are immutable. hops counts downstream requests spent on a miss.
-func (g *Gateway) timeOf(ctx context.Context, version uint64) (simnet.Time, int, *server.APIError) {
+// are immutable.
+func (g *Gateway) timeOf(ctx context.Context, version uint64) (simnet.Time, *server.APIError) {
 	if t, ok := g.times.Load(version); ok {
-		return t.(simnet.Time), 0, nil
+		return t.(simnet.Time), nil
 	}
 	if g.localPub != nil {
 		if snap, ok := g.localPub.At(version); ok {
 			g.times.Store(version, snap.Time)
-			return snap.Time, 0, nil
+			return snap.Time, nil
 		}
-		return 0, 0, server.Errf(http.StatusGone, server.ErrSnapshotEvicted,
+		return 0, server.Errf(http.StatusGone, server.ErrSnapshotEvicted,
 			"version %d not retained by the local shard", version)
 	}
 	sh, err := g.clients[0].Shards(ctx, client.At(version))
+	addHops(ctx, 1)
 	if err != nil {
-		return 0, 1, downstreamError(err)
+		return 0, downstreamError(err)
 	}
 	t := simnet.Time(sh.TimeUs)
 	g.times.Store(version, t)
-	return t, 1, nil
+	return t, nil
 }
 
 // ---- query evaluation ---------------------------------------------------
 
-// evalResult is one federated traversal's outcome.
-type evalResult struct {
-	res  *provquery.Result
-	time simnet.Time
-	hit  bool
-	hops int
+// Query implements server.Backend through the gateway's result cache.
+func (g *Gateway) Query(ctx context.Context, _ server.Pin, key server.CacheKey, t rel.Tuple) (*provquery.Result, bool, *server.APIError) {
+	if res, ok := g.cache.Get(key); ok {
+		return res, true, nil
+	}
+	res, apiErr := g.runWalk(ctx, key, t)
+	if apiErr != nil {
+		return nil, false, apiErr
+	}
+	g.cache.Put(key, res)
+	return res, false, nil
 }
 
-// eval answers one query against the pinned version, through the
-// gateway's per-version result cache.
-func (g *Gateway) eval(ctx context.Context, version uint64, typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) (evalResult, *server.APIError) {
-	opts = g.info.ClampOptions(opts)
-	timeUs, hops, apiErr := g.timeOf(ctx, version)
-	if apiErr != nil {
-		return evalResult{}, apiErr
-	}
-	key := gwKey{version: version, at: at, vid: t.VID(), typ: typ, opts: opts}
-	if res, ok := g.cache.get(key); ok {
-		return evalResult{res: res, time: timeUs, hit: true, hops: hops}, nil
-	}
-	res, walkHops, apiErr := g.runWalk(ctx, version, typ, at, t, opts)
-	hops += walkHops
-	if apiErr != nil {
-		return evalResult{hops: hops}, apiErr
-	}
-	g.cache.put(key, res)
-	return evalResult{res: res, time: timeUs, hops: hops}, nil
-}
+// CacheCounters implements server.Backend: one cache serves every pin.
+func (g *Gateway) CacheCounters(server.Pin) (hits, misses int64) { return g.cache.Counters() }
 
 // runWalk executes the shared provgraph walk over the federated
 // source. The result is byte-for-byte the one a single-process
 // snapshot traversal of the same state produces: same walk, same
 // modeled costs, only the partition reads travel.
-func (g *Gateway) runWalk(ctx context.Context, version uint64, typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) (*provquery.Result, int, *server.APIError) {
+func (g *Gateway) runWalk(ctx context.Context, key server.CacheKey, t rel.Tuple) (*provquery.Result, *server.APIError) {
+	at, vid := key.At, key.VID
 	if _, ok := g.table[at]; !ok {
-		return nil, 0, server.Errf(http.StatusNotFound, server.ErrUnknownNode,
+		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode,
 			"provquery: unknown node %s", at)
 	}
-	src := newFedSource(g, ctx, version)
-	vid := t.VID()
+	src := newFedSource(g, ctx, key.Version)
 	start := src.vertex(at, vid)
 	if src.err != nil {
-		return nil, src.hops, downstreamError(src.err)
+		return nil, downstreamError(src.err)
 	}
 	if !start.derivsOK {
-		return nil, src.hops, server.Errf(http.StatusNotFound, server.ErrNoProvenance,
+		return nil, server.Errf(http.StatusNotFound, server.ErrNoProvenance,
 			"provquery: tuple %s has no provenance at %s", t, at)
 	}
 
-	w := provgraph.NewWalkContext(ctx, src, typ, opts)
+	w := provgraph.NewWalkContext(ctx, src, key.Type, key.Opts)
 	var out *provgraph.SubResult
 	w.ResolveTuple(at, vid, nil, func(r provgraph.SubResult) { out = &r })
 	for out == nil && src.err == nil && w.Err() == nil {
 		if len(src.pending) == 0 {
-			return nil, src.hops, server.Errf(http.StatusInternalServerError, server.ErrInternal,
+			return nil, server.Errf(http.StatusInternalServerError, server.ErrInternal,
 				"gateway: walk stalled with no pending expansions")
 		}
 		src.flush(w)
 	}
 	if err := w.Err(); err != nil {
-		return nil, src.hops, server.QueryError(
+		return nil, server.QueryError(
 			fmt.Errorf("provquery: query for %s aborted after %d vertices: %w", t, w.Resolved(), err))
 	}
 	if src.err != nil {
-		return nil, src.hops, downstreamError(src.err)
+		return nil, downstreamError(src.err)
 	}
 	if out == nil {
-		return nil, src.hops, server.Errf(http.StatusInternalServerError, server.ErrInternal,
+		return nil, server.Errf(http.StatusInternalServerError, server.ErrInternal,
 			"gateway: walk did not complete")
 	}
-	res := provgraph.NewResult(typ, *out)
+	res := provgraph.NewResult(key.Type, *out)
 	res.Stats = provquery.Stats{Messages: src.msgs, Bytes: src.bytes}
-	return res, src.hops, nil
+	return res, nil
 }
-
-// ---- per-version result cache ------------------------------------------
-
-// gwKey identifies one federated query result: pinned version,
-// starting node, tuple VID, query type, and the full (clamped) option
-// set — the same key shape the shard server memoizes under.
-type gwKey struct {
-	version uint64
-	at      string
-	vid     rel.ID
-	typ     provquery.QueryType
-	opts    provquery.Options
-}
-
-// gwCache memoizes whole federated results. Entries are immutable per
-// pinned version, so there is no invalidation: when the cache fills,
-// entries of versions older than the incoming one are dropped first,
-// then further new keys are declined.
-type gwCache struct {
-	mu     sync.Mutex
-	m      map[gwKey]*provquery.Result
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-// maxGwCacheEntries bounds the gateway's memoized results.
-const maxGwCacheEntries = 4096
-
-func newGwCache() *gwCache { return &gwCache{m: map[gwKey]*provquery.Result{}} }
-
-func (c *gwCache) get(key gwKey) (*provquery.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.m[key]
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return r, ok
-}
-
-func (c *gwCache) put(key gwKey, r *provquery.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) >= maxGwCacheEntries {
-		for k := range c.m {
-			if k.version < key.version {
-				delete(c.m, k)
-			}
-		}
-		if len(c.m) >= maxGwCacheEntries {
-			if _, ok := c.m[key]; !ok {
-				return
-			}
-		}
-	}
-	c.m[key] = r
-}
-
-// counters returns the cumulative hit/miss counts.
-func (c *gwCache) counters() (hits, misses int64) { return c.hits.Load(), c.misses.Load() }
 
 // ---- in-process transport ----------------------------------------------
 
@@ -506,34 +447,7 @@ func (r *inprocRecorder) Write(b []byte) (int, error) {
 	return r.buf.Write(b)
 }
 
-// ---- HTTP handlers ------------------------------------------------------
-
-func setHops(w http.ResponseWriter, hops int) {
-	w.Header().Set("X-Shard-Hops", strconv.Itoa(hops))
-}
-
-func (g *Gateway) setCacheHeaders(w http.ResponseWriter, hit bool) {
-	verdict := "MISS"
-	if hit {
-		verdict = "HIT"
-	}
-	hits, misses := g.cache.counters()
-	w.Header().Set("X-Cache", verdict)
-	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hits, 10))
-	w.Header().Set("X-Cache-Misses", strconv.FormatInt(misses, 10))
-}
-
-func versionParam(r *http.Request) (uint64, *server.APIError) {
-	raw := r.URL.Query().Get("version")
-	if raw == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		return 0, server.Errf(http.StatusBadRequest, server.ErrInvalidRequest, "bad version %q", raw)
-	}
-	return v, nil
-}
+// ---- federated documents ------------------------------------------------
 
 type gwHealthzJSON struct {
 	OK       bool   `json:"ok"`
@@ -545,46 +459,13 @@ type gwHealthzJSON struct {
 	Oldest   uint64 `json:"oldestVersion"`
 }
 
-// handleHealthz aggregates shard health: version is the newest epoch
-// every shard has reached, oldestVersion the oldest every shard still
-// retains (the pinnable range across the whole deployment).
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	out := gwHealthzJSON{OK: true, Gateway: true, Protocol: g.info.Protocol,
+// HealthzDoc implements server.Backend by aggregating shard health.
+func (g *Gateway) HealthzDoc(ctx context.Context, protocol string) (interface{}, *server.APIError) {
+	out := gwHealthzJSON{OK: true, Gateway: true, Protocol: protocol,
 		Nodes: len(g.allNodes), Shards: g.total}
-	versions := make([]uint64, len(g.clients))
-	oldests := make([]uint64, len(g.clients))
-	err := g.forEachShard(func(i int, c *client.Client, isLocal bool) error {
-		if isLocal {
-			versions[i] = g.localPub.Current().Version
-			oldests[i], _ = g.localPub.Versions()
-			return nil
-		}
-		h, err := c.Health(r.Context())
-		if err != nil {
-			return err
-		}
-		versions[i], oldests[i] = h.Version, h.Oldest
-		return nil
-	})
-	setHops(w, g.remoteShards())
-	if err != nil {
-		server.WriteAPIError(w, downstreamError(err))
-		return
-	}
-	for i := range versions {
-		if out.Version == 0 || versions[i] < out.Version {
-			out.Version = versions[i]
-		}
-		if oldests[i] > out.Oldest {
-			out.Oldest = oldests[i]
-		}
-	}
-	server.WriteJSON(w, http.StatusOK, out)
-}
-
-// handleVersion reports the gateway binary's build metadata.
-func (g *Gateway) handleVersion(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, buildinfo.Get())
+	var apiErr *server.APIError
+	out.Version, out.Oldest, apiErr = g.shardHealth(ctx)
+	return out, apiErr
 }
 
 type gwShardJSON struct {
@@ -599,54 +480,37 @@ type gwShardsJSON struct {
 	AllNodes []string      `json:"allNodes"`
 }
 
-// handleShards describes the federated routing table.
-func (g *Gateway) handleShards(w http.ResponseWriter, r *http.Request) {
+// ShardsDoc implements server.Backend: the federated routing table, the
+// same at every pin.
+func (g *Gateway) ShardsDoc(server.Pin) interface{} {
 	out := gwShardsJSON{Gateway: true, Total: g.total, AllNodes: g.allNodes}
-	shards := make([]gwShardJSON, g.total)
-	for i := range shards {
-		shards[i].Index = i
-		shards[i].Nodes = []string{}
+	out.Shards = make([]gwShardJSON, g.total)
+	for i := range out.Shards {
+		out.Shards[i] = gwShardJSON{Index: i, Nodes: []string{}}
 	}
-	for i, addr := range g.allNodes {
-		s := server.ShardOf(i, g.total)
-		shards[s].Nodes = append(shards[s].Nodes, addr)
+	for _, addr := range g.allNodes {
+		s := &out.Shards[g.table[addr]]
+		s.Nodes = append(s.Nodes, addr)
 	}
-	out.Shards = shards
-	server.WriteJSON(w, http.StatusOK, out)
+	return out
 }
 
-// handleNodes merges every shard's owned-node summaries at one pinned
-// version into the same document a single-process daemon serves.
-func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
-	version, apiErr := versionParam(r)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	v, hops, apiErr := g.resolveVersion(r.Context(), version)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
+// NodesDoc implements server.Backend: it merges every shard's owned-node
+// summaries at the pinned version into the same document a
+// single-process daemon serves.
+func (g *Gateway) NodesDoc(ctx context.Context, pin server.Pin) (*server.NodesJSON, *server.APIError) {
 	perShard := make([]*client.Nodes, len(g.clients))
 	err := g.forEachShard(func(i int, c *client.Client, _ bool) error {
-		ns, err := c.Nodes(r.Context(), client.At(v))
-		if err != nil {
-			return err
-		}
+		ns, err := c.Nodes(ctx, client.At(pin.Version))
 		perShard[i] = ns
-		return nil
+		return err
 	})
-	hops += g.remoteShards() // the colocated shard's fetch is in-process, not a hop
-	setHops(w, hops)
+	addHops(ctx, g.remoteShards()) // the colocated shard's fetch is in-process, not a hop
 	if err != nil {
-		server.WriteAPIError(w, downstreamError(err))
-		return
+		return nil, downstreamError(err)
 	}
 	byAddr := map[string]server.NodeJSON{}
-	var timeUs int64
 	for _, ns := range perShard {
-		timeUs = ns.TimeUs
 		for _, n := range ns.Nodes {
 			byAddr[n.Addr] = server.NodeJSON{
 				Addr:        n.Addr,
@@ -659,278 +523,69 @@ func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	out := server.NodesJSON{Version: v, Time: timeUs, Nodes: []server.NodeJSON{}}
+	out := &server.NodesJSON{Version: pin.Version, Time: int64(pin.Time), Nodes: []server.NodeJSON{}}
 	for _, addr := range g.allNodes {
 		if n, ok := byAddr[addr]; ok {
 			out.Nodes = append(out.Nodes, n)
 		}
 	}
-	server.WriteJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-// handleState routes a node-state read to the shard owning the node
-// and re-renders its answer unchanged.
-func (g *Gateway) handleState(w http.ResponseWriter, r *http.Request) {
-	addr := r.PathValue("node")
-	shard, ok := g.table[addr]
+func tupleJSON(t client.Tuple) server.TupleJSON {
+	return server.TupleJSON{Rel: t.Rel, Vals: t.Vals, Text: t.Text}
+}
+
+// StateDoc implements server.Backend: it routes the read to the shard
+// owning the node and re-renders its answer unchanged.
+func (g *Gateway) StateDoc(ctx context.Context, pin server.Pin, node, relFilter string, atTime *int64) (*server.StateJSON, *server.APIError) {
+	shard, ok := g.table[node]
 	if !ok {
-		server.WriteErr(w, http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", addr)
-		return
+		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", node)
 	}
-	version, apiErr := versionParam(r)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
+	opts := []client.CallOption{client.At(pin.Version)}
+	if relFilter != "" {
+		opts = append(opts, client.Rel(relFilter))
 	}
-	v, hops, apiErr := g.resolveVersion(r.Context(), version)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
+	if atTime != nil {
+		opts = append(opts, client.AtTime(*atTime))
 	}
-	opts := []client.CallOption{client.At(v)}
-	if rel := r.URL.Query().Get("rel"); rel != "" {
-		opts = append(opts, client.Rel(rel))
-	}
-	if raw := r.URL.Query().Get("t"); raw != "" {
-		us, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest, "bad virtual time %q", raw)
-			return
-		}
-		opts = append(opts, client.AtTime(us))
-	}
-	st, err := g.clients[shard].State(r.Context(), addr, opts...)
-	hops++
+	st, err := g.clients[shard].State(ctx, node, opts...)
+	addHops(ctx, 1)
 	if err != nil {
-		setHops(w, hops)
-		server.WriteAPIError(w, downstreamError(err))
-		return
+		return nil, downstreamError(err)
 	}
-	out := server.StateJSON{Version: st.Version, Time: st.TimeUs, Node: st.Node,
+	out := &server.StateJSON{Version: st.Version, Time: st.TimeUs, Node: st.Node,
 		Tables: map[string][]server.TupleJSON{}}
 	for name, ts := range st.Tables {
 		rows := make([]server.TupleJSON, len(ts))
 		for i, t := range ts {
-			rows[i] = server.TupleJSON{Rel: t.Rel, Vals: t.Vals, Text: t.Text}
+			rows[i] = tupleJSON(t)
 		}
 		out.Tables[name] = rows
 	}
-	setHops(w, hops)
-	server.WriteJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-// handleHistoryFirst routes a deep-history first-version probe to the
+// HistoryFirstDoc implements server.Backend: it routes the probe to the
 // shard owning the tuple's node and re-renders its answer unchanged —
 // every shard's snapshot store mints the same dense version sequence,
 // so the owning shard's answer is the deployment's answer.
-func (g *Gateway) handleHistoryFirst(w http.ResponseWriter, r *http.Request) {
-	lit := r.URL.Query().Get("tuple")
-	if lit == "" {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest, "missing ?tuple= literal")
-		return
-	}
-	_, at, err := server.ResolveTupleAt(lit, r.URL.Query().Get("at"))
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidQuery, "%v", err)
-		return
-	}
+func (g *Gateway) HistoryFirstDoc(ctx context.Context, lit string, _ rel.Tuple, at string) (*server.HistoryFirstJSON, *server.APIError) {
 	shard, ok := g.table[at]
 	if !ok {
-		server.WriteErr(w, http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", at)
-		return
+		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", at)
 	}
-	hf, err := g.clients[shard].HistoryFirst(r.Context(), lit, at)
-	setHops(w, 1)
+	hf, err := g.clients[shard].HistoryFirst(ctx, lit, at)
+	addHops(ctx, 1)
 	if err != nil {
-		server.WriteAPIError(w, downstreamError(err))
-		return
+		return nil, downstreamError(err)
 	}
-	server.WriteJSON(w, http.StatusOK, server.HistoryFirstJSON{
-		Tuple:         server.TupleJSON{Rel: hf.Tuple.Rel, Vals: hf.Tuple.Vals, Text: hf.Tuple.Text},
+	return &server.HistoryFirstJSON{
+		Tuple:         tupleJSON(hf.Tuple),
 		Node:          hf.Node,
 		FirstVersion:  hf.FirstVersion,
 		TimeUs:        hf.TimeUs,
 		OldestVersion: hf.Oldest,
-	})
-}
-
-// handleQuery is POST /v1/query: the single-daemon request surface,
-// answered by federated traversal.
-func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req server.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest, "bad request body: %v", err)
-		return
-	}
-	typ, t, at, opts, apiErr := server.ResolveQueryRequest(&req)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	ctx, cancel, apiErr := server.RequestContext(r, g.info.Timeout)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	defer cancel()
-	v, hops, apiErr := g.resolveVersion(ctx, req.Version)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	ev, apiErr := g.eval(ctx, v, typ, at, t, opts)
-	if apiErr != nil {
-		setHops(w, hops+ev.hops)
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	g.setCacheHeaders(w, ev.hit)
-	setHops(w, hops+ev.hops)
-	server.WriteJSON(w, http.StatusOK, server.RenderQueryResponse(v, int64(ev.time), ev.res))
-}
-
-// gwBatchRequest mirrors the shard server's batch body.
-type gwBatchRequest struct {
-	Version uint64                `json:"version,omitempty"`
-	Queries []server.QueryRequest `json:"queries"`
-}
-
-type gwBatchResponse struct {
-	Version uint64            `json:"version"`
-	Time    int64             `json:"virtualTimeUs"`
-	Results []json.RawMessage `json:"results"`
-}
-
-// handleQueryBatch is POST /v1/query/batch with the shard server's
-// exact semantics: one pinned version for every element, per-element
-// errors in place, whole-batch failure on cancellation or timeout.
-func (g *Gateway) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	var req gwBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Queries) == 0 {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest, "empty batch: need at least one query")
-		return
-	}
-	if len(req.Queries) > server.MaxBatchQueries {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest,
-			"batch of %d queries exceeds the maximum %d", len(req.Queries), server.MaxBatchQueries)
-		return
-	}
-	for i := range req.Queries {
-		if req.Queries[i].Version != 0 {
-			server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest,
-				"queries[%d] sets version; the batch-level version pins the snapshot for every query", i)
-			return
-		}
-	}
-	ctx, cancel, apiErr := server.RequestContext(r, g.info.Timeout)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	defer cancel()
-	v, hops, apiErr := g.resolveVersion(ctx, req.Version)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	timeUs, tHops, apiErr := g.timeOf(ctx, v)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	hops += tHops
-
-	results := make([]json.RawMessage, 0, len(req.Queries))
-	hits := 0
-	local := map[gwKey]json.RawMessage{}
-	for i := range req.Queries {
-		if err := ctx.Err(); err != nil {
-			ce, _ := server.CtxError(err)
-			server.WriteAPIError(w, ce)
-			return
-		}
-		typ, t, at, opts, itemErr := server.ResolveQueryRequest(&req.Queries[i])
-		if itemErr == nil {
-			key := gwKey{version: v, at: at, vid: t.VID(), typ: typ, opts: g.info.ClampOptions(opts)}
-			if cached, ok := local[key]; ok {
-				hits++
-				results = append(results, cached)
-				continue
-			}
-			ev, evalErr := g.eval(ctx, v, typ, at, t, opts)
-			hops += ev.hops
-			if evalErr == nil {
-				if ev.hit {
-					hits++
-				}
-				b, err := json.Marshal(server.RenderQueryResponse(v, int64(timeUs), ev.res))
-				if err != nil {
-					server.WriteErr(w, http.StatusInternalServerError, server.ErrInternal, "encode: %v", err)
-					return
-				}
-				local[key] = b
-				results = append(results, b)
-				continue
-			}
-			if evalErr.Code == server.ErrQueryCancelled || evalErr.Code == server.ErrQueryTimeout {
-				server.WriteAPIError(w, evalErr)
-				return
-			}
-			itemErr = evalErr
-		}
-		results = append(results, server.MarshalError(itemErr))
-	}
-
-	hitsTotal, missesTotal := g.cache.counters()
-	w.Header().Set("X-Batch-Cache-Hits", strconv.Itoa(hits))
-	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hitsTotal, 10))
-	w.Header().Set("X-Cache-Misses", strconv.FormatInt(missesTotal, 10))
-	setHops(w, hops)
-	server.WriteJSON(w, http.StatusOK, gwBatchResponse{Version: v, Time: int64(timeUs), Results: results})
-}
-
-// handleProofDOT renders a federated lineage as Graphviz DOT, sharing
-// the query result cache with /v1/query.
-func (g *Gateway) handleProofDOT(w http.ResponseWriter, r *http.Request) {
-	lit := r.URL.Query().Get("tuple")
-	if lit == "" {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest, "missing ?tuple= literal")
-		return
-	}
-	t, at, err := server.ResolveTupleAt(lit, r.URL.Query().Get("at"))
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidQuery, "%v", err)
-		return
-	}
-	version, apiErr := versionParam(r)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	ctx, cancel, apiErr := server.RequestContext(r, g.info.Timeout)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	defer cancel()
-	v, hops, apiErr := g.resolveVersion(ctx, version)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	ev, apiErr := g.eval(ctx, v, provquery.Lineage, at, t, provquery.Options{})
-	if apiErr != nil {
-		setHops(w, hops+ev.hops)
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	g.setCacheHeaders(w, ev.hit)
-	setHops(w, hops+ev.hops)
-	w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
-	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(v, 10))
-	fmt.Fprint(w, viz.ProofDOT(ev.res.Root))
+	}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -89,30 +88,12 @@ func deployGrid(t testing.TB, side, total int, retain int) *deployment {
 
 func post(t testing.TB, url, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, out
+	return do(t, "POST", url, body, nil)
 }
 
 func get(t testing.TB, url string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, out
+	return do(t, "GET", url, "", nil)
 }
 
 // parityQueries are the request bodies the byte-parity tests sweep:

@@ -26,10 +26,10 @@ import (
 // charges every cross-node hop the identical request/response sizes
 // the snapshot adapter charges, so a federated answer's stats — and
 // therefore its whole response body — stay byte-identical to the
-// single-process answer. The real ledger (hops) counts downstream
-// HTTP requests actually issued, surfaced as the X-Shard-Hops header:
-// what federation really cost, next to what the simulated network
-// would have charged.
+// single-process answer. The real ledger (addHops on the request
+// context) counts downstream HTTP requests actually issued, surfaced as
+// the X-Shard-Hops header: what federation really cost, next to what
+// the simulated network would have charged.
 //
 // One fedSource serves exactly one walk and is not safe for
 // concurrent use, mirroring the walk itself.
@@ -43,7 +43,6 @@ type fedSource struct {
 
 	msgs  int // modeled ledger: simulated messages
 	bytes int // modeled ledger: simulated bytes
-	hops  int // real ledger: downstream HTTP requests issued
 
 	pending []pendingExpand
 
@@ -111,7 +110,7 @@ func (s *fedSource) readShard(shard int, ops []client.ProvReadOp) ([]client.Prov
 		}
 		return convertResults(snap.ProvRead(srvOps)), nil
 	}
-	s.hops++
+	addHops(s.ctx, 1)
 	res, err := s.g.clients[shard].ProvRead(s.ctx, s.version, ops)
 	if err != nil {
 		return nil, err

@@ -1,0 +1,213 @@
+package server
+
+import (
+	"context"
+	"net/http"
+
+	"repro/internal/provquery"
+	"repro/internal/rel"
+	"repro/internal/simnet"
+)
+
+// Backend is what the /v1 handler set (http.go) needs from a serving
+// tier. It has exactly two implementations: the Publisher, which
+// answers from its snapshot ring and store, and gateway.Gateway, which
+// answers by fanning out over the shards of a deployment. Everything
+// that is HTTP — routing, decoding, validation and its order, caps,
+// conditional GETs, the batch loop, rendering, cache headers — lives
+// above this interface, once.
+type Backend interface {
+	// Pin resolves a request's version (0 means current) to the
+	// coordinates the whole response is computed at; a version no longer
+	// retained is the snapshot_evicted 410.
+	Pin(ctx context.Context, version uint64) (Pin, *APIError)
+	// Query evaluates one resolved query at pin through the backend's
+	// result cache; hit reports a cache-served answer. key.VID is t's.
+	// The result is shared and read-only.
+	Query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (res *provquery.Result, hit bool, apiErr *APIError)
+	// CacheCounters reports the cumulative hits and completed walks of
+	// the result cache that serves pin.
+	CacheCounters(pin Pin) (hits, misses int64)
+
+	// NodesDoc is the GET /v1/nodes document at pin.
+	NodesDoc(ctx context.Context, pin Pin) (*NodesJSON, *APIError)
+	// StateDoc is the GET /v1/state/{node} document at pin: one relation
+	// when relFilter is set, and the node's capture at or before
+	// *atTime (virtual µs) instead of the pin's own instant when atTime
+	// is non-nil.
+	StateDoc(ctx context.Context, pin Pin, node, relFilter string, atTime *int64) (*StateJSON, *APIError)
+	// HistoryFirstDoc is the GET /v1/history/first document for the tuple t
+	// (parsed from lit) at node at. Deep history is not pinned.
+	HistoryFirstDoc(ctx context.Context, lit string, t rel.Tuple, at string) (*HistoryFirstJSON, *APIError)
+	// HealthzDoc is the GET /v1/healthz document.
+	HealthzDoc(ctx context.Context, protocol string) (interface{}, *APIError)
+	// ShardsDoc is the GET /v1/shards document at pin.
+	ShardsDoc(pin Pin) interface{}
+}
+
+// Pin is one resolved snapshot coordinate: the version every part of a
+// response is computed at, and that version's virtual instant.
+type Pin struct {
+	Version uint64
+	Time    simnet.Time
+
+	// snap is the Publisher's resolved snapshot, held so a request keeps
+	// answering from it even if the ring evicts the version mid-request.
+	snap *Snapshot
+}
+
+// ---- the Publisher as a Backend -----------------------------------------
+
+// Pin implements Backend over the retention ring, falling back to the
+// snapshot store.
+func (p *Publisher) Pin(_ context.Context, version uint64) (Pin, *APIError) {
+	snap, ok := p.At(version)
+	if !ok {
+		oldest, newest := p.Versions()
+		return Pin{}, Errf(http.StatusGone, ErrSnapshotEvicted,
+			"version %d not retained (oldest %d, newest %d)", version, oldest, newest)
+	}
+	return Pin{Version: snap.Version, Time: snap.Time, snap: snap}, nil
+}
+
+// Query implements Backend through the pinned snapshot's result cache.
+func (p *Publisher) Query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (*provquery.Result, bool, *APIError) {
+	res, hit, err := pin.snap.cachedQuery(ctx, key, t)
+	if err != nil {
+		return nil, false, QueryError(err)
+	}
+	return res, hit, nil
+}
+
+// CacheCounters implements Backend: the pinned snapshot's own counters.
+func (p *Publisher) CacheCounters(pin Pin) (hits, misses int64) { return pin.snap.CacheCounters() }
+
+// NodesDoc implements Backend.
+func (p *Publisher) NodesDoc(_ context.Context, pin Pin) (*NodesJSON, *APIError) {
+	snap := pin.snap
+	// Nodes is always a JSON array, never null.
+	out := &NodesJSON{Version: snap.Version, Time: int64(snap.Time), Nodes: []NodeJSON{}}
+	for i, addr := range snap.Nodes {
+		info := snap.states[i].info
+		out.Nodes = append(out.Nodes, NodeJSON{
+			Addr:        addr,
+			Neighbors:   info.Neighbors,
+			Tuples:      info.Tuples,
+			ProvEntries: info.Prov.ProvEntries,
+			ExecEntries: info.Prov.ExecEntries,
+			SentMsgs:    info.SentMsgs,
+			SentBytes:   info.SentBytes,
+		})
+	}
+	return out, nil
+}
+
+// unowned is the error for a node this snapshot holds no partition of:
+// wrong_shard when another shard owns it, unknown_node otherwise.
+func (s *Snapshot) unowned(addr string) *APIError {
+	if apiErr := s.misdirected(addr); apiErr != nil {
+		return apiErr
+	}
+	return Errf(http.StatusNotFound, ErrUnknownNode, "unknown node %q", addr)
+}
+
+// StateDoc implements Backend. A non-nil atTime time-travels through the
+// logstore history instead of reading the snapshot's own instant.
+func (p *Publisher) StateDoc(_ context.Context, pin Pin, node, relFilter string, atTime *int64) (*StateJSON, *APIError) {
+	snap := pin.snap
+	tables, ok := snap.NodeTables(node)
+	if !ok {
+		return nil, snap.unowned(node)
+	}
+	out := &StateJSON{Version: snap.Version, Time: int64(snap.Time), Node: node}
+	if atTime != nil {
+		sn, ok := snap.History.At(simnet.Time(*atTime))[node]
+		if !ok {
+			return nil, Errf(http.StatusNotFound, ErrUnknownNode,
+				"no capture of %q at or before t=%dus in the retained history", node, *atTime)
+		}
+		tables = sn.Tables
+		out.Time = int64(sn.Time)
+	}
+	out.Tables = map[string][]TupleJSON{}
+	for name, ts := range tables {
+		if relFilter != "" && name != relFilter {
+			continue
+		}
+		rows := make([]TupleJSON, ts.Len())
+		for i, t := range ts.Tuples() {
+			rows[i] = JSONTuple(t)
+		}
+		out.Tables[name] = rows
+	}
+	return out, nil
+}
+
+// HistoryFirstDoc implements Backend from the snapshot store's per-segment
+// first-seen indexes, not from any retained snapshot, so the answer can
+// extend further back than the in-memory ring.
+func (p *Publisher) HistoryFirstDoc(_ context.Context, _ string, t rel.Tuple, at string) (*HistoryFirstJSON, *APIError) {
+	if snap := p.Current(); snap.stateOf(at) == nil {
+		return nil, snap.unowned(at)
+	}
+	st := p.Store()
+	if st == nil {
+		return nil, Errf(http.StatusNotImplemented, ErrNoHistory,
+			"no snapshot store attached; first-version queries need the daemon started with -data")
+	}
+	v, ok := st.FirstVersion(at, t.VID())
+	if !ok {
+		return nil, Errf(http.StatusNotFound, ErrNoHistory,
+			"tuple %s was never seen at %q in the retained history", t, at)
+	}
+	out := &HistoryFirstJSON{
+		Tuple:         JSONTuple(t),
+		Node:          at,
+		FirstVersion:  v,
+		OldestVersion: st.OldestVersion(),
+	}
+	// Best-effort: the version can age out between the index probe and
+	// the time lookup; the answer itself is still valid.
+	if tm, err := st.VersionTime(v); err == nil {
+		out.TimeUs = tm
+	}
+	return out, nil
+}
+
+// HealthzDoc implements Backend.
+func (p *Publisher) HealthzDoc(_ context.Context, protocol string) (interface{}, *APIError) {
+	snap := p.Current()
+	oldest, _ := p.Versions()
+	out := healthzJSON{
+		OK:       true,
+		Protocol: protocol,
+		Version:  snap.Version,
+		Time:     int64(snap.Time),
+		Nodes:    len(snap.Nodes),
+		Oldest:   oldest,
+	}
+	if !snap.Shard.Unsharded() {
+		out.Shard = &ShardJSON{Index: snap.Shard.Index, Total: snap.Shard.Total}
+	}
+	if st := p.Store(); st != nil {
+		out.Store = &StoreHealthJSON{Oldest: st.OldestVersion(), Durable: st.DurableVersion()}
+	}
+	return out, nil
+}
+
+// ShardsDoc implements Backend: the routing-table face of a shard (or of
+// an unsharded daemon, which reports itself as shard 0 of 1).
+func (p *Publisher) ShardsDoc(pin Pin) interface{} {
+	snap := pin.snap
+	shard := ShardJSON{Index: snap.Shard.Index, Total: snap.Shard.Total}
+	if snap.Shard.Unsharded() {
+		shard = ShardJSON{Index: 0, Total: 1}
+	}
+	return ShardsJSON{
+		Version:  snap.Version,
+		Time:     int64(snap.Time),
+		Shard:    shard,
+		Nodes:    snap.Nodes,
+		AllNodes: snap.AllNodes,
+	}
+}

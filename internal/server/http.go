@@ -16,7 +16,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/provquery"
 	"repro/internal/rel"
-	"repro/internal/simnet"
 	"repro/internal/viz"
 )
 
@@ -41,15 +40,15 @@ type Info struct {
 	Timeout time.Duration
 }
 
-// Server is the HTTP JSON face of a Publisher. The canonical surface
-// is versioned under /v1/; the original unversioned routes remain as
-// thin deprecated aliases that run the identical handlers (so their
-// bodies stay byte-identical) while flagging themselves with a
-// Deprecation header. All handlers read published snapshots only; none
-// ever touches live engine state, so any number of requests run
-// concurrently with the simulation.
+// Server is the /v1 handler set: the one HTTP JSON face of every
+// serving tier, written against a Backend. Each request is validated in
+// one order whatever the tier — the free 400s (body shape, query parse,
+// options, ?timeout, ?version syntax), then the pin (410), then
+// ETag/304 for GETs, then evaluation. All handlers read published
+// snapshots only; none ever touches live engine state, so any number of
+// requests run concurrently with the simulation.
 type Server struct {
-	pub  *Publisher
+	b    Backend
 	info Info
 	mux  *http.ServeMux
 
@@ -57,20 +56,26 @@ type Server struct {
 	provReads atomic.Int64
 }
 
-// New builds the HTTP API over a publisher.
+// New builds the HTTP API over a publisher: the shared /v1 surface plus
+// the shard-federation read protocol only a daemon serves.
 func New(pub *Publisher, info Info) *Server {
-	s := &Server{pub: pub, info: info, mux: http.NewServeMux()}
-	s.route("GET", "/healthz", s.handleHealthz, true)
-	s.route("GET", "/nodes", s.handleNodes, true)
-	s.route("GET", "/state/{node}", s.handleState, true)
-	s.route("POST", "/query", s.handleQuery, true)
-	s.route("GET", "/proof.dot", s.handleProofDOT, true)
-	// v1-only endpoints: no legacy alias ever existed for these.
-	s.route("GET", "/version", s.handleVersion, false)
-	s.route("POST", "/query/batch", s.handleQueryBatch, false)
-	s.route("GET", "/shards", s.handleShards, false)
-	s.route("POST", "/prov/read", s.handleProvRead, false)
-	s.route("GET", "/history/first", s.handleHistoryFirst, false)
+	s := NewOver(pub, info)
+	s.route("POST", "/v1/prov/read", s.handleProvRead)
+	return s
+}
+
+// NewOver builds the shared /v1 surface over any Backend.
+func NewOver(b Backend, info Info) *Server {
+	s := &Server{b: b, info: info, mux: http.NewServeMux()}
+	s.route("GET", "/v1/healthz", s.handleHealthz)
+	s.route("GET", "/v1/version", s.handleVersion)
+	s.route("GET", "/v1/shards", s.handleShards)
+	s.route("GET", "/v1/nodes", s.handleNodes)
+	s.route("GET", "/v1/state/{node}", s.handleState)
+	s.route("GET", "/v1/history/first", s.handleHistoryFirst)
+	s.route("POST", "/v1/query", s.handleQuery)
+	s.route("POST", "/v1/query/batch", s.handleQueryBatch)
+	s.route("GET", "/v1/proof.dot", s.handleProofDOT)
 	// Anything else is a structured JSON 404, not the mux's plain-text
 	// default.
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -79,33 +84,25 @@ func New(pub *Publisher, info Info) *Server {
 	return s
 }
 
-// route registers a handler for one method under /v1/<pattern> — plus,
-// when legacy is set, under the pre-v1 path as a deprecated alias —
-// and a structured JSON 405 (with the Allow header) for every other
-// method on the same patterns.
-func (s *Server) route(method, pattern string, h http.HandlerFunc, legacy bool) {
-	notAllowed := func(w http.ResponseWriter, r *http.Request) {
+// endpoint is one route's handler. It writes its own success response;
+// a failure it returns instead, so every error envelope of the surface
+// leaves through the one WriteAPIError call in route.
+type endpoint func(w http.ResponseWriter, r *http.Request) *APIError
+
+// route registers an endpoint for one method on pattern, and a
+// structured JSON 405 (with the Allow header) for every other method
+// on it.
+func (s *Server) route(method, pattern string, h endpoint) {
+	s.mux.HandleFunc(method+" "+pattern, func(w http.ResponseWriter, r *http.Request) {
+		if apiErr := h(w, r); apiErr != nil {
+			WriteAPIError(w, apiErr)
+		}
+	})
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Allow", method)
 		WriteErr(w, http.StatusMethodNotAllowed, ErrMethodNotAllowed,
 			"method %s not allowed on %s (allow %s)", r.Method, r.URL.Path, method)
-	}
-	s.mux.HandleFunc(method+" /v1"+pattern, h)
-	s.mux.HandleFunc("/v1"+pattern, notAllowed)
-	if legacy {
-		s.mux.HandleFunc(method+" "+pattern, deprecated(h))
-		s.mux.HandleFunc(pattern, notAllowed)
-	}
-}
-
-// deprecated wraps a canonical handler for its legacy mount: the body
-// is produced by the very same handler (byte-identical to the /v1
-// twin), with headers announcing the successor route.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
+	})
 }
 
 // ClampOptions applies the Info's traversal caps to a request's
@@ -119,11 +116,6 @@ func (i Info) ClampOptions(o provquery.Options) provquery.Options {
 		o.MaxNodes = i.MaxNodes
 	}
 	return o
-}
-
-// clampOpts applies the server's traversal caps to a request's options.
-func (s *Server) clampOpts(o provquery.Options) provquery.Options {
-	return s.info.ClampOptions(o)
 }
 
 // maxOptionValue bounds request-supplied traversal options. Values
@@ -156,8 +148,6 @@ func validateOptions(o provquery.Options) *APIError {
 // RequestContext derives the traversal context for one request: the
 // client's own context (so a disconnect cancels the walk) bounded by
 // the ?timeout= deadline or the serverDefault, whichever is tighter.
-// Shared by the shard server and the gateway so timeout semantics
-// cannot drift between tiers.
 func RequestContext(r *http.Request, serverDefault time.Duration) (context.Context, context.CancelFunc, *APIError) {
 	d := serverDefault
 	if raw := r.URL.Query().Get("timeout"); raw != "" {
@@ -175,11 +165,6 @@ func RequestContext(r *http.Request, serverDefault time.Duration) (context.Conte
 		return ctx, cancel, nil
 	}
 	return r.Context(), func() {}, nil
-}
-
-// queryContext is RequestContext under this server's -timeout default.
-func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelFunc, *APIError) {
-	return RequestContext(r, s.info.Timeout)
 }
 
 // Handler returns the root handler for http.Serve.
@@ -264,18 +249,31 @@ func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	_ = enc.Encode(v)
 }
 
-// snapshotAt resolves the snapshot a request is pinned to: an explicit
-// version selects a retained one; absent or 0 means current. A missing
-// version is the structured snapshot_evicted 410 with the retained
-// range.
-func (s *Server) snapshotAt(version uint64) (*Snapshot, *APIError) {
-	snap, ok := s.pub.At(version)
-	if !ok {
-		oldest, newest := s.pub.Versions()
-		return nil, Errf(http.StatusGone, ErrSnapshotEvicted,
-			"version %d not retained (oldest %d, newest %d)", version, oldest, newest)
+// MaxBodyBytes bounds every POST body: 8 MiB covers a 1024-query
+// batch and a 4096-op prov read with room to spare.
+const MaxBodyBytes = 8 << 20
+
+// decodeBody decodes a POST body into v under the MaxBodyBytes bound —
+// the one place request bodies are read.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) *APIError {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return nil
 	}
-	return snap, nil
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return Errf(http.StatusRequestEntityTooLarge, ErrInvalidRequest,
+			"request body exceeds %d bytes", tooLarge.Limit)
+	}
+	return Errf(http.StatusBadRequest, ErrInvalidRequest, "bad request body: %v", err)
+}
+
+// writeDoc writes a backend document, unless producing it failed.
+func writeDoc(w http.ResponseWriter, doc interface{}, apiErr *APIError) *APIError {
+	if apiErr == nil {
+		WriteJSON(w, http.StatusOK, doc)
+	}
+	return apiErr
 }
 
 func versionParam(r *http.Request) (uint64, *APIError) {
@@ -296,26 +294,25 @@ func versionParam(r *http.Request) (uint64, *APIError) {
 // response. Snapshots are immutable and response bodies are a pure
 // function of (resolved version, path, parameters), so the ETag never
 // needs to see the body — conditional requests are answered before any
-// traversal work. The /v1 prefix is stripped and the version parameter
-// replaced by the resolved version, so a legacy alias, its /v1 twin,
-// and pinned/current spellings of the same snapshot all validate
-// against the same tag.
-func requestETag(snap *Snapshot, r *http.Request) string {
+// traversal work. The version parameter is replaced by the resolved
+// version, so pinned and current spellings of the same snapshot
+// validate against the same tag, on a daemon and on a gateway alike.
+func requestETag(version uint64, r *http.Request) string {
 	q := r.URL.Query()
 	q.Del("version")
 	// The timeout bounds evaluation wall-clock, never the body: two
 	// clients with different timeouts must revalidate each other.
 	q.Del("timeout")
 	h := fnv.New64a()
-	_, _ = io.WriteString(h, strings.TrimPrefix(r.URL.Path, "/v1"))
+	_, _ = io.WriteString(h, r.URL.Path)
 	_, _ = io.WriteString(h, "?")
 	_, _ = io.WriteString(h, q.Encode()) // Encode sorts keys: canonical
-	return fmt.Sprintf(`"%d-%016x"`, snap.Version, h.Sum64())
+	return fmt.Sprintf(`"%d-%016x"`, version, h.Sum64())
 }
 
 // etagMatches compares If-None-Match candidates against the computed
 // tag. The "*" form is deliberately not honored: it matches only when
-// a current representation exists (RFC 9110), and condGET runs before
+// a current representation exists (RFC 9110), and pinGET runs before
 // node/tuple existence checks — answering 304 for a resource whose
 // unconditional GET is a 404 would pin stale caches forever. Declining
 // "*" merely costs the full body.
@@ -328,28 +325,27 @@ func etagMatches(ifNoneMatch, etag string) bool {
 	return false
 }
 
-// condGET resolves a GET request's pinned snapshot and runs the
-// conditional-GET machinery: the response's ETag is always set, and a
-// matching If-None-Match is answered 304 with no body (done=true, with
-// every validation error already written).
-func (s *Server) condGET(w http.ResponseWriter, r *http.Request) (*Snapshot, bool) {
+// pinGET runs a snapshot-determined GET from its ?version parameter to
+// the point of evaluation, once the handler's own parameters have
+// parsed: version syntax (400), the pin (410), then the conditional-GET
+// machinery — the response's ETag is always set, and a matching
+// If-None-Match is answered 304 with no body. fresh reports that the
+// body is still wanted.
+func (s *Server) pinGET(ctx context.Context, w http.ResponseWriter, r *http.Request) (pin Pin, fresh bool, apiErr *APIError) {
 	version, apiErr := versionParam(r)
-	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return nil, true
+	if apiErr == nil {
+		pin, apiErr = s.b.Pin(ctx, version)
 	}
-	snap, apiErr := s.snapshotAt(version)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return nil, true
+		return Pin{}, false, apiErr
 	}
-	etag := requestETag(snap, r)
+	etag := requestETag(pin.Version, r)
 	w.Header().Set("ETag", etag)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
 		w.WriteHeader(http.StatusNotModified)
-		return nil, true
+		return pin, false, nil
 	}
-	return snap, false
+	return pin, true, nil
 }
 
 // ---- endpoints ---------------------------------------------------------
@@ -376,31 +372,25 @@ type StoreHealthJSON struct {
 	Durable uint64 `json:"durableVersion"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	snap := s.pub.Current()
-	oldest, _ := s.pub.Versions()
-	out := healthzJSON{
-		OK:       true,
-		Protocol: s.info.Protocol,
-		Version:  snap.Version,
-		Time:     int64(snap.Time),
-		Nodes:    len(snap.Nodes),
-		Oldest:   oldest,
-	}
-	if !snap.Shard.Unsharded() {
-		out.Shard = &ShardJSON{Index: snap.Shard.Index, Total: snap.Shard.Total}
-	}
-	if st := s.pub.Store(); st != nil {
-		out.Store = &StoreHealthJSON{Oldest: st.OldestVersion(), Durable: st.DurableVersion()}
-	}
-	WriteJSON(w, http.StatusOK, out)
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) *APIError {
+	doc, apiErr := s.b.HealthzDoc(r.Context(), s.info.Protocol)
+	return writeDoc(w, doc, apiErr)
 }
 
 // handleVersion reports the server binary's build metadata
 // (debug.ReadBuildInfo): module path/version, Go toolchain, and build
 // settings.
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, buildinfo.Get())
+func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) *APIError {
+	return writeDoc(w, buildinfo.Get(), nil)
+}
+
+// handleShards is GET /v1/shards: the routing table of the tier.
+func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) *APIError {
+	pin, fresh, apiErr := s.pinGET(r.Context(), w, r)
+	if !fresh {
+		return apiErr
+	}
+	return writeDoc(w, s.b.ShardsDoc(pin), nil)
 }
 
 // NodeJSON is one element of GET /v1/nodes.
@@ -421,26 +411,13 @@ type NodesJSON struct {
 	Nodes   []NodeJSON `json:"nodes"`
 }
 
-func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
-	snap, done := s.condGET(w, r)
-	if done {
-		return
+func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) *APIError {
+	pin, fresh, apiErr := s.pinGET(r.Context(), w, r)
+	if !fresh {
+		return apiErr
 	}
-	// Nodes is always a JSON array, never null.
-	out := NodesJSON{Version: snap.Version, Time: int64(snap.Time), Nodes: []NodeJSON{}}
-	for i, addr := range snap.Nodes {
-		info := snap.states[i].info
-		out.Nodes = append(out.Nodes, NodeJSON{
-			Addr:        addr,
-			Neighbors:   info.Neighbors,
-			Tuples:      info.Tuples,
-			ProvEntries: info.Prov.ProvEntries,
-			ExecEntries: info.Prov.ExecEntries,
-			SentMsgs:    info.SentMsgs,
-			SentBytes:   info.SentBytes,
-		})
-	}
-	WriteJSON(w, http.StatusOK, out)
+	doc, apiErr := s.b.NodesDoc(r.Context(), pin)
+	return writeDoc(w, doc, apiErr)
 }
 
 // StateJSON is the GET /v1/state/{node} body.
@@ -451,55 +428,52 @@ type StateJSON struct {
 	Tables  map[string][]TupleJSON `json:"tables"`
 }
 
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	snap, done := s.condGET(w, r)
-	if done {
-		return
-	}
-	addr := r.PathValue("node")
-	tables, ok := snap.NodeTables(addr)
-	if !ok {
-		if apiErr := snap.misdirected(addr); apiErr != nil {
-			WriteAPIError(w, apiErr)
-			return
-		}
-		WriteErr(w, http.StatusNotFound, ErrUnknownNode, "unknown node %q", addr)
-		return
-	}
-	out := StateJSON{Version: snap.Version, Time: int64(snap.Time), Node: addr}
-
-	// ?t=<virtual time in us> time-travels through the logstore history
-	// instead of reading the snapshot's own instant.
-	if raw := r.URL.Query().Get("t"); raw != "" {
+func (s *Server) handleState(w http.ResponseWriter, r *http.Request) *APIError {
+	// ?t=<virtual time in us> time-travels instead of reading the
+	// pinned snapshot's own instant.
+	q := r.URL.Query()
+	var atTime *int64
+	if raw := q.Get("t"); raw != "" {
 		us, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
-			WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "bad virtual time %q", raw)
-			return
+			return Errf(http.StatusBadRequest, ErrInvalidRequest, "bad virtual time %q", raw)
 		}
-		view := snap.History.At(simnet.Time(us))
-		sn, ok := view[addr]
-		if !ok {
-			WriteErr(w, http.StatusNotFound, ErrUnknownNode,
-				"no capture of %q at or before t=%dus in the retained history", addr, us)
-			return
-		}
-		tables = sn.Tables
-		out.Time = int64(sn.Time)
+		atTime = &us
 	}
+	pin, fresh, apiErr := s.pinGET(r.Context(), w, r)
+	if !fresh {
+		return apiErr
+	}
+	doc, apiErr := s.b.StateDoc(r.Context(), pin, r.PathValue("node"), q.Get("rel"), atTime)
+	return writeDoc(w, doc, apiErr)
+}
 
-	relFilter := r.URL.Query().Get("rel")
-	out.Tables = map[string][]TupleJSON{}
-	for name, ts := range tables {
-		if relFilter != "" && name != relFilter {
-			continue
-		}
-		rows := make([]TupleJSON, ts.Len())
-		for i, t := range ts.Tuples() {
-			rows[i] = JSONTuple(t)
-		}
-		out.Tables[name] = rows
+// handleHistoryFirst answers the deep-history query class: the first
+// version where tuple X exists at a node. There is no version pinning
+// and no ETag — the answer can extend further back than any retained
+// snapshot.
+func (s *Server) handleHistoryFirst(w http.ResponseWriter, r *http.Request) *APIError {
+	lit, t, at, apiErr := tupleParams(r)
+	if apiErr != nil {
+		return apiErr
 	}
-	WriteJSON(w, http.StatusOK, out)
+	doc, apiErr := s.b.HistoryFirstDoc(r.Context(), lit, t, at)
+	return writeDoc(w, doc, apiErr)
+}
+
+// tupleParams parses the ?tuple= literal (and optional ?at= node) of a
+// GET that names one tuple.
+func tupleParams(r *http.Request) (lit string, t rel.Tuple, at string, apiErr *APIError) {
+	q := r.URL.Query()
+	lit = q.Get("tuple")
+	if lit == "" {
+		return "", rel.Tuple{}, "", Errf(http.StatusBadRequest, ErrInvalidRequest, "missing ?tuple= literal")
+	}
+	t, at, err := ResolveTupleAt(lit, q.Get("at"))
+	if err != nil {
+		return "", rel.Tuple{}, "", Errf(http.StatusBadRequest, ErrInvalidQuery, "%v", err)
+	}
+	return lit, t, at, nil
 }
 
 // QueryRequest is the /query body (and one element of a batch's
@@ -546,13 +520,13 @@ type QueryResponse struct {
 	Stats     QueryStatsJSON `json:"stats"`
 }
 
-// setCacheHeaders reports a CachedQuery outcome on the response.
-func setCacheHeaders(w http.ResponseWriter, snap *Snapshot, hit bool) {
+// setCacheHeaders reports a Backend.Query outcome on the response.
+func (s *Server) setCacheHeaders(w http.ResponseWriter, pin Pin, hit bool) {
 	verdict := "MISS"
 	if hit {
 		verdict = "HIT"
 	}
-	hits, misses := snap.CacheCounters()
+	hits, misses := s.b.CacheCounters(pin)
 	w.Header().Set("X-Cache", verdict)
 	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hits, 10))
 	w.Header().Set("X-Cache-Misses", strconv.FormatInt(misses, 10))
@@ -576,8 +550,7 @@ func ResolveTupleAt(lit, at string) (rel.Tuple, string, error) {
 }
 
 // ResolveQueryRequest turns one query request body into walk inputs:
-// both
-// request forms reduce to (type, tuple, at, opts) before any
+// both request forms reduce to (type, tuple, at, opts) before any
 // evaluation, so every malformed query is a 400 and only missing
 // provenance is a 404.
 func ResolveQueryRequest(req *QueryRequest) (typ provquery.QueryType, t rel.Tuple, at string, opts provquery.Options, apiErr *APIError) {
@@ -615,9 +588,8 @@ func ResolveQueryRequest(req *QueryRequest) (typ provquery.QueryType, t rel.Tupl
 }
 
 // QueryError maps a traversal failure to its stable API error: the
-// one mapping shared by every query-evaluating endpoint (and by the
-// gateway), so the same defect never earns different codes on
-// different routes.
+// one mapping shared by every query-evaluating endpoint on both tiers,
+// so the same defect never earns different codes on different routes.
 func QueryError(err error) *APIError {
 	if ce, ok := CtxError(err); ok {
 		return ce
@@ -635,9 +607,9 @@ func QueryError(err error) *APIError {
 }
 
 // RenderQueryResponse renders a finished traversal as the
-// version-determined /v1/query response document. The shard server
-// and the gateway share this renderer, which is what makes federated
-// answers byte-identical to single-process ones.
+// version-determined /v1/query response document — the one renderer of
+// both tiers, which is what makes federated answers byte-identical to
+// single-process ones.
 func RenderQueryResponse(version uint64, timeUs int64, res *provquery.Result) *QueryResponse {
 	out := &QueryResponse{
 		Version:   version,
@@ -666,54 +638,45 @@ func RenderQueryResponse(version uint64, timeUs int64, res *provquery.Result) *Q
 	return out
 }
 
-// evalQuery runs one resolved query against snap (through the
-// per-version sub-proof cache) and renders the version-determined
-// response.
-func (s *Server) evalQuery(ctx context.Context, snap *Snapshot, typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) (*QueryResponse, bool, *APIError) {
-	res, hit, err := snap.CachedQueryContext(ctx, typ, at, t, s.clampOpts(opts))
-	if err != nil {
-		return nil, false, QueryError(err)
-	}
-	return RenderQueryResponse(snap.Version, int64(snap.Time), res), hit, nil
+// key is the result-cache key of one resolved query at pin, with the
+// server's traversal caps applied to its options.
+func (s *Server) key(pin Pin, typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) CacheKey {
+	return CacheKey{Version: pin.Version, At: at, VID: t.VID(), Type: typ, Opts: s.info.ClampOptions(opts)}
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *APIError {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "bad request body: %v", err)
-		return
-	}
-	snap, apiErr := s.snapshotAt(req.Version)
-	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+	if apiErr := decodeBody(w, r, &req); apiErr != nil {
+		return apiErr
 	}
 	typ, t, at, opts, apiErr := ResolveQueryRequest(&req)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+		return apiErr
 	}
-	ctx, cancel, apiErr := s.queryContext(r)
+	ctx, cancel, apiErr := RequestContext(r, s.info.Timeout)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+		return apiErr
 	}
 	defer cancel()
-	out, hit, apiErr := s.evalQuery(ctx, snap, typ, at, t, opts)
+	pin, apiErr := s.b.Pin(ctx, req.Version)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+		return apiErr
 	}
-	setCacheHeaders(w, snap, hit)
-	WriteJSON(w, http.StatusOK, out)
+	res, hit, apiErr := s.b.Query(ctx, pin, s.key(pin, typ, at, t, opts), t)
+	if apiErr != nil {
+		return apiErr
+	}
+	s.setCacheHeaders(w, pin, hit)
+	WriteJSON(w, http.StatusOK, RenderQueryResponse(pin.Version, int64(pin.Time), res))
+	return nil
 }
 
 // ---- POST /v1/query/batch ----------------------------------------------
 
 // batchRequest evaluates many queries against one pinned snapshot. All
-// queries share the snapshot's sub-proof cache, so repeated or
-// overlapping queries inside one batch are answered without
-// re-traversal — and the whole batch costs one HTTP round trip.
+// queries share the backend's result cache, so repeated or overlapping
+// queries inside one batch are answered without re-traversal — and the
+// whole batch costs one HTTP round trip.
 type batchRequest struct {
 	Version uint64         `json:"version,omitempty"`
 	Queries []QueryRequest `json:"queries"`
@@ -732,127 +695,121 @@ type batchResponse struct {
 // MaxBatchQueries bounds one batch request.
 const MaxBatchQueries = 1024
 
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "bad request body: %v", err)
-		return
-	}
+// batchShapeError rejects a batch the loop must not start on.
+func batchShapeError(req *batchRequest) *APIError {
 	if len(req.Queries) == 0 {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "empty batch: need at least one query")
-		return
+		return Errf(http.StatusBadRequest, ErrInvalidRequest, "empty batch: need at least one query")
 	}
 	if len(req.Queries) > MaxBatchQueries {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest,
+		return Errf(http.StatusBadRequest, ErrInvalidRequest,
 			"batch of %d queries exceeds the maximum %d", len(req.Queries), MaxBatchQueries)
-		return
 	}
 	for i := range req.Queries {
 		if req.Queries[i].Version != 0 {
-			WriteErr(w, http.StatusBadRequest, ErrInvalidRequest,
+			return Errf(http.StatusBadRequest, ErrInvalidRequest,
 				"queries[%d] sets version; the batch-level version pins the snapshot for every query", i)
-			return
 		}
 	}
-	snap, apiErr := s.snapshotAt(req.Version)
-	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+	return nil
+}
+
+func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *APIError {
+	var req batchRequest
+	if apiErr := decodeBody(w, r, &req); apiErr != nil {
+		return apiErr
 	}
-	ctx, cancel, apiErr := s.queryContext(r)
+	if apiErr := batchShapeError(&req); apiErr != nil {
+		return apiErr
+	}
+	ctx, cancel, apiErr := RequestContext(r, s.info.Timeout)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+		return apiErr
 	}
 	defer cancel()
+	pin, apiErr := s.b.Pin(ctx, req.Version)
+	if apiErr != nil {
+		return apiErr
+	}
 
 	results := make([]json.RawMessage, 0, len(req.Queries))
 	hits := 0
-	// local is the batch's own result overlay. The snapshot's query
-	// cache is bounded (it declines new keys once full), so the
-	// batch's documented guarantee — repeated queries inside one batch
-	// never re-traverse — must not depend on it having room.
-	local := map[queryCacheKey]json.RawMessage{}
+	// local is the batch's own result overlay. The result cache is
+	// bounded (it declines new keys once full), so the batch's
+	// documented guarantee — repeated queries inside one batch never
+	// re-traverse — must not depend on it having room.
+	local := map[CacheKey]json.RawMessage{}
 	for i := range req.Queries {
 		// A dead client or an expired deadline aborts the whole batch
 		// with a structured error — never a partial results array.
 		if err := ctx.Err(); err != nil {
 			ce, _ := CtxError(err)
-			WriteAPIError(w, ce)
-			return
+			return ce
 		}
 		typ, t, at, opts, itemErr := ResolveQueryRequest(&req.Queries[i])
 		if itemErr == nil {
-			key := queryCacheKey{at: at, vid: t.VID(), typ: typ, opts: s.clampOpts(opts)}
+			key := s.key(pin, typ, at, t, opts)
 			if cached, ok := local[key]; ok {
 				hits++
 				results = append(results, cached)
 				continue
 			}
-			out, hit, evalErr := s.evalQuery(ctx, snap, typ, at, t, opts)
+			res, hit, evalErr := s.b.Query(ctx, pin, key, t)
 			if evalErr == nil {
 				if hit {
 					hits++
 				}
-				b, err := json.Marshal(out)
+				b, err := json.Marshal(RenderQueryResponse(pin.Version, int64(pin.Time), res))
 				if err != nil {
-					WriteErr(w, http.StatusInternalServerError, ErrInternal, "encode: %v", err)
-					return
+					return Errf(http.StatusInternalServerError, ErrInternal, "encode: %v", err)
 				}
 				local[key] = b
 				results = append(results, b)
 				continue
 			}
 			if evalErr.Code == ErrQueryCancelled || evalErr.Code == ErrQueryTimeout {
-				WriteAPIError(w, evalErr)
-				return
+				return evalErr
 			}
 			itemErr = evalErr
 		}
 		results = append(results, MarshalError(itemErr))
 	}
 
-	hitsTotal, missesTotal := snap.CacheCounters()
+	hitsTotal, missesTotal := s.b.CacheCounters(pin)
 	w.Header().Set("X-Batch-Cache-Hits", strconv.Itoa(hits))
 	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hitsTotal, 10))
 	w.Header().Set("X-Cache-Misses", strconv.FormatInt(missesTotal, 10))
 	WriteJSON(w, http.StatusOK, batchResponse{
-		Version: snap.Version,
-		Time:    int64(snap.Time),
+		Version: pin.Version,
+		Time:    int64(pin.Time),
 		Results: results,
 	})
+	return nil
 }
 
 // handleProofDOT renders the lineage of ?tuple= (optionally ?at=,
-// ?version=) as a Graphviz DOT document.
-func (s *Server) handleProofDOT(w http.ResponseWriter, r *http.Request) {
-	snap, done := s.condGET(w, r)
-	if done {
-		return
-	}
-	lit := r.URL.Query().Get("tuple")
-	if lit == "" {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "missing ?tuple= literal")
-		return
-	}
-	t, at, err := ResolveTupleAt(lit, r.URL.Query().Get("at"))
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidQuery, "%v", err)
-		return
-	}
-	ctx, cancel, apiErr := s.queryContext(r)
+// ?version=) as a Graphviz DOT document, sharing the result cache with
+// /v1/query.
+func (s *Server) handleProofDOT(w http.ResponseWriter, r *http.Request) *APIError {
+	_, t, at, apiErr := tupleParams(r)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+		return apiErr
+	}
+	ctx, cancel, apiErr := RequestContext(r, s.info.Timeout)
+	if apiErr != nil {
+		return apiErr
 	}
 	defer cancel()
-	res, hit, err := snap.CachedQueryContext(ctx, provquery.Lineage, at, t, s.clampOpts(provquery.Options{}))
-	if err != nil {
-		WriteAPIError(w, QueryError(err))
-		return
+	pin, fresh, apiErr := s.pinGET(ctx, w, r)
+	if !fresh {
+		return apiErr
 	}
-	setCacheHeaders(w, snap, hit)
+	res, hit, apiErr := s.b.Query(ctx, pin, s.key(pin, provquery.Lineage, at, t, provquery.Options{}), t)
+	if apiErr != nil {
+		return apiErr
+	}
+	s.setCacheHeaders(w, pin, hit)
 	w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
-	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(snap.Version, 10))
+	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(pin.Version, 10))
 	fmt.Fprint(w, viz.ProofDOT(res.Root))
+	return nil
 }

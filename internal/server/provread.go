@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 
@@ -179,30 +178,28 @@ func (s *Snapshot) provReadOne(op ProvReadOp) ProvReadResult {
 
 // handleProvRead is POST /v1/prov/read: batched partition reads
 // against one pinned snapshot — the wire protocol a federating
-// gateway resolves remote-shard walk steps with.
-func (s *Server) handleProvRead(w http.ResponseWriter, r *http.Request) {
+// gateway resolves remote-shard walk steps with. Only New mounts it, so
+// the backend is a Publisher and every pin carries its snapshot.
+func (s *Server) handleProvRead(w http.ResponseWriter, r *http.Request) *APIError {
 	var req ProvReadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "bad request body: %v", err)
-		return
+	if apiErr := decodeBody(w, r, &req); apiErr != nil {
+		return apiErr
 	}
 	if len(req.Reads) == 0 {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "empty read batch")
-		return
+		return Errf(http.StatusBadRequest, ErrInvalidRequest, "empty read batch")
 	}
 	if len(req.Reads) > MaxProvReads {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest,
+		return Errf(http.StatusBadRequest, ErrInvalidRequest,
 			"%d reads exceed the maximum %d", len(req.Reads), MaxProvReads)
-		return
 	}
-	snap, apiErr := s.snapshotAt(req.Version)
+	pin, apiErr := s.b.Pin(r.Context(), req.Version)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+		return apiErr
 	}
-	results := snap.ProvRead(req.Reads)
+	results := pin.snap.ProvRead(req.Reads)
 	s.provReads.Add(int64(len(req.Reads)))
-	WriteJSON(w, http.StatusOK, ProvReadResponse{Version: snap.Version, Results: results})
+	WriteJSON(w, http.StatusOK, ProvReadResponse{Version: pin.Version, Results: results})
+	return nil
 }
 
 // ShardJSON is the "shard" object of GET /v1/shards and /v1/healthz.
@@ -227,26 +224,6 @@ type ShardsJSON struct {
 	Nodes []string `json:"nodes"`
 	// AllNodes are all node addresses of the network, sorted.
 	AllNodes []string `json:"allNodes"`
-}
-
-// handleShards is GET /v1/shards: the routing-table face of a shard
-// (or of an unsharded daemon, which reports itself as shard 0 of 1).
-func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	snap, done := s.condGET(w, r)
-	if done {
-		return
-	}
-	shard := ShardJSON{Index: snap.Shard.Index, Total: snap.Shard.Total}
-	if snap.Shard.Unsharded() {
-		shard = ShardJSON{Index: 0, Total: 1}
-	}
-	WriteJSON(w, http.StatusOK, ShardsJSON{
-		Version:  snap.Version,
-		Time:     int64(snap.Time),
-		Shard:    shard,
-		Nodes:    snap.Nodes,
-		AllNodes: snap.AllNodes,
-	})
 }
 
 // ProvReads reports how many prov-read ops this server has answered —

@@ -72,7 +72,7 @@ func TestHealthzAndNodes(t *testing.T) {
 	e := buildGrid(t, 2)
 	_, ts := newServer(t, e, 0)
 
-	code, body := get(t, ts.URL+"/healthz")
+	code, body := get(t, ts.URL+"/v1/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("healthz: %d %s", code, body)
 	}
@@ -89,7 +89,7 @@ func TestHealthzAndNodes(t *testing.T) {
 		t.Fatalf("healthz = %+v", h)
 	}
 
-	code, body = get(t, ts.URL+"/nodes")
+	code, body = get(t, ts.URL+"/v1/nodes")
 	if code != http.StatusOK {
 		t.Fatalf("nodes: %d %s", code, body)
 	}
@@ -115,7 +115,7 @@ func TestStateEndpointAndTimeTravel(t *testing.T) {
 	e := buildGrid(t, 2)
 	pub, ts := newServer(t, e, 0)
 
-	code, body := get(t, ts.URL+"/state/n1")
+	code, body := get(t, ts.URL+"/v1/state/n1")
 	if code != http.StatusOK {
 		t.Fatalf("state: %d %s", code, body)
 	}
@@ -135,7 +135,7 @@ func TestStateEndpointAndTimeTravel(t *testing.T) {
 	}
 
 	// Relation filter.
-	code, body = get(t, ts.URL+"/state/n1?rel=link")
+	code, body = get(t, ts.URL+"/v1/state/n1?rel=link")
 	if code != http.StatusOK {
 		t.Fatalf("state?rel: %d %s", code, body)
 	}
@@ -150,14 +150,14 @@ func TestStateEndpointAndTimeTravel(t *testing.T) {
 	}
 
 	// Unknown node.
-	if code, _ := get(t, ts.URL+"/state/nope"); code != http.StatusNotFound {
+	if code, _ := get(t, ts.URL+"/v1/state/nope"); code != http.StatusNotFound {
 		t.Fatalf("unknown node: %d", code)
 	}
 
 	// Time travel: mutate, then read back the pre-change instant.
 	preTime := pub.Current().Time
 	preBody := func() []byte {
-		_, b := get(t, ts.URL+"/state/n1?rel=mincost")
+		_, b := get(t, ts.URL+"/v1/state/n1?rel=mincost")
 		return b
 	}()
 	if err := e.RemoveBiLink("n1", "n2", 1); err != nil {
@@ -167,7 +167,7 @@ func TestStateEndpointAndTimeTravel(t *testing.T) {
 	if pub.Current().Time <= preTime {
 		t.Fatalf("virtual time did not advance: %d -> %d", preTime, pub.Current().Time)
 	}
-	code, body = get(t, fmt.Sprintf("%s/state/n1?rel=mincost&t=%d", ts.URL, int64(preTime)))
+	code, body = get(t, fmt.Sprintf("%s/v1/state/n1?rel=mincost&t=%d", ts.URL, int64(preTime)))
 	if code != http.StatusOK {
 		t.Fatalf("time travel: %d %s", code, body)
 	}
@@ -189,7 +189,7 @@ func TestQueryEndpointTextAndStructured(t *testing.T) {
 	e := buildGrid(t, 2)
 	_, ts := newServer(t, e, 0)
 
-	code, body := post(t, ts.URL+"/query", `{"q":"lineage of mincost(@'n1','n4',2)"}`)
+	code, body := post(t, ts.URL+"/v1/query", `{"q":"lineage of mincost(@'n1','n4',2)"}`)
 	if code != http.StatusOK {
 		t.Fatalf("text query: %d %s", code, body)
 	}
@@ -212,7 +212,7 @@ func TestQueryEndpointTextAndStructured(t *testing.T) {
 		t.Fatalf("rendered text missing rules:\n%s", q.Text)
 	}
 
-	code, body = post(t, ts.URL+"/query",
+	code, body = post(t, ts.URL+"/v1/query",
 		`{"type":"count","tuple":"mincost(@'n1','n4',2)","options":{"threshold":1}}`)
 	if code != http.StatusOK {
 		t.Fatalf("structured query: %d %s", code, body)
@@ -229,7 +229,7 @@ func TestQueryEndpointTextAndStructured(t *testing.T) {
 	}
 
 	// Bases of a derived tuple are link facts.
-	code, body = post(t, ts.URL+"/query", `{"q":"bases of mincost(@'n1','n4',2)"}`)
+	code, body = post(t, ts.URL+"/v1/query", `{"q":"bases of mincost(@'n1','n4',2)"}`)
 	if code != http.StatusOK || !bytes.Contains(body, []byte(`"rel": "link"`)) {
 		t.Fatalf("bases query: %d %s", code, body)
 	}
@@ -237,19 +237,19 @@ func TestQueryEndpointTextAndStructured(t *testing.T) {
 	// Errors: bad body, malformed textual query, missing provenance,
 	// bad type. Malformed queries are 400; only missing provenance in
 	// an otherwise valid query is 404.
-	if code, _ := post(t, ts.URL+"/query", `{`); code != http.StatusBadRequest {
+	if code, _ := post(t, ts.URL+"/v1/query", `{`); code != http.StatusBadRequest {
 		t.Fatalf("bad body: %d", code)
 	}
-	if code, _ := post(t, ts.URL+"/query", `{"q":"explain mincost(@'n1','n4',2)"}`); code != http.StatusBadRequest {
+	if code, _ := post(t, ts.URL+"/v1/query", `{"q":"explain mincost(@'n1','n4',2)"}`); code != http.StatusBadRequest {
 		t.Fatalf("malformed textual query: %d", code)
 	}
-	if code, _ := post(t, ts.URL+"/query", `{"q":"lineage of mincost(@'n1','n4'"}`); code != http.StatusBadRequest {
+	if code, _ := post(t, ts.URL+"/v1/query", `{"q":"lineage of mincost(@'n1','n4'"}`); code != http.StatusBadRequest {
 		t.Fatalf("unterminated tuple literal: %d", code)
 	}
-	if code, _ := post(t, ts.URL+"/query", `{"q":"lineage of mincost(@'n1','n4',99)"}`); code != http.StatusNotFound {
+	if code, _ := post(t, ts.URL+"/v1/query", `{"q":"lineage of mincost(@'n1','n4',99)"}`); code != http.StatusNotFound {
 		t.Fatalf("unknown tuple: %d", code)
 	}
-	if code, _ := post(t, ts.URL+"/query", `{"type":"wat","tuple":"link(@'n1','n2',1)"}`); code != http.StatusBadRequest {
+	if code, _ := post(t, ts.URL+"/v1/query", `{"type":"wat","tuple":"link(@'n1','n2',1)"}`); code != http.StatusBadRequest {
 		t.Fatalf("bad type: %d", code)
 	}
 }
@@ -257,7 +257,7 @@ func TestQueryEndpointTextAndStructured(t *testing.T) {
 func TestProofDOTEndpoint(t *testing.T) {
 	e := buildGrid(t, 2)
 	_, ts := newServer(t, e, 0)
-	code, body := get(t, ts.URL+"/proof.dot?tuple=mincost(@'n1','n4',2)")
+	code, body := get(t, ts.URL+"/v1/proof.dot?tuple=mincost(@'n1','n4',2)")
 	if code != http.StatusOK {
 		t.Fatalf("proof.dot: %d %s", code, body)
 	}
@@ -314,8 +314,8 @@ func TestPublisherVersioningAndRetention(t *testing.T) {
 }
 
 // TestPinnedQueriesByteIdenticalUnderChurn is the acceptance check:
-// while the simulation actively advances epochs, two concurrent /query
-// requests pinned to the same snapshot version return byte-identical
+// while the simulation actively advances epochs, two concurrent
+// /v1/query requests pinned to the same snapshot version return byte-identical
 // JSON. Run with -race to also prove the reader/scheduler isolation.
 func TestPinnedQueriesByteIdenticalUnderChurn(t *testing.T) {
 	e := buildGrid(t, 3)
@@ -341,7 +341,7 @@ func TestPinnedQueriesByteIdenticalUnderChurn(t *testing.T) {
 	}()
 
 	query := func(version uint64) (int, []byte) {
-		return post(t, ts.URL+"/query", fmt.Sprintf(
+		return post(t, ts.URL+"/v1/query", fmt.Sprintf(
 			`{"q":"lineage of mincost(@'n1','n9',4)","version":%d}`, version))
 	}
 
@@ -409,19 +409,19 @@ func TestSnapshotStableWhileSimulationAdvances(t *testing.T) {
 
 	v := pub.Current().Version
 	q := fmt.Sprintf(`{"q":"count of mincost(@'n1','n4',2)","version":%d}`, v)
-	_, before := post(t, ts.URL+"/query", q)
+	_, before := post(t, ts.URL+"/v1/query", q)
 
 	if err := e.RemoveBiLink("n1", "n2", 1); err != nil {
 		t.Fatal(err)
 	}
 	e.RunQuiescent()
 
-	_, after := post(t, ts.URL+"/query", q)
+	_, after := post(t, ts.URL+"/v1/query", q)
 	if !bytes.Equal(before, after) {
 		t.Fatalf("pinned snapshot changed under the reader:\n%s\nvs\n%s", before, after)
 	}
 	// The live current snapshot, by contrast, must reflect the change.
-	_, live := post(t, ts.URL+"/query", `{"q":"count of mincost(@'n1','n4',2)"}`)
+	_, live := post(t, ts.URL+"/v1/query", `{"q":"count of mincost(@'n1','n4',2)"}`)
 	if bytes.Equal(before, live) {
 		t.Fatal("current snapshot never advanced past the pinned one")
 	}
@@ -466,7 +466,7 @@ func TestQueryCacheServesRepeatedPinnedQueries(t *testing.T) {
 	v := pub.Current().Version
 	q := fmt.Sprintf(`{"q":"lineage of mincost(@'n1','n9',4)","version":%d}`, v)
 
-	first, firstBody := postFull(t, ts.URL+"/query", q)
+	first, firstBody := postFull(t, ts.URL+"/v1/query", q)
 	if first.StatusCode != http.StatusOK {
 		t.Fatalf("first query: %d %s", first.StatusCode, firstBody)
 	}
@@ -474,7 +474,7 @@ func TestQueryCacheServesRepeatedPinnedQueries(t *testing.T) {
 		t.Fatalf("first query X-Cache = %q, want MISS", got)
 	}
 
-	second, secondBody := postFull(t, ts.URL+"/query", q)
+	second, secondBody := postFull(t, ts.URL+"/v1/query", q)
 	if got := second.Header.Get("X-Cache"); got != "HIT" {
 		t.Fatalf("second query X-Cache = %q, want HIT", got)
 	}
@@ -484,7 +484,7 @@ func TestQueryCacheServesRepeatedPinnedQueries(t *testing.T) {
 	if hits := second.Header.Get("X-Cache-Hits"); hits != "1" {
 		t.Fatalf("X-Cache-Hits = %q, want 1", hits)
 	}
-	third, _ := postFull(t, ts.URL+"/query", q)
+	third, _ := postFull(t, ts.URL+"/v1/query", q)
 	if hits := third.Header.Get("X-Cache-Hits"); hits != "2" {
 		t.Fatalf("X-Cache-Hits = %q, want 2", hits)
 	}
@@ -496,14 +496,14 @@ func TestQueryCacheServesRepeatedPinnedQueries(t *testing.T) {
 	}
 
 	// A different option set is a different sub-proof: it must miss.
-	alt, _ := postFull(t, ts.URL+"/query", fmt.Sprintf(
+	alt, _ := postFull(t, ts.URL+"/v1/query", fmt.Sprintf(
 		`{"q":"lineage of mincost(@'n1','n9',4) with threshold 1","version":%d}`, v))
 	if got := alt.Header.Get("X-Cache"); got != "MISS" {
 		t.Fatalf("different options X-Cache = %q, want MISS", got)
 	}
 
 	// proof.dot shares the same cache (lineage + default options).
-	dot1, _ := getFull(t, fmt.Sprintf("%s/proof.dot?tuple=mincost(@'n1','n9',4)&version=%d", ts.URL, v))
+	dot1, _ := getFull(t, fmt.Sprintf("%s/v1/proof.dot?tuple=mincost(@'n1','n9',4)&version=%d", ts.URL, v))
 	if got := dot1.Header.Get("X-Cache"); got != "HIT" {
 		t.Fatalf("proof.dot after cached lineage X-Cache = %q, want HIT", got)
 	}
@@ -557,26 +557,29 @@ func TestUnknownRoutesAndMethodsAreStructuredJSON(t *testing.T) {
 		}
 	}
 
-	resp, body := getFull(t, ts.URL+"/nope")
+	resp, body := getFull(t, ts.URL+"/v1/nope")
+	assertJSONError(resp, body, http.StatusNotFound, ErrUnknownEndpoint)
+	// The pre-v1 unversioned aliases are gone, not redirected.
+	resp, body = getFull(t, ts.URL+"/nodes")
 	assertJSONError(resp, body, http.StatusNotFound, ErrUnknownEndpoint)
 
-	resp, body = postFull(t, ts.URL+"/nodes", `{}`)
+	resp, body = postFull(t, ts.URL+"/v1/nodes", `{}`)
 	assertJSONError(resp, body, http.StatusMethodNotAllowed, ErrMethodNotAllowed)
 	if allow := resp.Header.Get("Allow"); allow != "GET" {
 		t.Fatalf("Allow = %q, want GET", allow)
 	}
-	resp, body = getFull(t, ts.URL+"/query")
+	resp, body = getFull(t, ts.URL+"/v1/query")
 	assertJSONError(resp, body, http.StatusMethodNotAllowed, ErrMethodNotAllowed)
 
-	resp, body = getFull(t, ts.URL+"/nodes?version=banana")
+	resp, body = getFull(t, ts.URL+"/v1/nodes?version=banana")
 	assertJSONError(resp, body, http.StatusBadRequest, ErrInvalidRequest)
-	resp, body = getFull(t, ts.URL+"/state/n1?version=999999")
+	resp, body = getFull(t, ts.URL+"/v1/state/n1?version=999999")
 	assertJSONError(resp, body, http.StatusGone, ErrSnapshotEvicted)
-	resp, body = getFull(t, ts.URL+"/state/ghost")
+	resp, body = getFull(t, ts.URL+"/v1/state/ghost")
 	assertJSONError(resp, body, http.StatusNotFound, ErrUnknownNode)
 
 	// proof.dot success still carries the Graphviz content type.
-	resp, _ = getFull(t, ts.URL+"/proof.dot?tuple=mincost(@'n1','n4',2)")
+	resp, _ = getFull(t, ts.URL+"/v1/proof.dot?tuple=mincost(@'n1','n4',2)")
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/vnd.graphviz") {
 		t.Fatalf("proof.dot Content-Type = %q", ct)
 	}
@@ -594,7 +597,7 @@ func TestServerTraversalCaps(t *testing.T) {
 	ts := httptest.NewServer(New(pub, Info{Protocol: "mincost", MaxDepth: 2}))
 	t.Cleanup(ts.Close)
 
-	code, body := post(t, ts.URL+"/query", `{"q":"lineage of mincost(@'n1','n9',4)"}`)
+	code, body := post(t, ts.URL+"/v1/query", `{"q":"lineage of mincost(@'n1','n9',4)"}`)
 	if code != http.StatusOK {
 		t.Fatalf("query: %d %s", code, body)
 	}
@@ -609,7 +612,7 @@ func TestServerTraversalCaps(t *testing.T) {
 	}
 
 	// The structured form's limits also apply (tighter than the cap).
-	code, body = post(t, ts.URL+"/query",
+	code, body = post(t, ts.URL+"/v1/query",
 		`{"type":"lineage","tuple":"mincost(@'n1','n9',4)","options":{"maxdepth":1}}`)
 	if code != http.StatusOK {
 		t.Fatalf("structured query: %d %s", code, body)

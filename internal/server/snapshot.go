@@ -27,7 +27,7 @@
 //
 // A bounded ring of recent snapshots supports version pinning, and a
 // logstore history of per-node captures supports time-travel reads
-// (GET /state/{node}?t=...).
+// (GET /v1/state/{node}?t=...).
 package server
 
 import (
@@ -48,10 +48,10 @@ import (
 
 // ShardSpec places one serving process inside a sharded deployment:
 // it is shard Index of Total. Node ownership is positional and
-// deterministic — the network's sorted node list is dealt round-robin,
-// so node k (0-based position in the sorted list) belongs to shard
-// k mod Total. Every shard and every gateway derives the same routing
-// table from the node list alone; no coordination service is needed.
+// deterministic — engine.OwnerOf, the one node-partitioning rule, deals
+// the network's sorted node list round-robin. Every shard and every
+// gateway derives the same routing table from the node list alone; no
+// coordination service is needed.
 // The zero value (and any Total <= 1) means unsharded: one process
 // owns every partition.
 type ShardSpec struct {
@@ -69,15 +69,6 @@ func (s ShardSpec) Unsharded() bool { return s.Total <= 1 }
 // accepts.
 func (s ShardSpec) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Total) }
 
-// ShardOf returns which shard of total owns the node at 0-based
-// position pos of the sorted node list.
-func ShardOf(pos, total int) int {
-	if total <= 1 {
-		return 0
-	}
-	return pos % total
-}
-
 // OwnedNodes filters the sorted node list down to the addresses the
 // spec's shard owns (all of them when unsharded).
 func (s ShardSpec) OwnedNodes(sorted []string) []string {
@@ -86,7 +77,7 @@ func (s ShardSpec) OwnedNodes(sorted []string) []string {
 	}
 	var out []string
 	for i, addr := range sorted {
-		if ShardOf(i, s.Total) == s.Index {
+		if engine.OwnerOf(i, s.Total) == s.Index {
 			out = append(out, addr)
 		}
 	}
@@ -155,7 +146,7 @@ type Snapshot struct {
 	// cache memoizes whole query results for this (immutable) version;
 	// see querycache.go. It is evicted together with the snapshot when
 	// the version ages out of the retention ring.
-	cache *queryCache
+	cache *ResultCache
 }
 
 // stateOf returns the frozen state of an owned node, nil otherwise.
@@ -228,7 +219,7 @@ func (s *Snapshot) misdirected(addr string) *APIError {
 		if a == addr {
 			return Errf(http.StatusMisdirectedRequest, ErrWrongShard,
 				"node %q is owned by shard %d/%d, not this shard (%s)",
-				addr, ShardOf(i, s.Shard.Total), s.Shard.Total, s.Shard)
+				addr, engine.OwnerOf(i, s.Shard.Total), s.Shard.Total, s.Shard)
 		}
 	}
 	return nil
@@ -576,7 +567,7 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 	}
 	// The snapshot is its own view resolver: no per-publish view map.
 	snap.query = provquery.NewResolverClient(snap)
-	snap.cache = newQueryCache()
+	snap.cache = NewResultCache()
 
 	snaps := append(append([]*Snapshot{}, prev.snaps...), snap)
 	if len(snaps) > p.retain {

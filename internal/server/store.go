@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"net/http"
 	"sort"
 
 	"repro/internal/engine"
@@ -75,7 +74,7 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 		}
 		p.nodes[i] = n
 		p.ownedIdx[i] = -1
-		if shard.Unsharded() || ShardOf(i, shard.Total) == shard.Index {
+		if engine.OwnerOf(i, shard.Total) == shard.Index {
 			p.ownedIdx[i] = len(p.owned)
 			p.index[addr] = len(p.owned)
 			p.owned = append(p.owned, addr)
@@ -254,7 +253,7 @@ func (p *Publisher) snapshotFromDisk(vd *provstore.VersionData) *Snapshot {
 		index:    p.index,
 	}
 	snap.query = provquery.NewResolverClient(snap)
-	snap.cache = newQueryCache()
+	snap.cache = NewResultCache()
 	return snap
 }
 
@@ -271,55 +270,4 @@ type HistoryFirstJSON struct {
 	// equals it, the tuple may have first appeared even earlier, in
 	// history that retention has deleted.
 	OldestVersion uint64 `json:"oldestVersion"`
-}
-
-// handleHistoryFirst answers the deep-history query class: the first
-// version where tuple X exists at a node. It reads the snapshot
-// store's per-segment first-seen indexes, not any retained snapshot,
-// so there is no version pinning and no ETag — the answer can extend
-// further back than the in-memory ring.
-func (s *Server) handleHistoryFirst(w http.ResponseWriter, r *http.Request) {
-	lit := r.URL.Query().Get("tuple")
-	if lit == "" {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "missing ?tuple= literal")
-		return
-	}
-	t, at, err := ResolveTupleAt(lit, r.URL.Query().Get("at"))
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidQuery, "%v", err)
-		return
-	}
-	snap := s.pub.Current()
-	if snap.stateOf(at) == nil {
-		if apiErr := snap.misdirected(at); apiErr != nil {
-			WriteAPIError(w, apiErr)
-			return
-		}
-		WriteErr(w, http.StatusNotFound, ErrUnknownNode, "unknown node %q", at)
-		return
-	}
-	st := s.pub.Store()
-	if st == nil {
-		WriteErr(w, http.StatusNotImplemented, ErrNoHistory,
-			"no snapshot store attached; first-version queries need the daemon started with -data")
-		return
-	}
-	v, ok := st.FirstVersion(at, t.VID())
-	if !ok {
-		WriteErr(w, http.StatusNotFound, ErrNoHistory,
-			"tuple %s was never seen at %q in the retained history", t, at)
-		return
-	}
-	out := HistoryFirstJSON{
-		Tuple:         JSONTuple(t),
-		Node:          at,
-		FirstVersion:  v,
-		OldestVersion: st.OldestVersion(),
-	}
-	// Best-effort: the version can age out between the index probe and
-	// the time lookup; the answer itself is still valid.
-	if tm, err := st.VersionTime(v); err == nil {
-		out.TimeUs = tm
-	}
-	WriteJSON(w, http.StatusOK, out)
 }

@@ -32,57 +32,8 @@ func decodeEnvelope(t *testing.T, body []byte) (code, msg string) {
 	return e.Error.Code, e.Error.Message
 }
 
-// TestV1AndLegacyBodiesByteIdentical: every legacy route is a thin
-// alias of its /v1/ twin — same handler, byte-identical success body —
-// and announces its deprecation in headers.
-func TestV1AndLegacyBodiesByteIdentical(t *testing.T) {
-	e := buildGrid(t, 2)
-	pub, ts := newServer(t, e, 0)
-	v := pub.Current().Version
-
-	queryBody := fmt.Sprintf(`{"q":"lineage of mincost(@'n1','n4',2)","version":%d}`, v)
-	cases := []struct {
-		name, method, path, body string
-	}{
-		{"healthz", "GET", "/healthz", ""},
-		{"nodes", "GET", fmt.Sprintf("/nodes?version=%d", v), ""},
-		{"state", "GET", fmt.Sprintf("/state/n1?rel=mincost&version=%d", v), ""},
-		{"query", "POST", "/query", queryBody},
-		{"proof.dot", "GET", fmt.Sprintf("/proof.dot?tuple=mincost(@'n1','n4',2)&version=%d", v), ""},
-	}
-	do := func(method, url, body string) (*http.Response, []byte) {
-		t.Helper()
-		if method == "POST" {
-			return postFull(t, url, body)
-		}
-		return getFull(t, url)
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacyResp, legacyBody := do(tc.method, ts.URL+tc.path, tc.body)
-			v1Resp, v1Body := do(tc.method, ts.URL+"/v1"+tc.path, tc.body)
-			if legacyResp.StatusCode != http.StatusOK || v1Resp.StatusCode != http.StatusOK {
-				t.Fatalf("status legacy=%d v1=%d (%s)", legacyResp.StatusCode, v1Resp.StatusCode, legacyBody)
-			}
-			if !bytes.Equal(legacyBody, v1Body) {
-				t.Fatalf("legacy and v1 bodies diverged:\n%s\nvs\n%s", legacyBody, v1Body)
-			}
-			if dep := legacyResp.Header.Get("Deprecation"); dep != "true" {
-				t.Fatalf("legacy Deprecation header = %q, want true", dep)
-			}
-			if link := legacyResp.Header.Get("Link"); !strings.Contains(link, "/v1/") ||
-				!strings.Contains(link, "successor-version") {
-				t.Fatalf("legacy Link header = %q", link)
-			}
-			if dep := v1Resp.Header.Get("Deprecation"); dep != "" {
-				t.Fatalf("v1 route marked deprecated: %q", dep)
-			}
-		})
-	}
-}
-
 // TestVersionEndpoint: GET /v1/version reports the build metadata of
-// the running binary, and there is deliberately no legacy alias.
+// the running binary.
 func TestVersionEndpoint(t *testing.T) {
 	e := buildGrid(t, 2)
 	_, ts := newServer(t, e, 0)
@@ -98,15 +49,12 @@ func TestVersionEndpoint(t *testing.T) {
 	if info.Module != "repro" || !strings.HasPrefix(info.GoVersion, "go") {
 		t.Fatalf("version info = %+v", info)
 	}
-	if code, _ := get(t, ts.URL+"/version"); code != http.StatusNotFound {
-		t.Fatalf("legacy /version must not exist, got %d", code)
-	}
 }
 
 // TestETagConditionalGET: snapshot-determined GET responses carry a
-// strong ETag; If-None-Match answers 304 with no body, legacy and v1
-// spellings of the same request share the tag, and a different
-// snapshot version mints a different one.
+// strong ETag; If-None-Match answers 304 with no body, pinned and
+// current spellings of the same snapshot share the tag, and a
+// different parameter set mints a different one.
 func TestETagConditionalGET(t *testing.T) {
 	e := buildGrid(t, 2)
 	pub, ts := newServer(t, e, 0)
@@ -155,14 +103,10 @@ func TestETagConditionalGET(t *testing.T) {
 		}
 	}
 
-	// Legacy alias and the unpinned spelling share the v1 tag (same
-	// resolved version, same normalized request).
+	// The unpinned spelling shares the pinned tag (same resolved
+	// version, same normalized request).
 	pinned, _ := getFull(t, fmt.Sprintf("%s/v1/nodes?version=%d", ts.URL, v))
-	legacy, _ := getFull(t, fmt.Sprintf("%s/nodes?version=%d", ts.URL, v))
 	current, _ := getFull(t, ts.URL+"/v1/nodes")
-	if lt, vt := legacy.Header.Get("ETag"), pinned.Header.Get("ETag"); lt != vt {
-		t.Fatalf("legacy ETag %q != v1 ETag %q", lt, vt)
-	}
 	if ct, vt := current.Header.Get("ETag"), pinned.Header.Get("ETag"); ct != vt {
 		t.Fatalf("current-version ETag %q != pinned ETag %q for the same snapshot", ct, vt)
 	}
@@ -174,76 +118,23 @@ func TestETagConditionalGET(t *testing.T) {
 	}
 }
 
-// TestOptionValidationRejections: out-of-range traversal options and
-// unknown query types are rejected at the API boundary with the 400
-// envelope — never silently clamped, never a panic.
-func TestOptionValidationRejections(t *testing.T) {
+// The per-request rejections (option ranges, unknown types, bad
+// ?timeout=, batch shape, evicted pins, per-endpoint error codes) are
+// asserted for this tier and the gateway at once by
+// TestTierConformance in internal/gateway.
+
+// TestOversizedBodyRejected: every POST route reads its body through
+// the one bounded decoder, so a body over MaxBodyBytes is the
+// structured 413 — including on the daemon-only read protocol.
+func TestOversizedBodyRejected(t *testing.T) {
 	e := buildGrid(t, 2)
 	_, ts := newServer(t, e, 0)
-
-	cases := []struct {
-		name, body, wantCode string
-	}{
-		{"negative maxdepth", `{"type":"lineage","tuple":"mincost(@'n1','n4',2)","options":{"maxdepth":-1}}`, ErrInvalidOption},
-		{"negative maxnodes", `{"type":"lineage","tuple":"mincost(@'n1','n4',2)","options":{"maxnodes":-7}}`, ErrInvalidOption},
-		{"negative threshold", `{"type":"count","tuple":"mincost(@'n1','n4',2)","options":{"threshold":-2}}`, ErrInvalidOption},
-		{"absurd maxdepth", `{"type":"lineage","tuple":"mincost(@'n1','n4',2)","options":{"maxdepth":2000000}}`, ErrInvalidOption},
-		{"absurd maxnodes", `{"type":"lineage","tuple":"mincost(@'n1','n4',2)","options":{"maxnodes":99999999}}`, ErrInvalidOption},
-		{"unknown type", `{"type":"explain","tuple":"mincost(@'n1','n4',2)"}`, ErrInvalidQuery},
-		{"unknown textual type", `{"q":"explain of mincost(@'n1','n4',2)"}`, ErrInvalidQuery},
-		{"neither form", `{"at":"n1"}`, ErrInvalidRequest},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, body := postFull(t, ts.URL+"/v1/query", tc.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400 (%s)", resp.StatusCode, body)
-			}
-			if code, _ := decodeEnvelope(t, body); code != tc.wantCode {
-				t.Fatalf("error code = %q, want %q (%s)", code, tc.wantCode, body)
-			}
-		})
-	}
-
-	// Bad ?timeout= values are invalid_option too.
-	resp, body := postFull(t, ts.URL+"/v1/query?timeout=banana",
-		`{"q":"count of mincost(@'n1','n4',2)"}`)
-	if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusBadRequest || code != ErrInvalidOption {
-		t.Fatalf("bad timeout: %d %s", resp.StatusCode, body)
-	}
-	resp, body = postFull(t, ts.URL+"/v1/query?timeout=-5s",
-		`{"q":"count of mincost(@'n1','n4',2)"}`)
-	if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusBadRequest || code != ErrInvalidOption {
-		t.Fatalf("negative timeout: %d %s", resp.StatusCode, body)
-	}
-}
-
-// TestErrorCodesConsistentAcrossEndpoints: the same defect earns the
-// same stable code on every query-evaluating route — an SDK caller
-// branching on a code must not get different answers per endpoint.
-func TestErrorCodesConsistentAcrossEndpoints(t *testing.T) {
-	e := buildGrid(t, 2)
-	_, ts := newServer(t, e, 0)
-
-	// Unknown starting node: unknown_node everywhere.
-	resp, body := postFull(t, ts.URL+"/v1/query",
-		`{"type":"lineage","tuple":"mincost(@'ghost','n4',2)"}`)
-	qCode, _ := decodeEnvelope(t, body)
-	resp2, body2 := getFull(t, ts.URL+"/v1/proof.dot?tuple=mincost(@'ghost','n4',2)")
-	dCode, _ := decodeEnvelope(t, body2)
-	if qCode != ErrUnknownNode || dCode != qCode || resp.StatusCode != resp2.StatusCode {
-		t.Fatalf("unknown node: /query = %d %q, /proof.dot = %d %q",
-			resp.StatusCode, qCode, resp2.StatusCode, dCode)
-	}
-
-	// Unknown tuple at a real node: no_provenance everywhere.
-	_, body = postFull(t, ts.URL+"/v1/query",
-		`{"type":"lineage","tuple":"mincost(@'n1','n4',99)"}`)
-	qCode, _ = decodeEnvelope(t, body)
-	_, body2 = getFull(t, ts.URL+"/v1/proof.dot?tuple=mincost(@'n1','n4',99)")
-	dCode, _ = decodeEnvelope(t, body2)
-	if qCode != ErrNoProvenance || dCode != qCode {
-		t.Fatalf("unknown tuple: /query = %q, /proof.dot = %q", qCode, dCode)
+	huge := `{"q":"` + strings.Repeat("a", MaxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/query", "/v1/query/batch", "/v1/prov/read"} {
+		resp, body := postFull(t, ts.URL+path, huge)
+		if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusRequestEntityTooLarge || code != ErrInvalidRequest {
+			t.Fatalf("%s: oversized body = %d %s", path, resp.StatusCode, body)
+		}
 	}
 }
 
@@ -376,32 +267,16 @@ func TestBatchSharesResultsWhenSnapshotCacheFull(t *testing.T) {
 	}
 }
 
-// TestBatchErrors: batch-level failures are whole-request envelopes;
-// per-query failures are error envelopes in the results array, in
-// position, without failing the neighbours.
+// TestBatchErrors: per-query failures are error envelopes in the
+// results array, in position, without failing the neighbours. (The
+// whole-request failures are rows of TestTierConformance.)
 func TestBatchErrors(t *testing.T) {
 	e := buildGrid(t, 2)
 	pub, ts := newServer(t, e, 0)
 
-	resp, body := postFull(t, ts.URL+"/v1/query/batch", `{"queries":[]}`)
-	if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusBadRequest || code != ErrInvalidRequest {
-		t.Fatalf("empty batch: %d %s", resp.StatusCode, body)
-	}
-
-	resp, body = postFull(t, ts.URL+"/v1/query/batch",
-		`{"queries":[{"q":"count of mincost(@'n1','n4',2)","version":1}]}`)
-	if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusBadRequest || code != ErrInvalidRequest {
-		t.Fatalf("per-item version: %d %s", resp.StatusCode, body)
-	}
-
-	resp, body = postFull(t, ts.URL+"/v1/query/batch", `{"version":999999,"queries":[{"q":"count of mincost(@'n1','n4',2)"}]}`)
-	if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusGone || code != ErrSnapshotEvicted {
-		t.Fatalf("evicted version: %d %s", resp.StatusCode, body)
-	}
-
 	// One bad element among good ones: the good ones still answer.
 	v := pub.Current().Version
-	resp, body = postFull(t, ts.URL+"/v1/query/batch", fmt.Sprintf(`{"version":%d,"queries":[
+	resp, body := postFull(t, ts.URL+"/v1/query/batch", fmt.Sprintf(`{"version":%d,"queries":[
 		{"q":"count of mincost(@'n1','n4',2)"},
 		{"q":"count of mincost(@'n1','n4',99)"},
 		{"type":"lineage","tuple":"mincost(@'n1','n4',2)","options":{"maxdepth":-3}},
