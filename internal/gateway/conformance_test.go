@@ -59,7 +59,24 @@ var sharedHeaders = []string{"ETag", "X-Cache", "Content-Type", "Allow", "X-Snap
 // the 410 pin, then ETag/304, then evaluation).
 func TestTierConformance(t *testing.T) {
 	d := deployGrid(t, 3, 3, 0)
-	v := d.singlePub.Current().Version
+	// One link flap on every engine (identical stimulus keeps the runs
+	// aligned) puts versions at several virtual instants, so ?t= has an
+	// earlier retained instant to resolve.
+	first := d.singlePub.Current()
+	for _, e := range d.engines() {
+		if err := e.RemoveBiLink("n4", "n5", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddBiLink("n4", "n5", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur := d.singlePub.Current()
+	v := cur.Version
+	if v < first.Version+2 || cur.Time <= first.Time {
+		t.Fatalf("flap minted versions %d@%d -> %d@%d, want later ones", first.Version, first.Time, v, cur.Time)
+	}
+	prev, _ := d.singlePub.At(v - 1)
 	const tuple = "mincost(@'n1','n9',4)"
 	const evicted = 999999
 
@@ -100,6 +117,11 @@ func TestTierConformance(t *testing.T) {
 		{"nodes pinned", "GET", fmt.Sprintf("/v1/nodes?version=%d", v), "", 200, "", false},
 		{"state rel", "GET", "/v1/state/n5?rel=mincost", "", 200, "", false},
 		{"state rel pinned", "GET", fmt.Sprintf("/v1/state/n9?rel=link&version=%d", v), "", 200, "", false},
+		// Time travel: t resolves to a version at or below the pin.
+		{"state at the current instant", "GET", fmt.Sprintf("/v1/state/n5?t=%d", cur.Time), "", 200, "", false},
+		{"state at an earlier instant", "GET", fmt.Sprintf("/v1/state/n5?t=%d", prev.Time), "", 200, "", false},
+		{"state at the first instant, rel", "GET", fmt.Sprintf("/v1/state/n4?rel=mincost&t=%d", first.Time), "", 200, "", false},
+		{"state at an earlier instant, pinned", "GET", fmt.Sprintf("/v1/state/n4?version=%d&t=%d", v-1, first.Time), "", 200, "", false},
 
 		// Free 400s.
 		{"bad JSON", "POST", "/v1/query", `{`, 400, server.ErrInvalidRequest, false},
@@ -129,11 +151,13 @@ func TestTierConformance(t *testing.T) {
 		{"evicted query", "POST", "/v1/query", fmt.Sprintf(`{"q":"count of %s","version":%d}`, tuple, evicted), 410, server.ErrSnapshotEvicted, true},
 		{"evicted batch", "POST", "/v1/query/batch", fmt.Sprintf(`{"version":%d,"queries":[{"q":"count of %s"}]}`, evicted, tuple), 410, server.ErrSnapshotEvicted, true},
 		{"evicted state, unknown node", "GET", fmt.Sprintf("/v1/state/ghost?version=%d", evicted), "", 410, server.ErrSnapshotEvicted, true},
+		{"evicted state, good virtual time", "GET", fmt.Sprintf("/v1/state/n5?version=%d&t=%d", evicted, cur.Time), "", 410, server.ErrSnapshotEvicted, true},
 
 		// Evaluation.
 		{"unknown node query", "POST", "/v1/query", `{"type":"lineage","tuple":"mincost(@'ghost','n4',2)"}`, 404, server.ErrUnknownNode, false},
 		{"unknown node proof.dot", "GET", "/v1/proof.dot?tuple=mincost(@'ghost','n4',2)", "", 404, server.ErrUnknownNode, false},
 		{"unknown node state", "GET", "/v1/state/ghost", "", 404, server.ErrUnknownNode, false},
+		{"virtual time before anything retained", "GET", fmt.Sprintf("/v1/state/n5?t=%d", first.Time-1), "", 404, server.ErrUnknownNode, true},
 		{"no provenance query", "POST", "/v1/query", `{"q":"lineage of mincost(@'n1','n9',99)"}`, 404, server.ErrNoProvenance, false},
 		{"no provenance proof.dot", "GET", "/v1/proof.dot?tuple=mincost(@'n1','n9',99)", "", 404, server.ErrNoProvenance, false},
 		{"expired deadline", "POST", "/v1/query?timeout=1ns", fmt.Sprintf(`{"type":"lineage","tuple":"%s","options":{"threshold":4242},"version":%d}`, tuple, v), 504, server.ErrQueryTimeout, true},
@@ -169,7 +193,7 @@ func TestTierConformance(t *testing.T) {
 	// Conditional GETs work on both tiers, with one tag: a validator
 	// minted by the daemon revalidates on the gateway.
 	t.Run("conditional GET", func(t *testing.T) {
-		for _, path := range []string{"/v1/nodes", "/v1/state/n5?rel=mincost", "/v1/proof.dot?tuple=" + tuple} {
+		for _, path := range []string{"/v1/nodes", "/v1/state/n5?rel=mincost", fmt.Sprintf("/v1/state/n5?t=%d", prev.Time), "/v1/proof.dot?tuple=" + tuple} {
 			full, _ := do(t, "GET", d.single.URL+path, "", nil)
 			etag := full.Header.Get("ETag")
 			if etag == "" {

@@ -46,14 +46,6 @@ type Store struct {
 // NewStore creates an empty log store.
 func NewStore() *Store { return &Store{} }
 
-// FromSorted wraps an already time-sorted snapshot slice as a Store
-// without copying. The caller must guarantee nondecreasing Time order
-// and must never mutate the published prefix afterwards; appending to
-// its own tail and re-wrapping is fine (the classic persistent-slice
-// handoff). nettrailsd's snapshot publisher uses this to hand each
-// epoch's history to lock-free HTTP readers.
-func FromSorted(snaps []Snapshot) *Store { return &Store{snaps: snaps} }
-
 // Add appends a snapshot (snapshots must arrive in nondecreasing time
 // order per node; Add keeps the global list time-sorted).
 func (s *Store) Add(sn Snapshot) {

@@ -101,11 +101,9 @@ type NodeData struct {
 	Tables map[string]*rel.Frozen
 	View   *provenance.View
 	// Info is the node's effective metadata at the materialized
-	// version (traffic counters included); StateInfo and StateTime are
-	// the metadata and virtual time of the version that last changed
-	// the node's state — the node's history row.
+	// version (traffic counters included); StateTime is the virtual time
+	// of the version that last changed the node's state.
 	Info      Info
-	StateInfo Info
 	StateTime int64
 }
 
@@ -489,8 +487,7 @@ func (s *Store) LastVersion() uint64 { return s.lastVersion.Load() }
 func (s *Store) OldestVersion() uint64 { return s.oldestVersion.Load() }
 
 // DurableVersion returns the newest version guaranteed to survive a
-// crash (fsynced or sealed). The server's history trimming must not
-// drop rows newer than this.
+// crash (fsynced or sealed).
 func (s *Store) DurableVersion() uint64 { return s.durableVersion.Load() }
 
 // Owned returns the owned node addresses, in record index order.
@@ -980,7 +977,7 @@ func (s *Store) Materialize(version uint64) (*VersionData, error) {
 		}
 		vd.Nodes[i] = NodeData{
 			Addr: addr, Tables: tables, View: view,
-			Info: info, StateInfo: se.info, StateTime: srec.time,
+			Info: info, StateTime: srec.time,
 		}
 	}
 	return vd, nil

@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 
 	"repro/internal/provquery"
+	"repro/internal/provstore"
 	"repro/internal/rel"
 	"repro/internal/simnet"
 )
@@ -32,9 +34,9 @@ type Backend interface {
 	// NodesDoc is the GET /v1/nodes document at pin.
 	NodesDoc(ctx context.Context, pin Pin) (*NodesJSON, *APIError)
 	// StateDoc is the GET /v1/state/{node} document at pin: one relation
-	// when relFilter is set, and the node's capture at or before
-	// *atTime (virtual µs) instead of the pin's own instant when atTime
-	// is non-nil.
+	// when relFilter is set, and — when atTime is non-nil — the node's
+	// state at the latest version <= pin published at or before *atTime
+	// (virtual µs) instead of at the pin itself.
 	StateDoc(ctx context.Context, pin Pin, node, relFilter string, atTime *int64) (*StateJSON, *APIError)
 	// HistoryFirstDoc is the GET /v1/history/first document for the tuple t
 	// (parsed from lit) at node at. Deep history is not pinned.
@@ -59,15 +61,28 @@ type Pin struct {
 // ---- the Publisher as a Backend -----------------------------------------
 
 // Pin implements Backend over the retention ring, falling back to the
-// snapshot store.
+// snapshot store. Only a version that is not retained is evicted; one
+// the store holds but cannot read is the server's fault.
 func (p *Publisher) Pin(_ context.Context, version uint64) (Pin, *APIError) {
-	snap, ok := p.At(version)
-	if !ok {
+	snap, err := p.resolve(version)
+	if errors.Is(err, provstore.ErrNotRetained) {
 		oldest, newest := p.Versions()
 		return Pin{}, Errf(http.StatusGone, ErrSnapshotEvicted,
 			"version %d not retained (oldest %d, newest %d)", version, oldest, newest)
 	}
+	if err != nil {
+		return Pin{}, unreadable(version)
+	}
 	return Pin{Version: snap.Version, Time: snap.Time, snap: snap}, nil
+}
+
+// unreadable is the 500 for a version the snapshot store holds but
+// fails to read back (CRC or decode failure, store closed). The message
+// names the version only: the cause carries file names and offsets that
+// belong in nettrailsfsck's output, not in an API response.
+func unreadable(version uint64) *APIError {
+	return Errf(http.StatusInternalServerError, ErrInternal,
+		"version %d is unreadable from the snapshot store (check the data directory with nettrailsfsck)", version)
 }
 
 // Query implements Backend through the pinned snapshot's result cache.
@@ -111,26 +126,30 @@ func (s *Snapshot) unowned(addr string) *APIError {
 	return Errf(http.StatusNotFound, ErrUnknownNode, "unknown node %q", addr)
 }
 
-// StateDoc implements Backend. A non-nil atTime time-travels through the
-// logstore history instead of reading the snapshot's own instant.
+// StateDoc implements Backend. A non-nil atTime time-travels by version:
+// the node is read from the snapshot atTime resolves to, the document
+// keeps the pin's version and reports when that state was published.
 func (p *Publisher) StateDoc(_ context.Context, pin Pin, node, relFilter string, atTime *int64) (*StateJSON, *APIError) {
 	snap := pin.snap
-	tables, ok := snap.NodeTables(node)
-	if !ok {
+	st := snap.stateOf(node)
+	if st == nil {
 		return nil, snap.unowned(node)
 	}
 	out := &StateJSON{Version: snap.Version, Time: int64(snap.Time), Node: node}
 	if atTime != nil {
-		sn, ok := snap.History.At(simnet.Time(*atTime))[node]
-		if !ok {
+		then, err := p.atTime(snap.Version, simnet.Time(*atTime))
+		if errors.Is(err, provstore.ErrNotRetained) {
 			return nil, Errf(http.StatusNotFound, ErrUnknownNode,
-				"no capture of %q at or before t=%dus in the retained history", node, *atTime)
+				"no retained version at or before t=%dus to read %q from", *atTime, node)
 		}
-		tables = sn.Tables
-		out.Time = int64(sn.Time)
+		if err != nil {
+			return nil, unreadable(snap.Version)
+		}
+		st = then.stateOf(node)
+		out.Time = int64(st.stateTime)
 	}
 	out.Tables = map[string][]TupleJSON{}
-	for name, ts := range tables {
+	for name, ts := range st.tables {
 		if relFilter != "" && name != relFilter {
 			continue
 		}

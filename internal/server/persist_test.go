@@ -1,13 +1,12 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 
-	"repro/internal/logstore"
 	"repro/internal/rel"
-	"repro/internal/simnet"
 )
 
 // churnTuple is a base fact whose insertion perturbs the engine's
@@ -154,10 +153,10 @@ func TestPublishAllocsBoundedByDelta(t *testing.T) {
 }
 
 // TestChurnLoopBounded runs a 10k-epoch churn loop against one
-// publisher and checks the retained structures stay bounded: the ring
-// never exceeds retain, the history list stays within its hysteresis
-// window, and every owned node stays resolvable at the current instant
-// (the carry-forward guarantee).
+// publisher and checks that what it retains stays bounded and
+// reachable: the ring never exceeds retain (there is no other
+// per-publish structure), and ?t= at every retained version's instant
+// resolves every owned node to a state published at or before it.
 func TestChurnLoopBounded(t *testing.T) {
 	const epochs = 10000
 	const retain = 8
@@ -167,68 +166,37 @@ func TestChurnLoopBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub.Detach()
-	for k := 0; k < epochs; k++ {
-		tp := churnTuple("n1", k)
-		if err := e.InsertFact(tp); err != nil {
-			t.Fatal(err)
+	flapVersions(t, pub, epochs) // every epoch a version at a later instant
+	oldest, newest := pub.Versions()
+	if n := len(pub.cur.Load().snaps); n > retain || newest-oldest+1 > retain {
+		t.Fatalf("ring grew past retain: %d snapshots, versions [%d, %d]", n, oldest, newest)
+	}
+	ctx := context.Background()
+	pin, apiErr := pub.Pin(ctx, 0)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	first, _ := pub.At(oldest)
+	for v := oldest; v <= newest; v++ {
+		snap, ok := pub.At(v)
+		if !ok {
+			t.Fatalf("retained version %d does not resolve", v)
 		}
-		if err := e.DeleteFact(tp); err != nil {
-			t.Fatal(err)
-		}
-		pub.Publish()
-	}
-	snap := pub.Current()
-	if oldest, newest := pub.Versions(); newest-oldest+1 > retain {
-		t.Fatalf("ring grew past retain: [%d, %d]", oldest, newest)
-	}
-	if max := 2 * retain * len(snap.Nodes); snap.History.Len() > max {
-		t.Fatalf("history grew past the hysteresis window: %d > %d", snap.History.Len(), max)
-	}
-	view := snap.History.At(snap.Time)
-	for _, addr := range snap.Nodes {
-		if _, ok := view[addr]; !ok {
-			t.Fatalf("node %s lost its history row after trimming", addr)
-		}
-	}
-}
-
-// TestTrimHistoryCarryForward exercises the trim directly: a quiet
-// node's only (early) row must survive, in time order, while the noisy
-// suffix is kept as-is.
-func TestTrimHistoryCarryForward(t *testing.T) {
-	p := &Publisher{retain: 2, owned: []string{"loud", "quiet"}}
-	row := func(node string, at int) logstore.Snapshot {
-		return logstore.Snapshot{Node: node, Time: simnet.Time(at)}
-	}
-	p.history = append(p.history, row("quiet", 1), row("loud", 1))
-	for i := 2; i <= 20; i++ {
-		p.history = append(p.history, row("loud", i))
-	}
-	p.trimHistory()
-
-	maxLen := p.retain * len(p.owned)
-	if len(p.history) > maxLen+1 {
-		t.Fatalf("trim kept %d rows, want <= %d", len(p.history), maxLen+1)
-	}
-	if p.history[0].Node != "quiet" || p.history[0].Time != 1 {
-		t.Fatalf("quiet node's only row was dropped; head is %+v", p.history[0])
-	}
-	for i := 1; i < len(p.history); i++ {
-		if p.history[i].Time < p.history[i-1].Time {
-			t.Fatalf("trimmed history out of time order at %d", i)
-		}
-		if p.history[i].Node != "loud" {
-			t.Fatalf("unexpected row %+v", p.history[i])
+		at := int64(snap.Time)
+		for _, addr := range snap.Nodes {
+			doc, apiErr := pub.StateDoc(ctx, pin, addr, "", &at)
+			if apiErr != nil {
+				t.Fatalf("node %s at version %d's instant t=%d: %v", addr, v, at, apiErr)
+			}
+			if doc.Version != newest || doc.Time > at {
+				t.Fatalf("node %s at t=%d: version %d (want the pin, %d), state published at t=%d",
+					addr, at, doc.Version, newest, doc.Time)
+			}
 		}
 	}
-	if last := p.history[len(p.history)-1]; last.Time != 20 {
-		t.Fatalf("newest row lost: %+v", last)
-	}
-
-	// Idempotent below the hysteresis threshold: nothing more to cut.
-	before := len(p.history)
-	p.trimHistory()
-	if len(p.history) != before {
-		t.Fatalf("second trim changed length %d -> %d", before, len(p.history))
+	// Reach ends with the ring: one instant earlier is not retained.
+	before := int64(first.Time) - 1
+	if _, apiErr := pub.StateDoc(ctx, pin, "n1", "", &before); apiErr == nil || apiErr.Code != ErrUnknownNode {
+		t.Fatalf("t before the oldest retained version: %v, want %s", apiErr, ErrUnknownNode)
 	}
 }

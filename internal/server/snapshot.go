@@ -25,9 +25,10 @@
 //     byte-identical state, no matter how far the simulation has
 //     advanced in between.
 //
-// A bounded ring of recent snapshots supports version pinning, and a
-// logstore history of per-node captures supports time-travel reads
-// (GET /v1/state/{node}?t=...).
+// A bounded ring of recent snapshots supports version pinning. Version
+// is also the only time-travel key: GET /v1/state/{node}?t=... resolves
+// the virtual time to a version (Publisher.atTime) and reads that
+// version like any other pin.
 package server
 
 import (
@@ -38,7 +39,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/engine"
-	"repro/internal/logstore"
 	"repro/internal/provenance"
 	"repro/internal/provquery"
 	"repro/internal/provstore"
@@ -107,13 +107,18 @@ type nodeState struct {
 	tables map[string]*rel.Frozen
 	view   *provenance.View
 	info   NodeInfo
+	// stateTime is the virtual time of the version that last changed the
+	// node's tables or view (info-only refreshes keep it): what a ?t=
+	// read reports as virtualTimeUs. Not part of NodeDigest — it is when
+	// the state was published, not the state.
+	stateTime simnet.Time
 }
 
 // Snapshot is one immutable published view of the whole system at a
 // consistent virtual instant. Everything reachable from a Snapshot is
 // frozen: concurrent readers share it without synchronization, and
-// consecutive snapshots share every per-node state (tables, views,
-// history rows) that did not change between them.
+// consecutive snapshots share every per-node state (tables, views) that
+// did not change between them.
 //
 // nettrails:frozen (enforced by the frozenwrite analyzer)
 type Snapshot struct {
@@ -133,9 +138,6 @@ type Snapshot struct {
 	// Shard records which slice of the deployment this snapshot serves
 	// (the zero value when unsharded).
 	Shard ShardSpec
-	// History is the time-indexed log of per-node captures up to and
-	// including this snapshot (logstore-backed time travel).
-	History *logstore.Store
 
 	// states holds the frozen per-node partitions, parallel to Nodes;
 	// index maps address -> position (one map, shared by every snapshot
@@ -265,10 +267,9 @@ type Publisher struct {
 	lastState    []uint64
 	lastProv     []uint64
 
-	states    []*nodeState        // parallel to owned; spine copied per publish
-	dirty     []int               // scratch: owned positions to rebuild this publish
-	infoDirty []int               // scratch: owned positions refreshed info-only
-	history   []logstore.Snapshot // append-only; wrapped via FromSorted
+	states    []*nodeState // parallel to owned; spine copied per publish
+	dirty     []int        // scratch: owned positions to rebuild this publish
+	infoDirty []int        // scratch: owned positions refreshed info-only
 
 	// Distributed-mode (engine.DistObserver) accumulation between cuts:
 	// Probe may run several times before Commit mints, so dirtiness is
@@ -283,13 +284,10 @@ type Publisher struct {
 	// verBase is the store's last version at attach time: minting
 	// resumes at verBase+1 after a restart, and the first publish is
 	// full (every owned node dirty) so the resumed chain stays
-	// self-contained. pending/durableLen gate history trimming on what
-	// the store has fsynced. The disk cache is the only publisher state
-	// HTTP readers mutate, hence its own lock.
-	store      *provstore.Store
-	verBase    uint64
-	pending    []histMark
-	durableLen int
+	// self-contained. The disk cache is the only publisher state HTTP
+	// readers mutate, hence its own lock.
+	store   *provstore.Store
+	verBase uint64
 
 	diskMu    sync.Mutex
 	diskCache map[uint64]*Snapshot
@@ -311,7 +309,7 @@ func NewPublisher(eng *engine.Engine, retain int) (*Publisher, error) {
 // NewShardedPublisher is NewPublisher for one shard of a sharded
 // deployment: the publisher freezes and retains only the partitions of
 // the nodes the spec owns (round-robin over the sorted node list), so
-// snapshot memory, history, and caches scale with the shard, not the
+// snapshot memory and caches scale with the shard, not the
 // network. Version numbering stays global: a snapshot is published
 // whenever any node's state changed, owned or not, so every shard of
 // the same deterministic run mints the same dense version sequence and
@@ -356,19 +354,74 @@ func (p *Publisher) Current() *Snapshot {
 // reads keep working as long as the store retains the version — even
 // across a restart. Safe for concurrent use.
 func (p *Publisher) At(version uint64) (*Snapshot, bool) {
+	snap, err := p.resolve(version)
+	return snap, err == nil
+}
+
+// resolve is At with the reason for a miss: provstore.ErrNotRetained
+// for a version that was never published or has aged out of the ring
+// and the store, any other error for a version the store holds but
+// cannot read.
+func (p *Publisher) resolve(version uint64) (*Snapshot, error) {
 	r := p.cur.Load()
 	if version == 0 {
-		return r.snaps[len(r.snaps)-1], true
+		return r.snaps[len(r.snaps)-1], nil
 	}
 	// Versions are dense and ascending: index arithmetic, no scan.
 	first := r.snaps[0].Version
 	if version >= first && version <= r.snaps[len(r.snaps)-1].Version {
-		return r.snaps[version-first], true
+		return r.snaps[version-first], nil
 	}
 	if version < first && p.store != nil {
 		return p.diskAt(version)
 	}
-	return nil, false
+	return nil, provstore.ErrNotRetained
+}
+
+// atTime is the time -> version index behind ?t=: the snapshot of the
+// latest version v <= pin published at or before virtual time t, or
+// provstore.ErrNotRetained when no reachable version is that old. It
+// bisects the dense version range Versions reports, exactly what
+// resolve reaches — O(1) probes of the ring's snapshot times, one
+// version-record read per probe below it — then resolves v: O(log
+// versions) probes and nothing per node.
+//
+// Virtual time restarts at 0 with the process, so version -> time is
+// nondecreasing only within one run, and the search never crosses the
+// verBase boundary: a pin minted by this run searches (verBase, pin], a
+// pin at or below verBase searches [store oldest, pin].
+func (p *Publisher) atTime(pin uint64, t simnet.Time) (*Snapshot, error) {
+	r := p.cur.Load()
+	first := r.snaps[0].Version
+	// Versions loads the ring after r, so without a store lo >= first
+	// and every probe below stays inside r.
+	lo, _ := p.Versions()
+	if pin > p.verBase {
+		lo = max(lo, p.verBase+1)
+	}
+	if pin < lo {
+		return nil, provstore.ErrNotRetained
+	}
+	var err error
+	n := sort.Search(int(pin-lo)+1, func(i int) bool {
+		v := lo + uint64(i)
+		if v >= first {
+			return r.snaps[v-first].Time > t
+		}
+		at, e := p.store.VersionTime(v)
+		if e != nil {
+			err = e
+			return true
+		}
+		return simnet.Time(at) > t
+	})
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, provstore.ErrNotRetained
+	}
+	return p.resolve(lo + uint64(n) - 1)
 }
 
 // Versions returns the oldest and newest retained versions — oldest
@@ -519,19 +572,7 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 			info.SentMsgs = sent.Messages
 			info.SentBytes = sent.Bytes
 		}
-		states[oi] = &nodeState{tables: tables, view: view, info: info}
-		// History rows are sparse: one per state change, carried
-		// forward by At()'s latest-at-or-before semantics.
-		p.history = append(p.history, logstore.Snapshot{
-			Time:        now,
-			Node:        addr,
-			Tables:      tables,
-			ProvEntries: info.Prov.ProvEntries,
-			ExecEntries: info.Prov.ExecEntries,
-			Neighbors:   info.Neighbors,
-			SentMsgs:    info.SentMsgs,
-			SentBytes:   info.SentBytes,
-		})
+		states[oi] = &nodeState{tables: tables, view: view, info: info, stateTime: now}
 	}
 	// Traffic can move without state changing anywhere on the node (a
 	// collector shipping snapshots, say): refresh the published counters
@@ -545,7 +586,7 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 			(sent.Messages != st.info.SentMsgs || sent.Bytes != st.info.SentBytes) {
 			info := st.info
 			info.SentMsgs, info.SentBytes = sent.Messages, sent.Bytes
-			states[oi] = &nodeState{tables: st.tables, view: st.view, info: info}
+			states[oi] = &nodeState{tables: st.tables, view: st.view, info: info, stateTime: st.stateTime}
 			p.infoDirty = append(p.infoDirty, oi)
 		}
 	}
@@ -553,7 +594,6 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 	if p.store != nil {
 		p.teeToStore(version, now, states, dirty)
 	}
-	p.trimHistory()
 
 	snap := &Snapshot{
 		Version:  version,
@@ -561,7 +601,6 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 		Nodes:    p.owned,
 		AllNodes: p.allNodes,
 		Shard:    p.shard,
-		History:  logstore.FromSorted(p.history[:len(p.history):len(p.history)]),
 		states:   states,
 		index:    p.index,
 	}
@@ -575,69 +614,4 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 	}
 	p.cur.Store(&ring{snaps: snaps})
 	return snap
-}
-
-// trimHistory bounds the append-only history list. Rows are sparse —
-// only state-changed nodes append — so a plain suffix cut could drop a
-// quiet node's only row. Instead, once the list exceeds twice the
-// retention window, it is rebuilt into a fresh backing array holding
-// the window's suffix plus, for each node absent from that suffix, its
-// latest earlier row (carry-forward, original time order preserved).
-// The fresh array leaves every published snapshot's History intact.
-//
-// With a snapshot store attached, the cut additionally never crosses
-// durableLen: rows whose version the store has not fsynced yet would
-// be unrecoverable after a crash, so they stay in memory (the list
-// temporarily overshoots its bound) until a sync catches up.
-func (p *Publisher) trimHistory() {
-	maxLen := p.retain * len(p.owned)
-	if len(p.history) <= 2*maxLen {
-		return
-	}
-	cut := len(p.history) - maxLen
-	if p.store != nil {
-		durable := p.store.DurableVersion()
-		for len(p.pending) > 0 && p.pending[0].version <= durable {
-			p.durableLen = p.pending[0].histLen
-			p.pending = p.pending[1:]
-		}
-		if cut > p.durableLen {
-			cut = p.durableLen
-		}
-		if cut <= 0 {
-			return
-		}
-	}
-	suffix := p.history[cut:]
-	inSuffix := make(map[string]bool, len(p.owned))
-	for i := range suffix {
-		inSuffix[suffix[i].Node] = true
-	}
-	latest := map[string]int{}
-	for i := 0; i < cut; i++ {
-		if !inSuffix[p.history[i].Node] {
-			latest[p.history[i].Node] = i
-		}
-	}
-	keep := make([]int, 0, len(latest))
-	for _, i := range latest {
-		keep = append(keep, i)
-	}
-	sort.Ints(keep)
-	out := make([]logstore.Snapshot, 0, len(keep)+len(suffix))
-	for _, i := range keep {
-		out = append(out, p.history[i])
-	}
-	out = append(out, suffix...)
-	if p.store != nil {
-		// Remap the durable watermark and pending marks onto the fresh
-		// array: carried rows all came from the durable prefix (cut <=
-		// durableLen), and row i >= cut now lives at len(keep)+(i-cut).
-		base := len(keep)
-		p.durableLen = base + (p.durableLen - cut)
-		for i := range p.pending {
-			p.pending[i].histLen = base + (p.pending[i].histLen - cut)
-		}
-	}
-	p.history = out
 }

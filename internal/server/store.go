@@ -2,10 +2,8 @@ package server
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/engine"
-	"repro/internal/logstore"
 	"repro/internal/provquery"
 	"repro/internal/provstore"
 	"repro/internal/simnet"
@@ -29,15 +27,6 @@ type PublisherOptions struct {
 	// does not own the store: the process that opened it closes it
 	// after the engine stops.
 	Store *provstore.Store
-}
-
-// histMark remembers how long the history list was when one version
-// was published, so trimming can tell which rows the store has made
-// durable (every row with index < histLen is captured by versions
-// <= version).
-type histMark struct {
-	version uint64
-	histLen int
 }
 
 // NewPublisherWithOptions is the fully-optioned publisher constructor;
@@ -173,7 +162,6 @@ func (p *Publisher) teeToStore(version uint64, now simnet.Time, states []*nodeSt
 	if err := p.store.Append(in); err != nil {
 		panic(fmt.Sprintf("server: snapshot store append failed at version %d: %v", version, err))
 	}
-	p.pending = append(p.pending, histMark{version: version, histLen: len(p.history)})
 }
 
 // diskCacheSize bounds the materialized historical snapshots kept
@@ -183,18 +171,20 @@ const diskCacheSize = 16
 
 // diskAt serves a version that aged out of the in-memory ring from
 // the snapshot store. Safe for concurrent use; materialized snapshots
-// are cached so a pinned client's request burst rebuilds once.
-func (p *Publisher) diskAt(version uint64) (*Snapshot, bool) {
+// are cached so a pinned client's request burst rebuilds once. The
+// error is the store's: provstore.ErrNotRetained for a version it does
+// not hold, anything else for one it holds but cannot read.
+func (p *Publisher) diskAt(version uint64) (*Snapshot, error) {
 	p.diskMu.Lock()
 	if snap, ok := p.diskCache[version]; ok {
 		p.diskMu.Unlock()
-		return snap, true
+		return snap, nil
 	}
 	p.diskMu.Unlock()
 
 	vd, err := p.store.Materialize(version)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	snap := p.snapshotFromDisk(vd)
 
@@ -202,7 +192,7 @@ func (p *Publisher) diskAt(version uint64) (*Snapshot, bool) {
 	defer p.diskMu.Unlock()
 	if cached, ok := p.diskCache[version]; ok {
 		// A concurrent reader built it first; share its query cache.
-		return cached, true
+		return cached, nil
 	}
 	p.diskCache[version] = snap
 	p.diskOrder = append(p.diskOrder, version)
@@ -210,45 +200,31 @@ func (p *Publisher) diskAt(version uint64) (*Snapshot, bool) {
 		delete(p.diskCache, p.diskOrder[0])
 		p.diskOrder = p.diskOrder[1:]
 	}
-	return snap, true
+	return snap, nil
 }
 
 // snapshotFromDisk rebuilds a full Snapshot from materialized store
 // data. The store's contract makes the frozen tables and views
 // bit-for-bit equivalent to what was teed in, so responses rendered
 // from this snapshot are byte-identical to what the live ring served
-// at that version. Its history is shallower than the live ring's —
-// one row per node, the version that last changed its state — which
-// bounds the rebuild at O(nodes) instead of O(retained rows).
+// at that version.
 func (p *Publisher) snapshotFromDisk(vd *provstore.VersionData) *Snapshot {
 	states := make([]*nodeState, len(vd.Nodes))
-	rows := make([]logstore.Snapshot, 0, len(vd.Nodes))
 	for i := range vd.Nodes {
 		nd := &vd.Nodes[i]
 		states[i] = &nodeState{
-			tables: nd.Tables,
-			view:   nd.View,
-			info:   publishedInfo(nd.Addr, nd.Info),
+			tables:    nd.Tables,
+			view:      nd.View,
+			info:      publishedInfo(nd.Addr, nd.Info),
+			stateTime: simnet.Time(nd.StateTime),
 		}
-		rows = append(rows, logstore.Snapshot{
-			Time:        simnet.Time(nd.StateTime),
-			Node:        nd.Addr,
-			Tables:      nd.Tables,
-			ProvEntries: nd.StateInfo.Prov.ProvEntries,
-			ExecEntries: nd.StateInfo.Prov.ExecEntries,
-			Neighbors:   nd.StateInfo.Neighbors,
-			SentMsgs:    nd.StateInfo.SentMsgs,
-			SentBytes:   nd.StateInfo.SentBytes,
-		})
 	}
-	sort.SliceStable(rows, func(a, b int) bool { return rows[a].Time < rows[b].Time })
 	snap := &Snapshot{
 		Version:  vd.Version,
 		Time:     simnet.Time(vd.Time),
 		Nodes:    p.owned,
 		AllNodes: p.allNodes,
 		Shard:    p.shard,
-		History:  logstore.FromSorted(rows),
 		states:   states,
 		index:    p.index,
 	}

@@ -7,6 +7,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -149,7 +153,10 @@ func TestStoreFallbackServesEvictedVersions(t *testing.T) {
 
 // TestStoreRestartResumesAndServes: a restarted daemon (fresh engine,
 // reopened store) resumes minting at LastVersion()+1 and serves early
-// pinned versions from disk byte-identically.
+// pinned versions from disk byte-identically. Time travel obeys the
+// restart rule: virtual time restarts with the process, so a pin minted
+// by this run resolves ?t= among this run's versions only, and a pin of
+// the previous run among that run's.
 func TestStoreRestartResumesAndServes(t *testing.T) {
 	dir := t.TempDir()
 	e1 := buildGrid(t, 2)
@@ -159,14 +166,30 @@ func TestStoreRestartResumesAndServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned := pub1.Publish().Version // 2: long evicted from the retain=4 ring below
-	last := churnVersions(t, pub1, 8)
+	flapVersions(t, pub1, 8)
+	last := pub1.Current().Version
 	want := pinnedBodies(t, ts1, pub1, pinned)
+	oldTimes := map[uint64]int64{}
+	for v := uint64(1); v <= last; v++ {
+		oldTimes[v] = timeOfVersion(t, pub1, v)
+	}
 	ts1.Close()
 	if err := st1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
+	// The restarted process attaches its publisher two flaps into its own
+	// clock, so the new run's first version is later than the old run's
+	// early ones and earlier than its late ones.
 	e2 := buildGrid(t, 2)
+	for i := 0; i < 2; i++ {
+		if err := e2.RemoveBiLink("n1", "n2", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := e2.AddBiLink("n1", "n2", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	st2 := openTestStore(t, dir, e2, nil)
 	defer st2.Close()
 	pub2, ts2 := newStoreServer(t, e2, 4, st2)
@@ -179,64 +202,276 @@ func TestStoreRestartResumesAndServes(t *testing.T) {
 	sameBodies(t, want, pinnedBodies(t, ts2, pub2, pinned), "after restart")
 
 	// And the chain keeps extending densely.
-	if got := churnVersions(t, pub2, 2); got != last+3 {
-		t.Fatalf("post-restart churn reached %d, want %d", got, last+3)
+	flapVersions(t, pub2, 6)
+	pin := pub2.Current().Version
+	if pin != last+7 {
+		t.Fatalf("post-restart churn reached %d, want %d", pin, last+7)
+	}
+	start := timeOfVersion(t, pub2, last+1)
+	if start <= oldTimes[1] || start >= oldTimes[last] {
+		t.Fatalf("test is vacuous: new run starts at t=%d, old run spans [%d, %d]", start, oldTimes[1], oldTimes[last])
+	}
+
+	// travel asserts that ?version=pin&t=at serves n1 as version v holds it.
+	travel := func(pin uint64, at int64, v uint64) {
+		t.Helper()
+		_, want := stateAt(t, ts2, v, nil)
+		code, got := stateAt(t, ts2, pin, &at)
+		if code != http.StatusOK || got.Version != pin || got.Time != want.Time ||
+			fmt.Sprint(got.Tables) != fmt.Sprint(want.Tables) {
+			t.Fatalf("?version=%d&t=%d: %d, version %d, state of t=%d; want version %d's state of t=%d",
+				pin, at, code, got.Version, got.Time, v, want.Time)
+		}
+	}
+
+	// A pin of this run: every version of (last, pin] is found at its own
+	// instant, and an instant before the run began is 404 although the
+	// store holds old-run versions with smaller timestamps.
+	for v := last + 1; v <= pin; v++ {
+		travel(pin, timeOfVersion(t, pub2, v), v)
+	}
+	before := start - 1
+	if code, _ := stateAt(t, ts2, pin, &before); code != http.StatusNotFound {
+		t.Fatalf("?version=%d&t=%d crossed the restart boundary: %d, want 404", pin, before, code)
+	}
+
+	// A pin of the previous run resolves on that run's clock: an instant
+	// later than everything this run has seen still finds old versions.
+	for _, v := range []uint64{1, pinned, last} {
+		travel(last, oldTimes[v], v)
 	}
 }
 
-// TestTrimHistoryWaitsForDurability is the history-trimming fix: rows
-// the store has not fsynced yet must survive trimming (the list may
-// overshoot its bound), and a sync lets the next publish trim again.
-func TestTrimHistoryWaitsForDurability(t *testing.T) {
+// flapVersions flaps the n1-n2 link and publishes until n new versions
+// exist. Unlike churnVersions every version lands at a later virtual
+// instant and changes n1's state, which is what ?t= reads need.
+func flapVersions(t testing.TB, pub *Publisher, n int) {
+	t.Helper()
+	e := pub.eng
+	target := pub.Current().Version + uint64(n)
+	for pub.Current().Version < target {
+		flap := e.AddBiLink
+		for _, nb := range e.Net.Neighbors("n1") {
+			if nb == "n2" {
+				flap = e.RemoveBiLink
+			}
+		}
+		before := pub.Current()
+		if err := flap("n1", "n2", 1); err != nil {
+			t.Fatal(err)
+		}
+		if after := pub.Publish(); after.Version != before.Version+1 || after.Time <= before.Time {
+			t.Fatalf("flap did not mint one later version: %d@%d -> %d@%d",
+				before.Version, before.Time, after.Version, after.Time)
+		}
+	}
+}
+
+// timeOfVersion is the virtual time version v was published at.
+func timeOfVersion(t testing.TB, pub *Publisher, v uint64) int64 {
+	t.Helper()
+	snap, ok := pub.At(v)
+	if !ok {
+		t.Fatalf("version %d does not resolve", v)
+	}
+	return int64(snap.Time)
+}
+
+// TestTimeTravelRingDiskParity: ?version=V&t=T is a pure function of
+// its parameters — the same status, body and ETag while V sits in the
+// ring and after it has been evicted to the store, and the validator
+// minted in the ring revalidates (304) against the disk-served version.
+func TestTimeTravelRingDiskParity(t *testing.T) {
 	e := buildGrid(t, 2)
-	st := openTestStore(t, t.TempDir(), e, func(o *provstore.Options) {
-		o.SealVersions = 1 << 20 // never seal: durability advances only on explicit Sync
-		o.SyncEvery = 1 << 20    // never fsync on append
-	})
+	st := openTestStore(t, t.TempDir(), e, nil)
 	defer st.Close()
-	pub, err := NewPublisherWithOptions(e, PublisherOptions{Retain: 2, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub.Detach()
+	pub, ts := newStoreServer(t, e, 4, st)
 
-	maxLen := pub.retain * len(pub.owned)
-	churnVersions(t, pub, 20)
-	if st.DurableVersion() != 0 {
-		t.Fatalf("durable version %d without any sync", st.DurableVersion())
+	flapVersions(t, pub, 9)
+	v := pub.Current().Version
+	tv := func(back uint64) int64 { return timeOfVersion(t, pub, v-back) }
+	times := map[string]int64{
+		"the pin's own instant":         tv(0),
+		"an earlier ring version":       tv(2),
+		"between two changes of n1":     (tv(3) + tv(2)) / 2,
+		"a version already on disk":     tv(6),
+		"the oldest version":            timeOfVersion(t, pub, 1),
+		"before anything was published": timeOfVersion(t, pub, 1) - 1,
 	}
-	if len(pub.history) <= 2*maxLen {
-		t.Fatalf("test is vacuous: history %d never exceeded the trigger %d", len(pub.history), 2*maxLen)
+	if between := times["between two changes of n1"]; between <= tv(3) || between >= tv(2) {
+		t.Fatalf("test is vacuous: no instant strictly between t=%d and t=%d", tv(3), tv(2))
+	}
+	var paths []string
+	for _, at := range times {
+		paths = append(paths,
+			fmt.Sprintf("/v1/state/n1?version=%d&t=%d", v, at),
+			fmt.Sprintf("/v1/state/n1?version=%d&t=%d&rel=mincost", v, at))
 	}
 
-	if err := st.Sync(); err != nil {
-		t.Fatal(err)
+	type reply struct {
+		status int
+		etag   string
+		body   []byte
 	}
-	if st.DurableVersion() != st.LastVersion() {
-		t.Fatalf("sync left durable at %d of %d", st.DurableVersion(), st.LastVersion())
+	fetch := func() map[string]reply {
+		out := map[string]reply{}
+		for _, path := range paths {
+			resp, body := getFull(t, ts.URL+path)
+			out[path] = reply{resp.StatusCode, resp.Header.Get("ETag"), body}
+		}
+		return out
 	}
-	churnVersions(t, pub, 1)
-	// One row per publish may land after the trim; the bound is maxLen
-	// plus carry-forward rows, well under the pre-sync pile-up.
-	if len(pub.history) > maxLen+len(pub.owned) {
-		t.Fatalf("history still %d rows after sync (bound %d)", len(pub.history), maxLen+len(pub.owned))
+	if first := pub.cur.Load().snaps[0].Version; first > v-2 {
+		t.Fatalf("test is vacuous: ring starts at %d, above version %d", first, v-2)
 	}
-	for i := range pub.pending {
-		if pub.pending[i].histLen > len(pub.history) {
-			t.Fatalf("pending mark %d points past the trimmed history (%d > %d)",
-				i, pub.pending[i].histLen, len(pub.history))
+	ring := fetch()
+	for label, at := range times {
+		path := fmt.Sprintf("/v1/state/n1?version=%d&t=%d", v, at)
+		want := http.StatusOK
+		if label == "before anything was published" {
+			want = http.StatusNotFound
+		}
+		if got := ring[path]; got.status != want || (want == http.StatusOK && got.etag == "") {
+			t.Fatalf("%s (%s): status %d etag %q, want %d: %s", label, path, got.status, got.etag, want, got.body)
 		}
 	}
-	// Every owned node still has a history row (carry-forward held).
-	seen := map[string]bool{}
-	for i := range pub.history {
-		seen[pub.history[i].Node] = true
+
+	flapVersions(t, pub, 6) // push v out of the retain=4 ring
+	if first := pub.cur.Load().snaps[0].Version; first <= v {
+		t.Fatalf("test is vacuous: version %d still in the ring (first %d)", v, first)
 	}
-	for _, addr := range pub.owned {
-		if !seen[addr] {
-			t.Errorf("node %s lost its last history row to trimming", addr)
+	disk := fetch()
+	for _, path := range paths {
+		r, d := ring[path], disk[path]
+		if r.status != d.status || r.etag != d.etag || !bytes.Equal(r.body, d.body) {
+			t.Errorf("%s drifted once version %d left the ring:\nring: %d %s %s\ndisk: %d %s %s",
+				path, v, r.status, r.etag, r.body, d.status, d.etag, d.body)
+		}
+		if r.status != http.StatusOK {
+			continue
+		}
+		req, err := http.NewRequest("GET", ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("If-None-Match", r.etag)
+		cond, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cond.Body.Close()
+		if cond.StatusCode != http.StatusNotModified {
+			t.Errorf("%s: conditional GET against the disk-served version = %d, want 304", path, cond.StatusCode)
 		}
 	}
+}
+
+// stateAt fetches /v1/state/n1 at a pin, optionally time-travelled, and
+// returns the status with the decoded document.
+func stateAt(t testing.TB, ts *httptest.Server, version uint64, at *int64) (int, StateJSON) {
+	t.Helper()
+	url := fmt.Sprintf("%s/v1/state/n1?version=%d", ts.URL, version)
+	if at != nil {
+		url += fmt.Sprintf("&t=%d", *at)
+	}
+	code, body := get(t, url)
+	var doc StateJSON
+	if code == http.StatusOK {
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatalf("GET %s: %v in %s", url, err, body)
+		}
+	}
+	return code, doc
+}
+
+// TestUnreadableVersionIsNotEvicted: only a version the store does not
+// retain is 410 snapshot_evicted. One it holds but cannot read back — the
+// store was closed under the publisher, a sealed segment is corrupt — is
+// a 500 internal_error naming the version and nothing of the file system.
+func TestUnreadableVersionIsNotEvicted(t *testing.T) {
+	wantUnreadable := func(t *testing.T, dir, url string, version uint64) {
+		t.Helper()
+		code, body := get(t, url)
+		var env struct {
+			Error struct{ Code, Message string }
+		}
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatalf("GET %s: %d %s", url, code, body)
+		}
+		if code != http.StatusInternalServerError || env.Error.Code != ErrInternal {
+			t.Fatalf("GET %s: %d %s, want 500 %s", url, code, body, ErrInternal)
+		}
+		if msg := env.Error.Message; !strings.Contains(msg, fmt.Sprintf("version %d", version)) ||
+			strings.Contains(msg, dir) || strings.Contains(msg, ".seg") {
+			t.Fatalf("GET %s: message %q must name version %d and no path", url, msg, version)
+		}
+	}
+
+	t.Run("store closed under a live publisher", func(t *testing.T) {
+		dir := t.TempDir()
+		e := buildGrid(t, 2)
+		st := openTestStore(t, dir, e, nil)
+		pub, ts := newStoreServer(t, e, 4, st)
+		flapVersions(t, pub, 9)
+		early := timeOfVersion(t, pub, 3) // not 2: resolving a version caches it past the store
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cur := pub.Current().Version
+		wantUnreadable(t, dir, fmt.Sprintf("%s/v1/state/n1?version=2", ts.URL), 2)
+		wantUnreadable(t, dir, fmt.Sprintf("%s/v1/state/n1?version=%d&t=%d", ts.URL, cur, early), cur)
+		// The ring needs no store, and a version nobody holds is still evicted.
+		if code, body := get(t, fmt.Sprintf("%s/v1/state/n1?version=%d", ts.URL, cur)); code != http.StatusOK {
+			t.Fatalf("ring read with the store closed: %d %s", code, body)
+		}
+		if code, body := get(t, fmt.Sprintf("%s/v1/state/n1?version=%d", ts.URL, cur+10)); code != http.StatusGone {
+			t.Fatalf("never-published version: %d %s, want 410", code, body)
+		}
+	})
+
+	t.Run("flipped byte in a sealed segment", func(t *testing.T) {
+		dir := t.TempDir()
+		e1 := buildGrid(t, 2)
+		st1 := openTestStore(t, dir, e1, nil)
+		pub1, ts1 := newStoreServer(t, e1, 4, st1)
+		flapVersions(t, pub1, 9) // SealVersions=4: versions 1-4 are sealed in the first segment
+		ts1.Close()
+		if err := st1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+		if err != nil || len(segs) < 2 {
+			t.Fatalf("segments %v, %v", segs, err)
+		}
+		sort.Strings(segs)
+		data, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/3] ^= 0x40 // inside a record of the full version 1, well before the index
+		if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		e2 := buildGrid(t, 2)
+		st2 := openTestStore(t, dir, e2, nil)
+		defer st2.Close()
+		_, ts2 := newStoreServer(t, e2, 4, st2)
+		broken := 0
+		for v := uint64(1); v <= 4; v++ {
+			url := fmt.Sprintf("%s/v1/state/n1?version=%d", ts2.URL, v)
+			if code, body := get(t, url); code == http.StatusOK {
+				continue
+			} else if code == http.StatusGone {
+				t.Fatalf("corrupt version %d reported evicted: %s", v, body)
+			}
+			wantUnreadable(t, dir, url, v)
+			broken++
+		}
+		if broken == 0 {
+			t.Fatal("test is vacuous: the flipped byte broke no version of the segment")
+		}
+	})
 }
 
 // TestHistoryFirstEndpoint exercises the new deep-history query class

@@ -64,9 +64,8 @@ var frozen = map[string]bool{
 	"repro/internal/provstore.Trie":          true,
 	"repro/internal/provstore.sealedSegment": true,
 	// logstore.Store is deliberately absent: it is a live collector
-	// (Add mutates it during the run); only the FromSorted handoff
-	// inside a published Snapshot is frozen, and that is enforced by
-	// the length-capped reslice in the publisher.
+	// (Add mutates it during the run) and no published Snapshot holds
+	// one.
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

@@ -1,16 +1,20 @@
 // docscheck keeps the documentation honest: it walks the repo's
 // operator-facing markdown (README.md plus docs/) and fails when the
-// docs drift from the code they describe. Three checks:
+// docs drift from the code they describe. Four checks:
 //
 //   - relative markdown links must point at files that exist;
 //   - `go run ./cmd/<name>` commands inside shell code fences must
 //     name a real command, and every -flag they pass must be defined
 //     by that command's flag set;
-//   - `make <target>` commands must name a real Makefile target.
+//   - `make <target>` commands must name a real Makefile target;
+//   - every HTTP route named in running text as `GET /path` or
+//     `POST /path` must be registered through s.route(...) in
+//     internal/server/http.go (a {param} segment of the registered
+//     pattern matches any one segment; a ?query suffix is ignored).
 //
 // It is wired up as `make docs-check` and runs in CI, so a renamed
-// flag, a deleted doc, or a stale quickstart breaks the build instead
-// of the next reader.
+// flag, a deleted doc, a removed route, or a stale quickstart breaks
+// the build instead of the next reader.
 //
 // Usage: docscheck [-root dir] [paths...]  (default: README.md docs)
 package main
@@ -25,13 +29,15 @@ import (
 )
 
 var (
-	linkRe    = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
-	fenceRe   = regexp.MustCompile("^```")
-	goRunRe   = regexp.MustCompile(`go run (\./[a-zA-Z0-9_/.-]+)`)
-	makeRe    = regexp.MustCompile(`\bmake ([a-zA-Z0-9_.-]+)`)
-	flagDefRe = regexp.MustCompile(`flag\.[A-Za-z0-9]+\("([a-zA-Z0-9_.-]+)"`)
-	flagUseRe = regexp.MustCompile(`^-([a-zA-Z][a-zA-Z0-9_.-]*)`)
-	targetRe  = regexp.MustCompile(`(?m)^([A-Za-z0-9_.-]+):`)
+	linkRe     = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
+	fenceRe    = regexp.MustCompile("^```")
+	goRunRe    = regexp.MustCompile(`go run (\./[a-zA-Z0-9_/.-]+)`)
+	makeRe     = regexp.MustCompile(`\bmake ([a-zA-Z0-9_.-]+)`)
+	flagDefRe  = regexp.MustCompile(`flag\.[A-Za-z0-9]+\("([a-zA-Z0-9_.-]+)"`)
+	flagUseRe  = regexp.MustCompile(`^-([a-zA-Z][a-zA-Z0-9_.-]*)`)
+	targetRe   = regexp.MustCompile(`(?m)^([A-Za-z0-9_.-]+):`)
+	routeUseRe = regexp.MustCompile("`(GET|POST) (/[^`\\s?]*)[^`]*`")
+	routeDefRe = regexp.MustCompile(`s\.route\("([A-Z]+)", "([^"]+)"`)
 )
 
 func main() {
@@ -115,6 +121,15 @@ func checkFile(root, path string) []string {
 				resolved := filepath.Join(filepath.Dir(path), target)
 				if _, err := os.Stat(resolved); err != nil {
 					add(lineNo, "broken link %q", m[1])
+				}
+			}
+			// Named routes must be registered.
+			for _, m := range routeUseRe.FindAllStringSubmatch(line, -1) {
+				ok, err := routeRegistered(root, m[1], m[2])
+				if err != nil {
+					add(lineNo, "%v", err)
+				} else if !ok {
+					add(lineNo, "%s %s: no such route in internal/server/http.go", m[1], m[2])
 				}
 			}
 			continue
@@ -219,6 +234,33 @@ func makefileHasTarget(root, target string) (bool, error) {
 			if t == target {
 				return true, nil
 			}
+		}
+	}
+	return false, nil
+}
+
+// routeRegistered reports whether the server's handler set registers
+// method on a pattern of path's shape.
+func routeRegistered(root, method, path string) (bool, error) {
+	src, err := os.ReadFile(filepath.Join(root, "internal", "server", "http.go"))
+	if err != nil {
+		return false, err
+	}
+	segs := strings.Split(path, "/")
+	for _, m := range routeDefRe.FindAllStringSubmatch(string(src), -1) {
+		pattern := strings.Split(m[2], "/")
+		if m[1] != method || len(pattern) != len(segs) {
+			continue
+		}
+		match := true
+		for i, p := range pattern {
+			if p != segs[i] && !(strings.HasPrefix(p, "{") && segs[i] != "") {
+				match = false
+				break
+			}
+		}
+		if match {
+			return true, nil
 		}
 	}
 	return false, nil

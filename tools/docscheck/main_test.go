@@ -32,10 +32,18 @@ func main() {
 	_ = flag.String("listen", "", "")
 	_ = flag.Int("nodes", 4, "")
 }`,
+		"internal/server/http.go": `package server
+func (s *Server) routes() {
+	s.route("GET", "/v1/nodes", s.handleNodes)
+	s.route("GET", "/v1/state/{node}", s.handleState)
+	s.route("POST", "/v1/query", s.handleQuery)
+}`,
 		"docs/good.md": "See [the readme](../README.md).\n" +
+			"Read `GET /v1/nodes`, `GET /v1/state/{node}?t=...` or `GET /v1/state/n1`; ask `POST /v1/query`.\n" +
 			"```sh\ngo run ./cmd/demo -listen :8080 \\\n    -nodes 9\nmake build\n```\n",
 		"README.md": "hello [docs](docs/good.md)\n",
 		"docs/bad.md": "A [broken link](missing.md).\n" +
+			"Once there was `GET /state/{node}?t=...`, and `GET /v1/query` is a POST.\n" +
 			"```sh\ngo run ./cmd/demo -port 80\ngo run ./cmd/ghost\nmake deploy\n```\n",
 	})
 
@@ -47,7 +55,8 @@ func main() {
 	}
 
 	got := checkFile(root, filepath.Join(root, "docs", "bad.md"))
-	want := []string{"broken link", "flag -port", "no such package directory", "make deploy"}
+	want := []string{"broken link", "GET /state/{node}: no such route", "GET /v1/query: no such route",
+		"flag -port", "no such package directory", "make deploy"}
 	if len(got) != len(want) {
 		t.Fatalf("bad.md: got %d problems %v, want %d", len(got), got, len(want))
 	}
