@@ -13,11 +13,15 @@ all: fmt-check vet build test
 # suite (docs/ANALYZERS.md) through the go vet driver. Two passes
 # because -vettool *replaces* the standard suite rather than extending
 # it. The vettool must be a prebuilt binary: cmd/go handshakes it with
-# -V=full before any package is analyzed.
+# -V=full before any package is analyzed. Last, the codec guard:
+# internal/wire is the only place uvarints are put or taken, so a
+# private codec beside it fails here instead of growing quietly.
 vet:
 	$(GO) vet ./...
 	$(GO) build -o bin/nettrailsvet ./cmd/nettrailsvet
 	$(GO) vet -vettool=$(CURDIR)/bin/nettrailsvet ./...
+	@out=$$(grep -rnE 'binary\.(PutUvarint|AppendUvarint|Uvarint|ReadUvarint)\(' --include='*.go' internal | grep -v -e '_test\.go:' -e '^internal/wire/'); \
+	if [ -n "$$out" ]; then echo "uvarint codec outside internal/wire:"; echo "$$out"; exit 1; fi
 
 # staticcheck runs when the binary is installed (CI installs it; local
 # dev machines may not have it, and the build must not require network).
@@ -53,9 +57,10 @@ race:
 	$(GO) test -race ./...
 
 # fuzz gives the hand-written parsers (the provenance query language,
-# NDlog, the RouteViews table/AS-graph readers, and the snapshot
-# store's segment/record decoders) a short native-fuzzing shake,
-# seeded from the test corpora. Override FUZZTIME for longer local
+# NDlog, the RouteViews table/AS-graph readers, the one wire.Reader and
+# the tuple and cluster-frame decoders built on it, the snapshot store's
+# segment/record decoders, and the TCP frame) a short native-fuzzing
+# shake, seeded from the test corpora and the golden vectors. Override FUZZTIME for longer local
 # hunts. One -fuzz invocation per target: go test rejects a -fuzz
 # pattern matching more than one function.
 fuzz:
@@ -63,6 +68,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/ndlog
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRouteViews$$' -fuzztime $(FUZZTIME) ./internal/routeviews
 	$(GO) test -run '^$$' -fuzz '^FuzzParseASGraph$$' -fuzztime $(FUZZTIME) ./internal/routeviews
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalTuple$$' -fuzztime $(FUZZTIME) ./internal/rel
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVersionRecord$$' -fuzztime $(FUZZTIME) ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/nettransport

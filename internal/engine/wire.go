@@ -6,12 +6,13 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/provenance"
 	"repro/internal/rel"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // wireFrame is one intercepted delta delivery: the message plus the
@@ -27,92 +28,8 @@ const (
 	wireDeltaBatch uint8 = 2
 )
 
-func putUvarint(b []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	return append(b, tmp[:binary.PutUvarint(tmp[:], v)]...)
-}
-
-func putString(b []byte, s string) []byte {
-	b = putUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func putBytes(b, p []byte) []byte {
-	b = putUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-// wireReader decodes the varint-framed stream; all take methods set err
-// once and then no-op, so decode loops stay linear.
-type wireReader struct {
-	b   []byte
-	err error
-}
-
-func (r *wireReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("wire: truncated or malformed %s", what)
-	}
-}
-
-func (r *wireReader) takeUvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wireReader) takeBytes(what string) []byte {
-	n := r.takeUvarint(what)
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail(what)
-		return nil
-	}
-	p := r.b[:n]
-	r.b = r.b[n:]
-	return p
-}
-
-func (r *wireReader) takeString(what string) string { return string(r.takeBytes(what)) }
-
-func (r *wireReader) takeByte(what string) uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) == 0 {
-		r.fail(what)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *wireReader) takeID(what string) rel.ID {
-	var id rel.ID
-	if r.err != nil {
-		return id
-	}
-	if len(r.b) < len(id) {
-		r.fail(what)
-		return id
-	}
-	copy(id[:], r.b)
-	r.b = r.b[len(id):]
-	return id
-}
-
 func encodeDeltaMsg(b []byte, dm DeltaMsg) []byte {
-	b = putBytes(b, rel.MarshalTuple(dm.Delta.Tuple))
+	b = wire.AppendBytes(b, rel.MarshalTuple(dm.Delta.Tuple))
 	if dm.Delta.Sign >= 0 {
 		b = append(b, 1)
 	} else {
@@ -124,31 +41,29 @@ func encodeDeltaMsg(b []byte, dm DeltaMsg) []byte {
 	b = append(b, 1)
 	b = append(b, dm.Prov.VID[:]...)
 	b = append(b, dm.Prov.RID[:]...)
-	return putString(b, dm.Prov.RLoc)
+	return wire.AppendString(b, dm.Prov.RLoc)
 }
 
-func (r *wireReader) takeDeltaMsg() DeltaMsg {
+func decodeDeltaMsg(r *wire.Reader) DeltaMsg {
 	var dm DeltaMsg
-	raw := r.takeBytes("delta tuple")
-	if r.err == nil {
+	if raw := r.Bytes("delta tuple"); r.Err() == nil {
 		t, err := rel.UnmarshalTuple(raw)
 		if err != nil {
-			r.err = fmt.Errorf("wire: delta tuple: %w", err)
-			return dm
+			r.Failf("wire: delta tuple: %w", err)
 		}
 		dm.Delta.Tuple = t
 	}
-	if r.takeByte("delta sign") == 1 {
+	if r.Byte("delta sign") == 1 {
 		dm.Delta.Sign = 1
 	} else {
 		dm.Delta.Sign = -1
 	}
-	if r.takeByte("delta hasProv") == 1 {
+	if r.Byte("delta hasProv") == 1 {
 		dm.HasProv = true
 		dm.Prov = provenance.Entry{
-			VID:  r.takeID("delta prov VID"),
-			RID:  r.takeID("delta prov RID"),
-			RLoc: r.takeString("delta prov RLoc"),
+			VID:  rel.DecodeID(r, "delta prov VID"),
+			RID:  rel.DecodeID(r, "delta prov RID"),
+			RLoc: r.String("delta prov RLoc"),
 		}
 	}
 	return dm
@@ -160,19 +75,19 @@ func (r *wireReader) takeDeltaMsg() DeltaMsg {
 // (a single DeltaMsg or a coalesced DeltaBatch).
 func encodeFrames(frames []wireFrame) []byte {
 	var b []byte
-	b = putUvarint(b, uint64(len(frames)))
+	b = wire.AppendUvarint(b, uint64(len(frames)))
 	for _, f := range frames {
-		b = putUvarint(b, uint64(f.At))
-		b = putString(b, f.Msg.From)
-		b = putString(b, f.Msg.To)
-		b = putUvarint(b, uint64(f.Msg.Size))
+		b = wire.AppendUvarint(b, uint64(f.At))
+		b = wire.AppendString(b, f.Msg.From)
+		b = wire.AppendString(b, f.Msg.To)
+		b = wire.AppendUvarint(b, uint64(f.Msg.Size))
 		switch p := f.Msg.Payload.(type) {
 		case DeltaMsg:
 			b = append(b, wireDeltaMsg)
 			b = encodeDeltaMsg(b, p)
 		case DeltaBatch:
 			b = append(b, wireDeltaBatch)
-			b = putUvarint(b, uint64(len(p.Msgs)))
+			b = wire.AppendUvarint(b, uint64(len(p.Msgs)))
 			for _, dm := range p.Msgs {
 				b = encodeDeltaMsg(b, dm)
 			}
@@ -184,46 +99,34 @@ func encodeFrames(frames []wireFrame) []byte {
 }
 
 func decodeFrames(b []byte) ([]wireFrame, error) {
-	r := &wireReader{b: b}
-	n := r.takeUvarint("frame count")
-	if n > uint64(len(b)) { // each frame takes >= 1 byte
-		return nil, fmt.Errorf("wire: frame count %d exceeds payload", n)
-	}
-	frames := make([]wireFrame, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	r := wire.NewReader(b)
+	n := r.Count("frame count", math.MaxInt)
+	frames := make([]wireFrame, 0, wire.Prealloc(n))
+	for i := 0; i < n && r.Err() == nil; i++ {
 		var f wireFrame
-		f.At = simnet.Time(r.takeUvarint("frame at"))
-		f.Msg.From = r.takeString("frame from")
-		f.Msg.To = r.takeString("frame to")
-		f.Msg.Size = int(r.takeUvarint("frame size"))
+		f.At = simnet.Time(r.Uvarint("frame at"))
+		f.Msg.From = r.String("frame from")
+		f.Msg.To = r.String("frame to")
+		f.Msg.Size = int(r.Uvarint("frame size"))
 		f.Msg.Kind = KindDelta
 		f.Msg.Reliable = true
-		switch kind := r.takeByte("frame payload kind"); kind {
+		switch kind := r.Byte("frame payload kind"); kind {
 		case wireDeltaMsg:
-			f.Msg.Payload = r.takeDeltaMsg()
+			f.Msg.Payload = decodeDeltaMsg(&r)
 		case wireDeltaBatch:
-			cnt := r.takeUvarint("batch count")
-			if cnt > uint64(len(b)) {
-				r.err = fmt.Errorf("wire: batch count %d exceeds payload", cnt)
-				break
-			}
-			batch := DeltaBatch{Msgs: make([]DeltaMsg, 0, cnt)}
-			for j := uint64(0); j < cnt && r.err == nil; j++ {
-				batch.Msgs = append(batch.Msgs, r.takeDeltaMsg())
+			cnt := r.Count("batch count", math.MaxInt)
+			batch := DeltaBatch{Msgs: make([]DeltaMsg, 0, wire.Prealloc(cnt))}
+			for j := 0; j < cnt && r.Err() == nil; j++ {
+				batch.Msgs = append(batch.Msgs, decodeDeltaMsg(&r))
 			}
 			f.Msg.Payload = batch
 		default:
-			if r.err == nil {
-				r.err = fmt.Errorf("wire: unknown payload kind %d", kind)
-			}
+			r.Failf("wire: unknown payload kind %d", kind)
 		}
 		frames = append(frames, f)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after frames", len(r.b))
+	if err := r.Done("frames"); err != nil {
+		return nil, err
 	}
 	return frames, nil
 }
@@ -240,18 +143,15 @@ func encodePropose(next simnet.Time, hasNext, changed bool) []byte {
 		flags |= 2
 	}
 	b := []byte{flags}
-	return putUvarint(b, uint64(next))
+	return wire.AppendUvarint(b, uint64(next))
 }
 
 func decodePropose(b []byte) (next simnet.Time, hasNext, changed bool, err error) {
-	r := &wireReader{b: b}
-	flags := r.takeByte("propose flags")
-	next = simnet.Time(r.takeUvarint("propose next"))
-	if r.err != nil {
-		return 0, false, false, r.err
-	}
-	if len(r.b) != 0 {
-		return 0, false, false, fmt.Errorf("wire: %d trailing bytes after propose", len(r.b))
+	r := wire.NewReader(b)
+	flags := r.Byte("propose flags")
+	next = simnet.Time(r.Uvarint("propose next"))
+	if err := r.Done("propose"); err != nil {
+		return 0, false, false, err
 	}
 	return next, flags&1 != 0, flags&2 != 0, nil
 }

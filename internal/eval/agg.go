@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -67,20 +66,19 @@ func groupProject(head *ndlog.Atom, b Binding, aggIdx int) ([]rel.Value, error) 
 }
 
 func groupKey(vals []rel.Value, aggIdx int) uint64 {
-	var buf bytes.Buffer
+	var scratch [256]byte
+	b := scratch[:0]
 	for i, v := range vals {
 		if i == aggIdx {
 			continue
 		}
-		rel.EncodeValue(&buf, v)
+		b = rel.AppendValue(b, v)
 	}
-	return rel.HashBytes(buf.Bytes()).Hash64()
+	return rel.HashBytes(b).Hash64()
 }
 
 func contribID(val rel.Value, inputs []rel.Tuple) rel.ID {
-	var buf bytes.Buffer
-	rel.EncodeValue(&buf, val)
-	parts := [][]byte{buf.Bytes()}
+	parts := [][]byte{rel.AppendValue(make([]byte, 0, 16), val)}
 	for _, t := range inputs {
 		vid := t.VID()
 		parts = append(parts, vid[:])

@@ -1,7 +1,6 @@
 package provenance
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -26,14 +25,14 @@ type Commitment struct {
 // Digest computes a deterministic hash over the partition's rendered
 // prov and ruleExec relations (sorted canonical encodings).
 func (s *Store) Digest() rel.ID {
-	var buf bytes.Buffer
+	var b []byte
 	for _, t := range s.ProvTuples() {
-		rel.EncodeTuple(&buf, t)
+		b = rel.AppendTuple(b, t)
 	}
 	for _, t := range s.ExecTuples() {
-		rel.EncodeTuple(&buf, t)
+		b = rel.AppendTuple(b, t)
 	}
-	return rel.HashBytes(buf.Bytes())
+	return rel.HashBytes(b)
 }
 
 // Commit returns the current commitment.

@@ -2,13 +2,13 @@ package provenance
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 	"math/bits"
 	"sort"
 
 	"repro/internal/rel"
+	"repro/internal/wire"
 )
 
 // Persistence hooks for View: the provstore serializes a provenance
@@ -24,56 +24,54 @@ import (
 // Empty buckets render as nil (canonical absence), so the caller can
 // skip them and a bucket's hash never depends on spine position.
 func (v *View) PersistBuckets() (prov, exec, pins [][]byte) {
+	// One scratch buffer serves every bucket; each is cloned out at its
+	// exact size.
+	var b []byte
 	prov = make([][]byte, len(v.prov.m))
 	for i, m := range v.prov.m {
 		if len(m) == 0 {
 			continue
 		}
-		var buf bytes.Buffer
-		putUvarint(&buf, uint64(len(m)))
+		b = wire.AppendUvarint(b[:0], uint64(len(m)))
 		for _, vid := range sortedKeys(m) {
-			buf.Write(vid[:])
+			b = append(b, vid[:]...)
 			list := m[vid]
-			putUvarint(&buf, uint64(len(list)))
+			b = wire.AppendUvarint(b, uint64(len(list)))
 			for _, e := range list {
-				buf.Write(e.RID[:])
-				putUvarint(&buf, uint64(len(e.RLoc)))
-				buf.WriteString(e.RLoc)
+				b = append(b, e.RID[:]...)
+				b = wire.AppendString(b, e.RLoc)
 			}
 		}
-		prov[i] = buf.Bytes()
+		prov[i] = bytes.Clone(b)
 	}
 	exec = make([][]byte, len(v.exec.m))
 	for i, m := range v.exec.m {
 		if len(m) == 0 {
 			continue
 		}
-		var buf bytes.Buffer
-		putUvarint(&buf, uint64(len(m)))
+		b = wire.AppendUvarint(b[:0], uint64(len(m)))
 		for _, rid := range sortedKeys(m) {
-			buf.Write(rid[:])
+			b = append(b, rid[:]...)
 			e := m[rid]
-			putUvarint(&buf, uint64(len(e.Rule)))
-			buf.WriteString(e.Rule)
-			putUvarint(&buf, uint64(len(e.VIDs)))
+			b = wire.AppendString(b, e.Rule)
+			b = wire.AppendUvarint(b, uint64(len(e.VIDs)))
 			for _, vid := range e.VIDs {
-				buf.Write(vid[:])
+				b = append(b, vid[:]...)
 			}
 		}
-		exec[i] = buf.Bytes()
+		exec[i] = bytes.Clone(b)
 	}
 	pins = make([][]byte, len(v.pins.m))
 	for i, m := range v.pins.m {
 		if len(m) == 0 {
 			continue
 		}
-		var buf bytes.Buffer
-		putUvarint(&buf, uint64(len(m)))
+		b = wire.AppendUvarint(b[:0], uint64(len(m)))
 		for _, vid := range sortedKeys(m) {
-			buf.Write(vid[:])
-			rel.EncodeTuple(&buf, m[vid])
+			b = append(b, vid[:]...)
+			b = rel.AppendTuple(b, m[vid])
 		}
-		pins[i] = buf.Bytes()
+		pins[i] = bytes.Clone(b)
 	}
 	return prov, exec, pins
 }
@@ -100,25 +98,13 @@ func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View,
 		if enc == nil {
 			continue
 		}
-		m, err := decodeBucket(enc, uint32(i), v.prov.mask, func(r *bytes.Reader, vid rel.ID) ([]Entry, error) {
-			n, err := readLen(r, "prov entry count")
-			if err != nil {
-				return nil, err
+		m, err := decodeBucket(enc, uint32(i), v.prov.mask, func(r *wire.Reader, vid rel.ID) []Entry {
+			n := r.Count("prov entry count", math.MaxInt)
+			list := make([]Entry, 0, wire.Prealloc(n))
+			for k := 0; k < n && r.Err() == nil; k++ {
+				list = append(list, Entry{VID: vid, RID: rel.DecodeID(r, "prov rid"), RLoc: r.String("prov rloc")})
 			}
-			list := make([]Entry, n)
-			for k := range list {
-				e := Entry{VID: vid}
-				if err := readID(r, &e.RID); err != nil {
-					return nil, err
-				}
-				s, err := readString(r, "prov rloc")
-				if err != nil {
-					return nil, err
-				}
-				e.RLoc = s
-				list[k] = e
-			}
-			return list, nil
+			return list
 		})
 		if err != nil {
 			return nil, fmt.Errorf("provenance: rebuild prov bucket %d: %w", i, err)
@@ -133,24 +119,14 @@ func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View,
 		if enc == nil {
 			continue
 		}
-		m, err := decodeBucket(enc, uint32(i), v.exec.mask, func(r *bytes.Reader, rid rel.ID) (ExecEntry, error) {
-			e := ExecEntry{RID: rid}
-			s, err := readString(r, "exec rule")
-			if err != nil {
-				return e, err
+		m, err := decodeBucket(enc, uint32(i), v.exec.mask, func(r *wire.Reader, rid rel.ID) ExecEntry {
+			e := ExecEntry{RID: rid, Rule: r.String("exec rule")}
+			n := r.Count("exec vid count", math.MaxInt)
+			e.VIDs = make([]rel.ID, 0, wire.Prealloc(n))
+			for k := 0; k < n && r.Err() == nil; k++ {
+				e.VIDs = append(e.VIDs, rel.DecodeID(r, "exec vid"))
 			}
-			e.Rule = s
-			n, err := readLen(r, "exec vid count")
-			if err != nil {
-				return e, err
-			}
-			e.VIDs = make([]rel.ID, n)
-			for k := range e.VIDs {
-				if err := readID(r, &e.VIDs[k]); err != nil {
-					return e, err
-				}
-			}
-			return e, nil
+			return e
 		})
 		if err != nil {
 			return nil, fmt.Errorf("provenance: rebuild exec bucket %d: %w", i, err)
@@ -163,7 +139,7 @@ func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View,
 		if enc == nil {
 			continue
 		}
-		m, err := decodeBucket(enc, uint32(i), v.pins.mask, func(r *bytes.Reader, vid rel.ID) (rel.Tuple, error) {
+		m, err := decodeBucket(enc, uint32(i), v.pins.mask, func(r *wire.Reader, _ rel.ID) rel.Tuple {
 			return rel.DecodeTuple(r)
 		})
 		if err != nil {
@@ -184,35 +160,25 @@ func checkSpine(name string, n int) error {
 
 // decodeBucket decodes one bucket's key/value pairs, verifying each key
 // hashes into this bucket and that the encoding is fully consumed.
-func decodeBucket[V any](enc []byte, idx, mask uint32, dec func(*bytes.Reader, rel.ID) (V, error)) (map[rel.ID]V, error) {
-	r := bytes.NewReader(enc)
-	n, err := readLen(r, "key count")
-	if err != nil {
-		return nil, err
-	}
+func decodeBucket[V any](enc []byte, idx, mask uint32, dec func(*wire.Reader, rel.ID) V) (map[rel.ID]V, error) {
+	r := wire.NewReader(enc)
+	n := r.Count("key count", math.MaxInt)
 	if n == 0 {
-		return nil, fmt.Errorf("empty bucket encoded non-nil")
+		r.Failf("empty bucket encoded non-nil")
 	}
-	m := make(map[rel.ID]V, n)
-	for k := uint64(0); k < n; k++ {
-		var id rel.ID
-		if err := readID(r, &id); err != nil {
-			return nil, err
-		}
+	m := make(map[rel.ID]V, wire.Prealloc(n))
+	for k := 0; k < n && r.Err() == nil; k++ {
+		id := rel.DecodeID(&r, "key")
 		if bucketIdx(id, mask) != idx {
-			return nil, fmt.Errorf("key %s does not belong in bucket %d", id.Short(), idx)
+			r.Failf("key %s does not belong in bucket %d", id.Short(), idx)
 		}
 		if _, dup := m[id]; dup {
-			return nil, fmt.Errorf("duplicate key %s", id.Short())
+			r.Failf("duplicate key %s", id.Short())
 		}
-		val, err := dec(r, id)
-		if err != nil {
-			return nil, err
-		}
-		m[id] = val
+		m[id] = dec(&r, id)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", r.Len())
+	if err := r.Done("bucket"); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -224,40 +190,4 @@ func sortedKeys[V any](m map[rel.ID]V) []rel.ID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
-}
-
-func putUvarint(buf *bytes.Buffer, u uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], u)
-	buf.Write(b[:n])
-}
-
-func readLen(r *bytes.Reader, what string) (uint64, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("decode %s: %w", what, err)
-	}
-	if n > uint64(r.Len()) {
-		return 0, fmt.Errorf("decode %s: %d exceeds input", what, n)
-	}
-	return n, nil
-}
-
-func readID(r *bytes.Reader, id *rel.ID) error {
-	if _, err := io.ReadFull(r, id[:]); err != nil {
-		return fmt.Errorf("decode id: %w", err)
-	}
-	return nil
-}
-
-func readString(r *bytes.Reader, what string) (string, error) {
-	n, err := readLen(r, what)
-	if err != nil {
-		return "", err
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("decode %s: %w", what, err)
-	}
-	return string(b), nil
 }

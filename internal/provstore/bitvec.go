@@ -1,10 +1,9 @@
 package provstore
 
 import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
 	"math/bits"
+
+	"repro/internal/wire"
 )
 
 // bitvec is an append-built bit vector with O(1) rank and O(log n)
@@ -99,38 +98,29 @@ func (b *bitvec) select1(k int) int {
 
 // marshal appends the vector's wire form: uvarint bit count, then the
 // packed words little-endian.
-func (b *bitvec) marshal(buf *bytes.Buffer) {
-	writeUvarint(buf, uint64(b.n))
-	var w [8]byte
+func (b *bitvec) marshal(buf []byte) []byte {
+	buf = wire.AppendUvarint(buf, uint64(b.n))
 	for _, word := range b.words {
-		binary.LittleEndian.PutUint64(w[:], word)
-		buf.Write(w[:])
+		buf = wire.AppendUint64(buf, word)
 	}
+	return buf
 }
 
 // unmarshalBitvec decodes one vector and rebuilds its rank directory.
-func unmarshalBitvec(r *bytes.Reader) (*bitvec, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("provstore: bitvec length: %w", err)
+// A failure is recorded on r; the result is never nil.
+func unmarshalBitvec(r *wire.Reader) *bitvec {
+	n := r.Uvarint("bitvec length")
+	if n > 8*uint64(r.Len()) {
+		r.Failf("bitvec of %d bits exceeds input", n)
+		return &bitvec{}
 	}
-	nwords := (n + 63) / 64
-	if nwords*8 > uint64(r.Len()) {
-		return nil, fmt.Errorf("provstore: bitvec of %d bits exceeds input", n)
-	}
-	b := &bitvec{n: int(n), words: make([]uint64, nwords)}
-	var w [8]byte
+	b := &bitvec{n: int(n), words: make([]uint64, (n+63)/64)}
 	for i := range b.words {
-		if _, err := r.Read(w[:]); err != nil {
-			return nil, fmt.Errorf("provstore: bitvec words: %w", err)
-		}
-		b.words[i] = binary.LittleEndian.Uint64(w[:])
+		b.words[i] = r.Uint64("bitvec words")
 	}
-	if n%64 != 0 && len(b.words) > 0 {
-		if tail := b.words[len(b.words)-1] >> uint(n%64); tail != 0 {
-			return nil, fmt.Errorf("provstore: bitvec has bits past its length")
-		}
+	if n%64 != 0 && b.words[len(b.words)-1]>>uint(n%64) != 0 {
+		r.Failf("bitvec has bits past its length")
 	}
 	b.finish()
-	return b, nil
+	return b
 }

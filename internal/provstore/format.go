@@ -11,15 +11,14 @@
 package provstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 
 	"repro/internal/provenance"
 	"repro/internal/rel"
+	"repro/internal/wire"
 )
 
 // Segment files open with this magic; records follow immediately.
@@ -53,14 +52,8 @@ var crcTable = crc32.IEEETable
 func appendRecord(buf []byte, typ byte, payload []byte) []byte {
 	start := len(buf)
 	buf = append(buf, typ)
-	var lb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lb[:], uint64(len(payload)))
-	buf = append(buf, lb[:n]...)
-	buf = append(buf, payload...)
-	crc := crc32.Checksum(buf[start:], crcTable)
-	var cb [4]byte
-	binary.LittleEndian.PutUint32(cb[:], crc)
-	return append(buf, cb[:]...)
+	buf = wire.AppendBytes(buf, payload)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
 }
 
 // errTorn marks an incomplete or CRC-failing record at the end of a
@@ -76,12 +69,13 @@ func readRecord(data []byte, off int64) (typ byte, payload []byte, next int64, e
 		return 0, nil, 0, errTorn
 	}
 	rest := data[off:]
-	typ = rest[0]
-	plen, n := binary.Uvarint(rest[1:])
-	if n <= 0 || plen > maxRecordPayload {
+	r := wire.NewReader(rest)
+	typ = r.Byte("record type")
+	plen := r.Uvarint("record length")
+	if r.Err() != nil || plen > maxRecordPayload {
 		return 0, nil, 0, errTorn
 	}
-	hdrLen := 1 + int64(n)
+	hdrLen := int64(len(rest) - r.Len())
 	total := hdrLen + int64(plen) + 4
 	if int64(len(rest)) < total {
 		return 0, nil, 0, errTorn
@@ -108,45 +102,51 @@ type header struct {
 }
 
 func (h *header) marshal() []byte {
-	var buf bytes.Buffer
-	writeUvarint(&buf, h.format)
-	writeUvarint(&buf, h.seq)
-	writeUvarint(&buf, uint64(h.shardIdx))
-	writeUvarint(&buf, uint64(h.shardN))
-	writeStrings(&buf, h.allNodes)
-	writeStrings(&buf, h.owned)
-	return buf.Bytes()
+	b := wire.AppendUvarint(nil, h.format)
+	b = wire.AppendUvarint(b, h.seq)
+	b = wire.AppendUvarint(b, uint64(h.shardIdx))
+	b = wire.AppendUvarint(b, uint64(h.shardN))
+	b = appendStrings(b, h.allNodes)
+	return appendStrings(b, h.owned)
 }
 
 func unmarshalHeader(payload []byte) (*header, error) {
-	r := bytes.NewReader(payload)
-	h := &header{}
-	var err error
-	if h.format, err = readUvarint(r, "format"); err != nil {
-		return nil, err
-	}
+	r := wire.NewReader(payload)
+	h := &header{format: r.Uvarint("format")}
 	if h.format != formatVersion {
-		return nil, fmt.Errorf("provstore: segment format %d, this build reads %d", h.format, formatVersion)
+		r.Failf("segment format %d, this build reads %d", h.format, formatVersion)
 	}
-	if h.seq, err = readUvarint(r, "seq"); err != nil {
-		return nil, err
-	}
-	if h.shardIdx, err = readInt(r, "shard index"); err != nil {
-		return nil, err
-	}
-	if h.shardN, err = readInt(r, "shard total"); err != nil {
-		return nil, err
-	}
-	if h.allNodes, err = readStrings(r, "all nodes"); err != nil {
-		return nil, err
-	}
-	if h.owned, err = readStrings(r, "owned nodes"); err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("provstore: header has %d trailing bytes", r.Len())
+	h.seq = r.Uvarint("seq")
+	h.shardIdx = r.Int("shard index")
+	h.shardN = r.Int("shard total")
+	h.allNodes = decodeStrings(&r, "all nodes")
+	h.owned = decodeStrings(&r, "owned nodes")
+	if err := r.Done("header"); err != nil {
+		return nil, fmt.Errorf("provstore: segment header: %w", err)
 	}
 	return h, nil
+}
+
+func appendStrings(b []byte, ss []string) []byte {
+	b = wire.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = wire.AppendString(b, s)
+	}
+	return b
+}
+
+// decodeStrings takes a counted string list; an empty list decodes to
+// nil.
+func decodeStrings(r *wire.Reader, what string) []string {
+	n := r.Count(what, maxRecordPayload)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, wire.Prealloc(n))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		out = append(out, r.String(what))
+	}
+	return out
 }
 
 // Info is the published per-node metadata a version record carries —
@@ -160,30 +160,22 @@ type Info struct {
 	SentBytes int
 }
 
-func encodeInfo(buf *bytes.Buffer, info Info) {
-	writeStrings(buf, info.Neighbors)
-	writeUvarint(buf, uint64(info.Tuples))
-	writeUvarint(buf, uint64(info.Prov.ProvEntries))
-	writeUvarint(buf, uint64(info.Prov.ExecEntries))
-	writeUvarint(buf, uint64(info.Prov.Pins))
-	writeUvarint(buf, uint64(info.SentMsgs))
-	writeUvarint(buf, uint64(info.SentBytes))
+func appendInfo(b []byte, info Info) []byte {
+	b = appendStrings(b, info.Neighbors)
+	for _, f := range []int{info.Tuples, info.Prov.ProvEntries, info.Prov.ExecEntries,
+		info.Prov.Pins, info.SentMsgs, info.SentBytes} {
+		b = wire.AppendUvarint(b, uint64(f))
+	}
+	return b
 }
 
-func decodeInfo(r *bytes.Reader) (Info, error) {
-	var info Info
-	var err error
-	if info.Neighbors, err = readStrings(r, "neighbors"); err != nil {
-		return info, err
+func decodeInfo(r *wire.Reader) Info {
+	info := Info{Neighbors: decodeStrings(r, "neighbors")}
+	for _, f := range []*int{&info.Tuples, &info.Prov.ProvEntries, &info.Prov.ExecEntries,
+		&info.Prov.Pins, &info.SentMsgs, &info.SentBytes} {
+		*f = r.Int("info counter")
 	}
-	fields := []*int{&info.Tuples, &info.Prov.ProvEntries, &info.Prov.ExecEntries,
-		&info.Prov.Pins, &info.SentMsgs, &info.SentBytes}
-	for _, f := range fields {
-		if *f, err = readInt(r, "info counter"); err != nil {
-			return info, err
-		}
-	}
-	return info, nil
+	return info
 }
 
 // tableEntry is one frozen table inside a state entry: its version and
@@ -244,224 +236,170 @@ type versionRecord struct {
 }
 
 func (vr *versionRecord) marshal() []byte {
-	var buf bytes.Buffer
-	writeUvarint(&buf, vr.version)
-	writeUvarint(&buf, uint64(vr.time))
-	writeUvarint(&buf, vr.minState)
+	b := wire.AppendUvarint(nil, vr.version)
+	b = wire.AppendUvarint(b, uint64(vr.time))
+	b = wire.AppendUvarint(b, vr.minState)
 	for _, sv := range vr.stateVers {
-		writeUvarint(&buf, vr.version-sv)
+		b = wire.AppendUvarint(b, vr.version-sv)
 	}
 	for _, iv := range vr.infoVers {
-		writeUvarint(&buf, vr.version-iv)
+		b = wire.AppendUvarint(b, vr.version-iv)
 	}
-	writeUvarint(&buf, uint64(len(vr.states)))
+	b = wire.AppendUvarint(b, uint64(len(vr.states)))
 	for _, se := range vr.states {
-		writeUvarint(&buf, uint64(se.ownedIdx))
-		encodeInfo(&buf, se.info)
-		writeUvarint(&buf, uint64(len(se.tables)))
+		b = wire.AppendUvarint(b, uint64(se.ownedIdx))
+		b = appendInfo(b, se.info)
+		b = wire.AppendUvarint(b, uint64(len(se.tables)))
 		for _, te := range se.tables {
-			writeString(&buf, te.name)
-			writeUvarint(&buf, te.version)
-			writeUvarint(&buf, uint64(len(te.chunks)))
-			for _, h := range te.chunks {
-				buf.Write(h[:])
-			}
+			b = wire.AppendString(b, te.name)
+			b = wire.AppendUvarint(b, te.version)
+			b = appendIDs(b, te.chunks)
 		}
-		writeUvarint(&buf, se.view.version)
+		b = wire.AppendUvarint(b, se.view.version)
 		for _, spine := range [][]blobRef{se.view.prov, se.view.exec, se.view.pins} {
-			writeUvarint(&buf, uint64(len(spine)))
+			b = wire.AppendUvarint(b, uint64(len(spine)))
 			for _, ref := range spine {
 				if ref.present {
-					buf.WriteByte(1)
-					buf.Write(ref.hash[:])
+					b = append(append(b, 1), ref.hash[:]...)
 				} else {
-					buf.WriteByte(0)
+					b = append(b, 0)
 				}
 			}
 		}
-		writeUvarint(&buf, uint64(len(se.firstSeen)))
-		for _, vid := range se.firstSeen {
-			buf.Write(vid[:])
-		}
+		b = appendIDs(b, se.firstSeen)
 	}
-	writeUvarint(&buf, uint64(len(vr.infos)))
+	b = wire.AppendUvarint(b, uint64(len(vr.infos)))
 	for _, ie := range vr.infos {
-		writeUvarint(&buf, uint64(ie.ownedIdx))
-		encodeInfo(&buf, ie.info)
+		b = wire.AppendUvarint(b, uint64(ie.ownedIdx))
+		b = appendInfo(b, ie.info)
 	}
-	return buf.Bytes()
+	return b
+}
+
+func appendIDs(b []byte, ids []rel.ID) []byte {
+	b = wire.AppendUvarint(b, uint64(len(ids)))
+	for _, id := range ids {
+		b = append(b, id[:]...)
+	}
+	return b
+}
+
+func decodeIDs(r *wire.Reader, what string) []rel.ID {
+	n := r.Count(what, maxRecordPayload/len(rel.ID{}))
+	ids := make([]rel.ID, 0, wire.Prealloc(n))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		ids = append(ids, rel.DecodeID(r, what))
+	}
+	return ids
 }
 
 // unmarshalVersionRecord decodes and validates one version record.
 // nOwned is the deployment's owned-node count from the segment header;
 // every index and resolution vector is checked against it so a corrupt
-// record fails decode instead of panicking a materialization.
+// record fails decode instead of panicking a materialization. A failed
+// check is recorded on the reader like a truncation, so only the first
+// problem is reported and nothing after it is trusted.
 func unmarshalVersionRecord(payload []byte, nOwned int) (*versionRecord, error) {
-	r := bytes.NewReader(payload)
-	vr := &versionRecord{}
-	var err error
-	if vr.version, err = readUvarint(r, "version"); err != nil {
-		return nil, err
-	}
+	r := wire.NewReader(payload)
+	vr := &versionRecord{version: r.Uvarint("version")}
 	if vr.version == 0 {
-		return nil, fmt.Errorf("provstore: version record for version 0")
+		r.Failf("version record for version 0")
 	}
-	t, err := readUvarint(r, "time")
-	if err != nil {
-		return nil, err
-	}
+	t := r.Uvarint("time")
 	if t > math.MaxInt64 {
-		return nil, fmt.Errorf("provstore: version %d time overflows", vr.version)
+		r.Failf("version %d time overflows", vr.version)
 	}
 	vr.time = int64(t)
-	if vr.minState, err = readUvarint(r, "min state version"); err != nil {
-		return nil, err
-	}
+	vr.minState = r.Uvarint("min state version")
 	vr.stateVers = make([]uint64, nOwned)
 	vr.infoVers = make([]uint64, nOwned)
 	minState := vr.version
 	for i := range vr.stateVers {
-		d, err := readUvarint(r, "state version delta")
-		if err != nil {
-			return nil, err
-		}
+		d := r.Uvarint("state version delta")
 		if d >= vr.version {
-			return nil, fmt.Errorf("provstore: version %d: state delta %d underflows", vr.version, d)
+			r.Failf("version %d: state delta %d underflows", vr.version, d)
 		}
 		vr.stateVers[i] = vr.version - d
-		if vr.stateVers[i] < minState {
-			minState = vr.stateVers[i]
-		}
+		minState = min(minState, vr.stateVers[i])
 	}
 	for i := range vr.infoVers {
-		d, err := readUvarint(r, "info version delta")
-		if err != nil {
-			return nil, err
-		}
+		d := r.Uvarint("info version delta")
 		if d >= vr.version {
-			return nil, fmt.Errorf("provstore: version %d: info delta %d underflows", vr.version, d)
+			r.Failf("version %d: info delta %d underflows", vr.version, d)
 		}
 		vr.infoVers[i] = vr.version - d
 		if vr.infoVers[i] < vr.stateVers[i] {
-			return nil, fmt.Errorf("provstore: version %d: node %d info version %d behind state version %d",
+			r.Failf("version %d: node %d info version %d behind state version %d",
 				vr.version, i, vr.infoVers[i], vr.stateVers[i])
 		}
 	}
 	if vr.minState != minState {
-		return nil, fmt.Errorf("provstore: version %d: stored min state version %d, computed %d",
+		r.Failf("version %d: stored min state version %d, computed %d",
 			vr.version, vr.minState, minState)
 	}
-	ns, err := readCount(r, "state entry count", nOwned)
-	if err != nil {
-		return nil, err
-	}
-	vr.states = make([]stateEntry, ns)
+	ns := r.Count("state entry count", nOwned)
+	vr.states = make([]stateEntry, 0, ns)
 	seen := make(map[int]bool, ns)
-	for i := range vr.states {
-		se := &vr.states[i]
-		if se.ownedIdx, err = readInt(r, "state owned index"); err != nil {
-			return nil, err
-		}
+	for i := 0; i < ns && r.Err() == nil; i++ {
+		se := stateEntry{ownedIdx: r.Int("state owned index")}
 		if se.ownedIdx >= nOwned || seen[se.ownedIdx] {
-			return nil, fmt.Errorf("provstore: version %d: bad state entry index %d", vr.version, se.ownedIdx)
+			r.Failf("version %d: bad state entry index %d", vr.version, se.ownedIdx)
+			break
 		}
 		seen[se.ownedIdx] = true
 		if vr.stateVers[se.ownedIdx] != vr.version {
-			return nil, fmt.Errorf("provstore: version %d: state entry for node %d but vector points at %d",
+			r.Failf("version %d: state entry for node %d but vector points at %d",
 				vr.version, se.ownedIdx, vr.stateVers[se.ownedIdx])
 		}
-		if se.info, err = decodeInfo(r); err != nil {
-			return nil, err
-		}
-		nt, err := readCount(r, "table count", maxRecordPayload)
-		if err != nil {
-			return nil, err
-		}
-		se.tables = make([]tableEntry, nt)
-		for ti := range se.tables {
-			te := &se.tables[ti]
-			if te.name, err = readString(r, "table name"); err != nil {
-				return nil, err
-			}
+		se.info = decodeInfo(&r)
+		nt := r.Count("table count", maxRecordPayload)
+		se.tables = make([]tableEntry, 0, wire.Prealloc(nt))
+		for ti := 0; ti < nt && r.Err() == nil; ti++ {
+			te := tableEntry{name: r.String("table name")}
 			if ti > 0 && se.tables[ti-1].name >= te.name {
-				return nil, fmt.Errorf("provstore: version %d: tables out of order", vr.version)
+				r.Failf("version %d: tables out of order", vr.version)
 			}
-			if te.version, err = readUvarint(r, "table version"); err != nil {
-				return nil, err
-			}
-			nc, err := readCount(r, "chunk count", maxRecordPayload/20)
-			if err != nil {
-				return nil, err
-			}
-			te.chunks = make([]rel.ID, nc)
-			for ci := range te.chunks {
-				if err = readID(r, &te.chunks[ci]); err != nil {
-					return nil, err
-				}
-			}
+			te.version = r.Uvarint("table version")
+			te.chunks = decodeIDs(&r, "chunk")
+			se.tables = append(se.tables, te)
 		}
-		if se.view.version, err = readUvarint(r, "view version"); err != nil {
-			return nil, err
-		}
+		se.view.version = r.Uvarint("view version")
 		for _, spine := range []*[]blobRef{&se.view.prov, &se.view.exec, &se.view.pins} {
-			nb, err := readCount(r, "bucket count", maxRecordPayload/21)
-			if err != nil {
-				return nil, err
-			}
-			refs := make([]blobRef, nb)
-			for bi := range refs {
-				p, err := r.ReadByte()
-				if err != nil {
-					return nil, fmt.Errorf("provstore: bucket presence: %w", err)
-				}
-				switch p {
+			nb := r.Count("bucket count", maxRecordPayload/21)
+			refs := make([]blobRef, 0, wire.Prealloc(nb))
+			for bi := 0; bi < nb && r.Err() == nil; bi++ {
+				switch p := r.Byte("bucket presence"); p {
 				case 0:
+					refs = append(refs, blobRef{})
 				case 1:
-					refs[bi].present = true
-					if err = readID(r, &refs[bi].hash); err != nil {
-						return nil, err
-					}
+					refs = append(refs, blobRef{present: true, hash: rel.DecodeID(&r, "bucket hash")})
 				default:
-					return nil, fmt.Errorf("provstore: bucket presence byte %d", p)
+					r.Failf("bucket presence byte %d", p)
 				}
 			}
 			*spine = refs
 		}
-		nf, err := readCount(r, "first-seen count", maxRecordPayload/20)
-		if err != nil {
-			return nil, err
-		}
-		se.firstSeen = make([]rel.ID, nf)
-		for fi := range se.firstSeen {
-			if err = readID(r, &se.firstSeen[fi]); err != nil {
-				return nil, err
-			}
-		}
+		se.firstSeen = decodeIDs(&r, "first-seen VID")
+		vr.states = append(vr.states, se)
 	}
-	ni, err := readCount(r, "info entry count", nOwned)
-	if err != nil {
-		return nil, err
-	}
-	vr.infos = make([]infoEntry, ni)
-	for i := range vr.infos {
-		ie := &vr.infos[i]
-		if ie.ownedIdx, err = readInt(r, "info owned index"); err != nil {
-			return nil, err
-		}
+	ni := r.Count("info entry count", nOwned)
+	vr.infos = make([]infoEntry, 0, ni)
+	for i := 0; i < ni && r.Err() == nil; i++ {
+		ie := infoEntry{ownedIdx: r.Int("info owned index")}
 		if ie.ownedIdx >= nOwned || seen[ie.ownedIdx] {
-			return nil, fmt.Errorf("provstore: version %d: bad info entry index %d", vr.version, ie.ownedIdx)
+			r.Failf("version %d: bad info entry index %d", vr.version, ie.ownedIdx)
+			break
 		}
 		seen[ie.ownedIdx] = true
 		if vr.infoVers[ie.ownedIdx] != vr.version {
-			return nil, fmt.Errorf("provstore: version %d: info entry for node %d but vector points at %d",
+			r.Failf("version %d: info entry for node %d but vector points at %d",
 				vr.version, ie.ownedIdx, vr.infoVers[ie.ownedIdx])
 		}
-		if ie.info, err = decodeInfo(r); err != nil {
-			return nil, err
-		}
+		ie.info = decodeInfo(&r)
+		vr.infos = append(vr.infos, ie)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("provstore: version record has %d trailing bytes", r.Len())
+	if err := r.Done("version record"); err != nil {
+		return nil, fmt.Errorf("provstore: version record: %w", err)
 	}
 	return vr, nil
 }
@@ -508,115 +446,23 @@ func firstSeenKey(addr string, vid rel.ID) string {
 
 // encodeChunkBlob renders one frozen-table chunk run as a blob.
 func encodeChunkBlob(run []rel.Tuple) []byte {
-	var buf bytes.Buffer
-	writeUvarint(&buf, uint64(len(run)))
+	b := wire.AppendUvarint(nil, uint64(len(run)))
 	for _, t := range run {
-		rel.EncodeTuple(&buf, t)
+		b = rel.AppendTuple(b, t)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // decodeChunkBlob decodes one chunk-run blob.
 func decodeChunkBlob(b []byte) ([]rel.Tuple, error) {
-	r := bytes.NewReader(b)
-	n, err := readCount(r, "chunk tuple count", maxRecordPayload)
-	if err != nil {
-		return nil, err
+	r := wire.NewReader(b)
+	n := r.Count("chunk tuple count", maxRecordPayload)
+	run := make([]rel.Tuple, 0, wire.Prealloc(n))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		run = append(run, rel.DecodeTuple(&r))
 	}
-	run := make([]rel.Tuple, n)
-	for i := range run {
-		if run[i], err = rel.DecodeTuple(r); err != nil {
-			return nil, err
-		}
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("provstore: chunk blob has %d trailing bytes", r.Len())
+	if err := r.Done("chunk blob"); err != nil {
+		return nil, fmt.Errorf("provstore: chunk blob: %w", err)
 	}
 	return run, nil
-}
-
-func writeUvarint(buf *bytes.Buffer, u uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], u)
-	buf.Write(b[:n])
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func writeStrings(buf *bytes.Buffer, ss []string) {
-	writeUvarint(buf, uint64(len(ss)))
-	for _, s := range ss {
-		writeString(buf, s)
-	}
-}
-
-func readUvarint(r *bytes.Reader, what string) (uint64, error) {
-	u, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("provstore: decode %s: %w", what, err)
-	}
-	return u, nil
-}
-
-// readCount reads a uvarint bounded by both the remaining input and an
-// explicit cap, for prefix-sizing allocations safely.
-func readCount(r *bytes.Reader, what string, max int) (int, error) {
-	u, err := readUvarint(r, what)
-	if err != nil {
-		return 0, err
-	}
-	if u > uint64(r.Len()) || u > uint64(max) {
-		return 0, fmt.Errorf("provstore: decode %s: %d exceeds input", what, u)
-	}
-	return int(u), nil
-}
-
-func readInt(r *bytes.Reader, what string) (int, error) {
-	u, err := readUvarint(r, what)
-	if err != nil {
-		return 0, err
-	}
-	if u > math.MaxInt32 {
-		return 0, fmt.Errorf("provstore: decode %s: %d out of range", what, u)
-	}
-	return int(u), nil
-}
-
-func readID(r *bytes.Reader, id *rel.ID) error {
-	if _, err := io.ReadFull(r, id[:]); err != nil {
-		return fmt.Errorf("provstore: decode id: %w", err)
-	}
-	return nil
-}
-
-func readString(r *bytes.Reader, what string) (string, error) {
-	n, err := readCount(r, what, maxRecordPayload)
-	if err != nil {
-		return "", err
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("provstore: decode %s: %w", what, err)
-	}
-	return string(b), nil
-}
-
-func readStrings(r *bytes.Reader, what string) ([]string, error) {
-	n, err := readCount(r, what, maxRecordPayload)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		if out[i], err = readString(r, what); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package provstore
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +8,7 @@ import (
 
 	"repro/internal/provenance"
 	"repro/internal/rel"
+	"repro/internal/wire"
 )
 
 // realSegmentBytes builds a genuine segment pair (one sealed with an
@@ -93,9 +93,9 @@ func FuzzDecodeSegment(f *testing.F) {
 					_ = vr.marshal()
 				}
 			case recIndex:
-				r := bytes.NewReader(payload)
+				r := wire.NewReader(payload)
 				for i := 0; i < 3; i++ {
-					tr, err := UnmarshalTrie(r)
+					tr, err := UnmarshalTrie(&r)
 					if err != nil {
 						break
 					}
@@ -118,13 +118,12 @@ func FuzzDecodeSegment(f *testing.F) {
 	})
 }
 
-// FuzzDecodeVersionRecord hammers the version-record decoder. Beyond
-// crash-freedom, every accepted record must round-trip: re-marshaling
-// the decoded form and decoding again yields the same record, so the
-// canonical encoding cannot drift from the decoder.
-func FuzzDecodeVersionRecord(f *testing.F) {
+// fixtureVersionRecord is a two-node record exercising every field:
+// one state entry (tables, all three bucket spines with a present and
+// an absent slot, a first-seen VID) and one info-only entry.
+func fixtureVersionRecord() *versionRecord {
 	h := rel.HashBytes([]byte("blob"))
-	vr := &versionRecord{
+	return &versionRecord{
 		version:   5,
 		time:      50,
 		minState:  4,
@@ -144,6 +143,14 @@ func FuzzDecodeVersionRecord(f *testing.F) {
 		}},
 		infos: []infoEntry{{ownedIdx: 1, info: Info{SentMsgs: 7}}},
 	}
+}
+
+// FuzzDecodeVersionRecord hammers the version-record decoder. Beyond
+// crash-freedom, every accepted record must round-trip: re-marshaling
+// the decoded form and decoding again yields the same record, so the
+// canonical encoding cannot drift from the decoder.
+func FuzzDecodeVersionRecord(f *testing.F) {
+	vr := fixtureVersionRecord()
 	f.Add(vr.marshal(), 2)
 	f.Add(vr.marshal(), 1)
 	f.Add(vr.marshal()[:10], 2)

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/rel"
+	"repro/internal/wire"
 )
 
 // manifestName is the store's root metadata file: the sealed-segment
@@ -200,21 +201,21 @@ func (s *sealedSegment) parse() error {
 	if next != s.size {
 		return fmt.Errorf("provstore: %s: %d bytes after index record", s.name, s.size-next)
 	}
-	r := bytes.NewReader(payload)
+	r := wire.NewReader(payload)
 	//lint:allow frozenwrite parse runs inside openSealed before the segment is shared
-	if s.blobs, err = UnmarshalTrie(r); err != nil {
+	if s.blobs, err = UnmarshalTrie(&r); err != nil {
 		return fmt.Errorf("provstore: %s: blob index: %w", s.name, err)
 	}
 	//lint:allow frozenwrite parse runs inside openSealed before the segment is shared
-	if s.versions, err = UnmarshalTrie(r); err != nil {
+	if s.versions, err = UnmarshalTrie(&r); err != nil {
 		return fmt.Errorf("provstore: %s: version index: %w", s.name, err)
 	}
 	//lint:allow frozenwrite parse runs inside openSealed before the segment is shared
-	if s.firstSeen, err = UnmarshalTrie(r); err != nil {
+	if s.firstSeen, err = UnmarshalTrie(&r); err != nil {
 		return fmt.Errorf("provstore: %s: first-seen index: %w", s.name, err)
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("provstore: %s: %d trailing index bytes", s.name, r.Len())
+	if err := r.Done("index"); err != nil {
+		return fmt.Errorf("provstore: %s: %w", s.name, err)
 	}
 	return nil
 }
@@ -404,11 +405,7 @@ func (a *activeSegment) buildIndex() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	blobTrie.Marshal(&buf)
-	verTrie.Marshal(&buf)
-	fsTrie.Marshal(&buf)
-	return buf.Bytes(), nil
+	return fsTrie.Marshal(verTrie.Marshal(blobTrie.Marshal(nil))), nil
 }
 
 func buildIDTrie(m map[rel.ID]int64) (*Trie, error) {

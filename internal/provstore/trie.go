@@ -2,10 +2,11 @@ package provstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // Trie is a LOUDS-sparse succinct trie (the FST/SuRF shape): the
@@ -177,51 +178,34 @@ func (t *Trie) Walk(fn func(key []byte, value uint64) error) error {
 	return walk(0, nil)
 }
 
-// Marshal appends the trie's wire form to buf.
-func (t *Trie) Marshal(buf *bytes.Buffer) {
-	writeUvarint(buf, uint64(len(t.labels)))
-	buf.Write(t.labels)
-	t.hasChild.marshal(buf)
-	t.louds.marshal(buf)
-	writeUvarint(buf, uint64(len(t.values)))
+// Marshal appends the trie's wire form to b.
+func (t *Trie) Marshal(b []byte) []byte {
+	b = wire.AppendBytes(b, t.labels)
+	b = t.hasChild.marshal(b)
+	b = t.louds.marshal(b)
+	b = wire.AppendUvarint(b, uint64(len(t.values)))
 	for _, v := range t.values {
-		writeUvarint(buf, v)
+		b = wire.AppendUvarint(b, v)
 	}
+	return b
 }
 
-// UnmarshalTrie decodes one trie and validates its structural
+// UnmarshalTrie takes one trie from r and validates its structural
 // invariants (sequence lengths agree; value count matches leaf count)
-// so a corrupt index fails loudly at load, not during a lookup.
-func UnmarshalTrie(r *bytes.Reader) (*Trie, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("provstore: trie labels length: %w", err)
+// so a corrupt index fails loudly at load, not during a lookup. The
+// trie owns copies of what it keeps: r may read a mapping that is
+// unmapped while the trie is still in use.
+func UnmarshalTrie(r *wire.Reader) (*Trie, error) {
+	t := &Trie{labels: bytes.Clone(r.Bytes("trie labels"))}
+	t.hasChild = unmarshalBitvec(r)
+	t.louds = unmarshalBitvec(r)
+	nv := r.Count("trie value count", math.MaxInt)
+	t.values = make([]uint64, 0, wire.Prealloc(nv))
+	for i := 0; i < nv && r.Err() == nil; i++ {
+		t.values = append(t.values, r.Uvarint("trie value"))
 	}
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("provstore: trie labels %d exceed input", n)
-	}
-	t := &Trie{labels: make([]byte, n)}
-	if _, err := io.ReadFull(r, t.labels); err != nil {
-		return nil, fmt.Errorf("provstore: trie labels: %w", err)
-	}
-	if t.hasChild, err = unmarshalBitvec(r); err != nil {
-		return nil, err
-	}
-	if t.louds, err = unmarshalBitvec(r); err != nil {
-		return nil, err
-	}
-	nv, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("provstore: trie value count: %w", err)
-	}
-	if nv > uint64(r.Len()) {
-		return nil, fmt.Errorf("provstore: trie values %d exceed input", nv)
-	}
-	t.values = make([]uint64, nv)
-	for i := range t.values {
-		if t.values[i], err = binary.ReadUvarint(r); err != nil {
-			return nil, fmt.Errorf("provstore: trie value %d: %w", i, err)
-		}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("provstore: trie: %w", err)
 	}
 	if t.hasChild.n != len(t.labels) || t.louds.n != len(t.labels) {
 		return nil, fmt.Errorf("provstore: trie sequence lengths disagree (%d labels, %d hasChild, %d louds)",

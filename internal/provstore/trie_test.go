@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func buildKeys(t *testing.T, n int, seed int64) ([][]byte, []uint64) {
@@ -146,9 +148,8 @@ func TestTrieMarshalRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	tr.Marshal(&buf)
-	got, err := UnmarshalTrie(bytes.NewReader(buf.Bytes()))
+	r := wire.NewReader(tr.Marshal(nil))
+	got, err := UnmarshalTrie(&r)
 	if err != nil {
 		t.Fatal(err)
 	}

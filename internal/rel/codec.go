@@ -2,165 +2,118 @@ package rel
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // Binary codec for values and tuples. The encoding is deterministic (the
 // same value always encodes to the same bytes), which makes it usable for
 // both wire transfer and content hashing (VIDs).
 
-// EncodeValue appends the canonical binary encoding of v to buf.
-func EncodeValue(buf *bytes.Buffer, v Value) {
-	buf.WriteByte(byte(v.kind))
+// AppendValue appends the canonical binary encoding of v to b.
+func AppendValue(b []byte, v Value) []byte {
+	b = append(b, byte(v.kind))
 	switch v.kind {
 	case KindInt, KindBool:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v.num))
-		buf.Write(b[:])
+		b = wire.AppendUint64(b, uint64(v.num))
 	case KindFloat:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.f))
-		buf.Write(b[:])
+		b = wire.AppendUint64(b, math.Float64bits(v.f))
 	case KindString, KindAddr:
-		writeUvarint(buf, uint64(len(v.str)))
-		buf.WriteString(v.str)
+		b = wire.AppendString(b, v.str)
 	case KindID:
-		buf.Write(v.id[:])
+		b = append(b, v.id[:]...)
 	case KindList:
-		writeUvarint(buf, uint64(len(v.list)))
+		b = wire.AppendUvarint(b, uint64(len(v.list)))
 		for _, e := range v.list {
-			EncodeValue(buf, e)
+			b = AppendValue(b, e)
 		}
 	}
+	return b
 }
 
-// DecodeValue reads one value from r.
-func DecodeValue(r *bytes.Reader) (Value, error) {
-	kb, err := r.ReadByte()
-	if err != nil {
-		return Value{}, fmt.Errorf("rel: decode kind: %w", err)
-	}
-	k := Kind(kb)
+// maxListDepth bounds list nesting in decoded input. NDlog values nest
+// one or two levels (an AS path is a list of addresses); the decoder
+// recurses per level, and Go cannot recover from a stack overflow, so
+// an unbounded depth would let a few megabytes from a peer kill the
+// process.
+const maxListDepth = 32
+
+// ErrTooDeep is the decode error for lists nested beyond maxListDepth.
+var ErrTooDeep = errors.New("rel: lists nested too deep")
+
+// decodeValue takes one value from r; a failure is recorded on r and
+// the returned value is then meaningless.
+func decodeValue(r *wire.Reader, depth int) Value {
+	k := Kind(r.Byte("value kind"))
 	switch k {
 	case KindInt, KindBool:
-		var b [8]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return Value{}, fmt.Errorf("rel: decode int: %w", err)
-		}
-		return Value{kind: k, num: int64(binary.LittleEndian.Uint64(b[:]))}, nil
+		return Value{kind: k, num: int64(r.Uint64("int value"))}
 	case KindFloat:
-		var b [8]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return Value{}, fmt.Errorf("rel: decode float: %w", err)
-		}
-		return Value{kind: k, f: math.Float64frombits(binary.LittleEndian.Uint64(b[:]))}, nil
+		return Value{kind: k, f: math.Float64frombits(r.Uint64("float value"))}
 	case KindString, KindAddr:
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return Value{}, fmt.Errorf("rel: decode string len: %w", err)
-		}
-		if n > uint64(r.Len()) {
-			return Value{}, fmt.Errorf("rel: decode string: length %d exceeds input", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return Value{}, fmt.Errorf("rel: decode string: %w", err)
-		}
-		return Value{kind: k, str: string(b)}, nil
+		return Value{kind: k, str: r.String("string value")}
 	case KindID:
-		var id ID
-		if _, err := io.ReadFull(r, id[:]); err != nil {
-			return Value{}, fmt.Errorf("rel: decode id: %w", err)
-		}
-		return Value{kind: k, id: id}, nil
+		return Value{kind: k, id: DecodeID(r, "id value")}
 	case KindList:
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return Value{}, fmt.Errorf("rel: decode list len: %w", err)
+		if depth == maxListDepth {
+			r.Failf("%w", ErrTooDeep)
+			return Value{}
 		}
-		if n > uint64(r.Len()) {
-			return Value{}, fmt.Errorf("rel: decode list: length %d exceeds input", n)
+		n := r.Count("list length", math.MaxInt)
+		list := make([]Value, 0, wire.Prealloc(n))
+		for i := 0; i < n && r.Err() == nil; i++ {
+			list = append(list, decodeValue(r, depth+1))
 		}
-		list := make([]Value, n)
-		for i := range list {
-			e, err := DecodeValue(r)
-			if err != nil {
-				return Value{}, err
-			}
-			list[i] = e
-		}
-		return Value{kind: k, list: list}, nil
+		return Value{kind: k, list: list}
 	default:
-		return Value{}, fmt.Errorf("rel: decode: unknown kind %d", kb)
+		r.Failf("unknown value kind %d", k)
+		return Value{}
 	}
 }
 
-// EncodeTuple appends the canonical binary encoding of t to buf.
-func EncodeTuple(buf *bytes.Buffer, t Tuple) {
-	writeUvarint(buf, uint64(len(t.Rel)))
-	buf.WriteString(t.Rel)
-	writeUvarint(buf, uint64(len(t.Vals)))
+// DecodeID takes one fixed-width ID from r (zero after a failure).
+func DecodeID(r *wire.Reader, what string) (id ID) {
+	copy(id[:], r.Fixed(what, len(id)))
+	return id
+}
+
+// AppendTuple appends the canonical binary encoding of t to b.
+func AppendTuple(b []byte, t Tuple) []byte {
+	b = wire.AppendString(b, t.Rel)
+	b = wire.AppendUvarint(b, uint64(len(t.Vals)))
 	for _, v := range t.Vals {
-		EncodeValue(buf, v)
+		b = AppendValue(b, v)
 	}
+	return b
 }
 
-// DecodeTuple reads one tuple from r.
-func DecodeTuple(r *bytes.Reader) (Tuple, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return Tuple{}, fmt.Errorf("rel: decode rel len: %w", err)
+// DecodeTuple takes one tuple from r; a failure is recorded on r and
+// the returned tuple is then meaningless.
+func DecodeTuple(r *wire.Reader) Tuple {
+	name := r.String("relation name")
+	n := r.Count("arity", math.MaxInt)
+	vals := make([]Value, 0, wire.Prealloc(n))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		vals = append(vals, decodeValue(r, 0))
 	}
-	if n > uint64(r.Len()) {
-		return Tuple{}, fmt.Errorf("rel: decode rel name: length %d exceeds input", n)
-	}
-	name := make([]byte, n)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return Tuple{}, fmt.Errorf("rel: decode rel name: %w", err)
-	}
-	arity, err := binary.ReadUvarint(r)
-	if err != nil {
-		return Tuple{}, fmt.Errorf("rel: decode arity: %w", err)
-	}
-	if arity > uint64(r.Len()) {
-		return Tuple{}, fmt.Errorf("rel: decode tuple: arity %d exceeds input", arity)
-	}
-	vals := make([]Value, arity)
-	for i := range vals {
-		v, err := DecodeValue(r)
-		if err != nil {
-			return Tuple{}, err
-		}
-		vals[i] = v
-	}
-	return Tuple{Rel: string(name), Vals: vals}, nil
+	return Tuple{Rel: name, Vals: vals}
 }
 
 // MarshalTuple returns the canonical binary encoding of t.
 func MarshalTuple(t Tuple) []byte {
-	var buf bytes.Buffer
-	EncodeTuple(&buf, t)
-	return buf.Bytes()
+	var scratch [tupleScratch]byte
+	return bytes.Clone(AppendTuple(scratch[:0], t))
 }
 
 // UnmarshalTuple decodes a tuple from b, requiring full consumption.
 func UnmarshalTuple(b []byte) (Tuple, error) {
-	r := bytes.NewReader(b)
-	t, err := DecodeTuple(r)
-	if err != nil {
-		return Tuple{}, err
-	}
-	if r.Len() != 0 {
-		return Tuple{}, fmt.Errorf("rel: %d trailing bytes after tuple", r.Len())
+	r := wire.NewReader(b)
+	t := DecodeTuple(&r)
+	if err := r.Done("tuple"); err != nil {
+		return Tuple{}, fmt.Errorf("rel: unmarshal tuple: %w", err)
 	}
 	return t, nil
-}
-
-func writeUvarint(buf *bytes.Buffer, u uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], u)
-	buf.Write(b[:n])
 }

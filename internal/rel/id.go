@@ -3,6 +3,7 @@ package rel
 import (
 	"bytes"
 	"crypto/sha1"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 )
@@ -50,7 +51,7 @@ func HashParts(parts ...[]byte) ID {
 	h := sha1.New()
 	var lenBuf [8]byte
 	for _, p := range parts {
-		putUint64(lenBuf[:], uint64(len(p)))
+		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(p)))
 		h.Write(lenBuf[:])
 		h.Write(p)
 	}

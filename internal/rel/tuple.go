@@ -1,7 +1,6 @@
 package rel
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 )
@@ -60,12 +59,16 @@ func (t Tuple) Compare(o Tuple) int {
 	return 0
 }
 
+// tupleScratch sizes the stack buffer a tuple encoding is built in when
+// it is hashed or copied out at its exact size: most tuples fit, and one
+// that does not spills to the heap through append.
+const tupleScratch = 256
+
 // VID returns the tuple's content hash — its vertex ID in the provenance
 // graph. Identical tuples always share a VID, across nodes and runs.
 func (t Tuple) VID() ID {
-	var buf bytes.Buffer
-	EncodeTuple(&buf, t)
-	return HashBytes(buf.Bytes())
+	var scratch [tupleScratch]byte
+	return HashBytes(AppendTuple(scratch[:0], t))
 }
 
 // String renders the tuple in NDlog syntax, marking the location
@@ -109,14 +112,15 @@ func (t Tuple) LocCol0() (string, bool) {
 // KeyHash hashes the projection of t onto the given columns (used for
 // primary-key replacement semantics and join indexes).
 func (t Tuple) KeyHash(cols []int) (uint64, error) {
-	var buf bytes.Buffer
+	var scratch [tupleScratch]byte
+	b := scratch[:0]
 	for _, c := range cols {
 		if c < 0 || c >= len(t.Vals) {
 			return 0, fmt.Errorf("rel: key column %d out of range for %s/%d", c, t.Rel, len(t.Vals))
 		}
-		EncodeValue(&buf, t.Vals[c])
+		b = AppendValue(b, t.Vals[c])
 	}
-	return HashBytes(buf.Bytes()).Hash64(), nil
+	return HashBytes(b).Hash64(), nil
 }
 
 // Hash64 folds the first 8 bytes of an ID into a uint64.

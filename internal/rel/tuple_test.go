@@ -1,9 +1,14 @@
 package rel
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/wire"
 )
 
 func TestTupleBasics(t *testing.T) {
@@ -165,5 +170,51 @@ func TestHashParts(t *testing.T) {
 	}
 	if HashParts([]byte("x")) != HashParts([]byte("x")) {
 		t.Fatal("HashParts must be deterministic")
+	}
+}
+
+// TestUnmarshalTupleDeepNesting: a list nested three million levels deep
+// (6 MB, well under the transport's frame limit) must come back as
+// ErrTooDeep. Before the depth bound the decoder recursed once per
+// level and died of a stack overflow, which no recover catches.
+func TestUnmarshalTupleDeepNesting(t *testing.T) {
+	deep := []byte{1, 'r', 1} // relation "r", arity 1
+	deep = append(deep, bytes.Repeat([]byte{byte(KindList), 1}, 3_000_000)...)
+	if _, err := UnmarshalTuple(deep); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("deeply nested list: err = %v, want ErrTooDeep", err)
+	}
+	// The bound itself: maxListDepth levels decode, one more does not.
+	nest := func(levels int) Value {
+		v := Int(1)
+		for i := 0; i < levels; i++ {
+			v = List(v)
+		}
+		return v
+	}
+	ok := NewTuple("r", nest(maxListDepth))
+	if got, err := UnmarshalTuple(MarshalTuple(ok)); err != nil || !got.Equal(ok) {
+		t.Fatalf("%d levels: %v", maxListDepth, err)
+	}
+	if _, err := UnmarshalTuple(MarshalTuple(NewTuple("r", nest(maxListDepth+1)))); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("%d levels: err = %v, want ErrTooDeep", maxListDepth+1, err)
+	}
+}
+
+// TestUnmarshalTupleHostileCount: a count is checked against the input
+// that remains, but each claimed element costs ~90 B of Value, so the
+// decoder must not size its destination by the count alone.
+func TestUnmarshalTupleHostileCount(t *testing.T) {
+	in := []byte{1, 'r', 1, byte(KindList)}
+	in = wire.AppendUvarint(in, 1<<20)
+	in = append(in, make([]byte, 1<<20)...) // 1 Mi claimed elements, all of kind 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalTuple(in)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("hostile list decoded without error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(in)) {
+		t.Fatalf("decoding a %d-byte hostile input allocated %d bytes", len(in), grew)
 	}
 }

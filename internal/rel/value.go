@@ -5,6 +5,7 @@
 package rel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -210,11 +211,11 @@ func (v Value) hashInto(h hasher) {
 	switch v.kind {
 	case KindInt, KindBool:
 		var b [8]byte
-		putUint64(b[:], uint64(v.num))
+		binary.LittleEndian.PutUint64(b[:], uint64(v.num))
 		h.Write(b[:])
 	case KindFloat:
 		var b [8]byte
-		putUint64(b[:], math.Float64bits(v.f))
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.f))
 		h.Write(b[:])
 	case KindString, KindAddr:
 		h.Write([]byte(v.str))
@@ -224,12 +225,6 @@ func (v Value) hashInto(h hasher) {
 		for _, e := range v.list {
 			e.hashInto(h)
 		}
-	}
-}
-
-func putUint64(b []byte, u uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * uint(i)))
 	}
 }
 

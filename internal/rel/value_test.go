@@ -1,11 +1,12 @@
 package rel
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/wire"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -230,10 +231,9 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		v := randomValue(r, 3)
-		var buf bytes.Buffer
-		EncodeValue(&buf, v)
-		got, err := DecodeValue(bytes.NewReader(buf.Bytes()))
-		if err != nil {
+		dec := wire.NewReader(AppendValue(nil, v))
+		got := decodeValue(&dec, 0)
+		if err := dec.Done("value"); err != nil {
 			t.Logf("decode error for %v: %v", v, err)
 			return false
 		}

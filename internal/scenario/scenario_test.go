@@ -103,3 +103,24 @@ func TestTupleLiteralRoundTrips(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenSnapshotDigest pins the snapshot digest of one catalog
+// scenario at its final mark to the value the commit before
+// internal/wire produced. The digest hashes every published tuple in
+// its canonical encoding and every provenance bucket, over a run whose
+// VIDs and RIDs are themselves hashes of that encoding — so a codec
+// change that moves any byte anywhere in the pipeline lands here.
+func TestGoldenSnapshotDigest(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	d, err := Boot(RouteLeak())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	snap := d.SinglePub.Current()
+	const wantVersion, wantDigest = 12, "921de179785050a94915c5e351e719c8767470ac"
+	if snap.Version != wantVersion || snap.Digest().String() != wantDigest {
+		t.Fatalf("route-leak final snapshot: version %d digest %s, want version %d digest %s",
+			snap.Version, snap.Digest(), wantVersion, wantDigest)
+	}
+}

@@ -29,7 +29,8 @@ func putStr(h *digestWriter, s string) {
 }
 
 // digestWriter length-frames every write so part boundaries are
-// unambiguous (the same framing rule as rel.HashParts).
+// unambiguous — the rule rel.HashParts follows, not its bytes: lengths
+// here are big-endian, HashParts writes them little-endian.
 type digestWriter struct {
 	h interface{ Write([]byte) (int, error) }
 }

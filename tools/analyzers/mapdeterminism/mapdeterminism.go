@@ -40,6 +40,7 @@ var scope = []string{
 	"repro/internal/engine",
 	"repro/internal/eval",
 	"repro/internal/rel",
+	"repro/internal/wire",
 	"repro/internal/provenance",
 	"repro/internal/provgraph",
 	"repro/internal/simnet",

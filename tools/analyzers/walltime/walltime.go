@@ -33,6 +33,7 @@ var scope = []string{
 	"repro/internal/engine",
 	"repro/internal/eval",
 	"repro/internal/rel",
+	"repro/internal/wire",
 	"repro/internal/provenance",
 	// The snapshot store persists the deterministic core's output:
 	// every timestamp it writes must be a virtual instant carried in
