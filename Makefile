@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all vet staticcheck govulncheck fmt-check build test race fuzz bench bench-publish bench-store bench-check serve-smoke scenarios scenarios-slow engine-dist docs-check ci clean
+.PHONY: all vet staticcheck govulncheck fmt-check build test race fuzz bench-check serve-smoke scenarios scenarios-slow engine-dist docs-check ci clean
 
 all: fmt-check vet build test
 
@@ -75,63 +75,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVersionRecord$$' -fuzztime $(FUZZTIME) ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/nettransport
 
-# bench sweeps the tracked benchmark suites and records the results as
-# JSON so the performance trajectory is archived over time:
-#   - BENCH_parallel.json: the parallel epoch scheduler (serial vs
-#     worker-pool convergence on path-vector, mincost, and BGP)
-#   - BENCH_serve.json: nettrailsd query serving (N concurrent HTTP
-#     clients against a live 8-AS BGP run under snapshot isolation)
-#   - BENCH_querycache.json: the per-version sub-proof cache (cold
-#     traversal vs cache-served repeats, direct and over HTTP)
-#   - BENCH_api.json: the v1 batch endpoint through the Go SDK
-#     (sequential round trips vs one batch vs a batch denied its
-#     shared sub-proof cache)
-#   - BENCH_sharded.json: the sharded serving tier (single process vs
-#     a 3-shard deployment behind a colocated or pure gateway, with
-#     real downstream hops/op)
-#   - BENCH_scenarios.json: the adversarial scenario soak (gateway
-#     query latency percentiles, cache hit rate, and publish rate
-#     under engine churn), via cmd/nettrailssoak
-#   - BENCH_publish.json: the O(delta) epoch-snapshot publish path
-#     (1/10/100-tuple deltas on the 8-AS trace and a generated
-#     1000-AS graph; allocs/op must track the delta, not the state)
-#   - BENCH_store.json: the on-disk snapshot store (append with
-#     fsync at delta 1/10/100, cold any-epoch materialization from
-#     sealed segments, recovery over a 10k-epoch log)
-bench: bench-publish bench-store
-	$(GO) test -run '^$$' -bench 'BenchmarkParallel' -benchtime 3x . | tee bench_parallel.out
-	$(GO) run ./tools/benchjson < bench_parallel.out > BENCH_parallel.json
-	$(GO) test -run '^$$' -bench 'BenchmarkServeQueries' -benchtime 3x . | tee bench_serve.out
-	$(GO) run ./tools/benchjson < bench_serve.out > BENCH_serve.json
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryCache' -benchtime 20x . | tee bench_querycache.out
-	$(GO) run ./tools/benchjson < bench_querycache.out > BENCH_querycache.json
-	$(GO) test -run '^$$' -bench 'BenchmarkAPIBatch' -benchtime 20x . | tee bench_api.out
-	$(GO) run ./tools/benchjson < bench_api.out > BENCH_api.json
-	$(GO) test -run '^$$' -bench 'BenchmarkShardedQuery' -benchtime 20x . | tee bench_sharded.out
-	$(GO) run ./tools/benchjson < bench_sharded.out > BENCH_sharded.json
-	$(GO) run ./cmd/nettrailssoak -hijack-nodes 48 -clients 8 -queries 2000 -churn 200 -out BENCH_scenarios.json
-	@rm -f bench_parallel.out bench_serve.out bench_querycache.out bench_api.out bench_sharded.out
-
-# bench-publish records just the publish-path sweep (the cheap one to
-# rerun while touching the snapshot pipeline).
-bench-publish:
-	$(GO) test -run '^$$' -bench 'BenchmarkPublish' -benchtime 20x . | tee bench_publish.out
-	$(GO) run ./tools/benchjson < bench_publish.out > BENCH_publish.json
-	@rm -f bench_publish.out
-
-# bench-store records just the snapshot-store sweep (the cheap one to
-# rerun while touching internal/provstore).
-bench-store:
-	$(GO) test -run '^$$' -bench 'BenchmarkStore' -benchtime 20x ./internal/provstore | tee bench_store.out
-	$(GO) run ./tools/benchjson < bench_store.out > BENCH_store.json
-	@rm -f bench_store.out
-
 # bench-check vets and tests the end-to-end benchmark (bench/, declared
 # in BENCHMARK.json). It is a separate module, so `go test ./...` never
 # compiles it: this is what notices a change to internal/server's or
-# internal/gateway's exported API that breaks it.
+# internal/gateway's exported API that breaks it. The paper's
+# experiments E2–E8 (the root package's benchmarks) then run once each,
+# so they cannot rot; they archive nothing.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # serve-smoke boots the nettrailsd daemon on an ephemeral port and
 # drives /v1/healthz and /v1/query end to end (plus the churn/pinned-version
@@ -143,9 +95,11 @@ serve-smoke:
 # scenarios runs the adversarial scenario acceptance suite at its
 # tier-1 size: every catalog scenario boots both deployment shapes
 # (single daemon and 3-shard gateway), replays its fault, and must
-# answer every oracle check byte-identically on both.
+# answer every oracle check byte-identically on both. The soak (oracle
+# suite, then churn under concurrent queries) runs for its assertions.
 scenarios:
 	$(GO) test -count=1 ./internal/scenario/
+	$(GO) run ./cmd/nettrailssoak -hijack-nodes 48 -clients 8 -queries 2000 -churn 200 > /dev/null
 
 # scenarios-slow adds the RouteViews-scale replay (a 1000-AS generated
 # topology, four engine builds) kept behind a build tag so tier-1
@@ -156,22 +110,21 @@ scenarios-slow:
 # engine-dist boots the distributed engine as real OS processes: the
 # same convergence script runs as one plain process and as 2- and
 # 3-member TCP clusters, every member's per-node snapshot digests must
-# match the single-process run byte for byte, and the epoch
-# throughput / cut latency of each shape is archived in
-# BENCH_dist.json (cmd/nettrailsdist).
+# match the single-process run byte for byte (cmd/nettrailsdist; its
+# one-sample timing report goes to stdout).
 engine-dist:
-	$(GO) run ./cmd/nettrailsdist -out BENCH_dist.json
+	$(GO) run ./cmd/nettrailsdist
 
 # docs-check fails when README.md or docs/ drift from the code: broken
 # relative links, commands naming missing binaries/flags, or make
-# targets that no longer exist (tools/docscheck).
+# targets that no longer exist (tools/docscheck). Last, the artifact
+# guard: numbers live in bench/, so naming a BENCH_*.json here fails.
 docs-check:
 	$(GO) run ./tools/docscheck
+	@out=$$(grep -rnE 'BENCH_[a-z]+\.json' README.md docs Makefile .github); \
+	if [ -n "$$out" ]; then echo "legacy BENCH_*.json artifact named outside bench/:"; echo "$$out"; exit 1; fi
 
-ci: fmt-check vet staticcheck govulncheck build race bench-check fuzz serve-smoke scenarios engine-dist docs-check bench
+ci: fmt-check vet staticcheck govulncheck build race bench-check fuzz serve-smoke scenarios engine-dist docs-check
 
-# clean removes scratch files only; BENCH_*.json are committed
-# trajectory artifacts and must survive a clean.
 clean:
-	rm -f bench_*.out
 	rm -rf bin

@@ -12,10 +12,10 @@ import (
 // This file is the SDK's sharding surface. A NetTrails deployment may
 // split the network's provenance partitions across several nettrailsd
 // shards (nettrailsd -shard i/N); each shard answers GET /v1/shards
-// with its slice and the full sorted node list, and node→shard
-// routing is positional (node k of allNodes belongs to shard
-// k mod total). DiscoverShards turns a list of shard base URLs into a
-// ShardSet with that routing table; ForNode gives per-node shard
+// with the nodes it owns and the full sorted node list. How nodes are
+// partitioned is the deployment's business, not the SDK's:
+// DiscoverShards turns a list of shard base URLs into a ShardSet whose
+// routing table is what the shards report; ForNode gives per-node shard
 // affinity for partition-local calls (State, prov reads), while
 // cross-shard queries belong on a gateway (cmd/nettrailsgw).
 
@@ -157,7 +157,8 @@ type ShardSet struct {
 
 // DiscoverShards contacts every shard base URL, validates that the
 // answers describe one coherent deployment (every index 0..N-1 present
-// exactly once, identical node lists), and returns the routing table.
+// exactly once, identical node lists, every node owned by exactly one
+// shard), and returns the routing table the shards reported.
 // The opts are applied to each per-shard Client.
 func DiscoverShards(ctx context.Context, urls []string, opts ...Option) (*ShardSet, error) {
 	if len(urls) == 0 {
@@ -194,9 +195,20 @@ func DiscoverShards(ctx context.Context, urls []string, opts ...Option) (*ShardS
 			return nil, fmt.Errorf("client: %s disagrees about the network's node list", u)
 		}
 		set.clients[sh.Shard.Index] = c
+		for _, addr := range sh.Nodes {
+			if prev, ok := set.owner[addr]; ok {
+				return nil, fmt.Errorf("client: node %s is claimed by shards %d and %d", addr, prev, sh.Shard.Index)
+			}
+			set.owner[addr] = sh.Shard.Index
+		}
 	}
-	for i, addr := range set.allNodes {
-		set.owner[addr] = i % len(urls)
+	for _, addr := range set.allNodes {
+		if _, ok := set.owner[addr]; !ok {
+			return nil, fmt.Errorf("client: node %s is claimed by no shard", addr)
+		}
+	}
+	if len(set.owner) != len(set.allNodes) {
+		return nil, fmt.Errorf("client: a shard claims a node outside the network's node list")
 	}
 	return set, nil
 }

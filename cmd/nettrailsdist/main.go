@@ -1,17 +1,18 @@
-// nettrailsdist is the distributed-engine benchmark and acceptance
+// nettrailsdist is the distributed-engine acceptance
 // orchestrator: it builds the nettrails CLI, runs the same
 // protocol/topology script as one plain process and as 2- and
 // 3-member engine clusters of real OS processes over loopback TCP,
 // proves the shapes byte-identical (every per-node snapshot digest of
 // every cluster member must equal the single-process digest), and
-// writes a BENCH_dist.json report with epoch throughput and
-// epoch-cut latency per shape.
+// prints a JSON report with epoch throughput and epoch-cut latency per
+// shape to stdout. The parity is what it asserts; the timings are one
+// sample, not a benchmark (that is bench/).
 //
 // Usage examples:
 //
 //	nettrailsdist
-//	nettrailsdist -protocol pathvector -topology grid -nodes 16 -out BENCH_dist.json
-//	nettrailsdist -procs 1,2,3 -out -
+//	nettrailsdist -protocol pathvector -topology grid -nodes 16
+//	nettrailsdist -procs 1,3
 package main
 
 import (
@@ -165,7 +166,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed passed through to nettrails")
 	procsList := flag.String("procs", "1,2,3", "comma-separated process counts to measure")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-shape deadline")
-	out := flag.String("out", "BENCH_dist.json", "report path (- for stdout)")
 	flag.Parse()
 
 	var procs []int
@@ -326,18 +326,11 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	enc = append(enc, '\n')
-	if *out == "-" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fail("%v", err)
-	}
+	os.Stdout.Write(append(enc, '\n'))
 	for _, s := range report.Shapes {
 		fmt.Fprintf(os.Stderr, "nettrailsdist: %d proc(s): %d epochs, %.0f epochs/s, cut %.2fms\n",
 			s.Procs, s.Epochs, s.EpochsPerSec, float64(s.CutLatencyNS)/1e6)
 	}
-	fmt.Fprintf(os.Stderr, "nettrailsdist: wrote %s (parity %s over %d nodes at %v procs)\n",
-		*out, report.Parity, report.DigestNodes, procs)
+	fmt.Fprintf(os.Stderr, "nettrailsdist: parity %s over %d nodes at %v procs\n",
+		report.Parity, report.DigestNodes, procs)
 }

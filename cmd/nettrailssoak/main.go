@@ -4,16 +4,17 @@
 // the scenario's oracle checks once to prove the deployment answers
 // correctly, and then replays the check query mix against the gateway
 // at configurable concurrency while churning every arm's engine with
-// synthetic base-fact events. The result is a BENCH_scenarios.json
-// report: query latency percentiles per check, cache hit rate,
-// publish rate under churn, and status counts.
+// synthetic base-fact events. A failed oracle check, a failed churn
+// event or a query that does not complete fails the run. The JSON
+// report printed to stdout (query latency percentiles
+// per check, cache hit rate, publish rate under churn, status counts)
+// is one sample, not a benchmark (that is bench/).
 //
 // Usage examples:
 //
 //	nettrailssoak -list
 //	nettrailssoak -scenario route-leak
 //	nettrailssoak -scenario prefix-hijack -hijack-nodes 200 -clients 16 -queries 5000
-//	nettrailssoak -out BENCH_scenarios.json
 package main
 
 import (
@@ -33,7 +34,6 @@ func main() {
 		clients = flag.Int("clients", 8, "concurrent HTTP clients against the gateway")
 		queries = flag.Int("queries", 2000, "total queries across all clients")
 		churn   = flag.Int("churn", 200, "engine churn events applied during the run (0 disables churn)")
-		out     = flag.String("out", "BENCH_scenarios.json", "report path (- for stdout)")
 		list    = flag.Bool("list", false, "list scenarios and exit")
 	)
 	flag.Parse()
@@ -66,16 +66,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	enc = append(enc, '\n')
-	if *out == "-" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s: %.0f queries/s, cache hit rate %.2f, %d versions published\n",
-		*out, report.ThroughputPerSec, report.CacheHitRate, report.PublishedVersions)
+	os.Stdout.Write(append(enc, '\n'))
+	fmt.Fprintf(os.Stderr, "%.0f queries/s, cache hit rate %.2f, %d versions published\n",
+		report.ThroughputPerSec, report.CacheHitRate, report.PublishedVersions)
 }
 
 // pick resolves a scenario by name; "prefix-hijack" takes its size and

@@ -3,12 +3,11 @@
 // partitions across N nettrailsd shards (nettrailsd -shard i/N), each
 // publishing snapshots of only the nodes it owns; a Gateway presents
 // the same /v1 query surface as a single daemon and answers it by
-// running the one provgraph walk itself — resolving walk steps
-// against the colocated shard's snapshot when the vertex's node lives
-// there, and fanning out batched, version-pinned partition reads
-// (POST /v1/prov/read, via the repro/client SDK) to the owning shard
-// when it doesn't. Cross-shard lineage traversal thus mirrors the
-// paper's cross-node traversal, one tier up.
+// running the one provgraph walk itself, resolving every walk step by
+// a batched, version-pinned partition read (POST /v1/prov/read, via the
+// repro/client SDK) against the shard that owns the vertex's node — the
+// only way the gateway reaches a shard. Cross-shard lineage traversal
+// thus mirrors the paper's cross-node traversal, one tier up.
 //
 // Epoch agreement is by version pinning: all shards of a
 // deterministic run mint the same dense snapshot-version sequence, so
@@ -21,19 +20,15 @@
 package gateway
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
 	"sync"
 
 	"repro/client"
-	"repro/internal/engine"
 	"repro/internal/provgraph"
 	"repro/internal/provquery"
 	"repro/internal/rel"
@@ -46,18 +41,14 @@ import (
 // served by the same handler set as a daemon. It is safe for concurrent
 // use.
 type Gateway struct {
-	info     server.Info
-	total    int
-	allNodes []string
-	table    map[string]int // node -> shard index
-
-	clients  []*client.Client // one per shard index
-	localIdx int              // -1 when no colocated shard
-	localPub *server.Publisher
+	info   server.Info
+	shards *client.ShardSet // the discovered deployment: clients and routing
 
 	cache *server.ResultCache
-	times sync.Map // version -> simnet.Time (immutable once learned)
 	api   *server.Server
+
+	timesMu sync.Mutex
+	times   map[uint64]simnet.Time // version -> virtual time, for the versions still pinnable
 }
 
 // Option configures a Gateway at construction.
@@ -67,92 +58,21 @@ type Option func(*Gateway)
 // default query timeout (same semantics as the shard server's Info).
 func WithInfo(info server.Info) Option { return func(g *Gateway) { g.info = info } }
 
-// WithLocal colocates the gateway with one shard: walk steps on nodes
-// that shard owns read its published snapshots directly, with no HTTP
-// and no serialization. The publisher's ShardSpec places it in the
-// deployment; the remaining shards' URLs still must be given to New.
-func WithLocal(pub *server.Publisher) Option { return func(g *Gateway) { g.localPub = pub } }
-
 // New discovers a sharded deployment from the shards' base URLs and
 // builds its gateway. Every shard is contacted for GET /v1/shards and
 // the answers must describe one coherent deployment (each index held
-// exactly once, identical node lists). With WithLocal, the colocated
-// shard needs no URL: urls covers the remaining shards.
+// exactly once, identical node lists, every node owned by exactly one
+// shard); client.DiscoverShards is the one place that is validated.
 func New(ctx context.Context, urls []string, opts ...Option) (*Gateway, error) {
-	g := &Gateway{localIdx: -1, cache: server.NewResultCache()}
+	g := &Gateway{cache: server.NewResultCache(), times: map[uint64]simnet.Time{}}
 	for _, o := range opts {
 		o(g)
 	}
-
-	if g.localPub == nil {
-		// Pure-remote federation: the SDK's shard discovery already
-		// validates the deployment's coherence.
-		set, err := client.DiscoverShards(ctx, urls)
-		if err != nil {
-			return nil, fmt.Errorf("gateway: %w", err)
-		}
-		g.total = set.Len()
-		g.allNodes = set.Nodes()
-		g.clients = make([]*client.Client, g.total)
-		for i := range g.clients {
-			g.clients[i] = set.Shard(i)
-		}
-	} else {
-		// Colocated: the local shard fills its own slot (served through
-		// an in-process round-tripper so fan-out paths stay uniform);
-		// urls covers the remaining shards, validated here.
-		spec := g.localPub.Shard()
-		g.total = spec.Total
-		if g.total < 1 {
-			g.total = 1
-		}
-		g.localIdx = spec.Index
-		snap := g.localPub.Current()
-		g.allNodes = snap.AllNodes
-		g.times.Store(snap.Version, snap.Time)
-		g.clients = make([]*client.Client, g.total)
-
-		srv := server.New(g.localPub, g.info)
-		c, err := client.New("http://local",
-			client.WithHTTPClient(&http.Client{Transport: inprocTransport{srv.Handler()}}))
-		if err != nil {
-			return nil, err
-		}
-		g.clients[g.localIdx] = c
-
-		for _, u := range urls {
-			c, err := client.New(u)
-			if err != nil {
-				return nil, err
-			}
-			sh, err := c.Shards(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("gateway: shard discovery at %s: %w", u, err)
-			}
-			if sh.Shard.Total != g.total {
-				return nil, fmt.Errorf("gateway: %s reports %d shards, want %d", u, sh.Shard.Total, g.total)
-			}
-			if sh.Shard.Index < 0 || sh.Shard.Index >= g.total {
-				return nil, fmt.Errorf("gateway: %s reports shard index %d of %d", u, sh.Shard.Index, g.total)
-			}
-			if g.clients[sh.Shard.Index] != nil {
-				return nil, fmt.Errorf("gateway: two servers claim shard %d/%d", sh.Shard.Index, g.total)
-			}
-			if !slices.Equal(g.allNodes, sh.AllNodes) {
-				return nil, fmt.Errorf("gateway: %s disagrees about the network's node list", u)
-			}
-			g.clients[sh.Shard.Index] = c
-		}
-		for i, c := range g.clients {
-			if c == nil {
-				return nil, fmt.Errorf("gateway: no server for shard %d/%d", i, g.total)
-			}
-		}
+	set, err := client.DiscoverShards(ctx, urls)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
-	g.table = make(map[string]int, len(g.allNodes))
-	for i, addr := range g.allNodes {
-		g.table[addr] = engine.OwnerOf(i, g.total)
-	}
+	g.shards = set
 	g.api = server.NewOver(g, g.info)
 	return g, nil
 }
@@ -206,10 +126,10 @@ func (w *hopWriter) Write(b []byte) (int, error) {
 }
 
 // Nodes returns every node address of the federated network, sorted.
-func (g *Gateway) Nodes() []string { return g.allNodes }
+func (g *Gateway) Nodes() []string { return g.shards.Nodes() }
 
 // Shards returns how many shards the gateway federates.
-func (g *Gateway) Shards() int { return g.total }
+func (g *Gateway) Shards() int { return g.shards.Len() }
 
 // ---- downstream error mapping ------------------------------------------
 
@@ -218,10 +138,6 @@ func (g *Gateway) Shards() int { return g.total }
 // status, context failures become the standard cancellation errors,
 // and everything else is a 502 shard_unreachable.
 func downstreamError(err error) *server.APIError {
-	var ee *evictedError
-	if errors.As(err, &ee) {
-		return server.Errf(http.StatusGone, server.ErrSnapshotEvicted, "%v", ee)
-	}
 	var ae *client.APIError
 	if errors.As(err, &ae) {
 		status := ae.Status
@@ -241,16 +157,15 @@ func downstreamError(err error) *server.APIError {
 // forEachShard runs f for every shard concurrently — downstream calls
 // are independent, and a serial sweep would pay one round trip of
 // latency per shard — then returns the first error by shard order.
-// isLocal tells f to answer from the colocated publisher, no HTTP.
-func (g *Gateway) forEachShard(f func(i int, c *client.Client, isLocal bool) error) error {
-	errs := make([]error, len(g.clients))
+func (g *Gateway) forEachShard(f func(i int, c *client.Client) error) error {
+	errs := make([]error, g.shards.Len())
 	var wg sync.WaitGroup
-	for i, c := range g.clients {
+	for i := range errs {
 		wg.Add(1)
-		go func(i int, c *client.Client) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = f(i, c, i == g.localIdx && g.localPub != nil)
-		}(i, c)
+			errs[i] = f(i, g.shards.Shard(i))
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -261,27 +176,16 @@ func (g *Gateway) forEachShard(f func(i int, c *client.Client, isLocal bool) err
 	return nil
 }
 
-// remoteShards counts the shards reached over HTTP by a full fan-out.
-func (g *Gateway) remoteShards() int {
-	if g.localIdx >= 0 && g.localPub != nil {
-		return len(g.clients) - 1
-	}
-	return len(g.clients)
-}
-
 // shardHealth asks every shard where it stands: newest is the newest
 // epoch every shard has reached (the minimum of their current
 // versions), oldest the oldest every shard still retains — the
-// pinnable range across the whole deployment.
+// pinnable range across the whole deployment. Learning oldest is also
+// what bounds g.times: a version below it can no longer be pinned on
+// every shard, so its entry is dropped.
 func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, apiErr *server.APIError) {
-	versions := make([]uint64, len(g.clients))
-	oldests := make([]uint64, len(g.clients))
-	err := g.forEachShard(func(i int, c *client.Client, isLocal bool) error {
-		if isLocal {
-			versions[i] = g.localPub.Current().Version
-			oldests[i], _ = g.localPub.Versions()
-			return nil
-		}
+	versions := make([]uint64, g.shards.Len())
+	oldests := make([]uint64, g.shards.Len())
+	err := g.forEachShard(func(i int, c *client.Client) error {
 		h, err := c.Health(ctx)
 		if err != nil {
 			return err
@@ -289,11 +193,19 @@ func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, apiEr
 		versions[i], oldests[i] = h.Version, h.Oldest
 		return nil
 	})
-	addHops(ctx, g.remoteShards())
+	addHops(ctx, g.shards.Len())
 	if err != nil {
 		return 0, 0, downstreamError(err)
 	}
-	return slices.Min(versions), slices.Max(oldests), nil
+	oldest = slices.Max(oldests)
+	g.timesMu.Lock()
+	for v := range g.times {
+		if v < oldest {
+			delete(g.times, v)
+		}
+	}
+	g.timesMu.Unlock()
+	return slices.Min(versions), oldest, nil
 }
 
 // Pin implements server.Backend: an explicit version is pinned as-is;
@@ -313,27 +225,24 @@ func (g *Gateway) Pin(ctx context.Context, version uint64) (server.Pin, *server.
 }
 
 // timeOf resolves the virtual time of a pinned version (identical on
-// every shard of a deterministic run), caching it forever — versions
-// are immutable.
+// every shard of a deterministic run) and remembers it while the
+// version stays pinnable — versions are immutable.
 func (g *Gateway) timeOf(ctx context.Context, version uint64) (simnet.Time, *server.APIError) {
-	if t, ok := g.times.Load(version); ok {
-		return t.(simnet.Time), nil
+	g.timesMu.Lock()
+	t, ok := g.times[version]
+	g.timesMu.Unlock()
+	if ok {
+		return t, nil
 	}
-	if g.localPub != nil {
-		if snap, ok := g.localPub.At(version); ok {
-			g.times.Store(version, snap.Time)
-			return snap.Time, nil
-		}
-		return 0, server.Errf(http.StatusGone, server.ErrSnapshotEvicted,
-			"version %d not retained by the local shard", version)
-	}
-	sh, err := g.clients[0].Shards(ctx, client.At(version))
+	sh, err := g.shards.Shard(0).Shards(ctx, client.At(version))
 	addHops(ctx, 1)
 	if err != nil {
 		return 0, downstreamError(err)
 	}
-	t := simnet.Time(sh.TimeUs)
-	g.times.Store(version, t)
+	t = simnet.Time(sh.TimeUs)
+	g.timesMu.Lock()
+	g.times[version] = t
+	g.timesMu.Unlock()
 	return t, nil
 }
 
@@ -361,7 +270,7 @@ func (g *Gateway) CacheCounters(server.Pin) (hits, misses int64) { return g.cach
 // modeled costs, only the partition reads travel.
 func (g *Gateway) runWalk(ctx context.Context, key server.CacheKey, t rel.Tuple) (*provquery.Result, *server.APIError) {
 	at, vid := key.At, key.VID
-	if _, ok := g.table[at]; !ok {
+	if _, ok := g.shards.OwnerOf(at); !ok {
 		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode,
 			"provquery: unknown node %s", at)
 	}
@@ -401,52 +310,6 @@ func (g *Gateway) runWalk(ctx context.Context, key server.CacheKey, t rel.Tuple)
 	return res, nil
 }
 
-// ---- in-process transport ----------------------------------------------
-
-// inprocTransport serves SDK calls for a colocated shard straight
-// through its handler — no TCP, no listener.
-type inprocTransport struct{ h http.Handler }
-
-// RoundTrip implements http.RoundTripper over the wrapped handler.
-func (t inprocTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if err := req.Context().Err(); err != nil {
-		return nil, err
-	}
-	rec := &inprocRecorder{code: http.StatusOK, hdr: http.Header{}}
-	t.h.ServeHTTP(rec, req)
-	return &http.Response{
-		StatusCode: rec.code,
-		Status:     http.StatusText(rec.code),
-		Header:     rec.hdr,
-		Body:       io.NopCloser(bufio.NewReader(bytes.NewReader(rec.buf.Bytes()))),
-		Request:    req,
-	}, nil
-}
-
-type inprocRecorder struct {
-	code  int
-	wrote bool
-	hdr   http.Header
-	buf   bytes.Buffer
-}
-
-// Header implements http.ResponseWriter.
-func (r *inprocRecorder) Header() http.Header { return r.hdr }
-
-// WriteHeader implements http.ResponseWriter (first write wins).
-func (r *inprocRecorder) WriteHeader(code int) {
-	if !r.wrote {
-		r.code = code
-		r.wrote = true
-	}
-}
-
-// Write implements http.ResponseWriter.
-func (r *inprocRecorder) Write(b []byte) (int, error) {
-	r.wrote = true
-	return r.buf.Write(b)
-}
-
 // ---- federated documents ------------------------------------------------
 
 type gwHealthzJSON struct {
@@ -462,7 +325,7 @@ type gwHealthzJSON struct {
 // HealthzDoc implements server.Backend by aggregating shard health.
 func (g *Gateway) HealthzDoc(ctx context.Context, protocol string) (interface{}, *server.APIError) {
 	out := gwHealthzJSON{OK: true, Gateway: true, Protocol: protocol,
-		Nodes: len(g.allNodes), Shards: g.total}
+		Nodes: len(g.shards.Nodes()), Shards: g.shards.Len()}
 	var apiErr *server.APIError
 	out.Version, out.Oldest, apiErr = g.shardHealth(ctx)
 	return out, apiErr
@@ -483,13 +346,14 @@ type gwShardsJSON struct {
 // ShardsDoc implements server.Backend: the federated routing table, the
 // same at every pin.
 func (g *Gateway) ShardsDoc(server.Pin) interface{} {
-	out := gwShardsJSON{Gateway: true, Total: g.total, AllNodes: g.allNodes}
-	out.Shards = make([]gwShardJSON, g.total)
+	out := gwShardsJSON{Gateway: true, Total: g.shards.Len(), AllNodes: g.shards.Nodes()}
+	out.Shards = make([]gwShardJSON, g.shards.Len())
 	for i := range out.Shards {
 		out.Shards[i] = gwShardJSON{Index: i, Nodes: []string{}}
 	}
-	for _, addr := range g.allNodes {
-		s := &out.Shards[g.table[addr]]
+	for _, addr := range g.shards.Nodes() {
+		owner, _ := g.shards.OwnerOf(addr)
+		s := &out.Shards[owner]
 		s.Nodes = append(s.Nodes, addr)
 	}
 	return out
@@ -499,32 +363,24 @@ func (g *Gateway) ShardsDoc(server.Pin) interface{} {
 // summaries at the pinned version into the same document a
 // single-process daemon serves.
 func (g *Gateway) NodesDoc(ctx context.Context, pin server.Pin) (*server.NodesJSON, *server.APIError) {
-	perShard := make([]*client.Nodes, len(g.clients))
-	err := g.forEachShard(func(i int, c *client.Client, _ bool) error {
+	perShard := make([]*client.Nodes, g.shards.Len())
+	err := g.forEachShard(func(i int, c *client.Client) error {
 		ns, err := c.Nodes(ctx, client.At(pin.Version))
 		perShard[i] = ns
 		return err
 	})
-	addHops(ctx, g.remoteShards()) // the colocated shard's fetch is in-process, not a hop
+	addHops(ctx, g.shards.Len())
 	if err != nil {
 		return nil, downstreamError(err)
 	}
 	byAddr := map[string]server.NodeJSON{}
 	for _, ns := range perShard {
 		for _, n := range ns.Nodes {
-			byAddr[n.Addr] = server.NodeJSON{
-				Addr:        n.Addr,
-				Neighbors:   n.Neighbors,
-				Tuples:      n.Tuples,
-				ProvEntries: n.ProvEntries,
-				ExecEntries: n.ExecEntries,
-				SentMsgs:    n.SentMsgs,
-				SentBytes:   n.SentBytes,
-			}
+			byAddr[n.Addr] = server.NodeJSON(n)
 		}
 	}
 	out := &server.NodesJSON{Version: pin.Version, Time: int64(pin.Time), Nodes: []server.NodeJSON{}}
-	for _, addr := range g.allNodes {
+	for _, addr := range g.shards.Nodes() {
 		if n, ok := byAddr[addr]; ok {
 			out.Nodes = append(out.Nodes, n)
 		}
@@ -532,14 +388,10 @@ func (g *Gateway) NodesDoc(ctx context.Context, pin server.Pin) (*server.NodesJS
 	return out, nil
 }
 
-func tupleJSON(t client.Tuple) server.TupleJSON {
-	return server.TupleJSON{Rel: t.Rel, Vals: t.Vals, Text: t.Text}
-}
-
 // StateDoc implements server.Backend: it routes the read to the shard
 // owning the node and re-renders its answer unchanged.
 func (g *Gateway) StateDoc(ctx context.Context, pin server.Pin, node, relFilter string, atTime *int64) (*server.StateJSON, *server.APIError) {
-	shard, ok := g.table[node]
+	shard, ok := g.shards.ForNode(node)
 	if !ok {
 		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", node)
 	}
@@ -550,7 +402,7 @@ func (g *Gateway) StateDoc(ctx context.Context, pin server.Pin, node, relFilter 
 	if atTime != nil {
 		opts = append(opts, client.AtTime(*atTime))
 	}
-	st, err := g.clients[shard].State(ctx, node, opts...)
+	st, err := shard.State(ctx, node, opts...)
 	addHops(ctx, 1)
 	if err != nil {
 		return nil, downstreamError(err)
@@ -560,7 +412,7 @@ func (g *Gateway) StateDoc(ctx context.Context, pin server.Pin, node, relFilter 
 	for name, ts := range st.Tables {
 		rows := make([]server.TupleJSON, len(ts))
 		for i, t := range ts {
-			rows[i] = tupleJSON(t)
+			rows[i] = server.TupleJSON(t)
 		}
 		out.Tables[name] = rows
 	}
@@ -572,17 +424,17 @@ func (g *Gateway) StateDoc(ctx context.Context, pin server.Pin, node, relFilter 
 // every shard's snapshot store mints the same dense version sequence,
 // so the owning shard's answer is the deployment's answer.
 func (g *Gateway) HistoryFirstDoc(ctx context.Context, lit string, _ rel.Tuple, at string) (*server.HistoryFirstJSON, *server.APIError) {
-	shard, ok := g.table[at]
+	shard, ok := g.shards.ForNode(at)
 	if !ok {
 		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", at)
 	}
-	hf, err := g.clients[shard].HistoryFirst(ctx, lit, at)
+	hf, err := shard.HistoryFirst(ctx, lit, at)
 	addHops(ctx, 1)
 	if err != nil {
 		return nil, downstreamError(err)
 	}
 	return &server.HistoryFirstJSON{
-		Tuple:         tupleJSON(hf.Tuple),
+		Tuple:         server.TupleJSON(hf.Tuple),
 		Node:          hf.Node,
 		FirstVersion:  hf.FirstVersion,
 		TimeUs:        hf.TimeUs,

@@ -209,51 +209,6 @@ func TestShardedBatchParity(t *testing.T) {
 	}
 }
 
-// TestGatewayColocatedShard: a gateway colocated with shard 0
-// (WithLocal) resolves local walk steps without HTTP and still
-// answers byte-identically.
-func TestGatewayColocatedShard(t *testing.T) {
-	d := deployGrid(t, 3, 3, 0)
-
-	// A second 3-shard deployment reusing the same deterministic build,
-	// with shard 0 colocated into the gateway process.
-	localPub, err := server.NewShardedPublisher(buildGrid(t, 3), 0,
-		server.ShardSpec{Index: 0, Total: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := gateway.New(context.Background(),
-		[]string{d.shards[1].URL, d.shards[2].URL},
-		gateway.WithLocal(localPub),
-		gateway.WithInfo(server.Info{Protocol: "mincost"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := httptest.NewServer(g)
-	defer gw.Close()
-
-	for _, q := range parityQueries("mincost(@'n1','n9',4)") {
-		_, sBody := post(t, d.single.URL+"/v1/query", q)
-		gResp, gBody := post(t, gw.URL+"/v1/query", q)
-		if gResp.StatusCode != http.StatusOK || !bytes.Equal(sBody, gBody) {
-			t.Fatalf("colocated parity broken for %s:\n%d %s\nvs\n%s", q, gResp.StatusCode, gBody, sBody)
-		}
-	}
-
-	// A version-pinned query that starts and stays on the local
-	// shard's nodes costs zero downstream HTTP hops. n1 is owned by
-	// shard 0 and the link tuple is a base fact: the whole walk is
-	// local. (An unpinned query would still spend hops resolving the
-	// current version across the remote shards.)
-	resp, body := post(t, gw.URL+"/v1/query", `{"q":"lineage of link(@'n1','n2',1)","version":1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("local lineage: %d %s", resp.StatusCode, body)
-	}
-	if hops := resp.Header.Get("X-Shard-Hops"); hops != "0" {
-		t.Fatalf("local-only walk cost %s shard hops, want 0", hops)
-	}
-}
-
 // TestShardRejectsCrossShardQuery: a shard queried directly answers
 // wrong_shard (421) both for a start node it does not own and for a
 // traversal that escapes its partitions — never a silently partial
@@ -304,23 +259,9 @@ func TestShardRejectsCrossShardQuery(t *testing.T) {
 func TestGatewayPinnedVersionEviction(t *testing.T) {
 	d := deployGrid(t, 3, 3, 2) // retain only 2 versions per shard
 
-	churnAll := func() {
-		// Identical stimulus on every engine keeps the deterministic
-		// runs aligned.
-		for _, e := range d.engines() {
-			if err := e.RemoveBiLink("n4", "n5", 1); err != nil {
-				t.Fatal(err)
-			}
-			e.RunQuiescent()
-			if err := e.AddBiLink("n4", "n5", 1); err != nil {
-				t.Fatal(err)
-			}
-			e.RunQuiescent()
-		}
-	}
 	v0 := d.shardPubs[0].Current().Version
 	for i := 0; i < 4; i++ {
-		churnAll()
+		d.churnAll(t)
 	}
 	if cur := d.shardPubs[0].Current().Version; cur <= v0 {
 		t.Fatalf("churn did not advance versions: %d -> %d", v0, cur)
@@ -341,6 +282,26 @@ func TestGatewayPinnedVersionEviction(t *testing.T) {
 	_, gBody := post(t, d.gw.URL+"/v1/query", `{"q":"count of mincost(@'n1','n9',4)"}`)
 	if !bytes.Equal(sBody, gBody) {
 		t.Fatalf("post-churn parity broken:\n%s\nvs\n%s", sBody, gBody)
+	}
+}
+
+// TestGatewayTimesBounded: the gateway remembers the virtual time of
+// the versions it pinned only while they can still be pinned. Fifty
+// rounds of churn plus an unpinned query pin fifty distinct versions;
+// each health sweep drops what fell below the deployment's oldest
+// retained version, so the map never outgrows the shards' rings.
+func TestGatewayTimesBounded(t *testing.T) {
+	const retain = 2
+	d := deployGrid(t, 3, 3, retain)
+	for round := 0; round < 50; round++ {
+		d.churnAll(t)
+		resp, body := post(t, d.gw.URL+"/v1/query", `{"q":"count of mincost(@'n1','n9',4)"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: %d %s", round, resp.StatusCode, body)
+		}
+		if n := d.gwG.CachedTimes(); n > retain {
+			t.Fatalf("round %d: gateway remembers %d version times, want <= %d (the retained window)", round, n, retain)
+		}
 	}
 }
 
@@ -476,5 +437,21 @@ func TestDiscoverShardsAffinity(t *testing.T) {
 	// Discovery with a wrong URL count fails loudly.
 	if _, err := client.DiscoverShards(ctx, urls[:2]); err == nil {
 		t.Fatal("discovery with 2 of 3 shard URLs unexpectedly succeeded")
+	}
+}
+
+// churnAll flaps one link to quiescence on every engine: identical
+// stimulus keeps the deterministic runs aligned.
+func (d *deployment) churnAll(t testing.TB) {
+	t.Helper()
+	for _, e := range d.engines() {
+		if err := e.RemoveBiLink("n4", "n5", 1); err != nil {
+			t.Fatal(err)
+		}
+		e.RunQuiescent()
+		if err := e.AddBiLink("n4", "n5", 1); err != nil {
+			t.Fatal(err)
+		}
+		e.RunQuiescent()
 	}
 }

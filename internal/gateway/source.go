@@ -8,14 +8,12 @@ import (
 	"repro/internal/provenance"
 	"repro/internal/provgraph"
 	"repro/internal/rel"
-	"repro/internal/server"
 )
 
 // fedSource adapts a sharded deployment to the provgraph walk: the
-// federated face of the one-walk design. Reads for nodes the local
-// shard owns resolve directly against the colocated pinned snapshot;
-// reads for every other node fan out over HTTP to the owning shard's
-// POST /v1/prov/read, pinned to the same snapshot version everywhere.
+// federated face of the one-walk design. Every read goes over HTTP to
+// the owning shard's POST /v1/prov/read, pinned to the same snapshot
+// version everywhere.
 //
 // Cross-node hops are deferred: ExpandRemote queues the expansion and
 // the query driver flushes the queue in rounds, so sibling expansions
@@ -44,7 +42,8 @@ type fedSource struct {
 	msgs  int // modeled ledger: simulated messages
 	bytes int // modeled ledger: simulated bytes
 
-	pending []pendingExpand
+	pending  []pendingExpand
+	perShard [][]client.ProvReadOp // flush's per-round read batches, by shard index
 
 	// err is the first transport/protocol failure; once set, the walk
 	// is abandoned and the query fails as a whole (never a silently
@@ -80,11 +79,12 @@ type pendingExpand struct {
 
 func newFedSource(g *Gateway, ctx context.Context, version uint64) *fedSource {
 	return &fedSource{
-		g:       g,
-		ctx:     ctx,
-		version: version,
-		verts:   map[locID]vertexData{},
-		execs:   map[locID]execData{},
+		g:        g,
+		ctx:      ctx,
+		version:  version,
+		verts:    map[locID]vertexData{},
+		execs:    map[locID]execData{},
+		perShard: make([][]client.ProvReadOp, g.shards.Len()),
 	}
 }
 
@@ -96,69 +96,14 @@ func (s *fedSource) fail(err error) {
 }
 
 // readShard issues one batch of reads against the shard owning them:
-// directly on the colocated snapshot for the local shard (no HTTP),
-// over the SDK for remote ones (one real hop per request).
+// one real hop.
 func (s *fedSource) readShard(shard int, ops []client.ProvReadOp) ([]client.ProvReadResult, error) {
-	if s.g.localIdx == shard && s.g.localPub != nil {
-		snap, ok := s.g.localPub.At(s.version)
-		if !ok {
-			return nil, &evictedError{shard: shard, version: s.version}
-		}
-		srvOps := make([]server.ProvReadOp, len(ops))
-		for i, op := range ops {
-			srvOps[i] = server.ProvReadOp{Op: op.Op, Loc: op.Loc, ID: op.ID}
-		}
-		return convertResults(snap.ProvRead(srvOps)), nil
-	}
 	addHops(s.ctx, 1)
-	res, err := s.g.clients[shard].ProvRead(s.ctx, s.version, ops)
+	res, err := s.g.shards.Shard(shard).ProvRead(s.ctx, s.version, ops)
 	if err != nil {
 		return nil, err
 	}
 	return res.Results, nil
-}
-
-// evictedError marks a pinned version missing from one shard's
-// retention ring — the cross-shard epoch-agreement failure mode.
-type evictedError struct {
-	shard   int
-	version uint64
-}
-
-// Error names the shard and version that fell out of agreement.
-func (e *evictedError) Error() string {
-	return fmt.Sprintf("shard %d no longer retains version %d", e.shard, e.version)
-}
-
-// convertResults maps the server-side read results onto the SDK
-// shapes, so local and remote reads decode through one path.
-func convertResults(in []server.ProvReadResult) []client.ProvReadResult {
-	out := make([]client.ProvReadResult, len(in))
-	for i, r := range in {
-		out[i] = client.ProvReadResult{
-			Err:        r.Err,
-			ProvVertex: convertVertex(r.ProvVertexJSON),
-			ExecOK:     r.ExecOK,
-		}
-		if r.Exec != nil {
-			out[i].Exec = &client.ProvExec{Rule: r.Exec.Rule, VIDs: r.Exec.VIDs}
-		}
-		for _, in := range r.Inputs {
-			out[i].Inputs = append(out[i].Inputs, client.ProvInput{
-				VID:        in.VID,
-				ProvVertex: convertVertex(in.ProvVertexJSON),
-			})
-		}
-	}
-	return out
-}
-
-func convertVertex(v server.ProvVertexJSON) client.ProvVertex {
-	out := client.ProvVertex{TupleOK: v.TupleOK, Tuple: v.Tuple, DerivsOK: v.DerivsOK}
-	for _, d := range v.Derivs {
-		out.Derivs = append(out.Derivs, client.ProvDeriv{RID: d.RID, RLoc: d.RLoc})
-	}
-	return out
 }
 
 // decodeVertex turns a wire vertex into walk-ready partition data.
@@ -242,7 +187,7 @@ func (s *fedSource) vertex(loc string, vid rel.ID) vertexData {
 	if s.err != nil {
 		return vertexData{}
 	}
-	shard, ok := s.g.table[loc]
+	shard, ok := s.g.shards.OwnerOf(loc)
 	if !ok {
 		// The walk never reaches here for unknown nodes (derivation
 		// entries only name real nodes), but fail safe.
@@ -272,7 +217,7 @@ func (s *fedSource) execAt(loc string, rid rel.ID) execData {
 	if s.err != nil {
 		return execData{}
 	}
-	shard, ok := s.g.table[loc]
+	shard, ok := s.g.shards.OwnerOf(loc)
 	if !ok {
 		s.fail(fmt.Errorf("unknown node %q", loc))
 		return execData{}
@@ -292,8 +237,7 @@ func (s *fedSource) execAt(loc string, rid rel.ID) execData {
 
 // ---- provgraph.Source ---------------------------------------------------
 
-// TupleOf resolves a pinned VID at loc (locally or via the owning
-// shard).
+// TupleOf resolves a pinned VID at loc via the owning shard.
 func (s *fedSource) TupleOf(loc string, vid rel.ID) (rel.Tuple, bool) {
 	vd := s.vertex(loc, vid)
 	return vd.tuple, vd.tupleOK
@@ -330,28 +274,35 @@ func (s *fedSource) ExpandRemote(w *provgraph.Walk, from, loc string, rid rel.ID
 
 // flush runs one round of deferred expansions: prefetch every missing
 // exec (one batched read per shard), then re-enter the walk for each
-// expansion in order. New expansions queued by the re-entry wait for
-// the next round.
+// expansion in order. The per-shard reads go out in shard-index order,
+// so the downstream request sequence — and which failure a walk reports
+// when two shards fail in one round — is the same on every run. New
+// expansions queued by the re-entry wait for the next round.
 func (s *fedSource) flush(w *provgraph.Walk) {
 	batch := s.pending
 	s.pending = nil
-	perShard := map[int][]client.ProvReadOp{}
+	for i := range s.perShard {
+		s.perShard[i] = s.perShard[i][:0]
+	}
 	queued := map[locID]bool{}
 	for _, it := range batch {
 		key := locID{it.loc, it.rid}
 		if _, ok := s.execs[key]; ok || queued[key] {
 			continue
 		}
-		shard, ok := s.g.table[it.loc]
+		shard, ok := s.g.shards.OwnerOf(it.loc)
 		if !ok {
 			s.fail(fmt.Errorf("unknown node %q", it.loc))
 			return
 		}
 		queued[key] = true
-		perShard[shard] = append(perShard[shard],
+		s.perShard[shard] = append(s.perShard[shard],
 			client.ProvReadOp{Op: client.ProvReadExec, Loc: it.loc, ID: it.rid.String()})
 	}
-	for shard, ops := range perShard {
+	for shard, ops := range s.perShard {
+		if len(ops) == 0 {
+			continue
+		}
 		res, err := s.readShard(shard, ops)
 		if err != nil {
 			s.fail(err)

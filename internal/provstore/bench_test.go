@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// BenchmarkStore tracks the on-disk snapshot store's three costs
-// (BENCH_store.json via make bench-store):
+// BenchmarkStore measures the on-disk snapshot store's three costs
+// (go test -bench Store ./internal/provstore):
 //
 //   - append/delta=k: appending one version whose delta touches k
 //     tuples spread over an 8-node shard, with the daemon's default
