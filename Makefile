@@ -13,15 +13,21 @@ all: fmt-check vet build test
 # suite (docs/ANALYZERS.md) through the go vet driver. Two passes
 # because -vettool *replaces* the standard suite rather than extending
 # it. The vettool must be a prebuilt binary: cmd/go handshakes it with
-# -V=full before any package is analyzed. Last, the codec guard:
-# internal/wire is the only place uvarints are put or taken, so a
-# private codec beside it fails here instead of growing quietly.
+# -V=full before any package is analyzed. Last, two grep guards. The
+# codec guard: internal/wire is the only place uvarints are put or
+# taken, so a private codec beside it fails here instead of growing
+# quietly. The identity guard: a firing's RID is minted once, by
+# eval.NewFiring, and carried (docs/ARCHITECTURE.md "Content identity is
+# carried"), so the engine recomputing one, or eval going back to
+# rel.HashParts' slice-per-part hashing, fails here too.
 vet:
 	$(GO) vet ./...
 	$(GO) build -o bin/nettrailsvet ./cmd/nettrailsvet
 	$(GO) vet -vettool=$(CURDIR)/bin/nettrailsvet ./...
 	@out=$$(grep -rnE 'binary\.(PutUvarint|AppendUvarint|Uvarint|ReadUvarint)\(' --include='*.go' internal | grep -v -e '_test\.go:' -e '^internal/wire/'); \
 	if [ -n "$$out" ]; then echo "uvarint codec outside internal/wire:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'RuleExecID(' --include='*.go' internal/engine; grep -rn 'rel\.HashParts(' --include='*.go' internal/eval | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then echo "content identity rehashed instead of carried:"; echo "$$out"; exit 1; fi
 
 # staticcheck runs when the binary is installed (CI installs it; local
 # dev machines may not have it, and the build must not require network).
@@ -58,8 +64,8 @@ race:
 
 # fuzz gives the hand-written parsers (the provenance query language,
 # NDlog, the RouteViews table/AS-graph readers, the one wire.Reader and
-# the tuple and cluster-frame decoders built on it, the snapshot store's
-# segment/record decoders, and the TCP frame) a short native-fuzzing
+# the tuple, cluster-frame and provenance-bucket decoders built on it,
+# the snapshot store's segment/record decoders, and the TCP frame) a short native-fuzzing
 # shake, seeded from the test corpora and the golden vectors. Override FUZZTIME for longer local
 # hunts. One -fuzz invocation per target: go test rejects a -fuzz
 # pattern matching more than one function.
@@ -71,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalTuple$$' -fuzztime $(FUZZTIME) ./internal/rel
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime $(FUZZTIME) ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBucket$$' -fuzztime $(FUZZTIME) ./internal/provenance
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVersionRecord$$' -fuzztime $(FUZZTIME) ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/nettransport

@@ -221,27 +221,24 @@ func (e *Engine) addNode(addr string) error {
 		}
 		panic(fmt.Sprintf("engine: node %s: %v", addr, err))
 	}
-	rt.FireFn = func(f eval.Firing) {
-		if n.Prov == nil {
-			return
-		}
-		// Transient (event) outputs are not materialized, so their
-		// provenance is not tracked; only persistent heads enter the
-		// graph, matching ExSPAN's table-oriented model.
-		if sch, ok := rt.Store.Catalog().Lookup(f.Output.Rel); ok && sch.Persistent {
-			n.Prov.RecordFiring(f)
+	if n.Prov != nil {
+		// Attached only with provenance on: an attached hook is what makes
+		// the runtime mint each firing's VIDs and RID.
+		rt.FireFn = func(f eval.Firing) {
+			// Transient (event) outputs are not materialized, so their
+			// provenance is not tracked; only persistent heads enter the
+			// graph, matching ExSPAN's table-oriented model.
+			if sch, ok := rt.Store.Catalog().Lookup(f.Output.Rel); ok && sch.Persistent {
+				n.Prov.RecordFiring(f)
+			}
 		}
 	}
 	rt.SendFn = func(dst string, d eval.Delta, f *eval.Firing) {
 		msg := DeltaMsg{Delta: d}
 		if n.Prov != nil && f != nil {
 			if sch, ok := rt.Store.Catalog().Lookup(d.Tuple.Rel); ok && sch.Persistent {
-				vids := make([]rel.ID, len(f.Inputs))
-				for i, in := range f.Inputs {
-					vids[i] = in.VID()
-				}
-				rid := eval.RuleExecID(f.RuleName, addr, vids)
-				msg.Prov = provenance.Entry{VID: d.Tuple.VID(), RID: rid, RLoc: addr}
+				// The entry RecordFiring stored for f, from what f carries.
+				msg.Prov = provenance.Entry{VID: d.Tuple.VID(), RID: f.RID, RLoc: addr}
 				msg.HasProv = true
 			}
 		}
@@ -264,7 +261,10 @@ func (e *Engine) addNode(addr string) error {
 // wireSize approximates the on-wire size of a tuple delta: the canonical
 // tuple encoding plus the provenance annotation (VID+RID+loc) and
 // framing.
-func wireSize(t rel.Tuple) int { return len(rel.MarshalTuple(t)) + 48 }
+func wireSize(t rel.Tuple) int {
+	var scratch [256]byte
+	return len(rel.AppendTuple(scratch[:0], t)) + 48
+}
 
 func (e *Engine) dispatch(n *Node, m simnet.Message) {
 	n.activity.Add(1)
@@ -448,6 +448,7 @@ func (n *Node) InsertFact(t rel.Tuple) error {
 		return nil
 	}
 	n.activity.Add(1)
+	t = t.Identified()
 	if err := n.mirrorKeyReplacement(t); err != nil {
 		return err
 	}
@@ -519,6 +520,7 @@ func (n *Node) DeleteFact(t rel.Tuple) error {
 		return nil
 	}
 	n.activity.Add(1)
+	t = t.Identified()
 	sch, hasSchema := n.RT.Store.Catalog().Lookup(t.Rel)
 	if hasSchema && sch.Persistent && sch.LifetimeSecs > 0 {
 		// Cancel any pending soft-state expiry for this tuple. The

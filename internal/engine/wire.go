@@ -51,7 +51,9 @@ func decodeDeltaMsg(r *wire.Reader) DeltaMsg {
 		if err != nil {
 			r.Failf("wire: delta tuple: %w", err)
 		}
-		dm.Delta.Tuple = t
+		// Hashed once, on arrival, from the decoded attributes: the frame's
+		// own VID below annotates the derivation and is never the tuple's.
+		dm.Delta.Tuple = t.Identified()
 	}
 	if r.Byte("delta sign") == 1 {
 		dm.Delta.Sign = 1

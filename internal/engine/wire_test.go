@@ -74,3 +74,80 @@ func FuzzDecodeFrames(f *testing.F) {
 		}
 	})
 }
+
+// A tuple decoded off the cluster wire and the same tuple built in
+// process must be one tuple to everything downstream: the VID it
+// carries is hashed from the decoded attributes (a frame naming a wrong
+// VID changes nothing), and delivering either leaves the node's tables
+// and provenance partition byte-identical.
+func TestWireTupleIdentity(t *testing.T) {
+	local := rel.NewTuple("cost", rel.Addr("n2"), rel.Addr("n1"), rel.Int(7))
+	entry := provenance.Entry{VID: local.VID(), RID: rel.HashBytes([]byte("rid")), RLoc: "n1"}
+	forged := entry
+	forged.VID = rel.HashBytes([]byte("not the tuple"))
+
+	deliver := func(t *testing.T, dm DeltaMsg) *Node {
+		t.Helper()
+		e := newMincost(t, "n1", "n2")
+		n2, _ := e.Node("n2")
+		e.dispatch(n2, simnet.Message{From: "n1", To: "n2", Kind: KindDelta, Payload: dm})
+		if err := n2.Prov.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return n2
+	}
+	overWire := func(t *testing.T, dm DeltaMsg) DeltaMsg {
+		t.Helper()
+		frames, err := decodeFrames(encodeFrames([]wireFrame{{At: 1, Msg: simnet.Message{
+			From: "n1", To: "n2", Kind: KindDelta, Reliable: true, Payload: dm}}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frames[0].Msg.Payload.(DeltaMsg)
+	}
+	state := func(n *Node) (tables []rel.Tuple, digest rel.ID, buckets [3][][]byte) {
+		for _, name := range []string{"cost", "mincost"} {
+			ts, _ := n.Tuples(name)
+			tables = append(tables, ts...)
+		}
+		buckets[0], buckets[1], buckets[2] = n.Prov.View().PersistBuckets()
+		return tables, n.Prov.Digest(), buckets
+	}
+
+	want := deliver(t, DeltaMsg{Delta: eval.Delta{Tuple: local, Sign: 1}, HasProv: true, Prov: entry})
+	wantTables, wantDigest, wantBuckets := state(want)
+	if len(wantTables) != 2 {
+		t.Fatalf("local delivery left %v, want cost and mincost", wantTables)
+	}
+	for name, prov := range map[string]provenance.Entry{"honest frame": entry, "frame naming a wrong VID": forged} {
+		dm := overWire(t, DeltaMsg{Delta: eval.Delta{Tuple: local, Sign: 1}, HasProv: true, Prov: prov})
+		got := dm.Delta.Tuple
+		if got.VID() != local.VID() || !got.Equal(local) || !local.Equal(got) || got.Compare(local) != 0 {
+			t.Fatalf("%s: decoded %s (vid %s) is not local %s (vid %s)", name, got, got.VID().Short(), local, local.VID().Short())
+		}
+		n := deliver(t, dm)
+		tables, digest, buckets := state(n)
+		if len(tables) != len(wantTables) || digest != wantDigest {
+			t.Fatalf("%s: state differs from the local delivery: %v, digest %s vs %s", name, tables, digest.Short(), wantDigest.Short())
+		}
+		for i := range tables {
+			if !tables[i].Equal(wantTables[i]) || tables[i].VID() != wantTables[i].VID() {
+				t.Fatalf("%s: table row %d: %s vs %s", name, i, tables[i], wantTables[i])
+			}
+		}
+		for d := range buckets {
+			if len(buckets[d]) != len(wantBuckets[d]) {
+				t.Fatalf("%s: directory %d has %d buckets, want %d", name, d, len(buckets[d]), len(wantBuckets[d]))
+			}
+			for i := range buckets[d] {
+				if !bytes.Equal(buckets[d][i], wantBuckets[d][i]) {
+					t.Fatalf("%s: directory %d bucket %d persists differently", name, d, i)
+				}
+			}
+		}
+		tbl, _ := n.RT.Store.Table("cost")
+		if !tbl.Contains(local) || !tbl.Contains(got) {
+			t.Fatalf("%s: table does not find the tuple by both spellings", name)
+		}
+	}
+}

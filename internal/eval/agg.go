@@ -2,7 +2,7 @@ package eval
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ndlog"
 	"repro/internal/rel"
@@ -77,13 +77,29 @@ func groupKey(vals []rel.Value, aggIdx int) uint64 {
 	return rel.HashBytes(b).Hash64()
 }
 
+// contribID identifies one contribution: rel.HashParts over (encoded
+// value, input VID...), framed into a stack buffer.
 func contribID(val rel.Value, inputs []rel.Tuple) rel.ID {
-	parts := [][]byte{rel.AppendValue(make([]byte, 0, 16), val)}
+	var scratch, enc [256]byte
+	b := rel.AppendPart(scratch[:0], rel.AppendValue(enc[:0], val))
+	return rel.HashBytes(appendInputVIDs(b, inputs))
+}
+
+// derivKey identifies one derivation's input list: rel.HashParts over
+// the input VIDs.
+func derivKey(inputs []rel.Tuple) rel.ID {
+	var scratch [256]byte
+	return rel.HashBytes(appendInputVIDs(scratch[:0], inputs))
+}
+
+// appendInputVIDs frames each input's VID as one HashParts part. Inputs
+// come out of tables or deltas, so they carry the VID already.
+func appendInputVIDs(b []byte, inputs []rel.Tuple) []byte {
 	for _, t := range inputs {
 		vid := t.VID()
-		parts = append(parts, vid[:])
+		b = rel.AppendPart(b, vid[:])
 	}
-	return rel.HashParts(parts...)
+	return b
 }
 
 // headOutput is the aggregate output of a group: the head tuple plus the
@@ -101,7 +117,7 @@ func (g *aggGroup) sortedContribs() []*contrib {
 	for _, c := range g.contribs {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id.Compare(out[j].id) < 0 })
+	slices.SortFunc(out, func(a, b *contrib) int { return a.id.Compare(b.id) })
 	return out
 }
 
@@ -168,7 +184,7 @@ func unionInputs(cs []*contrib) []rel.Tuple {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, rel.Tuple.Compare)
 	return out
 }
 
@@ -213,9 +229,7 @@ func (s *aggState) contribute(rt *Runtime, cr *CRule, b Binding, inputs []rel.Tu
 		if c, ok := g.contribs[cid]; ok {
 			c.count++
 		} else {
-			cp := make([]rel.Tuple, len(inputs))
-			copy(cp, inputs)
-			g.contribs[cid] = &contrib{id: cid, val: val, inputs: cp, count: 1}
+			g.contribs[cid] = &contrib{id: cid, val: val, inputs: inputs, count: 1}
 		}
 	} else {
 		c, ok := g.contribs[cid]
@@ -244,24 +258,16 @@ func (s *aggState) contribute(rt *Runtime, cr *CRule, b Binding, inputs []rel.Tu
 // ones. Retractions run first so downstream state replaces atomically.
 func (s *aggState) emitDiff(rt *Runtime, cr *CRule, before, after headOutput) {
 	sameTuple := before.valid && after.valid && before.tuple.Equal(after.tuple)
-	keyOf := func(inputs []rel.Tuple) rel.ID {
-		parts := make([][]byte, len(inputs))
-		for i, t := range inputs {
-			vid := t.VID()
-			parts[i] = vid[:]
-		}
-		return rel.HashParts(parts...)
-	}
 	oldSet := map[rel.ID][]rel.Tuple{}
 	newSet := map[rel.ID][]rel.Tuple{}
 	if before.valid {
 		for _, d := range before.derivs {
-			oldSet[keyOf(d)] = d
+			oldSet[derivKey(d)] = d
 		}
 	}
 	if after.valid {
 		for _, d := range after.derivs {
-			newSet[keyOf(d)] = d
+			newSet[derivKey(d)] = d
 		}
 	}
 	var removed, added []rel.ID
@@ -286,8 +292,8 @@ func (s *aggState) emitDiff(rt *Runtime, cr *CRule, before, after headOutput) {
 	if sameTuple && len(removed) == 0 && len(added) == 0 {
 		return
 	}
-	sort.Slice(removed, func(i, j int) bool { return removed[i].Compare(removed[j]) < 0 })
-	sort.Slice(added, func(i, j int) bool { return added[i].Compare(added[j]) < 0 })
+	slices.SortFunc(removed, rel.ID.Compare)
+	slices.SortFunc(added, rel.ID.Compare)
 	for _, k := range removed {
 		rt.deliver(cr, before.tuple, oldSet[k], -1)
 	}

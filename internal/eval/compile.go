@@ -30,6 +30,8 @@ type CRule struct {
 	Rule *ndlog.Rule
 	Name string   // label, or a synthesized name
 	Agg  *AggSpec // non-nil for aggregate heads
+	// atoms counts the body atoms: the length of every firing's Inputs.
+	atoms int
 }
 
 // AggSpec describes a head aggregate.
@@ -44,15 +46,18 @@ type AggSpec struct {
 type trigger struct {
 	rule    *CRule
 	atomIdx int         // index in rule.Body of the trigger atom
+	slot    int         // the trigger atom's rank among the body atoms
 	atom    *ndlog.Atom // the trigger atom itself
 	seq     []planStep  // remaining terms in execution order
 }
 
 type planStep struct {
 	term ndlog.Term
-	// For atom steps: original body index (for self-join exclusion) and
-	// the probe columns that are bound when the step runs.
+	// For atom steps: original body index (for self-join exclusion), the
+	// atom's rank among the body atoms (its slot in a firing's Inputs),
+	// and the probe columns that are bound when the step runs.
 	bodyIdx   int
+	slot      int
 	probeCols []int
 	// boundVars lists, per probe column, the variable or constant that
 	// supplies the probe key.
@@ -83,6 +88,7 @@ func Compile(a *ndlog.Analysis) (*Compiled, error) {
 		}
 		c.Rules = append(c.Rules, cr)
 		atoms := bodyAtomIndexes(r)
+		cr.atoms = len(atoms)
 		for _, ai := range atoms {
 			tr, err := planTrigger(cr, ai)
 			if err != nil {
@@ -175,13 +181,20 @@ func planTrigger(cr *CRule, atomIdx int) (*trigger, error) {
 	type pending struct {
 		term    ndlog.Term
 		bodyIdx int
+		slot    int
 	}
 	var rest []pending
+	slot := 0 // atoms seen so far
 	for i, t := range r.Body {
+		p := pending{term: t, bodyIdx: i, slot: slot}
+		if _, isAtom := t.(*ndlog.Atom); isAtom {
+			slot++
+		}
 		if i == atomIdx {
+			tr.slot = p.slot
 			continue
 		}
-		rest = append(rest, pending{term: t, bodyIdx: i})
+		rest = append(rest, p)
 	}
 
 	ready := func(t ndlog.Term) bool {
@@ -234,7 +247,7 @@ func planTrigger(cr *CRule, atomIdx int) (*trigger, error) {
 		p := rest[pick]
 		rest = append(rest[:pick], rest[pick+1:]...)
 
-		step := planStep{term: p.term, bodyIdx: p.bodyIdx}
+		step := planStep{term: p.term, bodyIdx: p.bodyIdx, slot: p.slot}
 		switch t := p.term.(type) {
 		case *ndlog.Atom:
 			for col, arg := range t.Args {

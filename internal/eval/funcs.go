@@ -55,15 +55,17 @@ func argErr(name string, want string, args []rel.Value) error {
 
 // RuleExecID computes the content-addressed identifier of a rule
 // execution from the rule name, the executing node, and the input tuple
-// VIDs in body order. Both the runtime provenance hook and the f_mkrid
+// VIDs in body order: rel.HashParts over (rule, loc, vid...), framed
+// into a stack buffer. Both the runtime provenance hook and the f_mkrid
 // builtin use this definition.
 func RuleExecID(rule, loc string, vids []rel.ID) rel.ID {
-	parts := [][]byte{[]byte(rule), []byte(loc)}
-	for _, id := range vids {
-		idCopy := id
-		parts = append(parts, idCopy[:])
+	var scratch [256]byte
+	b := rel.AppendPart(scratch[:0], rule)
+	b = rel.AppendPart(b, loc)
+	for i := range vids {
+		b = rel.AppendPart(b, vids[i][:])
 	}
-	return rel.HashParts(parts...)
+	return rel.HashBytes(b)
 }
 
 var builtins = map[string]Func{

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ndlog"
 	"repro/internal/rel"
@@ -22,6 +23,23 @@ type Firing struct {
 	Output    rel.Tuple
 	OutputLoc string
 	Sign      int
+	// RID is the rule execution's content identity, minted once by
+	// NewFiring and read by everything downstream (the provenance store,
+	// the wire annotation). It stays zero on a firing no hook observes.
+	RID rel.ID
+}
+
+// NewFiring builds the firing of rule at node loc and mints its content
+// identity: the output is Identified and RID is RuleExecID over the
+// inputs' VIDs, which inputs read out of tables already carry.
+func NewFiring(rule, loc string, inputs []rel.Tuple, output rel.Tuple, outputLoc string, sign int) Firing {
+	var scratch [8]rel.ID
+	vids := scratch[:0]
+	for _, in := range inputs {
+		vids = append(vids, in.VID())
+	}
+	return Firing{RuleName: rule, Inputs: inputs, Output: output.Identified(), OutputLoc: outputLoc,
+		Sign: sign, RID: RuleExecID(rule, loc, vids)}
 }
 
 // Stats counts runtime activity.
@@ -183,6 +201,9 @@ func (rt *Runtime) Flush() {
 
 func (rt *Runtime) processDelta(d Delta) {
 	rt.stats.DeltasProcessed++
+	// Hashed here at the latest, once: the table, the triggers' firings
+	// and the provenance hooks all read the VID the delta now carries.
+	d.Tuple = d.Tuple.Identified()
 	sch, ok := rt.Store.Catalog().Lookup(d.Tuple.Rel)
 	if !ok {
 		rt.errf("eval: delta for undeclared relation %s", d.Tuple.Rel)
@@ -231,14 +252,17 @@ func (rt *Runtime) fireTrigger(tr *trigger, delta rel.Tuple, sign int) {
 	if !MatchAtom(tr.atom, delta, b) {
 		return
 	}
-	inputs := make(map[int]rel.Tuple, len(tr.rule.Rule.Body))
-	inputs[tr.atomIdx] = delta
+	// One slot per body atom, in body order: every atom step fills its
+	// own before the plan can reach emit.
+	inputs := make([]rel.Tuple, tr.rule.atoms)
+	inputs[tr.slot] = delta
 	rt.joinStep(tr, 0, b, inputs, delta, sign)
 }
 
-func (rt *Runtime) joinStep(tr *trigger, stepIdx int, b Binding, inputs map[int]rel.Tuple, delta rel.Tuple, sign int) {
+func (rt *Runtime) joinStep(tr *trigger, stepIdx int, b Binding, inputs []rel.Tuple, delta rel.Tuple, sign int) {
 	if stepIdx == len(tr.seq) {
-		rt.emit(tr.rule, b, orderedInputs(tr.rule.Rule, inputs), sign)
+		// inputs is rewritten by the next probe row; the firing keeps its own.
+		rt.emit(tr.rule, b, slices.Clone(inputs), sign)
 		return
 	}
 	st := tr.seq[stepIdx]
@@ -290,21 +314,10 @@ func (rt *Runtime) joinStep(tr *trigger, stepIdx int, b Binding, inputs map[int]
 			if !MatchAtom(term, row.Tuple, nb) {
 				continue
 			}
-			inputs[st.bodyIdx] = row.Tuple
+			inputs[st.slot] = row.Tuple
 			rt.joinStep(tr, stepIdx+1, nb, inputs, delta, sign)
-			delete(inputs, st.bodyIdx)
 		}
 	}
-}
-
-func orderedInputs(r *ndlog.Rule, inputs map[int]rel.Tuple) []rel.Tuple {
-	var out []rel.Tuple
-	for i := range r.Body {
-		if t, ok := inputs[i]; ok {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // emit finishes one join result: either a direct head derivation or an
@@ -336,21 +349,27 @@ func (rt *Runtime) deliver(cr *CRule, head rel.Tuple, inputs []rel.Tuple, sign i
 		rt.errf("eval: rule %s: head %s has no address location", cr.Name, head)
 		return
 	}
-	f := Firing{RuleName: cr.Name, Inputs: inputs, Output: head, OutputLoc: loc, Sign: sign}
 	if sign > 0 {
 		rt.stats.Firings++
 	} else {
 		rt.stats.Retractions++
 	}
+	var f Firing
 	if rt.FireFn != nil {
+		// The one place a firing's VIDs and RID are hashed: the hook,
+		// the queue and the send below all carry them from here.
+		f = NewFiring(cr.Name, rt.Addr, inputs, head, loc, sign)
 		rt.FireFn(f)
+	} else {
+		f = Firing{RuleName: cr.Name, Inputs: inputs, Output: head, OutputLoc: loc, Sign: sign}
 	}
 	if loc == rt.Addr {
-		rt.queue = append(rt.queue, Delta{Tuple: head, Sign: sign})
+		rt.queue = append(rt.queue, Delta{Tuple: f.Output, Sign: sign})
 		return
 	}
 	rt.stats.TuplesSent++
 	if rt.SendFn != nil {
-		rt.SendFn(loc, Delta{Tuple: head, Sign: sign}, &f)
+		sent := f // only a firing that is sent moves to the heap
+		rt.SendFn(loc, Delta{Tuple: f.Output, Sign: sign}, &sent)
 	}
 }

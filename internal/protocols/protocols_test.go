@@ -279,3 +279,41 @@ func TestBuildErrors(t *testing.T) {
 		t.Fatal("edge to unknown node must error")
 	}
 }
+
+// TestMincostFlapAllocationBudget holds the maintenance path to an
+// allocation budget: one remove + re-add of an inner edge of a 4x4
+// MINCOST grid, provenance on, every node's provenance view advanced
+// after each half (what a publisher does). The budget is the count
+// measured when a firing's VIDs and RID were first carried instead of
+// rehashed (3,270; the commit before measured 7,046), times 1.2: minting
+// a RID or a VID list a second time per firing, or cloning view buckets
+// as maps again, fails here rather than in a benchmark run.
+func TestMincostFlapAllocationBudget(t *testing.T) {
+	const budget = 3270 * 1.2
+	edges := GridTopology(4, 4, 1)
+	e, err := Build(MinCost, NodeNames(16), edges, engine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := edges[len(edges)/2]
+	advanceViews := func() {
+		for _, addr := range e.Nodes() {
+			n, _ := e.Node(addr)
+			n.Prov.View()
+		}
+	}
+	flap := func() {
+		if err := e.RemoveBiLink(edge.A, edge.B, edge.Cost); err != nil {
+			t.Fatal(err)
+		}
+		advanceViews()
+		if err := e.AddBiLink(edge.A, edge.B, edge.Cost); err != nil {
+			t.Fatal(err)
+		}
+		advanceViews()
+	}
+	flap() // first flap grows tables and directories to their steady size
+	if got := testing.AllocsPerRun(5, flap); got > budget {
+		t.Fatalf("one edge flap allocates %.0f times, budget %.0f", got, budget)
+	}
+}

@@ -139,7 +139,7 @@ func TestAuditWithEvalFirings(t *testing.T) {
 	out := reachT("a", "b")
 	a.AddBase(lk1)
 	a.AddBase(lk2)
-	a.RecordFiring(eval.Firing{RuleName: "r1", Inputs: []rel.Tuple{lk1, lk2}, Output: out, OutputLoc: "a", Sign: 1})
+	a.RecordFiring(eval.NewFiring("r1", "a", []rel.Tuple{lk1, lk2}, out, "a", 1))
 	if findings := Audit(map[string]*Store{"a": a}); len(findings) != 0 {
 		t.Fatalf("findings = %v", findings)
 	}

@@ -73,8 +73,8 @@ func TestGoldenStoreDigest(t *testing.T) {
 	s := NewStore("n0")
 	base := rel.NewTuple("link", rel.Addr("n0"), rel.Int(1))
 	s.AddBase(base)
-	s.RecordFiring(eval.Firing{RuleName: "r1", Inputs: []rel.Tuple{base},
-		Output: rel.NewTuple("path", rel.Addr("n0"), rel.Int(1)), OutputLoc: "n0", Sign: 1})
+	s.RecordFiring(eval.NewFiring("r1", "n0", []rel.Tuple{base},
+		rel.NewTuple("path", rel.Addr("n0"), rel.Int(1)), "n0", 1))
 	if got, want := s.Digest().String(), "57093a1313dcbc0854e1a375260d9600ab069165"; got != want {
 		t.Errorf("Store.Digest = %s, want %s", got, want)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"repro/internal/rel"
 	"repro/internal/wire"
@@ -17,7 +16,8 @@ import (
 // the identical bytes and is stored once) and reconstructs an
 // equivalent View from those buckets when materializing a historical
 // version from disk. Encodings are deterministic: keys are emitted in
-// ID order, entry lists in their already-deterministic stored order.
+// ID order (the order a bucket holds them in), entry lists in their
+// already-deterministic stored order.
 
 // PersistBuckets renders the view's three bucket directories as
 // deterministic per-bucket encodings, parallel to the directory spines.
@@ -28,48 +28,46 @@ func (v *View) PersistBuckets() (prov, exec, pins [][]byte) {
 	// exact size.
 	var b []byte
 	prov = make([][]byte, len(v.prov.m))
-	for i, m := range v.prov.m {
-		if len(m) == 0 {
+	for i, bucket := range v.prov.m {
+		if len(bucket) == 0 {
 			continue
 		}
-		b = wire.AppendUvarint(b[:0], uint64(len(m)))
-		for _, vid := range sortedKeys(m) {
-			b = append(b, vid[:]...)
-			list := m[vid]
-			b = wire.AppendUvarint(b, uint64(len(list)))
-			for _, e := range list {
-				b = append(b, e.RID[:]...)
-				b = wire.AppendString(b, e.RLoc)
+		b = wire.AppendUvarint(b[:0], uint64(len(bucket)))
+		for _, e := range bucket {
+			b = append(b, e.id[:]...)
+			b = wire.AppendUvarint(b, uint64(len(e.v)))
+			for _, d := range e.v {
+				b = append(b, d.RID[:]...)
+				b = wire.AppendString(b, d.RLoc)
 			}
 		}
 		prov[i] = bytes.Clone(b)
 	}
 	exec = make([][]byte, len(v.exec.m))
-	for i, m := range v.exec.m {
-		if len(m) == 0 {
+	for i, bucket := range v.exec.m {
+		if len(bucket) == 0 {
 			continue
 		}
-		b = wire.AppendUvarint(b[:0], uint64(len(m)))
-		for _, rid := range sortedKeys(m) {
-			b = append(b, rid[:]...)
-			e := m[rid]
-			b = wire.AppendString(b, e.Rule)
-			b = wire.AppendUvarint(b, uint64(len(e.VIDs)))
-			for _, vid := range e.VIDs {
+		b = wire.AppendUvarint(b[:0], uint64(len(bucket)))
+		for _, e := range bucket {
+			b = append(b, e.id[:]...)
+			b = wire.AppendString(b, e.v.Rule)
+			b = wire.AppendUvarint(b, uint64(len(e.v.VIDs)))
+			for _, vid := range e.v.VIDs {
 				b = append(b, vid[:]...)
 			}
 		}
 		exec[i] = bytes.Clone(b)
 	}
 	pins = make([][]byte, len(v.pins.m))
-	for i, m := range v.pins.m {
-		if len(m) == 0 {
+	for i, bucket := range v.pins.m {
+		if len(bucket) == 0 {
 			continue
 		}
-		b = wire.AppendUvarint(b[:0], uint64(len(m)))
-		for _, vid := range sortedKeys(m) {
-			b = append(b, vid[:]...)
-			b = rel.AppendTuple(b, m[vid])
+		b = wire.AppendUvarint(b[:0], uint64(len(bucket)))
+		for _, e := range bucket {
+			b = append(b, e.id[:]...)
+			b = rel.AppendTuple(b, e.v)
 		}
 		pins[i] = bytes.Clone(b)
 	}
@@ -93,12 +91,12 @@ func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View,
 	if err := checkSpine("pins", len(pins)); err != nil {
 		return nil, err
 	}
-	v.prov = buckets[[]Entry]{mask: uint32(len(prov) - 1), m: make([]map[rel.ID][]Entry, len(prov))}
+	v.prov = buckets[[]Entry]{mask: uint32(len(prov) - 1), m: make([][]kv[[]Entry], len(prov))}
 	for i, enc := range prov {
 		if enc == nil {
 			continue
 		}
-		m, err := decodeBucket(enc, uint32(i), v.prov.mask, func(r *wire.Reader, vid rel.ID) []Entry {
+		bucket, err := decodeBucket(enc, uint32(i), v.prov.mask, func(r *wire.Reader, vid rel.ID) []Entry {
 			n := r.Count("prov entry count", math.MaxInt)
 			list := make([]Entry, 0, wire.Prealloc(n))
 			for k := 0; k < n && r.Err() == nil; k++ {
@@ -109,17 +107,17 @@ func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View,
 		if err != nil {
 			return nil, fmt.Errorf("provenance: rebuild prov bucket %d: %w", i, err)
 		}
-		v.prov.m[i] = m
-		for _, list := range m {
-			v.provEntries += len(list)
+		v.prov.m[i] = bucket
+		for _, e := range bucket {
+			v.provEntries += len(e.v)
 		}
 	}
-	v.exec = buckets[ExecEntry]{mask: uint32(len(exec) - 1), m: make([]map[rel.ID]ExecEntry, len(exec))}
+	v.exec = buckets[ExecEntry]{mask: uint32(len(exec) - 1), m: make([][]kv[ExecEntry], len(exec))}
 	for i, enc := range exec {
 		if enc == nil {
 			continue
 		}
-		m, err := decodeBucket(enc, uint32(i), v.exec.mask, func(r *wire.Reader, rid rel.ID) ExecEntry {
+		bucket, err := decodeBucket(enc, uint32(i), v.exec.mask, func(r *wire.Reader, rid rel.ID) ExecEntry {
 			e := ExecEntry{RID: rid, Rule: r.String("exec rule")}
 			n := r.Count("exec vid count", math.MaxInt)
 			e.VIDs = make([]rel.ID, 0, wire.Prealloc(n))
@@ -131,22 +129,22 @@ func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View,
 		if err != nil {
 			return nil, fmt.Errorf("provenance: rebuild exec bucket %d: %w", i, err)
 		}
-		v.exec.m[i] = m
-		v.execEntries += len(m)
+		v.exec.m[i] = bucket
+		v.execEntries += len(bucket)
 	}
-	v.pins = buckets[rel.Tuple]{mask: uint32(len(pins) - 1), m: make([]map[rel.ID]rel.Tuple, len(pins))}
+	v.pins = buckets[rel.Tuple]{mask: uint32(len(pins) - 1), m: make([][]kv[rel.Tuple], len(pins))}
 	for i, enc := range pins {
 		if enc == nil {
 			continue
 		}
-		m, err := decodeBucket(enc, uint32(i), v.pins.mask, func(r *wire.Reader, _ rel.ID) rel.Tuple {
+		bucket, err := decodeBucket(enc, uint32(i), v.pins.mask, func(r *wire.Reader, _ rel.ID) rel.Tuple {
 			return rel.DecodeTuple(r)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("provenance: rebuild pins bucket %d: %w", i, err)
 		}
-		v.pins.m[i] = m
-		v.pinEntries += len(m)
+		v.pins.m[i] = bucket
+		v.pinEntries += len(bucket)
 	}
 	return v, nil
 }
@@ -159,35 +157,28 @@ func checkSpine(name string, n int) error {
 }
 
 // decodeBucket decodes one bucket's key/value pairs, verifying each key
-// hashes into this bucket and that the encoding is fully consumed.
-func decodeBucket[V any](enc []byte, idx, mask uint32, dec func(*wire.Reader, rel.ID) V) (map[rel.ID]V, error) {
+// hashes into this bucket, that keys ascend strictly (the order a bucket
+// is searched in; a repeat is out of order too) and that the encoding
+// is fully consumed.
+func decodeBucket[V any](enc []byte, idx, mask uint32, dec func(*wire.Reader, rel.ID) V) ([]kv[V], error) {
 	r := wire.NewReader(enc)
 	n := r.Count("key count", math.MaxInt)
 	if n == 0 {
 		r.Failf("empty bucket encoded non-nil")
 	}
-	m := make(map[rel.ID]V, wire.Prealloc(n))
+	bucket := make([]kv[V], 0, wire.Prealloc(n))
 	for k := 0; k < n && r.Err() == nil; k++ {
 		id := rel.DecodeID(&r, "key")
 		if bucketIdx(id, mask) != idx {
 			r.Failf("key %s does not belong in bucket %d", id.Short(), idx)
 		}
-		if _, dup := m[id]; dup {
-			r.Failf("duplicate key %s", id.Short())
+		if k > 0 && bucket[k-1].id.Compare(id) >= 0 {
+			r.Failf("key %s is not above the key before it", id.Short())
 		}
-		m[id] = dec(&r, id)
+		bucket = append(bucket, kv[V]{id, dec(&r, id)})
 	}
 	if err := r.Done("bucket"); err != nil {
 		return nil, err
 	}
-	return m, nil
-}
-
-func sortedKeys[V any](m map[rel.ID]V) []rel.ID {
-	out := make([]rel.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	return bucket, nil
 }

@@ -5,9 +5,10 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/rel"
+	"repro/internal/wire"
 )
 
-func persistFixtureView(t *testing.T, n int) *View {
+func persistFixtureView(t testing.TB, n int) *View {
 	t.Helper()
 	s := NewStore("n0")
 	var prev rel.Tuple
@@ -16,13 +17,7 @@ func persistFixtureView(t *testing.T, n int) *View {
 		s.AddBase(base)
 		if i > 0 {
 			out := rel.NewTuple("path", rel.Addr("n0"), rel.Int(int64(i)))
-			s.RecordFiring(eval.Firing{
-				RuleName:  "r1",
-				Inputs:    []rel.Tuple{prev, base},
-				Output:    out,
-				OutputLoc: "n0",
-				Sign:      1,
-			})
+			s.RecordFiring(eval.NewFiring("r1", "n0", []rel.Tuple{prev, base}, out, "n0", 1))
 		}
 		prev = base
 	}
@@ -127,4 +122,74 @@ func TestRebuildViewRejectsCorruptBuckets(t *testing.T) {
 		break
 	}
 
+}
+
+// pinsBucket encodes a pins bucket holding the tuples in the order given.
+func pinsBucket(tuples ...rel.Tuple) []byte {
+	b := wire.AppendUvarint(nil, uint64(len(tuples)))
+	for _, tp := range tuples {
+		vid := tp.VID()
+		b = append(b, vid[:]...)
+		b = rel.AppendTuple(b, tp)
+	}
+	return b
+}
+
+func decodePinsBucket(enc []byte) ([]kv[rel.Tuple], error) {
+	// One bucket, mask 0: every key belongs, so only order can reject.
+	return decodeBucket(enc, 0, 0, func(r *wire.Reader, _ rel.ID) rel.Tuple { return rel.DecodeTuple(r) })
+}
+
+// orderedPair returns two tuples in ascending VID order.
+func orderedPair() (lo, hi rel.Tuple) {
+	lo, hi = viewTestTuple(1), viewTestTuple(2)
+	if lo.VID().Compare(hi.VID()) > 0 {
+		lo, hi = hi, lo
+	}
+	return lo, hi
+}
+
+// A bucket is searched by bisection, so a decoded one must hold its keys
+// in strictly ascending order: anything else is corrupt, not re-sorted.
+func TestDecodeBucketRejectsUnorderedKeys(t *testing.T) {
+	lo, hi := orderedPair()
+	if bucket, err := decodePinsBucket(pinsBucket(lo, hi)); err != nil || len(bucket) != 2 {
+		t.Fatalf("ascending keys: %v, %v", bucket, err)
+	}
+	if _, err := decodePinsBucket(pinsBucket(hi, lo)); err == nil {
+		t.Fatal("descending keys accepted")
+	}
+	if _, err := decodePinsBucket(pinsBucket(lo, lo)); err == nil {
+		t.Fatal("duplicate key accepted")
+	}
+	if _, err := decodePinsBucket(pinsBucket()); err == nil {
+		t.Fatal("empty bucket encoded non-nil accepted")
+	}
+}
+
+// FuzzDecodeBucket: whatever the bytes, a bucket that decodes is one
+// every key of which the bisecting lookup finds.
+func FuzzDecodeBucket(f *testing.F) {
+	lo, hi := orderedPair()
+	f.Add(pinsBucket(lo, hi))
+	f.Add(pinsBucket(hi, lo))
+	f.Add(pinsBucket(lo, lo))
+	f.Add(pinsBucket())
+	_, _, pins := persistFixtureView(f, 5).PersistBuckets()
+	f.Add(pins[0])
+	f.Fuzz(func(t *testing.T, enc []byte) {
+		bucket, err := decodePinsBucket(enc)
+		if err != nil {
+			return
+		}
+		dir := buckets[rel.Tuple]{m: [][]kv[rel.Tuple]{bucket}}
+		for k, e := range bucket {
+			if k > 0 && bucket[k-1].id.Compare(e.id) >= 0 {
+				t.Fatalf("accepted bucket is not strictly ascending at %d", k)
+			}
+			if _, ok := dir.get(e.id); !ok {
+				t.Fatalf("accepted bucket does not find its own key %s", e.id.Short())
+			}
+		}
+	})
 }

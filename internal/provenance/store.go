@@ -16,7 +16,9 @@ package provenance
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/eval"
@@ -109,7 +111,7 @@ func (s *Store) pinTuple(t rel.Tuple) {
 		p.refs++ // refcount-only change: the view's pinned value is the same
 		return
 	}
-	s.pins[vid] = &pin{tuple: t, refs: 1}
+	s.pins[vid] = &pin{tuple: t.Identified(), refs: 1}
 	s.dirtyPins[vid] = struct{}{}
 }
 
@@ -127,6 +129,7 @@ func (s *Store) unpin(vid rel.ID) {
 
 // AddBase records a base-tuple insertion at this node.
 func (s *Store) AddBase(t rel.Tuple) {
+	t = t.Identified()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.version++
@@ -138,7 +141,8 @@ func (s *Store) RemoveBase(t rel.Tuple) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.version++
-	s.removeEntryLocked(t.VID(), Entry{VID: t.VID()})
+	vid := t.VID()
+	s.removeEntryLocked(vid, Entry{VID: vid})
 }
 
 func (s *Store) addEntryLocked(t rel.Tuple, e Entry) {
@@ -178,45 +182,46 @@ func (s *Store) removeEntryLocked(vid rel.ID, e Entry) {
 }
 
 // RecordFiring ingests one rule execution (or its retraction) that ran
-// at this node. It returns the derivation entry for the output tuple so
-// the engine can either apply it locally (output at this node) or attach
-// it to the outgoing delta message.
+// at this node. The firing carries its identity (eval.NewFiring minted
+// the RID for this node's address; inputs and output carry their VIDs),
+// so nothing is hashed here. It returns the derivation entry for the
+// output tuple so the caller can apply it at the output's node.
 func (s *Store) RecordFiring(f eval.Firing) Entry {
+	if f.RID.IsZero() {
+		panic("provenance: RecordFiring: firing carries no RID (build it with eval.NewFiring)")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.version++
-	vids := make([]rel.ID, len(f.Inputs))
-	for i, in := range f.Inputs {
-		vids[i] = in.VID()
-	}
-	rid := eval.RuleExecID(f.RuleName, s.addr, vids)
-	e := Entry{VID: f.Output.VID(), RID: rid, RLoc: s.addr}
+	e := Entry{VID: f.Output.VID(), RID: f.RID, RLoc: s.addr}
 	if f.Sign > 0 {
-		if ce, ok := s.exec[rid]; ok {
+		if ce, ok := s.exec[f.RID]; ok {
 			ce.count++ // count-only change: the view's exec row is the same
 		} else {
-			s.exec[rid] = &countedExec{exec: ExecEntry{RID: rid, Rule: f.RuleName, VIDs: vids}, count: 1}
-			s.dirtyExec[rid] = struct{}{}
-			for _, in := range f.Inputs {
+			vids := make([]rel.ID, len(f.Inputs))
+			for i, in := range f.Inputs {
+				vids[i] = in.VID()
 				s.pinTuple(in)
 			}
+			s.exec[f.RID] = &countedExec{exec: ExecEntry{RID: f.RID, Rule: f.RuleName, VIDs: vids}, count: 1}
+			s.dirtyExec[f.RID] = struct{}{}
 		}
 		if f.OutputLoc == s.addr {
 			s.addEntryLocked(f.Output, e)
 		}
 	} else {
-		if ce, ok := s.exec[rid]; ok {
+		if ce, ok := s.exec[f.RID]; ok {
 			ce.count--
 			if ce.count <= 0 {
-				delete(s.exec, rid)
-				s.dirtyExec[rid] = struct{}{}
-				for _, vid := range vids {
+				delete(s.exec, f.RID)
+				s.dirtyExec[f.RID] = struct{}{}
+				for _, vid := range ce.exec.VIDs {
 					s.unpin(vid)
 				}
 			}
 		}
 		if f.OutputLoc == s.addr {
-			s.removeEntryLocked(f.Output.VID(), e)
+			s.removeEntryLocked(e.VID, e)
 		}
 	}
 	return e
@@ -225,13 +230,17 @@ func (s *Store) RecordFiring(f eval.Firing) Entry {
 // ApplyRemote records (or retracts) a derivation entry for a tuple that
 // arrived from another node, where the rule executed.
 func (s *Store) ApplyRemote(t rel.Tuple, e Entry, sign int) {
+	// The entry is filed under the tuple's own hash: a frame off the
+	// wire names a VID too, but the rows and the pin are keyed by what
+	// the attributes hash to, and the entry must agree with them.
+	e.VID = t.VID()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.version++
 	if sign > 0 {
 		s.addEntryLocked(t, e)
 	} else {
-		s.removeEntryLocked(t.VID(), e)
+		s.removeEntryLocked(e.VID, e)
 	}
 }
 
@@ -248,13 +257,17 @@ func (s *Store) Derivations(vid rel.ID) ([]Entry, bool) {
 	for i, ce := range list {
 		out[i] = ce.entry
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].RID.Compare(out[j].RID); c != 0 {
-			return c < 0
-		}
-		return out[i].RLoc < out[j].RLoc
-	})
+	slices.SortFunc(out, compareEntry)
 	return out, true
+}
+
+// compareEntry is the derivation order every reader sees: by RID, then
+// by the executing node.
+func compareEntry(a, b Entry) int {
+	if c := a.RID.Compare(b.RID); c != 0 {
+		return c
+	}
+	return strings.Compare(a.RLoc, b.RLoc)
 }
 
 // SupportCount returns the total number of derivations (including
@@ -378,6 +391,10 @@ func (s *Store) CheckInvariants() error {
 		if ce.count <= 0 {
 			return fmt.Errorf("provenance: non-positive exec count for %s", rid.Short())
 		}
+		// RecordFiring stores the RID a firing carries; re-derive it here.
+		if eval.RuleExecID(ce.exec.Rule, s.addr, ce.exec.VIDs) != rid {
+			return fmt.Errorf("provenance: exec %s is not the hash of its rule, node and inputs", rid.Short())
+		}
 		for _, vid := range ce.exec.VIDs {
 			if _, ok := s.pins[vid]; !ok {
 				return fmt.Errorf("provenance: exec %s references unpinned input %s", rid.Short(), vid.Short())
@@ -391,7 +408,9 @@ func (s *Store) CheckInvariants() error {
 		if p.refs <= 0 {
 			return fmt.Errorf("provenance: non-positive pin refs for %s", vid.Short())
 		}
-		if p.tuple.VID() != vid {
+		// Re-hash from the attributes: the VID a pin carries is the key
+		// it was stored under, so reading it back would check nothing.
+		if (rel.Tuple{Rel: p.tuple.Rel, Vals: p.tuple.Vals}).VID() != vid {
 			return fmt.Errorf("provenance: pin key mismatch for %s", vid.Short())
 		}
 	}

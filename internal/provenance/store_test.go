@@ -15,8 +15,10 @@ func reachT(s, d string) rel.Tuple {
 	return rel.NewTuple("reach", rel.Addr(s), rel.Addr(d))
 }
 
+// firing builds a firing executed at node "a", where every test below
+// records its firings; loc is the output's node.
 func firing(rule string, in []rel.Tuple, out rel.Tuple, loc string, sign int) eval.Firing {
-	return eval.Firing{RuleName: rule, Inputs: in, Output: out, OutputLoc: loc, Sign: sign}
+	return eval.NewFiring(rule, "a", in, out, loc, sign)
 }
 
 func TestBaseLifecycle(t *testing.T) {

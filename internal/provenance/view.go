@@ -1,7 +1,7 @@
 package provenance
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/rel"
 )
@@ -12,26 +12,38 @@ import (
 const bucketTarget = 16
 
 // buckets is a persistent hash directory: a power-of-two spine of small
-// maps keyed by rel.ID. Successive views share every bucket the
-// mutations between them did not touch; an update clones only the dirty
-// buckets (and the spine). The per-bucket maps are lazily allocated —
-// a nil bucket reads as empty.
+// key-sorted slices. Successive views share every bucket the mutations
+// between them did not touch; an update copies only the dirty buckets
+// (and the spine). An empty bucket is nil.
 type buckets[V any] struct {
 	mask uint32
-	m    []map[rel.ID]V
+	m    [][]kv[V]
+}
+
+// kv is one bucket entry; a bucket holds them in ascending id order.
+type kv[V any] struct {
+	id rel.ID
+	v  V
 }
 
 func bucketIdx(id rel.ID, mask uint32) uint32 {
 	return uint32(id.Hash64()) & mask
 }
 
+// find returns id's position in the sorted bucket and whether it is there.
+func find[V any](bucket []kv[V], id rel.ID) (int, bool) {
+	return slices.BinarySearchFunc(bucket, id, func(e kv[V], id rel.ID) int { return e.id.Compare(id) })
+}
+
 func (b buckets[V]) get(id rel.ID) (V, bool) {
-	if len(b.m) == 0 {
-		var zero V
-		return zero, false
+	if len(b.m) != 0 {
+		bucket := b.m[bucketIdx(id, b.mask)]
+		if i, ok := find(bucket, id); ok {
+			return bucket[i].v, true
+		}
 	}
-	v, ok := b.m[bucketIdx(id, b.mask)][id]
-	return v, ok
+	var zero V
+	return zero, false
 }
 
 // bucketCountFor picks the spine size for n keys: the smallest power of
@@ -49,41 +61,50 @@ func bucketCountFor(n, prev int) int {
 }
 
 // updateBuckets derives the next version of a bucket directory. When
-// the spine size is unchanged it copies the spine and clones only the
-// buckets holding dirty keys, re-deriving those keys through lookup;
-// on growth (or first build) it rebuilds from iterate. Either way the
-// previous version's buckets are never written.
+// the spine size is unchanged it copies the spine, copies each bucket
+// holding a dirty key once (one allocation and a memmove) and then
+// inserts, replaces or deletes the dirty keys in that private copy,
+// re-deriving them through lookup; on growth (or first build) it
+// rebuilds from iterate. Either way the previous version's buckets are
+// never written.
 func updateBuckets[V any](old buckets[V], n int, dirty map[rel.ID]struct{},
 	lookup func(rel.ID) (V, bool), iterate func(func(rel.ID, V))) buckets[V] {
 	nb := bucketCountFor(n, len(old.m))
 	if old.m == nil || nb != len(old.m) {
-		out := buckets[V]{mask: uint32(nb - 1), m: make([]map[rel.ID]V, nb)}
+		out := buckets[V]{mask: uint32(nb - 1), m: make([][]kv[V], nb)}
 		iterate(func(id rel.ID, v V) {
 			i := bucketIdx(id, out.mask)
-			if out.m[i] == nil {
-				out.m[i] = make(map[rel.ID]V, bucketTarget)
-			}
-			out.m[i][id] = v
+			out.m[i] = append(out.m[i], kv[V]{id, v})
 		})
+		for _, bucket := range out.m {
+			slices.SortFunc(bucket, func(a, b kv[V]) int { return a.id.Compare(b.id) })
+		}
 		return out
 	}
-	out := buckets[V]{mask: old.mask, m: append([]map[rel.ID]V(nil), old.m...)}
-	cloned := make(map[uint32]bool, len(dirty))
+	out := buckets[V]{mask: old.mask, m: slices.Clone(old.m)}
+	owned := make([]bool, nb) // buckets already copied for this version
 	for id := range dirty {
 		i := bucketIdx(id, out.mask)
-		if !cloned[i] {
-			nm := make(map[rel.ID]V, len(out.m[i])+1)
-			for k, v := range out.m[i] {
-				nm[k] = v
-			}
-			out.m[i] = nm
-			cloned[i] = true
+		bucket := out.m[i]
+		if !owned[i] {
+			owned[i] = true
+			bucket = make([]kv[V], len(bucket), len(bucket)+1) // room for one insert
+			copy(bucket, out.m[i])
 		}
-		if v, ok := lookup(id); ok {
-			out.m[i][id] = v
-		} else {
-			delete(out.m[i], id)
+		pos, found := find(bucket, id)
+		v, live := lookup(id)
+		switch {
+		case live && found:
+			bucket[pos].v = v
+		case live:
+			bucket = slices.Insert(bucket, pos, kv[V]{id, v})
+		case found:
+			bucket = slices.Delete(bucket, pos, pos+1)
 		}
+		if len(bucket) == 0 {
+			bucket = nil
+		}
+		out.m[i] = bucket
 	}
 	return out
 }
@@ -100,8 +121,8 @@ func updateBuckets[V any](old buckets[V], n int, dirty map[rel.ID]struct{},
 type View struct {
 	addr        string
 	version     uint64
-	prov        buckets[[]Entry] // per-VID lists sorted like Store.Derivations
-	exec        buckets[ExecEntry]
+	prov        buckets[[]Entry]   // per-VID lists sorted like Store.Derivations
+	exec        buckets[ExecEntry] // rows share the store's VIDs, which nothing writes once recorded
 	pins        buckets[rel.Tuple]
 	provEntries int
 	execEntries int
@@ -149,11 +170,11 @@ func (s *Store) View() *View {
 			if !ok {
 				return ExecEntry{}, false
 			}
-			return frozenExec(ce), true
+			return ce.exec, true
 		},
 		func(emit func(rel.ID, ExecEntry)) {
 			for rid, ce := range s.exec {
-				emit(rid, frozenExec(ce))
+				emit(rid, ce.exec)
 			}
 		})
 	v.pins = updateBuckets(old.pins, len(s.pins), s.dirtyPins,
@@ -183,20 +204,8 @@ func sortedEntries(list []*countedEntry) []Entry {
 	for i, ce := range list {
 		out[i] = ce.entry
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].RID.Compare(out[j].RID); c != 0 {
-			return c < 0
-		}
-		return out[i].RLoc < out[j].RLoc
-	})
+	slices.SortFunc(out, compareEntry)
 	return out
-}
-
-// frozenExec snapshots one rule execution with its own VIDs backing.
-func frozenExec(ce *countedExec) ExecEntry {
-	e := ce.exec
-	e.VIDs = append([]rel.ID(nil), ce.exec.VIDs...)
-	return e
 }
 
 // Addr returns the owning node's address.

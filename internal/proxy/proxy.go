@@ -100,15 +100,9 @@ func (p *Proxy) ObserveInput(t rel.Tuple, senderAddr string, senderOutput *rel.T
 	}
 	// Transmission edge: exec at the sender over its output tuple;
 	// derivation entry at the receiver.
-	f := eval.Firing{
-		RuleName:  TransmitRule,
-		Inputs:    []rel.Tuple{*senderOutput},
-		Output:    t,
-		OutputLoc: p.addr,
-		Sign:      1,
-	}
+	f := eval.NewFiring(TransmitRule, senderProv.Addr(), []rel.Tuple{*senderOutput}, t, p.addr, 1)
 	e := senderProv.RecordFiring(f)
-	p.prov.ApplyRemote(t, e, 1)
+	p.prov.ApplyRemote(f.Output, e, 1)
 }
 
 // RetractInput removes a previously observed input (e.g. a withdrawn
@@ -122,15 +116,9 @@ func (p *Proxy) RetractInput(t rel.Tuple) {
 // RetractTransmitted removes an input that carried a transmission edge.
 func (p *Proxy) RetractTransmitted(t rel.Tuple, senderAddr string, senderOutput rel.Tuple, senderProv *provenance.Store) {
 	p.removeInput(t)
-	f := eval.Firing{
-		RuleName:  TransmitRule,
-		Inputs:    []rel.Tuple{senderOutput},
-		Output:    t,
-		OutputLoc: p.addr,
-		Sign:      -1,
-	}
+	f := eval.NewFiring(TransmitRule, senderProv.Addr(), []rel.Tuple{senderOutput}, t, p.addr, -1)
 	e := senderProv.RecordFiring(f)
-	p.prov.ApplyRemote(t, e, -1)
+	p.prov.ApplyRemote(f.Output, e, -1)
 }
 
 func (p *Proxy) removeInput(t rel.Tuple) {
@@ -210,13 +198,8 @@ func (p *Proxy) matchRule(r *ndlog.Rule, out rel.Tuple) []eval.Firing {
 	var walk func(terms []ndlog.Term, b eval.Binding, inputs []rel.Tuple)
 	walk = func(terms []ndlog.Term, b eval.Binding, inputs []rel.Tuple) {
 		if len(terms) == 0 {
-			firings = append(firings, eval.Firing{
-				RuleName:  r.Label,
-				Inputs:    append([]rel.Tuple(nil), inputs...),
-				Output:    out,
-				OutputLoc: p.addr,
-				Sign:      1,
-			})
+			firings = append(firings, eval.NewFiring(r.Label, p.prov.Addr(),
+				append([]rel.Tuple(nil), inputs...), out, p.addr, 1))
 			return
 		}
 		switch term := terms[0].(type) {

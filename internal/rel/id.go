@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+
+	"repro/internal/wire"
 )
 
 // ID is a 160-bit content hash identifying a tuple (VID) or a rule
@@ -44,6 +46,13 @@ func ParseID(s string) (ID, error) {
 
 // HashBytes returns the SHA-1 of b as an ID.
 func HashBytes(b []byte) ID { return sha1.Sum(b) }
+
+// AppendPart appends p framed as HashParts frames one part (8-byte
+// little-endian length, then the bytes): HashBytes over a buffer of
+// appended parts equals HashParts over the parts, with no slice per part.
+func AppendPart[T string | []byte](b []byte, p T) []byte {
+	return append(wire.AppendUint64(b, uint64(len(p))), p...)
+}
 
 // HashParts hashes a sequence of byte slices with length framing so that
 // part boundaries are unambiguous.

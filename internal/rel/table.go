@@ -202,6 +202,7 @@ func matchCols(tp Tuple, cols []int, key []Value) bool {
 // Apply adds delta (+n derivations or -n) for the tuple and reports the
 // visibility transition. Deleting below zero is clamped and Rejected.
 func (t *Table) Apply(tp Tuple, delta int) Transition {
+	tp = tp.Identified() // a stored row carries its VID to every reader
 	vid := tp.VID()
 	r, ok := t.rows[vid]
 	if delta > 0 {

@@ -11,6 +11,11 @@ import (
 type Tuple struct {
 	Rel  string
 	Vals []Value
+	// vid is the content hash, carried once Identified has minted it.
+	// It is set only on the copy Identified returns, never lazily, so a
+	// Tuple value stays immutable and safe to share across goroutines;
+	// Equal and Compare ignore it.
+	vid *ID
 }
 
 // NewTuple builds a tuple; the values slice is copied.
@@ -65,10 +70,27 @@ func (t Tuple) Compare(o Tuple) int {
 const tupleScratch = 256
 
 // VID returns the tuple's content hash — its vertex ID in the provenance
-// graph. Identical tuples always share a VID, across nodes and runs.
+// graph. Identical tuples always share a VID, across nodes and runs. An
+// Identified tuple answers from the hash it carries.
 func (t Tuple) VID() ID {
+	if t.vid != nil {
+		return *t.vid
+	}
 	var scratch [tupleScratch]byte
 	return HashBytes(AppendTuple(scratch[:0], t))
+}
+
+// Identified returns t carrying its VID, hashing it now unless t already
+// does. A tuple is identified where it enters long-lived state (a table
+// row, a delta, a firing's head, a pin) and the copies made from there
+// on read the hash instead of re-encoding the tuple. The hash is always
+// computed here from Rel and Vals, never accepted from outside.
+func (t Tuple) Identified() Tuple {
+	if t.vid == nil {
+		vid := t.VID()
+		t.vid = &vid
+	}
+	return t
 }
 
 // String renders the tuple in NDlog syntax, marking the location

@@ -173,6 +173,54 @@ func TestHashParts(t *testing.T) {
 	}
 }
 
+func TestAppendPartFramesLikeHashParts(t *testing.T) {
+	vid := HashBytes([]byte("v"))
+	parts := [][]byte{[]byte("mc2"), {}, []byte("n1"), vid[:]}
+	var b []byte
+	for i, p := range parts {
+		if i%2 == 0 {
+			b = AppendPart(b, string(p))
+		} else {
+			b = AppendPart(b, p)
+		}
+	}
+	if HashBytes(b) != HashParts(parts...) {
+		t.Fatal("HashBytes over AppendPart framing must equal HashParts")
+	}
+}
+
+// An identified tuple is the same tuple: the VID it carries is the hash
+// of its attributes, and nothing that compares, orders or encodes tuples
+// can tell it from a copy that carries none.
+func TestIdentifiedTupleIsTheSameTuple(t *testing.T) {
+	for _, g := range goldenTuples {
+		plain := g.tuple
+		id := plain.Identified()
+		if id.VID() != plain.VID() || id.VID().String() != g.vid {
+			t.Errorf("%s: Identified VID %s, want %s", g.name, id.VID(), g.vid)
+		}
+		if !id.Equal(plain) || !plain.Equal(id) || id.Compare(plain) != 0 || plain.Compare(id) != 0 {
+			t.Errorf("%s: an identified tuple must equal its plain copy", g.name)
+		}
+		if !bytes.Equal(MarshalTuple(id), MarshalTuple(plain)) || id.String() != plain.String() {
+			t.Errorf("%s: an identified tuple must encode and print as its plain copy", g.name)
+		}
+		if again := id.Identified(); again.VID() != id.VID() {
+			t.Errorf("%s: Identified is not idempotent", g.name)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = id.VID(); _ = id.Identified() }); n != 0 {
+			t.Errorf("%s: reading a carried VID allocates %v times", g.name, n)
+		}
+		tbl := NewTable(NewSchema(plain.Rel, len(plain.Vals)))
+		if tbl.Apply(plain, 1) != Appeared || tbl.Apply(id, 1) != NoChange || !tbl.Contains(plain) || !tbl.Contains(id) {
+			t.Errorf("%s: a table must hold plain and identified copies as one row", g.name)
+		}
+		if row, ok := tbl.Get(plain.VID()); !ok || row.Count != 2 {
+			t.Errorf("%s: row = %+v, %v", g.name, row, ok)
+		}
+	}
+}
+
 // TestUnmarshalTupleDeepNesting: a list nested three million levels deep
 // (6 MB, well under the transport's frame limit) must come back as
 // ErrTooDeep. Before the depth bound the decoder recursed once per

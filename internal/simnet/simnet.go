@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -53,7 +54,8 @@ type LinkStats struct {
 	Drops    int
 }
 
-// Link is an undirected point-to-point connection.
+// Link is an undirected point-to-point connection. Up is changed only
+// through Connect and SetLinkUp, which keep the adjacency lists in step.
 type Link struct {
 	A, B    string
 	Latency Time
@@ -132,7 +134,10 @@ type Network struct {
 	events eventHeap
 	nodes  map[string]*node
 	links  map[linkKey]*Link
-	rng    *rand.Rand
+	// adj lists each node's neighbors over up links, sorted; Connect,
+	// Disconnect and SetLinkUp maintain it so Neighbors scans no links.
+	adj map[string][]string
+	rng *rand.Rand
 
 	// DefaultLatency applies to node pairs without a direct link,
 	// modelling IP connectivity between non-adjacent nodes (provenance
@@ -163,6 +168,7 @@ func New(seed int64) *Network {
 	return &Network{
 		nodes:          map[string]*node{},
 		links:          map[linkKey]*Link{},
+		adj:            map[string][]string{},
 		rng:            rand.New(rand.NewSource(seed)),
 		DefaultLatency: 1 * Millisecond,
 		kinds:          map[string]*KindStats{},
@@ -219,6 +225,7 @@ func (n *Network) Connect(a, b string, latency Time) (*Link, error) {
 		return nil, fmt.Errorf("simnet: connect %s-%s: unknown node", a, b)
 	}
 	k := keyFor(a, b)
+	n.setAdjacent(a, b, true)
 	if l, ok := n.links[k]; ok {
 		l.Latency = latency
 		l.Up = true
@@ -231,6 +238,7 @@ func (n *Network) Connect(a, b string, latency Time) (*Link, error) {
 
 // Disconnect removes a link entirely.
 func (n *Network) Disconnect(a, b string) {
+	n.setAdjacent(a, b, false)
 	delete(n.links, keyFor(a, b))
 }
 
@@ -238,6 +246,22 @@ func (n *Network) Disconnect(a, b string) {
 func (n *Network) SetLinkUp(a, b string, up bool) {
 	if l, ok := n.links[keyFor(a, b)]; ok {
 		l.Up = up
+		n.setAdjacent(a, b, up)
+	}
+}
+
+// setAdjacent records in both nodes' sorted adjacency lists that the
+// link between them is up, or no longer is; a no-op when already so.
+func (n *Network) setAdjacent(a, b string, up bool) {
+	for _, end := range [2][2]string{{a, b}, {b, a}} {
+		list := n.adj[end[0]]
+		i, found := slices.BinarySearch(list, end[1])
+		switch {
+		case up && !found:
+			n.adj[end[0]] = slices.Insert(list, i, end[1])
+		case !up && found:
+			n.adj[end[0]] = slices.Delete(list, i, i+1)
+		}
 	}
 }
 
@@ -262,21 +286,13 @@ func (n *Network) Links() []*Link {
 	return out
 }
 
-// Neighbors returns the nodes connected to name by an up link, sorted.
+// Neighbors returns the nodes connected to name by an up link, sorted
+// (nil when there are none). The slice is the caller's own.
 func (n *Network) Neighbors(name string) []string {
-	var out []string
-	for _, l := range n.links {
-		if !l.Up {
-			continue
-		}
-		if l.A == name {
-			out = append(out, l.B)
-		} else if l.B == name {
-			out = append(out, l.A)
-		}
+	if len(n.adj[name]) == 0 {
+		return nil
 	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(n.adj[name])
 }
 
 // SetPosition places a node for radio-range connectivity.

@@ -1,6 +1,9 @@
 package simnet
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -209,6 +212,47 @@ func TestNeighborsAndLinks(t *testing.T) {
 	l, err := n.Connect("a", "c", 9*Millisecond)
 	if err != nil || !l.Up || l.Latency != 9*Millisecond {
 		t.Fatalf("reconnect: %v %+v", err, l)
+	}
+}
+
+// The adjacency lists must answer exactly what a scan of every link
+// would: sorted up-link neighbors, nil for none, through any sequence of
+// Connect, SetLinkUp and Disconnect.
+func TestNeighborsMatchLinkScan(t *testing.T) {
+	n := New(1)
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	for _, name := range names {
+		n.AddNode(name, nil)
+	}
+	scan := func(name string) []string {
+		var out []string
+		for _, l := range n.Links() {
+			if l.Up && l.A == name {
+				out = append(out, l.B)
+			} else if l.Up && l.B == name {
+				out = append(out, l.A)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 2000; step++ {
+		a, b := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+		switch rng.Intn(4) {
+		case 0:
+			n.Connect(a, b, Millisecond) // a == b errors and changes nothing
+		case 1:
+			n.Disconnect(a, b)
+		default:
+			n.SetLinkUp(a, b, rng.Intn(2) == 0)
+		}
+		for _, name := range names {
+			got, want := n.Neighbors(name), scan(name)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: Neighbors(%s) = %#v, link scan says %#v", step, name, got, want)
+			}
+		}
 	}
 }
 
