@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all vet staticcheck govulncheck fmt-check build test race fuzz bench-check serve-smoke scenarios scenarios-slow engine-dist docs-check ci clean
+.PHONY: all vet staticcheck govulncheck fmt-check build test race fuzz bench-check bench-compare serve-smoke scenarios scenarios-slow engine-dist docs-check ci clean
 
 all: fmt-check vet build test
 
@@ -13,13 +13,17 @@ all: fmt-check vet build test
 # suite (docs/ANALYZERS.md) through the go vet driver. Two passes
 # because -vettool *replaces* the standard suite rather than extending
 # it. The vettool must be a prebuilt binary: cmd/go handshakes it with
-# -V=full before any package is analyzed. Last, two grep guards. The
+# -V=full before any package is analyzed. Last, three grep guards. The
 # codec guard: internal/wire is the only place uvarints are put or
 # taken, so a private codec beside it fails here instead of growing
 # quietly. The identity guard: a firing's RID is minted once, by
 # eval.NewFiring, and carried (docs/ARCHITECTURE.md "Content identity is
 # carried"), so the engine recomputing one, or eval going back to
-# rel.HashParts' slice-per-part hashing, fails here too.
+# rel.HashParts' slice-per-part hashing, fails here too. The thread
+# guard: the simulated core runs on the goroutine that calls
+# RunQuiescent and nowhere else (docs/ARCHITECTURE.md "The epoch
+# scheduler"), so a go statement or a sync.WaitGroup in the engine, the
+# evaluator, the relational layer or the provenance store fails here.
 vet:
 	$(GO) vet ./...
 	$(GO) build -o bin/nettrailsvet ./cmd/nettrailsvet
@@ -28,6 +32,8 @@ vet:
 	if [ -n "$$out" ]; then echo "uvarint codec outside internal/wire:"; echo "$$out"; exit 1; fi
 	@out=$$(grep -rn 'RuleExecID(' --include='*.go' internal/engine; grep -rn 'rel\.HashParts(' --include='*.go' internal/eval | grep -v '_test\.go:'); \
 	if [ -n "$$out" ]; then echo "content identity rehashed instead of carried:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE '(^|[;{])[[:space:]]*go[[:space:]]+[[:alpha:]_(]|sync\.WaitGroup' --include='*.go' internal/engine internal/eval internal/rel internal/provenance | grep -v '_test\.go:'); \
+	if [ -n "$$out" ]; then echo "goroutine started in the single-threaded core:"; echo "$$out"; exit 1; fi
 
 # staticcheck runs when the binary is installed (CI installs it; local
 # dev machines may not have it, and the build must not require network).
@@ -91,6 +97,17 @@ fuzz:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# bench-compare is the gate between two commits: the benchmark runs on
+# BASE (unpacked under .bench_build/) and on the working tree, PAIRS
+# alternating pairs per workload on the same seeds, and the target fails
+# when an end-to-end median is worse than BASE's by more than its bound
+# in BENCHMARK.json or more operations fail (tools/benchcompare). Two
+# pairs resolve the allocation metrics; a timing claim needs PAIRS=10.
+#   make bench-compare BASE=HEAD~1 [WORKLOAD=maint_flap] [PAIRS=2]
+PAIRS ?= 2
+bench-compare:
+	$(GO) run ./tools/benchcompare -base "$(BASE)" -workload "$(WORKLOAD)" -pairs $(PAIRS)
 
 # serve-smoke boots the nettrailsd daemon on an ephemeral port and
 # drives /v1/healthz and /v1/query end to end (plus the churn/pinned-version

@@ -9,8 +9,6 @@
 //	nettrails -protocol pathvector -topology ring -nodes 6 -tables n1
 //	nettrails -protocol mincost -topology grid -nodes 9 \
 //	          -query count -tuple "mincost(@'n1','n9',4)" -threshold 1
-//	nettrails -protocol pathvector -topology grid -nodes 16 \
-//	          -parallelism 8 -tables n1
 //
 // With -transport tcp the same run becomes one member of a
 // multi-process engine cluster: every process executes the identical
@@ -48,7 +46,6 @@ func main() {
 	nodes := flag.Int("nodes", 4, "number of nodes (grid uses the nearest square)")
 	cost := flag.Int64("cost", 1, "link cost for regular topologies")
 	seed := flag.Int64("seed", 1, "random seed")
-	parallelism := flag.Int("parallelism", 1, "epoch-scheduler workers (<=1 serial, results identical; try runtime.NumCPU)")
 	query := flag.String("query", "", "lineage, bases, nodes, count")
 	tupleLit := flag.String("tuple", "", "tuple literal, e.g. mincost(@'n1','n3',2)")
 	at := flag.String("at", "", "node to query at (default: the tuple's location)")
@@ -105,7 +102,7 @@ func main() {
 	}
 
 	sys, err := nettrails.NewSystem(prog, nettrails.NodeNames(n),
-		nettrails.Config{Seed: *seed, Parallelism: *parallelism})
+		nettrails.Config{Seed: *seed})
 	if err != nil {
 		fail("%v", err)
 	}

@@ -36,40 +36,46 @@ func TestSmokeQuickstartLineage(t *testing.T) {
 	}
 }
 
-// TestSmokeParallelismFlagMatchesSerial runs the same scenario with
-// -parallelism 1 and -parallelism 8 and requires identical protocol
-// state (the CLI face of the determinism guarantee). Only the traffic
-// line may differ: the parallel scheduler coalesces per-link delta
-// batches, so it sends fewer (but byte-equivalent) messages.
-func TestSmokeParallelismFlagMatchesSerial(t *testing.T) {
+// TestSmokeEpochLoopMatchesSerial is the CLI face of the determinism
+// guarantee: -digests attaches a snapshot publisher, whose epoch
+// observer makes the run drain through the epoch scheduler; without it
+// the run drains through the serial loop. Protocol state must be
+// identical. Only the traffic line may differ: the epoch scheduler
+// coalesces per-link delta batches, so it sends fewer (but
+// byte-equivalent) messages.
+func TestSmokeEpochLoopMatchesSerial(t *testing.T) {
 	bin := buildBinary(t)
-	run := func(par string) (tables, traffic string) {
-		out, err := exec.Command(bin,
+	run := func(extra ...string) (tables, traffic string) {
+		args := append([]string{
 			"-protocol", "pathvector", "-topology", "ring", "-nodes", "8",
-			"-parallelism", par, "-tables", "n1").CombinedOutput()
+			"-tables", "n1"}, extra...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
 		if err != nil {
-			t.Fatalf("nettrails -parallelism %s: %v\n%s", par, err, out)
+			t.Fatalf("nettrails %v: %v\n%s", extra, err, out)
 		}
 		var rest []string
 		for _, line := range strings.Split(string(out), "\n") {
-			if strings.HasPrefix(line, "execution traffic:") {
+			switch {
+			case strings.HasPrefix(line, "execution traffic:"):
 				traffic = line
-				continue
+			case strings.HasPrefix(line, "run-stats "), strings.HasPrefix(line, "snapshot "), strings.HasPrefix(line, "digest "):
+				// what -digests adds
+			default:
+				rest = append(rest, line)
 			}
-			rest = append(rest, line)
 		}
 		return strings.Join(rest, "\n"), traffic
 	}
-	serial, serialTraffic := run("1")
-	parallel, parallelTraffic := run("8")
-	if serial != parallel {
-		t.Errorf("state diverged between -parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+	serial, serialTraffic := run()
+	epoch, epochTraffic := run("-digests")
+	if serial != epoch {
+		t.Errorf("state diverged between the serial and the epoch drain:\n--- serial ---\n%s\n--- epoch ---\n%s", serial, epoch)
 	}
 	if !strings.Contains(serial, "table bestpath") {
 		t.Errorf("tables output missing bestpath:\n%s", serial)
 	}
-	if serialTraffic == "" || parallelTraffic == "" {
-		t.Fatalf("traffic lines missing: %q, %q", serialTraffic, parallelTraffic)
+	if serialTraffic == "" || epochTraffic == "" || serialTraffic == epochTraffic {
+		t.Fatalf("want two different traffic lines (coalescing), got %q and %q", serialTraffic, epochTraffic)
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -83,7 +82,6 @@ func main() {
 	nodes := flag.Int("nodes", 4, "number of nodes (grid uses the nearest square)")
 	cost := flag.Int64("cost", 1, "link cost for regular topologies")
 	seed := flag.Int64("seed", 1, "random seed")
-	parallelism := flag.Int("parallelism", runtime.NumCPU(), "epoch-scheduler workers (<=1 serial, results identical)")
 	churn := flag.Duration("churn", 200*time.Millisecond, "wall-clock interval between link flaps keeping the simulation advancing (0 disables)")
 	retain := flag.Int("retain", server.DefaultRetain, "how many recent snapshot versions stay pinnable")
 	drain := flag.Duration("drain", 5*time.Second, "how long shutdown waits for in-flight HTTP queries to finish")
@@ -138,7 +136,7 @@ func main() {
 	}
 
 	sys, err := nettrails.NewSystem(prog, nettrails.NodeNames(n),
-		nettrails.Config{Seed: *seed, Parallelism: *parallelism})
+		nettrails.Config{Seed: *seed})
 	if err != nil {
 		fail("%v", err)
 	}

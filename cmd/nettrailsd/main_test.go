@@ -3,6 +3,9 @@ package main
 import (
 	"bufio"
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -12,7 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/client"
+	"repro/internal/protocols"
+	"repro/internal/server"
 	"repro/internal/testutil"
 )
 
@@ -70,6 +76,7 @@ func startDaemon(t *testing.T, args ...string) (*client.Client, *exec.Cmd, *sync
 	}()
 	select {
 	case url := <-urlCh:
+		out.url = url
 		c, err := client.New(url)
 		if err != nil {
 			t.Fatal(err)
@@ -82,8 +89,10 @@ func startDaemon(t *testing.T, args ...string) (*client.Client, *exec.Cmd, *sync
 }
 
 // syncBuffer collects daemon output across goroutines; eof closes once
-// every line the daemon ever printed has been collected.
+// every line the daemon ever printed has been collected. url is the
+// base URL the daemon reported listening on.
 type syncBuffer struct {
+	url   string
 	mu    sync.Mutex
 	lines []string
 	eof   chan struct{}
@@ -104,6 +113,52 @@ func (b *syncBuffer) contains(sub string) bool {
 		}
 	}
 	return false
+}
+
+func httpGet(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v\n%s", url, resp.StatusCode, err, body)
+	}
+	return string(body)
+}
+
+// TestDaemonServesWhatTheLibraryServes pins daemon ≡ library: the node
+// document nettrailsd publishes for a seed is the one the same script
+// publishes in-process — traffic counters included — on every host.
+// (When the daemon sized a worker pool from the CPU count, a multi-core
+// host converged through the coalescing drain and served fewer
+// sentMsgs than the library.)
+func TestDaemonServesWhatTheLibraryServes(t *testing.T) {
+	_, _, out := startDaemon(t, "-topology", "grid", "-nodes", "16", "-churn", "0")
+	got := httpGet(t, out.url+"/v1/nodes?version=1")
+
+	sys, err := nettrails.NewSystem(nettrails.MinCost, nettrails.NodeNames(16), nettrails.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range protocols.GridTopology(4, 4, 1) {
+		if err := sys.AddLink(e.A, e.B, e.Cost); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub, err := server.NewPublisher(sys.Engine, server.DefaultRetain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(pub, server.Info{Protocol: "mincost"}).Handler())
+	defer ts.Close()
+	want := httpGet(t, ts.URL+"/v1/nodes?version=1")
+
+	if got != want {
+		t.Fatalf("daemon and library serve different node documents for the same script:\n--- daemon ---\n%s\n--- library ---\n%s", got, want)
+	}
 }
 
 // TestVersionFlag: -version prints the build metadata and exits 0

@@ -190,7 +190,7 @@ func (e *Engine) ClusterStats() ClusterStats {
 // undecodable peer data panic with *ClusterError — a distributed drain
 // that cannot complete must fail loudly, never return a half-advanced
 // engine.
-func (e *Engine) clusterDrain(pool *workerPool) {
+func (e *Engine) clusterDrain() {
 	c := e.cluster
 	if len(e.nodes) != c.nodeCount {
 		panic(&ClusterError{Op: "drain", Err: fmt.Errorf("node set changed after EnableCluster (%d -> %d)", c.nodeCount, len(e.nodes))})
@@ -264,7 +264,7 @@ func (e *Engine) clusterDrain(pool *workerPool) {
 		e.Net.AdvanceTo(cut)
 		if hasNext && next == cut {
 			if ep, ok := e.Net.NextEpoch(); ok {
-				e.executeEpoch(ep.Events, pool)
+				e.executeEpoch(ep.Events)
 			}
 		}
 	}

@@ -13,7 +13,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/eval"
@@ -39,7 +38,7 @@ type DeltaMsg struct {
 }
 
 // DeltaBatch is the payload of a coalesced delta message: every delta
-// one epoch emitted over a single src→dst link, merged by the parallel
+// one epoch emitted over a single src→dst link, merged by the epoch
 // scheduler into one wire message (the batch rides under KindDelta).
 // Receivers apply the entries in emission order.
 type DeltaBatch struct {
@@ -52,20 +51,11 @@ type Options struct {
 	LinkLatency simnet.Time
 	// Provenance enables ExSPAN maintenance (on by default via New).
 	Provenance bool
-	// Parallelism is the number of worker goroutines RunQuiescent uses
-	// to deliver each virtual-time epoch of tuple deltas. A worker
-	// drives one destination node at a time, preserving the per-node
-	// serialization contract of eval.Runtime; sends emitted during a
-	// parallel epoch are merged back into the event queue in
-	// deterministic schedule order, so a fixed seed converges to the
-	// same per-node state for every parallelism level. Values <= 1 run
-	// the classic serial discrete-event loop.
-	Parallelism int
 }
 
 // DefaultOptions returns the standard configuration.
 func DefaultOptions() Options {
-	return Options{Seed: 1, LinkLatency: simnet.Millisecond, Provenance: true, Parallelism: 1}
+	return Options{Seed: 1, LinkLatency: simnet.Millisecond, Provenance: true}
 }
 
 // Node is one simulated NetTrails node: an NDlog runtime plus a
@@ -81,21 +71,21 @@ type Node struct {
 	softGen  map[rel.ID]uint64
 	softLive map[rel.ID]bool
 	// cap, when non-nil, redirects this node's outbound sends into the
-	// worker-local buffer of the parallel epoch scheduler. It is only
-	// set by the single worker driving this node during an epoch.
-	cap *sendCapture
+	// epoch scheduler's capture buffer. It is set only while the
+	// scheduler delivers a delta to this node (scheduler.go).
+	cap *[]simnet.Message
 	// activity counts events that may have touched this node's state:
 	// dispatched messages, fact inserts/deletes, and out-of-band
 	// writes reported via Touch. An unchanged activity value between
 	// epoch cuts proves the node's state, provenance, and traffic
 	// counters are all untouched, which lets the snapshot publisher
-	// skip the node without the per-table precise checks. It is
-	// atomic because observation taps may Touch a *remote* node (the
-	// BGP proxy records transmission provenance at the sender) while
-	// that node's own worker is dispatching. Activity values may
-	// differ across scheduler parallelism arms (message batching
-	// differs); they gate local work only and never reach any
-	// published output.
+	// skip the node without the per-table precise checks. It stays
+	// atomic although one thread drains: Touch and Activity are
+	// exported, and the counter that decides what a publisher skips
+	// must not depend on every caller being on the scheduler thread.
+	// Activity values differ between the serial and the epoch drain
+	// (message batching differs); they gate local work only and never
+	// reach any published output.
 	activity atomic.Uint64
 }
 
@@ -125,9 +115,6 @@ type Engine struct {
 	// OnEvalError observes runtime evaluation errors (default: panic,
 	// because silent evaluation errors make experiments lie).
 	OnEvalError func(addr string, err error)
-	// errMu serializes OnEvalError calls: evaluation errors can surface
-	// concurrently from the epoch scheduler's workers.
-	errMu sync.Mutex
 	// draining marks an active epoch-scheduler drain. Re-entrant
 	// RunQuiescent calls (a service handler inserting facts) return
 	// immediately: the outer drain still runs to quiescence, and
@@ -137,9 +124,9 @@ type Engine struct {
 	draining bool
 	// epochObserver, when set, runs on the scheduler thread after each
 	// fully-delivered virtual-time epoch (every node has consumed every
-	// event of the instant, no worker is active), which is exactly when
-	// global state forms a consistent cut. Snapshot publishers hook
-	// here; see SetEpochObserver. Held atomically so detaching from
+	// event of the instant), which is exactly when global state forms a
+	// consistent cut. Snapshot publishers hook here; see
+	// SetEpochObserver. Held atomically so detaching from
 	// another goroutine (e.g. server shutdown) cannot race an active
 	// drain's reads.
 	epochObserver atomic.Pointer[func()]
@@ -148,6 +135,9 @@ type Engine struct {
 	// cross-process epoch protocol (cluster.go) instead of the local
 	// scheduler loop. Set once by EnableCluster.
 	cluster *cluster
+	// captured is the epoch scheduler's send buffer, reused across
+	// delta runs (scheduler.go).
+	captured []simnet.Message
 }
 
 // New compiles src (NDlog text) and builds an engine with the given
@@ -213,8 +203,6 @@ func (e *Engine) addNode(addr string) error {
 		n.Prov = provenance.NewStore(addr)
 	}
 	rt.ErrFn = func(err error) {
-		e.errMu.Lock()
-		defer e.errMu.Unlock()
 		if e.OnEvalError != nil {
 			e.OnEvalError(addr, err)
 			return
@@ -397,35 +385,31 @@ func (e *Engine) LoadProgramFacts() error {
 	return nil
 }
 
-// RunQuiescent drains all pending network events. With
-// Options.Parallelism > 1 — or whenever an epoch observer is attached —
-// it runs the epoch scheduler, delivering each virtual instant's tuple
-// deltas concurrently across destination nodes; otherwise it runs the
-// classic serial discrete-event loop. Both schedules converge to the
-// same state for the same seed.
+// RunQuiescent drains all pending network events on the caller's
+// goroutine. With an epoch observer attached or a cluster enabled it
+// runs the epoch scheduler (scheduler.go), which stops at every virtual
+// instant; otherwise it runs the classic serial discrete-event loop.
+// Both drains converge to the same state for the same seed; traffic
+// counters differ by the epoch scheduler's per-link coalescing only.
 func (e *Engine) RunQuiescent() {
-	if e.opts.Parallelism > 1 || e.epochObserver.Load() != nil || e.cluster != nil {
-		if e.draining {
-			return // re-entrant: the active drain reaches quiescence
-		}
-		workers := e.opts.Parallelism
-		if workers < 1 {
-			workers = 1
-		}
-		e.runEpochs(workers)
+	if e.epochObserver.Load() == nil && e.cluster == nil {
+		e.Net.Run(0)
 		return
 	}
-	e.Net.Run(0)
+	if e.draining {
+		return // re-entrant: the active drain reaches quiescence
+	}
+	e.runEpochs()
 }
 
 // SetEpochObserver installs fn to run on the scheduler thread after
 // every fully-delivered epoch, i.e. at each consistent virtual instant.
-// While an observer is set, RunQuiescent always drains through the
-// epoch scheduler (even at Parallelism <= 1) so the observer fires at
-// true epoch granularity; per-node state is identical either way, only
-// per-link message coalescing differs. fn must not re-enter the
-// engine's event loop (RunQuiescent from fn is a no-op by design) and
-// must confine itself to reading engine state. A nil fn detaches;
+// While an observer is set, RunQuiescent drains through the epoch
+// scheduler so the observer fires at true epoch granularity; per-node
+// state is identical either way, only per-link message coalescing
+// differs. fn must not re-enter the engine's event loop (RunQuiescent
+// from fn is a no-op by design) and must confine itself to reading
+// engine state. A nil fn detaches;
 // attach/detach may happen from any goroutine (the slot is atomic),
 // though fn itself only ever runs on the scheduler thread.
 func (e *Engine) SetEpochObserver(fn func()) {

@@ -90,3 +90,56 @@ func TestEpochObserverSeesMonotonicStateVersions(t *testing.T) {
 	}
 	e.RunQuiescent()
 }
+
+// TestEpochLoopPanicLeavesEngineDrainable: an evaluation panic during
+// an epoch-loop delta delivery surfaces from RunQuiescent on the
+// caller's goroutine, and unwinds the scheduler's state on the way — the
+// destination's send capture is detached and the drain flag cleared —
+// so a caller that recovers can drain again.
+func TestEpochLoopPanicLeavesEngineDrainable(t *testing.T) {
+	src := `
+materialize(in, infinity, infinity, keys(1,2,3)).
+materialize(mid, infinity, infinity, keys(1,2,3)).
+materialize(out, infinity, infinity, keys(1,2,3)).
+r1 mid(@D,S,L) :- in(@S,D,L).
+r2 out(@S,D,X) :- mid(@D,S,L), X := f_first(L).
+`
+	e, err := New(src, []string{"n1", "n2"}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetEpochObserver(func() {})
+	n1, _ := e.Node("n1")
+	n2, _ := e.Node("n2")
+
+	// An empty list reaches n2 as a delta; r2's f_first fails there and
+	// the default error policy panics, mid-delivery.
+	if err := n1.InsertFact(rel.NewTuple("in", rel.Addr("n1"), rel.Addr("n2"), rel.List())); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("RunQuiescent returned normally; want the evaluation panic")
+			}
+		}()
+		e.RunQuiescent()
+	}()
+	if n2.cap != nil {
+		t.Error("n2 still captures its sends after the panic")
+	}
+	if e.draining {
+		t.Error("engine still marked draining after the panic")
+	}
+
+	// The next drain is a real one: n2 derives out and sends it to n1
+	// over the network, not into a stale capture buffer.
+	if err := n1.InsertFact(rel.NewTuple("in", rel.Addr("n1"), rel.Addr("n2"), rel.List(rel.Int(5)))); err != nil {
+		t.Fatal(err)
+	}
+	e.RunQuiescent()
+	want := rel.NewTuple("out", rel.Addr("n1"), rel.Addr("n2"), rel.Int(5))
+	if got, err := n1.Tuples("out"); err != nil || len(got) != 1 || !got[0].Equal(want) {
+		t.Fatalf("out at n1 after the second drain = %v (%v), want [%s]", got, err, want)
+	}
+}

@@ -1,192 +1,101 @@
-// Parallel epoch scheduler: the engine's answer to "one event at a
-// time" discrete-event simulation. The simulated network synchronizes
-// protocol traffic into waves — after a topology change, every node's
-// deltas land at the same virtual instants — so the scheduler drains
-// the event queue epoch by epoch (simnet.NextEpoch) and fans each
-// epoch's tuple-delta deliveries out over a worker pool, one goroutine
-// driving one destination node at a time.
+// Epoch scheduler: the drain RunQuiescent uses when something needs to
+// see the execution one virtual instant at a time — an epoch observer
+// (the snapshot publisher) or a cluster (cluster.go). The simulated
+// network synchronizes protocol traffic into waves — after a topology
+// change, every node's deltas land at the same virtual instants — so
+// the scheduler drains the event queue epoch by epoch
+// (simnet.NextEpoch) on the caller's goroutine and gives each epoch
+// three properties the plain Net.Run loop does not have:
 //
-// Determinism is preserved by construction rather than by luck:
+//   - Consistent cuts: between two epochs every event of the instant
+//     is delivered, so the observer reads a global state that some
+//     serial execution actually passes through.
+//   - A cluster-stable delivery order: canonicalize sorts an instant's
+//     events by a key every process of a cluster agrees on, so one
+//     process and three execute the same schedule.
+//   - Per-link coalescing: the sends a run of delta deliveries emits
+//     are captured instead of enqueued, and consecutive ones bound for
+//     the same src→dst link leave as one DeltaBatch message, without
+//     reordering any destination's delivery sequence.
 //
-//   - Per-node serialization: a node's deliveries are executed by a
-//     single worker in schedule (seq) order, honoring eval.Runtime's
-//     confinement contract, so no runtime or provenance partition is
-//     ever touched by two goroutines at once.
-//   - Send capture: workers never touch the shared event queue.
-//     Outbound sends are captured into worker-local buffers tagged
-//     with (triggering event seq, emission index) and replayed into
-//     the network by the scheduler thread in exactly the order the
-//     serial loop would have produced.
-//   - Serial islands: timers and service messages (provenance
-//     queries, snapshots, BGP control traffic) may touch shared
-//     state, so runs of non-delta events execute inline on the
-//     scheduler thread, interleaved with parallel delta runs in
-//     schedule order.
-//
-// As a byproduct of the capture/replay step, the scheduler coalesces
-// consecutive deltas bound for the same src→dst link into one
-// DeltaBatch message, cutting per-message scheduling overhead without
-// reordering any destination's delivery sequence.
+// Timers and service messages (provenance queries, snapshots, BGP
+// control traffic) are not captured: they execute inline between the
+// delta runs, in canonical order, and send straight to the network.
 package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/simnet"
 )
 
-// capturedSend is one outbound message emitted while a worker was
-// delivering epoch events, tagged for the deterministic merge.
-type capturedSend struct {
-	eventSeq uint64 // canonical rank of the delivery that produced the send
-	emitIdx  int    // emission rank within that delivery
-	msg      simnet.Message
-}
-
-// sendCapture buffers one node's outbound sends for the duration of a
-// parallel run. It is owned by the single worker driving the node.
-type sendCapture struct {
-	seq   uint64
-	idx   int
-	sends []capturedSend
-}
-
-// netSend routes an outbound message: straight onto the network in
-// serial context, or into the owning worker's capture buffer during a
-// parallel epoch (the scheduler merges and enqueues deterministically
-// afterwards).
+// netSend routes an outbound message: straight onto the network, or,
+// while the epoch scheduler is delivering a delta to this node, into
+// the scheduler's capture buffer (enqueued, coalesced, when the run
+// ends).
 func (n *Node) netSend(m simnet.Message) {
-	if c := n.cap; c != nil {
-		c.sends = append(c.sends, capturedSend{eventSeq: c.seq, emitIdx: c.idx, msg: m})
-		c.idx++
+	if n.cap != nil {
+		*n.cap = append(*n.cap, m)
 		return
 	}
 	n.eng.Net.Send(m)
 }
 
-// dstGroup is the slice of one epoch's delta deliveries bound for a
-// single destination node, in schedule order.
-type dstGroup struct {
-	node   *Node
-	events []simnet.EpochEvent
-	sends  []capturedSend
-	panics interface{}
-}
-
-// workerPool runs destination groups on a fixed set of goroutines
-// that live for one whole drain, so per-run scheduling costs one
-// channel send per group instead of a pool spawn per run.
-type workerPool struct {
-	jobs chan *dstGroup
-	wg   sync.WaitGroup
-}
-
-func newWorkerPool(net *simnet.Network, workers int) *workerPool {
-	// The buffer lets the scheduler thread hand off a whole run
-	// without a synchronous rendezvous per group.
-	p := &workerPool{jobs: make(chan *dstGroup, 4*workers)}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for g := range p.jobs {
-				g.deliver(net)
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// run executes the groups across the pool and blocks until all are
-// delivered.
-func (p *workerPool) run(groups []*dstGroup) {
-	p.wg.Add(len(groups))
-	for _, g := range groups {
-		p.jobs <- g
-	}
-	p.wg.Wait()
-}
-
-func (p *workerPool) close() { close(p.jobs) }
-
-// runEpochs drains the network epoch by epoch with the given worker
-// count. It is the parallel counterpart of Net.Run(0).
-func (e *Engine) runEpochs(workers int) {
-	// More workers than schedulable threads only adds context
-	// switches; the outcome is identical at every worker count, so
-	// clamping is free. On a single-CPU machine this degrades to the
-	// inline capture/merge path.
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
+// runEpochs drains the network epoch by epoch. It is the counterpart of
+// Net.Run(0) for an engine with an epoch observer or a cluster.
+func (e *Engine) runEpochs() {
 	e.draining = true
-	var pool *workerPool
-	if workers > 1 {
-		pool = newWorkerPool(e.Net, workers)
-	}
-	defer func() {
-		e.draining = false
-		if pool != nil {
-			pool.close()
-		}
-	}()
+	defer func() { e.draining = false }()
 	if e.cluster != nil {
-		e.clusterDrain(pool)
+		e.clusterDrain()
 		return
 	}
 	for {
 		ep, ok := e.Net.NextEpoch()
-		if !ok {
-			// Fire once more at quiescence: a drain may find zero
-			// pending events even though the caller mutated state right
-			// before RunQuiescent (e.g. a fact whose derivations stay
-			// local). Observers dedup unchanged state themselves, so
-			// the extra call after a final epoch is free.
-			if fn := e.epochObserver.Load(); fn != nil {
-				(*fn)()
-			}
-			return
+		if ok {
+			e.executeEpoch(ep.Events)
 		}
-		e.executeEpoch(ep.Events, pool)
-		// The epoch's events are fully delivered and no worker is
-		// active: global state is a consistent cut of the execution at
-		// this virtual instant. Let observers (snapshot publishers)
-		// see it before the next epoch begins.
+		// The epoch's events are fully delivered: global state is a
+		// consistent cut of the execution at this virtual instant. Let
+		// the observer (a snapshot publisher) see it before the next
+		// epoch begins. It fires once more at quiescence: a drain may
+		// find zero pending events even though the caller mutated state
+		// right before RunQuiescent (e.g. a fact whose derivations stay
+		// local). Observers dedup unchanged state themselves, so the
+		// extra call after a final epoch is free.
 		if fn := e.epochObserver.Load(); fn != nil {
 			(*fn)()
+		}
+		if !ok {
+			return
 		}
 	}
 }
 
 // executeEpoch canonicalizes and executes one virtual instant's events:
-// maximal runs of delta deliveries fan out across the pool, everything
-// else (timers, service messages) executes inline in canonical order.
-func (e *Engine) executeEpoch(events []simnet.EpochEvent, pool *workerPool) {
+// maximal runs of delta deliveries go through deliverDeltas, everything
+// else (timers, service messages) executes inline in canonical order,
+// sending straight to the network exactly as in the serial loop.
+func (e *Engine) executeEpoch(events []simnet.EpochEvent) {
 	canonicalize(events)
-	for len(events) > 0 {
-		j := 0
-		if e.parallelizable(events[0]) {
-			for j < len(events) && e.parallelizable(events[j]) {
+	for i := 0; i < len(events); {
+		ev := events[i]
+		if isDelta(ev) {
+			j := i + 1
+			for j < len(events) && isDelta(events[j]) {
 				j++
 			}
-			e.deliverParallel(events[:j], pool)
-		} else {
-			// Maximal run of serial events (timers, service
-			// messages): execute inline, in canonical order. Their
-			// sends go straight to the network, exactly as in the
-			// serial loop.
-			for j < len(events) && !e.parallelizable(events[j]) {
-				if ev := events[j]; ev.Msg != nil {
-					e.Net.Deliver(ev.Msg)
-				} else {
-					ev.Fn()
-				}
-				j++
-			}
+			e.deliverDeltas(events[i:j])
+			i = j
+			continue
 		}
-		events = events[j:]
+		if ev.Msg != nil {
+			e.Net.Deliver(ev.Msg)
+		} else {
+			ev.Fn()
+		}
+		i++
 	}
 }
 
@@ -230,118 +139,69 @@ func canonicalize(events []simnet.EpochEvent) {
 	}
 }
 
-// parallelizable reports whether an epoch event may be delivered by a
-// worker: only tuple-delta messages qualify — their dispatch path
+// isDelta reports whether an epoch event is a tuple-delta delivery, the
+// only kind whose sends are captured and coalesced: its dispatch path
 // touches nothing but the destination node's runtime and provenance
-// partition.
-func (e *Engine) parallelizable(ev simnet.EpochEvent) bool {
+// partition, and sends only from that node.
+func isDelta(ev simnet.EpochEvent) bool {
 	return ev.Msg != nil && ev.Msg.Kind == KindDelta
 }
 
-// deliverParallel executes one run of delta deliveries across the
-// worker pool and merges the captured sends back into the network in
-// deterministic schedule order.
-func (e *Engine) deliverParallel(run []simnet.EpochEvent, pool *workerPool) {
-	// Group by destination, preserving schedule order within a group.
-	groups := map[string]*dstGroup{}
-	var order []*dstGroup
+// deliverDeltas executes one run of delta deliveries in canonical
+// order, capturing what the destinations send. The deliveries run one
+// after another, so the capture order is already the order their sends
+// enter the network in; canonicalize made each destination's deliveries
+// contiguous, which is what lets one link's sends sit side by side and
+// coalesce.
+func (e *Engine) deliverDeltas(run []simnet.EpochEvent) {
+	e.captured = e.captured[:0]
 	for _, ev := range run {
-		g := groups[ev.Msg.To]
-		if g == nil {
-			g = &dstGroup{node: e.nodes[ev.Msg.To]}
-			groups[ev.Msg.To] = g
-			order = append(order, g)
-		}
-		g.events = append(g.events, ev)
+		e.deliverCaptured(e.nodes[ev.Msg.To], ev.Msg)
 	}
-
-	if pool == nil || len(order) == 1 {
-		// A single destination (or a clamped single worker) gains
-		// nothing from the pool; run inline. The capture/merge path
-		// below is identical, so the outcome matches the concurrent
-		// schedule exactly.
-		for _, g := range order {
-			g.deliver(e.Net)
-		}
-	} else {
-		pool.run(order)
-	}
-	for _, g := range order {
-		if g.panics != nil {
-			panic(g.panics)
-		}
-	}
-
-	// Deterministic merge: replay every captured send in the order the
-	// serial loop would have enqueued it — by triggering event, then by
-	// emission rank within that event.
-	var all []capturedSend
-	for _, g := range order {
-		all = append(all, g.sends...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].eventSeq != all[j].eventSeq {
-			return all[i].eventSeq < all[j].eventSeq
-		}
-		return all[i].emitIdx < all[j].emitIdx
-	})
-	e.enqueueCoalesced(all)
+	e.enqueueCoalesced(e.captured)
 }
 
-// deliver drives every delivery of the group on the calling worker,
-// capturing the node's outbound sends. Panics are recorded and
-// re-raised by the scheduler thread so -race builds and tests see
-// them deterministically.
-func (g *dstGroup) deliver(net *simnet.Network) {
-	c := &sendCapture{}
-	g.node.cap = c
-	defer func() {
-		g.node.cap = nil
-		g.sends = c.sends
-		if r := recover(); r != nil {
-			g.panics = r
-		}
-	}()
-	for _, ev := range g.events {
-		c.seq = ev.Seq
-		c.idx = 0
-		net.Deliver(ev.Msg)
-	}
+// deliverCaptured delivers one delta with the destination's sends
+// redirected into e.captured. The redirect is undone even when
+// evaluation panics, so a caller that recovers finds the node sending
+// to the network again.
+func (e *Engine) deliverCaptured(n *Node, m *simnet.Message) {
+	n.cap = &e.captured
+	defer func() { n.cap = nil }()
+	e.Net.Deliver(m)
 }
 
-// enqueueCoalesced sends the merged capture list, coalescing maximal
+// enqueueCoalesced sends the captured messages, coalescing maximal
 // consecutive runs bound for the same src→dst link into one DeltaBatch
 // message. Because only globally-consecutive sends merge, every
 // destination still observes its deltas in the exact serial order;
 // the batch merely rides as one wire message (its size is the sum of
 // its members, so byte accounting is preserved — message counts drop,
 // which is the point).
-func (e *Engine) enqueueCoalesced(sends []capturedSend) {
+func (e *Engine) enqueueCoalesced(sends []simnet.Message) {
 	for i := 0; i < len(sends); {
 		j := i + 1
-		for j < len(sends) &&
-			sends[j].msg.From == sends[i].msg.From &&
-			sends[j].msg.To == sends[i].msg.To {
+		for j < len(sends) && sends[j].From == sends[i].From && sends[j].To == sends[i].To {
 			j++
 		}
 		if j-i == 1 {
-			e.Net.Send(sends[i].msg)
+			e.Net.Send(sends[i])
 			i = j
 			continue
 		}
 		batch := DeltaBatch{Msgs: make([]DeltaMsg, 0, j-i)}
 		size := 0
-		for _, cs := range sends[i:j] {
-			dm, ok := cs.msg.Payload.(DeltaMsg)
+		for _, m := range sends[i:j] {
+			dm, ok := m.Payload.(DeltaMsg)
 			if !ok {
-				panic(fmt.Sprintf("engine: captured non-delta payload %T on delta path", cs.msg.Payload))
+				panic(fmt.Sprintf("engine: captured non-delta payload %T on delta path", m.Payload))
 			}
 			batch.Msgs = append(batch.Msgs, dm)
-			size += cs.msg.Size
+			size += m.Size
 		}
 		e.Net.Send(simnet.Message{
-			From:     sends[i].msg.From,
-			To:       sends[i].msg.To,
+			From:     sends[i].From,
+			To:       sends[i].To,
 			Kind:     KindDelta,
 			Reliable: true,
 			Payload:  batch,

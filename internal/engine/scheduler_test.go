@@ -1,11 +1,12 @@
-// Determinism and correctness tests for the parallel epoch scheduler.
+// Determinism and correctness tests for the epoch scheduler: the drain
+// RunQuiescent uses once an epoch observer is attached must reach the
+// state of the serial Net.Run loop.
 // They live in the external test package so they can reuse the demo
 // protocols and topology generators (protocols imports engine).
 package engine_test
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -19,20 +20,29 @@ func tupleAddr2(relName, a, b string) rel.Tuple {
 	return rel.NewTuple(relName, rel.Addr(a), rel.Addr(b))
 }
 
-// buildConverged runs a protocol to convergence on a topology at the
-// given parallelism, optionally exercising churn (a link failure and
-// repair mid-run, the paper's Figure 3 scenario).
-func buildConverged(t testing.TB, program string, n int, edges []protocols.Edge, parallelism int, churn bool) *engine.Engine {
+// newEngine builds an engine that drains through the serial loop, or,
+// with epochLoop, through the epoch scheduler: a no-op epoch observer
+// is what selects it.
+func newEngine(t testing.TB, program string, nodes []string, seed int64, epochLoop bool) *engine.Engine {
 	t.Helper()
-	eng, err := engine.New(program, protocols.NodeNames(n), engine.Options{
-		Seed:        7,
-		LinkLatency: simnet.Millisecond,
-		Provenance:  true,
-		Parallelism: parallelism,
+	eng, err := engine.New(program, nodes, engine.Options{
+		Seed: seed, LinkLatency: simnet.Millisecond, Provenance: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if epochLoop {
+		eng.SetEpochObserver(func() {})
+	}
+	return eng
+}
+
+// buildConverged runs a protocol to convergence on a topology through
+// the chosen drain, optionally exercising churn (a link failure and
+// repair mid-run, the paper's Figure 3 scenario).
+func buildConverged(t testing.TB, program string, n int, edges []protocols.Edge, epochLoop, churn bool) *engine.Engine {
+	t.Helper()
+	eng := newEngine(t, program, protocols.NodeNames(n), 7, epochLoop)
 	for _, e := range edges {
 		if err := eng.AddBiLink(e.A, e.B, e.Cost); err != nil {
 			t.Fatal(err)
@@ -72,28 +82,25 @@ func fingerprint(t testing.TB, e *engine.Engine) map[string]string {
 	return out
 }
 
-func requireIdentical(t *testing.T, serial, parallel *engine.Engine) {
+func requireIdentical(t *testing.T, serial, epoch *engine.Engine) {
 	t.Helper()
-	sf, pf := fingerprint(t, serial), fingerprint(t, parallel)
+	sf, pf := fingerprint(t, serial), fingerprint(t, epoch)
 	if len(sf) != len(pf) {
 		t.Fatalf("node sets differ: %d vs %d", len(sf), len(pf))
 	}
 	for addr, want := range sf {
 		if got := pf[addr]; got != want {
-			t.Errorf("node %s diverged between serial and parallel runs:\nserial:\n%s\nparallel:\n%s", addr, want, got)
+			t.Errorf("node %s diverged between the serial and the epoch drain:\nserial:\n%s\nepoch:\n%s", addr, want, got)
 		}
 	}
 }
 
 // TestParallelDeterminism is the determinism regression required of
-// the epoch scheduler: same seed, parallelism 1 vs N must produce
+// the epoch scheduler: same seed, the serial loop and the epoch loop —
+// the two drains an engine has, run side by side — must produce
 // identical per-node snapshots and provenance-store contents, across
 // protocols, topologies, and churn.
 func TestParallelDeterminism(t *testing.T) {
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
-	}
 	cases := []struct {
 		name    string
 		program string
@@ -109,61 +116,30 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := buildConverged(t, tc.program, tc.n, tc.edges, 1, tc.churn)
-			parallel := buildConverged(t, tc.program, tc.n, tc.edges, workers, tc.churn)
-			requireIdentical(t, serial, parallel)
+			serial := buildConverged(t, tc.program, tc.n, tc.edges, false, tc.churn)
+			epoch := buildConverged(t, tc.program, tc.n, tc.edges, true, tc.churn)
+			requireIdentical(t, serial, epoch)
 		})
 	}
 }
 
-// TestParallelismLevelsAgree checks that every parallelism level — not
-// just serial vs NumCPU — converges to the same state.
-func TestParallelismLevelsAgree(t *testing.T) {
-	edges := protocols.GridTopology(3, 3, 1)
-	base := buildConverged(t, protocols.MinCost, 9, edges, 1, true)
-	want := fingerprint(t, base)
-	for _, p := range []int{2, 3, 8, 64} {
-		eng := buildConverged(t, protocols.MinCost, 9, edges, p, true)
-		got := fingerprint(t, eng)
-		for addr := range want {
-			if got[addr] != want[addr] {
-				t.Fatalf("parallelism %d: node %s diverged", p, addr)
-			}
-		}
-	}
-}
-
 // TestParallelCoalescingReducesMessages verifies the per-link
-// coalescing actually batches wire messages: the parallel run must
-// complete with fewer delta messages than the serial run while moving
-// the same payload bytes.
+// coalescing actually batches wire messages: the epoch drain must
+// complete with fewer delta messages than the serial drain beside it
+// while moving the same payload bytes.
 func TestParallelCoalescingReducesMessages(t *testing.T) {
 	edges := protocols.GridTopology(4, 4, 1)
-	serial := buildConverged(t, protocols.MinCost, 16, edges, 1, false)
-	parallel := buildConverged(t, protocols.MinCost, 16, edges, 8, false)
+	serial := buildConverged(t, protocols.MinCost, 16, edges, false, false)
+	epoch := buildConverged(t, protocols.MinCost, 16, edges, true, false)
 
 	sm, sb, _ := serial.Net.Totals()
-	pm, pb, _ := parallel.Net.Totals()
+	pm, pb, _ := epoch.Net.Totals()
 	if pm >= sm {
-		t.Errorf("parallel run sent %d messages, serial %d: coalescing should reduce the count", pm, sm)
+		t.Errorf("epoch drain sent %d messages, serial %d: coalescing should reduce the count", pm, sm)
 	}
 	if pb != sb {
-		t.Errorf("payload bytes diverged: parallel %d, serial %d", pb, sb)
+		t.Errorf("payload bytes diverged: epoch %d, serial %d", pb, sb)
 	}
-}
-
-// TestParallelPoolConcurrentPath pins GOMAXPROCS above 1 so the
-// pooled (multi-goroutine) delivery path runs even on single-CPU
-// machines, where the scheduler's clamp would otherwise fall back to
-// the inline path. Under -race this is what proves the worker pool
-// data-race-free everywhere.
-func TestParallelPoolConcurrentPath(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	edges := protocols.GridTopology(4, 4, 1)
-	serial := buildConverged(t, protocols.MinCost, 16, edges, 1, true)
-	parallel := buildConverged(t, protocols.MinCost, 16, edges, 4, true)
-	requireIdentical(t, serial, parallel)
 }
 
 // TestReentrantRunQuiescentFromService covers re-entrant drains: a
@@ -172,13 +148,8 @@ func TestParallelPoolConcurrentPath(t *testing.T) {
 // nests Net.Run; under the epoch scheduler the nested call defers to
 // the active drain. Both must converge to the same state.
 func TestReentrantRunQuiescentFromService(t *testing.T) {
-	build := func(par int) *engine.Engine {
-		eng, err := engine.New(protocols.MinCost, protocols.NodeNames(4), engine.Options{
-			Seed: 1, Provenance: true, Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	build := func(epochLoop bool) *engine.Engine {
+		eng := newEngine(t, protocols.MinCost, protocols.NodeNames(4), 1, epochLoop)
 		if err := eng.RegisterService("poke", func(n *engine.Node, m simnet.Message) {
 			err := n.Engine().InsertFact(rel.NewTuple("link",
 				rel.Addr("n3"), rel.Addr("n4"), rel.Int(1)))
@@ -202,10 +173,10 @@ func TestReentrantRunQuiescentFromService(t *testing.T) {
 		eng.RunQuiescent()
 		return eng
 	}
-	serial := build(1)
-	parallel := build(8)
+	serial := build(false)
+	epoch := build(true)
 	// The mid-drain insert must have taken effect in both modes…
-	for _, eng := range []*engine.Engine{serial, parallel} {
+	for _, eng := range []*engine.Engine{serial, epoch} {
 		n3, _ := eng.Node("n3")
 		links, err := n3.Tuples("link")
 		if err != nil || len(links) != 2 {
@@ -213,26 +184,21 @@ func TestReentrantRunQuiescentFromService(t *testing.T) {
 		}
 	}
 	// …and both modes must agree on the full converged state.
-	requireIdentical(t, serial, parallel)
+	requireIdentical(t, serial, epoch)
 }
 
 // TestParallelSoftStateExpiry drives a program with a finite-lifetime
-// relation under the parallel scheduler: expiry timers execute as
-// serial islands between delta epochs and must behave exactly as in
-// serial mode.
+// relation through both drains: under the epoch scheduler expiry timers
+// execute inline between delta runs and must behave exactly as in the
+// serial loop.
 func TestParallelSoftStateExpiry(t *testing.T) {
 	src := `
 materialize(ping, 2, infinity, keys(1,2)).
 materialize(seen, infinity, infinity, keys(1,2)).
 p1 seen(@D,S) :- ping(@S,D).
 `
-	build := func(par int) *engine.Engine {
-		eng, err := engine.New(src, []string{"n1", "n2"}, engine.Options{
-			Seed: 1, Provenance: true, Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	build := func(epochLoop bool) *engine.Engine {
+		eng := newEngine(t, src, []string{"n1", "n2"}, 1, epochLoop)
 		n1, _ := eng.Node("n1")
 		if err := n1.InsertFact(tupleAddr2("ping", "n1", "n2")); err != nil {
 			t.Fatal(err)
@@ -240,18 +206,18 @@ p1 seen(@D,S) :- ping(@S,D).
 		eng.RunQuiescent()
 		return eng
 	}
-	for _, par := range []int{1, 4} {
-		eng := build(par)
+	for _, epochLoop := range []bool{false, true} {
+		eng := build(epochLoop)
 		// The ping tuple has a 2-second lifetime; after quiescence the
 		// expiry timer has fired and retracted it, cascading across the
 		// network to the derived seen tuple at n2.
 		n1, _ := eng.Node("n1")
 		n2, _ := eng.Node("n2")
 		if ts, err := n1.Tuples("ping"); err != nil || len(ts) != 0 {
-			t.Errorf("parallelism %d: ping at n1 = %v (%v) after expiry, want empty", par, ts, err)
+			t.Errorf("epoch loop %v: ping at n1 = %v (%v) after expiry, want empty", epochLoop, ts, err)
 		}
 		if ts, err := n2.Tuples("seen"); err != nil || len(ts) != 0 {
-			t.Errorf("parallelism %d: seen at n2 = %v (%v) after expiry, want empty", par, ts, err)
+			t.Errorf("epoch loop %v: seen at n2 = %v (%v) after expiry, want empty", epochLoop, ts, err)
 		}
 	}
 }

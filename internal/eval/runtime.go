@@ -57,11 +57,10 @@ type Stats struct {
 //
 // Confinement contract: all of a Runtime's state (store, delta queue,
 // aggregate states, stats) is owned by whichever goroutine is driving
-// the node. The engine's parallel epoch scheduler relies on this — it
-// assigns each destination node to exactly one worker per epoch, so
-// Runtimes never need locks. The Compiled program and FuncRegistry a
-// Runtime reads are shared across nodes and must stay immutable while
-// any runtime is executing.
+// the node. The engine drains on one goroutine, the caller of
+// RunQuiescent, so Runtimes never need locks. The Compiled program and
+// FuncRegistry a Runtime reads are shared across nodes and must stay
+// immutable while any runtime is executing.
 type Runtime struct {
 	Addr  string
 	Store *Store

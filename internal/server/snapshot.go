@@ -3,12 +3,11 @@
 // API. Its core mechanism is epoch-snapshot isolation.
 //
 // The engine is single-threaded by contract — every runtime, table,
-// and provenance partition belongs to the simulation thread (plus the
-// epoch scheduler's confined workers). Live provquery queries are
-// themselves simulation events: they travel over the simulated network
-// and advance virtual time, so they cannot run concurrently with the
-// simulation or with each other. A query *server* therefore never
-// touches live state. Instead, a Publisher hooks the engine's epoch
+// and provenance partition belongs to the simulation thread. Live
+// provquery queries are themselves simulation events: they travel over
+// the simulated network and advance virtual time, so they cannot run
+// concurrently with the simulation or with each other. A query *server*
+// therefore never touches live state. Instead, a Publisher hooks the engine's epoch
 // observer: after every fully-delivered virtual-time epoch — a
 // consistent cut of the distributed execution — it builds an immutable
 // Snapshot (copy-on-publish, with per-table and per-partition version
@@ -439,10 +438,10 @@ func (p *Publisher) Versions() (oldest, newest uint64) {
 }
 
 // Publish builds a snapshot of the engine's state and publishes it.
-// It runs on the simulation thread (epoch observer); between epochs no
-// worker is active, so reading every node is race-free. When no node's
-// state changed since the last publish, the current snapshot is
-// returned unchanged — versions advance only with state. The change
+// It runs on the simulation thread (epoch observer), between epochs, so
+// reading every node is race-free. When no node's state changed since
+// the last publish, the current snapshot is returned unchanged —
+// versions advance only with state. The change
 // check always spans the whole network, even on a sharded publisher,
 // so every shard of the same deterministic run mints the same version
 // sequence (what lets a gateway pin one version everywhere); only the

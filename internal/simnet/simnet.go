@@ -79,7 +79,7 @@ type event struct {
 	// Exactly one of fn/msg is set: fn for timers and callbacks, msg
 	// for message deliveries. Keeping deliveries first-class (instead
 	// of closing over them) lets NextEpoch hand them to an external
-	// scheduler that fans one virtual instant out over many workers.
+	// scheduler that reorders and batches one virtual instant's events.
 	fn  func()
 	msg *Message
 }
@@ -401,9 +401,7 @@ func (n *Network) AdvanceTo(t Time) {
 // Deliver invokes the destination handler of a message delivery event,
 // updating the destination's receive counters. It is used by Step and
 // by external epoch schedulers replaying events drained with
-// NextEpoch. Deliver only touches state owned by the destination node,
-// so concurrent calls are safe as long as every in-flight call targets
-// a distinct destination and nothing else mutates the network.
+// NextEpoch. Deliver only touches state owned by the destination node.
 func (n *Network) Deliver(m *Message) {
 	nd, ok := n.nodes[m.To]
 	if !ok || nd.handler == nil {
@@ -467,8 +465,7 @@ func (n *Network) Step() bool {
 // message delivery (Msg != nil) or a timer/callback (Fn != nil).
 type EpochEvent struct {
 	// Seq is the event's schedule sequence number; it totally orders
-	// the events of an epoch and lets schedulers that execute them out
-	// of order merge their effects back deterministically.
+	// the events of an epoch.
 	Seq uint64
 	Msg *Message
 	Fn  func()
@@ -487,10 +484,9 @@ type Epoch struct {
 //
 // Executing the drained events is the caller's responsibility: run Fn
 // events inline and hand Msg events to Deliver. Executing them in Seq
-// order reproduces Step/Run exactly; executing deliveries concurrently
-// (one worker per destination, Seq order within each destination) is
-// the parallel schedule used by internal/engine. Events the caller
-// drops are lost.
+// order reproduces Step/Run exactly; internal/engine executes them in
+// its own canonical order (destination-major, Seq order within each
+// message stream). Events the caller drops are lost.
 func (n *Network) NextEpoch() (Epoch, bool) {
 	if n.events.Len() == 0 {
 		return Epoch{}, false

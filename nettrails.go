@@ -96,12 +96,6 @@ type Config struct {
 	// LogHome, when set to a node name, ships snapshots over the
 	// network to that node; otherwise collection is out-of-band.
 	LogHome string
-	// Parallelism sets the engine's epoch-scheduler worker count:
-	// each virtual instant's tuple deltas are delivered concurrently,
-	// one worker per destination node. Results are identical for every
-	// value (<= 1 means fully serial); larger values trade goroutines
-	// for wall-clock speed on multi-node workloads.
-	Parallelism int
 }
 
 // System is a running NetTrails instance.
@@ -123,7 +117,6 @@ func NewSystem(program string, nodes []string, cfg ...Config) (*System, error) {
 	}
 	eng, err := engine.New(program, nodes, engine.Options{
 		Seed: c.Seed, LinkLatency: c.LinkLatency, Provenance: true,
-		Parallelism: c.Parallelism,
 	})
 	if err != nil {
 		return nil, err
@@ -328,7 +321,6 @@ func NewBGPDeployment(ases []string, links []ASLink, cfg ...Config) (*BGPDeploym
 	}
 	d, err := bgp.NewDeployment(ases, links, engine.Options{
 		Seed: c.Seed, LinkLatency: c.LinkLatency, Provenance: true,
-		Parallelism: c.Parallelism,
 	})
 	if err != nil {
 		return nil, err

@@ -280,15 +280,19 @@ func TestBGPTraceReplay(t *testing.T) {
 
 // TestSystemParallelismDeterminism is the system-level determinism
 // regression: a full System (engine + provenance + query service) run
-// with the parallel epoch scheduler must end in exactly the state of a
-// serial run — identical tables, provenance digests, and query
+// through the epoch scheduler — selected by a no-op epoch observer —
+// must end in exactly the state of a run through the serial loop
+// beside it — identical tables, provenance digests, and query
 // answers — for the same seed.
 func TestSystemParallelismDeterminism(t *testing.T) {
-	build := func(parallelism int) *nettrails.System {
+	build := func(epochLoop bool) *nettrails.System {
 		sys, err := nettrails.NewSystem(nettrails.PathVector, nettrails.NodeNames(8),
-			nettrails.Config{Seed: 3, Parallelism: parallelism})
+			nettrails.Config{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if epochLoop {
+			sys.Engine.SetEpochObserver(func() {})
 		}
 		for i := 1; i < 8; i++ {
 			a := nettrails.NodeNames(8)[i-1]
@@ -306,16 +310,16 @@ func TestSystemParallelismDeterminism(t *testing.T) {
 		}
 		return sys
 	}
-	serial := build(1)
-	parallel := build(8)
+	serial := build(false)
+	epoch := build(true)
 
 	for _, node := range serial.Engine.Nodes() {
 		sn, _ := serial.Engine.Node(node)
-		pn, _ := parallel.Engine.Node(node)
+		pn, _ := epoch.Engine.Node(node)
 		s := sn.RT.Store.Snapshot()
 		p := pn.RT.Store.Snapshot()
 		if len(s) != len(p) {
-			t.Fatalf("%s: %d tuples serial vs %d parallel", node, len(s), len(p))
+			t.Fatalf("%s: %d tuples serial vs %d epoch loop", node, len(s), len(p))
 		}
 		for i := range s {
 			if !s[i].Equal(p[i]) {
@@ -326,7 +330,7 @@ func TestSystemParallelismDeterminism(t *testing.T) {
 			t.Fatalf("%s: provenance digests diverged", node)
 		}
 	}
-	// Queries over the parallel run answer identically: drill into the
+	// Queries over the epoch-loop run answer identically: drill into the
 	// converged n1→n8 best path from each system.
 	bps, err := serial.Tuples("n1", "bestpath")
 	if err != nil || len(bps) == 0 {
@@ -346,7 +350,7 @@ func TestSystemParallelismDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := parallel.Lineage("n1", bps[*probe])
+	pres, err := epoch.Lineage("n1", bps[*probe])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // pure function of the snapshot — an unsorted `range` over a map that
 // appends to a slice, writes to a stream/hash, or sends on a channel is
 // the single most likely way to break the byte-parity guarantees
-// (parallel == serial, sharded == single-process).
+// (epoch drain == serial loop, sharded == single-process).
 //
 // Order-insensitive uses stay legal: building another map (JSON
 // encoding sorts map keys), counting, or the canonical
