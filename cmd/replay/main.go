@@ -1,23 +1,27 @@
-// replay runs a demo scenario while periodically capturing system
-// snapshots into the central Log Store, then replays them — the
-// command-line analogue of the paper's interactive visualizer session
-// (pause the network at a time T, inspect a node's tables, drill into a
-// tuple's provenance).
+// replay runs a demo scenario under a snapshot publisher — the Log
+// Store: one immutable version of the whole system per state-changing
+// epoch — then replays the published versions: the command-line
+// analogue of the paper's interactive visualizer session (pause the
+// network at a time T, inspect a node's tables, drill into a tuple's
+// provenance as of T).
 //
 // Usage:
 //
 //	replay -demo mincost           # Figure 2 walkthrough with churn
 //	replay -demo bgp               # legacy BGP scenario
-//	replay -demo mincost -at 3     # inspect the 3rd captured instant
+//	replay -demo mincost -at 18    # inspect published version 18
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	nettrails "repro"
 	"repro/internal/buildinfo"
+	"repro/internal/provquery"
+	"repro/internal/server"
 	"repro/internal/viz"
 )
 
@@ -28,7 +32,7 @@ func fail(format string, args ...interface{}) {
 
 func main() {
 	demo := flag.String("demo", "mincost", "mincost or bgp")
-	at := flag.Int("at", -1, "inspect the i-th captured instant (default: replay all)")
+	at := flag.Uint64("at", 0, "inspect published version `v` of the mincost demo (0: list every version)")
 	node := flag.String("node", "n1", "node to inspect at -at")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
@@ -47,57 +51,79 @@ func main() {
 	}
 }
 
-func runMincost(at int, node string) {
+func runMincost(at uint64, node string) {
 	sys, err := nettrails.NewSystem(nettrails.MinCost, nettrails.NodeNames(4))
 	if err != nil {
 		fail("%v", err)
 	}
-	snapshotThen := func(step string, f func() error) {
-		if err := f(); err != nil {
-			fail("%s: %v", step, err)
-		}
-		if err := sys.Snapshot(); err != nil {
-			fail("snapshot after %s: %v", step, err)
-		}
+	// The publisher is the log store: every epoch that changes state
+	// publishes one immutable version of the whole system.
+	pub, err := server.NewPublisher(sys.Engine, server.DefaultRetain)
+	if err != nil {
+		fail("%v", err)
 	}
-	snapshotThen("link n1-n2", func() error { return sys.AddLink("n1", "n2", 1) })
-	snapshotThen("link n2-n3", func() error { return sys.AddLink("n2", "n3", 1) })
-	snapshotThen("link n3-n4", func() error { return sys.AddLink("n3", "n4", 1) })
-	snapshotThen("link n1-n4", func() error { return sys.AddLink("n1", "n4", 5) })
-	snapshotThen("fail n2-n3", func() error { return sys.RemoveLink("n2", "n3", 1) })
+	step := func(name string, err error) {
+		if err != nil {
+			fail("%s: %v", name, err)
+		}
+		snap := pub.Current()
+		fmt.Printf("%-10s -> version %d (t=%dus)\n", name, snap.Version, int64(snap.Time))
+	}
+	step("link n1-n2", sys.AddLink("n1", "n2", 1))
+	step("link n2-n3", sys.AddLink("n2", "n3", 1))
+	step("link n3-n4", sys.AddLink("n3", "n4", 1))
+	step("link n1-n4", sys.AddLink("n1", "n4", 5))
+	step("fail n2-n3", sys.RemoveLink("n2", "n3", 1))
 
-	times := sys.Log.Times()
-	fmt.Printf("captured %d instants over %d snapshots\n\n", len(times), sys.Log.Len())
+	oldest, newest := pub.Versions()
+	fmt.Printf("published versions %d..%d\n\n", oldest, newest)
 
-	if at >= 0 {
-		if at >= len(times) {
-			fail("-at %d out of range (have %d instants)", at, len(times))
-		}
-		view := sys.Log.At(times[at])
-		sn, ok := view[node]
-		if !ok {
-			fail("no snapshot of %s at instant %d", node, at)
-		}
-		fmt.Print(viz.TablesView(sn))
-		// Drill into the first mincost tuple, as in Figure 2(c).
-		if mcs := sn.Tables["mincost"].Tuples(); len(mcs) > 0 {
-			fmt.Println()
-			fmt.Print(nettrails.RenderTupleCard(mcs[0], node))
-			res, err := sys.Lineage(node, mcs[0])
-			if err == nil {
-				fmt.Println("\ncurrent provenance:")
-				fmt.Print(nettrails.RenderProof(res.Root))
-			}
-		}
+	if at != 0 {
+		inspect(pub, at, node)
 		return
 	}
-	// Full replay ticker.
-	for i, tm := range times {
-		view := sys.Log.At(tm)
-		fmt.Printf("[%d] %s\n", i, viz.SnapshotSummary(tm, view))
+	// Full replay ticker: one line per published version.
+	for v := oldest; v <= newest; v++ {
+		snap, _ := pub.At(v)
+		fmt.Printf("[%d] %s\n", v, viz.SnapshotSummary(snap.Time, snap.Nodes, func(n string) (int, int) {
+			info, _ := snap.NodeInfo(n)
+			return info.Tuples, info.Prov.ProvEntries
+		}))
 	}
 	fmt.Println("\nfinal topology:")
 	fmt.Print(sys.RenderTopology())
+}
+
+// inspect pauses at one published version: the node's tables at that
+// instant, then the close-up and the proof of its last mincost row (the
+// route to the highest-named destination), both read from that version.
+func inspect(pub *server.Publisher, version uint64, node string) {
+	snap, ok := pub.At(version)
+	if !ok {
+		oldest, newest := pub.Versions()
+		fail("-at %d out of range (published versions %d..%d)", version, oldest, newest)
+	}
+	tables, ok := snap.NodeTables(node)
+	if !ok {
+		fail("no node %s at version %d", node, version)
+	}
+	info, _ := snap.NodeInfo(node)
+	fmt.Printf("version %d\n", snap.Version)
+	fmt.Print(viz.TablesView(node, snap.Time, tables, info.Prov))
+	mcs := tables["mincost"].Tuples()
+	if len(mcs) == 0 {
+		return
+	}
+	// Drill into one tuple, as in Figure 2(c).
+	mc := mcs[len(mcs)-1]
+	fmt.Println()
+	fmt.Print(nettrails.RenderTupleCard(mc, node))
+	res, err := snap.Query(provquery.Lineage, node, mc, provquery.Options{})
+	if err != nil {
+		fail("lineage of %s at version %d: %v", mc, version, err)
+	}
+	fmt.Printf("\nprovenance at version %d (t=%dus):\n", snap.Version, int64(snap.Time))
+	fmt.Print(nettrails.RenderProof(res.Root))
 }
 
 func runBGP() {
@@ -137,16 +163,7 @@ func runBGP() {
 	}
 }
 
+// indent prefixes every line of s (which ends in a newline) with pad.
 func indent(s, pad string) string {
-	out := ""
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '\n' {
-			if start < i {
-				out += pad + s[start:i] + "\n"
-			}
-			start = i + 1
-		}
-	}
-	return out
+	return pad + strings.ReplaceAll(strings.TrimSuffix(s, "\n"), "\n", "\n"+pad) + "\n"
 }

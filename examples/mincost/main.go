@@ -10,7 +10,7 @@ import (
 	"log"
 
 	nettrails "repro"
-	"repro/internal/logstore"
+	"repro/internal/server"
 	"repro/internal/viz"
 )
 
@@ -30,20 +30,24 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if err := sys.Snapshot(); err != nil {
+	pub, err := server.NewPublisher(sys.Engine, server.DefaultRetain)
+	if err != nil {
 		log.Fatal(err)
 	}
+	snap := pub.Current()
 
 	// (a) system-wide snapshot at time T.
 	fmt.Println("== (a) system-wide snapshot ==")
-	view := sys.Log.At(sys.Engine.Net.Now())
-	for _, n := range sys.Engine.Nodes() {
-		fmt.Println(viz.SnapshotSummary(view[n].Time, map[string]logstore.Snapshot{n: view[n]}))
-	}
+	fmt.Println(viz.SnapshotSummary(snap.Time, snap.Nodes, func(n string) (int, int) {
+		info, _ := snap.NodeInfo(n)
+		return info.Tuples, info.Prov.ProvEntries
+	}))
 
 	// (b) the mincost table at n1.
 	fmt.Println("\n== (b) tables at n1 ==")
-	fmt.Print(viz.TablesView(view["n1"]))
+	tables, _ := snap.NodeTables("n1")
+	info, _ := snap.NodeInfo("n1")
+	fmt.Print(viz.TablesView("n1", snap.Time, tables, info.Prov))
 
 	// (c) close-up of one tuple + its provenance.
 	mc := nettrails.Tuple("mincost",

@@ -210,20 +210,6 @@ func (r *Rule) BodyAtoms() []*Atom {
 	return out
 }
 
-// BodyVars returns all variables read anywhere in the body.
-func (r *Rule) BodyVars() map[string]bool {
-	m := map[string]bool{}
-	for _, t := range r.Body {
-		t.Vars(m)
-	}
-	for _, t := range r.Body {
-		if a, ok := t.(*Assign); ok {
-			m[a.Var] = true
-		}
-	}
-	return m
-}
-
 // String renders an atom in NDlog syntax.
 func (a *Atom) String() string {
 	parts := make([]string, len(a.Args))

@@ -58,20 +58,16 @@ type SnapshotClient struct {
 	src ViewResolver
 }
 
-// mapViewSet is the map-backed ViewResolver the legacy constructors
-// wrap: views keyed by address, plus the optional known-node set of a
-// sharded deployment (nil known = views cover the whole network).
-type mapViewSet struct {
-	views map[string]PartitionView
-	known map[string]bool
-}
+// mapViewSet is the map-backed ViewResolver NewSnapshotClient wraps:
+// views keyed by address, covering the whole network.
+type mapViewSet map[string]PartitionView
 
 func (m mapViewSet) PartitionView(addr string) (PartitionView, bool) {
-	v, ok := m.views[addr]
+	v, ok := m[addr]
 	return v, ok
 }
 
-func (m mapViewSet) KnownNode(addr string) bool { return m.known[addr] }
+func (m mapViewSet) KnownNode(string) bool { return false }
 
 // NewResolverClient builds a client directly over a ViewResolver. The
 // resolver must be immutable for the client's lifetime.
@@ -82,21 +78,7 @@ func NewResolverClient(src ViewResolver) *SnapshotClient {
 // NewSnapshotClient builds a client over per-node views keyed by node
 // address. The map is used as-is and must not be mutated afterwards.
 func NewSnapshotClient(views map[string]PartitionView) *SnapshotClient {
-	return NewResolverClient(mapViewSet{views: views})
-}
-
-// NewPartialSnapshotClient builds a client over one shard's subset of
-// the network's partitions. allNodes lists every node address in the
-// whole network; queries whose traversal stays inside the held views
-// answer exactly as an unsharded client would, while a walk that
-// reaches a node in allNodes without a held view fails with an error
-// wrapping ErrNotOwned (never a silently partial result).
-func NewPartialSnapshotClient(views map[string]PartitionView, allNodes []string) *SnapshotClient {
-	known := make(map[string]bool, len(allNodes))
-	for _, addr := range allNodes {
-		known[addr] = true
-	}
-	return NewResolverClient(mapViewSet{views: views, known: known})
+	return NewResolverClient(mapViewSet(views))
 }
 
 // Query evaluates a provenance query of the given type for the tuple at

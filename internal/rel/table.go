@@ -295,16 +295,6 @@ func (t *Table) Scan(f func(*Row) bool) {
 	}
 }
 
-// Rows returns all visible rows sorted by tuple order (deterministic).
-func (t *Table) Rows() []*Row {
-	ts := t.Freeze().Tuples()
-	out := make([]*Row, len(ts))
-	for i, tp := range ts {
-		out[i] = t.rows[tp.VID()]
-	}
-	return out
-}
-
 // Tuples returns all visible tuples sorted deterministically. The
 // result is the current frozen version's shared slice: already sorted,
 // memoized while the table's Version() is unchanged, and read-only to

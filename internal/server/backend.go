@@ -102,8 +102,8 @@ func (p *Publisher) NodesDoc(_ context.Context, pin Pin) (*NodesJSON, *APIError)
 	snap := pin.snap
 	// Nodes is always a JSON array, never null.
 	out := &NodesJSON{Version: snap.Version, Time: int64(snap.Time), Nodes: []NodeJSON{}}
-	for i, addr := range snap.Nodes {
-		info := snap.states[i].info
+	for _, addr := range snap.Nodes {
+		info, _ := snap.NodeInfo(addr)
 		out.Nodes = append(out.Nodes, NodeJSON{
 			Addr:        addr,
 			Neighbors:   info.Neighbors,

@@ -202,6 +202,16 @@ func (s *Snapshot) NodeTables(addr string) (map[string]*rel.Frozen, bool) {
 	return st.tables, true
 }
 
+// NodeInfo returns an owned node's published metadata (neighbors,
+// tuple and provenance counts, traffic); ok is false for unknown nodes.
+func (s *Snapshot) NodeInfo(addr string) (NodeInfo, bool) {
+	st := s.stateOf(addr)
+	if st == nil {
+		return NodeInfo{}, false
+	}
+	return st.info, true
+}
+
 // viewOf returns an owned node's provenance view, nil otherwise.
 func (s *Snapshot) viewOf(addr string) *provenance.View {
 	if st := s.stateOf(addr); st != nil {
@@ -574,11 +584,12 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 		states[oi] = &nodeState{tables: tables, view: view, info: info, stateTime: now}
 	}
 	// Traffic can move without state changing anywhere on the node (a
-	// collector shipping snapshots, say): refresh the published counters
-	// of carried-over states with an O(1) compare per node, sharing the
-	// tables and view of the previous state. Dirty nodes never retrigger
-	// here — their counters were just read — so infoDirty stays disjoint
-	// from dirty (and ascending, which the store's Append requires).
+	// live provenance query's messages, a duplicate delta): refresh the
+	// published counters of carried-over states with an O(1) compare per
+	// node, sharing the tables and view of the previous state. Dirty
+	// nodes never retrigger here — their counters were just read — so
+	// infoDirty stays disjoint from dirty (and ascending, which the
+	// store's Append requires).
 	p.infoDirty = p.infoDirty[:0]
 	for oi, st := range states {
 		if sent, _, ok := p.eng.Net.NodeTraffic(p.owned[oi]); ok &&

@@ -9,7 +9,6 @@
 package testutil
 
 import (
-	"fmt"
 	"net/http"
 	"runtime"
 	"sort"
@@ -114,20 +113,4 @@ func ignorable(stack string) bool {
 		}
 	}
 	return false
-}
-
-// LeakString is a debugging aid: the current goroutine dump formatted
-// the way CheckGoroutines reports it.
-func LeakString() string {
-	all := goroutines()
-	ids := make([]string, 0, len(all))
-	for id := range all {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var b strings.Builder
-	for _, id := range ids {
-		fmt.Fprintf(&b, "%s\n\n", all[id])
-	}
-	return b.String()
 }

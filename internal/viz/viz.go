@@ -12,7 +12,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/logstore"
+	"repro/internal/provenance"
 	"repro/internal/provquery"
 	"repro/internal/rel"
 	"repro/internal/simnet"
@@ -39,22 +39,24 @@ func TopologyView(net *simnet.Network) string {
 	return b.String()
 }
 
-// TablesView renders a snapshot's tables (the Figure 2(b) table list).
-func TablesView(sn logstore.Snapshot) string {
+// TablesView renders one node's tables in a published snapshot (the
+// Figure 2(b) table list): the node's frozen tables at virtual time t
+// and the size of its provenance partition.
+func TablesView(node string, t simnet.Time, tables map[string]*rel.Frozen, prov provenance.Stats) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "node %s @ t=%dus\n", sn.Node, int64(sn.Time))
+	fmt.Fprintf(&b, "node %s @ t=%dus\n", node, int64(t))
 	var rels []string
-	for r := range sn.Tables {
+	for r := range tables {
 		rels = append(rels, r)
 	}
 	sort.Strings(rels)
 	for _, r := range rels {
-		fmt.Fprintf(&b, "  table %s (%d tuples)\n", r, sn.Tables[r].Len())
-		for _, t := range sn.Tables[r].Tuples() {
-			fmt.Fprintf(&b, "    %s\n", t)
+		fmt.Fprintf(&b, "  table %s (%d tuples)\n", r, tables[r].Len())
+		for _, tp := range tables[r].Tuples() {
+			fmt.Fprintf(&b, "    %s\n", tp)
 		}
 	}
-	fmt.Fprintf(&b, "  provenance: %d prov entries, %d rule executions\n", sn.ProvEntries, sn.ExecEntries)
+	fmt.Fprintf(&b, "  provenance: %d prov entries, %d rule executions\n", prov.ProvEntries, prov.ExecEntries)
 	return b.String()
 }
 
@@ -159,22 +161,15 @@ func renderNode(b *strings.Builder, p *provquery.ProofNode, prefix string, last 
 	}
 }
 
-// SnapshotSummary one-lines every node at a time (replay ticker view).
-func SnapshotSummary(t simnet.Time, view map[string]logstore.Snapshot) string {
-	var nodes []string
-	for n := range view {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
+// SnapshotSummary one-lines the given nodes of a snapshot published at
+// virtual time t (replay ticker view); counts reports a node's visible
+// tuples and provenance entries.
+func SnapshotSummary(t simnet.Time, nodes []string, counts func(node string) (tuples, provEntries int)) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "t=%-10d", int64(t))
 	for _, n := range nodes {
-		sn := view[n]
-		total := 0
-		for _, ts := range sn.Tables {
-			total += ts.Len()
-		}
-		fmt.Fprintf(&b, " %s:%dt/%dp", n, total, sn.ProvEntries)
+		tuples, prov := counts(n)
+		fmt.Fprintf(&b, " %s:%dt/%dp", n, tuples, prov)
 	}
 	return b.String()
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/logstore"
 	"repro/internal/protocols"
 	"repro/internal/provquery"
 	"repro/internal/rel"
@@ -103,25 +102,5 @@ func TestTupleCard(t *testing.T) {
 		if len(l) != w {
 			t.Fatalf("ragged card box:\n%s", out)
 		}
-	}
-}
-
-func TestTablesViewAndSummary(t *testing.T) {
-	e, _ := buildQueried(t)
-	sn, err := logstore.Capture(e, "n1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := TablesView(sn)
-	for _, want := range []string{"node n1", "table mincost", "rule executions"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("tables view missing %q:\n%s", want, out)
-		}
-	}
-	st := logstore.NewStore()
-	st.Add(sn)
-	sum := SnapshotSummary(sn.Time, st.At(sn.Time))
-	if !strings.Contains(sum, "n1:") {
-		t.Fatalf("summary = %q", sum)
 	}
 }

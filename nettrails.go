@@ -5,9 +5,13 @@
 // A System bundles the pieces of the paper's Figure 1: the RapidNet-role
 // execution engine running an NDlog program over a simulated network,
 // the ExSPAN-role provenance maintenance and distributed query engines,
-// the central log store, and text visualization. Legacy applications
-// (the Quagga/BGP use case) are built with NewBGPDeployment, which adds
-// black-box BGP speakers observed through maybe-rule proxies.
+// and text visualization. The Log Store role is the publisher's version
+// ring, backed by internal/provstore when nettrailsd's -data is set: a
+// program that wants the system's state at past instants attaches
+// server.NewPublisher(sys.Engine, retain), as cmd/replay and
+// examples/mincost do. Legacy applications (the Quagga/BGP use case) are
+// built with NewBGPDeployment, which adds black-box BGP speakers
+// observed through maybe-rule proxies.
 //
 // Quickstart:
 //
@@ -24,7 +28,6 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/engine"
-	"repro/internal/logstore"
 	"repro/internal/ndlog"
 	"repro/internal/protocols"
 	"repro/internal/provenance"
@@ -93,17 +96,12 @@ type QueryOptions = provquery.Options
 type Config struct {
 	Seed        int64
 	LinkLatency simnet.Time
-	// LogHome, when set to a node name, ships snapshots over the
-	// network to that node; otherwise collection is out-of-band.
-	LogHome string
 }
 
 // System is a running NetTrails instance.
 type System struct {
-	Engine    *engine.Engine
-	Query     *provquery.Client
-	Log       *logstore.Store
-	Collector *logstore.Collector
+	Engine *engine.Engine
+	Query  *provquery.Client
 }
 
 // NewSystem compiles the NDlog program and boots a node per address.
@@ -125,15 +123,10 @@ func NewSystem(program string, nodes []string, cfg ...Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := logstore.NewStore()
-	col, err := logstore.NewCollector(eng, store, c.LogHome)
-	if err != nil {
-		return nil, err
-	}
 	if err := eng.LoadProgramFacts(); err != nil {
 		return nil, err
 	}
-	return &System{Engine: eng, Query: q, Log: store, Collector: col}, nil
+	return &System{Engine: eng, Query: q}, nil
 }
 
 // AddLink connects two nodes bidirectionally with link tuples and runs
@@ -238,15 +231,6 @@ func DeletionSafety(program string) ([]string, error) {
 		return nil, err
 	}
 	return rewrite.DeletionSafety(prog), nil
-}
-
-// Snapshot captures every node's state into the log store.
-func (s *System) Snapshot() error {
-	if err := s.Collector.CaptureAll(); err != nil {
-		return err
-	}
-	s.Engine.RunQuiescent()
-	return nil
 }
 
 // RenderProof renders a proof tree as text (full depth).

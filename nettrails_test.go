@@ -6,23 +6,32 @@ import (
 
 	nettrails "repro"
 	"repro/internal/provenance"
+	"repro/internal/provquery"
 	"repro/internal/routeviews"
+	"repro/internal/server"
 )
 
 // TestArchitectureEndToEnd is experiment E1 (the paper's Figure 1): all
 // components wired together — NDlog program, distributed execution,
-// provenance maintenance, log store, distributed query, visualization.
+// provenance maintenance, log store (the publisher's version ring),
+// distributed query, visualization.
 func TestArchitectureEndToEnd(t *testing.T) {
 	sys, err := nettrails.NewSystem(nettrails.MinCost, nettrails.NodeNames(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := server.NewPublisher(sys.Engine, server.DefaultRetain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.AddLink("n1", "n2", 1); err != nil {
 		t.Fatal(err)
 	}
+	afterFirst := pub.Current().Version
 	if err := sys.AddLink("n2", "n3", 1); err != nil {
 		t.Fatal(err)
 	}
+	afterSecond := pub.Current().Version
 	mc := nettrails.Tuple("mincost", nettrails.Addr("n1"), nettrails.Addr("n3"), nettrails.Int(2))
 	ts, err := sys.Tuples("n1", "mincost")
 	if err != nil || len(ts) != 2 {
@@ -45,12 +54,28 @@ func TestArchitectureEndToEnd(t *testing.T) {
 	if err != nil || cnt.Count != 1 {
 		t.Fatalf("count = %+v (%v)", cnt, err)
 	}
-	// Log store + viz.
-	if err := sys.Snapshot(); err != nil {
-		t.Fatal(err)
+	// Log store + viz: every AddLink published new versions, the live
+	// queries above none, and version 1 still reads the pre-link state.
+	if afterFirst <= 1 || afterSecond <= afterFirst {
+		t.Fatalf("versions after each AddLink = %d, %d; want 1 < first < second", afterFirst, afterSecond)
 	}
-	if sys.Log.Len() != 3 {
-		t.Fatalf("snapshots = %d", sys.Log.Len())
+	if _, newest := pub.Versions(); newest != afterSecond {
+		t.Fatalf("newest version = %d after read-only queries, want %d", newest, afterSecond)
+	}
+	v1, ok := pub.At(1)
+	if !ok {
+		t.Fatal("version 1 not retained")
+	}
+	if info, ok := v1.NodeInfo("n1"); !ok || info.Tuples != 0 || len(info.Neighbors) != 0 {
+		t.Fatalf("version 1 info of n1 = %+v (%v), want the empty pre-link node", info, ok)
+	}
+	mid, _ := pub.At(afterFirst)
+	if tables, _ := mid.NodeTables("n1"); tables["mincost"].Len() != 1 || tables["link"].Len() != 1 {
+		t.Fatalf("version %d tables of n1 = %v, want one link and one mincost row", afterFirst, tables)
+	}
+	snapLin, err := pub.Current().Query(provquery.Lineage, "n1", mc, provquery.Options{})
+	if err != nil || nettrails.RenderProof(snapLin.Root) != nettrails.RenderProof(lin.Root) {
+		t.Fatalf("published lineage differs from the live one (%v)", err)
 	}
 	proof := nettrails.RenderProof(lin.Root)
 	if !strings.Contains(proof, "mincost(@n1, n3, 2)") {

@@ -40,7 +40,6 @@ var scope = []string{
 	"repro/internal/gateway",
 	"repro/internal/provenance",
 	"repro/internal/provquery",
-	"repro/internal/logstore",
 	"repro/internal/provgraph",
 	"repro/internal/rel",
 	"repro/internal/provstore",
@@ -63,9 +62,6 @@ var frozen = map[string]bool{
 	// with no locks — immutable from seal to close.
 	"repro/internal/provstore.Trie":          true,
 	"repro/internal/provstore.sealedSegment": true,
-	// logstore.Store is deliberately absent: it is a live collector
-	// (Add mutates it during the run) and no published Snapshot holds
-	// one.
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

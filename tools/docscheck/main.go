@@ -1,6 +1,6 @@
 // docscheck keeps the documentation honest: it walks the repo's
 // operator-facing markdown (README.md plus docs/) and fails when the
-// docs drift from the code they describe. Four checks:
+// docs drift from the code they describe. Five checks:
 //
 //   - relative markdown links must point at files that exist;
 //   - `go run ./cmd/<name>` commands inside shell code fences must
@@ -10,11 +10,13 @@
 //   - every HTTP route named in running text as `GET /path` or
 //     `POST /path` must be registered through s.route(...) in
 //     internal/server/http.go (a {param} segment of the registered
-//     pattern matches any one segment; a ?query suffix is ignored).
+//     pattern matches any one segment; a ?query suffix is ignored);
+//   - a backticked or bold path that starts internal/<pkg>, cmd/<name>
+//     or tools/<name> in running text must name a directory that exists.
 //
 // It is wired up as `make docs-check` and runs in CI, so a renamed
-// flag, a deleted doc, a removed route, or a stale quickstart breaks
-// the build instead of the next reader.
+// flag, a deleted doc, a removed route, a deleted package, or a stale
+// quickstart breaks the build instead of the next reader.
 //
 // Usage: docscheck [-root dir] [paths...]  (default: README.md docs)
 package main
@@ -38,6 +40,7 @@ var (
 	targetRe   = regexp.MustCompile(`(?m)^([A-Za-z0-9_.-]+):`)
 	routeUseRe = regexp.MustCompile("`(GET|POST) (/[^`\\s?]*)[^`]*`")
 	routeDefRe = regexp.MustCompile(`s\.route\("([A-Z]+)", "([^"]+)"`)
+	pkgPathRe  = regexp.MustCompile("(?:`|\\*\\*)((?:internal|cmd|tools)/[A-Za-z0-9_]+)")
 )
 
 func main() {
@@ -130,6 +133,12 @@ func checkFile(root, path string) []string {
 					add(lineNo, "%v", err)
 				} else if !ok {
 					add(lineNo, "%s %s: no such route in internal/server/http.go", m[1], m[2])
+				}
+			}
+			// Named packages, commands and tools must still be in the tree.
+			for _, m := range pkgPathRe.FindAllStringSubmatch(line, -1) {
+				if st, err := os.Stat(filepath.Join(root, m[1])); err != nil || !st.IsDir() {
+					add(lineNo, "%s: no such directory", m[1])
 				}
 			}
 			continue

@@ -38,12 +38,14 @@ func (s *Server) routes() {
 	s.route("GET", "/v1/state/{node}", s.handleState)
 	s.route("POST", "/v1/query", s.handleQuery)
 }`,
-		"docs/good.md": "See [the readme](../README.md).\n" +
+		"internal/server/doc.go": "package server\n",
+		"docs/good.md": "See [the readme](../README.md); `cmd/demo` serves **internal/server** (`internal/server/http.go`).\n" +
 			"Read `GET /v1/nodes`, `GET /v1/state/{node}?t=...` or `GET /v1/state/n1`; ask `POST /v1/query`.\n" +
 			"```sh\ngo run ./cmd/demo -listen :8080 \\\n    -nodes 9\nmake build\n```\n",
 		"README.md": "hello [docs](docs/good.md)\n",
 		"docs/bad.md": "A [broken link](missing.md).\n" +
 			"Once there was `GET /state/{node}?t=...`, and `GET /v1/query` is a POST.\n" +
+			"**internal/ghostpkg / internal/server** kept snapshots for `cmd/ghost`; internal/prose and `internal/{a,b}` are not paths.\n" +
 			"```sh\ngo run ./cmd/demo -port 80\ngo run ./cmd/ghost\nmake deploy\n```\n",
 	})
 
@@ -56,7 +58,7 @@ func (s *Server) routes() {
 
 	got := checkFile(root, filepath.Join(root, "docs", "bad.md"))
 	want := []string{"broken link", "GET /state/{node}: no such route", "GET /v1/query: no such route",
-		"flag -port", "no such package directory", "make deploy"}
+		"internal/ghostpkg: no such directory", "cmd/ghost: no such directory", "flag -port", "no such package directory", "make deploy"}
 	if len(got) != len(want) {
 		t.Fatalf("bad.md: got %d problems %v, want %d", len(got), got, len(want))
 	}
