@@ -104,10 +104,14 @@ bench-check:
 # when an end-to-end median is worse than BASE's by more than its bound
 # in BENCHMARK.json or more operations fail (tools/benchcompare). Two
 # pairs resolve the allocation metrics; a timing claim needs PAIRS=10.
+# With CLAIM the target also fails unless the gain rule holds for that
+# metric on WORKLOAD: ahead in 9 of 10 pairs, and in the median by more
+# than the base's inter-quartile range.
 #   make bench-compare BASE=HEAD~1 [WORKLOAD=maint_flap] [PAIRS=2]
+#   make bench-compare BASE=HEAD~1 WORKLOAD=query_hot PAIRS=10 CLAIM=ops_per_s
 PAIRS ?= 2
 bench-compare:
-	$(GO) run ./tools/benchcompare -base "$(BASE)" -workload "$(WORKLOAD)" -pairs $(PAIRS)
+	$(GO) run ./tools/benchcompare -base "$(BASE)" -workload "$(WORKLOAD)" -pairs $(PAIRS) -claim "$(CLAIM)"
 
 # serve-smoke boots the nettrailsd daemon on an ephemeral port and
 # drives /v1/healthz and /v1/query end to end (plus the churn/pinned-version

@@ -211,9 +211,9 @@ func (c *Client) do(ctx context.Context, method, rawURL string, body []byte, out
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
-		return nil, fmt.Errorf("client: read response: %w", err)
+		return nil, err
 	}
 	if resp.StatusCode >= 400 {
 		return nil, decodeAPIError(resp.StatusCode, data)
@@ -237,14 +237,36 @@ func (c *Client) doRaw(ctx context.Context, rawURL string) ([]byte, http.Header,
 		return nil, nil, fmt.Errorf("client: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
-		return nil, nil, fmt.Errorf("client: read response: %w", err)
+		return nil, nil, err
 	}
 	if resp.StatusCode >= 400 {
 		return nil, nil, decodeAPIError(resp.StatusCode, data)
 	}
 	return data, resp.Header, nil
+}
+
+// maxPresize caps the buffer sized from a response's Content-Length
+// before any byte has arrived; a longer body is read by growing.
+const maxPresize = 8 << 20
+
+// readBody reads a whole response body — into one buffer of the
+// declared length when the server sent one, instead of growing from
+// 512 bytes.
+func readBody(resp *http.Response) ([]byte, error) {
+	var data []byte
+	var err error
+	if n := resp.ContentLength; n >= 0 && n <= maxPresize {
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(resp.Body)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("client: read response: %w", err)
+	}
+	return data, nil
 }
 
 // decodeAPIError turns an error response into an *APIError, falling

@@ -7,3 +7,7 @@ func (g *Gateway) CachedTimes() int {
 	defer g.timesMu.Unlock()
 	return len(g.times)
 }
+
+// CachedBodyBytes is how many bytes of rendered bodies the gateway's
+// result cache retains.
+func (g *Gateway) CachedBodyBytes() int64 { return g.cache.BodyBytes() }

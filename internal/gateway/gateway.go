@@ -249,20 +249,20 @@ func (g *Gateway) timeOf(ctx context.Context, version uint64) (simnet.Time, *ser
 // ---- query evaluation ---------------------------------------------------
 
 // Query implements server.Backend through the gateway's result cache.
-func (g *Gateway) Query(ctx context.Context, _ server.Pin, key server.CacheKey, t rel.Tuple) (*provquery.Result, bool, *server.APIError) {
-	if res, ok := g.cache.Get(key); ok {
-		return res, true, nil
+func (g *Gateway) Query(ctx context.Context, _ server.Pin, key server.CacheKey, t rel.Tuple) (server.Cached, bool, *server.APIError) {
+	if e, ok := g.cache.Get(key); ok {
+		return e, true, nil
 	}
 	res, apiErr := g.runWalk(ctx, key, t)
 	if apiErr != nil {
-		return nil, false, apiErr
+		return server.Cached{}, false, apiErr
 	}
 	g.cache.Put(key, res)
-	return res, false, nil
+	return server.Cached{Result: res}, false, nil
 }
 
-// CacheCounters implements server.Backend: one cache serves every pin.
-func (g *Gateway) CacheCounters(server.Pin) (hits, misses int64) { return g.cache.Counters() }
+// Cache implements server.Backend: one cache serves every pin.
+func (g *Gateway) Cache(server.Pin) *server.ResultCache { return g.cache }
 
 // runWalk executes the shared provgraph walk over the federated
 // source. The result is byte-for-byte the one a single-process

@@ -159,6 +159,36 @@ func TestShardedParityMincost(t *testing.T) {
 	}
 }
 
+// TestGatewayReaskedQueryServesStoredBody: through a gateway too, a key
+// asked again keeps its body, and the third ask — the stored bytes — is
+// the body of the first ask and of the single-process daemon, for all
+// four query types.
+func TestGatewayReaskedQueryServesStoredBody(t *testing.T) {
+	d := deployGrid(t, 3, 3, 0)
+	v := d.singlePub.Current().Version
+	for _, typ := range []string{"lineage", "bases", "nodes", "count"} {
+		q := fmt.Sprintf(`{"type":%q,"tuple":"mincost(@'n1','n9',4)","version":%d}`, typ, v)
+		_, want := post(t, d.single.URL+"/v1/query", q)
+		for i, verdict := range []string{"MISS", "HIT", "HIT"} {
+			before := d.gwG.CachedBodyBytes()
+			resp, body := post(t, d.gw.URL+"/v1/query", q)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != verdict {
+				t.Fatalf("%s ask %d: %d X-Cache %q, want 200 %s", typ, i+1, resp.StatusCode, resp.Header.Get("X-Cache"), verdict)
+			}
+			if !bytes.Equal(body, want) {
+				t.Fatalf("%s ask %d differs from the daemon's body:\n%s\nvs\n%s", typ, i+1, body, want)
+			}
+			if resp.ContentLength != int64(len(body)) {
+				t.Fatalf("%s ask %d: Content-Length %d on a %d-byte body", typ, i+1, resp.ContentLength, len(body))
+			}
+			// Only the first hit leaves a body behind.
+			if kept := d.gwG.CachedBodyBytes() - before; (kept != 0) != (i == 1) {
+				t.Fatalf("%s ask %d kept %d body bytes", typ, i+1, kept)
+			}
+		}
+	}
+}
+
 // TestShardedBatchParity: a gateway batch returns, element for
 // element, the identical JSON documents the single-process batch
 // returns — including in-place per-element errors.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 
-	"repro/internal/provquery"
 	"repro/internal/provstore"
 	"repro/internal/rel"
 	"repro/internal/simnet"
@@ -25,11 +24,11 @@ type Backend interface {
 	Pin(ctx context.Context, version uint64) (Pin, *APIError)
 	// Query evaluates one resolved query at pin through the backend's
 	// result cache; hit reports a cache-served answer. key.VID is t's.
-	// The result is shared and read-only.
-	Query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (res *provquery.Result, hit bool, apiErr *APIError)
-	// CacheCounters reports the cumulative hits and completed walks of
-	// the result cache that serves pin.
-	CacheCounters(pin Pin) (hits, misses int64)
+	// The entry is shared and read-only.
+	Query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (e Cached, hit bool, apiErr *APIError)
+	// Cache is the result cache that serves pin: the handler set reads
+	// its counters and hands it the body of a key asked again.
+	Cache(pin Pin) *ResultCache
 
 	// NodesDoc is the GET /v1/nodes document at pin.
 	NodesDoc(ctx context.Context, pin Pin) (*NodesJSON, *APIError)
@@ -86,16 +85,16 @@ func unreadable(version uint64) *APIError {
 }
 
 // Query implements Backend through the pinned snapshot's result cache.
-func (p *Publisher) Query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (*provquery.Result, bool, *APIError) {
-	res, hit, err := pin.snap.cachedQuery(ctx, key, t)
+func (p *Publisher) Query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (Cached, bool, *APIError) {
+	e, hit, err := pin.snap.cachedQuery(ctx, key, t)
 	if err != nil {
-		return nil, false, QueryError(err)
+		return Cached{}, false, QueryError(err)
 	}
-	return res, hit, nil
+	return e, hit, nil
 }
 
-// CacheCounters implements Backend: the pinned snapshot's own counters.
-func (p *Publisher) CacheCounters(pin Pin) (hits, misses int64) { return pin.snap.CacheCounters() }
+// Cache implements Backend: the pinned snapshot's own cache.
+func (p *Publisher) Cache(pin Pin) *ResultCache { return pin.snap.cache }
 
 // NodesDoc implements Backend.
 func (p *Publisher) NodesDoc(_ context.Context, pin Pin) (*NodesJSON, *APIError) {

@@ -1,0 +1,253 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/provquery"
+)
+
+// serve runs one request through the handler set without a socket.
+func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
+}
+
+// TestReaskedQueryServesStoredBody: a key asked again keeps its body,
+// and the third ask — served from the stored bytes — equals the first
+// ask's and what RenderQueryResponse + WriteJSON make of an in-process
+// walk, for all four query types.
+func TestReaskedQueryServesStoredBody(t *testing.T) {
+	pub, err := NewPublisher(buildGrid(t, 3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(pub, Info{Protocol: "mincost"})
+	snap := pub.Current()
+	mc, err := provquery.ParseTupleLiteral("mincost(@'n1','n9',4)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"lineage", "bases", "nodes", "count"} {
+		req := fmt.Sprintf(`{"type":%q,"tuple":"mincost(@'n1','n9',4)","version":%d}`, name, snap.Version)
+		var bodies [3][]byte
+		for i, want := range []string{"MISS", "HIT", "HIT"} {
+			before := snap.cache.BodyBytes()
+			rec := serve(srv, "POST", "/v1/query", req)
+			if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != want {
+				t.Fatalf("%s ask %d: %d X-Cache %q, want 200 %s", name, i+1, rec.Code, rec.Header().Get("X-Cache"), want)
+			}
+			bodies[i] = rec.Body.Bytes()
+			if got := rec.Header().Get("Content-Length"); got != fmt.Sprint(len(bodies[i])) {
+				t.Fatalf("%s ask %d: Content-Length %q on a %d-byte body", name, i+1, got, len(bodies[i]))
+			}
+			// Only the first hit admits: the miss must not, the second hit
+			// finds the body there.
+			wantAdmitted := 0
+			if i == 1 {
+				wantAdmitted = len(bodies[i])
+			}
+			if admitted := snap.cache.BodyBytes() - before; admitted != int64(wantAdmitted) {
+				t.Fatalf("%s ask %d admitted %d body bytes, want %d", name, i+1, admitted, wantAdmitted)
+			}
+		}
+		typ, err := provquery.ParseQueryType(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := snap.Query(typ, "n1", mc, provquery.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := httptest.NewRecorder()
+		WriteJSON(ref, http.StatusOK, RenderQueryResponse(snap.Version, int64(snap.Time), res))
+		for i, b := range bodies {
+			if !bytes.Equal(b, ref.Body.Bytes()) {
+				t.Fatalf("%s ask %d differs from WriteJSON(RenderQueryResponse(...)):\n%s\nvs\n%s", name, i+1, b, ref.Body.Bytes())
+			}
+		}
+	}
+
+	// The hit path is a lookup and a Write. Rendering the lineage again
+	// costs over a thousand allocations, so this ceiling fails if it
+	// creeps back, without the benchmark.
+	req := fmt.Sprintf(`{"type":"lineage","tuple":"mincost(@'n1','n9',4)","version":%d}`, snap.Version)
+	allocs := testing.AllocsPerRun(50, func() {
+		if rec := serve(srv, "POST", "/v1/query", req); rec.Header().Get("X-Cache") != "HIT" {
+			t.Fatalf("X-Cache %q", rec.Header().Get("X-Cache"))
+		}
+	})
+	t.Logf("hit path: %.0f allocs per request", allocs)
+	if allocs > 100 {
+		t.Fatalf("hit path allocates %.0f times per request, want <= 100", allocs)
+	}
+}
+
+// TestConcurrentFirstHitsChargeOnce: goroutines that all first-hit one
+// key each render it, every body is the same, and the budget is charged
+// for one copy. Run with -race.
+func TestConcurrentFirstHitsChargeOnce(t *testing.T) {
+	pub, err := NewPublisher(buildGrid(t, 3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(pub, Info{Protocol: "mincost"})
+	req := fmt.Sprintf(`{"q":"lineage of mincost(@'n1','n9',4)","version":%d}`, pub.Current().Version)
+	first := serve(srv, "POST", "/v1/query", req).Body.Bytes()
+
+	const n = 8
+	bodies := make([][]byte, n)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bodies[i] = serve(srv, "POST", "/v1/query", req).Body.Bytes()
+		}()
+	}
+	wg.Wait()
+	for i, b := range bodies {
+		if !bytes.Equal(b, first) {
+			t.Fatalf("concurrent hit %d diverged from the miss body", i)
+		}
+	}
+	if got := pub.bodies.used.Load(); got != int64(len(first)) {
+		t.Fatalf("budget charged %d bytes for one %d-byte body", got, len(first))
+	}
+}
+
+// TestBodyBudget: re-asked lineages past the budget are still served
+// correct and HIT, what is retained never exceeds the budget whatever
+// the ring holds, and a snapshot leaving the ring gives its charge back.
+func TestBodyBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills the 64 MiB body budget")
+	}
+	e := buildGrid(t, 4)
+	pub, err := NewPublisherWithOptions(e, PublisherOptions{Retain: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(pub, Info{Protocol: "mincost"})
+	v := pub.Current().Version
+	ask := func(i int) *httptest.ResponseRecorder {
+		// A limit that never bites: a distinct key, the same proof.
+		return serve(srv, "POST", "/v1/query", fmt.Sprintf(
+			`{"type":"lineage","tuple":"mincost(@'n1','n16',6)","version":%d,"options":{"maxnodes":%d}}`, v, 500000+i))
+	}
+	ref := ask(0).Body.Bytes()
+	keys := maxBodyBytes/len(ref) + 4 // four more than fit
+	for i := 0; i < keys; i++ {
+		ask(i) // the miss (a hit for key 0)
+		ask(i) // the first hit: admitted while the budget has room
+		if used := pub.bodies.used.Load(); used > maxBodyBytes {
+			t.Fatalf("after key %d: %d body bytes retained, budget %d", i, used, maxBodyBytes)
+		}
+	}
+	if used, want := pub.bodies.used.Load(), int64(maxBodyBytes/len(ref)*len(ref)); used != want {
+		t.Fatalf("retained %d body bytes, want %d (every body that fits)", used, want)
+	}
+	for _, i := range []int{0, keys - 1} { // a stored body, and one the budget declined
+		rec := ask(i)
+		if rec.Header().Get("X-Cache") != "HIT" || !bytes.Equal(rec.Body.Bytes(), ref) {
+			t.Fatalf("key %d past the budget: X-Cache %q, body equal %v", i, rec.Header().Get("X-Cache"), bytes.Equal(rec.Body.Bytes(), ref))
+		}
+	}
+
+	// Two more versions push v out of the ring.
+	for pub.Current().Version < v+2 {
+		if err := e.RemoveBiLink("n1", "n2", 1); err != nil {
+			t.Fatal(err)
+		}
+		e.RunQuiescent()
+		if err := e.AddBiLink("n1", "n2", 1); err != nil {
+			t.Fatal(err)
+		}
+		e.RunQuiescent()
+	}
+	if _, ok := pub.At(v); ok {
+		t.Fatalf("version %d still retained", v)
+	}
+	if used := pub.bodies.used.Load(); used != 0 {
+		t.Fatalf("%d body bytes still charged after their snapshot left the ring", used)
+	}
+}
+
+// TestBatchElementSameFromEverySource: one query inside a batch renders
+// to the same element whether it was marshalled fresh, repeated from the
+// batch's overlay, or taken from the body a re-asked key left behind.
+func TestBatchElementSameFromEverySource(t *testing.T) {
+	pub, err := NewPublisher(buildGrid(t, 3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(pub, Info{Protocol: "mincost"})
+	v := pub.Current().Version
+	const q = `{"q":"lineage of mincost(@'n1','n9',4)"}`
+	batch := fmt.Sprintf(`{"version":%d,"queries":[%s,%s]}`, v, q, q)
+
+	fresh := serve(srv, "POST", "/v1/query/batch", batch) // [fresh render, overlay]
+	single := fmt.Sprintf(`{"q":"lineage of mincost(@'n1','n9',4)","version":%d}`, v)
+	serve(srv, "POST", "/v1/query", single) // first hit: leaves the body
+	if pub.Current().cache.BodyBytes() == 0 {
+		t.Fatal("the re-asked key kept no body")
+	}
+	stored := serve(srv, "POST", "/v1/query/batch", batch) // [stored body, overlay]
+	if !bytes.Equal(fresh.Body.Bytes(), stored.Body.Bytes()) {
+		t.Fatalf("batch over a stored body differs from the freshly rendered one:\n%s\nvs\n%s", fresh.Body.Bytes(), stored.Body.Bytes())
+	}
+	var doc struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(stored.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Results) != 2 || !bytes.Equal(doc.Results[0], doc.Results[1]) {
+		t.Fatal("overlay element differs from the stored-body element")
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value that does not encode is the
+// internal_error envelope under a 500, never a 200 with a cut body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, map[string]interface{}{"f": func() {}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var env struct {
+		Error struct{ Code string } `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != ErrInternal {
+		t.Fatalf("body %q is not the %s envelope (%v)", rec.Body.Bytes(), ErrInternal, err)
+	}
+}
+
+// TestETagWeakComparison: If-None-Match compares weakly, so a validator
+// an intermediary weakened still earns the 304; "*" stays declined.
+func TestETagWeakComparison(t *testing.T) {
+	const tag = `"12-00000000deadbeef"`
+	for _, tc := range []struct {
+		header string
+		want   bool
+	}{
+		{tag, true},
+		{"W/" + tag, true},
+		{`"0-stale", W/` + tag, true},
+		{` W/` + tag + ` `, true},
+		{`W/"0-stale"`, false},
+		{"w/" + tag, false}, // the weak prefix is case-sensitive
+		{"*", false},
+	} {
+		if got := etagMatches(tc.header, tag); got != tc.want {
+			t.Errorf("etagMatches(%q) = %v, want %v", tc.header, got, tc.want)
+		}
+	}
+}

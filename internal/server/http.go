@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -238,15 +240,58 @@ func JSONProof(p *provquery.ProofNode) ProofJSON {
 	return out
 }
 
+// scratch is what rendering one JSON body needs and can reuse: the
+// output buffer and an indenting Encoder over it, whose indent buffer a
+// fresh Encoder would regrow from nothing on every response.
+type scratch struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(scratch)
+	sc.enc = json.NewEncoder(&sc.buf)
+	sc.enc.SetIndent("", "  ")
+	return sc
+}}
+
+// maxScratchBytes is the largest scratch the pool takes back, so one
+// huge proof does not stay pinned behind small responses.
+const maxScratchBytes = 1 << 20
+
 // WriteJSON writes v as the canonical two-space-indented JSON body
 // every tier of the API serves, so shard and gateway bodies can be
-// compared byte for byte.
-func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+// compared byte for byte. The body is rendered before the status line
+// leaves, so it goes out in one Write under its Content-Length, and a
+// value that does not encode is the internal_error 500, not a 200 cut
+// short.
+func WriteJSON(w http.ResponseWriter, code int, v interface{}) { writeJSON(w, code, v, nil) }
+
+// writeJSON is WriteJSON; keep, when non-nil, sees the rendered body
+// before it is written and must copy what it retains.
+func writeJSON(w http.ResponseWriter, code int, v interface{}, keep func(body []byte)) {
+	sc := scratchPool.Get().(*scratch)
+	sc.buf.Reset()
+	if err := sc.enc.Encode(v); err != nil {
+		WriteErr(w, http.StatusInternalServerError, ErrInternal, "encode response: %v", err)
+		return
+	}
+	if keep != nil {
+		keep(sc.buf.Bytes())
+	}
+	writeBody(w, code, sc.buf.Bytes())
+	if sc.buf.Cap() <= maxScratchBytes {
+		scratchPool.Put(sc)
+	}
+}
+
+// writeBody sends a rendered JSON body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a failed write is a client that has left
 }
 
 // MaxBodyBytes bounds every POST body: 8 MiB covers a 1024-query
@@ -311,14 +356,16 @@ func requestETag(version uint64, r *http.Request) string {
 }
 
 // etagMatches compares If-None-Match candidates against the computed
-// tag. The "*" form is deliberately not honored: it matches only when
+// tag, weakly (RFC 9110 §13.1.2): an intermediary that weakens
+// validators sends the tag back as W/"...", and that is still a match.
+// The "*" form is deliberately not honored: it matches only when
 // a current representation exists (RFC 9110), and pinGET runs before
 // node/tuple existence checks — answering 304 for a resource whose
 // unconditional GET is a 404 would pin stale caches forever. Declining
 // "*" merely costs the full body.
 func etagMatches(ifNoneMatch, etag string) bool {
 	for _, cand := range strings.Split(ifNoneMatch, ",") {
-		if strings.TrimSpace(cand) == etag {
+		if strings.TrimPrefix(strings.TrimSpace(cand), "W/") == etag {
 			return true
 		}
 	}
@@ -521,12 +568,12 @@ type QueryResponse struct {
 }
 
 // setCacheHeaders reports a Backend.Query outcome on the response.
-func (s *Server) setCacheHeaders(w http.ResponseWriter, pin Pin, hit bool) {
+func setCacheHeaders(w http.ResponseWriter, cache *ResultCache, hit bool) {
 	verdict := "MISS"
 	if hit {
 		verdict = "HIT"
 	}
-	hits, misses := s.b.CacheCounters(pin)
+	hits, misses := cache.Counters()
 	w.Header().Set("X-Cache", verdict)
 	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hits, 10))
 	w.Header().Set("X-Cache-Misses", strconv.FormatInt(misses, 10))
@@ -662,12 +709,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *APIError {
 	if apiErr != nil {
 		return apiErr
 	}
-	res, hit, apiErr := s.b.Query(ctx, pin, s.key(pin, typ, at, t, opts), t)
+	key := s.key(pin, typ, at, t, opts)
+	e, hit, apiErr := s.b.Query(ctx, pin, key, t)
 	if apiErr != nil {
 		return apiErr
 	}
-	s.setCacheHeaders(w, pin, hit)
-	WriteJSON(w, http.StatusOK, RenderQueryResponse(pin.Version, int64(pin.Time), res))
+	cache := s.b.Cache(pin)
+	setCacheHeaders(w, cache, hit)
+	if e.Body != nil {
+		writeBody(w, http.StatusOK, e.Body)
+		return nil
+	}
+	// A key asked again at the same version is what will be asked a
+	// third time: its first hit leaves the bytes behind.
+	var keep func([]byte)
+	if hit {
+		keep = func(body []byte) { cache.AdmitBody(key, body) }
+	}
+	writeJSON(w, http.StatusOK, RenderQueryResponse(pin.Version, int64(pin.Time), e.Result), keep)
 	return nil
 }
 
@@ -753,14 +812,20 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *APIEr
 				results = append(results, cached)
 				continue
 			}
-			res, hit, evalErr := s.b.Query(ctx, pin, key, t)
+			e, hit, evalErr := s.b.Query(ctx, pin, key, t)
 			if evalErr == nil {
 				if hit {
 					hits++
 				}
-				b, err := json.Marshal(RenderQueryResponse(pin.Version, int64(pin.Time), res))
-				if err != nil {
-					return Errf(http.StatusInternalServerError, ErrInternal, "encode: %v", err)
+				// A stored body stands in for the marshalled document: the
+				// response's encoder compacts and re-indents either to the
+				// same bytes.
+				b := json.RawMessage(e.Body)
+				if b == nil {
+					var err error
+					if b, err = json.Marshal(RenderQueryResponse(pin.Version, int64(pin.Time), e.Result)); err != nil {
+						return Errf(http.StatusInternalServerError, ErrInternal, "encode: %v", err)
+					}
 				}
 				local[key] = b
 				results = append(results, b)
@@ -774,7 +839,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *APIEr
 		results = append(results, MarshalError(itemErr))
 	}
 
-	hitsTotal, missesTotal := s.b.CacheCounters(pin)
+	hitsTotal, missesTotal := s.b.Cache(pin).Counters()
 	w.Header().Set("X-Batch-Cache-Hits", strconv.Itoa(hits))
 	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hitsTotal, 10))
 	w.Header().Set("X-Cache-Misses", strconv.FormatInt(missesTotal, 10))
@@ -803,13 +868,13 @@ func (s *Server) handleProofDOT(w http.ResponseWriter, r *http.Request) *APIErro
 	if !fresh {
 		return apiErr
 	}
-	res, hit, apiErr := s.b.Query(ctx, pin, s.key(pin, provquery.Lineage, at, t, provquery.Options{}), t)
+	e, hit, apiErr := s.b.Query(ctx, pin, s.key(pin, provquery.Lineage, at, t, provquery.Options{}), t)
 	if apiErr != nil {
 		return apiErr
 	}
-	s.setCacheHeaders(w, pin, hit)
+	setCacheHeaders(w, s.b.Cache(pin), hit)
 	w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
 	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(pin.Version, 10))
-	fmt.Fprint(w, viz.ProofDOT(res.Root))
+	fmt.Fprint(w, viz.ProofDOT(e.Result.Root))
 	return nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,16 @@ type CacheKey struct {
 	Opts    provquery.Options
 }
 
+// Cached is one result-cache entry: a finished walk and, once the key
+// has been asked again, the /v1/query body it renders to. Both are
+// shared with every other caller and MUST be treated as read-only.
+type Cached struct {
+	Result *provquery.Result
+	// Body is WriteJSON(RenderQueryResponse(...)) of Result at the key's
+	// version, byte for byte; nil until a hit admitted it (AdmitBody).
+	Body []byte
+}
+
 // ResultCache memoizes whole query results. It is the one result cache
 // of the serving tier, with two owners: every Snapshot has its own (it
 // lives and dies with its version, so eviction is the retention ring
@@ -37,12 +48,24 @@ type CacheKey struct {
 // server memory without bound. A full cache first drops the entries of
 // versions older than the incoming key, then declines new keys, which
 // simply evaluate uncached.
+//
+// A rendered body is a pure function of its key, and rendering it is
+// most of what a hit costs, so a key that is asked again keeps its body
+// too. Bodies are admitted on the first hit, not on the miss — nothing
+// is evicted inside a version, so a key asked once must not spend the
+// budget — and are charged by length against the owner's bodyBudget.
 type ResultCache struct {
 	mu sync.RWMutex
-	m  map[CacheKey]*provquery.Result
+	m  map[CacheKey]Cached
 	// floor is a version no entry is older than: a full cache whose
 	// incoming key is not newer has nothing to drop and skips the scan.
 	floor uint64
+
+	// budget is the owner's; charged is this cache's share of it, given
+	// back when entries are dropped or the cache is released.
+	budget   *bodyBudget
+	charged  int64
+	released bool
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -51,47 +74,109 @@ type ResultCache struct {
 // maxQueryCacheEntries bounds one cache's memoized results.
 const maxQueryCacheEntries = 4096
 
-// NewResultCache returns an empty cache.
-func NewResultCache() *ResultCache {
-	return &ResultCache{m: map[CacheKey]*provquery.Result{}}
+// maxBodyBytes bounds the rendered bodies one owner — a Publisher
+// across its ring and disk-cache snapshots, or a Gateway — retains.
+// Past it a hit renders from the Result.
+const maxBodyBytes = 64 << 20
+
+// bodyBudget counts the body bytes one owner's caches retain.
+type bodyBudget struct{ used atomic.Int64 }
+
+// take charges n bytes, or reports that they do not fit.
+func (b *bodyBudget) take(n int64) bool {
+	for {
+		u := b.used.Load()
+		if u+n > maxBodyBytes {
+			return false
+		}
+		if b.used.CompareAndSwap(u, u+n) {
+			return true
+		}
+	}
 }
 
-// Get returns the memoized result for key, counting a hit when there is
-// one. The result is shared with every other caller and MUST be treated
-// as read-only.
-func (c *ResultCache) Get(key CacheKey) (*provquery.Result, bool) {
+// NewResultCache returns an empty cache that owns its body budget.
+func NewResultCache() *ResultCache { return newResultCache(new(bodyBudget)) }
+
+// newResultCache returns an empty cache charging bodies to budget.
+func newResultCache(budget *bodyBudget) *ResultCache {
+	return &ResultCache{m: map[CacheKey]Cached{}, budget: budget}
+}
+
+// Get returns the entry memoized for key, counting a hit when there is
+// one.
+func (c *ResultCache) Get(key CacheKey) (Cached, bool) {
 	c.mu.RLock()
-	r, ok := c.m[key]
+	e, ok := c.m[key]
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
 	}
-	return r, ok
+	return e, ok
 }
 
 // Put records a completed walk: it counts the miss and memoizes the
-// result while the cache has room. Failed or aborted walks are never
-// put, so they are neither cached nor counted.
+// result while the cache has room. Of two racing misses the first is
+// kept (identical immutable state gives identical results). Failed or
+// aborted walks are never put, so they are neither cached nor counted.
 func (c *ResultCache) Put(key CacheKey, r *provquery.Result) {
 	c.misses.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, ok := c.m[key]; ok {
+		return
+	}
 	if len(c.m) >= maxQueryCacheEntries {
 		if key.Version > c.floor {
-			for k := range c.m {
+			var freed int64
+			for k, e := range c.m {
 				if k.Version < key.Version {
+					freed += int64(len(e.Body))
 					delete(c.m, k)
 				}
 			}
 			c.floor = key.Version
+			c.charged -= freed
+			c.budget.used.Add(-freed)
 		}
 		if len(c.m) >= maxQueryCacheEntries {
-			if _, ok := c.m[key]; !ok {
-				return // full: serve this key uncached rather than grow
-			}
+			return // full: serve this key uncached rather than grow
 		}
 	}
-	c.m[key] = r
+	c.m[key] = Cached{Result: r}
+}
+
+// AdmitBody keeps a copy of body, the rendered response of key's cached
+// result, while the owner's budget has room. It is called on a hit that
+// found no body; of racing callers one is charged.
+func (c *ResultCache) AdmitBody(key CacheKey, body []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
+	if !ok || e.Body != nil || c.released || !c.budget.take(int64(len(body))) {
+		return
+	}
+	e.Body = bytes.Clone(body)
+	c.m[key] = e
+	c.charged += int64(len(body))
+}
+
+// BodyBytes returns how many bytes of rendered bodies the cache holds
+// against its owner's budget. Safe for concurrent use.
+func (c *ResultCache) BodyBytes() int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.charged
+}
+
+// release gives the cache's charge back to the budget: its snapshot has
+// left the ring (or the disk cache), and what in-flight requests still
+// pinned to it read dies with them. O(1), so mint can afford it.
+func (c *ResultCache) release() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.budget.used.Add(-c.charged)
+	c.charged, c.released = 0, true
 }
 
 // Counters returns the cumulative hit and miss (completed walk) counts.
@@ -130,25 +215,25 @@ func (s *Snapshot) CachedQueryContext(ctx context.Context, typ provquery.QueryTy
 	}
 	// Hand back a shallow copy so the hit/miss counters can be stamped
 	// into Stats without mutating the shared cached value.
-	out := *cached
+	out := *cached.Result
 	hits, misses := s.cache.Counters()
 	out.Stats.SubProofHits, out.Stats.SubProofMisses = int(hits), int(misses)
 	return &out, hit, nil
 }
 
 // cachedQuery answers key (whose VID is t's) through the snapshot's
-// result cache, walking on a miss. The result is the shared cached
+// result cache, walking on a miss. The entry is the shared cached
 // value.
-func (s *Snapshot) cachedQuery(ctx context.Context, key CacheKey, t rel.Tuple) (*provquery.Result, bool, error) {
-	if r, ok := s.cache.Get(key); ok {
-		return r, true, nil
+func (s *Snapshot) cachedQuery(ctx context.Context, key CacheKey, t rel.Tuple) (Cached, bool, error) {
+	if e, ok := s.cache.Get(key); ok {
+		return e, true, nil
 	}
 	r, err := s.query.QueryContext(ctx, key.Type, key.At, t, key.Opts)
 	if err != nil {
-		return nil, false, err
+		return Cached{}, false, err
 	}
 	s.cache.Put(key, r)
-	return r, false, nil
+	return Cached{Result: r}, false, nil
 }
 
 // CacheCounters returns the snapshot's cumulative result-cache hit and

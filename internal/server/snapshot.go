@@ -266,6 +266,10 @@ type Publisher struct {
 
 	cur atomic.Pointer[ring]
 
+	// bodies is the one budget every snapshot's result cache — ring and
+	// disk cache alike — charges its rendered bodies to.
+	bodies bodyBudget
+
 	// Dirty tracking, parallel to allNodes. The activity counter gates
 	// the scan: a node that processed nothing since the last publish is
 	// skipped without touching its stores; when it did run, the state
@@ -616,11 +620,14 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 	}
 	// The snapshot is its own view resolver: no per-publish view map.
 	snap.query = provquery.NewResolverClient(snap)
-	snap.cache = NewResultCache()
+	snap.cache = newResultCache(&p.bodies)
 
 	snaps := append(append([]*Snapshot{}, prev.snaps...), snap)
-	if len(snaps) > p.retain {
-		snaps = snaps[len(snaps)-p.retain:]
+	if drop := len(snaps) - p.retain; drop > 0 {
+		for _, old := range snaps[:drop] {
+			old.cache.release()
+		}
+		snaps = snaps[drop:]
 	}
 	p.cur.Store(&ring{snaps: snaps})
 	return snap

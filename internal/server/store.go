@@ -197,6 +197,7 @@ func (p *Publisher) diskAt(version uint64) (*Snapshot, error) {
 	p.diskCache[version] = snap
 	p.diskOrder = append(p.diskOrder, version)
 	if len(p.diskOrder) > diskCacheSize {
+		p.diskCache[p.diskOrder[0]].cache.release()
 		delete(p.diskCache, p.diskOrder[0])
 		p.diskOrder = p.diskOrder[1:]
 	}
@@ -229,7 +230,7 @@ func (p *Publisher) snapshotFromDisk(vd *provstore.VersionData) *Snapshot {
 		index:    p.index,
 	}
 	snap.query = provquery.NewResolverClient(snap)
-	snap.cache = NewResultCache()
+	snap.cache = newResultCache(&p.bodies)
 	return snap
 }
 

@@ -13,7 +13,13 @@
 // more than the metric's bound in BENCHMARK.json, or when a larger
 // share of operations failed.
 //
-// Usage: benchcompare -base <ref> [-workload name] [-pairs n]
+// With -claim <metric> it also judges a gain: it exits zero only when,
+// on top of the above, the change is ahead on that metric in at least
+// nine tenths of the pairs (ties count for neither side) and its median
+// is better than the base's by more than the base's own inter-quartile
+// range. A claim names its workload and needs -pairs 10 or more.
+//
+// Usage: benchcompare -base <ref> [-workload name] [-pairs n] [-claim metric]
 package main
 
 import (
@@ -57,9 +63,13 @@ func main() {
 	base := flag.String("base", "", "git ref of the commit to compare the working tree against")
 	workload := flag.String("workload", "", "run only this workload (default: every workload in BENCHMARK.json)")
 	pairs := flag.Int("pairs", 2, "base/change pairs per workload; pair i runs on seed i+1")
+	claim := flag.String("claim", "", "end-to-end metric the change claims to improve on -workload (needs -pairs >= 10)")
 	flag.Parse()
 	if *base == "" || *pairs < 1 {
-		fail("usage: benchcompare -base <ref> [-workload name] [-pairs n]")
+		fail("usage: benchcompare -base <ref> [-workload name] [-pairs n] [-claim metric]")
+	}
+	if *claim != "" && (*workload == "" || *pairs < 10) {
+		fail("-claim needs -workload and -pairs >= 10")
 	}
 
 	var sp spec
@@ -78,6 +88,15 @@ func main() {
 	}
 	if len(workloads) == 0 {
 		fail("no workload %q in BENCHMARK.json", *workload)
+	}
+	var claimed metric
+	for _, m := range sp.EndToEnd {
+		if m.Name == *claim {
+			claimed = m
+		}
+	}
+	if *claim != "" && claimed.Name == "" {
+		fail("no end-to-end metric %q in BENCHMARK.json", *claim)
 	}
 
 	baseDir, sha := checkoutBase(*base)
@@ -100,6 +119,16 @@ func main() {
 		}
 		if report(w, sp.EndToEnd, baseRuns, changeRuns) {
 			worse = true
+		}
+		if *claim != "" {
+			ok, why := gain(claimed, values(baseRuns, *claim), values(changeRuns, *claim))
+			verdict := "NOT MET"
+			if ok {
+				verdict = "met"
+			} else {
+				worse = true
+			}
+			fmt.Printf("claim %s on %s: %s (%s)\n", *claim, w, verdict, why)
 		}
 	}
 	if worse {
@@ -199,6 +228,32 @@ func report(workload string, metrics []metric, base, change []result) (worse boo
 	return worse
 }
 
+// gain is the rule for claiming an improvement of m from paired runs
+// (base[i] and change[i] ran back to back on one seed): the change wins
+// at least nine tenths of the pairs, a tie counting for neither side,
+// and the medians differ, in m's better direction, by more than the
+// spread of the base's own runs — the distance between their quartiles.
+func gain(m metric, base, change []float64) (ok bool, why string) {
+	if len(base) != len(change) || len(base) == 0 {
+		return false, fmt.Sprintf("%d base runs against %d change runs", len(base), len(change))
+	}
+	sign := 1.0 // positive differences are improvements
+	if m.Better != "higher" {
+		sign = -1
+	}
+	wins := 0
+	for i := range base {
+		if sign*(change[i]-base[i]) > 0 {
+			wins++
+		}
+	}
+	ahead := sign * (median(change) - median(base))
+	iqr := quantile(base, 0.75) - quantile(base, 0.25)
+	why = fmt.Sprintf("ahead in %d of %d pairs, median better by %.4g against a base inter-quartile range of %.4g",
+		wins, len(base), ahead, iqr)
+	return 10*wins >= 9*len(base) && ahead > iqr, why
+}
+
 func values(runs []result, name string) []float64 {
 	var vs []float64
 	for _, r := range runs {
@@ -209,16 +264,22 @@ func values(runs []result, name string) []float64 {
 	return vs
 }
 
-func median(vs []float64) float64 {
+func median(vs []float64) float64 { return quantile(vs, 0.5) }
+
+// quantile interpolates linearly between the two nearest order
+// statistics.
+func quantile(vs []float64, q float64) float64 {
 	if len(vs) == 0 {
 		return math.NaN()
 	}
 	s := append([]float64(nil), vs...)
 	sort.Float64s(s)
-	if n := len(s); n%2 == 0 {
-		return (s[n/2-1] + s[n/2]) / 2
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	if lo == len(s)-1 {
+		return s[lo]
 	}
-	return s[len(s)/2]
+	return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 }
 
 func failedShare(runs []result) float64 {
