@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -191,7 +192,7 @@ func DiscoverShards(ctx context.Context, urls []string, opts ...Option) (*ShardS
 		}
 		if set.allNodes == nil {
 			set.allNodes = sh.AllNodes
-		} else if !equalStrings(set.allNodes, sh.AllNodes) {
+		} else if !slices.Equal(set.allNodes, sh.AllNodes) {
 			return nil, fmt.Errorf("client: %s disagrees about the network's node list", u)
 		}
 		set.clients[sh.Shard.Index] = c
@@ -211,18 +212,6 @@ func DiscoverShards(ctx context.Context, urls []string, opts ...Option) (*ShardS
 		return nil, fmt.Errorf("client: a shard claims a node outside the network's node list")
 	}
 	return set, nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Shard returns the client for shard index i.

@@ -16,14 +16,8 @@ import (
 
 	nettrails "repro"
 	"repro/internal/buildinfo"
+	"repro/internal/protocols"
 )
-
-var builtins = map[string]string{
-	"mincost":        nettrails.MinCost,
-	"pathvector":     nettrails.PathVector,
-	"dsr":            nettrails.DSR,
-	"distancevector": nettrails.DistanceVector,
-}
 
 func main() {
 	protocol := flag.String("protocol", "", "builtin protocol: mincost, pathvector, dsr, distancevector")
@@ -38,7 +32,7 @@ func main() {
 	var src string
 	switch {
 	case *protocol != "":
-		p, ok := builtins[*protocol]
+		p, ok := protocols.Programs[*protocol]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "ndlogc: unknown protocol %q\n", *protocol)
 			os.Exit(2)

@@ -68,37 +68,13 @@ func main() {
 	}
 	emitDOT = *dot
 
-	programs := map[string]string{
-		"mincost":        nettrails.MinCost,
-		"pathvector":     nettrails.PathVector,
-		"dsr":            nettrails.DSR,
-		"distancevector": nettrails.DistanceVector,
-	}
-	prog, ok := programs[*protocol]
+	prog, ok := protocols.Programs[*protocol]
 	if !ok {
 		fail("unknown protocol %q", *protocol)
 	}
-
-	var edges []protocols.Edge
-	n := *nodes
-	switch *topology {
-	case "line":
-		edges = protocols.LineTopology(n, *cost)
-	case "ring":
-		edges = protocols.RingTopology(n, *cost)
-	case "star":
-		edges = protocols.StarTopology(n, *cost)
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		n = side * side
-		edges = protocols.GridTopology(side, side, *cost)
-	case "random":
-		edges = protocols.RandomTopology(n, n/2, 4, *seed)
-	default:
-		fail("unknown topology %q", *topology)
+	edges, n, err := protocols.Topology(*topology, *nodes, *cost, *seed)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	sys, err := nettrails.NewSystem(prog, nettrails.NodeNames(n),

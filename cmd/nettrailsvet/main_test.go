@@ -3,32 +3,20 @@ package main
 import (
 	"testing"
 
-	"repro/tools/analyzers/analysis"
-	"repro/tools/analyzers/ctxflow"
-	"repro/tools/analyzers/errenvelope"
-	"repro/tools/analyzers/frozenwrite"
 	"repro/tools/analyzers/load"
-	"repro/tools/analyzers/mapdeterminism"
 	"repro/tools/analyzers/multichecker"
-	"repro/tools/analyzers/walltime"
 )
 
-// TestRepoSelfHostClean sweeps the whole module with every analyzer
-// and requires zero findings: every true positive has been fixed and
-// every deliberate exception carries a justified //lint:allow. This is
+// TestRepoSelfHostClean sweeps the whole module with the analyzers
+// main registers and requires zero findings: every true positive has
+// been fixed and every deliberate exception carries a justified
+// //lint:allow. This is
 // the same sweep `make vet` runs through go vet -vettool, kept inside
 // `go test ./...` so the invariants hold even where only the tier-1
 // command runs.
 func TestRepoSelfHostClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-host sweep shells out to go list -export over the module")
-	}
-	analyzers := []*analysis.Analyzer{
-		mapdeterminism.Analyzer,
-		frozenwrite.Analyzer,
-		ctxflow.Analyzer,
-		errenvelope.Analyzer,
-		walltime.Analyzer,
 	}
 	root, err := load.ModuleRoot(".")
 	if err != nil {
@@ -44,7 +32,7 @@ func TestRepoSelfHostClean(t *testing.T) {
 	analyzed := 0
 	for _, pkg := range pkgs {
 		for _, d := range multichecker.RunAnalyzers(pkg, analyzers) {
-			t.Errorf("%s: %s: %s", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
+			t.Errorf("%s: %s: %s", pkg.Fset.Position(d.Pos), d.Category, d.Message)
 		}
 		analyzed++
 	}

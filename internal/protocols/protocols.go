@@ -66,6 +66,15 @@ dv2 hop(@S,D,Z,C) :- link(@S,Z,C1), bestcost(@Z,D,C2), C := C1 + C2, C < 16.
 dv3 bestcost(@S,D,min<C>) :- hop(@S,D,Z,C).
 `
 
+// Programs maps each built-in protocol's command-line name to its
+// program.
+var Programs = map[string]string{
+	"mincost":        MinCost,
+	"pathvector":     PathVector,
+	"dsr":            DSR,
+	"distancevector": DistanceVector,
+}
+
 // NodeName returns the canonical node name used by the generators.
 func NodeName(i int) string { return fmt.Sprintf("n%d", i) }
 
@@ -126,6 +135,29 @@ func GridTopology(rows, cols int, cost int64) []Edge {
 		}
 	}
 	return out
+}
+
+// Topology generates the named topology (line, ring, star, grid or
+// random) over n nodes and returns its edges and node count: a grid
+// rounds n up to the nearest square.
+func Topology(name string, n int, cost, seed int64) ([]Edge, int, error) {
+	switch name {
+	case "line":
+		return LineTopology(n, cost), n, nil
+	case "ring":
+		return RingTopology(n, cost), n, nil
+	case "star":
+		return StarTopology(n, cost), n, nil
+	case "grid":
+		side := 1
+		for side*side < n {
+			side++
+		}
+		return GridTopology(side, side, cost), side * side, nil
+	case "random":
+		return RandomTopology(n, n/2, 4, seed), n, nil
+	}
+	return nil, 0, fmt.Errorf("unknown topology %q", name)
 }
 
 // RandomTopology produces a connected random graph: a random spanning

@@ -31,6 +31,36 @@ func nodeTuples(t *testing.T, e *engine.Engine, addr, relName string) []rel.Tupl
 	return ts
 }
 
+// TestTopologyByName covers the name table the command-line tools
+// share: a grid rounds its node count up to a square, and an unknown
+// name is an error naming it.
+func TestTopologyByName(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		n, wantNodes int
+		wantEdges    int
+	}{
+		{"line", 4, 4, 3},
+		{"ring", 4, 4, 4},
+		{"star", 5, 5, 4},
+		{"grid", 5, 9, 12},
+		{"random", 10, 10, 14},
+	} {
+		edges, nodes, err := Topology(c.name, c.n, 1, 7)
+		if err != nil || nodes != c.wantNodes || len(edges) != c.wantEdges {
+			t.Errorf("Topology(%s, %d) = %d edges, %d nodes, %v; want %d, %d", c.name, c.n, len(edges), nodes, err, c.wantEdges, c.wantNodes)
+		}
+	}
+	if _, _, err := Topology("torus", 4, 1, 1); err == nil || err.Error() != `unknown topology "torus"` {
+		t.Errorf("unknown topology: %v", err)
+	}
+	for name, prog := range Programs {
+		if prog == "" {
+			t.Errorf("protocol %s has no program", name)
+		}
+	}
+}
+
 func TestTopologyGenerators(t *testing.T) {
 	if got := LineTopology(4, 1); len(got) != 3 {
 		t.Fatalf("line = %v", got)

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/server"
 )
@@ -43,52 +41,32 @@ func (o SoakOptions) withDefaults() SoakOptions {
 	return o
 }
 
-// LatencySummary condenses one query's latency distribution.
-type LatencySummary struct {
-	Count int     `json:"count"`
-	P50Us float64 `json:"p50Us"`
-	P95Us float64 `json:"p95Us"`
-	P99Us float64 `json:"p99Us"`
-	MaxUs float64 `json:"maxUs"`
-}
-
-// SoakReport is the BENCH_scenarios.json document of one soak run.
+// SoakReport is what one soak run observed.
 type SoakReport struct {
-	Scenario    string  `json:"scenario"`
-	Clients     int     `json:"clients"`
-	Queries     int     `json:"queries"`
-	ChurnEvents int     `json:"churnEvents"`
-	ElapsedSec  float64 `json:"elapsedSec"`
+	Scenario    string
+	Clients     int
+	Queries     int
+	ChurnEvents int
 
 	// ChecksPassed records that the full oracle suite passed on this
 	// deployment before load started.
-	ChecksPassed int `json:"checksPassed"`
+	ChecksPassed int
 
 	// PublishedVersions is how many snapshot versions the churn loop
-	// minted during the run; PublishRatePerSec normalizes it.
-	PublishedVersions uint64  `json:"publishedVersions"`
-	PublishRatePerSec float64 `json:"publishRatePerSec"`
+	// minted during the run.
+	PublishedVersions uint64
 
-	// ThroughputPerSec is queries answered per wall-clock second.
-	ThroughputPerSec float64 `json:"throughputPerSec"`
-
-	// CacheHits/CacheMisses tally the gateway's X-Cache verdicts;
-	// CacheHitRate is hits over verdicts.
-	CacheHits    int64   `json:"cacheHits"`
-	CacheMisses  int64   `json:"cacheMisses"`
-	CacheHitRate float64 `json:"cacheHitRate"`
+	// CacheHits/CacheMisses tally the gateway's X-Cache verdicts.
+	CacheHits   int64
+	CacheMisses int64
 
 	// Statuses counts responses by HTTP status code.
-	Statuses map[string]int64 `json:"statuses"`
-
-	// Latency summarizes per-check latency distributions, keyed by
-	// check name.
-	Latency map[string]LatencySummary `json:"latency"`
+	Statuses map[string]int64
 }
 
 // Soak replays the scenario's query mix against the booted gateway at
 // the configured concurrency while churning every arm's engine, and
-// reports latency percentiles, cache behavior, and publish rate. The
+// reports statuses, cache behavior, and versions published. The
 // oracle checks run first — a soak over a deployment whose answers
 // are wrong measures nothing.
 func (d *Deployment) Soak(opts SoakOptions) (*SoakReport, error) {
@@ -133,18 +111,15 @@ func (d *Deployment) Soak(opts SoakOptions) (*SoakReport, error) {
 		ChurnEvents:  o.ChurnEvents,
 		ChecksPassed: len(results),
 		Statuses:     map[string]int64{},
-		Latency:      map[string]LatencySummary{},
 	}
 
 	var (
-		next      atomic.Int64
-		hits      atomic.Int64
-		misses    atomic.Int64
-		mu        sync.Mutex // guards statuses + latencies
-		latencies = map[string][]float64{}
+		next   atomic.Int64
+		hits   atomic.Int64
+		misses atomic.Int64
+		mu     sync.Mutex // guards statuses
 	)
 	startVersion := d.SinglePub.Current().Version
-	start := time.Now()
 
 	var wg sync.WaitGroup
 	errc := make(chan error, o.Clients+1)
@@ -159,9 +134,7 @@ func (d *Deployment) Soak(opts SoakOptions) (*SoakReport, error) {
 					return
 				}
 				j := jobs[k%len(jobs)]
-				t0 := time.Now()
 				status, verdict, err := d.soakQuery(client, j.body)
-				us := float64(time.Since(t0).Microseconds())
 				if err != nil {
 					errc <- fmt.Errorf("soak: query %s: %w", j.name, err)
 					return
@@ -174,7 +147,6 @@ func (d *Deployment) Soak(opts SoakOptions) (*SoakReport, error) {
 				}
 				mu.Lock()
 				report.Statuses[fmt.Sprint(status)]++
-				latencies[j.name] = append(latencies[j.name], us)
 				mu.Unlock()
 			}
 		}()
@@ -198,21 +170,9 @@ func (d *Deployment) Soak(opts SoakOptions) (*SoakReport, error) {
 		return nil, err
 	}
 
-	elapsed := time.Since(start).Seconds()
-	report.ElapsedSec = elapsed
 	report.PublishedVersions = d.SinglePub.Current().Version - startVersion
-	if elapsed > 0 {
-		report.PublishRatePerSec = float64(report.PublishedVersions) / elapsed
-		report.ThroughputPerSec = float64(o.Queries) / elapsed
-	}
 	report.CacheHits = hits.Load()
 	report.CacheMisses = misses.Load()
-	if total := report.CacheHits + report.CacheMisses; total > 0 {
-		report.CacheHitRate = float64(report.CacheHits) / float64(total)
-	}
-	for name, ls := range latencies {
-		report.Latency[name] = summarize(ls)
-	}
 	return report, nil
 }
 
@@ -258,20 +218,4 @@ func (d *Deployment) churn(events int) error {
 		}
 	}
 	return nil
-}
-
-func summarize(us []float64) LatencySummary {
-	sort.Float64s(us)
-	pick := func(q float64) float64 {
-		if len(us) == 0 {
-			return 0
-		}
-		i := int(q * float64(len(us)-1))
-		return us[i]
-	}
-	out := LatencySummary{Count: len(us), P50Us: pick(0.50), P95Us: pick(0.95), P99Us: pick(0.99)}
-	if len(us) > 0 {
-		out.MaxUs = us[len(us)-1]
-	}
-	return out
 }

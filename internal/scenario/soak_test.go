@@ -6,7 +6,7 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestSoakSmall runs the load generator end to end at a tiny size:
+// TestSoakSmall runs the soak end to end at a tiny size:
 // the oracle suite must pass first, every query must succeed, and the
 // churn loop must mint snapshot versions while clients are in flight.
 func TestSoakSmall(t *testing.T) {
@@ -38,11 +38,6 @@ func TestSoakSmall(t *testing.T) {
 	}
 	if report.CacheHits+report.CacheMisses != 120 {
 		t.Fatalf("cache verdicts %d+%d do not cover 120 queries", report.CacheHits, report.CacheMisses)
-	}
-	for name, ls := range report.Latency {
-		if ls.Count == 0 || ls.MaxUs <= 0 {
-			t.Fatalf("check %s has an empty latency summary: %+v", name, ls)
-		}
 	}
 	// Versions stayed aligned across arms through the churn.
 	want := d.SinglePub.Current().Version

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/provquery"
@@ -73,7 +74,7 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 	if opts.Store != nil {
 		// Version records address nodes by owned index, so the store's
 		// identity must match this shard's exactly.
-		if !sameStrings(opts.Store.Owned(), p.owned) {
+		if !slices.Equal(opts.Store.Owned(), p.owned) {
 			return nil, fmt.Errorf("server: snapshot store owns %d nodes, shard %s owns %d (different deployment?)",
 				len(opts.Store.Owned()), shard, len(p.owned))
 		}
@@ -95,18 +96,6 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 		eng.SetEpochObserver(func() { p.Publish() })
 	}
 	return p, nil
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Store returns the attached snapshot store (nil without one). The

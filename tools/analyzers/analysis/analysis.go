@@ -21,7 +21,8 @@ import (
 // Analyzer describes one static check.
 type Analyzer struct {
 	// Name is the short identifier used in diagnostics and in
-	// //lint:allow suppression comments.
+	// //lint:allow suppression comments, unless a diagnostic names
+	// its own Category.
 	Name string
 	// Doc explains what the analyzer enforces and why.
 	Doc string
@@ -44,8 +45,11 @@ type Pass struct {
 
 // Diagnostic is one finding at a position.
 type Diagnostic struct {
-	Pos     token.Pos
-	Message string
+	Pos token.Pos
+	// Category names the finding in output and in //lint:allow
+	// comments; empty means the analyzer's Name.
+	Category string
+	Message  string
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -6,8 +6,8 @@
 //
 // Each `// want` comment carries one or more quoted (double- or
 // back-quoted) regular expressions; every diagnostic the analyzer
-// emits on that line must match one of them, and every annotation must
-// be matched by a diagnostic. Fixture packages live under
+// emits on that line must match one of them as "category: message",
+// and every annotation must be matched by a diagnostic. Fixture packages live under
 // testdata/src/<name>/ and are type-checked with a caller-chosen
 // import path, so scope-limited analyzers can be pointed at fixtures
 // as if they lived inside the package trees they police.
@@ -70,8 +70,9 @@ func Run(t *testing.T, dir, importPath string, a *analysis.Analyzer) {
 
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		if !claim(wants, pos.Filename, pos.Line, d.Message) {
-			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
+		msg := d.Category + ": " + d.Message
+		if !claim(wants, pos.Filename, pos.Line, msg) {
+			t.Errorf("%s: unexpected diagnostic: %s", pos, msg)
 		}
 	}
 	for _, w := range wants {

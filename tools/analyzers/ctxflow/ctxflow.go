@@ -3,17 +3,10 @@
 // through the gateway fan-out, the walk core's continuations, and the
 // SDK: a client disconnect or ?timeout= deadline aborts the traversal
 // everywhere. That chain has two statically-detectable failure modes:
-//
-//   - minting a fresh root context (context.Background / context.TODO)
-//     mid-chain, which detaches everything downstream from the caller's
-//     cancellation; and
-//   - accepting a ctx parameter and never using it, which silently
-//     drops the chain on the floor while the signature still promises
-//     cancellation.
-//
-// Compatibility wrappers that deliberately start a fresh root (the
-// context-free Query entry points) carry //lint:allow ctxflow
-// justifications.
+// minting a fresh root context mid-chain, which the forbid analyzer's
+// ctxflow rule bans, and accepting a ctx parameter and never using it,
+// which silently drops the chain on the floor while the signature
+// still promises cancellation. This analyzer flags the second.
 //
 // The TCP cluster transport (internal/nettransport) is in scope too:
 // Dial's caller owns the lifetime of every dial retry and blocked
@@ -31,7 +24,7 @@ import (
 // Analyzer is the ctxflow check.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc: "forbid fresh root contexts and dropped ctx parameters in the serving stack " +
+	Doc: "forbid dropped ctx parameters in the serving stack " +
 		"(server handlers, gateway fan-out, walk continuations, SDK calls), where the " +
 		"client-disconnect cancellation chain must stay unbroken",
 	Run: run,
@@ -63,12 +56,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if pkgPath, name, ok := pass.PkgFunc(n); ok && pkgPath == "context" &&
-					(name == "Background" || name == "TODO") {
-					pass.Reportf(n.Pos(),
-						"context.%s starts a fresh root mid-chain: thread the caller's ctx instead so client disconnects still cancel the walk", name)
-				}
 			case *ast.FuncDecl:
 				if n.Body != nil {
 					checkParams(pass, n.Type, used)

@@ -1,7 +1,6 @@
-// Package ctxfixture exercises the ctxflow analyzer: fresh root
-// contexts mid-chain and dropped ctx parameters are flagged; threading
-// the caller's ctx, discarding it explicitly with _, and justified
-// compatibility wrappers are legal. The test harness type-checks this
+// Package ctxfixture exercises the ctxflow analyzer: dropped ctx
+// parameters are flagged; threading the caller's ctx and discarding it
+// explicitly with _ are legal. The test harness type-checks this
 // package as repro/internal/server/ctxfixture so the scope gate
 // admits it.
 package ctxfixture
@@ -22,14 +21,6 @@ func queryContext(ctx context.Context) (*result, error) {
 	return &result{}, nil
 }
 
-func detached() (*result, error) {
-	return queryContext(context.Background()) // want `context\.Background starts a fresh root mid-chain`
-}
-
-func parked() (*result, error) {
-	return queryContext(context.TODO()) // want `context\.TODO starts a fresh root mid-chain`
-}
-
 func dropped(ctx context.Context, n int) int { // want `context parameter ctx is dropped`
 	return n * 2
 }
@@ -42,9 +33,4 @@ func blank(_ context.Context, n int) int {
 
 var litHandler = func(ctx context.Context) *result { // want `context parameter ctx is dropped`
 	return &result{}
-}
-
-func compat() (*result, error) {
-	//lint:allow ctxflow context-free compatibility entry point exercised by the suppression test
-	return queryContext(context.Background())
 }

@@ -6,10 +6,10 @@
 // those strings, so an ad-hoc http.Error body or a typo'd code literal
 // is a silent contract break no test may happen to cover. Three checks:
 //
-//   - plain-text escape hatches (http.Error, http.NotFound) and direct
-//     WriteHeader calls with 4xx/5xx constants are flagged: the
+//   - direct WriteHeader calls with 4xx/5xx constants are flagged: the
 //     envelope helpers (WriteErr, WriteAPIError, Errf) are the only
-//     sanctioned way to report failure;
+//     sanctioned way to report failure (the plain-text escape hatches
+//     are banned by the forbid analyzer's errenvelope rule);
 //   - the code argument of Errf/WriteErr must reference a catalog
 //     constant (Err*), never a raw string literal;
 //   - every catalog constant must appear in docs/API.md, so the
@@ -60,7 +60,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
-			checkEscapeHatch(pass, call)
 			checkWriteHeader(pass, call)
 			checkCodeArg(pass, call)
 			return true
@@ -68,18 +67,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	}
 	checkCatalogDocs(pass, files)
 	return nil, nil
-}
-
-// checkEscapeHatch flags net/http's plain-text error writers.
-func checkEscapeHatch(pass *analysis.Pass, call *ast.CallExpr) {
-	pkgPath, name, ok := pass.PkgFunc(call.Fun)
-	if !ok || pkgPath != "net/http" {
-		return
-	}
-	if name == "Error" || name == "NotFound" {
-		pass.Reportf(call.Pos(),
-			"http.%s writes a plain-text error, bypassing the v1 envelope: use WriteErr/WriteAPIError with a catalog code", name)
-	}
 }
 
 // checkWriteHeader flags WriteHeader calls with a constant 4xx/5xx

@@ -35,10 +35,8 @@ func WriteErr(w http.ResponseWriter, status int, code, format string, args ...in
 }
 
 func handler(w http.ResponseWriter, r *http.Request) {
-	http.Error(w, "boom", http.StatusInternalServerError) // want `http\.Error writes a plain-text error`
-	http.NotFound(w, r)                                   // want `http\.NotFound writes a plain-text error`
-	w.WriteHeader(http.StatusBadRequest)                  // want `WriteHeader\(400\) reports an error without the envelope body`
-	w.WriteHeader(http.StatusOK)                          // success statuses carry no envelope: legal
+	w.WriteHeader(http.StatusBadRequest) // want `WriteHeader\(400\) reports an error without the envelope body`
+	w.WriteHeader(http.StatusOK)         // success statuses carry no envelope: legal
 	WriteErr(w, http.StatusBadRequest, ErrBadQuery, "bad query %q", r.URL.Path)
 	WriteErr(w, http.StatusBadRequest, "bad_query", "inline") // want `raw error-code literal "bad_query"`
 	_ = Errf(http.StatusBadRequest, notACode, "outside")      // want `error code notACode is a constant outside the Err\* catalog`

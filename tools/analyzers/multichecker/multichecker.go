@@ -9,7 +9,8 @@
 //     `go list -export`, which is how the self-hosting test sweeps the
 //     repo inside `go test`.
 //
-// Diagnostics print as file:line:col: analyzer: message. Exit status 2
+// Diagnostics print as file:line:col: category: message, the category
+// being the analyzer's name unless the finding names its own. Exit status 2
 // means findings, matching go vet; 1 means the tool itself failed.
 package multichecker
 
@@ -155,18 +156,13 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer) int {
 	return exit
 }
 
-// Diagnostic pairs a finding with the analyzer that produced it.
-type Diagnostic struct {
-	Analyzer string
-	analysis.Diagnostic
-}
-
 // RunAnalyzers applies every analyzer to one package, drops
 // //lint:allow-suppressed findings, and returns the rest sorted by
-// position. Exported for the self-hosting test.
-func RunAnalyzers(pkg *load.Package, analyzers []*analysis.Analyzer) []Diagnostic {
+// position, each with its Category set. Exported for the self-hosting
+// test.
+func RunAnalyzers(pkg *load.Package, analyzers []*analysis.Analyzer) []analysis.Diagnostic {
 	supp := analysis.NewSuppressions(pkg.Fset, pkg.Syntax)
-	var diags []Diagnostic
+	var diags []analysis.Diagnostic
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
 			Analyzer:  a,
@@ -175,18 +171,16 @@ func RunAnalyzers(pkg *load.Package, analyzers []*analysis.Analyzer) []Diagnosti
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 		}
-		name := a.Name
 		pass.Report = func(d analysis.Diagnostic) {
-			if supp.Allowed(name, d.Pos) {
-				return
+			if d.Category == "" {
+				d.Category = a.Name
 			}
-			diags = append(diags, Diagnostic{Analyzer: name, Diagnostic: d})
+			if !supp.Allowed(d.Category, d.Pos) {
+				diags = append(diags, d)
+			}
 		}
 		if _, err := a.Run(pass); err != nil {
-			diags = append(diags, Diagnostic{
-				Analyzer:   a.Name,
-				Diagnostic: analysis.Diagnostic{Message: fmt.Sprintf("analyzer failed: %v", err)},
-			})
+			diags = append(diags, analysis.Diagnostic{Category: a.Name, Message: fmt.Sprintf("analyzer failed: %v", err)})
 		}
 	}
 	sort.SliceStable(diags, func(i, j int) bool {
@@ -202,8 +196,8 @@ func RunAnalyzers(pkg *load.Package, analyzers []*analysis.Analyzer) []Diagnosti
 	return diags
 }
 
-func printDiags(fset *token.FileSet, diags []Diagnostic) {
+func printDiags(fset *token.FileSet, diags []analysis.Diagnostic) {
 	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
+		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Category, d.Message)
 	}
 }

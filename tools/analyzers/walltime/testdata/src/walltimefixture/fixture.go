@@ -1,4 +1,4 @@
-// Package walltimefixture exercises the walltime analyzer: the
+// Package walltimefixture exercises forbid's walltime rule: the
 // deterministic core may only read virtual clocks and draw from
 // scenario-seeded randomness. The test harness type-checks this
 // package as repro/internal/simnet/walltimefixture so the scope gate

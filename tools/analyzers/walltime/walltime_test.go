@@ -1,18 +1,21 @@
+// Package walltime_test pins the scope of forbid's walltime rule, the
+// check the walltime analyzer made before forbid.Rules absorbed it.
+// The directory holds these tests only.
 package walltime_test
 
 import (
 	"testing"
 
 	"repro/tools/analyzers/analyzertest"
-	"repro/tools/analyzers/walltime"
+	"repro/tools/analyzers/forbid"
 )
 
 // The fixture is type-checked as a package inside the deterministic
-// core so the scope gate admits it; the same files analyzed under an
-// out-of-scope path must produce nothing.
+// core so the walltime rule's scope admits it, and no other rule binds
+// there.
 func TestWalltime(t *testing.T) {
 	analyzertest.Run(t, "testdata/src/walltimefixture",
-		"repro/internal/simnet/walltimefixture", walltime.Analyzer)
+		"repro/internal/simnet/walltimefixture", forbid.Analyzer)
 }
 
 // TestWalltimeProvstoreScope proves the on-disk snapshot store is part
@@ -22,5 +25,5 @@ func TestWalltime(t *testing.T) {
 // (provstore.VersionInput.Time), never time.Now.
 func TestWalltimeProvstoreScope(t *testing.T) {
 	analyzertest.Run(t, "testdata/src/walltimefixture",
-		"repro/internal/provstore/walltimefixture", walltime.Analyzer)
+		"repro/internal/provstore/walltimefixture", forbid.Analyzer)
 }
