@@ -19,59 +19,124 @@ import (
 // ID order (the order a bucket holds them in), entry lists in their
 // already-deterministic stored order.
 
+// The three bucket directories of a view, in the order PersistBuckets
+// returns them and EachBucket visits them.
+const (
+	SpineProv = iota
+	SpineExec
+	SpinePins
+)
+
+// SpineLen returns the length of one bucket directory, empty buckets
+// included.
+func (v *View) SpineLen(spine int) int {
+	switch spine {
+	case SpineProv:
+		return len(v.prov.m)
+	case SpineExec:
+		return len(v.exec.m)
+	default:
+		return len(v.pins.m)
+	}
+}
+
+// Bucket is one non-empty bucket of a view's directory, as EachBucket
+// visits it. Its contents are fixed: a view never writes a bucket it
+// holds, and the next version copies a bucket before changing it.
+type Bucket struct {
+	Spine, Index int
+	v            *View
+}
+
+// EachBucket calls fn for every non-empty bucket, spine by spine and in
+// index order within a spine. Nothing is encoded unless fn asks.
+func (v *View) EachBucket(fn func(Bucket)) {
+	for spine := SpineProv; spine <= SpinePins; spine++ {
+		for i := range v.SpineLen(spine) {
+			b := Bucket{Spine: spine, Index: i, v: v}
+			if _, n := b.Key(); n > 0 {
+				fn(b)
+			}
+		}
+	}
+}
+
+// Key names the bucket by its first entry's address and its length.
+// Two buckets with equal keys share one backing array, which nothing
+// writes, so they encode identically. A caller holding first keeps the
+// array alive, so its address is not reused while the key is held.
+func (b Bucket) Key() (first any, n int) {
+	switch b.Spine {
+	case SpineProv:
+		return bucketKey(b.v.prov.m[b.Index])
+	case SpineExec:
+		return bucketKey(b.v.exec.m[b.Index])
+	default:
+		return bucketKey(b.v.pins.m[b.Index])
+	}
+}
+
+func bucketKey[V any](bucket []kv[V]) (any, int) {
+	if len(bucket) == 0 {
+		return nil, 0
+	}
+	return &bucket[0], len(bucket)
+}
+
+// AppendTo appends the bucket's persisted encoding to dst: the key
+// count, then each key in ID order followed by its value.
+func (b Bucket) AppendTo(dst []byte) []byte {
+	switch b.Spine {
+	case SpineProv:
+		bucket := b.v.prov.m[b.Index]
+		dst = wire.AppendUvarint(dst, uint64(len(bucket)))
+		for _, e := range bucket {
+			dst = append(dst, e.id[:]...)
+			dst = wire.AppendUvarint(dst, uint64(len(e.v)))
+			for _, d := range e.v {
+				dst = append(dst, d.RID[:]...)
+				dst = wire.AppendString(dst, d.RLoc)
+			}
+		}
+	case SpineExec:
+		bucket := b.v.exec.m[b.Index]
+		dst = wire.AppendUvarint(dst, uint64(len(bucket)))
+		for _, e := range bucket {
+			dst = append(dst, e.id[:]...)
+			dst = wire.AppendString(dst, e.v.Rule)
+			dst = wire.AppendUvarint(dst, uint64(len(e.v.VIDs)))
+			for _, vid := range e.v.VIDs {
+				dst = append(dst, vid[:]...)
+			}
+		}
+	default:
+		bucket := b.v.pins.m[b.Index]
+		dst = wire.AppendUvarint(dst, uint64(len(bucket)))
+		for _, e := range bucket {
+			dst = append(dst, e.id[:]...)
+			dst = rel.AppendTuple(dst, e.v)
+		}
+	}
+	return dst
+}
+
 // PersistBuckets renders the view's three bucket directories as
 // deterministic per-bucket encodings, parallel to the directory spines.
 // Empty buckets render as nil (canonical absence), so the caller can
 // skip them and a bucket's hash never depends on spine position.
 func (v *View) PersistBuckets() (prov, exec, pins [][]byte) {
+	var dirs [3][][]byte
+	for spine := range dirs {
+		dirs[spine] = make([][]byte, v.SpineLen(spine))
+	}
 	// One scratch buffer serves every bucket; each is cloned out at its
 	// exact size.
 	var b []byte
-	prov = make([][]byte, len(v.prov.m))
-	for i, bucket := range v.prov.m {
-		if len(bucket) == 0 {
-			continue
-		}
-		b = wire.AppendUvarint(b[:0], uint64(len(bucket)))
-		for _, e := range bucket {
-			b = append(b, e.id[:]...)
-			b = wire.AppendUvarint(b, uint64(len(e.v)))
-			for _, d := range e.v {
-				b = append(b, d.RID[:]...)
-				b = wire.AppendString(b, d.RLoc)
-			}
-		}
-		prov[i] = bytes.Clone(b)
-	}
-	exec = make([][]byte, len(v.exec.m))
-	for i, bucket := range v.exec.m {
-		if len(bucket) == 0 {
-			continue
-		}
-		b = wire.AppendUvarint(b[:0], uint64(len(bucket)))
-		for _, e := range bucket {
-			b = append(b, e.id[:]...)
-			b = wire.AppendString(b, e.v.Rule)
-			b = wire.AppendUvarint(b, uint64(len(e.v.VIDs)))
-			for _, vid := range e.v.VIDs {
-				b = append(b, vid[:]...)
-			}
-		}
-		exec[i] = bytes.Clone(b)
-	}
-	pins = make([][]byte, len(v.pins.m))
-	for i, bucket := range v.pins.m {
-		if len(bucket) == 0 {
-			continue
-		}
-		b = wire.AppendUvarint(b[:0], uint64(len(bucket)))
-		for _, e := range bucket {
-			b = append(b, e.id[:]...)
-			b = rel.AppendTuple(b, e.v)
-		}
-		pins[i] = bytes.Clone(b)
-	}
-	return prov, exec, pins
+	v.EachBucket(func(bk Bucket) {
+		b = bk.AppendTo(b[:0])
+		dirs[bk.Spine][bk.Index] = bytes.Clone(b)
+	})
+	return dirs[SpineProv], dirs[SpineExec], dirs[SpinePins]
 }
 
 // RebuildView reconstructs a View from persisted bucket encodings, as

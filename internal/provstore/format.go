@@ -235,8 +235,9 @@ type versionRecord struct {
 	infos     []infoEntry
 }
 
-func (vr *versionRecord) marshal() []byte {
-	b := wire.AppendUvarint(nil, vr.version)
+// appendTo appends the record's payload to b.
+func (vr *versionRecord) appendTo(b []byte) []byte {
+	b = wire.AppendUvarint(b, vr.version)
 	b = wire.AppendUvarint(b, uint64(vr.time))
 	b = wire.AppendUvarint(b, vr.minState)
 	for _, sv := range vr.stateVers {
@@ -444,9 +445,9 @@ func firstSeenKey(addr string, vid rel.ID) string {
 	return addr + "\x00" + string(vid[:])
 }
 
-// encodeChunkBlob renders one frozen-table chunk run as a blob.
-func encodeChunkBlob(run []rel.Tuple) []byte {
-	b := wire.AppendUvarint(nil, uint64(len(run)))
+// appendChunkBlob appends one frozen-table chunk run's blob to b.
+func appendChunkBlob(b []byte, run []rel.Tuple) []byte {
+	b = wire.AppendUvarint(b, uint64(len(run)))
 	for _, t := range run {
 		b = rel.AppendTuple(b, t)
 	}

@@ -90,7 +90,7 @@ func FuzzDecodeSegment(f *testing.F) {
 				_, _ = decodeChunkBlob(payload)
 			case recVersion:
 				if vr, err := unmarshalVersionRecord(payload, 1); err == nil {
-					_ = vr.marshal()
+					_ = vr.appendTo(nil)
 				}
 			case recIndex:
 				r := wire.NewReader(payload)
@@ -151,9 +151,9 @@ func fixtureVersionRecord() *versionRecord {
 // canonical encoding cannot drift from the decoder.
 func FuzzDecodeVersionRecord(f *testing.F) {
 	vr := fixtureVersionRecord()
-	f.Add(vr.marshal(), 2)
-	f.Add(vr.marshal(), 1)
-	f.Add(vr.marshal()[:10], 2)
+	f.Add(vr.appendTo(nil), 2)
+	f.Add(vr.appendTo(nil), 1)
+	f.Add(vr.appendTo(nil)[:10], 2)
 	f.Add([]byte{}, 1)
 	f.Add([]byte{5, 1, 2}, 3)
 	f.Fuzz(func(t *testing.T, payload []byte, nOwned int) {
@@ -162,7 +162,7 @@ func FuzzDecodeVersionRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := unmarshalVersionRecord(vr.marshal(), nOwned)
+		again, err := unmarshalVersionRecord(vr.appendTo(nil), nOwned)
 		if err != nil {
 			t.Fatalf("re-decode of canonical marshal failed: %v", err)
 		}

@@ -35,12 +35,12 @@ func TestGoldenRecordEncoding(t *testing.T) {
 		want string
 	}{
 		{"header", hdr.marshal(), "01ac02010303026e31026e32026e3301026e32"},
-		{"version record", fixtureVersionRecord().marshal(),
+		{"version record", fixtureVersionRecord().appendTo(nil),
 			"05320400010000010001047065657201000000000001046c696e6b03010fd0bcfb44f83e7d5ac7a8922578276b9af4874603" +
 				"01010fd0bcfb44f83e7d5ac7a8922578276b9af48746010001010fd0bcfb44f83e7d5ac7a8922578276b9af48746010fd0bc" +
 				"fb44f83e7d5ac7a8922578276b9af48746010100000000000700"},
-		{"chunk blob", encodeChunkBlob(run), "02046c696e6b0305026e3105026e3201030000000000000005726f7574650305026e31070205026e3207000400"},
-		{"empty chunk blob", encodeChunkBlob(nil), "00"},
+		{"chunk blob", appendChunkBlob(nil, run), "02046c696e6b0305026e3105026e3201030000000000000005726f7574650305026e31070205026e3207000400"},
+		{"empty chunk blob", appendChunkBlob(nil, nil), "00"},
 		{"framed record", appendRecord(nil, recBlob, []byte("payload")), "42077061796c6f61645d83e8c3"},
 		{"index", index,
 			"280fd0d094bc1efb6844daf88f3e387d155a1fc7f8a86a926125fc785927f76bc59acff49f87ca46a228ffffffff3f000000" +

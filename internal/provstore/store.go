@@ -3,10 +3,10 @@ package provstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -115,13 +115,79 @@ type VersionData struct {
 	Nodes   []NodeData // parallel to Options.Owned
 }
 
-// prevTable tracks, per owned table, what the store last recorded —
-// the delta base for first-seen detection. After a restart the maps
-// start empty, which only over-approximates first-seen (FirstVersion
-// takes the earliest segment's answer, so earlier truth still wins).
-type prevTable struct {
-	frozen *rel.Frozen
-	chunks map[rel.ID]bool
+// containerKey names one container a state entry references — a
+// frozen-table chunk run or a view bucket — by its first element's
+// address and its length. Neither is written once frozen, and the key
+// holds the pointer, so while a key sits in a memo its array stays
+// alive, its address is not reused, and an equal key means equal bytes.
+type containerKey struct {
+	first any
+	n     int
+}
+
+// blobLoc names a stored blob: its hash and the sequence number of the
+// segment that holds it.
+type blobLoc struct {
+	hash rel.ID
+	seq  uint64
+}
+
+// nodeLast is what the store last recorded for one owned node: each
+// table's frozen set (the delta base for first-seen detection) and the
+// memo from every container of that state entry to its blob, so an
+// untouched container costs Append one map probe — no encode, no hash,
+// no index walk. Append fills the next* pair and swaps it in only once
+// the version's write lands; clearing and swapping lets a steady state
+// allocate nothing. After a restart both start empty, which only
+// over-approximates first-seen (FirstVersion takes the earliest
+// segment's answer, so earlier truth still wins).
+type nodeLast struct {
+	tables, nextTables map[string]*rel.Frozen
+	memo, nextMemo     map[containerKey]blobLoc
+}
+
+// begin empties the next pair for a fresh state entry.
+func (nl *nodeLast) begin() {
+	if nl.nextMemo == nil {
+		nl.nextTables = map[string]*rel.Frozen{}
+		nl.nextMemo = map[containerKey]blobLoc{}
+	}
+	clear(nl.nextTables)
+	clear(nl.nextMemo)
+}
+
+// commit makes the pair begin emptied, now filled, the node's last
+// state entry.
+func (nl *nodeLast) commit() {
+	nl.tables, nl.nextTables = nl.nextTables, nl.tables
+	nl.memo, nl.nextMemo = nl.nextMemo, nl.memo
+}
+
+// appendScratch is Append's working memory, kept between versions so a
+// steady state reuses it: rec is the version record being built, enc
+// one container or record encoding, file the version's framed records,
+// staged the offsets of the blobs file holds.
+type appendScratch struct {
+	rec     versionRecord
+	enc     []byte
+	file    []byte
+	staged  map[rel.ID]int64
+	refSeqs map[uint64]bool
+	names   []string
+}
+
+// maxKeptScratch caps what appendScratch keeps: after a version whose
+// records passed this size (typically the full first one) the buffers
+// and the staged map start over, so they neither pin its memory nor
+// make every later clear pay for its capacity.
+const maxKeptScratch = 1 << 20
+
+// extend grows s by one element and returns it. The element keeps what
+// an earlier version left there, so the slices it holds are reused; the
+// caller resets every field.
+func extend[T any](s []T) ([]T, *T) {
+	s = slices.Grow(s, 1)[:len(s)+1]
+	return s, &s[len(s)-1]
 }
 
 // Store is a log-structured, append-only snapshot store. Appends run
@@ -143,9 +209,16 @@ type Store struct {
 	// every Append persists the updated vectors in the version record.
 	stateVers []uint64
 	infoVers  []uint64
-	prev      []map[string]prevTable
-	unsynced  int
-	closed    bool
+	last      []nodeLast
+	// loc locates blobs: hash -> sequence number of the segment holding
+	// it. Every blob Append writes and every blob Open or Append looks
+	// up enters it, and retention drops a deleted segment's entries, so
+	// the sealed tries are walked only for a hash unseen since Open.
+	// Materialize reads it under the read lock and never fills it.
+	loc      map[rel.ID]uint64
+	scratch  appendScratch
+	unsynced int
+	closed   bool
 
 	lastVersion    atomic.Uint64
 	oldestVersion  atomic.Uint64
@@ -175,10 +248,12 @@ func Open(dir string, opts Options) (*Store, error) {
 				dir, shardIdx, shardN, opts.Shard.Index, opts.Shard.Total)
 		}
 	}
-	s := &Store{dir: dir, opts: opts, lastRefs: map[uint64]uint64{}}
+	s := &Store{dir: dir, opts: opts, lastRefs: map[uint64]uint64{}, loc: map[rel.ID]uint64{}}
 	s.stateVers = make([]uint64, len(opts.Owned))
 	s.infoVers = make([]uint64, len(opts.Owned))
-	s.prev = make([]map[string]prevTable, len(opts.Owned))
+	s.last = make([]nodeLast, len(opts.Owned))
+	s.scratch.staged = map[rel.ID]int64{}
+	s.scratch.refSeqs = map[uint64]bool{}
 	hdr := &header{
 		format:   formatVersion,
 		shardIdx: opts.Shard.Index,
@@ -355,7 +430,9 @@ func (s *Store) scanTail(path string, seq uint64) (adopted, torn bool, err error
 		}
 		switch typ {
 		case recBlob:
-			a.blobOff[rel.HashBytes(payload)] = off
+			h := rel.HashBytes(payload)
+			a.blobOff[h] = off
+			s.loc[h] = seq
 		case recVersion:
 			vr, err := unmarshalVersionRecord(payload, len(s.opts.Owned))
 			if err != nil {
@@ -426,17 +503,8 @@ func recordLen(data []byte, off int64) int64 {
 // references imply, for recovery.
 func (s *Store) rebumpRefs(vr *versionRecord, a *activeSegment) {
 	bump := func(h rel.ID) {
-		if _, ok := a.blobOff[h]; ok {
-			return
-		}
-		for i := len(s.sealed) - 1; i >= 0; i-- {
-			seg := s.sealed[i]
-			if _, ok := seg.blobs.Get(h[:]); ok {
-				if s.lastRefs[seg.seq] < vr.version {
-					s.lastRefs[seg.seq] = vr.version
-				}
-				return
-			}
+		if seq, ok := s.locate(h); ok && seq != a.seq && s.lastRefs[seq] < vr.version {
+			s.lastRefs[seq] = vr.version
 		}
 	}
 	for i := range vr.states {
@@ -557,100 +625,70 @@ func (s *Store) Append(in VersionInput) error {
 	// Stage all record bytes first; bookkeeping commits only after the
 	// file write succeeds, so a failed append leaves a truncatable
 	// tail, never a half-indexed store.
-	var fileBuf []byte
-	type pendingBlob struct {
-		h   rel.ID
-		off int64
-	}
-	var pend []pendingBlob
-	staged := map[rel.ID]bool{}
-	refSeqs := map[uint64]bool{}
-	addBlob := func(blob []byte) rel.ID {
-		h := rel.HashBytes(blob)
-		if staged[h] {
-			return h
-		}
-		if _, ok := s.active.blobOff[h]; ok {
-			return h
-		}
-		for i := len(s.sealed) - 1; i >= 0; i-- {
-			if _, ok := s.sealed[i].blobs.Get(h[:]); ok {
-				refSeqs[s.sealed[i].seq] = true
-				return h
-			}
-		}
-		off := s.active.size + int64(len(fileBuf))
-		fileBuf = appendRecord(fileBuf, recBlob, blob)
-		pend = append(pend, pendingBlob{h, off})
-		staged[h] = true
-		return h
-	}
-
-	newStateVers := append([]uint64(nil), s.stateVers...)
-	newInfoVers := append([]uint64(nil), s.infoVers...)
-	newPrev := map[int]map[string]prevTable{}
-	vr := &versionRecord{version: in.Version, time: in.Time}
+	sc := &s.scratch
+	sc.file = sc.file[:0]
+	clear(sc.staged)
+	clear(sc.refSeqs)
+	vr := &sc.rec
+	vr.version, vr.time = in.Version, in.Time
+	vr.stateVers = append(vr.stateVers[:0], s.stateVers...)
+	vr.infoVers = append(vr.infoVers[:0], s.infoVers...)
+	vr.states, vr.infos = vr.states[:0], vr.infos[:0]
 	prevIdx := -1
 	for _, ns := range in.States {
 		if ns.OwnedIdx <= prevIdx || ns.OwnedIdx >= len(s.opts.Owned) {
 			return fmt.Errorf("provstore: version %d: bad state owned index %d", in.Version, ns.OwnedIdx)
 		}
 		prevIdx = ns.OwnedIdx
-		se := stateEntry{ownedIdx: ns.OwnedIdx, info: ns.Info}
-		names := make([]string, 0, len(ns.Tables))
+		var se *stateEntry
+		vr.states, se = extend(vr.states)
+		se.ownedIdx, se.info = ns.OwnedIdx, ns.Info
+		se.tables, se.firstSeen = se.tables[:0], se.firstSeen[:0]
+		nl := &s.last[ns.OwnedIdx]
+		nl.begin()
+		sc.names = sc.names[:0]
 		for name := range ns.Tables {
-			names = append(names, name)
+			sc.names = append(sc.names, name)
 		}
-		sort.Strings(names)
-		prevTables := s.prev[ns.OwnedIdx]
-		nodePrev := make(map[string]prevTable, len(names))
-		for _, name := range names {
-			f := ns.Tables[name]
-			pt := prevTables[name]
-			te := tableEntry{name: name, version: f.Version()}
-			chunkSet := map[rel.ID]bool{}
+		slices.Sort(sc.names)
+		for _, name := range sc.names {
+			f, prev := ns.Tables[name], nl.tables[name]
+			var te *tableEntry
+			se.tables, te = extend(se.tables)
+			te.name, te.version, te.chunks = name, f.Version(), te.chunks[:0]
 			f.Runs(func(run []rel.Tuple) {
-				blob := encodeChunkBlob(run)
-				h := addBlob(blob)
+				h, fresh := s.ref(nl, containerKey{&run[0], len(run)},
+					func(b []byte) []byte { return appendChunkBlob(b, run) })
 				te.chunks = append(te.chunks, h)
-				chunkSet[h] = true
-				if !pt.chunks[h] {
-					// A chunk the store has not recorded for this
-					// table: any tuple in it absent from the previous
-					// frozen set is first seen at this version.
-					for _, t := range run {
-						if !pt.frozen.Contains(t) {
-							se.firstSeen = append(se.firstSeen, t.VID())
-						}
-					}
+				if fresh {
+					// A chunk the node's last state entry did not hold:
+					// its tuples absent from the previous frozen set are
+					// first seen at this version.
+					prev.EachAbsent(run, func(t rel.Tuple) {
+						se.firstSeen = append(se.firstSeen, t.VID())
+					})
 				}
 			})
-			se.tables = append(se.tables, te)
-			nodePrev[name] = prevTable{frozen: f, chunks: chunkSet}
+			nl.nextTables[name] = f
 		}
-		provB, execB, pinsB := ns.View.PersistBuckets()
-		se.view = viewEntry{version: ns.View.Version()}
-		for spineIdx, spine := range [][][]byte{provB, execB, pinsB} {
-			refs := make([]blobRef, len(spine))
-			for i, blob := range spine {
-				if blob == nil {
-					continue
-				}
-				refs[i] = blobRef{present: true, hash: addBlob(blob)}
-			}
-			switch spineIdx {
-			case 0:
-				se.view.prov = refs
-			case 1:
-				se.view.exec = refs
-			case 2:
-				se.view.pins = refs
-			}
+		se.view.version = ns.View.Version()
+		spines := [...]*[]blobRef{
+			provenance.SpineProv: &se.view.prov,
+			provenance.SpineExec: &se.view.exec,
+			provenance.SpinePins: &se.view.pins,
 		}
-		vr.states = append(vr.states, se)
-		newStateVers[ns.OwnedIdx] = in.Version
-		newInfoVers[ns.OwnedIdx] = in.Version
-		newPrev[ns.OwnedIdx] = nodePrev
+		for spine, refs := range spines {
+			n := ns.View.SpineLen(spine)
+			*refs = slices.Grow((*refs)[:0], n)[:n]
+			clear(*refs)
+		}
+		ns.View.EachBucket(func(b provenance.Bucket) {
+			first, n := b.Key()
+			h, _ := s.ref(nl, containerKey{first, n}, b.AppendTo)
+			(*spines[b.Spine])[b.Index] = blobRef{present: true, hash: h}
+		})
+		vr.stateVers[ns.OwnedIdx] = in.Version
+		vr.infoVers[ns.OwnedIdx] = in.Version
 	}
 	prevIdx = -1
 	for _, iu := range in.Infos {
@@ -658,16 +696,14 @@ func (s *Store) Append(in VersionInput) error {
 			return fmt.Errorf("provstore: version %d: bad info owned index %d", in.Version, iu.OwnedIdx)
 		}
 		prevIdx = iu.OwnedIdx
-		if newStateVers[iu.OwnedIdx] == in.Version {
+		if vr.stateVers[iu.OwnedIdx] == in.Version {
 			return fmt.Errorf("provstore: version %d: node %d has both state and info entries", in.Version, iu.OwnedIdx)
 		}
 		vr.infos = append(vr.infos, infoEntry{ownedIdx: iu.OwnedIdx, info: iu.Info})
-		newInfoVers[iu.OwnedIdx] = in.Version
+		vr.infoVers[iu.OwnedIdx] = in.Version
 	}
-	vr.stateVers = newStateVers
-	vr.infoVers = newInfoVers
 	vr.minState = in.Version
-	for _, sv := range newStateVers {
+	for _, sv := range vr.stateVers {
 		if sv == 0 {
 			return fmt.Errorf("provstore: version %d published before every owned node has state", in.Version)
 		}
@@ -676,25 +712,30 @@ func (s *Store) Append(in VersionInput) error {
 		}
 	}
 
-	vrOff := s.active.size + int64(len(fileBuf))
-	fileBuf = appendRecord(fileBuf, recVersion, vr.marshal())
-	if err := s.active.write(fileBuf); err != nil {
+	vrOff := s.active.size + int64(len(sc.file))
+	sc.enc = vr.appendTo(sc.enc[:0])
+	sc.file = appendRecord(sc.file, recVersion, sc.enc)
+	if err := s.active.write(sc.file); err != nil {
 		return fmt.Errorf("provstore: append version %d: %w", in.Version, err)
 	}
 
-	for _, pb := range pend {
-		s.active.blobOff[pb.h] = pb.off
+	for h, off := range sc.staged {
+		s.active.blobOff[h] = off
+		s.loc[h] = s.active.seq
 	}
 	s.active.noteVersion(vr, vrOff, s.opts.Owned)
-	for seq := range refSeqs {
+	for seq := range sc.refSeqs {
 		if s.lastRefs[seq] < in.Version {
 			s.lastRefs[seq] = in.Version
 		}
 	}
-	s.stateVers = newStateVers
-	s.infoVers = newInfoVers
-	for idx, m := range newPrev {
-		s.prev[idx] = m
+	copy(s.stateVers, vr.stateVers)
+	copy(s.infoVers, vr.infoVers)
+	for i := range vr.states {
+		s.last[vr.states[i].ownedIdx].commit()
+	}
+	if cap(sc.file) > maxKeptScratch {
+		sc.file, sc.enc, sc.staged = nil, nil, map[rel.ID]int64{}
 	}
 	s.lastVersion.Store(in.Version)
 	if s.oldestVersion.Load() == 0 {
@@ -712,6 +753,50 @@ func (s *Store) Append(in VersionInput) error {
 		}
 	}
 	return nil
+}
+
+// ref resolves one container of node nl's state entry to its blob hash
+// and enters it in the node's next memo. A container the memo holds
+// costs one probe. Any other (fresh) one is encoded into the scratch
+// buffer and hashed, and its blob is staged unless the store already
+// holds it. A blob in a sealed segment marks that segment referenced.
+func (s *Store) ref(nl *nodeLast, key containerKey, encode func([]byte) []byte) (h rel.ID, fresh bool) {
+	loc, hit := nl.memo[key]
+	if !hit {
+		sc := &s.scratch
+		sc.enc = encode(sc.enc[:0])
+		loc = blobLoc{hash: rel.HashBytes(sc.enc), seq: s.active.seq}
+		if _, ok := sc.staged[loc.hash]; !ok {
+			if seq, ok := s.locate(loc.hash); ok {
+				loc.seq = seq
+			} else {
+				sc.staged[loc.hash] = s.active.size + int64(len(sc.file))
+				sc.file = appendRecord(sc.file, recBlob, sc.enc)
+			}
+		}
+	}
+	if loc.seq != s.active.seq {
+		s.scratch.refSeqs[loc.seq] = true
+	}
+	nl.nextMemo[key] = loc
+	return loc.hash, !hit
+}
+
+// locate names the segment holding blob h: the locator's answer, or —
+// for a hash it has not seen since Open — the newest sealed segment
+// whose trie holds it, which the locator then remembers. Callers hold
+// the write lock (or run inside Open).
+func (s *Store) locate(h rel.ID) (uint64, bool) {
+	if seq, ok := s.loc[h]; ok {
+		return seq, true
+	}
+	for i := len(s.sealed) - 1; i >= 0; i-- {
+		if _, ok := s.sealed[i].blobs.Get(h[:]); ok {
+			s.loc[h] = s.sealed[i].seq
+			return s.sealed[i].seq, true
+		}
+	}
+	return 0, false
 }
 
 // sealLocked freezes the active segment: index record, fsync, manifest
@@ -803,6 +888,12 @@ func (s *Store) retentionLocked() (removedFiles []string) {
 		s.sealed = s.sealed[1:]
 	}
 	if len(removedFiles) > 0 {
+		// No locator or memo entry may outlive its blob's segment.
+		kept := s.sealed[0].seq
+		maps.DeleteFunc(s.loc, func(_ rel.ID, seq uint64) bool { return seq < kept })
+		for i := range s.last {
+			maps.DeleteFunc(s.last[i].memo, func(_ containerKey, l blobLoc) bool { return l.seq < kept })
+		}
 		if len(s.sealed) > 0 {
 			s.oldestVersion.Store(s.sealed[0].first)
 		} else if s.active != nil && s.active.first > 0 {
@@ -856,7 +947,8 @@ func (s *Store) findVersionLocked(v uint64) (*versionRecord, error) {
 	return nil, fmt.Errorf("version %d: %w", v, ErrNotRetained)
 }
 
-// blobLocked fetches one content-addressed blob.
+// blobLocked fetches one content-addressed blob, walking only the
+// segment the locator names when it knows the hash.
 func (s *Store) blobLocked(h rel.ID) ([]byte, error) {
 	if s.active != nil {
 		if off, ok := s.active.blobOff[h]; ok {
@@ -870,7 +962,11 @@ func (s *Store) blobLocked(h rel.ID) ([]byte, error) {
 			return payload, nil
 		}
 	}
+	seq, known := s.loc[h]
 	for i := len(s.sealed) - 1; i >= 0; i-- {
+		if known && s.sealed[i].seq != seq {
+			continue
+		}
 		payload, found, err := s.sealed[i].blob(h)
 		if err != nil {
 			return nil, err

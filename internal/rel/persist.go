@@ -24,23 +24,43 @@ func (f *Frozen) Runs(fn func([]Tuple)) {
 	}
 }
 
-// Contains reports whether the frozen set holds a tuple equal to t, in
-// O(log n): a binary search over the chunk spine (each chunk's last
-// tuple bounds it) and then within the chunk.
-func (f *Frozen) Contains(t Tuple) bool {
-	if f == nil || f.n == 0 {
-		return false
+// EachAbsent calls fn, in run order, for every tuple of run that the
+// frozen set does not hold. run must ascend in Compare order, like a
+// chunk run. One binary search places run[0] in the set; from there the
+// run and the set are walked together, so each tuple costs the
+// comparisons that pass it rather than a search of its own.
+func (f *Frozen) EachAbsent(run []Tuple, fn func(Tuple)) {
+	if len(run) == 0 {
+		return
 	}
-	i := sort.Search(len(f.chunks), func(i int) bool {
-		run := f.chunks[i].ts
-		return run[len(run)-1].Compare(t) >= 0
+	var chunks []*chunk
+	if f != nil {
+		chunks = f.chunks
+	}
+	ci := sort.Search(len(chunks), func(i int) bool {
+		ts := chunks[i].ts
+		return ts[len(ts)-1].Compare(run[0]) >= 0
 	})
-	if i == len(f.chunks) {
-		return false
+	k := 0
+	if ci < len(chunks) {
+		ts := chunks[ci].ts
+		k = sort.Search(len(ts), func(k int) bool { return ts[k].Compare(run[0]) >= 0 })
 	}
-	run := f.chunks[i].ts
-	k := sort.Search(len(run), func(k int) bool { return run[k].Compare(t) >= 0 })
-	return k < len(run) && run[k].Compare(t) == 0
+	for _, t := range run {
+		c := 1 // the set's cursor orders after t, or the set is exhausted
+		for ci < len(chunks) {
+			ts := chunks[ci].ts
+			if c = ts[k].Compare(t); c >= 0 {
+				break
+			}
+			if k++; k == len(ts) {
+				ci, k = ci+1, 0
+			}
+		}
+		if c != 0 {
+			fn(t)
+		}
+	}
 }
 
 // RebuildFrozen reconstructs a Frozen from decoded chunk runs, as

@@ -1,6 +1,9 @@
 package rel
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func persistTuple(k int) Tuple {
 	return NewTuple("link", Addr("n0"), Int(int64(k)))
@@ -55,24 +58,52 @@ func TestFrozenRunsAreCapacityCapped(t *testing.T) {
 	}
 }
 
-func TestFrozenContains(t *testing.T) {
+func TestFrozenEachAbsent(t *testing.T) {
 	tbl := NewTable(NewSchema("link", 2))
 	for i := 0; i < 700; i += 2 {
 		tbl.Apply(persistTuple(i), 1)
 	}
 	f := tbl.Freeze()
-	for i := 0; i < 700; i++ {
-		want := i%2 == 0
-		if f.Contains(persistTuple(i)) != want {
-			t.Fatalf("Contains(%d) != %v", i, want)
+	absent := func(f *Frozen, ks []int) []int {
+		run := make([]Tuple, len(ks))
+		for i, k := range ks {
+			run[i] = persistTuple(k)
+		}
+		var out []int
+		f.EachAbsent(run, func(tp Tuple) {
+			for i := range run {
+				if run[i].Equal(tp) {
+					out = append(out, ks[i])
+				}
+			}
+		})
+		return out
+	}
+	// Runs starting before, inside and after the set, crossing chunk
+	// boundaries; odd keys and keys outside [0, 700) are absent.
+	for _, start := range []int{-3, 0, 1, 255, 256, 511, 690, 698, 699, 800} {
+		for _, step := range []int{1, 2, 3, 7} {
+			var ks, want []int
+			for k := start; k < start+60*step; k += step {
+				ks = append(ks, k)
+				if k < 0 || k >= 700 || k%2 != 0 {
+					want = append(want, k)
+				}
+			}
+			if got := absent(f, ks); !slices.Equal(got, want) {
+				t.Fatalf("start %d step %d: absent %v, want %v", start, step, got, want)
+			}
 		}
 	}
-	if f.Contains(persistTuple(-1)) || f.Contains(persistTuple(700)) {
-		t.Fatal("Contains hit outside the stored range")
+	if got := absent(nil, []int{1, 2}); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("nil frozen: absent %v", got)
 	}
 	var empty *Frozen = NewTable(NewSchema("link", 2)).Freeze()
-	if empty.Contains(persistTuple(0)) {
-		t.Fatal("empty frozen contains a tuple")
+	if got := absent(empty, []int{0}); !slices.Equal(got, []int{0}) {
+		t.Fatalf("empty frozen: absent %v", got)
+	}
+	if got := absent(f, nil); got != nil {
+		t.Fatalf("empty run: absent %v", got)
 	}
 }
 
