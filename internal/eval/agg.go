@@ -22,13 +22,20 @@ import (
 //     inputs are the union of all contributing tuples (the value
 //     depends on the whole group).
 type aggState struct {
-	spec   *AggSpec
-	groups map[uint64]*aggGroup
+	spec *AggSpec
+	// extremum: min or max. Such a group keeps its contributions ordered
+	// by (value, id), so its best ones are one run at an end of the order.
+	extremum bool
+	groups   map[uint64]*aggGroup
 }
 
 type aggGroup struct {
 	headVals []rel.Value // head attribute values; agg position invalid
-	contribs map[rel.ID]*contrib
+	// contribs is ordered by (value, id) for min/max and by id otherwise
+	// (the order a sum adds in).
+	contribs []*contrib
+	// out is the group's current output, as last emitted.
+	out headOutput
 }
 
 type contrib struct {
@@ -39,7 +46,23 @@ type contrib struct {
 }
 
 func newAggState(cr *CRule) *aggState {
-	return &aggState{spec: cr.Agg, groups: map[uint64]*aggGroup{}}
+	return &aggState{spec: cr.Agg, extremum: cr.Agg.Func == "min" || cr.Agg.Func == "max",
+		groups: map[uint64]*aggGroup{}}
+}
+
+// groupArg evaluates one non-aggregate head attribute.
+func groupArg(arg ndlog.Arg, b Binding) (rel.Value, error) {
+	switch arg := arg.(type) {
+	case *ndlog.ConstArg:
+		return arg.Val, nil
+	case *ndlog.VarArg:
+		v, ok := b[arg.Name]
+		if !ok {
+			return rel.Value{}, fmt.Errorf("eval: aggregate head variable %s unbound", arg.Name)
+		}
+		return v, nil
+	}
+	return rel.Value{}, fmt.Errorf("eval: bad aggregate head argument %T", arg)
 }
 
 // groupProject evaluates the non-aggregate head attributes.
@@ -49,32 +72,31 @@ func groupProject(head *ndlog.Atom, b Binding, aggIdx int) ([]rel.Value, error) 
 		if i == aggIdx {
 			continue
 		}
-		switch arg := arg.(type) {
-		case *ndlog.ConstArg:
-			vals[i] = arg.Val
-		case *ndlog.VarArg:
-			v, ok := b[arg.Name]
-			if !ok {
-				return nil, fmt.Errorf("eval: aggregate head variable %s unbound", arg.Name)
-			}
-			vals[i] = v
-		default:
-			return nil, fmt.Errorf("eval: bad aggregate head argument %T", arg)
+		v, err := groupArg(arg, b)
+		if err != nil {
+			return nil, err
 		}
+		vals[i] = v
 	}
 	return vals, nil
 }
 
-func groupKey(vals []rel.Value, aggIdx int) uint64 {
+// groupKey hashes the non-aggregate head attributes straight from the
+// binding, so finding an existing group allocates nothing.
+func groupKey(head *ndlog.Atom, b Binding, aggIdx int) (uint64, error) {
 	var scratch [256]byte
-	b := scratch[:0]
-	for i, v := range vals {
+	buf := scratch[:0]
+	for i, arg := range head.Args {
 		if i == aggIdx {
 			continue
 		}
-		b = rel.AppendValue(b, v)
+		v, err := groupArg(arg, b)
+		if err != nil {
+			return 0, err
+		}
+		buf = rel.AppendValue(buf, v)
 	}
-	return rel.HashBytes(b).Hash64()
+	return rel.HashBytes(buf).Hash64(), nil
 }
 
 // contribID identifies one contribution: rel.HashParts over (encoded
@@ -107,46 +129,68 @@ func appendInputVIDs(b []byte, inputs []rel.Tuple) []byte {
 type headOutput struct {
 	valid bool
 	tuple rel.Tuple
-	// derivs holds one input list per alternative derivation, in a
-	// deterministic order.
-	derivs [][]rel.Tuple
+	// derivs holds one input list per alternative derivation, ascending
+	// by derivKey: the order emitDiff retracts and asserts them in.
+	derivs []deriv
 }
 
-func (g *aggGroup) sortedContribs() []*contrib {
-	out := make([]*contrib, 0, len(g.contribs))
-	for _, c := range g.contribs {
-		out = append(out, c)
+type deriv struct {
+	key    rel.ID
+	inputs []rel.Tuple
+}
+
+// find returns where a contribution with value val and id belongs in
+// the group's order, and whether it is there.
+func (s *aggState) find(g *aggGroup, val rel.Value, id rel.ID) (int, bool) {
+	return slices.BinarySearchFunc(g.contribs, id, func(c *contrib, id rel.ID) int {
+		if s.extremum {
+			if cmp := c.val.Compare(val); cmp != 0 {
+				return cmp
+			}
+		}
+		return c.id.Compare(id)
+	})
+}
+
+// bestRun returns the group's best contributions for min/max: the first
+// (min) or last (max) run of equal values, in id order. Its first member
+// carries the output value.
+func (s *aggState) bestRun(g *aggGroup) []*contrib {
+	cs := g.contribs
+	if s.spec.Func == "min" {
+		n := 1
+		for n < len(cs) && cs[n].val.Equal(cs[0].val) {
+			n++
+		}
+		return cs[:n]
 	}
-	slices.SortFunc(out, func(a, b *contrib) int { return a.id.Compare(b.id) })
-	return out
+	i := len(cs) - 1
+	for i > 0 && cs[i-1].val.Equal(cs[len(cs)-1].val) {
+		i--
+	}
+	return cs[i:]
 }
 
 // output computes the group's current head tuple and derivations.
 func (s *aggState) output(g *aggGroup, headRel string, aggIdx int) (headOutput, error) {
-	if len(g.contribs) == 0 {
+	cs := g.contribs
+	if len(cs) == 0 {
 		return headOutput{}, nil
 	}
-	cs := g.sortedContribs()
 	var aggVal rel.Value
-	var derivs [][]rel.Tuple
+	var derivs []deriv
 	switch s.spec.Func {
 	case "min", "max":
-		best := cs[0].val
-		for _, c := range cs[1:] {
-			cmp := c.val.Compare(best)
-			if (s.spec.Func == "min" && cmp < 0) || (s.spec.Func == "max" && cmp > 0) {
-				best = c.val
-			}
+		run := s.bestRun(g)
+		aggVal = run[0].val
+		derivs = make([]deriv, len(run))
+		for i, c := range run {
+			derivs[i] = deriv{key: derivKey(c.inputs), inputs: c.inputs}
 		}
-		aggVal = best
-		for _, c := range cs {
-			if c.val.Equal(best) {
-				derivs = append(derivs, c.inputs)
-			}
-		}
+		slices.SortFunc(derivs, func(a, b deriv) int { return a.key.Compare(b.key) })
 	case "count":
 		aggVal = rel.Int(int64(len(cs)))
-		derivs = [][]rel.Tuple{unionInputs(cs)}
+		derivs = unionDeriv(cs)
 	case "sum", "avg":
 		var sum rel.Value = rel.Int(0)
 		for _, c := range cs {
@@ -162,7 +206,7 @@ func (s *aggState) output(g *aggGroup, headRel string, aggIdx int) (headOutput, 
 		} else {
 			aggVal = sum
 		}
-		derivs = [][]rel.Tuple{unionInputs(cs)}
+		derivs = unionDeriv(cs)
 	default:
 		return headOutput{}, fmt.Errorf("eval: unknown aggregate %s", s.spec.Func)
 	}
@@ -172,7 +216,9 @@ func (s *aggState) output(g *aggGroup, headRel string, aggIdx int) (headOutput, 
 	return headOutput{valid: true, tuple: rel.Tuple{Rel: headRel, Vals: vals}, derivs: derivs}, nil
 }
 
-func unionInputs(cs []*contrib) []rel.Tuple {
+// unionDeriv is the single derivation of a count/sum/avg head: every
+// contributing tuple once, sorted.
+func unionDeriv(cs []*contrib) []deriv {
 	seen := map[rel.ID]bool{}
 	var out []rel.Tuple
 	for _, c := range cs {
@@ -185,7 +231,7 @@ func unionInputs(cs []*contrib) []rel.Tuple {
 		}
 	}
 	slices.SortFunc(out, rel.Tuple.Compare)
-	return out
+	return []deriv{{key: derivKey(out), inputs: out}}
 }
 
 // contribute applies one signed join result to the aggregate state and
@@ -202,45 +248,55 @@ func (s *aggState) contribute(rt *Runtime, cr *CRule, b Binding, inputs []rel.Tu
 		}
 		val = v
 	}
-	if s.spec.Func != "min" && s.spec.Func != "max" && s.spec.Func != "count" && !val.Numeric() {
+	if !s.extremum && s.spec.Func != "count" && !val.Numeric() {
 		rt.errf("eval: rule %s: aggregate %s over non-numeric value %s", cr.Name, s.spec.Func, val)
 		return
 	}
-	headVals, err := groupProject(cr.Rule.Head, b, s.spec.ArgIdx)
+	gk, err := groupKey(cr.Rule.Head, b, s.spec.ArgIdx)
 	if err != nil {
 		rt.errf("eval: rule %s: %v", cr.Name, err)
 		return
 	}
-	gk := groupKey(headVals, s.spec.ArgIdx)
 	g, ok := s.groups[gk]
 	if !ok {
-		g = &aggGroup{headVals: headVals, contribs: map[rel.ID]*contrib{}}
-		s.groups[gk] = g
-	}
-
-	before, err := s.output(g, cr.Rule.Head.Rel, s.spec.ArgIdx)
-	if err != nil {
-		rt.errf("%v", err)
-		return
-	}
-
-	cid := contribID(val, inputs)
-	if sign > 0 {
-		if c, ok := g.contribs[cid]; ok {
-			c.count++
-		} else {
-			g.contribs[cid] = &contrib{id: cid, val: val, inputs: inputs, count: 1}
-		}
-	} else {
-		c, ok := g.contribs[cid]
-		if !ok {
+		if sign < 0 {
 			rt.errf("eval: rule %s: retraction of unknown aggregate contribution", cr.Name)
 			return
 		}
-		c.count--
-		if c.count <= 0 {
-			delete(g.contribs, cid)
+		headVals, err := groupProject(cr.Rule.Head, b, s.spec.ArgIdx)
+		if err != nil {
+			rt.errf("eval: rule %s: %v", cr.Name, err)
+			return
 		}
+		g = &aggGroup{headVals: headVals}
+		s.groups[gk] = g
+	}
+
+	// The output depends on which contributions are present, not on how
+	// many times each was made: a count bump changes nothing.
+	cid := contribID(val, inputs)
+	pos, found := s.find(g, val, cid)
+	var c *contrib
+	if sign > 0 {
+		if found {
+			g.contribs[pos].count++
+			return
+		}
+		c = &contrib{id: cid, val: val, inputs: inputs, count: 1}
+		g.contribs = slices.Insert(g.contribs, pos, c)
+	} else {
+		if !found {
+			rt.errf("eval: rule %s: retraction of unknown aggregate contribution", cr.Name)
+			return
+		}
+		c = g.contribs[pos]
+		if c.count--; c.count > 0 {
+			return
+		}
+		g.contribs = slices.Delete(g.contribs, pos, pos+1)
+	}
+	if s.extremum && len(g.contribs) > 0 && !s.inBestRun(g, c) {
+		return // the best run neither gained nor lost a member
 	}
 
 	after, err := s.output(g, cr.Rule.Head.Rel, s.spec.ArgIdx)
@@ -248,56 +304,50 @@ func (s *aggState) contribute(rt *Runtime, cr *CRule, b Binding, inputs []rel.Tu
 		rt.errf("%v", err)
 		return
 	}
+	before := g.out
+	g.out = after
 	if len(g.contribs) == 0 {
 		delete(s.groups, gk)
 	}
 	s.emitDiff(rt, cr, before, after)
 }
 
+// inBestRun reports whether contribution c, just added to or removed
+// from a non-empty min/max group, belongs (or belonged) to its best run:
+// whether its value ties or beats the best value the group has now.
+func (s *aggState) inBestRun(g *aggGroup, c *contrib) bool {
+	if s.spec.Func == "min" {
+		return c.val.Compare(g.contribs[0].val) <= 0
+	}
+	return c.val.Compare(g.contribs[len(g.contribs)-1].val) >= 0
+}
+
 // emitDiff retracts derivations no longer supported and asserts new
-// ones. Retractions run first so downstream state replaces atomically.
+// ones, each side ascending by derivKey. Retractions run first so
+// downstream state replaces atomically.
 func (s *aggState) emitDiff(rt *Runtime, cr *CRule, before, after headOutput) {
-	sameTuple := before.valid && after.valid && before.tuple.Equal(after.tuple)
-	oldSet := map[rel.ID][]rel.Tuple{}
-	newSet := map[rel.ID][]rel.Tuple{}
-	if before.valid {
+	if !before.valid || !after.valid || !before.tuple.Equal(after.tuple) {
 		for _, d := range before.derivs {
-			oldSet[derivKey(d)] = d
+			rt.deliver(cr, before.tuple, d.inputs, -1)
 		}
-	}
-	if after.valid {
 		for _, d := range after.derivs {
-			newSet[derivKey(d)] = d
+			rt.deliver(cr, after.tuple, d.inputs, 1)
 		}
-	}
-	var removed, added []rel.ID
-	for k := range oldSet {
-		if !sameTuple {
-			removed = append(removed, k)
-			continue
-		}
-		if _, ok := newSet[k]; !ok {
-			removed = append(removed, k)
-		}
-	}
-	for k := range newSet {
-		if !sameTuple {
-			added = append(added, k)
-			continue
-		}
-		if _, ok := oldSet[k]; !ok {
-			added = append(added, k)
-		}
-	}
-	if sameTuple && len(removed) == 0 && len(added) == 0 {
 		return
 	}
-	slices.SortFunc(removed, rel.ID.Compare)
-	slices.SortFunc(added, rel.ID.Compare)
-	for _, k := range removed {
-		rt.deliver(cr, before.tuple, oldSet[k], -1)
+	// Same head tuple: retract what only before has, then assert what
+	// only after has, each found by merging the two key-ordered lists.
+	each := func(from, other []deriv, fn func(deriv)) {
+		j := 0
+		for _, d := range from {
+			for j < len(other) && other[j].key.Compare(d.key) < 0 {
+				j++
+			}
+			if j == len(other) || other[j].key != d.key {
+				fn(d)
+			}
+		}
 	}
-	for _, k := range added {
-		rt.deliver(cr, after.tuple, newSet[k], 1)
-	}
+	each(before.derivs, after.derivs, func(d deriv) { rt.deliver(cr, before.tuple, d.inputs, -1) })
+	each(after.derivs, before.derivs, func(d deriv) { rt.deliver(cr, after.tuple, d.inputs, 1) })
 }

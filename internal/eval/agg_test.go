@@ -209,3 +209,26 @@ func TestAggregateFiringProvenanceMinSupports(t *testing.T) {
 		t.Fatalf("winning derivation input = %s", got)
 	}
 }
+
+// A contribution that does not reach a min group's best run costs the
+// same whatever the group's size: the group stays ordered, so nothing
+// is copied or sorted per contribution.
+func TestMinContributionAllocsIndependentOfGroupSize(t *testing.T) {
+	perRun := func(k int) allocs {
+		rt := newRT(t, "a", minSrc)
+		for i := 0; i < k; i++ {
+			rt.InsertBase(costT("a", "d", int64(i)))
+		}
+		st, cr := rt.aggs["r1"], rt.prog.Rules[0]
+		extra := costT("a", "d", 1000).Identified()
+		b := Binding{"S": rel.Addr("a"), "D": rel.Addr("d"), "C": rel.Int(1000)}
+		inputs := []rel.Tuple{extra}
+		return allocsPerRun(50, func() {
+			st.contribute(rt, cr, b, inputs, 1)
+			st.contribute(rt, cr, b, inputs, -1)
+		})
+	}
+	if small, large := perRun(2), perRun(200); small != large {
+		t.Fatalf("one more contribution allocates %+v in a group of 2, %+v in a group of 200", small, large)
+	}
+}

@@ -7,43 +7,55 @@ import (
 	"repro/internal/rel"
 )
 
-// Binding is a variable environment during rule evaluation.
+// Binding is a variable environment during rule evaluation. An
+// evaluator binds into one map in place and undoes through a Trail
+// when it backtracks, so a probed row costs no copy of the binding.
 type Binding map[string]rel.Value
 
-// Clone copies the binding.
-func (b Binding) Clone() Binding {
-	out := make(Binding, len(b))
-	for k, v := range b {
-		out[k] = v
+// Trail records the variables bound into a Binding, in binding order,
+// so a backtracking evaluator can undo them: take a mark (its length)
+// before matching, and Undo to that mark when the branch is done.
+type Trail []string
+
+// Undo unbinds every variable recorded since mark.
+func (tr *Trail) Undo(b Binding, mark int) {
+	for _, name := range (*tr)[mark:] {
+		delete(b, name)
 	}
-	return out
+	*tr = (*tr)[:mark]
 }
 
 // MatchAtom unifies a tuple against a body atom pattern, extending the
-// binding. Returns false when the tuple does not match (constant
-// mismatch or repeated-variable inequality). The binding is extended in
-// place only on success paths; callers pass a clone when backtracking.
-func MatchAtom(a *ndlog.Atom, t rel.Tuple, b Binding) bool {
+// binding in place and recording each newly bound variable on trail.
+// Returns false when the tuple does not match (constant mismatch or
+// repeated-variable inequality); the binding and trail are then as
+// they were.
+func MatchAtom(a *ndlog.Atom, t rel.Tuple, b Binding, trail *Trail) bool {
 	if a.Rel != t.Rel || len(a.Args) != len(t.Vals) {
 		return false
 	}
+	mark := len(*trail)
 	for i, arg := range a.Args {
 		switch arg := arg.(type) {
 		case *ndlog.Wildcard:
 			// matches anything
 		case *ndlog.ConstArg:
 			if !arg.Val.Equal(t.Vals[i]) {
+				trail.Undo(b, mark)
 				return false
 			}
 		case *ndlog.VarArg:
 			if bound, ok := b[arg.Name]; ok {
 				if !bound.Equal(t.Vals[i]) {
+					trail.Undo(b, mark)
 					return false
 				}
 			} else {
 				b[arg.Name] = t.Vals[i]
+				*trail = append(*trail, arg.Name)
 			}
 		default:
+			trail.Undo(b, mark)
 			return false // aggregates never occur in body atoms
 		}
 	}

@@ -2,7 +2,10 @@ package eval
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ndlog"
@@ -80,7 +83,10 @@ func naiveEval(t *testing.T, c *Compiled, base []rel.Tuple) map[rel.ID]rel.Tuple
 				if err != nil {
 					t.Fatal(err)
 				}
-				gk := groupKey(gv, cr.Agg.ArgIdx)
+				gk, err := groupKey(cr.Rule.Head, res, cr.Agg.ArgIdx)
+				if err != nil {
+					t.Fatal(err)
+				}
 				var v rel.Value
 				if cr.Agg.Var == "" {
 					v = rel.Int(1)
@@ -179,20 +185,23 @@ func naiveFireRule(t *testing.T, cr *CRule, rels map[string][]rel.Tuple, funcs *
 	return out
 }
 
-// naiveJoinResults enumerates complete bindings of the rule body.
+// naiveJoinResults enumerates complete bindings of the rule body. It
+// copies the binding per candidate rather than undoing in place: the
+// reference stays independent of the runtime's trail.
 func naiveJoinResults(t *testing.T, cr *CRule, rels map[string][]rel.Tuple, funcs *FuncRegistry) []Binding {
 	var results []Binding
 	var walk func(i int, b Binding)
 	walk = func(i int, b Binding) {
 		if i == len(cr.Rule.Body) {
-			results = append(results, b.Clone())
+			results = append(results, maps.Clone(b))
 			return
 		}
 		switch term := cr.Rule.Body[i].(type) {
 		case *ndlog.Atom:
 			for _, tp := range rels[term.Rel] {
-				nb := b.Clone()
-				if MatchAtom(term, tp, nb) {
+				nb := maps.Clone(b)
+				var trail Trail
+				if MatchAtom(term, tp, nb, &trail) {
 					walk(i+1, nb)
 				}
 			}
@@ -209,7 +218,7 @@ func naiveJoinResults(t *testing.T, cr *CRule, rels map[string][]rel.Tuple, func
 			if err != nil {
 				return
 			}
-			nb := b.Clone()
+			nb := maps.Clone(b)
 			nb[term.Var] = v
 			walk(i+1, nb)
 		}
@@ -449,4 +458,196 @@ func TestDifferentialCount(t *testing.T) {
 			t.Fatalf("diverged at seed %d", seed)
 		}
 	}
+}
+
+// TestDifferentialAggregateTies drives min, max, count<> and sum over a
+// three-value cost domain, so most contributions tie, with seeded
+// scripts that retract the current extremum and that add and retract
+// extra copies of a live contribution (a second derivation of the same
+// join result, made through the aggregate directly: set-semantics base
+// tuples never produce one). After every step the head tuples must
+// equal the naive recompute, and each head's live derivations, netted
+// from FireFn, must be exactly the naive ones: for min/max one per
+// contribution achieving the extremum, for count/sum one over the
+// sorted union of the group's inputs.
+func TestDifferentialAggregateTies(t *testing.T) {
+	for _, agg := range []struct{ fn, arg string }{{"min", "min<C>"}, {"max", "max<C>"}, {"count", "count<>"}, {"sum", "sum<C>"}} {
+		t.Run(agg.fn, func(t *testing.T) {
+			src := fmt.Sprintf(`
+materialize(edge, infinity, infinity, keys(1,2,3,4)).
+materialize(agg, infinity, infinity, keys(1,2)).
+a1 agg(@N,X,%s) :- edge(@N,X,Y,C).
+`, agg.arg)
+			c := compileFor(t, src)
+			extremum := agg.fn == "min" || agg.fn == "max"
+			var extremaRetracted, copiesRetracted int
+			for seed := int64(1); seed <= 12; seed++ {
+				e, d := runAggregateTies(t, c, agg.fn, seed)
+				extremaRetracted += e
+				copiesRetracted += d
+			}
+			if extremum && extremaRetracted == 0 {
+				t.Fatal("no script retracted a group's current extremum")
+			}
+			if copiesRetracted == 0 {
+				t.Fatal("no script retracted one copy of a duplicated contribution")
+			}
+		})
+	}
+}
+
+func runAggregateTies(t *testing.T, c *Compiled, fn string, seed int64) (extremaRetracted, copiesRetracted int) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	rt, err := NewRuntime("n", c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.ErrFn = func(err error) { t.Fatalf("seed %d: %v", seed, err) }
+	// live derivations per head VID, netted from FireFn: input VIDs -> count
+	derivs := map[rel.ID]map[string]int{}
+	rt.FireFn = func(f Firing) {
+		m := derivs[f.Output.VID()]
+		if m == nil {
+			m = map[string]int{}
+			derivs[f.Output.VID()] = m
+		}
+		k := inputsKey(f.Inputs)
+		if m[k] += f.Sign; m[k] == 0 {
+			delete(m, k)
+		}
+		if len(m) == 0 {
+			delete(derivs, f.Output.VID())
+		}
+	}
+	st, cr := rt.aggs["a1"], c.Rules[0]
+	// copies counts the extra contributions of a live edge made through
+	// the aggregate directly; they are retracted before the edge is.
+	copies := map[rel.ID]int{}
+	contribute := func(tp rel.Tuple, sign int) {
+		b := Binding{"N": tp.Vals[0], "X": tp.Vals[1], "Y": tp.Vals[2], "C": tp.Vals[3]}
+		st.contribute(rt, cr, b, []rel.Tuple{tp.Identified()}, sign)
+		rt.Flush()
+		copies[tp.VID()] += sign
+	}
+	var base []rel.Tuple
+	remove := func(i int) {
+		tp := base[i]
+		for copies[tp.VID()] > 0 {
+			contribute(tp, -1)
+			copiesRetracted++
+		}
+		base = append(base[:i], base[i+1:]...)
+		if err := rt.DeleteBase(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cost := func(tp rel.Tuple) int64 { v, _ := tp.Vals[3].AsInt(); return v }
+	for step := 0; step < 60; step++ {
+		switch op := r.Intn(6); {
+		case op <= 1 || len(base) == 0:
+			tp := rel.NewTuple("edge", rel.Addr("n"),
+				rel.Str(fmt.Sprintf("x%d", r.Intn(2))),
+				rel.Str(fmt.Sprintf("y%d", r.Intn(5))),
+				rel.Int(int64(1+r.Intn(3))))
+			if slices.ContainsFunc(base, tp.Equal) {
+				continue
+			}
+			base = append(base, tp)
+			if err := rt.InsertBase(tp); err != nil {
+				t.Fatal(err)
+			}
+		case op == 2:
+			// Retract the current extremum of a random edge's group.
+			x := base[r.Intn(len(base))].Vals[1]
+			best := -1
+			for i, tp := range base {
+				if !tp.Vals[1].Equal(x) {
+					continue
+				}
+				if best < 0 || (fn == "min" && cost(tp) < cost(base[best])) || (fn == "max" && cost(tp) > cost(base[best])) {
+					best = i
+				}
+			}
+			remove(best)
+			extremaRetracted++
+		case op == 3:
+			remove(r.Intn(len(base)))
+		case op == 4:
+			contribute(base[r.Intn(len(base))], 1)
+		default:
+			for _, tp := range base {
+				if copies[tp.VID()] > 0 {
+					contribute(tp, -1)
+					copiesRetracted++
+					break
+				}
+			}
+		}
+		checkAggregateTies(t, c, fn, base, rt, derivs, seed, step)
+	}
+	return extremaRetracted, copiesRetracted
+}
+
+// checkAggregateTies compares the runtime's head tuples with the naive
+// fixpoint and its netted derivations with the groups' naive ones.
+func checkAggregateTies(t *testing.T, c *Compiled, fn string, base []rel.Tuple, rt *Runtime, derivs map[rel.ID]map[string]int, seed int64, step int) {
+	t.Helper()
+	want := naiveEval(t, c, base)
+	got := map[rel.ID]rel.Tuple{}
+	for _, tp := range mustTuples(t, rt, "agg") {
+		got[tp.VID()] = tp
+	}
+	for _, tp := range base {
+		got[tp.VID()] = tp
+	}
+	if len(got) != len(want) {
+		reportDiff(t, seed, step, got, want)
+		t.FailNow()
+	}
+	for vid := range want {
+		if _, ok := got[vid]; !ok {
+			reportDiff(t, seed, step, got, want)
+			t.FailNow()
+		}
+	}
+	groups := map[string][]rel.Tuple{}
+	for _, tp := range base {
+		x, _ := tp.Vals[1].AsString()
+		groups[x] = append(groups[x], tp)
+	}
+	wantDerivs := map[rel.ID]map[string]int{}
+	for vid, head := range want {
+		if head.Rel != "agg" {
+			continue
+		}
+		x, _ := head.Vals[1].AsString()
+		g := slices.Clone(groups[x])
+		m := map[string]int{}
+		switch fn {
+		case "min", "max":
+			for _, tp := range g {
+				if tp.Vals[3].Equal(head.Vals[2]) {
+					m[inputsKey([]rel.Tuple{tp})] = 1
+				}
+			}
+		default:
+			slices.SortFunc(g, rel.Tuple.Compare)
+			m[inputsKey(g)] = 1
+		}
+		wantDerivs[vid] = m
+	}
+	if !maps.EqualFunc(derivs, wantDerivs, maps.Equal) {
+		t.Fatalf("seed %d step %d: live derivations %v, want %v", seed, step, derivs, wantDerivs)
+	}
+}
+
+// inputsKey names a derivation by its input VIDs, in order.
+func inputsKey(inputs []rel.Tuple) string {
+	var b strings.Builder
+	for _, tp := range inputs {
+		b.WriteString(tp.VID().String())
+		b.WriteByte(' ')
+	}
+	return b.String()
 }

@@ -60,7 +60,8 @@ type Stats struct {
 // the node. The engine drains on one goroutine, the caller of
 // RunQuiescent, so Runtimes never need locks. The Compiled program and
 // FuncRegistry a Runtime reads are shared across nodes and must stay
-// immutable while any runtime is executing.
+// immutable while any runtime is executing. The hooks run mid-join:
+// they must not apply deltas to this runtime's tables.
 type Runtime struct {
 	Addr  string
 	Store *Store
@@ -71,6 +72,12 @@ type Runtime struct {
 
 	queue []Delta
 	stats Stats
+
+	// binding and trail are the join's working state: every step binds
+	// into the one map and undoes through the trail when it backtracks
+	// (see fireTrigger).
+	binding Binding
+	trail   Trail
 
 	// SendFn delivers a head tuple whose location is another node. The
 	// firing pointer carries provenance context (may be nil for base
@@ -244,17 +251,29 @@ func (rt *Runtime) fireAll(t rel.Tuple, sign int) {
 }
 
 func (rt *Runtime) fireTrigger(tr *trigger, delta rel.Tuple, sign int) {
-	b := Binding{}
-	if !MatchAtom(tr.atom, delta, b) {
-		return
+	// A join a hook panicked out of, or re-entered, leaves the shared
+	// binding taken; the next join then starts from a fresh one.
+	b := rt.binding
+	rt.binding = nil
+	if b == nil {
+		b = Binding{}
 	}
-	// One slot per body atom, in body order: every atom step fills its
-	// own before the plan can reach emit.
-	inputs := make([]rel.Tuple, tr.rule.atoms)
-	inputs[tr.slot] = delta
-	rt.joinStep(tr, 0, b, inputs, delta, sign)
+	mark := len(rt.trail)
+	if MatchAtom(tr.atom, delta, b, &rt.trail) {
+		// One slot per body atom, in body order: every atom step fills
+		// its own before the plan can reach emit. A rule of up to four
+		// atoms keeps them on the stack.
+		var scratch [4]rel.Tuple
+		inputs := append(scratch[:0], make([]rel.Tuple, tr.rule.atoms)...)
+		inputs[tr.slot] = delta
+		rt.joinStep(tr, 0, b, inputs, delta, sign)
+		rt.trail.Undo(b, mark)
+	}
+	rt.binding = b
 }
 
+// joinStep runs plan step stepIdx under b and recurses on each way the
+// step extends it. Every step leaves b as it found it.
 func (rt *Runtime) joinStep(tr *trigger, stepIdx int, b Binding, inputs []rel.Tuple, delta rel.Tuple, sign int) {
 	if stepIdx == len(tr.seq) {
 		// inputs is rewritten by the next probe row; the firing keeps its own.
@@ -278,9 +297,16 @@ func (rt *Runtime) joinStep(tr *trigger, stepIdx int, b Binding, inputs []rel.Tu
 			rt.errf("eval: rule %s: %v", tr.rule.Name, err)
 			return
 		}
+		// The planner may run an assignment after an atom that binds the
+		// same variable; the assignment then shadows it for later steps.
+		old, shadowed := b[term.Var]
 		b[term.Var] = v
 		rt.joinStep(tr, stepIdx+1, b, inputs, delta, sign)
-		delete(b, term.Var)
+		if shadowed {
+			b[term.Var] = old
+		} else {
+			delete(b, term.Var)
+		}
 	case *ndlog.Atom:
 		tbl, err := rt.Store.Table(term.Rel)
 		if err != nil {
@@ -288,31 +314,33 @@ func (rt *Runtime) joinStep(tr *trigger, stepIdx int, b Binding, inputs []rel.Tu
 			// this trigger can never produce results.
 			return
 		}
-		key := make([]rel.Value, len(st.probeCols))
-		for i, arg := range st.probeArgs {
+		var scratch [8]rel.Value
+		key := scratch[:0]
+		for _, arg := range st.probeArgs {
 			switch arg := arg.(type) {
 			case *ndlog.ConstArg:
-				key[i] = arg.Val
+				key = append(key, arg.Val)
 			case *ndlog.VarArg:
-				key[i] = b[arg.Name]
+				key = append(key, b[arg.Name])
 			}
 		}
 		sameRel := term.Rel == delta.Rel
 		excludeDelta := sameRel && st.bodyIdx < tr.atomIdx
-		for _, row := range tbl.Probe(st.probeCols, key) {
+		tbl.Probe(st.probeCols, key, func(row *rel.Row) {
 			// Self-join de-duplication: when the delta's relation
 			// appears at an earlier body position, the pairing with
 			// the delta itself is counted by that position's trigger.
 			if excludeDelta && row.Tuple.Equal(delta) {
-				continue
+				return
 			}
-			nb := b.Clone()
-			if !MatchAtom(term, row.Tuple, nb) {
-				continue
+			mark := len(rt.trail)
+			if !MatchAtom(term, row.Tuple, b, &rt.trail) {
+				return
 			}
 			inputs[st.slot] = row.Tuple
-			rt.joinStep(tr, stepIdx+1, nb, inputs, delta, sign)
-		}
+			rt.joinStep(tr, stepIdx+1, b, inputs, delta, sign)
+			rt.trail.Undo(b, mark)
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/ndlog"
@@ -457,4 +458,48 @@ func TestDeleteAbsentTupleIsNoop(t *testing.T) {
 	if got := mustTuples(t, rt, "link"); len(got) != 0 {
 		t.Fatalf("link = %v", got)
 	}
+}
+
+// A probed row that fails a later step costs nothing: the join binds in
+// place and undoes, so a trigger whose probe matches N rows that all
+// fail a condition allocates the same for N = 1 and N = 64.
+func TestJoinProbeAllocsIndependentOfMatches(t *testing.T) {
+	src := `
+materialize(a, infinity, infinity, keys(1,2)).
+materialize(b, infinity, infinity, keys(1,2,3)).
+materialize(h, infinity, infinity, keys(1,2)).
+r1 h(@S,D) :- a(@S,X), b(@S,X,D), D > 1000.
+`
+	perRun := func(n int) allocs {
+		rt := newRT(t, "s", src)
+		for i := 0; i < n; i++ {
+			rt.InsertBase(rel.NewTuple("b", rel.Addr("s"), rel.Int(7), rel.Int(int64(i))))
+		}
+		a := rel.NewTuple("a", rel.Addr("s"), rel.Int(7))
+		return allocsPerRun(50, func() {
+			rt.ReceiveRemote(Delta{Tuple: a, Sign: 1})
+			rt.ReceiveRemote(Delta{Tuple: a, Sign: -1})
+		})
+	}
+	if one, many := perRun(1), perRun(64); one != many {
+		t.Fatalf("insert+delete of a trigger tuple allocates %+v with 1 failing match, %+v with 64", one, many)
+	}
+}
+
+// allocs is what one run of a function allocates.
+type allocs struct{ Count, Bytes uint64 }
+
+// allocsPerRun is testing.AllocsPerRun reporting bytes beside the count:
+// a copy or sort that grows with its input shows in the bytes even when
+// it is one allocation either way.
+func allocsPerRun(runs int, f func()) allocs {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs{(after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)}
 }

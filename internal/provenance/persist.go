@@ -114,7 +114,7 @@ func (b Bucket) AppendTo(dst []byte) []byte {
 		dst = wire.AppendUvarint(dst, uint64(len(bucket)))
 		for _, e := range bucket {
 			dst = append(dst, e.id[:]...)
-			dst = rel.AppendTuple(dst, e.v)
+			dst = rel.AppendTuple(dst, *e.v)
 		}
 	}
 	return dst
@@ -177,19 +177,19 @@ func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View,
 			v.provEntries += len(e.v)
 		}
 	}
-	v.exec = buckets[ExecEntry]{mask: uint32(len(exec) - 1), m: make([][]kv[ExecEntry], len(exec))}
+	v.exec = buckets[*ExecEntry]{mask: uint32(len(exec) - 1), m: make([][]kv[*ExecEntry], len(exec))}
 	for i, enc := range exec {
 		if enc == nil {
 			continue
 		}
-		bucket, err := decodeBucket(enc, uint32(i), v.exec.mask, func(r *wire.Reader, rid rel.ID) ExecEntry {
+		bucket, err := decodeBucket(enc, uint32(i), v.exec.mask, func(r *wire.Reader, rid rel.ID) *ExecEntry {
 			e := ExecEntry{RID: rid, Rule: r.String("exec rule")}
 			n := r.Count("exec vid count", math.MaxInt)
 			e.VIDs = make([]rel.ID, 0, wire.Prealloc(n))
 			for k := 0; k < n && r.Err() == nil; k++ {
 				e.VIDs = append(e.VIDs, rel.DecodeID(r, "exec vid"))
 			}
-			return e
+			return &e
 		})
 		if err != nil {
 			return nil, fmt.Errorf("provenance: rebuild exec bucket %d: %w", i, err)
@@ -197,13 +197,14 @@ func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View,
 		v.exec.m[i] = bucket
 		v.execEntries += len(bucket)
 	}
-	v.pins = buckets[rel.Tuple]{mask: uint32(len(pins) - 1), m: make([][]kv[rel.Tuple], len(pins))}
+	v.pins = buckets[*rel.Tuple]{mask: uint32(len(pins) - 1), m: make([][]kv[*rel.Tuple], len(pins))}
 	for i, enc := range pins {
 		if enc == nil {
 			continue
 		}
-		bucket, err := decodeBucket(enc, uint32(i), v.pins.mask, func(r *wire.Reader, _ rel.ID) rel.Tuple {
-			return rel.DecodeTuple(r)
+		bucket, err := decodeBucket(enc, uint32(i), v.pins.mask, func(r *wire.Reader, _ rel.ID) *rel.Tuple {
+			t := rel.DecodeTuple(r)
+			return &t
 		})
 		if err != nil {
 			return nil, fmt.Errorf("provenance: rebuild pins bucket %d: %w", i, err)

@@ -33,7 +33,10 @@ type Entry struct {
 }
 
 // ExecEntry is one ruleExec-table row: a rule execution's inputs. The
-// inputs are tuples local to the executing node.
+// inputs are tuples local to the executing node. A recorded entry is
+// never written: published views point at it.
+//
+// nettrails:frozen (enforced by the frozenwrite analyzer)
 type ExecEntry struct {
 	RID  rel.ID
 	Rule string

@@ -119,11 +119,14 @@ func updateBuckets[V any](old buckets[V], n int, dirty map[rel.ID]struct{},
 //
 // nettrails:frozen (enforced by the frozenwrite analyzer)
 type View struct {
-	addr        string
-	version     uint64
-	prov        buckets[[]Entry]   // per-VID lists sorted like Store.Derivations
-	exec        buckets[ExecEntry] // rows share the store's VIDs, which nothing writes once recorded
-	pins        buckets[rel.Tuple]
+	addr    string
+	version uint64
+	prov    buckets[[]Entry] // per-VID lists sorted like Store.Derivations
+	// exec and pins point at the store's own records (countedExec.exec,
+	// pin.tuple), which nothing writes once recorded, so advancing a
+	// bucket moves 32-byte pairs instead of copying the rows.
+	exec        buckets[*ExecEntry]
+	pins        buckets[*rel.Tuple]
 	provEntries int
 	execEntries int
 	pinEntries  int
@@ -165,29 +168,29 @@ func (s *Store) View() *View {
 			}
 		})
 	v.exec = updateBuckets(old.exec, len(s.exec), s.dirtyExec,
-		func(rid rel.ID) (ExecEntry, bool) {
+		func(rid rel.ID) (*ExecEntry, bool) {
 			ce, ok := s.exec[rid]
 			if !ok {
-				return ExecEntry{}, false
+				return nil, false
 			}
-			return ce.exec, true
+			return &ce.exec, true
 		},
-		func(emit func(rel.ID, ExecEntry)) {
+		func(emit func(rel.ID, *ExecEntry)) {
 			for rid, ce := range s.exec {
-				emit(rid, ce.exec)
+				emit(rid, &ce.exec)
 			}
 		})
 	v.pins = updateBuckets(old.pins, len(s.pins), s.dirtyPins,
-		func(vid rel.ID) (rel.Tuple, bool) {
+		func(vid rel.ID) (*rel.Tuple, bool) {
 			p, ok := s.pins[vid]
 			if !ok {
-				return rel.Tuple{}, false
+				return nil, false
 			}
-			return p.tuple, true
+			return &p.tuple, true
 		},
-		func(emit func(rel.ID, rel.Tuple)) {
+		func(emit func(rel.ID, *rel.Tuple)) {
 			for vid, p := range s.pins {
-				emit(vid, p.tuple)
+				emit(vid, &p.tuple)
 			}
 		})
 	clear(s.dirtyProv)
@@ -223,12 +226,18 @@ func (v *View) Derivations(vid rel.ID) ([]Entry, bool) {
 
 // Exec returns the rule execution for a RID at this node.
 func (v *View) Exec(rid rel.ID) (ExecEntry, bool) {
-	return v.exec.get(rid)
+	if e, ok := v.exec.get(rid); ok {
+		return *e, true
+	}
+	return ExecEntry{}, false
 }
 
 // TupleOf resolves a pinned VID to its tuple value.
 func (v *View) TupleOf(vid rel.ID) (rel.Tuple, bool) {
-	return v.pins.get(vid)
+	if t, ok := v.pins.get(vid); ok {
+		return *t, true
+	}
+	return rel.Tuple{}, false
 }
 
 // Statistics returns partition sizes, mirroring Store.Statistics.

@@ -248,3 +248,62 @@ func TestViewGrowRebuild(t *testing.T) {
 		t.Fatalf("post-grow update cloned %d of %d buckets", total-shared, total)
 	}
 }
+
+// TestHeldViewSurvivesRerecording: a view's exec and pins buckets point
+// at the store's own records. While the store, on another goroutine,
+// retracts and re-records the same RID and unpins and re-pins the same
+// VIDs, a view taken before keeps answering Exec and TupleOf with what
+// it held and persists to the same bytes. The race detector sees any
+// write to a record a view points at.
+func TestHeldViewSurvivesRerecording(t *testing.T) {
+	s := NewStore("n1")
+	in, out := viewTestTuple(1), viewTestTuple(2)
+	f := eval.NewFiring("r1", "n1", []rel.Tuple{in}, out, "n1", 1)
+	s.RecordFiring(f)
+	for i := 3; i < 200; i++ {
+		s.AddBase(viewTestTuple(i)) // enough keys for a multi-bucket spine
+	}
+	held := s.View()
+	wantExec, ok := held.Exec(f.RID)
+	if !ok {
+		t.Fatal("held view lacks the recorded execution")
+	}
+	wantIn, _ := held.TupleOf(in.VID())
+	wantOut, _ := held.TupleOf(out.VID())
+	wantBytes := persist(held)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		retract := f
+		retract.Sign = -1
+		for i := 0; i < 200; i++ {
+			s.RecordFiring(retract) // deletes the exec row, unpins in and out
+			s.View()
+			s.RecordFiring(f) // the same RID and VIDs, recorded afresh
+			s.View()
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		gotExec, ok := held.Exec(f.RID)
+		if !ok || !reflect.DeepEqual(gotExec, wantExec) {
+			t.Fatalf("held Exec = %+v %v, want %+v", gotExec, ok, wantExec)
+		}
+		gotIn, okIn := held.TupleOf(in.VID())
+		gotOut, okOut := held.TupleOf(out.VID())
+		if !okIn || !okOut || !gotIn.Equal(wantIn) || !gotOut.Equal(wantOut) {
+			t.Fatal("held TupleOf changed while the store re-pinned")
+		}
+		if !reflect.DeepEqual(persist(held), wantBytes) {
+			t.Fatal("held view's persisted buckets changed while the store re-recorded")
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -189,14 +189,16 @@ func (p *Proxy) matchRule(r *ndlog.Rule, out rel.Tuple) []eval.Firing {
 	if r.Head.Rel != out.Rel || len(r.Head.Args) != len(out.Vals) {
 		return nil
 	}
-	// Bind head variables from the observed output.
+	// Bind head variables from the observed output. The walk binds into
+	// the same map and undoes through the trail as it backtracks.
 	b := eval.Binding{}
-	if !eval.MatchAtom(r.Head, out, b) {
+	var trail eval.Trail
+	if !eval.MatchAtom(r.Head, out, b, &trail) {
 		return nil
 	}
 	var firings []eval.Firing
-	var walk func(terms []ndlog.Term, b eval.Binding, inputs []rel.Tuple)
-	walk = func(terms []ndlog.Term, b eval.Binding, inputs []rel.Tuple) {
+	var walk func(terms []ndlog.Term, inputs []rel.Tuple)
+	walk = func(terms []ndlog.Term, inputs []rel.Tuple) {
 		if len(terms) == 0 {
 			firings = append(firings, eval.NewFiring(r.Label, p.prov.Addr(),
 				append([]rel.Tuple(nil), inputs...), out, p.addr, 1))
@@ -205,9 +207,10 @@ func (p *Proxy) matchRule(r *ndlog.Rule, out rel.Tuple) []eval.Firing {
 		switch term := terms[0].(type) {
 		case *ndlog.Atom:
 			for _, in := range p.inputs[term.Rel] {
-				nb := b.Clone()
-				if eval.MatchAtom(term, in, nb) {
-					walk(terms[1:], nb, append(inputs, in))
+				mark := len(trail)
+				if eval.MatchAtom(term, in, b, &trail) {
+					walk(terms[1:], append(inputs, in))
+					trail.Undo(b, mark)
 				}
 			}
 		case *ndlog.Cond:
@@ -219,7 +222,7 @@ func (p *Proxy) matchRule(r *ndlog.Rule, out rel.Tuple) []eval.Firing {
 				return
 			}
 			if ok {
-				walk(terms[1:], b, inputs)
+				walk(terms[1:], inputs)
 			}
 		case *ndlog.Assign:
 			v, err := eval.EvalExpr(term.Expr, b, p.funcs)
@@ -229,12 +232,14 @@ func (p *Proxy) matchRule(r *ndlog.Rule, out rel.Tuple) []eval.Firing {
 				}
 				return
 			}
-			nb := b.Clone()
-			nb[term.Var] = v
-			walk(terms[1:], nb, inputs)
+			// Analysis rejects an assignment to a bound variable, and the
+			// walk runs the body in order, so this binds a fresh name.
+			b[term.Var] = v
+			walk(terms[1:], inputs)
+			delete(b, term.Var)
 		}
 	}
-	walk(r.Body, b, nil)
+	walk(r.Body, nil)
 	return firings
 }
 

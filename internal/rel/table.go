@@ -108,18 +108,18 @@ func (t *Table) Contains(tp Tuple) bool {
 	return ok
 }
 
-func colsKey(cols []int) string {
-	b := make([]byte, 0, len(cols)*3)
+// appendColsKey appends the canonical name of an index's column list.
+func appendColsKey(b []byte, cols []int) []byte {
 	for _, c := range cols {
 		b = append(b, byte('0'+c/10), byte('0'+c%10), ',')
 	}
-	return string(b)
+	return b
 }
 
 // EnsureIndex creates (or reuses) a hash index on the given columns and
 // backfills it from the current rows.
 func (t *Table) EnsureIndex(cols []int) error {
-	k := colsKey(cols)
+	k := string(appendColsKey(nil, cols))
 	if _, ok := t.indexes[k]; ok {
 		return nil
 	}
@@ -149,33 +149,29 @@ func (t *Table) EnsureIndex(cols []int) error {
 	return nil
 }
 
-// Probe returns the visible rows whose projection onto cols matches the
-// given key values. An index on cols must exist (EnsureIndex); without
-// one Probe falls back to a scan.
-func (t *Table) Probe(cols []int, key []Value) []*Row {
+// Probe calls fn for each visible row whose projection onto cols
+// matches the given key values, in an order that does not depend on
+// the run. fn must not modify the table. An index on cols must exist
+// (EnsureIndex); without one Probe falls back to a sorted scan.
+func (t *Table) Probe(cols []int, key []Value, fn func(*Row)) {
 	if len(cols) != len(key) {
-		return nil
+		return
 	}
-	if idx, ok := t.indexes[colsKey(cols)]; ok {
-		probe := Tuple{Rel: t.schema.Name, Vals: make([]Value, t.schema.Arity)}
-		for i, c := range cols {
-			probe.Vals[c] = key[i]
+	var name [32]byte
+	if idx, ok := t.indexes[string(appendColsKey(name[:0], cols))]; ok {
+		// The key values in column order encode exactly as KeyHash
+		// encodes a row's projection, so they hash to the row's bucket.
+		var scratch [tupleScratch]byte
+		b := scratch[:0]
+		for _, v := range key {
+			b = AppendValue(b, v)
 		}
-		h, err := probe.KeyHash(cols)
-		if err != nil {
-			return nil
-		}
-		var out []*Row
-		for _, vid := range idx.buckets[h] {
-			r, ok := t.rows[vid]
-			if !ok {
-				continue
-			}
-			if matchCols(r.Tuple, cols, key) {
-				out = append(out, r)
+		for _, vid := range idx.buckets[HashBytes(b).Hash64()] {
+			if r, ok := t.rows[vid]; ok && matchCols(r.Tuple, cols, key) {
+				fn(r)
 			}
 		}
-		return out
+		return
 	}
 	// Fallback scan: sort the matches so the unindexed path is as
 	// deterministic as the indexed one — map iteration order must not
@@ -187,7 +183,9 @@ func (t *Table) Probe(cols []int, key []Value) []*Row {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Compare(out[j].Tuple) < 0 })
-	return out
+	for _, r := range out {
+		fn(r)
+	}
 }
 
 func matchCols(tp Tuple, cols []int, key []Value) bool {
@@ -277,11 +275,11 @@ func (t *Table) KeyConflicts(tp Tuple) []*Row {
 		vals[i] = tp.Vals[c]
 	}
 	var out []*Row
-	for _, r := range t.Probe(key, vals) {
+	t.Probe(key, vals, func(r *Row) {
 		if !r.Tuple.Equal(tp) {
 			out = append(out, r)
 		}
-	}
+	})
 	return out
 }
 

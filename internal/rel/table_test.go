@@ -134,6 +134,13 @@ func TestTableGetContains(t *testing.T) {
 	}
 }
 
+// probeRows collects what Probe visits.
+func probeRows(tb *Table, cols []int, key []Value) []*Row {
+	var out []*Row
+	tb.Probe(cols, key, func(r *Row) { out = append(out, r) })
+	return out
+}
+
 func TestTableIndexProbe(t *testing.T) {
 	tb := NewTable(NewSchema("link", 3, 0, 1))
 	if err := tb.EnsureIndex([]int{0}); err != nil {
@@ -142,19 +149,40 @@ func TestTableIndexProbe(t *testing.T) {
 	tb.Apply(linkTuple("a", "b", 1), 1)
 	tb.Apply(linkTuple("a", "c", 2), 1)
 	tb.Apply(linkTuple("b", "c", 3), 1)
-	got := tb.Probe([]int{0}, []Value{Addr("a")})
+	got := probeRows(tb, []int{0}, []Value{Addr("a")})
 	if len(got) != 2 {
 		t.Fatalf("probe a: %d rows", len(got))
 	}
-	got = tb.Probe([]int{0}, []Value{Addr("z")})
+	got = probeRows(tb, []int{0}, []Value{Addr("z")})
 	if len(got) != 0 {
 		t.Fatalf("probe z: %d rows", len(got))
 	}
 	// Index maintained under delete.
 	tb.Apply(linkTuple("a", "b", 1), -1)
-	got = tb.Probe([]int{0}, []Value{Addr("a")})
+	got = probeRows(tb, []int{0}, []Value{Addr("a")})
 	if len(got) != 1 {
 		t.Fatalf("probe after delete: %d rows", len(got))
+	}
+}
+
+// An indexed probe runs once per joined row on the evaluator's hot
+// path: finding and visiting the matches must not allocate.
+func TestTableProbeDoesNotAllocate(t *testing.T) {
+	tb := NewTable(NewSchema("link", 3, 0, 1))
+	if err := tb.EnsureIndex([]int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		tb.Apply(linkTuple("a", string(rune('b'+i)), int64(i)), 1)
+	}
+	cols, key := []int{0, 1}, []Value{Addr("a"), Addr("c")}
+	visited := 0
+	fn := func(*Row) { visited++ }
+	if n := testing.AllocsPerRun(100, func() { tb.Probe(cols, key, fn) }); n != 0 {
+		t.Errorf("Probe allocates %v times per call, want 0", n)
+	}
+	if visited == 0 {
+		t.Fatal("probe matched nothing")
 	}
 }
 
@@ -164,7 +192,7 @@ func TestTableIndexBackfillAndErrors(t *testing.T) {
 	if err := tb.EnsureIndex([]int{1}); err != nil {
 		t.Fatal(err)
 	}
-	got := tb.Probe([]int{1}, []Value{Addr("b")})
+	got := probeRows(tb, []int{1}, []Value{Addr("b")})
 	if len(got) != 1 {
 		t.Fatalf("backfilled probe: %d rows", len(got))
 	}
@@ -175,11 +203,11 @@ func TestTableIndexBackfillAndErrors(t *testing.T) {
 		t.Fatal("out-of-range index column must error")
 	}
 	// Probe without an index falls back to scan.
-	got = tb.Probe([]int{2}, []Value{Int(1)})
+	got = probeRows(tb, []int{2}, []Value{Int(1)})
 	if len(got) != 1 {
 		t.Fatalf("scan probe: %d rows", len(got))
 	}
-	if got := tb.Probe([]int{0, 1}, []Value{Addr("a")}); got != nil {
+	if got := probeRows(tb, []int{0, 1}, []Value{Addr("a")}); got != nil {
 		t.Fatal("mismatched cols/key must return nil")
 	}
 }
