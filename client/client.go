@@ -23,7 +23,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -282,8 +281,6 @@ func decodeAPIError(status int, body []byte) error {
 	}
 	return &APIError{Status: status, Message: strings.TrimSpace(string(body))}
 }
-
-func asAPIError(err error, target **APIError) bool { return errors.As(err, target) }
 
 // cacheInfo extracts the X-Cache* headers.
 func cacheInfo(h http.Header) CacheInfo {

@@ -1,14 +1,14 @@
-package client
+package client_test
 
 import (
 	"context"
-	"io"
-	"net/http"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/engine"
 	"repro/internal/protocols"
 	"repro/internal/server"
@@ -17,7 +17,7 @@ import (
 // startServer boots a converged MINCOST grid engine and serves it
 // in-process, returning the SDK client, the publisher (for churn), and
 // the engine.
-func startServer(t *testing.T, side int, opts ...Option) (*Client, *server.Publisher, *engine.Engine) {
+func startServer(t *testing.T, side int, opts ...client.Option) (*client.Client, *server.Publisher, *engine.Engine) {
 	t.Helper()
 	n := side * side
 	e, err := protocols.Build(protocols.MinCost, protocols.NodeNames(n),
@@ -31,7 +31,7 @@ func startServer(t *testing.T, side int, opts ...Option) (*Client, *server.Publi
 	}
 	ts := httptest.NewServer(server.New(pub, server.Info{Protocol: "mincost"}))
 	t.Cleanup(ts.Close)
-	c, err := New(ts.URL, opts...)
+	c, err := client.New(ts.URL, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestHealthNodesState(t *testing.T) {
 		t.Fatalf("nodes = %+v", ns)
 	}
 
-	st, err := c.State(ctx, "n1", Rel("mincost"))
+	st, err := c.State(ctx, "n1", client.Rel("mincost"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestQueriesAndCacheStats(t *testing.T) {
 		t.Fatalf("nodes = %+v", nodes.Nodes)
 	}
 
-	count, err := c.Count(ctx, "mincost(@'n1','n4',2)", WithOptions(Options{Threshold: 1}))
+	count, err := c.Count(ctx, "mincost(@'n1','n4',2)", client.WithOptions(client.Options{Threshold: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestQueriesAndCacheStats(t *testing.T) {
 		t.Fatalf("pruned count = %+v", count)
 	}
 
-	trunc, err := c.Lineage(ctx, "mincost(@'n1','n4',2)", WithOptions(Options{MaxDepth: 1}))
+	trunc, err := c.Lineage(ctx, "mincost(@'n1','n4',2)", client.WithOptions(client.Options{MaxDepth: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestQueriesAndCacheStats(t *testing.T) {
 }
 
 func TestSnapshotAffinity(t *testing.T) {
-	c, pub, e := startServer(t, 2, WithSnapshotAffinity())
+	c, pub, e := startServer(t, 2, client.WithSnapshotAffinity())
 	ctx := context.Background()
 
 	h, err := c.Health(ctx)
@@ -164,7 +164,7 @@ func TestSnapshotAffinity(t *testing.T) {
 		t.Fatalf("pinned Nodes read version %d, want %d", ns.Version, h.Version)
 	}
 	// A per-call override escapes the pin; Unpin drops it.
-	cur, err := c.Nodes(ctx, At(0))
+	cur, err := c.Nodes(ctx, client.At(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := c.QueryBatch(ctx, []BatchQuery{
+	res, err := c.QueryBatch(ctx, []client.BatchQuery{
 		{Q: "lineage of mincost(@'n1','n9',4)"},
 		{Type: "count", Tuple: "mincost(@'n1','n9',4)"},
 		{Q: "count of mincost(@'n1','n9',99)"}, // no provenance
@@ -203,7 +203,7 @@ func TestBatch(t *testing.T) {
 	if r := res.Results[1]; r.Err != nil || r.Result.Count == nil {
 		t.Fatalf("results[1] = %+v", r)
 	}
-	if r := res.Results[2]; r.Err == nil || r.Err.Code != CodeNoProvenance {
+	if r := res.Results[2]; r.Err == nil || r.Err.Code != client.CodeNoProvenance {
 		t.Fatalf("results[2] = %+v", r)
 	}
 	if r := res.Results[3]; r.Err != nil || r.Result.Proof == nil {
@@ -220,35 +220,35 @@ func TestErrorsAreTyped(t *testing.T) {
 	c, _, _ := startServer(t, 2)
 	ctx := context.Background()
 
-	_, err := c.Nodes(ctx, At(999999))
-	if !IsCode(err, CodeSnapshotEvicted) {
+	_, err := c.Nodes(ctx, client.At(999999))
+	if !client.IsCode(err, client.CodeSnapshotEvicted) {
 		t.Fatalf("evicted version error = %v", err)
 	}
-	var ae *APIError
-	if !asAPIError(err, &ae) || ae.Status != 410 {
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != 410 {
 		t.Fatalf("evicted version status = %+v", ae)
 	}
 
-	if _, err := c.Lineage(ctx, "mincost(@'n1','n4',99)"); !IsCode(err, CodeNoProvenance) {
+	if _, err := c.Lineage(ctx, "mincost(@'n1','n4',99)"); !client.IsCode(err, client.CodeNoProvenance) {
 		t.Fatalf("unknown tuple error = %v", err)
 	}
-	if _, err := c.Query(ctx, "explain of mincost(@'n1','n4',2)"); !IsCode(err, CodeInvalidQuery) {
+	if _, err := c.Query(ctx, "explain of mincost(@'n1','n4',2)"); !client.IsCode(err, client.CodeInvalidQuery) {
 		t.Fatalf("bad query error = %v", err)
 	}
-	if _, err := c.Lineage(ctx, "mincost(@'n1','n4',2)", WithOptions(Options{MaxDepth: -1})); !IsCode(err, CodeInvalidOption) {
+	if _, err := c.Lineage(ctx, "mincost(@'n1','n4',2)", client.WithOptions(client.Options{MaxDepth: -1})); !client.IsCode(err, client.CodeInvalidOption) {
 		t.Fatalf("bad option error = %v", err)
 	}
-	if _, err := c.State(ctx, "ghost"); !IsCode(err, CodeUnknownNode) {
+	if _, err := c.State(ctx, "ghost"); !client.IsCode(err, client.CodeUnknownNode) {
 		t.Fatalf("unknown node error = %v", err)
 	}
 }
 
 func TestClientTimeoutAborts(t *testing.T) {
-	c, _, _ := startServer(t, 4, WithTimeout(time.Nanosecond))
+	c, _, _ := startServer(t, 4, client.WithTimeout(time.Nanosecond))
 	// A cold corner-to-corner lineage cannot finish within 1ns: the
 	// server aborts the walk and reports the structured timeout.
 	_, err := c.Lineage(context.Background(), "mincost(@'n1','n16',6)")
-	if !IsCode(err, CodeQueryTimeout) {
+	if !client.IsCode(err, client.CodeQueryTimeout) {
 		t.Fatalf("timeout error = %v", err)
 	}
 }
@@ -261,29 +261,5 @@ func TestProofDOT(t *testing.T) {
 	}
 	if !strings.Contains(dot.Graph, "digraph provenance") || dot.Version == 0 {
 		t.Fatalf("dot = %+v", dot)
-	}
-}
-
-// TestReadBody: a declared length is read into one buffer of that size,
-// a body shorter than declared is an error, and a reply without a
-// length (or one past the pre-size cap) is still read whole.
-func TestReadBody(t *testing.T) {
-	const payload = `{"ok":true}`
-	for _, tc := range []struct {
-		name    string
-		length  int64
-		body    string
-		wantErr bool
-	}{
-		{"declared", int64(len(payload)), payload, false},
-		{"unknown length", -1, payload, false},
-		{"past the pre-size cap", maxPresize + 1, payload, false},
-		{"shorter than declared", int64(len(payload)) + 1, payload, true},
-	} {
-		resp := &http.Response{ContentLength: tc.length, Body: io.NopCloser(strings.NewReader(tc.body))}
-		data, err := readBody(resp)
-		if (err != nil) != tc.wantErr || (err == nil && string(data) != tc.body) {
-			t.Errorf("%s: readBody = %q, %v", tc.name, data, err)
-		}
 	}
 }

@@ -1,10 +1,14 @@
 package client
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
-// Wire types of the v1 API. The SDK is self-contained: these mirror
-// docs/API.md, not any internal package, so the module's internals can
-// move without breaking SDK consumers.
+// Wire types of the v1 API. These types are the v1 schema (docs/API.md
+// describes it): the daemon and the gateway render exactly these
+// documents, so a response decodes into them field for field. The SDK
+// imports nothing but the standard library.
 
 // Tuple is one tuple as the API renders it: the relation name, each
 // attribute as its NDlog literal, and the full literal text.
@@ -80,6 +84,9 @@ type Health struct {
 	TimeUs   int64  `json:"virtualTimeUs"`
 	Nodes    int    `json:"nodes"`
 	Oldest   uint64 `json:"oldestVersion"`
+	// Shard is present only on a sharded daemon (-shard i/N): its slice
+	// of the deployment.
+	Shard *ShardInfo `json:"shard,omitempty"`
 	// Store is present only when the daemon runs a durable snapshot
 	// store (-data): the oldest version still on disk and the newest
 	// one made durable.
@@ -180,7 +187,7 @@ func (e *APIError) Error() string {
 // stable code.
 func IsCode(err error, code string) bool {
 	var ae *APIError
-	return asAPIError(err, &ae) && ae.Code == code
+	return errors.As(err, &ae) && ae.Code == code
 }
 
 // Stable error codes of the v1 API (see docs/API.md for the catalog).

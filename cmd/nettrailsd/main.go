@@ -26,16 +26,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	nettrails "repro"
@@ -229,8 +225,6 @@ func main() {
 	// the HTTP readers. churnDone signals that the goroutine has fully
 	// stopped — never mid-epoch — so shutdown tears nothing out from
 	// under a running flap.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	stop := make(chan struct{})
 	churnDone := make(chan struct{})
 	if *churn > 0 && len(edges) > 0 {
@@ -257,20 +251,9 @@ func main() {
 		close(churnDone)
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		if err != nil && err != http.ErrServerClosed && !errors.Is(err, net.ErrClosed) {
-			fail("%v", err)
-		}
-	case sig := <-sigs:
-		// Graceful shutdown: stop the churn loop at an epoch boundary,
-		// then drain in-flight HTTP queries before exiting. A second
-		// signal aborts the drain.
-		fmt.Printf("nettrailsd: %s: shutting down (draining for up to %s)\n", sig, *drain)
+	// Graceful shutdown stops the churn loop at an epoch boundary before
+	// the HTTP drain.
+	err = server.ServeUntilSignal(context.Background(), "nettrailsd", ln, srv.Handler(), *drain, func() {
 		close(stop)
 		<-churnDone
 		pub.Detach()
@@ -286,24 +269,14 @@ func main() {
 			// The simulation thread is stopped; make everything published
 			// durable before the HTTP drain (readers may still hit the
 			// store's mmapped segments until Serve returns, so it is
-			// closed only after the drain below).
+			// closed only after the drain).
 			if err := store.Sync(); err != nil {
 				fmt.Fprintf(os.Stderr, "nettrailsd: store sync: %v\n", err)
 			}
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		go func() {
-			<-sigs
-			cancel()
-		}()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			cancel()
-			fail("shutdown: %v", err)
-		}
-		cancel()
-		if err := <-serveErr; err != nil && err != http.ErrServerClosed && !errors.Is(err, net.ErrClosed) {
-			fail("%v", err)
-		}
+	})
+	if err != nil {
+		fail("%v", err)
 	}
 	if store != nil {
 		if err := store.Close(); err != nil {

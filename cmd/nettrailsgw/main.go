@@ -18,15 +18,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/client"
@@ -111,34 +107,10 @@ func main() {
 	fmt.Printf("nettrailsgw: listening on http://%s (protocol=%s shards=%d nodes=%d)\n",
 		ln.Addr(), protocol, g.Shards(), len(g.Nodes()))
 
-	httpSrv := &http.Server{Handler: g.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-serveErr:
-		if err != nil && err != http.ErrServerClosed && !errors.Is(err, net.ErrClosed) {
-			fail("%v", err)
-		}
-	case sig := <-sigs:
-		// Graceful shutdown: drain in-flight federated queries (their
-		// downstream reads abort with them); a second signal aborts.
-		fmt.Printf("nettrailsgw: %s: shutting down (draining for up to %s)\n", sig, *drain)
-		sctx, scancel := context.WithTimeout(context.Background(), *drain)
-		go func() {
-			<-sigs
-			scancel()
-		}()
-		if err := httpSrv.Shutdown(sctx); err != nil {
-			scancel()
-			fail("shutdown: %v", err)
-		}
-		scancel()
-		if err := <-serveErr; err != nil && err != http.ErrServerClosed && !errors.Is(err, net.ErrClosed) {
-			fail("%v", err)
-		}
+	// Graceful shutdown drains in-flight federated queries; their
+	// downstream reads abort with them.
+	if err := server.ServeUntilSignal(context.Background(), "nettrailsgw", ln, g.Handler(), *drain, nil); err != nil {
+		fail("%v", err)
 	}
 	fmt.Println("nettrailsgw: stopped")
 }

@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -25,9 +27,31 @@ func buildBinary(t *testing.T, pkg, name string) string {
 	return bin
 }
 
+// process is one daemon binary started by startProcess: the base URL it
+// reported, the running command, and every line it printed. eof closes
+// once the process has exited and all its output is collected.
+type process struct {
+	url   string
+	cmd   *exec.Cmd
+	mu    sync.Mutex
+	lines []string
+	eof   chan struct{}
+}
+
+func (p *process) contains(sub string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, l := range p.lines {
+		if strings.Contains(l, sub) {
+			return true
+		}
+	}
+	return false
+}
+
 // startProcess launches a daemon binary on an ephemeral port and
-// returns the base URL it prints.
-func startProcess(t *testing.T, bin string, args ...string) string {
+// returns it once it prints the base URL it listens on.
+func startProcess(t *testing.T, bin string, args ...string) *process {
 	t.Helper()
 	// Registered before the process-kill cleanup below, so the leak
 	// verdict is reached after the process is gone and its stdout
@@ -46,12 +70,17 @@ func startProcess(t *testing.T, bin string, args ...string) string {
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
 	})
+	p := &process{cmd: cmd, eof: make(chan struct{})}
 	urlCh := make(chan string, 1)
 	go func() {
+		defer close(p.eof)
 		sc := bufio.NewScanner(stdout)
 		found := false
 		for sc.Scan() {
 			line := sc.Text()
+			p.mu.Lock()
+			p.lines = append(p.lines, line)
+			p.mu.Unlock()
 			if i := strings.Index(line, "listening on "); i >= 0 && !found {
 				found = true
 				urlCh <- strings.Fields(line[i+len("listening on "):])[0]
@@ -59,11 +88,11 @@ func startProcess(t *testing.T, bin string, args ...string) string {
 		}
 	}()
 	select {
-	case url := <-urlCh:
-		return url
+	case p.url = <-urlCh:
+		return p
 	case <-time.After(30 * time.Second):
 		t.Fatalf("%s never reported its listen address", bin)
-		return ""
+		return nil
 	}
 }
 
@@ -89,7 +118,7 @@ func TestRequireDataFlag(t *testing.T) {
 	// A storeless shard fails the gate before any serving starts.
 	bare := startProcess(t, nettrailsd, "-listen", "127.0.0.1:0",
 		"-protocol", "mincost", "-topology", "line", "-nodes", "3", "-churn", "0")
-	out, err := exec.Command(nettrailsgw, "-peers", bare, "-require-data").CombinedOutput()
+	out, err := exec.Command(nettrailsgw, "-peers", bare.url, "-require-data").CombinedOutput()
 	if err == nil {
 		t.Fatalf("-require-data accepted a storeless shard:\n%s", out)
 	}
@@ -102,9 +131,9 @@ func TestRequireDataFlag(t *testing.T) {
 	durable := startProcess(t, nettrailsd, "-listen", "127.0.0.1:0",
 		"-protocol", "mincost", "-topology", "line", "-nodes", "3", "-churn", "0",
 		"-data", t.TempDir())
-	gwURL := startProcess(t, nettrailsgw,
-		"-listen", "127.0.0.1:0", "-peers", durable, "-require-data")
-	c, err := client.New(gwURL)
+	gw := startProcess(t, nettrailsgw,
+		"-listen", "127.0.0.1:0", "-peers", durable.url, "-require-data")
+	c, err := client.New(gw.url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +156,16 @@ func TestSmokeShardedDeployment(t *testing.T) {
 
 	var peers []string
 	for i := 0; i < 3; i++ {
-		url := startProcess(t, nettrailsd,
+		shard := startProcess(t, nettrailsd,
 			"-listen", "127.0.0.1:0",
 			"-protocol", "mincost", "-topology", "grid", "-nodes", "9",
 			"-shard", fmt.Sprintf("%d/3", i), "-churn", "0")
-		peers = append(peers, url)
+		peers = append(peers, shard.url)
 	}
-	gwURL := startProcess(t, nettrailsgw,
+	gw := startProcess(t, nettrailsgw,
 		"-listen", "127.0.0.1:0", "-peers", strings.Join(peers, ","))
 
-	c, err := client.New(gwURL)
+	c, err := client.New(gw.url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,5 +238,48 @@ func TestSmokeShardedDeployment(t *testing.T) {
 	}
 	if _, err := shard0.Lineage(ctx, "mincost(@'n1','n9',4)"); !client.IsCode(err, client.CodeWrongShard) {
 		t.Fatalf("direct cross-shard query error = %v", err)
+	}
+}
+
+// TestGracefulShutdown sends SIGTERM to a gateway over one shard and
+// requires a clean exit: in-flight queries drain through
+// http.Server.Shutdown, and the process reports "stopped" with exit
+// status 0.
+func TestGracefulShutdown(t *testing.T) {
+	nettrailsd := buildBinary(t, "repro/cmd/nettrailsd", "nettrailsd")
+	nettrailsgw := buildBinary(t, ".", "nettrailsgw")
+	shard := startProcess(t, nettrailsd, "-listen", "127.0.0.1:0",
+		"-protocol", "mincost", "-topology", "line", "-nodes", "3", "-churn", "0")
+	gw := startProcess(t, nettrailsgw, "-listen", "127.0.0.1:0", "-peers", shard.url, "-drain", "10s")
+	c, err := client.New(gw.url)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Make sure the gateway is really serving first.
+	if _, err := c.Health(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := gw.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	// Wait for output EOF first: the gateway exiting closes the pipe's
+	// write end, and only then is calling Wait (which closes the read
+	// end) free of losing the final lines.
+	select {
+	case <-gw.eof:
+	case <-time.After(30 * time.Second):
+		t.Fatal("gateway did not exit within 30s of SIGTERM")
+	}
+	if err := gw.cmd.Wait(); err != nil {
+		t.Fatalf("gateway exited uncleanly after SIGTERM: %v", err)
+	}
+	if !gw.contains("shutting down") || !gw.contains("nettrailsgw: stopped") {
+		t.Fatalf("missing shutdown messages in output: %v", gw.lines)
+	}
+	// The listener must actually be gone.
+	if _, err := c.Health(context.Background()); err == nil {
+		t.Fatal("gateway still serving after clean exit")
 	}
 }

@@ -10,11 +10,15 @@ import (
 
 	"repro/client"
 	"repro/internal/gateway"
+	"repro/internal/provquery"
+	"repro/internal/rel"
+	"repro/internal/server"
 )
 
 // fakeShard serves one fixed GET /v1/shards document: a server the
-// gateway must judge by what it reports, not by what it is.
-func fakeShard(t *testing.T, doc client.Shards) string {
+// gateway must judge by what it reports, not by what it is. Further
+// routes can be added to the returned mux.
+func fakeShard(t *testing.T, doc client.Shards) (string, *http.ServeMux) {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, _ *http.Request) {
@@ -23,7 +27,53 @@ func fakeShard(t *testing.T, doc client.Shards) string {
 	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return ts.URL
+	return ts.URL, mux
+}
+
+// TestGatewayRejectsMalformedExec: a shard that answers an exec read
+// with "execOk" but no "exec" sent a malformed answer. The query fails
+// with the 502 shard_unreachable envelope instead of dropping the
+// connection.
+func TestGatewayRejectsMalformedExec(t *testing.T) {
+	url, mux := fakeShard(t, client.Shards{Version: 1, TimeUs: 1000,
+		Shard: client.ShardInfo{Index: 0, Total: 1}, Nodes: []string{"a"}, AllNodes: []string{"a"}})
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(client.Health{OK: true, Protocol: "mincost", Version: 1, TimeUs: 1000, Nodes: 1, Oldest: 1})
+	})
+	const tuple = "link(@'a','b',1)"
+	lit, err := provquery.ParseTupleLiteral(tuple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rid := strings.Repeat("ab", 20)
+	mux.HandleFunc("POST /v1/prov/read", func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			Reads []client.ProvReadOp `json:"reads"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+		}
+		out := client.ProvReads{Version: 1}
+		for _, op := range req.Reads {
+			res := client.ProvReadResult{ExecOK: true}
+			if op.Op == client.ProvReadVertex {
+				res = client.ProvReadResult{ProvVertex: client.ProvVertex{TupleOK: true, Tuple: rel.MarshalTuple(lit),
+					DerivsOK: true, Derivs: []client.ProvDeriv{{RID: rid, RLoc: "a"}}}}
+			}
+			out.Results = append(out.Results, res)
+		}
+		json.NewEncoder(w).Encode(out)
+	})
+	g, err := gateway.New(context.Background(), []string{url})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(g)
+	t.Cleanup(gw.Close)
+	resp, body := post(t, gw.URL+"/v1/query", `{"q":"lineage of `+tuple+`"}`)
+	if resp.StatusCode != http.StatusBadGateway || errorCode(body) != server.ErrShardUnreachable {
+		t.Fatalf("malformed exec reply: %d %s, want 502 %s", resp.StatusCode, body, server.ErrShardUnreachable)
+	}
 }
 
 // TestGatewayRejectsIncoherentDeployment: gateway.New has no discovery
@@ -66,7 +116,7 @@ func TestGatewayRejectsIncoherentDeployment(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			urls := make([]string, len(tc.shards))
 			for i, doc := range tc.shards {
-				urls[i] = fakeShard(t, doc)
+				urls[i], _ = fakeShard(t, doc)
 			}
 			g, err := gateway.New(context.Background(), urls)
 			if tc.want == "" {

@@ -362,7 +362,7 @@ func (g *Gateway) ShardsDoc(server.Pin) interface{} {
 // NodesDoc implements server.Backend: it merges every shard's owned-node
 // summaries at the pinned version into the same document a
 // single-process daemon serves.
-func (g *Gateway) NodesDoc(ctx context.Context, pin server.Pin) (*server.NodesJSON, *server.APIError) {
+func (g *Gateway) NodesDoc(ctx context.Context, pin server.Pin) (*client.Nodes, *server.APIError) {
 	perShard := make([]*client.Nodes, g.shards.Len())
 	err := g.forEachShard(func(i int, c *client.Client) error {
 		ns, err := c.Nodes(ctx, client.At(pin.Version))
@@ -373,13 +373,13 @@ func (g *Gateway) NodesDoc(ctx context.Context, pin server.Pin) (*server.NodesJS
 	if err != nil {
 		return nil, downstreamError(err)
 	}
-	byAddr := map[string]server.NodeJSON{}
+	byAddr := map[string]client.Node{}
 	for _, ns := range perShard {
 		for _, n := range ns.Nodes {
-			byAddr[n.Addr] = server.NodeJSON(n)
+			byAddr[n.Addr] = n
 		}
 	}
-	out := &server.NodesJSON{Version: pin.Version, Time: int64(pin.Time), Nodes: []server.NodeJSON{}}
+	out := &client.Nodes{Version: pin.Version, TimeUs: int64(pin.Time), Nodes: []client.Node{}}
 	for _, addr := range g.shards.Nodes() {
 		if n, ok := byAddr[addr]; ok {
 			out.Nodes = append(out.Nodes, n)
@@ -389,8 +389,8 @@ func (g *Gateway) NodesDoc(ctx context.Context, pin server.Pin) (*server.NodesJS
 }
 
 // StateDoc implements server.Backend: it routes the read to the shard
-// owning the node and re-renders its answer unchanged.
-func (g *Gateway) StateDoc(ctx context.Context, pin server.Pin, node, relFilter string, atTime *int64) (*server.StateJSON, *server.APIError) {
+// owning the node and returns that shard's document as it came.
+func (g *Gateway) StateDoc(ctx context.Context, pin server.Pin, node, relFilter string, atTime *int64) (*client.State, *server.APIError) {
 	shard, ok := g.shards.ForNode(node)
 	if !ok {
 		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", node)
@@ -407,23 +407,14 @@ func (g *Gateway) StateDoc(ctx context.Context, pin server.Pin, node, relFilter 
 	if err != nil {
 		return nil, downstreamError(err)
 	}
-	out := &server.StateJSON{Version: st.Version, Time: st.TimeUs, Node: st.Node,
-		Tables: map[string][]server.TupleJSON{}}
-	for name, ts := range st.Tables {
-		rows := make([]server.TupleJSON, len(ts))
-		for i, t := range ts {
-			rows[i] = server.TupleJSON(t)
-		}
-		out.Tables[name] = rows
-	}
-	return out, nil
+	return st, nil
 }
 
 // HistoryFirstDoc implements server.Backend: it routes the probe to the
-// shard owning the tuple's node and re-renders its answer unchanged —
-// every shard's snapshot store mints the same dense version sequence,
-// so the owning shard's answer is the deployment's answer.
-func (g *Gateway) HistoryFirstDoc(ctx context.Context, lit string, _ rel.Tuple, at string) (*server.HistoryFirstJSON, *server.APIError) {
+// shard owning the tuple's node and returns that shard's document as it
+// came — every shard's snapshot store mints the same dense version
+// sequence, so the owning shard's answer is the deployment's answer.
+func (g *Gateway) HistoryFirstDoc(ctx context.Context, lit string, _ rel.Tuple, at string) (*client.HistoryFirst, *server.APIError) {
 	shard, ok := g.shards.ForNode(at)
 	if !ok {
 		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", at)
@@ -433,11 +424,5 @@ func (g *Gateway) HistoryFirstDoc(ctx context.Context, lit string, _ rel.Tuple, 
 	if err != nil {
 		return nil, downstreamError(err)
 	}
-	return &server.HistoryFirstJSON{
-		Tuple:         server.TupleJSON(hf.Tuple),
-		Node:          hf.Node,
-		FirstVersion:  hf.FirstVersion,
-		TimeUs:        hf.TimeUs,
-		OldestVersion: hf.Oldest,
-	}, nil
+	return hf, nil
 }

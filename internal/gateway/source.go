@@ -152,6 +152,9 @@ func (s *fedSource) absorb(op client.ProvReadOp, r client.ProvReadResult) error 
 	case client.ProvReadExec:
 		ed := execData{ok: r.ExecOK}
 		if r.ExecOK {
+			if r.Exec == nil {
+				return fmt.Errorf("shard read %s %s@%s: execOk without exec", op.Op, op.ID, op.Loc)
+			}
 			ed.exec = provenance.ExecEntry{RID: id, Rule: r.Exec.Rule}
 			for _, vs := range r.Exec.VIDs {
 				vid, err := rel.ParseID(vs)

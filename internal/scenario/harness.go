@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/client"
 	"repro/internal/gateway"
 	"repro/internal/provstore"
 	"repro/internal/rel"
@@ -342,7 +343,7 @@ type CheckResult struct {
 	Check    Check
 	Status   int
 	Body     []byte
-	Response *server.QueryResponse // nil for error checks
+	Response *client.QueryResult // nil for error checks
 }
 
 // RunCheck answers one check against both the single process and the
@@ -394,7 +395,7 @@ func (d *Deployment) RunCheck(c Check) (*CheckResult, error) {
 		}
 		return res, nil
 	}
-	var qr server.QueryResponse
+	var qr client.QueryResult
 	if err := json.Unmarshal(sBody, &qr); err != nil {
 		return nil, fmt.Errorf("check %s: undecodable response %s: %w", c.Name, sBody, err)
 	}
@@ -445,7 +446,7 @@ func post(url string, body []byte) (int, []byte, error) {
 }
 
 // Eval applies the oracle to a decoded query response.
-func (o *Oracle) Eval(r *server.QueryResponse) error {
+func (o *Oracle) Eval(r *client.QueryResult) error {
 	participants := participants(r)
 	if o.CauseNode != "" {
 		if !participants[o.CauseNode] {
@@ -490,7 +491,7 @@ func (o *Oracle) Eval(r *server.QueryResponse) error {
 // participants collects every node that appears in the answer: the
 // nodes list, base-tuple locations (column 0 of located tuples), and
 // proof-tree vertices.
-func participants(r *server.QueryResponse) map[string]bool {
+func participants(r *client.QueryResult) map[string]bool {
 	out := map[string]bool{}
 	for _, n := range r.Nodes {
 		out[n] = true
@@ -500,8 +501,8 @@ func participants(r *server.QueryResponse) map[string]bool {
 			out[b.Vals[0]] = true
 		}
 	}
-	var walk func(p *server.ProofJSON)
-	walk = func(p *server.ProofJSON) {
+	var walk func(p *client.ProofNode)
+	walk = func(p *client.ProofNode) {
 		if p.Loc != "" {
 			out[p.Loc] = true
 		}
@@ -519,9 +520,9 @@ func participants(r *server.QueryResponse) map[string]bool {
 
 // proofDepth returns the shallowest tuple depth at which a node
 // appears in the proof tree (the root tuple is depth 0).
-func proofDepth(root *server.ProofJSON, node string) (int, bool) {
+func proofDepth(root *client.ProofNode, node string) (int, bool) {
 	type item struct {
-		p     *server.ProofJSON
+		p     *client.ProofNode
 		depth int
 	}
 	queue := []item{{root, 0}}

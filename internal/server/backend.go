@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 
+	"repro/client"
 	"repro/internal/provstore"
 	"repro/internal/rel"
 	"repro/internal/simnet"
@@ -31,15 +32,15 @@ type Backend interface {
 	Cache(pin Pin) *ResultCache
 
 	// NodesDoc is the GET /v1/nodes document at pin.
-	NodesDoc(ctx context.Context, pin Pin) (*NodesJSON, *APIError)
+	NodesDoc(ctx context.Context, pin Pin) (*client.Nodes, *APIError)
 	// StateDoc is the GET /v1/state/{node} document at pin: one relation
 	// when relFilter is set, and — when atTime is non-nil — the node's
 	// state at the latest version <= pin published at or before *atTime
 	// (virtual µs) instead of at the pin itself.
-	StateDoc(ctx context.Context, pin Pin, node, relFilter string, atTime *int64) (*StateJSON, *APIError)
+	StateDoc(ctx context.Context, pin Pin, node, relFilter string, atTime *int64) (*client.State, *APIError)
 	// HistoryFirstDoc is the GET /v1/history/first document for the tuple t
 	// (parsed from lit) at node at. Deep history is not pinned.
-	HistoryFirstDoc(ctx context.Context, lit string, t rel.Tuple, at string) (*HistoryFirstJSON, *APIError)
+	HistoryFirstDoc(ctx context.Context, lit string, t rel.Tuple, at string) (*client.HistoryFirst, *APIError)
 	// HealthzDoc is the GET /v1/healthz document.
 	HealthzDoc(ctx context.Context, protocol string) (interface{}, *APIError)
 	// ShardsDoc is the GET /v1/shards document at pin.
@@ -97,13 +98,13 @@ func (p *Publisher) Query(ctx context.Context, pin Pin, key CacheKey, t rel.Tupl
 func (p *Publisher) Cache(pin Pin) *ResultCache { return pin.snap.cache }
 
 // NodesDoc implements Backend.
-func (p *Publisher) NodesDoc(_ context.Context, pin Pin) (*NodesJSON, *APIError) {
+func (p *Publisher) NodesDoc(_ context.Context, pin Pin) (*client.Nodes, *APIError) {
 	snap := pin.snap
 	// Nodes is always a JSON array, never null.
-	out := &NodesJSON{Version: snap.Version, Time: int64(snap.Time), Nodes: []NodeJSON{}}
+	out := &client.Nodes{Version: snap.Version, TimeUs: int64(snap.Time), Nodes: []client.Node{}}
 	for _, addr := range snap.Nodes {
 		info, _ := snap.NodeInfo(addr)
-		out.Nodes = append(out.Nodes, NodeJSON{
+		out.Nodes = append(out.Nodes, client.Node{
 			Addr:        addr,
 			Neighbors:   info.Neighbors,
 			Tuples:      info.Tuples,
@@ -128,13 +129,13 @@ func (s *Snapshot) unowned(addr string) *APIError {
 // StateDoc implements Backend. A non-nil atTime time-travels by version:
 // the node is read from the snapshot atTime resolves to, the document
 // keeps the pin's version and reports when that state was published.
-func (p *Publisher) StateDoc(_ context.Context, pin Pin, node, relFilter string, atTime *int64) (*StateJSON, *APIError) {
+func (p *Publisher) StateDoc(_ context.Context, pin Pin, node, relFilter string, atTime *int64) (*client.State, *APIError) {
 	snap := pin.snap
 	st := snap.stateOf(node)
 	if st == nil {
 		return nil, snap.unowned(node)
 	}
-	out := &StateJSON{Version: snap.Version, Time: int64(snap.Time), Node: node}
+	out := &client.State{Version: snap.Version, TimeUs: int64(snap.Time), Node: node}
 	if atTime != nil {
 		then, err := p.atTime(snap.Version, simnet.Time(*atTime))
 		if errors.Is(err, provstore.ErrNotRetained) {
@@ -145,14 +146,14 @@ func (p *Publisher) StateDoc(_ context.Context, pin Pin, node, relFilter string,
 			return nil, unreadable(snap.Version)
 		}
 		st = then.stateOf(node)
-		out.Time = int64(st.stateTime)
+		out.TimeUs = int64(st.stateTime)
 	}
-	out.Tables = map[string][]TupleJSON{}
+	out.Tables = map[string][]client.Tuple{}
 	for name, ts := range st.tables {
 		if relFilter != "" && name != relFilter {
 			continue
 		}
-		rows := make([]TupleJSON, ts.Len())
+		rows := make([]client.Tuple, ts.Len())
 		for i, t := range ts.Tuples() {
 			rows[i] = JSONTuple(t)
 		}
@@ -164,7 +165,7 @@ func (p *Publisher) StateDoc(_ context.Context, pin Pin, node, relFilter string,
 // HistoryFirstDoc implements Backend from the snapshot store's per-segment
 // first-seen indexes, not from any retained snapshot, so the answer can
 // extend further back than the in-memory ring.
-func (p *Publisher) HistoryFirstDoc(_ context.Context, _ string, t rel.Tuple, at string) (*HistoryFirstJSON, *APIError) {
+func (p *Publisher) HistoryFirstDoc(_ context.Context, _ string, t rel.Tuple, at string) (*client.HistoryFirst, *APIError) {
 	if snap := p.Current(); snap.stateOf(at) == nil {
 		return nil, snap.unowned(at)
 	}
@@ -178,11 +179,11 @@ func (p *Publisher) HistoryFirstDoc(_ context.Context, _ string, t rel.Tuple, at
 		return nil, Errf(http.StatusNotFound, ErrNoHistory,
 			"tuple %s was never seen at %q in the retained history", t, at)
 	}
-	out := &HistoryFirstJSON{
-		Tuple:         JSONTuple(t),
-		Node:          at,
-		FirstVersion:  v,
-		OldestVersion: st.OldestVersion(),
+	out := &client.HistoryFirst{
+		Tuple:        JSONTuple(t),
+		Node:         at,
+		FirstVersion: v,
+		Oldest:       st.OldestVersion(),
 	}
 	// Best-effort: the version can age out between the index probe and
 	// the time lookup; the answer itself is still valid.
@@ -196,19 +197,19 @@ func (p *Publisher) HistoryFirstDoc(_ context.Context, _ string, t rel.Tuple, at
 func (p *Publisher) HealthzDoc(_ context.Context, protocol string) (interface{}, *APIError) {
 	snap := p.Current()
 	oldest, _ := p.Versions()
-	out := healthzJSON{
+	out := client.Health{
 		OK:       true,
 		Protocol: protocol,
 		Version:  snap.Version,
-		Time:     int64(snap.Time),
+		TimeUs:   int64(snap.Time),
 		Nodes:    len(snap.Nodes),
 		Oldest:   oldest,
 	}
 	if !snap.Shard.Unsharded() {
-		out.Shard = &ShardJSON{Index: snap.Shard.Index, Total: snap.Shard.Total}
+		out.Shard = &client.ShardInfo{Index: snap.Shard.Index, Total: snap.Shard.Total}
 	}
 	if st := p.Store(); st != nil {
-		out.Store = &StoreHealthJSON{Oldest: st.OldestVersion(), Durable: st.DurableVersion()}
+		out.Store = &client.StoreHealth{Oldest: st.OldestVersion(), Durable: st.DurableVersion()}
 	}
 	return out, nil
 }
@@ -217,13 +218,13 @@ func (p *Publisher) HealthzDoc(_ context.Context, protocol string) (interface{},
 // an unsharded daemon, which reports itself as shard 0 of 1).
 func (p *Publisher) ShardsDoc(pin Pin) interface{} {
 	snap := pin.snap
-	shard := ShardJSON{Index: snap.Shard.Index, Total: snap.Shard.Total}
+	shard := client.ShardInfo{Index: snap.Shard.Index, Total: snap.Shard.Total}
 	if snap.Shard.Unsharded() {
-		shard = ShardJSON{Index: 0, Total: 1}
+		shard = client.ShardInfo{Index: 0, Total: 1}
 	}
-	return ShardsJSON{
+	return client.Shards{
 		Version:  snap.Version,
-		Time:     int64(snap.Time),
+		TimeUs:   int64(snap.Time),
 		Shard:    shard,
 		Nodes:    snap.Nodes,
 		AllNodes: snap.AllNodes,

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+
+	"repro/client"
 )
 
 // The v1 API reports every failure as one machine-readable envelope:
@@ -13,51 +15,52 @@ import (
 //	{"error": {"code": "snapshot_evicted", "message": "version 3 not retained ..."}}
 //
 // The code is a stable contract — clients branch on it; the message is
-// human-readable detail and may change freely.
+// human-readable detail and may change freely. Each code is spelled once,
+// as the SDK's Code* constant; this catalog says when the server uses it.
 const (
 	// ErrInvalidRequest: malformed body or parameters (400), or a body
 	// over MaxBodyBytes (413).
-	ErrInvalidRequest = "invalid_request"
+	ErrInvalidRequest = client.CodeInvalidRequest
 	// ErrInvalidQuery: the query text, tuple literal, or query type
 	// failed to parse (400).
-	ErrInvalidQuery = "invalid_query"
+	ErrInvalidQuery = client.CodeInvalidQuery
 	// ErrInvalidOption: a traversal option (maxdepth/maxnodes/threshold)
 	// or ?timeout= value is out of range (400).
-	ErrInvalidOption = "invalid_option"
+	ErrInvalidOption = client.CodeInvalidOption
 	// ErrUnknownNode: no such node in the snapshot (404).
-	ErrUnknownNode = "unknown_node"
+	ErrUnknownNode = client.CodeUnknownNode
 	// ErrNoProvenance: the tuple has no provenance at the queried node
 	// in the pinned snapshot (404).
-	ErrNoProvenance = "no_provenance"
+	ErrNoProvenance = client.CodeNoProvenance
 	// ErrUnknownEndpoint: unmatched path (404).
-	ErrUnknownEndpoint = "unknown_endpoint"
+	ErrUnknownEndpoint = client.CodeUnknownEndpoint
 	// ErrMethodNotAllowed: wrong HTTP method (405, with an Allow header).
-	ErrMethodNotAllowed = "method_not_allowed"
+	ErrMethodNotAllowed = client.CodeMethodNotAllowed
 	// ErrSnapshotEvicted: the pinned version aged out of the retention
 	// ring (410).
-	ErrSnapshotEvicted = "snapshot_evicted"
+	ErrSnapshotEvicted = client.CodeSnapshotEvicted
 	// ErrNoHistory: a deep-history query needs the on-disk snapshot
 	// store and either none is attached (501) or the store has no
 	// sighting of the tuple in its retained history (404).
-	ErrNoHistory = "no_history"
+	ErrNoHistory = client.CodeNoHistory
 	// ErrQueryCancelled: the client went away mid-walk; the traversal
 	// was aborted (499, nginx's client-closed-request convention).
-	ErrQueryCancelled = "query_cancelled"
+	ErrQueryCancelled = client.CodeQueryCancelled
 	// ErrQueryTimeout: the ?timeout=/server-default deadline expired
 	// mid-walk (504).
-	ErrQueryTimeout = "query_timeout"
+	ErrQueryTimeout = client.CodeQueryTimeout
 	// ErrInternal: a server-side fault the client cannot fix by
 	// changing the request (500).
-	ErrInternal = "internal_error"
+	ErrInternal = client.CodeInternal
 	// ErrWrongShard: this server is one shard of a sharded deployment
 	// and does not own the requested node's partition — or a query's
 	// traversal crossed onto a partition it does not hold. Ask the
 	// owning shard, or a gateway (421 Misdirected Request).
-	ErrWrongShard = "wrong_shard"
+	ErrWrongShard = client.CodeWrongShard
 	// ErrShardUnreachable: a gateway could not reach a downstream
 	// shard (or the shard answered with a malformed response) while
 	// federating a request (502).
-	ErrShardUnreachable = "shard_unreachable"
+	ErrShardUnreachable = client.CodeShardUnreachable
 )
 
 // StatusClientClosedRequest is the non-standard 499 status reported

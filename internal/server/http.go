@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/client"
 	"repro/internal/buildinfo"
 	"repro/internal/provquery"
 	"repro/internal/rel"
@@ -177,48 +178,23 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // ---- JSON shapes -------------------------------------------------------
 
-// TupleJSON is the wire form of a tuple: the relation name, each
-// attribute rendered as its NDlog literal, and the full literal text.
-type TupleJSON struct {
-	Rel  string   `json:"rel"`
-	Vals []string `json:"vals"`
-	Text string   `json:"text"`
-}
+// The /v1 documents are the repro/client types: the SDK declares the wire
+// schema once, and both tiers render it.
 
-// JSONTuple renders one tuple as its wire form.
-func JSONTuple(t rel.Tuple) TupleJSON {
-	out := TupleJSON{Rel: t.Rel, Vals: make([]string, len(t.Vals)), Text: t.String()}
+// JSONTuple renders one tuple as its wire form: the relation name, each
+// attribute as its NDlog literal, and the full literal text.
+func JSONTuple(t rel.Tuple) client.Tuple {
+	out := client.Tuple{Rel: t.Rel, Vals: make([]string, len(t.Vals)), Text: t.String()}
 	for i, v := range t.Vals {
 		out.Vals[i] = v.String()
 	}
 	return out
 }
 
-// ProofJSON is the wire form of a proof-tree vertex.
-type ProofJSON struct {
-	Tuple     *TupleJSON  `json:"tuple,omitempty"` // nil for unresolved vertices
-	VID       string      `json:"vid"`
-	Loc       string      `json:"loc"`
-	Base      bool        `json:"base,omitempty"`
-	Cycle     bool        `json:"cycle,omitempty"`
-	Pruned    bool        `json:"pruned,omitempty"`
-	Truncated bool        `json:"truncated,omitempty"`
-	Derivs    []DerivJSON `json:"derivs,omitempty"`
-}
-
-// DerivJSON is one derivation step: the rule, where it executed, and
-// the input tuples' sub-proofs.
-type DerivJSON struct {
-	Rule     string      `json:"rule"`
-	Loc      string      `json:"loc"`
-	RID      string      `json:"rid"`
-	Children []ProofJSON `json:"children,omitempty"`
-}
-
 // JSONProof renders one proof-tree vertex (recursively) as its wire
 // form.
-func JSONProof(p *provquery.ProofNode) ProofJSON {
-	out := ProofJSON{
+func JSONProof(p *provquery.ProofNode) client.ProofNode {
+	out := client.ProofNode{
 		VID:       p.VID.Short(),
 		Loc:       p.Loc,
 		Base:      p.Base,
@@ -231,7 +207,7 @@ func JSONProof(p *provquery.ProofNode) ProofJSON {
 		out.Tuple = &t
 	}
 	for _, d := range p.Derivs {
-		dj := DerivJSON{Rule: d.Rule, Loc: d.RLoc, RID: d.RID.Short()}
+		dj := client.Deriv{Rule: d.Rule, Loc: d.RLoc, RID: d.RID.Short()}
 		for _, c := range d.Children {
 			dj.Children = append(dj.Children, JSONProof(c))
 		}
@@ -397,28 +373,6 @@ func (s *Server) pinGET(ctx context.Context, w http.ResponseWriter, r *http.Requ
 
 // ---- endpoints ---------------------------------------------------------
 
-type healthzJSON struct {
-	OK       bool   `json:"ok"`
-	Protocol string `json:"protocol"`
-	Version  uint64 `json:"version"`
-	Time     int64  `json:"virtualTimeUs"`
-	Nodes    int    `json:"nodes"`
-	Oldest   uint64 `json:"oldestVersion"`
-	// Shard appears only on sharded servers, so single-process bodies
-	// are unchanged.
-	Shard *ShardJSON `json:"shard,omitempty"`
-	// Store appears only when a durable snapshot store is attached
-	// (-data), so storeless bodies are unchanged.
-	Store *StoreHealthJSON `json:"store,omitempty"`
-}
-
-// StoreHealthJSON is the healthz view of the attached snapshot store:
-// the oldest version still on disk and the newest one made durable.
-type StoreHealthJSON struct {
-	Oldest  uint64 `json:"oldestVersion"`
-	Durable uint64 `json:"durableVersion"`
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) *APIError {
 	doc, apiErr := s.b.HealthzDoc(r.Context(), s.info.Protocol)
 	return writeDoc(w, doc, apiErr)
@@ -440,24 +394,6 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) *APIError 
 	return writeDoc(w, s.b.ShardsDoc(pin), nil)
 }
 
-// NodeJSON is one element of GET /v1/nodes.
-type NodeJSON struct {
-	Addr        string   `json:"addr"`
-	Neighbors   []string `json:"neighbors"`
-	Tuples      int      `json:"tuples"`
-	ProvEntries int      `json:"provEntries"`
-	ExecEntries int      `json:"execEntries"`
-	SentMsgs    int      `json:"sentMsgs"`
-	SentBytes   int      `json:"sentBytes"`
-}
-
-// NodesJSON is the GET /v1/nodes body.
-type NodesJSON struct {
-	Version uint64     `json:"version"`
-	Time    int64      `json:"virtualTimeUs"`
-	Nodes   []NodeJSON `json:"nodes"`
-}
-
 func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) *APIError {
 	pin, fresh, apiErr := s.pinGET(r.Context(), w, r)
 	if !fresh {
@@ -465,14 +401,6 @@ func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) *APIError {
 	}
 	doc, apiErr := s.b.NodesDoc(r.Context(), pin)
 	return writeDoc(w, doc, apiErr)
-}
-
-// StateJSON is the GET /v1/state/{node} body.
-type StateJSON struct {
-	Version uint64                 `json:"version"`
-	Time    int64                  `json:"virtualTimeUs"`
-	Node    string                 `json:"node"`
-	Tables  map[string][]TupleJSON `json:"tables"`
 }
 
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) *APIError {
@@ -528,43 +456,12 @@ func tupleParams(r *http.Request) (lit string, t rel.Tuple, at string, apiErr *A
 // (structured form) must be set. Inside a batch, version must be unset
 // — the batch pins one snapshot for every query it carries.
 type QueryRequest struct {
-	Q       string `json:"q,omitempty"`
-	Type    string `json:"type,omitempty"`
-	Tuple   string `json:"tuple,omitempty"`
-	At      string `json:"at,omitempty"`
-	Version uint64 `json:"version,omitempty"`
-	Options struct {
-		Threshold  int  `json:"threshold,omitempty"`
-		Sequential bool `json:"sequential,omitempty"`
-		MaxDepth   int  `json:"maxdepth,omitempty"`
-		MaxNodes   int  `json:"maxnodes,omitempty"`
-	} `json:"options"`
-}
-
-// QueryStatsJSON is the modeled-traffic object of a query response.
-type QueryStatsJSON struct {
-	Messages int `json:"messages"`
-	Bytes    int `json:"bytes"`
-}
-
-// QueryResponse is the /query body. It contains only version-determined
-// fields: two requests pinned to the same snapshot version always get
-// byte-identical bodies, whether served from the sub-proof cache or by
-// a fresh traversal — and a batch result element renders the identical
-// JSON for the identical query. Cache observability travels in the
-// X-Cache, X-Cache-Hits, and X-Cache-Misses response headers instead.
-type QueryResponse struct {
-	Version   uint64         `json:"version"`
-	Time      int64          `json:"virtualTimeUs"`
-	Type      string         `json:"type"`
-	Pruned    bool           `json:"pruned,omitempty"`
-	Truncated bool           `json:"truncated,omitempty"`
-	Proof     *ProofJSON     `json:"proof,omitempty"`
-	Text      string         `json:"text,omitempty"`
-	Bases     []TupleJSON    `json:"bases,omitempty"`
-	Nodes     []string       `json:"nodes,omitempty"`
-	Count     *int           `json:"count,omitempty"`
-	Stats     QueryStatsJSON `json:"stats"`
+	Q       string         `json:"q,omitempty"`
+	Type    string         `json:"type,omitempty"`
+	Tuple   string         `json:"tuple,omitempty"`
+	At      string         `json:"at,omitempty"`
+	Version uint64         `json:"version,omitempty"`
+	Options client.Options `json:"options"`
 }
 
 // setCacheHeaders reports a Backend.Query outcome on the response.
@@ -653,18 +550,20 @@ func QueryError(err error) *APIError {
 	return Errf(http.StatusNotFound, ErrNoProvenance, "%v", err)
 }
 
-// RenderQueryResponse renders a finished traversal as the
-// version-determined /v1/query response document — the one renderer of
-// both tiers, which is what makes federated answers byte-identical to
-// single-process ones.
-func RenderQueryResponse(version uint64, timeUs int64, res *provquery.Result) *QueryResponse {
-	out := &QueryResponse{
+// RenderQueryResponse renders a finished traversal as the /v1/query
+// response document — the one renderer of both tiers, which is what
+// makes federated answers byte-identical to single-process ones. The
+// body holds only version-determined fields: two requests pinned to one
+// version get the same bytes whether cached or walked afresh, and cache
+// observability travels in the X-Cache* headers instead.
+func RenderQueryResponse(version uint64, timeUs int64, res *provquery.Result) *client.QueryResult {
+	out := &client.QueryResult{
 		Version:   version,
-		Time:      timeUs,
+		TimeUs:    timeUs,
 		Type:      res.Type.String(),
 		Pruned:    res.Pruned,
 		Truncated: res.Truncated,
-		Stats:     QueryStatsJSON{Messages: res.Stats.Messages, Bytes: res.Stats.Bytes},
+		Stats:     client.Stats{Messages: res.Stats.Messages, Bytes: res.Stats.Bytes},
 	}
 	switch res.Type {
 	case provquery.Lineage:
@@ -672,10 +571,9 @@ func RenderQueryResponse(version uint64, timeUs int64, res *provquery.Result) *Q
 		out.Proof = &pj
 		out.Text = viz.ProofTree(res.Root, viz.ProofTreeOptions{})
 	case provquery.BaseTuples:
-		out.Bases = []TupleJSON{}
+		out.Bases = []client.Tuple{}
 		for _, b := range res.Bases {
-			tj := JSONTuple(b.Tuple)
-			out.Bases = append(out.Bases, tj)
+			out.Bases = append(out.Bases, JSONTuple(b.Tuple))
 		}
 	case provquery.Nodes:
 		out.Nodes = res.Nodes
@@ -742,7 +640,7 @@ type batchRequest struct {
 }
 
 // batchResponse carries one result element per query, in order. Each
-// element is either the exact QueryResponse document the equivalent
+// element is either the exact QueryResult document the equivalent
 // individual POST /v1/query would have returned (identical JSON modulo
 // indentation depth) or an error envelope in the uniform shape.
 type batchResponse struct {

@@ -188,9 +188,9 @@ func TestChurnLoopBounded(t *testing.T) {
 			if apiErr != nil {
 				t.Fatalf("node %s at version %d's instant t=%d: %v", addr, v, at, apiErr)
 			}
-			if doc.Version != newest || doc.Time > at {
+			if doc.Version != newest || doc.TimeUs > at {
 				t.Fatalf("node %s at t=%d: version %d (want the pin, %d), state published at t=%d",
-					addr, at, doc.Version, newest, doc.Time)
+					addr, at, doc.Version, newest, doc.TimeUs)
 			}
 		}
 	}

@@ -1,0 +1,75 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"os"
+	"os/signal"
+	"syscall"
+	"time"
+)
+
+// The connection timeouts of every served http.Server. A client that
+// trickles its request header in is cut off after ReadHeaderTimeout
+// instead of holding its connection forever, and a keep-alive
+// connection that carries no request for IdleTimeout is closed. Neither
+// bounds a request's evaluation: query deadlines are Info.Timeout's.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer is the http.Server a NetTrails process serves h with.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
+// ServeUntilSignal serves h on ln until the process receives SIGINT or
+// SIGTERM, then shuts down gracefully: it prints the shutdown line under
+// name, runs preDrain (nil for none), and gives in-flight requests up to
+// drain to finish. A second signal, or the end of ctx, cuts the drain
+// short. It returns nil after an orderly stop.
+func ServeUntilSignal(ctx context.Context, name string, ln net.Listener, h http.Handler, drain time.Duration, preDrain func()) error {
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+	srv := NewHTTPServer(h)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+
+	var sig os.Signal
+	select {
+	case err := <-serveErr:
+		return unlessClosed(err)
+	case sig = <-sigs:
+	}
+	fmt.Printf("%s: %s: shutting down (draining for up to %s)\n", name, sig, drain)
+	if preDrain != nil {
+		preDrain()
+	}
+	dctx, cancel := context.WithTimeout(ctx, drain)
+	defer cancel()
+	go func() {
+		select {
+		case <-sigs:
+			cancel()
+		case <-dctx.Done():
+		}
+	}()
+	if err := srv.Shutdown(dctx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	return unlessClosed(<-serveErr)
+}
+
+// unlessClosed drops the errors Serve returns for a server that was
+// shut down or a listener that was closed.
+func unlessClosed(err error) error {
+	if errors.Is(err, http.ErrServerClosed) || errors.Is(err, net.ErrClosed) {
+		return nil
+	}
+	return err
+}

@@ -222,18 +222,3 @@ func (p *Publisher) snapshotFromDisk(vd *provstore.VersionData) *Snapshot {
 	snap.cache = newResultCache(&p.bodies)
 	return snap
 }
-
-// ---- GET /v1/history/first ----------------------------------------------
-
-// HistoryFirstJSON is the GET /v1/history/first body: the earliest
-// retained version at which the tuple was visible at the node.
-type HistoryFirstJSON struct {
-	Tuple        TupleJSON `json:"tuple"`
-	Node         string    `json:"node"`
-	FirstVersion uint64    `json:"firstVersion"`
-	TimeUs       int64     `json:"virtualTimeUs"`
-	// OldestVersion is the store's retention floor: when FirstVersion
-	// equals it, the tuple may have first appeared even earlier, in
-	// history that retention has deleted.
-	OldestVersion uint64 `json:"oldestVersion"`
-}

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/client"
 	"repro/internal/engine"
 	"repro/internal/provstore"
 )
@@ -217,10 +218,10 @@ func TestStoreRestartResumesAndServes(t *testing.T) {
 		t.Helper()
 		_, want := stateAt(t, ts2, v, nil)
 		code, got := stateAt(t, ts2, pin, &at)
-		if code != http.StatusOK || got.Version != pin || got.Time != want.Time ||
+		if code != http.StatusOK || got.Version != pin || got.TimeUs != want.TimeUs ||
 			fmt.Sprint(got.Tables) != fmt.Sprint(want.Tables) {
 			t.Fatalf("?version=%d&t=%d: %d, version %d, state of t=%d; want version %d's state of t=%d",
-				pin, at, code, got.Version, got.Time, v, want.Time)
+				pin, at, code, got.Version, got.TimeUs, v, want.TimeUs)
 		}
 	}
 
@@ -368,14 +369,14 @@ func TestTimeTravelRingDiskParity(t *testing.T) {
 
 // stateAt fetches /v1/state/n1 at a pin, optionally time-travelled, and
 // returns the status with the decoded document.
-func stateAt(t testing.TB, ts *httptest.Server, version uint64, at *int64) (int, StateJSON) {
+func stateAt(t testing.TB, ts *httptest.Server, version uint64, at *int64) (int, client.State) {
 	t.Helper()
 	url := fmt.Sprintf("%s/v1/state/n1?version=%d", ts.URL, version)
 	if at != nil {
 		url += fmt.Sprintf("&t=%d", *at)
 	}
 	code, body := get(t, url)
-	var doc StateJSON
+	var doc client.State
 	if code == http.StatusOK {
 		if err := json.Unmarshal(body, &doc); err != nil {
 			t.Fatalf("GET %s: %v in %s", url, err, body)
