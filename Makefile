@@ -60,7 +60,8 @@ race:
 # NDlog, the RouteViews table/AS-graph readers, the one wire.Reader and
 # the tuple, cluster-frame and provenance-bucket decoders built on it,
 # the snapshot store's segment/record decoders, and the TCP frame) a short native-fuzzing
-# shake, seeded from the test corpora and the golden vectors. Override FUZZTIME for longer local
+# shake, seeded from the test corpora and the golden vectors; FuzzShardReply feeds the
+# gateway arbitrary shard replies to /v1/prov/read. Override FUZZTIME for longer local
 # hunts. One -fuzz invocation per target: go test rejects a -fuzz
 # pattern matching more than one function.
 fuzz:
@@ -75,6 +76,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVersionRecord$$' -fuzztime $(FUZZTIME) ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/nettransport
+	$(GO) test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime $(FUZZTIME) ./internal/gateway
 
 # bench-check vets and tests the end-to-end benchmark (bench/, declared
 # in BENCHMARK.json). It is a separate module, so `go test ./...` never

@@ -106,15 +106,33 @@ type ProvInput struct {
 	ProvVertex
 }
 
+// ProvReach is one rule execution a read reaches inside the answering
+// shard: where it ran, its RID, the execution, and its distinct inputs'
+// vertex data — the same shape as an exec read's answer.
+type ProvReach struct {
+	Loc    string      `json:"loc"`
+	RID    string      `json:"rid"`
+	Exec   ProvExec    `json:"exec"`
+	Inputs []ProvInput `json:"inputs,omitempty"`
+}
+
 // ProvReadResult answers one ProvReadOp. Err is a stable error code
 // when the op was misdirected ("wrong_shard") or malformed; data that
 // is merely absent shows as TupleOK/DerivsOK/ExecOK false.
+//
+// Reach is the read's closure inside the shard: every rule execution a
+// walk can go on to from the read without leaving a node the shard
+// owns, breadth first, each shipped at most once per response and at
+// most 4096 per response. A federating walk therefore spends a round
+// trip only where a proof crosses shards; what a cut-off closure left
+// out is still answered by a later read.
 type ProvReadResult struct {
 	Err string `json:"error,omitempty"`
 	ProvVertex
 	ExecOK bool        `json:"execOk,omitempty"`
 	Exec   *ProvExec   `json:"exec,omitempty"`
 	Inputs []ProvInput `json:"inputs,omitempty"`
+	Reach  []ProvReach `json:"reach,omitempty"`
 }
 
 // ProvReads is POST /v1/prov/read: one result per read, in order, all

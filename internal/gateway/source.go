@@ -13,7 +13,11 @@ import (
 // fedSource adapts a sharded deployment to the provgraph walk: the
 // federated face of the one-walk design. Every read goes over HTTP to
 // the owning shard's POST /v1/prov/read, pinned to the same snapshot
-// version everywhere.
+// version everywhere. Each reply carries its reach — everything the
+// walk can go on to inside that shard — and absorb files it into the
+// read caches, so a round trip is spent only where a proof crosses
+// shards; vertex and execAt read on demand whatever a cut-off reach
+// left out.
 //
 // Cross-node hops are deferred: ExpandRemote queues the expansion and
 // the query driver flushes the queue in rounds, so sibling expansions
@@ -133,8 +137,10 @@ func decodeVertex(vid rel.ID, pv client.ProvVertex) (vertexData, error) {
 	return out, nil
 }
 
-// absorb decodes one read result into the source's caches.
-func (s *fedSource) absorb(op client.ProvReadOp, r client.ProvReadResult) error {
+// absorb decodes one read result of the given shard into the source's
+// caches, with its reach. A reach entry for a node the shard does not
+// own is refused: a shard never plants data for another shard's nodes.
+func (s *fedSource) absorb(shard int, op client.ProvReadOp, r client.ProvReadResult) error {
 	if r.Err != "" {
 		return fmt.Errorf("shard read %s %s@%s failed: %s", op.Op, op.ID, op.Loc, r.Err)
 	}
@@ -150,33 +156,52 @@ func (s *fedSource) absorb(op client.ProvReadOp, r client.ProvReadResult) error 
 		}
 		s.verts[locID{op.Loc, id}] = vd
 	case client.ProvReadExec:
-		ed := execData{ok: r.ExecOK}
-		if r.ExecOK {
-			if r.Exec == nil {
-				return fmt.Errorf("shard read %s %s@%s: execOk without exec", op.Op, op.ID, op.Loc)
-			}
-			ed.exec = provenance.ExecEntry{RID: id, Rule: r.Exec.Rule}
-			for _, vs := range r.Exec.VIDs {
-				vid, err := rel.ParseID(vs)
-				if err != nil {
-					return fmt.Errorf("bad vid: %w", err)
-				}
-				ed.exec.VIDs = append(ed.exec.VIDs, vid)
-			}
-			for _, in := range r.Inputs {
-				vid, err := rel.ParseID(in.VID)
-				if err != nil {
-					return fmt.Errorf("bad input vid: %w", err)
-				}
-				vd, err := decodeVertex(vid, in.ProvVertex)
-				if err != nil {
-					return err
-				}
-				s.verts[locID{op.Loc, vid}] = vd
-			}
+		if !r.ExecOK {
+			s.execs[locID{op.Loc, id}] = execData{}
+		} else if r.Exec == nil {
+			return fmt.Errorf("shard read %s %s@%s: execOk without exec", op.Op, op.ID, op.Loc)
+		} else if err := s.absorbExec(op.Loc, id, r.Exec, r.Inputs); err != nil {
+			return err
 		}
-		s.execs[locID{op.Loc, id}] = ed
 	}
+	for _, re := range r.Reach {
+		if owner, ok := s.g.shards.OwnerOf(re.Loc); !ok || owner != shard {
+			return fmt.Errorf("shard %d sent the reach of node %q, which it does not own", shard, re.Loc)
+		}
+		rid, err := rel.ParseID(re.RID)
+		if err != nil {
+			return fmt.Errorf("bad reach rid: %w", err)
+		}
+		if err := s.absorbExec(re.Loc, rid, &re.Exec, re.Inputs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// absorbExec files one execution found at loc, and its inputs' vertex
+// data, into the source's caches.
+func (s *fedSource) absorbExec(loc string, rid rel.ID, exec *client.ProvExec, inputs []client.ProvInput) error {
+	ed := execData{ok: true, exec: provenance.ExecEntry{RID: rid, Rule: exec.Rule, VIDs: make([]rel.ID, len(exec.VIDs))}}
+	for i, vs := range exec.VIDs {
+		vid, err := rel.ParseID(vs)
+		if err != nil {
+			return fmt.Errorf("bad vid: %w", err)
+		}
+		ed.exec.VIDs[i] = vid
+	}
+	for _, in := range inputs {
+		vid, err := rel.ParseID(in.VID)
+		if err != nil {
+			return fmt.Errorf("bad input vid: %w", err)
+		}
+		vd, err := decodeVertex(vid, in.ProvVertex)
+		if err != nil {
+			return err
+		}
+		s.verts[locID{loc, vid}] = vd
+	}
+	s.execs[locID{loc, rid}] = ed
 	return nil
 }
 
@@ -203,7 +228,7 @@ func (s *fedSource) vertex(loc string, vid rel.ID) vertexData {
 		s.fail(err)
 		return vertexData{}
 	}
-	if err := s.absorb(op, res[0]); err != nil {
+	if err := s.absorb(shard, op, res[0]); err != nil {
 		s.fail(err)
 		return vertexData{}
 	}
@@ -231,7 +256,7 @@ func (s *fedSource) execAt(loc string, rid rel.ID) execData {
 		s.fail(err)
 		return execData{}
 	}
-	if err := s.absorb(op, res[0]); err != nil {
+	if err := s.absorb(shard, op, res[0]); err != nil {
 		s.fail(err)
 		return execData{}
 	}
@@ -312,7 +337,7 @@ func (s *fedSource) flush(w *provgraph.Walk) {
 			return
 		}
 		for i, op := range ops {
-			if err := s.absorb(op, res[i]); err != nil {
+			if err := s.absorb(shard, op, res[i]); err != nil {
 				s.fail(err)
 				return
 			}

@@ -22,7 +22,11 @@ import (
 // response TestWireBytesPinned sends. The constants were recorded by
 // running the test before the v1 documents were declared in one place
 // (the repro/client types): a mismatch is a change to the wire schema,
-// never a reason to re-pin.
+// never a reason to re-pin. One constant was re-recorded on purpose:
+// "prov read", when every prov-read result began to carry its reach
+// (the executions it reaches inside the shard). With every "reach"
+// removed, that reply still hashes to the previous constant,
+// 41de54a2c538bcc73ba4ecbfc00dec8b382437e7550ae9ead46815435aa36196.
 var wireBytesPinned = map[string]string{
 	"healthz daemon":  "1bce65afa541bb73ba0142b9a4f81ce6b6a7962a58c7a6e26f70d7b6ac83ef14",
 	"healthz shard":   "529454fcdcf78e2b63bf0172005ff434856a98c31271ea189272b9f2397ed634",
@@ -39,7 +43,7 @@ var wireBytesPinned = map[string]string{
 	"query nodes":     "6bef3e8b6502f88d51a912b01239e48ea52fe1ed4bea3bdad0b36d6716152708",
 	"query count":     "4e473f73e87e050d13276c4d2608b113f1835eb5a7234343d5c5125f55cfd86a",
 	"batch":           "b5729ff02e736e170c1662ad475e4f71b37afff8245d1bad1f5029a92e93e41f",
-	"prov read":       "41de54a2c538bcc73ba4ecbfc00dec8b382437e7550ae9ead46815435aa36196",
+	"prov read":       "20073e3a21aac78e73355dfb12befde5635757c23762d0797010efa5ec6d85b4",
 	"proof.dot":       "94103683e7509fe386020584047a1701497e482f2e02ceee0994bd16ef5565af",
 	"error envelope":  "50a65b616238c625b23dd5c01f4d58163ea3553cf41afea9334c5c3ae69c6997",
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"slices"
 	"sort"
 
 	"repro/client"
@@ -26,14 +27,16 @@ import (
 // needs to keep going there. A result's TupleOK/DerivsOK/ExecOK mirror
 // the independent partition lookups, so a federated walk reproduces
 // the exact missing-data behaviour of a local one; its Err is a stable
-// code only when the op itself was misdirected or malformed.
+// code only when the op itself was misdirected or malformed. Every
+// result also carries its reach (ProvRead), so the gateway pays a round
+// trip only where a proof leaves this shard.
 const (
 	ProvReadVertex = client.ProvReadVertex
 	ProvReadExec   = client.ProvReadExec
 )
 
 // MaxProvReads bounds how many ops one POST /v1/prov/read request may
-// carry.
+// carry, and how many reach entries one response ships.
 const MaxProvReads = 4096
 
 // ProvReadRequest is the POST /v1/prov/read body.
@@ -65,20 +68,49 @@ func vertexOf(v *provenance.View, vid rel.ID) client.ProvVertex {
 }
 
 // ProvRead answers one batch of partition reads against this
-// snapshot. Safe for concurrent use (the snapshot is immutable).
+// snapshot. Each result carries its reach: the rule executions a walk
+// can go on to from it without leaving the nodes this snapshot owns,
+// so a federating gateway spends a round trip only where a proof
+// crosses shards. Safe for concurrent use (the snapshot is immutable).
 func (s *Snapshot) ProvRead(ops []client.ProvReadOp) []client.ProvReadResult {
+	return s.provRead(ops, MaxProvReads)
+}
+
+// provRead is ProvRead with at most budget reach entries in the whole
+// response.
+func (s *Snapshot) provRead(ops []client.ProvReadOp, budget int) []client.ProvReadResult {
+	r := reacher{s: s, seen: map[locRID]bool{}, budget: budget}
 	out := make([]client.ProvReadResult, len(ops))
 	for i, op := range ops {
-		out[i] = s.provReadOne(op)
+		out[i] = r.read(op)
+		out[i].Reach = r.drain()
 	}
 	return out
 }
 
-func (s *Snapshot) provReadOne(op client.ProvReadOp) client.ProvReadResult {
-	v := s.viewOf(op.Loc)
+type locRID struct {
+	loc string
+	rid rel.ID
+}
+
+// reacher is one response's closure pass: a breadth-first walk over
+// (loc, rid) from each read, following a derivation only to a node this
+// snapshot owns. Ops are taken in request order, derivations in
+// View.Derivations order and inputs in exec.VIDs order, so a request's
+// reach is deterministic. seen and budget span the whole request: an
+// execution ships at most once per response.
+type reacher struct {
+	s      *Snapshot
+	seen   map[locRID]bool
+	queue  []locRID
+	budget int // reach entries still allowed in this response
+}
+
+func (r *reacher) read(op client.ProvReadOp) client.ProvReadResult {
+	v := r.s.viewOf(op.Loc)
 	if v == nil {
-		pos := sort.SearchStrings(s.AllNodes, op.Loc)
-		if pos < len(s.AllNodes) && s.AllNodes[pos] == op.Loc {
+		pos := sort.SearchStrings(r.s.AllNodes, op.Loc)
+		if pos < len(r.s.AllNodes) && r.s.AllNodes[pos] == op.Loc {
 			return client.ProvReadResult{Err: ErrWrongShard}
 		}
 		return client.ProvReadResult{Err: ErrUnknownNode}
@@ -89,31 +121,79 @@ func (s *Snapshot) provReadOne(op client.ProvReadOp) client.ProvReadResult {
 	}
 	switch op.Op {
 	case ProvReadVertex:
+		r.follow(v, id)
 		return client.ProvReadResult{ProvVertex: vertexOf(v, id)}
 	case ProvReadExec:
-		var out client.ProvReadResult
 		exec, ok := v.Exec(id)
 		if !ok {
-			return out
+			return client.ProvReadResult{}
 		}
-		out.ExecOK = true
-		out.Exec = &client.ProvExec{Rule: exec.Rule, VIDs: make([]string, len(exec.VIDs))}
-		seen := map[rel.ID]bool{}
-		for i, vid := range exec.VIDs {
-			out.Exec.VIDs[i] = vid.String()
-			if seen[vid] {
-				continue
-			}
-			seen[vid] = true
-			out.Inputs = append(out.Inputs, client.ProvInput{
-				VID:        vid.String(),
-				ProvVertex: vertexOf(v, vid),
-			})
-		}
-		return out
+		r.seen[locRID{op.Loc, id}] = true
+		r.followInputs(v, exec)
+		pe, inputs := execOf(v, exec)
+		return client.ProvReadResult{ExecOK: true, Exec: &pe, Inputs: inputs}
 	default:
 		return client.ProvReadResult{Err: ErrInvalidRequest}
 	}
+}
+
+// follow queues the executions behind vid's derivations at v that ran
+// on an owned node and are not seen yet.
+func (r *reacher) follow(v *provenance.View, vid rel.ID) {
+	if r.budget == 0 {
+		return
+	}
+	derivs, _ := v.Derivations(vid)
+	for _, d := range derivs {
+		if d.RID.IsZero() || r.s.viewOf(d.RLoc) == nil {
+			continue
+		}
+		if key := (locRID{d.RLoc, d.RID}); !r.seen[key] {
+			r.seen[key] = true
+			r.queue = append(r.queue, key)
+		}
+	}
+}
+
+func (r *reacher) followInputs(v *provenance.View, exec provenance.ExecEntry) {
+	for _, vid := range exec.VIDs {
+		r.follow(v, vid)
+	}
+}
+
+// drain ships the queued executions and everything they reach, until
+// the queue empties or the budget runs out.
+func (r *reacher) drain() []client.ProvReach {
+	var out []client.ProvReach
+	for len(r.queue) > 0 && r.budget > 0 {
+		at := r.queue[0]
+		r.queue = r.queue[1:]
+		v := r.s.viewOf(at.loc)
+		exec, ok := v.Exec(at.rid)
+		if !ok {
+			continue // left to an exec read, which reports it missing
+		}
+		r.budget--
+		r.followInputs(v, exec)
+		e := client.ProvReach{Loc: at.loc, RID: at.rid.String()}
+		e.Exec, e.Inputs = execOf(v, exec)
+		out = append(out, e)
+	}
+	return out
+}
+
+// execOf assembles the wire form of an execution and the vertex data of
+// its distinct inputs.
+func execOf(v *provenance.View, exec provenance.ExecEntry) (client.ProvExec, []client.ProvInput) {
+	out := client.ProvExec{Rule: exec.Rule, VIDs: make([]string, len(exec.VIDs))}
+	inputs := make([]client.ProvInput, 0, len(exec.VIDs))
+	for i, vid := range exec.VIDs {
+		out.VIDs[i] = vid.String()
+		if !slices.Contains(exec.VIDs[:i], vid) { // a rule body has a handful of atoms
+			inputs = append(inputs, client.ProvInput{VID: out.VIDs[i], ProvVertex: vertexOf(v, vid)})
+		}
+	}
+	return out, inputs
 }
 
 // handleProvRead is POST /v1/prov/read: batched partition reads
