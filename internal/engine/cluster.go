@@ -159,8 +159,9 @@ func (e *Engine) Owns(addr string) bool {
 }
 
 // SetDistObserver installs the distributed snapshot observer (nil
-// detaches). Unlike SetEpochObserver it is only read by the drain on
-// the scheduler thread; install it before the first clustered drain.
+// detaches). Like SetEpochObserver's, it belongs to the simulation
+// thread, which is the only one that reads it; install it before the
+// first clustered drain.
 func (e *Engine) SetDistObserver(o DistObserver) {
 	if e.cluster == nil {
 		panic("engine: SetDistObserver on non-clustered engine")

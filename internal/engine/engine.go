@@ -13,7 +13,6 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/eval"
 	"repro/internal/ndlog"
@@ -79,26 +78,24 @@ type Node struct {
 	// writes reported via Touch. An unchanged activity value between
 	// epoch cuts proves the node's state, provenance, and traffic
 	// counters are all untouched, which lets the snapshot publisher
-	// skip the node without the per-table precise checks. It stays
-	// atomic although one thread drains: Touch and Activity are
-	// exported, and the counter that decides what a publisher skips
-	// must not depend on every caller being on the scheduler thread.
+	// skip the node without the per-table precise checks. Like the rest
+	// of the node it is read and written on the simulation thread only.
 	// Activity values differ between the serial and the epoch drain
 	// (message batching differs); they gate local work only and never
 	// reach any published output.
-	activity atomic.Uint64
+	activity uint64
 }
 
 // Activity returns the node's event counter (see the field doc). Only
 // meaningful between epochs, from the epoch-observer callback.
-func (n *Node) Activity() uint64 { return n.activity.Load() }
+func (n *Node) Activity() uint64 { return n.activity }
 
 // Touch records an out-of-band state mutation. Any code that writes to
 // a node's runtime tables or provenance store directly — instead of
 // going through InsertFact/DeleteFact or message dispatch — must call
-// Touch on that node, or epoch-snapshot publishers will treat the node
-// as unchanged and serve stale state.
-func (n *Node) Touch() { n.activity.Add(1) }
+// Touch on that node, on the simulation thread, or epoch-snapshot
+// publishers will treat the node as unchanged and serve stale state.
+func (n *Node) Touch() { n.activity++ }
 
 // Engine couples the per-node runtimes to the simulated network.
 type Engine struct {
@@ -126,10 +123,8 @@ type Engine struct {
 	// fully-delivered virtual-time epoch (every node has consumed every
 	// event of the instant), which is exactly when global state forms a
 	// consistent cut. Snapshot publishers hook here; see
-	// SetEpochObserver. Held atomically so detaching from
-	// another goroutine (e.g. server shutdown) cannot race an active
-	// drain's reads.
-	epochObserver atomic.Pointer[func()]
+	// SetEpochObserver.
+	epochObserver func()
 	// cluster, when non-nil, runs this engine as one member of a
 	// distributed deployment: RunQuiescent drains through the
 	// cross-process epoch protocol (cluster.go) instead of the local
@@ -255,7 +250,7 @@ func wireSize(t rel.Tuple) int {
 }
 
 func (e *Engine) dispatch(n *Node, m simnet.Message) {
-	n.activity.Add(1)
+	n.activity++
 	if m.Kind == KindDelta {
 		switch dm := m.Payload.(type) {
 		case DeltaMsg:
@@ -392,7 +387,7 @@ func (e *Engine) LoadProgramFacts() error {
 // Both drains converge to the same state for the same seed; traffic
 // counters differ by the epoch scheduler's per-link coalescing only.
 func (e *Engine) RunQuiescent() {
-	if e.epochObserver.Load() == nil && e.cluster == nil {
+	if e.epochObserver == nil && e.cluster == nil {
 		e.Net.Run(0)
 		return
 	}
@@ -409,16 +404,10 @@ func (e *Engine) RunQuiescent() {
 // state is identical either way, only per-link message coalescing
 // differs. fn must not re-enter the engine's event loop (RunQuiescent
 // from fn is a no-op by design) and must confine itself to reading
-// engine state. A nil fn detaches;
-// attach/detach may happen from any goroutine (the slot is atomic),
-// though fn itself only ever runs on the scheduler thread.
-func (e *Engine) SetEpochObserver(fn func()) {
-	if fn == nil {
-		e.epochObserver.Store(nil)
-		return
-	}
-	e.epochObserver.Store(&fn)
-}
+// engine state. A nil fn detaches. Attach and detach belong to the
+// simulation thread, like every other engine call: detach after the
+// thread has stopped draining.
+func (e *Engine) SetEpochObserver(fn func()) { e.epochObserver = fn }
 
 // InsertFact inserts a base tuple at this node, mirroring NDlog
 // key-replacement into the provenance store. Soft-state relations
@@ -431,7 +420,7 @@ func (n *Node) InsertFact(t rel.Tuple) error {
 	if n.eng.cluster != nil && !n.eng.Owns(n.Addr) {
 		return nil
 	}
-	n.activity.Add(1)
+	n.activity++
 	t = t.Identified()
 	if err := n.mirrorKeyReplacement(t); err != nil {
 		return err
@@ -503,7 +492,7 @@ func (n *Node) DeleteFact(t rel.Tuple) error {
 	if n.eng.cluster != nil && !n.eng.Owns(n.Addr) {
 		return nil
 	}
-	n.activity.Add(1)
+	n.activity++
 	t = t.Identified()
 	sch, hasSchema := n.RT.Store.Catalog().Lookup(t.Rel)
 	if hasSchema && sch.Persistent && sch.LifetimeSecs > 0 {

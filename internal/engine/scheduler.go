@@ -64,8 +64,8 @@ func (e *Engine) runEpochs() {
 		// right before RunQuiescent (e.g. a fact whose derivations stay
 		// local). Observers dedup unchanged state themselves, so the
 		// extra call after a final epoch is free.
-		if fn := e.epochObserver.Load(); fn != nil {
-			(*fn)()
+		if e.epochObserver != nil {
+			e.epochObserver()
 		}
 		if !ok {
 			return

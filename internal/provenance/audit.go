@@ -77,46 +77,40 @@ func Audit(stores map[string]*Store) []string {
 
 	referenced := map[rel.ID]bool{}
 	for _, a := range addrs {
-		s := stores[a]
-		s.mu.RLock()
-		for vid, list := range s.prov {
-			for _, ce := range list {
-				e := ce.entry
-				if e.RID.IsZero() {
+		for e := range stores[a].prov.all() {
+			for _, d := range e.v {
+				if d.RID.IsZero() {
 					continue
 				}
-				referenced[e.RID] = true
-				home, ok := stores[e.RLoc]
+				referenced[d.RID] = true
+				home, ok := stores[d.RLoc]
 				if !ok {
 					findings = append(findings, fmt.Sprintf(
-						"%s: prov entry for %s names unknown node %s", a, vid.Short(), e.RLoc))
+						"%s: prov entry for %s names unknown node %s", a, e.id.Short(), d.RLoc))
 					continue
 				}
-				if _, ok := home.Exec(e.RID); !ok {
+				if _, ok := home.Exec(d.RID); !ok {
 					findings = append(findings, fmt.Sprintf(
 						"%s: prov entry for %s references missing exec %s at %s",
-						a, vid.Short(), e.RID.Short(), e.RLoc))
+						a, e.id.Short(), d.RID.Short(), d.RLoc))
 				}
 			}
 		}
-		s.mu.RUnlock()
 	}
 	for _, a := range addrs {
 		s := stores[a]
-		s.mu.RLock()
-		for rid, ce := range s.exec {
-			for _, vid := range ce.exec.VIDs {
-				if _, ok := s.pins[vid]; !ok {
+		for e := range s.exec.all() {
+			for _, vid := range e.v.VIDs {
+				if _, ok := s.pins.get(vid); !ok {
 					findings = append(findings, fmt.Sprintf(
-						"%s: exec %s input %s not pinned", a, rid.Short(), vid.Short()))
+						"%s: exec %s input %s not pinned", a, e.id.Short(), vid.Short()))
 				}
 			}
-			if !referenced[rid] {
+			if !referenced[e.id] {
 				findings = append(findings, fmt.Sprintf(
-					"%s: exec %s supports no prov entry anywhere", a, rid.Short()))
+					"%s: exec %s supports no prov entry anywhere", a, e.id.Short()))
 			}
 		}
-		s.mu.RUnlock()
 	}
 	sort.Strings(findings)
 	return findings
@@ -125,21 +119,23 @@ func Audit(stores map[string]*Store) []string {
 // TamperAddProv injects a forged prov entry, bypassing maintenance.
 // Test-only hook for exercising VerifyCommitment and Audit.
 func (s *Store) TamperAddProv(t rel.Tuple, e Entry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addEntryLocked(t, e)
+	s.addEntry(t, e)
 }
 
 // TamperAddExec injects a forged rule execution, bypassing maintenance.
 // Test-only hook for exercising traversal over adversarial graphs.
 func (s *Store) TamperAddExec(rid rel.ID, rule string, inputs []rel.Tuple) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	vids := make([]rel.ID, len(inputs))
 	for i, in := range inputs {
 		vids[i] = in.VID()
 		s.pinTuple(in)
 	}
-	s.exec[rid] = &countedExec{exec: ExecEntry{RID: rid, Rule: rule, VIDs: vids}, count: 1}
+	e := &ExecEntry{RID: rid, Rule: rule, VIDs: vids}
+	if b, pos, ok := s.exec.locate(rid); ok {
+		s.exec.set(b, pos, e)
+		s.exec.side[b][pos] = 1
+	} else {
+		s.exec.insert(b, pos, rid, e, 1)
+	}
 	s.version++
 }

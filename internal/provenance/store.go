@@ -15,11 +15,11 @@
 package provenance
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/eval"
 	"repro/internal/rel"
@@ -43,58 +43,45 @@ type ExecEntry struct {
 	VIDs []rel.ID
 }
 
-type countedEntry struct {
-	entry Entry
-	count int
-}
-
-type countedExec struct {
-	exec  ExecEntry
-	count int
-}
-
-type pin struct {
-	tuple rel.Tuple
-	refs  int
-}
-
-// Store is one node's partition of the provenance graph.
+// Store is one node's partition of the provenance graph. Its three
+// bucket directories are the representation views are handed, so a
+// view costs a generation bump (view.go). Like the rest of the
+// simulated core it runs on one goroutine and takes no lock.
 type Store struct {
-	mu   sync.RWMutex
 	addr string
-	// prov: VID -> derivation entries (with duplicate counting).
-	prov map[rel.ID][]*countedEntry
-	// exec: RID -> rule execution.
-	exec map[rel.ID]*countedExec
+	// prov: VID -> derivation entries in compareEntry order.
+	prov dir[[]Entry, derivs]
+	// exec: RID -> rule execution, with its firing count.
+	exec dir[*ExecEntry, int32]
 	// pins: VID -> tuple value, refcounted by prov entries and by exec
 	// input references.
-	pins map[rel.ID]*pin
+	pins dir[*rel.Tuple, int32]
 	// version increments on every mutation; the query cache uses it for
 	// conservative invalidation.
 	version uint64
-	// view caches the last frozen View built at the current version.
-	// Rebuilding advances it incrementally: the dirty sets below record
-	// which keys mutated since that view, so View() clones only the
-	// buckets holding them (O(mutations), not O(partition)).
-	view      *View
-	dirtyProv map[rel.ID]struct{}
-	dirtyExec map[rel.ID]struct{}
-	dirtyPins map[rel.ID]struct{}
-	// provCount tracks the number of distinct prov rows incrementally so
-	// Statistics (and every published NodeInfo) is O(1), not O(prov).
+	// view caches the view taken at the current version.
+	view *View
+	// provCount is the number of distinct prov rows, so Statistics (and
+	// every published NodeInfo) is O(1), not O(prov).
 	provCount int
+}
+
+// derivs sits beside a prov slot: each derivation's duplicate count,
+// parallel to the slot's list, and the generation that may write the
+// list in place. A list follows its bucket's rule: a view may hold it,
+// so the first edit of a generation copies it.
+type derivs struct {
+	counts []int32
+	gen    uint64
 }
 
 // NewStore creates the provenance partition for one node.
 func NewStore(addr string) *Store {
 	return &Store{
-		addr:      addr,
-		prov:      map[rel.ID][]*countedEntry{},
-		exec:      map[rel.ID]*countedExec{},
-		pins:      map[rel.ID]*pin{},
-		dirtyProv: map[rel.ID]struct{}{},
-		dirtyExec: map[rel.ID]struct{}{},
-		dirtyPins: map[rel.ID]struct{}{},
+		addr: addr,
+		prov: newDir[[]Entry, derivs](1, 1),
+		exec: newDir[*ExecEntry, int32](1, 1),
+		pins: newDir[*rel.Tuple, int32](1, 1),
 	}
 }
 
@@ -102,86 +89,93 @@ func NewStore(addr string) *Store {
 func (s *Store) Addr() string { return s.addr }
 
 // Version returns the mutation counter.
-func (s *Store) Version() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version
-}
+func (s *Store) Version() uint64 { return s.version }
 
 func (s *Store) pinTuple(t rel.Tuple) {
 	vid := t.VID()
-	if p, ok := s.pins[vid]; ok {
-		p.refs++ // refcount-only change: the view's pinned value is the same
+	b, pos, ok := s.pins.locate(vid)
+	if ok {
+		s.pins.side[b][pos]++ // refcount-only change: the view's pinned value is the same
 		return
 	}
-	s.pins[vid] = &pin{tuple: t.Identified(), refs: 1}
-	s.dirtyPins[vid] = struct{}{}
+	tp := t.Identified()
+	s.pins.insert(b, pos, vid, &tp, 1)
 }
 
 func (s *Store) unpin(vid rel.ID) {
-	p, ok := s.pins[vid]
+	b, pos, ok := s.pins.locate(vid)
 	if !ok {
 		return
 	}
-	p.refs--
-	if p.refs <= 0 {
-		delete(s.pins, vid)
-		s.dirtyPins[vid] = struct{}{}
+	if s.pins.side[b][pos]--; s.pins.side[b][pos] <= 0 {
+		s.pins.remove(b, pos)
 	}
 }
 
 // AddBase records a base-tuple insertion at this node.
 func (s *Store) AddBase(t rel.Tuple) {
 	t = t.Identified()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.version++
-	s.addEntryLocked(t, Entry{VID: t.VID()})
+	s.addEntry(t, Entry{VID: t.VID()})
 }
 
 // RemoveBase retracts a base-tuple derivation.
 func (s *Store) RemoveBase(t rel.Tuple) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.version++
 	vid := t.VID()
-	s.removeEntryLocked(vid, Entry{VID: vid})
+	s.removeEntry(vid, Entry{VID: vid})
 }
 
-func (s *Store) addEntryLocked(t rel.Tuple, e Entry) {
-	for _, ce := range s.prov[e.VID] {
-		if ce.entry == e {
-			ce.count++ // count-only change: the view's entry list is the same
-			s.pinTuple(t)
-			return
-		}
-	}
-	s.prov[e.VID] = append(s.prov[e.VID], &countedEntry{entry: e, count: 1})
-	s.provCount++
-	s.dirtyProv[e.VID] = struct{}{}
+func (s *Store) addEntry(t rel.Tuple, e Entry) {
 	s.pinTuple(t)
+	b, pos, ok := s.prov.locate(e.VID)
+	if !ok {
+		s.prov.insert(b, pos, e.VID, []Entry{e}, derivs{counts: []int32{1}, gen: s.prov.now})
+		s.provCount++
+		return
+	}
+	list, d := s.prov.m[b][pos].v, &s.prov.side[b][pos]
+	k, found := slices.BinarySearchFunc(list, e, compareEntry)
+	if found {
+		d.counts[k]++ // count-only change: the view's entry list is the same
+		return
+	}
+	s.prov.set(b, pos, slices.Insert(s.ownList(list, d), k, e))
+	d.counts = slices.Insert(d.counts, k, 1)
+	s.provCount++
 }
 
-func (s *Store) removeEntryLocked(vid rel.ID, e Entry) {
-	list := s.prov[vid]
-	for i, ce := range list {
-		if ce.entry == e {
-			ce.count--
-			s.unpin(vid)
-			if ce.count <= 0 {
-				list[i] = list[len(list)-1]
-				list = list[:len(list)-1]
-				if len(list) == 0 {
-					delete(s.prov, vid)
-				} else {
-					s.prov[vid] = list
-				}
-				s.provCount--
-				s.dirtyProv[vid] = struct{}{}
-			}
-			return
-		}
+func (s *Store) removeEntry(vid rel.ID, e Entry) {
+	b, pos, ok := s.prov.locate(vid)
+	if !ok {
+		return
 	}
+	list, d := s.prov.m[b][pos].v, &s.prov.side[b][pos]
+	k, found := slices.BinarySearchFunc(list, e, compareEntry)
+	if !found {
+		return
+	}
+	s.unpin(vid)
+	if d.counts[k]--; d.counts[k] > 0 {
+		return
+	}
+	s.provCount--
+	if len(list) == 1 {
+		s.prov.remove(b, pos)
+		return
+	}
+	s.prov.set(b, pos, slices.Delete(s.ownList(list, d), k, k+1))
+	d.counts = slices.Delete(d.counts, k, k+1)
+}
+
+// ownList returns a derivation list writable in the current
+// generation, copying it (with room for one insert) on its first edit.
+func (s *Store) ownList(list []Entry, d *derivs) []Entry {
+	if d.gen != s.prov.now {
+		list = append(make([]Entry, 0, len(list)+1), list...)
+		d.gen = s.prov.now
+	}
+	return list
 }
 
 // RecordFiring ingests one rule execution (or its retraction) that ran
@@ -193,38 +187,35 @@ func (s *Store) RecordFiring(f eval.Firing) Entry {
 	if f.RID.IsZero() {
 		panic("provenance: RecordFiring: firing carries no RID (build it with eval.NewFiring)")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.version++
 	e := Entry{VID: f.Output.VID(), RID: f.RID, RLoc: s.addr}
+	b, pos, ok := s.exec.locate(f.RID)
 	if f.Sign > 0 {
-		if ce, ok := s.exec[f.RID]; ok {
-			ce.count++ // count-only change: the view's exec row is the same
+		if ok {
+			s.exec.side[b][pos]++ // count-only change: the view's exec row is the same
 		} else {
 			vids := make([]rel.ID, len(f.Inputs))
 			for i, in := range f.Inputs {
 				vids[i] = in.VID()
 				s.pinTuple(in)
 			}
-			s.exec[f.RID] = &countedExec{exec: ExecEntry{RID: f.RID, Rule: f.RuleName, VIDs: vids}, count: 1}
-			s.dirtyExec[f.RID] = struct{}{}
+			s.exec.insert(b, pos, f.RID, &ExecEntry{RID: f.RID, Rule: f.RuleName, VIDs: vids}, 1)
 		}
 		if f.OutputLoc == s.addr {
-			s.addEntryLocked(f.Output, e)
+			s.addEntry(f.Output, e)
 		}
 	} else {
-		if ce, ok := s.exec[f.RID]; ok {
-			ce.count--
-			if ce.count <= 0 {
-				delete(s.exec, f.RID)
-				s.dirtyExec[f.RID] = struct{}{}
-				for _, vid := range ce.exec.VIDs {
+		if ok {
+			if s.exec.side[b][pos]--; s.exec.side[b][pos] <= 0 {
+				ex := s.exec.m[b][pos].v
+				s.exec.remove(b, pos)
+				for _, vid := range ex.VIDs {
 					s.unpin(vid)
 				}
 			}
 		}
 		if f.OutputLoc == s.addr {
-			s.removeEntryLocked(e.VID, e)
+			s.removeEntry(e.VID, e)
 		}
 	}
 	return e
@@ -237,31 +228,21 @@ func (s *Store) ApplyRemote(t rel.Tuple, e Entry, sign int) {
 	// wire names a VID too, but the rows and the pin are keyed by what
 	// the attributes hash to, and the entry must agree with them.
 	e.VID = t.VID()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.version++
 	if sign > 0 {
-		s.addEntryLocked(t, e)
+		s.addEntry(t, e)
 	} else {
-		s.removeEntryLocked(e.VID, e)
+		s.removeEntry(e.VID, e)
 	}
 }
 
 // Derivations returns the derivation entries of a tuple at this node,
-// sorted deterministically. ok is false when the tuple is unknown here.
+// sorted deterministically; ok is false when the tuple is unknown here.
+// The returned slice is the store's own list: it must not be mutated,
+// and it is valid only until the store's next mutation, which may edit
+// it in place. Hold a View to keep a list across mutations.
 func (s *Store) Derivations(vid rel.ID) ([]Entry, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	list, ok := s.prov[vid]
-	if !ok {
-		return nil, false
-	}
-	out := make([]Entry, len(list))
-	for i, ce := range list {
-		out[i] = ce.entry
-	}
-	slices.SortFunc(out, compareEntry)
-	return out, true
+	return s.prov.get(vid)
 }
 
 // compareEntry is the derivation order every reader sees: by RID, then
@@ -278,38 +259,22 @@ func compareEntry(a, b Entry) int {
 // tuple at this node. It equals the tuple's table derivation count when
 // maintenance is consistent.
 func (s *Store) SupportCount(vid rel.ID) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	b, pos, ok := s.prov.locate(vid)
+	if !ok {
+		return 0
+	}
 	n := 0
-	for _, ce := range s.prov[vid] {
-		n += ce.count
+	for _, c := range s.prov.side[b][pos].counts {
+		n += int(c)
 	}
 	return n
 }
 
 // Exec returns the rule execution for a RID at this node.
-func (s *Store) Exec(rid rel.ID) (ExecEntry, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ce, ok := s.exec[rid]
-	if !ok {
-		return ExecEntry{}, false
-	}
-	out := ce.exec
-	out.VIDs = append([]rel.ID(nil), ce.exec.VIDs...)
-	return out, true
-}
+func (s *Store) Exec(rid rel.ID) (ExecEntry, bool) { return deref(s.exec.get(rid)) }
 
 // TupleOf resolves a pinned VID to its tuple value.
-func (s *Store) TupleOf(vid rel.ID) (rel.Tuple, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p, ok := s.pins[vid]
-	if !ok {
-		return rel.Tuple{}, false
-	}
-	return p.tuple, true
-}
+func (s *Store) TupleOf(vid rel.ID) (rel.Tuple, bool) { return deref(s.pins.get(vid)) }
 
 // Stats summarizes the partition's size.
 type Stats struct {
@@ -321,24 +286,20 @@ type Stats struct {
 // Statistics returns partition sizes in O(1): the distinct prov-row
 // count is maintained incrementally by the mutators.
 func (s *Store) Statistics() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return Stats{ProvEntries: s.provCount, ExecEntries: len(s.exec), Pins: len(s.pins)}
+	return Stats{ProvEntries: s.provCount, ExecEntries: s.exec.keys, Pins: s.pins.keys}
 }
 
 // ProvTuples renders the partition as prov(@Loc,VID,RID,RLoc) tuples,
 // sorted, for snapshots and assertions.
 func (s *Store) ProvTuples() []rel.Tuple {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var out []rel.Tuple
-	for _, list := range s.prov {
-		for _, ce := range list {
+	for e := range s.prov.all() {
+		for _, d := range e.v {
 			out = append(out, rel.NewTuple("prov",
 				rel.Addr(s.addr),
-				rel.IDValue(ce.entry.VID),
-				rel.IDValue(ce.entry.RID),
-				rel.Addr(ce.entry.RLoc)))
+				rel.IDValue(d.VID),
+				rel.IDValue(d.RID),
+				rel.Addr(d.RLoc)))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
@@ -348,18 +309,16 @@ func (s *Store) ProvTuples() []rel.Tuple {
 // ExecTuples renders the partition as ruleExec(@RLoc,RID,Rule,VIDs)
 // tuples, sorted.
 func (s *Store) ExecTuples() []rel.Tuple {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var out []rel.Tuple
-	for _, ce := range s.exec {
-		vids := make([]rel.Value, len(ce.exec.VIDs))
-		for i, v := range ce.exec.VIDs {
+	for e := range s.exec.all() {
+		vids := make([]rel.Value, len(e.v.VIDs))
+		for i, v := range e.v.VIDs {
 			vids[i] = rel.IDValue(v)
 		}
 		out = append(out, rel.NewTuple("ruleExec",
 			rel.Addr(s.addr),
-			rel.IDValue(ce.exec.RID),
-			rel.Str(ce.exec.Rule),
+			rel.IDValue(e.v.RID),
+			rel.Str(e.v.Rule),
 			rel.List(vids...)))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
@@ -367,55 +326,85 @@ func (s *Store) ExecTuples() []rel.Tuple {
 }
 
 // CheckInvariants validates internal consistency: every prov/exec
-// reference resolves to a pin; counts are positive. Used by tests and
-// failure-injection suites.
+// reference resolves to a pin; counts are positive; every bucket holds
+// its keys where their hash says, in ascending order, with a count
+// beside each slot; each prov list is in derivation order. Used by
+// tests and failure-injection suites.
 func (s *Store) CheckInvariants() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	if err := errors.Join(checkDir("prov", &s.prov), checkDir("exec", &s.exec), checkDir("pins", &s.pins)); err != nil {
+		return err
+	}
 	total := 0
-	for vid, list := range s.prov {
-		if len(list) == 0 {
-			return fmt.Errorf("provenance: empty prov list for %s", vid.Short())
-		}
+	for e, side := range s.prov.all() {
+		vid, list, counts := e.id, e.v, side.counts
 		total += len(list)
-		for _, ce := range list {
-			if ce.count <= 0 {
+		if len(list) == 0 || len(counts) != len(list) {
+			return fmt.Errorf("provenance: prov list for %s has %d entries and %d counts", vid.Short(), len(list), len(counts))
+		}
+		if _, ok := s.pins.get(vid); !ok {
+			return fmt.Errorf("provenance: prov entry for unpinned tuple %s", vid.Short())
+		}
+		for i, d := range list {
+			if counts[i] <= 0 {
 				return fmt.Errorf("provenance: non-positive prov count for %s", vid.Short())
 			}
-			if _, ok := s.pins[vid]; !ok {
-				return fmt.Errorf("provenance: prov entry for unpinned tuple %s", vid.Short())
+			if d.VID != vid || i > 0 && compareEntry(list[i-1], d) >= 0 {
+				return fmt.Errorf("provenance: prov list for %s is out of derivation order", vid.Short())
 			}
-			if !ce.entry.RID.IsZero() && ce.entry.RLoc == "" {
+			if !d.RID.IsZero() && d.RLoc == "" {
 				return fmt.Errorf("provenance: derived entry without RLoc for %s", vid.Short())
-			}
-		}
-	}
-	for rid, ce := range s.exec {
-		if ce.count <= 0 {
-			return fmt.Errorf("provenance: non-positive exec count for %s", rid.Short())
-		}
-		// RecordFiring stores the RID a firing carries; re-derive it here.
-		if eval.RuleExecID(ce.exec.Rule, s.addr, ce.exec.VIDs) != rid {
-			return fmt.Errorf("provenance: exec %s is not the hash of its rule, node and inputs", rid.Short())
-		}
-		for _, vid := range ce.exec.VIDs {
-			if _, ok := s.pins[vid]; !ok {
-				return fmt.Errorf("provenance: exec %s references unpinned input %s", rid.Short(), vid.Short())
 			}
 		}
 	}
 	if total != s.provCount {
 		return fmt.Errorf("provenance: provCount drift: counted %d, tracked %d", total, s.provCount)
 	}
-	for vid, p := range s.pins {
-		if p.refs <= 0 {
-			return fmt.Errorf("provenance: non-positive pin refs for %s", vid.Short())
+	for e, count := range s.exec.all() {
+		rid := e.id
+		if count <= 0 {
+			return fmt.Errorf("provenance: non-positive exec count for %s", rid.Short())
+		}
+		// RecordFiring stores the RID a firing carries; re-derive it here.
+		if e.v.RID != rid || eval.RuleExecID(e.v.Rule, s.addr, e.v.VIDs) != rid {
+			return fmt.Errorf("provenance: exec %s is not the hash of its rule, node and inputs", rid.Short())
+		}
+		for _, vid := range e.v.VIDs {
+			if _, ok := s.pins.get(vid); !ok {
+				return fmt.Errorf("provenance: exec %s references unpinned input %s", rid.Short(), vid.Short())
+			}
+		}
+	}
+	for e, refs := range s.pins.all() {
+		if refs <= 0 {
+			return fmt.Errorf("provenance: non-positive pin refs for %s", e.id.Short())
 		}
 		// Re-hash from the attributes: the VID a pin carries is the key
 		// it was stored under, so reading it back would check nothing.
-		if (rel.Tuple{Rel: p.tuple.Rel, Vals: p.tuple.Vals}).VID() != vid {
-			return fmt.Errorf("provenance: pin key mismatch for %s", vid.Short())
+		if (rel.Tuple{Rel: e.v.Rel, Vals: e.v.Vals}).VID() != e.id {
+			return fmt.Errorf("provenance: pin key mismatch for %s", e.id.Short())
 		}
+	}
+	return nil
+}
+
+// checkDir checks one directory's shape: every key in the bucket its
+// hash names, strictly ascending, one side value per slot, and the key
+// count tracked.
+func checkDir[V, C any](name string, d *dir[V, C]) error {
+	keys := 0
+	for b, bucket := range d.m {
+		if len(d.side[b]) != len(bucket) {
+			return fmt.Errorf("provenance: %s bucket %d has %d slots and %d counts", name, b, len(bucket), len(d.side[b]))
+		}
+		for pos, e := range bucket {
+			if bucketIdx(e.id, d.mask) != uint32(b) || pos > 0 && bucket[pos-1].id.Compare(e.id) >= 0 {
+				return fmt.Errorf("provenance: %s key %s is out of place in bucket %d", name, e.id.Short(), b)
+			}
+		}
+		keys += len(bucket)
+	}
+	if keys != d.keys {
+		return fmt.Errorf("provenance: %s key count drift: counted %d, tracked %d", name, keys, d.keys)
 	}
 	return nil
 }

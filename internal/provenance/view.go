@@ -1,20 +1,20 @@
 package provenance
 
 import (
+	"iter"
 	"slices"
 
 	"repro/internal/rel"
 )
 
-// bucketTarget is the load factor the view's bucket directory aims for:
-// roughly this many keys per bucket. Buckets stay small so cloning a
+// bucketTarget is the load factor the bucket directory aims for:
+// roughly this many keys per bucket. Buckets stay small so copying a
 // mutated bucket copies O(bucketTarget) entries, not the partition.
 const bucketTarget = 16
 
 // buckets is a persistent hash directory: a power-of-two spine of small
 // key-sorted slices. Successive views share every bucket the mutations
-// between them did not touch; an update copies only the dirty buckets
-// (and the spine). An empty bucket is nil.
+// between them did not touch. An empty bucket is nil.
 type buckets[V any] struct {
 	mask uint32
 	m    [][]kv[V]
@@ -46,9 +46,10 @@ func (b buckets[V]) get(id rel.ID) (V, bool) {
 	return zero, false
 }
 
-// bucketCountFor picks the spine size for n keys: the smallest power of
-// two keeping buckets near bucketTarget, never below the previous size
-// (grow-only, so steady-state updates are always incremental).
+// bucketCountFor picks a view's spine size for n keys: the smallest
+// power of two keeping buckets near bucketTarget, never below the
+// previous view's size (grow-only, so steady-state updates are always
+// incremental). Persisted buckets depend on it, so it is a format rule.
 func bucketCountFor(n, prev int) int {
 	nb := 1
 	for nb*bucketTarget < n {
@@ -60,71 +61,149 @@ func bucketCountFor(n, prev int) int {
 	return nb
 }
 
-// updateBuckets derives the next version of a bucket directory. When
-// the spine size is unchanged it copies the spine, copies each bucket
-// holding a dirty key once (one allocation and a memmove) and then
-// inserts, replaces or deletes the dirty keys in that private copy,
-// re-deriving them through lookup; on growth (or first build) it
-// rebuilds from iterate. Either way the previous version's buckets are
-// never written.
-func updateBuckets[V any](old buckets[V], n int, dirty map[rel.ID]struct{},
-	lookup func(rel.ID) (V, bool), iterate func(func(rel.ID, V))) buckets[V] {
-	nb := bucketCountFor(n, len(old.m))
-	if old.m == nil || nb != len(old.m) {
-		out := buckets[V]{mask: uint32(nb - 1), m: make([][]kv[V], nb)}
-		iterate(func(id rel.ID, v V) {
-			i := bucketIdx(id, out.mask)
-			out.m[i] = append(out.m[i], kv[V]{id, v})
-		})
-		for _, bucket := range out.m {
-			slices.SortFunc(bucket, func(a, b kv[V]) int { return a.id.Compare(b.id) })
-		}
-		return out
+// dir is the store's side of one bucket directory: the buckets a view
+// is handed, plus what only the store reads. It follows rel.Table's
+// chunk rule: a bucket is writable while its generation is now, so a
+// mutation copies a bucket (and the spine) at most once per generation
+// and edits it in place after that, and handing the directory to a
+// view is a generation bump.
+type dir[V, C any] struct {
+	buckets[V]
+	// side holds, parallel to each bucket's slots, what the view never
+	// reads (derivation counts, refcounts). It is never handed over, so
+	// it is edited in place and a count bump copies nothing.
+	side [][]C
+	now  uint64   // the generation that may write in place; handoff ends it
+	gen  []uint64 // gen[i] is the generation that owns m[i]
+	// spine is the generation that owns the slice m itself.
+	spine uint64
+	keys  int
+	// viewed is the spine length the last view was handed, 0 before
+	// the first.
+	viewed int
+}
+
+// overload is how far past bucketTarget a directory may fill between
+// views before an insert grows it. A store that is never viewed (a
+// node another shard serves) or not viewed yet (a deployment
+// converging before its publisher attaches) keeps small buckets too.
+const overload = 4
+
+// newDir returns an empty directory of nb buckets, all owned by the
+// generation now: no view holds them yet.
+func newDir[V, C any](nb int, now uint64) dir[V, C] {
+	gen := make([]uint64, nb)
+	for i := range gen {
+		gen[i] = now
 	}
-	out := buckets[V]{mask: old.mask, m: slices.Clone(old.m)}
-	owned := make([]bool, nb) // buckets already copied for this version
-	for id := range dirty {
-		i := bucketIdx(id, out.mask)
-		bucket := out.m[i]
-		if !owned[i] {
-			owned[i] = true
-			bucket = make([]kv[V], len(bucket), len(bucket)+1) // room for one insert
-			copy(bucket, out.m[i])
-		}
-		pos, found := find(bucket, id)
-		v, live := lookup(id)
-		switch {
-		case live && found:
-			bucket[pos].v = v
-		case live:
-			bucket = slices.Insert(bucket, pos, kv[V]{id, v})
-		case found:
-			bucket = slices.Delete(bucket, pos, pos+1)
-		}
-		if len(bucket) == 0 {
-			bucket = nil
-		}
-		out.m[i] = bucket
+	return dir[V, C]{
+		buckets: buckets[V]{mask: uint32(nb - 1), m: make([][]kv[V], nb)},
+		side:    make([][]C, nb),
+		now:     now,
+		gen:     gen,
+		spine:   now,
 	}
-	return out
+}
+
+// locate returns id's bucket, its position there, and whether it is
+// present.
+func (d *dir[V, C]) locate(id rel.ID) (b uint32, pos int, ok bool) {
+	b = bucketIdx(id, d.mask)
+	pos, ok = find(d.m[b], id)
+	return b, pos, ok
+}
+
+// own makes bucket b writable and returns it. The first write of a
+// generation copies the spine and the bucket, which the last view
+// holds; later ones find them owned.
+func (d *dir[V, C]) own(b uint32) []kv[V] {
+	if d.spine != d.now {
+		d.m, d.spine = slices.Clone(d.m), d.now
+	}
+	if d.gen[b] != d.now {
+		bucket := make([]kv[V], len(d.m[b]), len(d.m[b])+1) // room for one insert
+		copy(bucket, d.m[b])
+		d.m[b], d.gen[b] = bucket, d.now
+	}
+	return d.m[b]
+}
+
+func (d *dir[V, C]) insert(b uint32, pos int, id rel.ID, v V, c C) {
+	d.m[b] = slices.Insert(d.own(b), pos, kv[V]{id, v})
+	d.side[b] = slices.Insert(d.side[b], pos, c)
+	if d.keys++; d.keys > len(d.m)*bucketTarget*overload {
+		d.resize(bucketCountFor(d.keys, len(d.m)))
+	}
+}
+
+func (d *dir[V, C]) set(b uint32, pos int, v V) {
+	d.own(b)[pos].v = v
+}
+
+func (d *dir[V, C]) remove(b uint32, pos int) {
+	bucket := slices.Delete(d.own(b), pos, pos+1)
+	if len(bucket) == 0 {
+		bucket = nil
+	}
+	d.m[b] = bucket
+	d.side[b] = slices.Delete(d.side[b], pos, pos+1)
+	d.keys--
+}
+
+// all yields every slot with its side value, in bucket order.
+func (d *dir[V, C]) all() iter.Seq2[kv[V], C] {
+	return func(yield func(kv[V], C) bool) {
+		for b, bucket := range d.m {
+			for pos, e := range bucket {
+				if !yield(e, d.side[b][pos]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// handoff returns the buckets for a view and ends the generation. It
+// first resizes the spine to bucketCountFor the keys it holds and the
+// last view's spine: exactly the size a view of these keys has always
+// had, however the store grew between views.
+func (d *dir[V, C]) handoff() buckets[V] {
+	if nb := bucketCountFor(d.keys, d.viewed); nb != len(d.m) {
+		d.resize(nb)
+	}
+	d.viewed = len(d.m)
+	d.now++
+	return d.buckets
+}
+
+// resize rehashes the directory into nb fresh buckets.
+func (d *dir[V, C]) resize(nb int) {
+	out := newDir[V, C](nb, d.now)
+	for e, c := range d.all() {
+		b, pos, _ := out.locate(e.id)
+		out.m[b] = slices.Insert(out.m[b], pos, e)
+		out.side[b] = slices.Insert(out.side[b], pos, c)
+	}
+	out.keys, out.viewed = d.keys, d.viewed
+	*d = out
 }
 
 // View is an immutable version of one node's provenance partition at a
-// single instant. Views are built copy-on-publish by Store.View and
-// shared freely across goroutines: nothing ever mutates a View after
-// construction, so readers need no locks. Successive views share every
-// bucket that no mutation touched (structural sharing), so building
-// the next view costs O(mutations since the last one), not
-// O(partition).
+// single instant: the store's bucket directories as they stood when
+// Store.View handed them over. Views are shared freely across
+// goroutines: nothing writes a bucket a view holds, so readers need no
+// locks. Successive views share every bucket that no mutation touched,
+// so taking the next view costs O(1) and the mutations between two
+// views copy O(buckets they touch), not O(partition).
 //
 // nettrails:frozen (enforced by the frozenwrite analyzer)
 type View struct {
 	addr    string
 	version uint64
-	prov    buckets[[]Entry] // per-VID lists sorted like Store.Derivations
-	// exec and pins point at the store's own records (countedExec.exec,
-	// pin.tuple), which nothing writes once recorded, so advancing a
-	// bucket moves 32-byte pairs instead of copying the rows.
+	prov    buckets[[]Entry] // per-VID lists in compareEntry order
+	// exec and pins point at the store's own records, which nothing
+	// writes once recorded, so copying a bucket moves 32-byte pairs
+	// instead of the rows.
 	exec        buckets[*ExecEntry]
 	pins        buckets[*rel.Tuple]
 	provEntries int
@@ -132,83 +211,26 @@ type View struct {
 	pinEntries  int
 }
 
-// View returns a frozen version of the partition. The view is cached
-// per store version: while no mutation has happened since the last
-// call, the same *View is handed back. When mutations did happen, the
-// previous view is advanced by cloning only the buckets holding dirty
-// keys — the rest of the directory is shared between versions.
+// View returns a frozen version of the partition. While no mutation
+// has happened since the last call, the same *View is handed back.
+// Otherwise the store hands its directories over, resized if their key
+// counts moved past a power of two, and starts a new generation, so
+// its next write to a bucket or a derivation list copies it first.
 func (s *Store) View() *View {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.view != nil && s.view.version == s.version {
 		return s.view
 	}
-	var old View
-	if s.view != nil {
-		old = *s.view
-	}
-	v := &View{
+	s.view = &View{
 		addr:        s.addr,
 		version:     s.version,
+		prov:        s.prov.handoff(),
+		exec:        s.exec.handoff(),
+		pins:        s.pins.handoff(),
 		provEntries: s.provCount,
-		execEntries: len(s.exec),
-		pinEntries:  len(s.pins),
+		execEntries: s.exec.keys,
+		pinEntries:  s.pins.keys,
 	}
-	v.prov = updateBuckets(old.prov, len(s.prov), s.dirtyProv,
-		func(vid rel.ID) ([]Entry, bool) {
-			list, ok := s.prov[vid]
-			if !ok {
-				return nil, false
-			}
-			return sortedEntries(list), true
-		},
-		func(emit func(rel.ID, []Entry)) {
-			for vid, list := range s.prov {
-				emit(vid, sortedEntries(list))
-			}
-		})
-	v.exec = updateBuckets(old.exec, len(s.exec), s.dirtyExec,
-		func(rid rel.ID) (*ExecEntry, bool) {
-			ce, ok := s.exec[rid]
-			if !ok {
-				return nil, false
-			}
-			return &ce.exec, true
-		},
-		func(emit func(rel.ID, *ExecEntry)) {
-			for rid, ce := range s.exec {
-				emit(rid, &ce.exec)
-			}
-		})
-	v.pins = updateBuckets(old.pins, len(s.pins), s.dirtyPins,
-		func(vid rel.ID) (*rel.Tuple, bool) {
-			p, ok := s.pins[vid]
-			if !ok {
-				return nil, false
-			}
-			return &p.tuple, true
-		},
-		func(emit func(rel.ID, *rel.Tuple)) {
-			for vid, p := range s.pins {
-				emit(vid, &p.tuple)
-			}
-		})
-	clear(s.dirtyProv)
-	clear(s.dirtyExec)
-	clear(s.dirtyPins)
-	s.view = v
-	return v
-}
-
-// sortedEntries renders one prov list in the deterministic order
-// Store.Derivations uses.
-func sortedEntries(list []*countedEntry) []Entry {
-	out := make([]Entry, len(list))
-	for i, ce := range list {
-		out[i] = ce.entry
-	}
-	slices.SortFunc(out, compareEntry)
-	return out
+	return s.view
 }
 
 // Addr returns the owning node's address.
@@ -225,19 +247,18 @@ func (v *View) Derivations(vid rel.ID) ([]Entry, bool) {
 }
 
 // Exec returns the rule execution for a RID at this node.
-func (v *View) Exec(rid rel.ID) (ExecEntry, bool) {
-	if e, ok := v.exec.get(rid); ok {
-		return *e, true
-	}
-	return ExecEntry{}, false
-}
+func (v *View) Exec(rid rel.ID) (ExecEntry, bool) { return deref(v.exec.get(rid)) }
 
 // TupleOf resolves a pinned VID to its tuple value.
-func (v *View) TupleOf(vid rel.ID) (rel.Tuple, bool) {
-	if t, ok := v.pins.get(vid); ok {
-		return *t, true
+func (v *View) TupleOf(vid rel.ID) (rel.Tuple, bool) { return deref(v.pins.get(vid)) }
+
+// deref copies out a record an exec or pins bucket points at.
+func deref[T any](p *T, ok bool) (T, bool) {
+	if !ok {
+		var zero T
+		return zero, false
 	}
-	return rel.Tuple{}, false
+	return *p, true
 }
 
 // Statistics returns partition sizes, mirroring Store.Statistics.

@@ -1,9 +1,13 @@
 package provenance
 
 import (
+	"cmp"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/eval"
@@ -14,42 +18,205 @@ func viewTestTuple(i int) rel.Tuple {
 	return rel.NewTuple("route", rel.Addr("as"+strconv.Itoa(i%61)), rel.Int(int64(i)))
 }
 
-// checkViewMatchesStore asserts the frozen view answers every query the
-// store answers (and none it doesn't), over the given key universe.
-func checkViewMatchesStore(t *testing.T, s *Store, v *View, step int, universe []rel.Tuple) {
-	t.Helper()
-	if v.Version() != s.Version() {
-		t.Fatalf("step %d: view version %d != store %d", step, v.Version(), s.Version())
+// modelStore is a Store driven in step with a reference model: plain
+// maps that follow the partition's semantics with none of the bucket
+// machinery. The store's reads, its views and a from-scratch rebuild
+// are all checked against the model, which shares nothing with them.
+type modelStore struct {
+	*Store
+	version uint64
+	prov    map[rel.ID]map[Entry]int // VID -> derivation -> duplicate count
+	exec    map[rel.ID]modelExec     // RID -> execution
+	pins    map[rel.ID]modelPin      // VID -> pinned tuple
+	rids    map[rel.ID]bool          // every RID ever recorded, live or not
+}
+
+type modelExec struct {
+	rule  string
+	vids  []rel.ID
+	count int
+}
+
+type modelPin struct {
+	tuple rel.Tuple
+	refs  int // one per derivation count and per live execution input
+}
+
+func newModelStore(addr string) *modelStore {
+	return &modelStore{
+		Store: NewStore(addr),
+		prov:  map[rel.ID]map[Entry]int{},
+		exec:  map[rel.ID]modelExec{},
+		pins:  map[rel.ID]modelPin{},
+		rids:  map[rel.ID]bool{},
 	}
-	if got, want := v.Statistics(), s.Statistics(); got != want {
-		t.Fatalf("step %d: view stats %+v != store %+v", step, got, want)
+}
+
+func (m *modelStore) AddBase(t rel.Tuple) {
+	m.Store.AddBase(t)
+	m.version++
+	m.add(t, Entry{VID: t.VID()})
+}
+
+func (m *modelStore) RemoveBase(t rel.Tuple) {
+	m.Store.RemoveBase(t)
+	m.version++
+	m.remove(Entry{VID: t.VID()})
+}
+
+func (m *modelStore) RecordFiring(f eval.Firing) {
+	m.Store.RecordFiring(f)
+	m.version++
+	m.rids[f.RID] = true
+	e := Entry{VID: f.Output.VID(), RID: f.RID, RLoc: m.Addr()}
+	x, ok := m.exec[f.RID]
+	if f.Sign > 0 {
+		if !ok {
+			x.rule = f.RuleName
+			for _, in := range f.Inputs {
+				x.vids = append(x.vids, in.VID())
+				m.pin(in)
+			}
+		}
+		x.count++
+		m.exec[f.RID] = x
+		if f.OutputLoc == m.Addr() {
+			m.add(f.Output, e)
+		}
+		return
+	}
+	if ok {
+		if x.count--; x.count > 0 {
+			m.exec[f.RID] = x
+		} else {
+			delete(m.exec, f.RID)
+			for _, vid := range x.vids {
+				m.unpin(vid)
+			}
+		}
+	}
+	if f.OutputLoc == m.Addr() {
+		m.remove(e)
+	}
+}
+
+func (m *modelStore) add(t rel.Tuple, e Entry) {
+	m.pin(t)
+	if m.prov[e.VID] == nil {
+		m.prov[e.VID] = map[Entry]int{}
+	}
+	m.prov[e.VID][e]++
+}
+
+// remove retracts one count of a derivation; retracting one the model
+// does not hold changes nothing, the pin included.
+func (m *modelStore) remove(e Entry) {
+	derivs := m.prov[e.VID]
+	if derivs[e] == 0 {
+		return
+	}
+	m.unpin(e.VID)
+	if derivs[e]--; derivs[e] == 0 {
+		delete(derivs, e)
+		if len(derivs) == 0 {
+			delete(m.prov, e.VID)
+		}
+	}
+}
+
+func (m *modelStore) pin(t rel.Tuple) {
+	p, ok := m.pins[t.VID()]
+	if !ok {
+		p.tuple = t
+	}
+	p.refs++
+	m.pins[t.VID()] = p
+}
+
+func (m *modelStore) unpin(vid rel.ID) {
+	p, ok := m.pins[vid]
+	if !ok {
+		return
+	}
+	if p.refs--; p.refs > 0 {
+		m.pins[vid] = p
+	} else {
+		delete(m.pins, vid)
+	}
+}
+
+// derivations is the model's list for vid in derivation order: by RID,
+// then by the executing node.
+func (m *modelStore) derivations(vid rel.ID) []Entry {
+	out := slices.Collect(maps.Keys(m.prov[vid]))
+	slices.SortFunc(out, func(a, b Entry) int {
+		return cmp.Or(a.RID.Compare(b.RID), strings.Compare(a.RLoc, b.RLoc))
+	})
+	return out
+}
+
+func (m *modelStore) stats() Stats {
+	st := Stats{ExecEntries: len(m.exec), Pins: len(m.pins)}
+	for _, derivs := range m.prov {
+		st.ProvEntries += len(derivs)
+	}
+	return st
+}
+
+// checkViewMatchesStore asserts that the frozen view, and the store's
+// own reads, answer exactly what the model holds: every tuple of the
+// key universe and every RID ever recorded, present or absent.
+func checkViewMatchesStore(t *testing.T, m *modelStore, v *View, step int, universe []rel.Tuple) {
+	t.Helper()
+	if v.Version() != m.version || m.Version() != m.version {
+		t.Fatalf("step %d: view version %d, store %d, model %d", step, v.Version(), m.Version(), m.version)
+	}
+	want := m.stats()
+	if got := v.Statistics(); got != want {
+		t.Fatalf("step %d: view stats %+v != model %+v", step, got, want)
+	}
+	if got := m.Statistics(); got != want {
+		t.Fatalf("step %d: store stats %+v != model %+v", step, got, want)
+	}
+	type reader struct {
+		name        string
+		derivations func(rel.ID) ([]Entry, bool)
+		exec        func(rel.ID) (ExecEntry, bool)
+		tupleOf     func(rel.ID) (rel.Tuple, bool)
+	}
+	readers := []reader{
+		{"view", v.Derivations, v.Exec, v.TupleOf},
+		{"store", m.Derivations, m.Exec, m.TupleOf},
 	}
 	for _, tp := range universe {
 		vid := tp.VID()
-		sd, sok := s.Derivations(vid)
-		vd, vok := v.Derivations(vid)
-		if sok != vok || len(sd) != len(vd) {
-			t.Fatalf("step %d: Derivations(%s) view (%d,%v) != store (%d,%v)",
-				step, vid.Short(), len(vd), vok, len(sd), sok)
-		}
-		for i := range sd {
-			if sd[i] != vd[i] {
-				t.Fatalf("step %d: Derivations(%s)[%d] mismatch", step, vid.Short(), i)
+		wantD := m.derivations(vid)
+		p, pinned := m.pins[vid]
+		for _, r := range readers {
+			got, ok := r.derivations(vid)
+			if ok != (len(wantD) > 0) || !slices.Equal(got, wantD) {
+				t.Fatalf("step %d: %s Derivations(%s) = %v,%v, model %v", step, r.name, vid.Short(), got, ok, wantD)
+			}
+			tup, ok := r.tupleOf(vid)
+			if ok != pinned || ok && tup.Compare(p.tuple) != 0 {
+				t.Fatalf("step %d: %s TupleOf(%s) = %v,%v, model pinned %v", step, r.name, vid.Short(), tup, ok, pinned)
 			}
 		}
-		st, sok := s.TupleOf(vid)
-		vt, vok := v.TupleOf(vid)
-		if sok != vok || (sok && st.Compare(vt) != 0) {
-			t.Fatalf("step %d: TupleOf(%s) mismatch", step, vid.Short())
+		support := 0
+		for _, n := range m.prov[vid] {
+			support += n
+		}
+		if got := m.SupportCount(vid); got != support {
+			t.Fatalf("step %d: SupportCount(%s) = %d, model %d", step, vid.Short(), got, support)
 		}
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for rid := range s.exec {
-		se := s.exec[rid]
-		ve, ok := v.Exec(rid)
-		if !ok || ve.Rule != se.exec.Rule || len(ve.VIDs) != len(se.exec.VIDs) {
-			t.Fatalf("step %d: Exec(%s) mismatch", step, rid.Short())
+	for rid := range m.rids {
+		x, live := m.exec[rid]
+		for _, r := range readers {
+			got, ok := r.exec(rid)
+			if ok != live || ok && (got.RID != rid || got.Rule != x.rule || !slices.Equal(got.VIDs, x.vids)) {
+				t.Fatalf("step %d: %s Exec(%s) = %+v,%v, model %+v,%v", step, r.name, rid.Short(), got, ok, x, live)
+			}
 		}
 	}
 }
@@ -63,28 +230,56 @@ func persist(v *View) persisted {
 	return p
 }
 
-// scratchView rebuilds the store's current state from nothing (the
-// first-build path) and puts the incrementally advanced view back, so
-// the next View() still advances from it.
-func scratchView(s *Store) *View {
-	inc := s.View()
-	s.view = nil
-	scratch := s.View()
-	s.view = inc
-	return scratch
+// scratchView rebuilds the model's state from nothing, through a fresh
+// store's public mutators: its directories start at one bucket and
+// receive every key before their first View. Derivations are replayed
+// with their counts (a derived one as a remote entry) and executions
+// as firings whose output lives elsewhere, so pin references come out
+// as the model counts them. Nothing is read from the store under test.
+func scratchView(m *modelStore) *View {
+	fresh := NewStore(m.Addr())
+	for _, vid := range slices.SortedFunc(maps.Keys(m.prov), rel.ID.Compare) {
+		tp := m.pins[vid].tuple
+		for e, n := range m.prov[vid] {
+			for range n {
+				if e.RID.IsZero() {
+					fresh.AddBase(tp)
+				} else {
+					fresh.ApplyRemote(tp, e, 1)
+				}
+			}
+		}
+	}
+	for _, rid := range slices.SortedFunc(maps.Keys(m.exec), rel.ID.Compare) {
+		x := m.exec[rid]
+		inputs := make([]rel.Tuple, len(x.vids))
+		for i, vid := range x.vids {
+			inputs[i] = m.pins[vid].tuple
+		}
+		f := eval.NewFiring(x.rule, m.Addr(), inputs, inputs[0], "elsewhere", 1)
+		if f.RID != rid {
+			panic("scratchView: replayed execution hashes to another RID")
+		}
+		for range x.count {
+			fresh.RecordFiring(f)
+		}
+	}
+	fresh.version = m.version
+	return fresh.View()
 }
 
 // TestViewIncrementalEquivalence drives a seeded random add / remove /
 // re-add workload and checks after every step that the incrementally
-// advanced view is indistinguishable from a from-scratch rebuild: the
-// same answers to every read and, whenever the two picked the same
-// spine size (the incremental spine only grows), byte-equal persisted
-// buckets. Advancing must never write a bucket the previous view
+// advanced view is indistinguishable from a from-scratch rebuild: both,
+// and the store itself, answer every read as a reference model of
+// plain maps driven by the same operations does and, whenever the two
+// views picked the same spine size (the incremental spine only grows),
+// they persist to byte-equal buckets. Advancing must never write a bucket the previous view
 // published: the previous view is read on another goroutine while the
 // next one is built (the race detector sees a shared write), and its
 // persisted form is compared before and after.
 func TestViewIncrementalEquivalence(t *testing.T) {
-	s := NewStore("n1")
+	s := newModelStore("n1")
 	rng := rand.New(rand.NewSource(42))
 	var universe []rel.Tuple
 	for i := 0; i < 300; i++ {
@@ -223,6 +418,44 @@ func TestViewBucketSharing(t *testing.T) {
 	}
 }
 
+// TestCountOnlyChangeCopiesNothing: counts and refcounts live beside
+// the bucket slots, so a duplicate derivation, a second pin reference
+// and a repeated firing move the version but the next view is handed
+// the very spines and buckets the last one holds.
+func TestCountOnlyChangeCopiesNothing(t *testing.T) {
+	s := NewStore("n1")
+	for i := 0; i < 500; i++ {
+		s.AddBase(viewTestTuple(i))
+	}
+	f := eval.NewFiring("r1", "n1", []rel.Tuple{viewTestTuple(1)}, viewTestTuple(2), "n1", 1)
+	s.RecordFiring(f)
+	v1 := s.View()
+	s.AddBase(viewTestTuple(3))
+	s.RecordFiring(f)
+	v2 := s.View()
+	if v2 == v1 || v2.Version() == v1.Version() {
+		t.Fatal("count-only changes did not advance the version")
+	}
+	for name, pair := range map[string][2][]uintptr{
+		"prov": {bucketPointers(v1.prov), bucketPointers(v2.prov)},
+		"exec": {bucketPointers(v1.exec), bucketPointers(v2.exec)},
+		"pins": {bucketPointers(v1.pins), bucketPointers(v2.pins)},
+	} {
+		if shared, total := sharedCount(pair[0], pair[1]); shared != total {
+			t.Errorf("%s: count-only changes copied %d of %d buckets", name, total-shared, total)
+		}
+	}
+	if &v1.prov.m[0] != &v2.prov.m[0] || &v1.pins.m[0] != &v2.pins.m[0] {
+		t.Error("count-only changes copied a spine")
+	}
+	if got := s.SupportCount(viewTestTuple(3).VID()); got != 2 {
+		t.Fatalf("SupportCount = %d, want 2", got)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestViewGrowRebuild: when the directory outgrows its spine the next
 // view rebuilds at the larger size and subsequent updates are
 // incremental again at the new size.
@@ -246,6 +479,34 @@ func TestViewGrowRebuild(t *testing.T) {
 	shared, total := sharedCount(bucketPointers(v2.prov), bucketPointers(v3.prov))
 	if total-shared > 2 {
 		t.Fatalf("post-grow update cloned %d of %d buckets", total-shared, total)
+	}
+}
+
+// TestSpineFollowsViewsNotPeaks: between views an overloaded directory
+// grows as inserts arrive, but a view's spine is still picked from the
+// keys it holds and the last view's spine, so a burst that is retracted
+// before the next view leaves the view, and its persisted bytes, as if
+// the burst never happened.
+func TestSpineFollowsViewsNotPeaks(t *testing.T) {
+	s := NewStore("n1")
+	for i := 0; i < 100; i++ {
+		s.AddBase(viewTestTuple(i))
+	}
+	before := persist(s.View())
+	for i := 100; i < 5000; i++ {
+		s.AddBase(viewTestTuple(i))
+	}
+	if n := len(s.pins.m); n*bucketTarget < 4900 {
+		t.Fatalf("a store 4900 keys past its view kept %d buckets", n)
+	}
+	for i := 100; i < 5000; i++ {
+		s.RemoveBase(viewTestTuple(i))
+	}
+	if after := persist(s.View()); !reflect.DeepEqual(after, before) {
+		t.Fatal("a retracted burst changed the next view's persisted buckets")
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -18,6 +18,8 @@ type Source interface {
 	TupleOf(loc string, vid rel.ID) (rel.Tuple, bool)
 	// Derivations returns the derivation entries of a tuple at loc in
 	// deterministic order; ok is false when the tuple is unknown there.
+	// The slice may be borrowed from the source (a live store's list is
+	// valid only until its next mutation): read it, never keep it.
 	Derivations(loc string, vid rel.ID) ([]provenance.Entry, bool)
 	// Exec returns the rule execution recorded for rid at loc.
 	Exec(loc string, rid rel.ID) (provenance.ExecEntry, bool)

@@ -21,7 +21,9 @@ import (
 // PartitionView is the read-only surface of one node's provenance
 // partition that snapshot query evaluation needs. Both the live
 // *provenance.Store and the frozen *provenance.View implement it; the
-// latter is what makes concurrent evaluation safe without locks.
+// latter is what makes concurrent evaluation safe without locks. A
+// store's Derivations list is borrowed: valid only until its next
+// mutation.
 type PartitionView interface {
 	Derivations(vid rel.ID) ([]provenance.Entry, bool)
 	Exec(rid rel.ID) (provenance.ExecEntry, bool)

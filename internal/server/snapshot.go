@@ -565,9 +565,9 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 	now := p.eng.Net.Now()
 
 	// Pass 2 — rebuild only the dirty owned partitions. FreezeAll and
-	// View are persistent handoffs (O(1) per unchanged table, O(dirty
-	// buckets) per provenance partition); every clean node's *nodeState
-	// rides into the new snapshot untouched.
+	// View are persistent handoffs (O(1) per unchanged table and per
+	// provenance partition); every clean node's *nodeState rides into
+	// the new snapshot untouched.
 	states := make([]*nodeState, len(p.states))
 	copy(states, p.states)
 	for _, oi := range dirty {
