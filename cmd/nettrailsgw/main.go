@@ -50,14 +50,14 @@ func main() {
 		buildinfo.PrintVersion("nettrailsgw")
 		return
 	}
-	if *peers == "" {
-		fail("-peers is required (comma-separated shard URLs)")
-	}
 	var urls []string
 	for _, u := range strings.Split(*peers, ",") {
 		if u = strings.TrimSpace(u); u != "" {
 			urls = append(urls, u)
 		}
+	}
+	if len(urls) == 0 {
+		fail("-peers is required (comma-separated shard URLs)")
 	}
 
 	// The protocol label travels from the shards: ask one for its

@@ -108,6 +108,18 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
+// TestEmptyPeersRejected: a -peers list with no URL in it — absent,
+// or only separators and blanks — is a usage error, not a panic.
+func TestEmptyPeersRejected(t *testing.T) {
+	bin := buildBinary(t, ".", "nettrailsgw")
+	for _, peers := range []string{"", " , ", ","} {
+		out, err := exec.Command(bin, "-peers", peers).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "-peers is required") || strings.Contains(string(out), "panic") {
+			t.Errorf("-peers %q: err=%v, output:\n%s", peers, err, out)
+		}
+	}
+}
+
 // TestRequireDataFlag: -require-data gates the gateway boot on every
 // shard running a durable snapshot store, so deep-history guarantees
 // hold deployment-wide.

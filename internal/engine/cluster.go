@@ -22,15 +22,16 @@
 //	         "state changed since last cut" bit. The cut T is the
 //	         minimum offer; the global change bit is the OR.
 //
+// Both exchanges run inside the one epoch loop (runEpochs, scheduler.go).
 // After the propose barrier every process observes the same consistent
 // cut — the previous instant is fully executed everywhere and all its
-// deltas have been claimed — so the snapshot observer commits there,
-// minting the same dense version sequence in every process. Then each
-// process advances its clock to T and executes the instant if it owns
-// events at T. Quiescence (no offers) ends the drain. Combined with the
-// canonical intra-epoch event order (scheduler.go), this reproduces the
-// single-process schedule exactly: same states, same provenance, same
-// per-link coalescing, byte-identical snapshots.
+// deltas have been claimed — so the epoch observer fires there with the
+// global change bit, minting the same dense version sequence in every
+// process. Then each process advances its clock to T and executes the
+// instant if it owns events at T. Quiescence (no offers) ends the
+// drain. Combined with the canonical intra-epoch event order, this
+// reproduces the single-process schedule exactly: same states, same
+// provenance, same per-link coalescing, byte-identical snapshots.
 package engine
 
 import (
@@ -38,18 +39,6 @@ import (
 
 	"repro/internal/simnet"
 )
-
-// DistObserver is the distributed counterpart of the epoch observer: a
-// snapshot publisher split into a local scan and a cut-aligned commit.
-// Probe reports whether any locally-owned node changed since the last
-// Commit (sticky: repeated probes accumulate). Commit runs at a global
-// cut with the OR of every process's probe bit; it must mint a version
-// exactly when changed is true, even if nothing changed locally, so the
-// version sequence stays dense and identical across processes.
-type DistObserver interface {
-	Probe() bool
-	Commit(changed bool)
-}
 
 // ClusterStats counts distributed-drain work for benchmarking.
 type ClusterStats struct {
@@ -84,7 +73,6 @@ type cluster struct {
 	self  int
 	size  int
 	owner map[string]int // node addr -> owning member rank
-	obs   DistObserver
 	step  uint64
 	// outbox accumulates remotely-owned deltas intercepted by the send
 	// hook, in emission order, until the next frames exchange.
@@ -158,17 +146,6 @@ func (e *Engine) Owns(addr string) bool {
 	return ok && r == e.cluster.self
 }
 
-// SetDistObserver installs the distributed snapshot observer (nil
-// detaches). Like SetEpochObserver's, it belongs to the simulation
-// thread, which is the only one that reads it; install it before the
-// first clustered drain.
-func (e *Engine) SetDistObserver(o DistObserver) {
-	if e.cluster == nil {
-		panic("engine: SetDistObserver on non-clustered engine")
-	}
-	e.cluster.obs = o
-}
-
 // ClusterStats returns a copy of the distributed-drain counters.
 func (e *Engine) ClusterStats() ClusterStats {
 	if e.cluster == nil {
@@ -177,87 +154,69 @@ func (e *Engine) ClusterStats() ClusterStats {
 	return e.cluster.stats
 }
 
-// clusterDrain is the distributed RunQuiescent: the round protocol
-// described in the package comment above. Transport failures and
-// undecodable peer data panic with *ClusterError — a distributed drain
-// that cannot complete must fail loudly, never return a half-advanced
-// engine.
-func (e *Engine) clusterDrain() {
-	c := e.cluster
-	if len(e.nodes) != c.nodeCount {
-		panic(&ClusterError{Op: "drain", Err: fmt.Errorf("node set changed after EnableCluster (%d -> %d)", c.nodeCount, len(e.nodes))})
+// exchangeFrames is a round's first exchange: it ships the deltas the
+// last executed instant emitted for peer-owned nodes, and injects the
+// peers' deltas for locally-owned nodes at their original virtual
+// timestamps. Transport failures and undecodable peer data panic with
+// *ClusterError — a distributed drain that cannot complete must fail
+// loudly, never return a half-advanced engine.
+func (c *cluster) exchangeFrames(e *Engine) {
+	c.stats.Rounds++
+	out := c.outbox
+	c.outbox = nil
+	payload := encodeFrames(out)
+	c.stats.FramesOut += uint64(len(out))
+	c.stats.BytesOut += uint64(len(payload))
+	reps, err := c.tr.Exchange(c.nextStep(), phaseFrames, payload)
+	if err != nil {
+		panic(&ClusterError{Op: "frames exchange", Err: err})
 	}
-	for r := 0; ; r++ {
-		c.stats.Rounds++
-		out := c.outbox
-		c.outbox = nil
-		payload := encodeFrames(out)
-		c.stats.FramesOut += uint64(len(out))
-		c.stats.BytesOut += uint64(len(payload))
-		reps, err := c.tr.Exchange(c.nextStep(), phaseFrames, payload)
-		if err != nil {
-			panic(&ClusterError{Op: "frames exchange", Err: err})
+	// Claim in member-rank order, so injected schedule sequence numbers
+	// are deterministic per process.
+	for rank := 0; rank < c.size; rank++ {
+		if rank == c.self || len(reps[rank]) == 0 {
+			continue
 		}
-		// Claim remote deltas addressed to locally-owned nodes, in
-		// member-rank order so injected schedule sequence numbers are
-		// deterministic per process.
-		for rank := 0; rank < c.size; rank++ {
-			if rank == c.self || len(reps[rank]) == 0 {
+		c.stats.BytesIn += uint64(len(reps[rank]))
+		frames, err := decodeFrames(reps[rank])
+		if err != nil {
+			panic(&ClusterError{Op: fmt.Sprintf("decode frames from member %d", rank), Err: err})
+		}
+		for _, f := range frames {
+			if !e.Owns(f.Msg.To) {
 				continue
 			}
-			c.stats.BytesIn += uint64(len(reps[rank]))
-			frames, err := decodeFrames(reps[rank])
-			if err != nil {
-				panic(&ClusterError{Op: fmt.Sprintf("decode frames from member %d", rank), Err: err})
-			}
-			for _, f := range frames {
-				if !e.Owns(f.Msg.To) {
-					continue
-				}
-				c.stats.FramesIn++
-				e.Net.InjectAt(f.At, f.Msg)
-			}
+			c.stats.FramesIn++
+			e.Net.InjectAt(f.At, f.Msg)
 		}
-		next, hasNext := e.Net.PeekTime()
-		changed := false
-		if c.obs != nil {
-			changed = c.obs.Probe()
+	}
+}
+
+// propose is a round's second exchange: it offers this process's
+// earliest pending timestamp and change bit, and returns the agreed
+// cut (the minimum offer, and whether any member made one) and the OR
+// of every member's bit. Failures panic like exchangeFrames'.
+func (c *cluster) propose(next simnet.Time, hasNext, changed bool) (simnet.Time, bool, bool) {
+	preps, err := c.tr.Exchange(c.nextStep(), phasePropose, encodePropose(next, hasNext, changed))
+	if err != nil {
+		panic(&ClusterError{Op: "propose exchange", Err: err})
+	}
+	at, ok := next, hasNext
+	for rank := 0; rank < c.size; rank++ {
+		if rank == c.self {
+			continue
 		}
-		preps, err := c.tr.Exchange(c.nextStep(), phasePropose, encodePropose(next, hasNext, changed))
+		pn, ph, pc, err := decodePropose(preps[rank])
 		if err != nil {
-			panic(&ClusterError{Op: "propose exchange", Err: err})
+			panic(&ClusterError{Op: fmt.Sprintf("decode propose from member %d", rank), Err: err})
 		}
-		cut, haveCut := next, hasNext
-		for rank := 0; rank < c.size; rank++ {
-			if rank == c.self {
-				continue
-			}
-			pn, ph, pc, err := decodePropose(preps[rank])
-			if err != nil {
-				panic(&ClusterError{Op: fmt.Sprintf("decode propose from member %d", rank), Err: err})
-			}
-			changed = changed || pc
-			if ph && (!haveCut || pn < cut) {
-				cut, haveCut = pn, true
-			}
+		changed = changed || pc
+		if ph && (!ok || pn < at) {
+			at, ok = pn, true
 		}
-		// The previous instant (or, at r == 0, the caller's pre-drain
-		// mutations when the drain turns out to be empty) is a global
-		// consistent cut here. Round 0 with pending events commits
-		// nothing: the single-process schedule also observes its first
-		// cut only after the first instant executes.
-		if (r > 0 || !haveCut) && c.obs != nil {
-			c.obs.Commit(changed)
-		}
-		if !haveCut {
-			return
-		}
+	}
+	if ok {
 		c.stats.Epochs++
-		e.Net.AdvanceTo(cut)
-		if hasNext && next == cut {
-			if ep, ok := e.Net.NextEpoch(); ok {
-				e.executeEpoch(ep.Events)
-			}
-		}
 	}
+	return at, ok, changed
 }

@@ -73,29 +73,26 @@ type Node struct {
 	// epoch scheduler's capture buffer. It is set only while the
 	// scheduler delivers a delta to this node (scheduler.go).
 	cap *[]simnet.Message
-	// activity counts events that may have touched this node's state:
-	// dispatched messages, fact inserts/deletes, and out-of-band
-	// writes reported via Touch. An unchanged activity value between
-	// epoch cuts proves the node's state, provenance, and traffic
-	// counters are all untouched, which lets the snapshot publisher
-	// skip the node without the per-table precise checks. Like the rest
-	// of the node it is read and written on the simulation thread only.
-	// Activity values differ between the serial and the epoch drain
-	// (message batching differs); they gate local work only and never
-	// reach any published output.
-	activity uint64
+	// The change scan's per-node part (scheduler.go): pos is the node's
+	// Nodes() position, touched puts it on the engine's touched list
+	// until the next scan, and seenState/seenProv are the versions that
+	// scan last saw.
+	pos                 int
+	touched             bool
+	seenState, seenProv uint64
 }
 
-// Activity returns the node's event counter (see the field doc). Only
-// meaningful between epochs, from the epoch-observer callback.
-func (n *Node) Activity() uint64 { return n.activity }
-
-// Touch records an out-of-band state mutation. Any code that writes to
-// a node's runtime tables or provenance store directly — instead of
-// going through InsertFact/DeleteFact or message dispatch — must call
-// Touch on that node, on the simulation thread, or epoch-snapshot
-// publishers will treat the node as unchanged and serve stale state.
-func (n *Node) Touch() { n.activity++ }
+// Touch marks the node for the next change scan; message dispatch and
+// InsertFact/DeleteFact call it. Any code that writes to a node's
+// runtime tables or provenance store directly must call Touch on that
+// node, on the simulation thread, or the scan will treat the node as
+// unchanged and publishers serve stale state.
+func (n *Node) Touch() {
+	if !n.touched {
+		n.touched = true
+		n.eng.touched = append(n.eng.touched, n)
+	}
+}
 
 // Engine couples the per-node runtimes to the simulated network.
 type Engine struct {
@@ -126,13 +123,17 @@ type Engine struct {
 	// SetEpochObserver.
 	epochObserver func()
 	// cluster, when non-nil, runs this engine as one member of a
-	// distributed deployment: RunQuiescent drains through the
-	// cross-process epoch protocol (cluster.go) instead of the local
-	// scheduler loop. Set once by EnableCluster.
+	// distributed deployment: every round of the epoch loop adds the
+	// cross-process exchanges (cluster.go). Set once by EnableCluster.
 	cluster *cluster
 	// captured is the epoch scheduler's send buffer, reused across
 	// delta runs (scheduler.go).
 	captured []simnet.Message
+	// The change scan's verdict until Changes or the next cut consumes
+	// it (scheduler.go); touched lists the nodes to scan.
+	touched []*Node
+	changed bool
+	dirty   []int
 }
 
 // New compiles src (NDlog text) and builds an engine with the given
@@ -179,6 +180,9 @@ func NewFromProgram(prog *ndlog.Program, nodeAddrs []string, opts Options) (*Eng
 			return nil, err
 		}
 	}
+	for pos, addr := range e.Nodes() {
+		e.nodes[addr].pos = pos
+	}
 	return e, nil
 }
 
@@ -197,6 +201,7 @@ func (e *Engine) addNode(addr string) error {
 	if e.opts.Provenance {
 		n.Prov = provenance.NewStore(addr)
 	}
+	n.seenState, n.seenProv = n.versions()
 	rt.ErrFn = func(err error) {
 		if e.OnEvalError != nil {
 			e.OnEvalError(addr, err)
@@ -250,7 +255,7 @@ func wireSize(t rel.Tuple) int {
 }
 
 func (e *Engine) dispatch(n *Node, m simnet.Message) {
-	n.activity++
+	n.Touch()
 	if m.Kind == KindDelta {
 		switch dm := m.Payload.(type) {
 		case DeltaMsg:
@@ -382,10 +387,11 @@ func (e *Engine) LoadProgramFacts() error {
 
 // RunQuiescent drains all pending network events on the caller's
 // goroutine. With an epoch observer attached or a cluster enabled it
-// runs the epoch scheduler (scheduler.go), which stops at every virtual
+// runs the epoch loop (scheduler.go), which stops at every virtual
 // instant; otherwise it runs the classic serial discrete-event loop.
 // Both drains converge to the same state for the same seed; traffic
-// counters differ by the epoch scheduler's per-link coalescing only.
+// counters differ by the epoch loop's per-link coalescing only, which
+// is why the serial loop stays (docs/ARCHITECTURE.md).
 func (e *Engine) RunQuiescent() {
 	if e.epochObserver == nil && e.cluster == nil {
 		e.Net.Run(0)
@@ -398,15 +404,16 @@ func (e *Engine) RunQuiescent() {
 }
 
 // SetEpochObserver installs fn to run on the scheduler thread after
-// every fully-delivered epoch, i.e. at each consistent virtual instant.
-// While an observer is set, RunQuiescent drains through the epoch
-// scheduler so the observer fires at true epoch granularity; per-node
-// state is identical either way, only per-link message coalescing
-// differs. fn must not re-enter the engine's event loop (RunQuiescent
-// from fn is a no-op by design) and must confine itself to reading
-// engine state. A nil fn detaches. Attach and detach belong to the
-// simulation thread, like every other engine call: detach after the
-// thread has stopped draining.
+// every fully-delivered epoch, i.e. at each consistent virtual instant
+// (in a cluster, at each cut every member agreed on); Changes tells fn
+// what changed there. While an observer is set, RunQuiescent drains
+// through the epoch loop so the observer fires at true epoch
+// granularity; per-node state is identical either way, only per-link
+// message coalescing differs. fn must not re-enter the engine's event
+// loop (RunQuiescent from fn is a no-op by design) and must confine
+// itself to reading engine state. A nil fn detaches. Attach and detach
+// belong to the simulation thread, like every other engine call:
+// detach after the thread has stopped draining.
 func (e *Engine) SetEpochObserver(fn func()) { e.epochObserver = fn }
 
 // InsertFact inserts a base tuple at this node, mirroring NDlog
@@ -420,7 +427,7 @@ func (n *Node) InsertFact(t rel.Tuple) error {
 	if n.eng.cluster != nil && !n.eng.Owns(n.Addr) {
 		return nil
 	}
-	n.activity++
+	n.Touch()
 	t = t.Identified()
 	if err := n.mirrorKeyReplacement(t); err != nil {
 		return err
@@ -492,7 +499,7 @@ func (n *Node) DeleteFact(t rel.Tuple) error {
 	if n.eng.cluster != nil && !n.eng.Owns(n.Addr) {
 		return nil
 	}
-	n.activity++
+	n.Touch()
 	t = t.Identified()
 	sch, hasSchema := n.RT.Store.Catalog().Lookup(t.Rel)
 	if hasSchema && sch.Persistent && sch.LifetimeSecs > 0 {

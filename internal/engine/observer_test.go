@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rel"
@@ -141,5 +142,71 @@ r2 out(@S,D,X) :- mid(@D,S,L), X := f_first(L).
 	want := rel.NewTuple("out", rel.Addr("n1"), rel.Addr("n2"), rel.Int(5))
 	if got, err := n1.Tuples("out"); err != nil || len(got) != 1 || !got[0].Equal(want) {
 		t.Fatalf("out at n1 after the second drain = %v (%v), want [%s]", got, err, want)
+	}
+}
+
+// TestChangesReportsWhatChanged: at each cut the change scan reports
+// exactly the nodes whose visible state moved, as ascending Nodes()
+// positions, once; outside a drain Changes scans on the spot. A fresh
+// engine reports nothing: the baseline is the state nodes are built in.
+func TestChangesReportsWhatChanged(t *testing.T) {
+	e := newMincost(t, "n3", "n1", "n2") // positions by name: n1 0, n2 1, n3 2
+	if changed, dirty := e.Changes(); changed || len(dirty) != 0 {
+		t.Fatalf("fresh engine reports changed=%v dirty=%v", changed, dirty)
+	}
+	var cuts [][]int
+	e.SetEpochObserver(func() {
+		changed, dirty := e.Changes()
+		if changed != (len(dirty) > 0) || !slices.IsSorted(dirty) {
+			t.Errorf("cut reports changed=%v dirty=%v", changed, dirty)
+		}
+		if changed {
+			cuts = append(cuts, slices.Clone(dirty))
+		}
+		if again, d := e.Changes(); again || len(d) != 0 {
+			t.Errorf("second report at one cut: changed=%v dirty=%v", again, d)
+		}
+	})
+	union := func() []int {
+		var all []int
+		for _, c := range cuts {
+			all = append(all, c...)
+		}
+		slices.Sort(all)
+		cuts = nil
+		return slices.Compact(all)
+	}
+
+	// A self-link changes n2 and nothing else.
+	if err := e.InsertFact(rel.NewTuple("link", rel.Addr("n2"), rel.Addr("n2"), rel.Int(1))); err != nil {
+		t.Fatal(err)
+	}
+	if got := union(); !slices.Equal(got, []int{1}) {
+		t.Fatalf("self-link at n2 reported %v, want [1]", got)
+	}
+	// A link between n1 and n3 never reaches n2.
+	if err := e.AddBiLink("n1", "n3", 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := union(); !slices.Equal(got, []int{0, 2}) {
+		t.Fatalf("n1-n3 link reported %v, want [0 2]", got)
+	}
+
+	// Between drains: a touch that changes nothing reports nothing, a
+	// direct write reports its node once.
+	e.SetEpochObserver(nil)
+	n2, _ := e.Node("n2")
+	n2.Touch()
+	if changed, dirty := e.Changes(); changed || len(dirty) != 0 {
+		t.Fatalf("touch without a change reports changed=%v dirty=%v", changed, dirty)
+	}
+	if err := n2.InsertFact(rel.NewTuple("link", rel.Addr("n2"), rel.Addr("n2"), rel.Int(2))); err != nil {
+		t.Fatal(err)
+	}
+	if changed, dirty := e.Changes(); !changed || !slices.Equal(dirty, []int{1}) {
+		t.Fatalf("direct write at n2 reports changed=%v dirty=%v, want true [1]", changed, dirty)
+	}
+	if changed, dirty := e.Changes(); changed || len(dirty) != 0 {
+		t.Fatalf("report not consumed: changed=%v dirty=%v", changed, dirty)
 	}
 }

@@ -9,7 +9,8 @@
 //
 //   - Consistent cuts: between two epochs every event of the instant
 //     is delivered, so the observer reads a global state that some
-//     serial execution actually passes through.
+//     serial execution actually passes through. At each cut the change
+//     scan reports which nodes changed (Changes).
 //   - A cluster-stable delivery order: canonicalize sorts an instant's
 //     events by a key every process of a cluster agrees on, so one
 //     process and three execute the same schedule.
@@ -25,6 +26,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/simnet"
@@ -42,35 +44,94 @@ func (n *Node) netSend(m simnet.Message) {
 	n.eng.Net.Send(m)
 }
 
-// runEpochs drains the network epoch by epoch. It is the counterpart of
-// Net.Run(0) for an engine with an epoch observer or a cluster.
+// runEpochs drains the network epoch by epoch, the counterpart of
+// Net.Run(0) for an engine with an epoch observer or a cluster. Each
+// round scans for changes, agrees on the next instant (in a cluster,
+// after the frames and propose exchanges of cluster.go), observes the
+// cut the previous instant left, and executes the next one.
+// Quiescence — no pending instant anywhere — ends the drain.
 func (e *Engine) runEpochs() {
 	e.draining = true
 	defer func() { e.draining = false }()
-	if e.cluster != nil {
-		e.clusterDrain()
-		return
+	c := e.cluster
+	if c != nil && len(e.nodes) != c.nodeCount {
+		panic(&ClusterError{Op: "drain", Err: fmt.Errorf("node set changed after EnableCluster (%d -> %d)", c.nodeCount, len(e.nodes))})
 	}
-	for {
-		ep, ok := e.Net.NextEpoch()
-		if ok {
-			e.executeEpoch(ep.Events)
+	for r := 0; ; r++ {
+		if c != nil {
+			c.exchangeFrames(e)
 		}
-		// The epoch's events are fully delivered: global state is a
-		// consistent cut of the execution at this virtual instant. Let
-		// the observer (a snapshot publisher) see it before the next
-		// epoch begins. It fires once more at quiescence: a drain may
-		// find zero pending events even though the caller mutated state
-		// right before RunQuiescent (e.g. a fact whose derivations stay
-		// local). Observers dedup unchanged state themselves, so the
-		// extra call after a final epoch is free.
-		if e.epochObserver != nil {
-			e.epochObserver()
+		e.scan()
+		next, hasNext := e.Net.PeekTime()
+		at, ok, changed := next, hasNext, e.changed
+		if c != nil {
+			at, ok, changed = c.propose(next, hasNext, changed)
+		}
+		// The previous instant — or, in round 0 of an empty drain, the
+		// caller's mutations right before RunQuiescent (a fact whose
+		// derivations stay local) — is a consistent cut here. Round 0
+		// with pending events observes nothing: the first cut follows
+		// the first instant.
+		if r > 0 || !ok {
+			e.changed = changed
+			if e.epochObserver != nil {
+				e.epochObserver()
+			}
+			e.changed, e.dirty = false, e.dirty[:0] // unconsumed, it goes with the cut
 		}
 		if !ok {
 			return
 		}
+		e.Net.AdvanceTo(at)
+		if hasNext && next == at {
+			ep, _ := e.Net.NextEpoch()
+			e.executeEpoch(ep.Events)
+		}
 	}
+}
+
+// versions reads the node's state and provenance versions. Both are
+// minted only for visible state, so comparing them decides "changed"
+// identically in every process and deployment shape.
+func (n *Node) versions() (state, prov uint64) {
+	if n.Prov != nil {
+		prov = n.Prov.Version()
+	}
+	return n.RT.Store.StateVersion(), prov
+}
+
+// scan is the change scan: every touched node this process owns whose
+// versions moved since the last scan joins dirty, and changed is set.
+// Repeated scans before a cut accumulate (a cluster scans every round).
+func (e *Engine) scan() {
+	for _, n := range e.touched {
+		n.touched = false
+		if !e.Owns(n.Addr) {
+			continue
+		}
+		if sv, pv := n.versions(); sv != n.seenState || pv != n.seenProv {
+			n.seenState, n.seenProv = sv, pv
+			e.changed = true
+			e.dirty = append(e.dirty, n.pos)
+		}
+	}
+	e.touched = e.touched[:0]
+}
+
+// Changes reports what changed since the last report: whether any
+// node's visible state changed — in a cluster, at any member, as the
+// propose exchange ORs it — and the ascending Nodes() positions of the
+// changed nodes this process owns. From the epoch observer it reports
+// the cut being observed; outside a drain it scans now. Either way the
+// report is consumed, and dirty is valid until the engine next runs.
+func (e *Engine) Changes() (changed bool, dirty []int) {
+	if !e.draining {
+		e.scan()
+	}
+	slices.Sort(e.dirty)
+	changed, dirty = e.changed, slices.Compact(e.dirty)
+	e.changed, e.dirty = false, e.dirty[:0]
+	return changed, dirty
 }
 
 // executeEpoch canonicalizes and executes one virtual instant's events:

@@ -149,9 +149,9 @@ func decodeStrings(r *wire.Reader, what string) []string {
 	return out
 }
 
-// Info is the published per-node metadata a version record carries —
-// the provstore's mirror of the server's NodeInfo, minus the address
-// (implied by the owned-node index).
+// Info is the published per-node metadata a version record carries;
+// the server's NodeInfo is it plus the address (which a record implies
+// by the owned-node index).
 type Info struct {
 	Neighbors []string
 	Tuples    int

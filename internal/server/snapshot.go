@@ -83,16 +83,13 @@ func (s ShardSpec) OwnedNodes(sorted []string) []string {
 	return out
 }
 
-// NodeInfo is the per-node metadata frozen into a snapshot.
+// NodeInfo is the per-node metadata frozen into a snapshot: the
+// address, and what a stored version record carries for the node.
 //
 // nettrails:frozen
 type NodeInfo struct {
-	Addr      string
-	Neighbors []string
-	Tuples    int // visible tuples across all tables
-	Prov      provenance.Stats
-	SentMsgs  int
-	SentBytes int
+	Addr string
+	provstore.Info
 }
 
 // nodeState is one node's frozen partition inside a snapshot: the
@@ -258,7 +255,6 @@ type Publisher struct {
 	shard  ShardSpec
 
 	allNodes   []string       // every node, sorted; shared by all snapshots
-	nodes      []*engine.Node // parallel to allNodes
 	owned      []string       // owned subset, sorted; shared by all snapshots
 	ownedNodes []*engine.Node // parallel to owned
 	ownedIdx   []int          // allNodes position -> owned position, -1 if unowned
@@ -270,28 +266,9 @@ type Publisher struct {
 	// disk cache alike — charges its rendered bodies to.
 	bodies bodyBudget
 
-	// Dirty tracking, parallel to allNodes. The activity counter gates
-	// the scan: a node that processed nothing since the last publish is
-	// skipped without touching its stores; when it did run, the state
-	// and provenance versions decide precisely — versions are minted
-	// only for visible state, so every shard of a deterministic run
-	// still mints the identical dense version sequence.
-	lastActivity []uint64
-	lastState    []uint64
-	lastProv     []uint64
-
 	states    []*nodeState // parallel to owned; spine copied per publish
 	dirty     []int        // scratch: owned positions to rebuild this publish
 	infoDirty []int        // scratch: owned positions refreshed info-only
-
-	// Distributed-mode (engine.DistObserver) accumulation between cuts:
-	// Probe may run several times before Commit mints, so dirtiness is
-	// gathered sticky here. inDirty is parallel to owned and dedups
-	// pendingDirty; pendingChanged remembers that *some* owned node
-	// changed since the last Commit.
-	pendingDirty   []int
-	inDirty        []bool
-	pendingChanged bool
 
 	// Disk persistence (nil without a store; see PublisherOptions).
 	// verBase is the store's last version at attach time: minting
@@ -343,16 +320,9 @@ func (p *Publisher) Shard() ShardSpec { return p.shard }
 // loops, tests), not for HTTP readers.
 func (p *Publisher) Engine() *engine.Engine { return p.eng }
 
-// Detach removes the publisher from the engine's epoch (or, in a
-// distributed engine, cut) observer. The already-published snapshots
-// remain readable.
-func (p *Publisher) Detach() {
-	if p.eng.Clustered() {
-		p.eng.SetDistObserver(nil)
-		return
-	}
-	p.eng.SetEpochObserver(nil)
-}
+// Detach removes the publisher from the engine's epoch observer. The
+// already-published snapshots remain readable.
+func (p *Publisher) Detach() { p.eng.SetEpochObserver(nil) }
 
 // Current returns the newest snapshot. Safe for concurrent use.
 func (p *Publisher) Current() *Snapshot {
@@ -455,119 +425,46 @@ func (p *Publisher) Versions() (oldest, newest uint64) {
 // It runs on the simulation thread (epoch observer), between epochs, so
 // reading every node is race-free. When no node's state changed since
 // the last publish, the current snapshot is returned unchanged —
-// versions advance only with state. The change
-// check always spans the whole network, even on a sharded publisher,
-// so every shard of the same deterministic run mints the same version
-// sequence (what lets a gateway pin one version everywhere); only the
-// freezing is restricted to owned nodes.
+// versions advance only with state. The engine's change verdict
+// (engine.Changes) spans the whole network, even on a sharded publisher
+// or a cluster member, so every shard of the same deterministic run
+// mints the same version sequence (what lets a gateway pin one version
+// everywhere); only the freezing is restricted to owned nodes.
 func (p *Publisher) Publish() *Snapshot {
-	prev := p.cur.Load()
-	first := len(prev.snaps) == 0
-
-	// Pass 1 — change scan over the whole network, gated by each node's
-	// activity counter: a node that processed nothing since the last
-	// publish is skipped without touching its stores. For nodes that
-	// did run, the state and provenance versions decide precisely, so
-	// the version-minting rule is unchanged: snapshots advance only
-	// with visible state, identically on every shard.
-	changed := first
+	prev := p.cur.Load().snaps
+	changed, dirty := p.eng.Changes()
 	p.dirty = p.dirty[:0]
-	for i, n := range p.nodes {
-		act := n.Activity()
-		if !first && act == p.lastActivity[i] {
-			continue
+	if len(prev) == 0 {
+		// The first publish of a fresh deployment mints 1; after a restart
+		// with a snapshot store it resumes the store's dense sequence at
+		// verBase+1. Either way every owned node is rebuilt, so the
+		// resumed chain's first record is self-contained.
+		for oi := range p.owned {
+			p.dirty = append(p.dirty, oi)
 		}
-		p.lastActivity[i] = act
-		sv, pv := n.RT.Store.StateVersion(), n.Prov.Version()
-		if !first && sv == p.lastState[i] && pv == p.lastProv[i] {
-			continue
-		}
-		p.lastState[i], p.lastProv[i] = sv, pv
-		changed = true
-		if oi := p.ownedIdx[i]; oi >= 0 {
+		return p.mint(p.verBase+1, p.dirty)
+	}
+	if !changed {
+		return prev[len(prev)-1]
+	}
+	for _, pos := range dirty {
+		if oi := p.ownedIdx[pos]; oi >= 0 {
 			p.dirty = append(p.dirty, oi)
 		}
 	}
-	if !changed {
-		return prev.snaps[len(prev.snaps)-1]
-	}
-
-	// The first publish of a fresh deployment mints 1; after a restart
-	// with a snapshot store it resumes the store's dense sequence at
-	// verBase+1 (first=true made every owned node dirty above, so the
-	// resumed chain's first record is self-contained).
-	version := p.verBase + 1
-	if !first {
-		version = prev.snaps[len(prev.snaps)-1].Version + 1
-	}
-	return p.mint(version, p.dirty)
-}
-
-// Probe is the local half of the distributed observer contract
-// (engine.DistObserver): scan the owned nodes for changes since the
-// last Commit and report stickily. Only owned nodes are scanned — in a
-// distributed engine the unowned replicas miss the delta traffic that
-// executes at their owners, so their versions are meaningless here; the
-// whole-network change verdict is assembled by the engine from every
-// member's probe bit.
-func (p *Publisher) Probe() bool {
-	for i, n := range p.nodes {
-		oi := p.ownedIdx[i]
-		if oi < 0 {
-			continue
-		}
-		act := n.Activity()
-		if act == p.lastActivity[i] {
-			continue
-		}
-		p.lastActivity[i] = act
-		sv, pv := n.RT.Store.StateVersion(), n.Prov.Version()
-		if sv == p.lastState[i] && pv == p.lastProv[i] {
-			continue
-		}
-		p.lastState[i], p.lastProv[i] = sv, pv
-		p.pendingChanged = true
-		if !p.inDirty[oi] {
-			p.inDirty[oi] = true
-			p.pendingDirty = append(p.pendingDirty, oi)
-		}
-	}
-	return p.pendingChanged
-}
-
-// Commit is the cut half of the distributed observer contract: changed
-// is the OR of every member's probe bit at a global consistent cut.
-// When true a version is minted even if nothing changed locally — the
-// change happened at a peer, and the version sequence must stay dense
-// and identical across members (exactly the sharded-publisher rule in
-// Publish, with the whole-network scan replaced by the exchanged bit).
-// The initial snapshot comes from the constructor's Publish call, so a
-// previous version always exists.
-func (p *Publisher) Commit(changed bool) {
-	if !changed {
-		return
-	}
-	sort.Ints(p.pendingDirty)
-	prev := p.cur.Load().snaps
-	p.mint(prev[len(prev)-1].Version+1, p.pendingDirty)
-	for _, oi := range p.pendingDirty {
-		p.inDirty[oi] = false
-	}
-	p.pendingDirty = p.pendingDirty[:0]
-	p.pendingChanged = false
+	return p.mint(prev[len(prev)-1].Version+1, p.dirty)
 }
 
 // mint builds and publishes the snapshot with the given version,
-// rebuilding the owned positions listed in dirty (ascending). It is the
-// shared back half of Publish and Commit.
+// rebuilding the owned positions listed in dirty (ascending).
 func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 	prev := p.cur.Load()
 	now := p.eng.Net.Now()
 
-	// Pass 2 — rebuild only the dirty owned partitions. FreezeAll and
-	// View are persistent handoffs (O(1) per unchanged table and per
-	// provenance partition); every clean node's *nodeState rides into
-	// the new snapshot untouched.
+	// Rebuild only the dirty owned partitions. FreezeAll and View are
+	// persistent handoffs (O(1) per unchanged table and per provenance
+	// partition); every clean node's *nodeState rides into the new
+	// snapshot untouched.
 	states := make([]*nodeState, len(p.states))
 	copy(states, p.states)
 	for _, oi := range dirty {
@@ -575,12 +472,11 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 		n := p.ownedNodes[oi]
 		tables, count := n.RT.Store.FreezeAll()
 		view := n.Prov.View()
-		info := NodeInfo{
-			Addr:      addr,
+		info := NodeInfo{Addr: addr, Info: provstore.Info{
 			Neighbors: p.eng.Net.Neighbors(addr),
 			Tuples:    count,
 			Prov:      view.Statistics(),
-		}
+		}}
 		if sent, _, ok := p.eng.Net.NodeTraffic(addr); ok {
 			info.SentMsgs = sent.Messages
 			info.SentBytes = sent.Bytes

@@ -46,25 +46,27 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 		return nil, fmt.Errorf("server: %d shards over %d nodes leaves empty shards", shard.Total, len(all))
 	}
 	p := &Publisher{
-		eng:          eng,
-		retain:       retain,
-		shard:        shard,
-		allNodes:     all,
-		nodes:        make([]*engine.Node, len(all)),
-		ownedIdx:     make([]int, len(all)),
-		index:        make(map[string]int),
-		lastActivity: make([]uint64, len(all)),
-		lastState:    make([]uint64, len(all)),
-		lastProv:     make([]uint64, len(all)),
+		eng:      eng,
+		retain:   retain,
+		shard:    shard,
+		allNodes: all,
+		ownedIdx: make([]int, len(all)),
+		index:    make(map[string]int),
 	}
 	for i, addr := range all {
 		n, _ := eng.Node(addr)
 		if n.Prov == nil {
 			return nil, fmt.Errorf("server: node %s has no provenance store", addr)
 		}
-		p.nodes[i] = n
+		owns := engine.OwnerOf(i, shard.Total) == shard.Index
+		if eng.Clustered() && owns != eng.Owns(addr) {
+			// A cluster member executes deltas for its own slice only; the
+			// replicas of the rest miss that traffic, so a publisher must
+			// serve exactly the member's slice.
+			return nil, fmt.Errorf("server: shard %s is not this cluster member's slice (node %s)", shard, addr)
+		}
 		p.ownedIdx[i] = -1
-		if engine.OwnerOf(i, shard.Total) == shard.Index {
+		if owns {
 			p.ownedIdx[i] = len(p.owned)
 			p.index[addr] = len(p.owned)
 			p.owned = append(p.owned, addr)
@@ -83,18 +85,12 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 		p.diskCache = map[uint64]*Snapshot{}
 	}
 	p.states = make([]*nodeState, len(p.owned))
-	p.inDirty = make([]bool, len(p.owned))
 	p.cur.Store(&ring{})
-	// The initial snapshot is built by a direct Publish either way: at
-	// attach time a distributed engine's replicas are still identical
-	// (nothing has diverged before the first clustered drain), so every
-	// member mints a consistent version 1.
+	// The initial snapshot is built by a direct Publish, which also
+	// consumes every change made before attach: every member of a
+	// cluster mints version 1 from the replayed, identical boot state.
 	p.Publish()
-	if eng.Clustered() {
-		eng.SetDistObserver(p)
-	} else {
-		eng.SetEpochObserver(func() { p.Publish() })
-	}
+	eng.SetEpochObserver(func() { p.Publish() })
 	return p, nil
 }
 
@@ -102,30 +98,6 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 // owning process uses it for shutdown syncs; handlers use it for
 // deep-history queries.
 func (p *Publisher) Store() *provstore.Store { return p.store }
-
-// storeInfo converts published node metadata to the store's wire form
-// (the address travels positionally, by owned index).
-func storeInfo(info NodeInfo) provstore.Info {
-	return provstore.Info{
-		Neighbors: info.Neighbors,
-		Tuples:    info.Tuples,
-		Prov:      info.Prov,
-		SentMsgs:  info.SentMsgs,
-		SentBytes: info.SentBytes,
-	}
-}
-
-// publishedInfo is storeInfo's inverse.
-func publishedInfo(addr string, info provstore.Info) NodeInfo {
-	return NodeInfo{
-		Addr:      addr,
-		Neighbors: info.Neighbors,
-		Tuples:    info.Tuples,
-		Prov:      info.Prov,
-		SentMsgs:  info.SentMsgs,
-		SentBytes: info.SentBytes,
-	}
-}
 
 // teeToStore appends the version just published to the snapshot store:
 // state entries for the rebuilt partitions, info updates for the
@@ -140,13 +112,13 @@ func (p *Publisher) teeToStore(version uint64, now simnet.Time, states []*nodeSt
 		st := states[oi]
 		in.States = append(in.States, provstore.NodeState{
 			OwnedIdx: oi,
-			Info:     storeInfo(st.info),
+			Info:     st.info.Info,
 			Tables:   st.tables,
 			View:     st.view,
 		})
 	}
 	for _, oi := range p.infoDirty {
-		in.Infos = append(in.Infos, provstore.InfoUpdate{OwnedIdx: oi, Info: storeInfo(states[oi].info)})
+		in.Infos = append(in.Infos, provstore.InfoUpdate{OwnedIdx: oi, Info: states[oi].info.Info})
 	}
 	if err := p.store.Append(in); err != nil {
 		panic(fmt.Sprintf("server: snapshot store append failed at version %d: %v", version, err))
@@ -205,7 +177,7 @@ func (p *Publisher) snapshotFromDisk(vd *provstore.VersionData) *Snapshot {
 		states[i] = &nodeState{
 			tables:    nd.Tables,
 			view:      nd.View,
-			info:      publishedInfo(nd.Addr, nd.Info),
+			info:      NodeInfo{Addr: nd.Addr, Info: nd.Info},
 			stateTime: simnet.Time(nd.StateTime),
 		}
 	}

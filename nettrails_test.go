@@ -1,6 +1,7 @@
 package nettrails_test
 
 import (
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -381,5 +382,17 @@ func TestSystemParallelismDeterminism(t *testing.T) {
 	}
 	if sres.Root.Size() != pres.Root.Size() {
 		t.Fatalf("lineage sizes diverged: %d vs %d", sres.Root.Size(), pres.Root.Size())
+	}
+}
+
+// TestBenchModuleBuilds compiles bench/, the benchmark's own module,
+// against this tree. `go test ./...` does not descend into another
+// module, so without this a change to the API bench/ uses would break
+// only `make bench-check`.
+func TestBenchModuleBuilds(t *testing.T) {
+	cmd := exec.Command("go", "build", "-o", t.TempDir(), "./...")
+	cmd.Dir = "bench"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go build ./... in bench/: %v\n%s", err, out)
 	}
 }
