@@ -115,6 +115,22 @@ func (b *syncBuffer) contains(sub string) bool {
 	return false
 }
 
+// await reports whether a line containing sub arrives before the
+// daemon's output ends or d passes.
+func (b *syncBuffer) await(sub string, d time.Duration) bool {
+	deadline := time.After(d)
+	for !b.contains(sub) {
+		select {
+		case <-b.eof:
+			return b.contains(sub)
+		case <-deadline:
+			return false
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return true
+}
+
 func httpGet(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -281,12 +297,8 @@ func TestSmokeShardFlag(t *testing.T) {
 	}
 
 	// The daemon warns that wall-clock churn drifts sharded versions.
-	deadline := time.Now().Add(10 * time.Second)
-	for !out.contains("lets shard versions drift") {
-		if time.Now().After(deadline) {
-			t.Fatal("missing churn-drift warning in sharded daemon output")
-		}
-		time.Sleep(20 * time.Millisecond)
+	if !out.await("lets shard versions drift", 10*time.Second) {
+		t.Fatal("missing churn-drift warning in sharded daemon output")
 	}
 
 	// Bad specs fail fast.
@@ -379,7 +391,7 @@ func TestSmokeDataFlag(t *testing.T) {
 	if !h.OK || h.Store == nil {
 		t.Fatalf("health with -data = %+v (store missing)", h)
 	}
-	if !out.contains("snapshot store at") {
+	if !out.await("snapshot store at", 30*time.Second) {
 		t.Fatal("daemon did not report its snapshot store on startup")
 	}
 

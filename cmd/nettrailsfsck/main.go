@@ -1,10 +1,12 @@
 // nettrailsfsck is the offline provstore inspector: it verifies a
 // snapshot-store directory without opening it for writing and reports
-// what recovery would see. Checks cover the manifest, every record's
-// CRC, both directions of each sealed segment's succinct trie indexes,
-// the dense version chain with its resolution-vector invariants, blob
-// resolvability for every retained version, orphaned blobs, and the
-// active segment's torn tail.
+// what recovery would see. It reads every segment with the scanner
+// recovery uses, so a store it passes is one provstore.Open opens.
+// Checks cover the manifest, every record's CRC, each segment's
+// deployment identity, each seal record's index (rebuilt from the
+// records and compared byte for byte), the dense version chain with
+// its resolution-vector invariants, blob resolvability for every
+// retained version, orphaned blobs, and the tail's torn bytes.
 //
 // Usage:
 //

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"repro/internal/provenance"
 	"repro/internal/rel"
@@ -125,6 +126,19 @@ func unmarshalHeader(payload []byte) (*header, error) {
 		return nil, fmt.Errorf("provstore: segment header: %w", err)
 	}
 	return h, nil
+}
+
+// mismatch reports how h's deployment identity differs from want's,
+// or nil when the segment belongs with want.
+func (h *header) mismatch(want *header, name string) error {
+	if h.shardIdx != want.shardIdx || h.shardN != want.shardN {
+		return fmt.Errorf("provstore: %s written by shard %d/%d, store opened as %d/%d",
+			name, h.shardIdx, h.shardN, want.shardIdx, want.shardN)
+	}
+	if !slices.Equal(h.allNodes, want.allNodes) || !slices.Equal(h.owned, want.owned) {
+		return fmt.Errorf("provstore: %s written for a different node set", name)
+	}
+	return nil
 }
 
 func appendStrings(b []byte, ss []string) []byte {
@@ -403,6 +417,26 @@ func unmarshalVersionRecord(payload []byte, nOwned int) (*versionRecord, error) 
 		return nil, fmt.Errorf("provstore: version record: %w", err)
 	}
 	return vr, nil
+}
+
+// eachBlob calls fn with every blob hash the record references: each
+// state entry's table chunks and present view buckets.
+func (vr *versionRecord) eachBlob(fn func(rel.ID)) {
+	for i := range vr.states {
+		se := &vr.states[i]
+		for _, te := range se.tables {
+			for _, h := range te.chunks {
+				fn(h)
+			}
+		}
+		for _, spine := range [][]blobRef{se.view.prov, se.view.exec, se.view.pins} {
+			for _, ref := range spine {
+				if ref.present {
+					fn(ref.hash)
+				}
+			}
+		}
+	}
 }
 
 // stateFor returns the state entry for an owned index, which the

@@ -2,6 +2,7 @@ package provstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -44,12 +45,16 @@ type fsckState struct {
 	w       io.Writer
 	verbose bool
 
-	blobSeen map[rel.ID]string // hash -> segment holding it
-	blobUsed map[rel.ID]bool
-	nOwned   int
-	lastVer  uint64   // newest version seen so far (0 before the first)
-	lastSV   []uint64 // stateVers of the newest record
-	lastIV   []uint64
+	// shard is the manifest's shard (nil without a manifest) and ident
+	// the identity every segment must carry: the first segment's node
+	// set under that shard.
+	shard *ShardInfo
+	ident *header
+	blobs map[rel.ID]bool // stored blob -> referenced by a version record
+	// lastVer is the newest version seen so far (0 before the first),
+	// lastSV/lastIV the stateVers/infoVers of its record.
+	lastVer        uint64
+	lastSV, lastIV []uint64
 }
 
 func (fs *fsckState) logf(format string, args ...any) {
@@ -58,65 +63,43 @@ func (fs *fsckState) logf(format string, args ...any) {
 	}
 }
 
-// Fsck verifies the provstore at dir without opening it for writing:
-// manifest shape, per-segment CRC and index integrity, the dense
-// version chain with its resolution-vector invariants, blob
-// resolvability, and the active segment's recoverable tail. Progress
-// and per-segment detail go to w when verbose. The returned error
-// covers I/O failures only; integrity violations land in
-// Report.Problems.
+// Fsck verifies the provstore at dir without opening it for writing.
+// It reads every segment with the code recovery reads the tail with,
+// so a store it passes is one Open opens; beyond what Open checks, it
+// rebuilds each seal record's index from the records and compares the
+// bytes, checks each sealed segment against its manifest row, and
+// follows the dense version chain with its resolution-vector
+// invariants and the blobs each version references. Progress and
+// per-segment detail go to w when verbose. Every violation, an
+// unreadable segment file included, lands in Report.Problems; the
+// error result is reserved for failures of the check itself.
 func Fsck(dir string, w io.Writer, verbose bool) (*Report, error) {
 	rep := &Report{}
-	fs := &fsckState{
-		rep: rep, w: w, verbose: verbose,
-		blobSeen: map[rel.ID]string{},
-		blobUsed: map[rel.ID]bool{},
-	}
+	fs := &fsckState{rep: rep, w: w, verbose: verbose, blobs: map[rel.ID]bool{}}
 	shardIdx, shardN, entries, err := readManifest(dir)
 	if err != nil {
 		rep.problemf("manifest: %v", err)
 		return rep, nil
 	}
 	fs.logf("manifest: shard %d/%d, %d sealed segments", shardIdx, shardN, len(entries))
-
-	maxSeq := uint64(0)
-	for _, e := range entries {
-		maxSeq = e.seq
-		seg, err := openSealedSegment(dir, e)
-		if err != nil {
-			rep.problemf("%s: %v", e.name, err)
-			continue
-		}
-		rep.SealedSegments++
-		fs.checkSealed(seg, e)
-		seg.close()
+	if len(entries) > 0 || shardN != 0 || shardIdx != 0 {
+		fs.shard = &ShardInfo{Index: shardIdx, Total: shardN}
 	}
-
-	// Unknown files are crash debris recovery would delete; report them.
-	names, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	for i := range entries {
+		fs.checkSegment(dir, entries[i].name, entries[i].seq, &entries[i])
+	}
+	seq, tail, strays, err := segmentFiles(dir, entries)
 	if err != nil {
-		return nil, err
+		rep.problemf("%v", err)
 	}
-	known := map[string]bool{}
-	for _, e := range entries {
-		known[e.name] = true
+	for _, path := range strays {
+		fs.logf("%s: not in manifest and not the tail (crash debris)", filepath.Base(path))
 	}
-	tailName := segmentName(maxSeq + 1)
-	for _, path := range names {
-		base := filepath.Base(path)
-		if known[base] {
-			continue
-		}
-		if base != tailName {
-			fs.logf("%s: not in manifest and not the tail (crash debris)", base)
-			continue
-		}
-		fs.checkActive(path, maxSeq+1)
+	if tail != "" {
+		fs.checkSegment(dir, filepath.Base(tail), seq, nil)
 	}
-
-	// Blobs nothing references are orphans.
-	for h := range fs.blobSeen {
-		if !fs.blobUsed[h] {
+	for _, used := range fs.blobs {
+		if !used {
 			rep.OrphanBlobs++
 		}
 	}
@@ -124,239 +107,104 @@ func Fsck(dir string, w io.Writer, verbose bool) (*Report, error) {
 	return rep, nil
 }
 
-// checkSealed fully scans one sealed segment: every record CRC, both
-// directions of each trie, and the version chain.
-func (fs *fsckState) checkSealed(seg *sealedSegment, e manifestEntry) {
+// checkSegment reads segment seq as recovery does: head, identity, and
+// every record. e is its manifest row, nil for the tail. Of a sealed
+// segment it checks that the scan ends in the seal record the row
+// names and finds the row's version range; of the tail it measures the
+// bytes recovery would truncate. A seal record's index must be the
+// bytes that rebuilding it from the scanned records gives.
+func (fs *fsckState) checkSegment(dir, name string, seq uint64, e *manifestEntry) {
 	rep := fs.rep
-	fs.nOwned = len(seg.hdr.owned)
-	fs.logf("%s: versions %d-%d, %d bytes", seg.name, e.first, e.last, e.size)
-
-	blobOffs := map[rel.ID]int64{}
-	verOffs := map[uint64]int64{}
-	firstSeen := map[string]uint64{}
-	off := int64(len(segmentMagic))
-	_, _, next, err := readRecord(seg.data, off)
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
-		rep.problemf("%s: header unreadable", seg.name)
+		rep.problemf("%s: %v", name, err)
 		return
 	}
-	off = next
-	for off < seg.indexOff {
-		typ, payload, next, err := readRecord(seg.data, off)
-		if err != nil {
-			rep.problemf("%s: corrupt record at offset %d", seg.name, off)
-			return
-		}
-		rep.Records++
-		switch typ {
-		case recBlob:
-			rep.Blobs++
-			h := rel.HashBytes(payload)
-			blobOffs[h] = off
-			fs.blobSeen[h] = seg.name
-		case recVersion:
-			vr, err := unmarshalVersionRecord(payload, fs.nOwned)
-			if err != nil {
-				rep.problemf("%s: version record at %d: %v", seg.name, off, err)
-				return
+	if e != nil {
+		rep.SealedSegments++
+		fs.logf("%s: versions %d-%d, %d bytes", name, e.first, e.last, e.size)
+	} else {
+		rep.ActiveSegments++
+	}
+	hdr, off, err := readHead(data, name, seq)
+	if e == nil && errors.Is(err, errTorn) {
+		rep.TornTailBytes = int64(len(data))
+		fs.logf("%s: torn before the header record (%d bytes)", name, len(data))
+		return
+	}
+	if err == nil {
+		if fs.ident == nil {
+			id := *hdr
+			if fs.shard != nil {
+				id.shardIdx, id.shardN = fs.shard.Index, fs.shard.Total
 			}
-			verOffs[vr.version] = off
-			fs.checkVersion(seg.name, vr)
-			fs.noteFirstSeen(vr, seg.hdr.owned, firstSeen)
-		default:
-			rep.problemf("%s: unexpected record type %q at %d", seg.name, typ, off)
-			return
+			fs.ident = &id
 		}
-		off = next
+		err = hdr.mismatch(fs.ident, name)
 	}
-	if off != seg.indexOff {
-		rep.problemf("%s: record scan ended at %d, index record at %d", seg.name, off, seg.indexOff)
-	}
-
-	// Trie ↔ scan agreement, both directions.
-	fs.checkTrie(seg.name, "blob", seg.blobs, len(blobOffs), func(key []byte, val uint64) error {
-		var h rel.ID
-		if len(key) != len(h) {
-			return fmt.Errorf("key length %d", len(key))
-		}
-		copy(h[:], key)
-		want, ok := blobOffs[h]
-		if !ok || want != int64(val) {
-			return fmt.Errorf("blob %x not at scanned offset", key)
-		}
-		return nil
-	})
-	fs.checkTrie(seg.name, "version", seg.versions, len(verOffs), func(key []byte, val uint64) error {
-		if len(key) != 8 {
-			return fmt.Errorf("key length %d", len(key))
-		}
-		want, ok := verOffs[versionOfKey(key)]
-		if !ok || want != int64(val) {
-			return fmt.Errorf("version %d not at scanned offset", versionOfKey(key))
-		}
-		return nil
-	})
-	fs.checkTrie(seg.name, "first-seen", seg.firstSeen, len(firstSeen), func(key []byte, val uint64) error {
-		want, ok := firstSeen[string(key)]
-		if !ok || want != val {
-			return fmt.Errorf("first-seen entry disagrees with scan")
-		}
-		return nil
-	})
-	if e.first != 0 {
-		if _, ok := verOffs[e.first]; !ok {
-			rep.problemf("%s: manifest first version %d not in segment", seg.name, e.first)
-		}
-		if _, ok := verOffs[e.last]; !ok {
-			rep.problemf("%s: manifest last version %d not in segment", seg.name, e.last)
-		}
-	}
-}
-
-// checkTrie walks a segment trie and validates every entry against the
-// scan, plus the entry count (the walk side proves every scanned key
-// is present because the counts match and walk keys all verified).
-func (fs *fsckState) checkTrie(segName, trieName string, tr *Trie, wantLen int, check func(key []byte, val uint64) error) {
-	if tr.Len() != wantLen {
-		fs.rep.problemf("%s: %s trie has %d entries, scan found %d", segName, trieName, tr.Len(), wantLen)
-	}
-	err := tr.Walk(func(key []byte, val uint64) error {
-		if _, ok := tr.Get(key); !ok {
-			return fmt.Errorf("walked key fails point lookup")
-		}
-		return check(key, val)
-	})
 	if err != nil {
-		fs.rep.problemf("%s: %s trie: %v", segName, trieName, err)
+		rep.problemf("%v", err)
+		return
+	}
+	x := newSegIndex()
+	end, sealOff, err := scanRecords(name, data, off, hdr.owned, &x, func(vr *versionRecord) {
+		fs.checkVersion(name, vr, &x)
+	})
+	rep.Records += len(x.blobOff) + len(x.verOff)
+	rep.Blobs += len(x.blobOff)
+	for h := range x.blobOff {
+		if _, ok := fs.blobs[h]; !ok {
+			fs.blobs[h] = false
+		}
+	}
+	if err != nil {
+		rep.problemf("%v", err)
+		return
+	}
+	if e == nil {
+		if rep.TornTailBytes = int64(len(data)) - end; rep.TornTailBytes > 0 {
+			fs.logf("%s: torn tail of %d bytes at offset %d", name, rep.TornTailBytes, end)
+		}
+	} else if int64(len(data)) != e.size || end != e.size || sealOff != e.indexOff || x.first != e.first || x.last != e.last {
+		rep.problemf("%s: %d bytes, scan ends at %d after versions %d-%d with the seal record at %d; manifest says %d bytes, versions %d-%d, index at %d",
+			name, len(data), end, x.first, x.last, sealOff, e.size, e.first, e.last, e.indexOff)
+	}
+	if sealOff >= 0 {
+		_, stored, _, _ := readRecord(data, sealOff)
+		if want, err := x.build(); err != nil || !bytes.Equal(stored, want) {
+			rep.problemf("%s: index record differs from the index of the records it seals", name)
+		}
 	}
 }
 
-// checkVersion validates one version record against the running chain:
-// dense sequence, nondecreasing resolution vectors, minState, and
-// every referenced blob already stored.
-func (fs *fsckState) checkVersion(segName string, vr *versionRecord) {
+// checkVersion validates one version record of segment name against
+// the running chain: dense sequence, nondecreasing resolution vectors,
+// and every referenced blob stored in an earlier segment or earlier in
+// this one (x).
+func (fs *fsckState) checkVersion(name string, vr *versionRecord, x *segIndex) {
 	rep := fs.rep
 	if fs.lastVer == 0 {
 		rep.FirstVersion = vr.version
 	} else if vr.version != fs.lastVer+1 {
-		rep.problemf("%s: version %d follows %d (chain not dense)", segName, vr.version, fs.lastVer)
+		rep.problemf("%s: version %d follows %d (chain not dense)", name, vr.version, fs.lastVer)
 	}
 	for i := range vr.stateVers {
 		if fs.lastSV != nil && vr.stateVers[i] < fs.lastSV[i] {
 			rep.problemf("%s: version %d: node %d state resolution went backwards (%d after %d)",
-				segName, vr.version, i, vr.stateVers[i], fs.lastSV[i])
+				name, vr.version, i, vr.stateVers[i], fs.lastSV[i])
 		}
 		if fs.lastIV != nil && vr.infoVers[i] < fs.lastIV[i] {
-			rep.problemf("%s: version %d: node %d info resolution went backwards", segName, vr.version, i)
+			rep.problemf("%s: version %d: node %d info resolution went backwards", name, vr.version, i)
 		}
 	}
 	fs.lastVer = vr.version
 	fs.lastSV = append(fs.lastSV[:0], vr.stateVers...)
 	fs.lastIV = append(fs.lastIV[:0], vr.infoVers...)
-
-	useBlob := func(h rel.ID, what string) {
-		if _, ok := fs.blobSeen[h]; !ok {
-			rep.problemf("%s: version %d references missing %s blob %x", segName, vr.version, what, h[:4])
+	vr.eachBlob(func(h rel.ID) {
+		_, here := x.blobOff[h]
+		if _, stored := fs.blobs[h]; !here && !stored {
+			rep.problemf("%s: version %d references missing blob %x", name, vr.version, h[:4])
 		}
-		fs.blobUsed[h] = true
-	}
-	for _, se := range vr.states {
-		for _, te := range se.tables {
-			for _, h := range te.chunks {
-				useBlob(h, "chunk")
-			}
-		}
-		for _, spine := range [][]blobRef{se.view.prov, se.view.exec, se.view.pins} {
-			for _, br := range spine {
-				if br.present {
-					useBlob(br.hash, "view")
-				}
-			}
-		}
-	}
-}
-
-func (fs *fsckState) noteFirstSeen(vr *versionRecord, owned []string, firstSeen map[string]uint64) {
-	for i := range vr.states {
-		se := &vr.states[i]
-		for _, vid := range se.firstSeen {
-			key := firstSeenKey(owned[se.ownedIdx], vid)
-			if old, ok := firstSeen[key]; !ok || vr.version < old {
-				firstSeen[key] = vr.version
-			}
-		}
-	}
-}
-
-// checkActive scans the unsealed tail: committed records must CRC, the
-// version chain must continue, and anything after the last valid
-// record is the torn tail recovery would truncate.
-func (fs *fsckState) checkActive(path string, seq uint64) {
-	rep := fs.rep
-	name := filepath.Base(path)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		rep.problemf("%s: %v", name, err)
-		return
-	}
-	rep.ActiveSegments++
-	if len(data) < len(segmentMagic) {
-		rep.TornTailBytes = int64(len(data))
-		fs.logf("%s: torn before the header record (%d bytes)", name, len(data))
-		return
-	}
-	if !bytes.Equal(data[:len(segmentMagic)], []byte(segmentMagic)) {
-		rep.problemf("%s: bad magic", name)
-		return
-	}
-	off := int64(len(segmentMagic))
-	typ, payload, next, err := readRecord(data, off)
-	if err != nil {
-		rep.TornTailBytes = int64(len(data))
-		fs.logf("%s: torn inside the header record", name)
-		return
-	}
-	if typ != recHeader {
-		rep.problemf("%s: first record is %q, not a header", name, typ)
-		return
-	}
-	hdr, err := unmarshalHeader(payload)
-	if err != nil {
-		rep.problemf("%s: header: %v", name, err)
-		return
-	}
-	if hdr.seq != seq {
-		rep.problemf("%s: header seq %d, expected %d", name, hdr.seq, seq)
-		return
-	}
-	fs.nOwned = len(hdr.owned)
-	off = next
-	for off < int64(len(data)) {
-		typ, payload, next, err := readRecord(data, off)
-		if err != nil {
-			rep.TornTailBytes = int64(len(data)) - off
-			fs.logf("%s: torn tail of %d bytes at offset %d", name, rep.TornTailBytes, off)
-			return
-		}
-		rep.Records++
-		switch typ {
-		case recBlob:
-			rep.Blobs++
-			h := rel.HashBytes(payload)
-			fs.blobSeen[h] = name
-		case recVersion:
-			vr, err := unmarshalVersionRecord(payload, fs.nOwned)
-			if err != nil {
-				rep.problemf("%s: version record at %d: %v", name, off, err)
-				return
-			}
-			fs.checkVersion(name, vr)
-		case recIndex:
-			fs.logf("%s: ends in a seal record (adoptable as sealed)", name)
-		default:
-			rep.problemf("%s: unexpected record type %q at %d", name, typ, off)
-			return
-		}
-		off = next
-	}
+		fs.blobs[h] = true
+	})
 }

@@ -56,11 +56,13 @@ func realSegmentBytes(f *testing.F) [][]byte {
 	return out
 }
 
-// FuzzDecodeSegment feeds arbitrary bytes through the same scan loop
-// recovery uses: frame records one by one and decode each payload by
-// type, including the seal record's three tries. The invariant is
-// crash-freedom — corrupt input must surface as an error or a
-// truncated scan, never a panic or unbounded allocation.
+// FuzzDecodeSegment feeds arbitrary bytes through the reader recovery
+// and fsck use, readHead then scanRecords, and decodes what the scan
+// finds: every blob as a chunk run, every version record re-encoded,
+// and the seal record's three tries. The invariant is crash-freedom —
+// corrupt input must surface as an error or a truncated scan, never a
+// panic or unbounded allocation — plus, for each trie the seal record
+// holds, a walk that visits exactly Len keys.
 func FuzzDecodeSegment(f *testing.F) {
 	for _, seed := range realSegmentBytes(f) {
 		f.Add(seed)
@@ -71,49 +73,48 @@ func FuzzDecodeSegment(f *testing.F) {
 	f.Add([]byte("NTPSxxxx"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < len(segmentMagic) || string(data[:len(segmentMagic)]) != segmentMagic {
+		// The seeds are segments 1 and 2.
+		var hdr *header
+		var off int64
+		var err error
+		for seq := uint64(1); seq <= 2 && hdr == nil; seq++ {
+			hdr, off, err = readHead(data, "fuzz", seq)
+		}
+		if err != nil {
 			return
 		}
-		off := int64(len(segmentMagic))
-		for off < int64(len(data)) {
-			typ, payload, next, err := readRecord(data, off)
+		_ = hdr.marshal()
+		x := newSegIndex()
+		_, sealOff, err := scanRecords("fuzz", data, off, hdr.owned, &x, func(vr *versionRecord) {
+			_ = vr.appendTo(nil)
+		})
+		if err != nil {
+			return
+		}
+		_, _ = x.build()
+		for _, off := range x.blobOff {
+			_, payload, _, _ := readRecord(data, off)
+			_, _ = decodeChunkBlob(payload)
+		}
+		if sealOff < 0 {
+			return
+		}
+		_, payload, _, _ := readRecord(data, sealOff)
+		r := wire.NewReader(payload)
+		for i := 0; i < 3; i++ {
+			tr, err := UnmarshalTrie(&r)
 			if err != nil {
-				return // torn tail
+				break
 			}
-			switch typ {
-			case recHeader:
-				if hdr, err := unmarshalHeader(payload); err == nil {
-					_ = hdr.marshal()
-				}
-			case recBlob:
-				_ = rel.HashBytes(payload)
-				_, _ = decodeChunkBlob(payload)
-			case recVersion:
-				if vr, err := unmarshalVersionRecord(payload, 1); err == nil {
-					_ = vr.appendTo(nil)
-				}
-			case recIndex:
-				r := wire.NewReader(payload)
-				for i := 0; i < 3; i++ {
-					tr, err := UnmarshalTrie(&r)
-					if err != nil {
-						break
-					}
-					_, _ = tr.Get([]byte("probe"))
-					n := 0
-					_ = tr.Walk(func([]byte, uint64) error {
-						n++
-						return nil
-					})
-					if n != tr.Len() {
-						t.Fatalf("trie walk visited %d of %d keys", n, tr.Len())
-					}
-				}
-				return // a seal record ends a segment
-			default:
-				return
+			_, _ = tr.Get([]byte("probe"))
+			n := 0
+			_ = tr.Walk(func([]byte, uint64) error {
+				n++
+				return nil
+			})
+			if n != tr.Len() {
+				t.Fatalf("trie walk visited %d of %d keys", n, tr.Len())
 			}
-			off = next
 		}
 	})
 }

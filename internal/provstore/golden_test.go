@@ -20,12 +20,12 @@ func TestGoldenRecordEncoding(t *testing.T) {
 		rel.NewTuple("route", rel.Addr("n1"), rel.List(rel.Addr("n2"), rel.List()), rel.Str("")),
 	}
 	h := rel.HashBytes([]byte("blob"))
-	seg := &activeSegment{
+	seg := &segIndex{
 		blobOff:   map[rel.ID]int64{h: 4, rel.HashBytes([]byte("other")): 1000},
 		verOff:    map[uint64]int64{5: 70, 6: 300, 300: 70000},
 		firstSeen: map[string]uint64{firstSeenKey("n1", h): 5, firstSeenKey("n2", h): 6},
 	}
-	index, err := seg.buildIndex()
+	index, err := seg.build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,23 +177,13 @@ func openSealedSegment(dir string, e manifestEntry) (*sealedSegment, error) {
 	return s, nil
 }
 
-// parse validates the magic, header, and index record of a mapped
-// segment.
+// parse validates the head and index record of a mapped segment.
 func (s *sealedSegment) parse() error {
-	if len(s.data) < len(segmentMagic) || string(s.data[:len(segmentMagic)]) != string(segmentMagic) {
-		return fmt.Errorf("provstore: %s: bad magic", s.name)
-	}
-	typ, payload, _, err := readRecord(s.data, int64(len(segmentMagic)))
-	if err != nil || typ != recHeader {
-		return fmt.Errorf("provstore: %s: missing header record", s.name)
-	}
-	//lint:allow frozenwrite parse runs inside openSealed before the segment is shared
-	if s.hdr, err = unmarshalHeader(payload); err != nil {
+	hdr, _, err := readHead(s.data, s.name, s.seq)
+	if err != nil {
 		return err
 	}
-	if s.hdr.seq != s.seq {
-		return fmt.Errorf("provstore: %s: header seq %d, manifest seq %d", s.name, s.hdr.seq, s.seq)
-	}
+	s.hdr = hdr //lint:allow frozenwrite parse runs inside openSealed before the segment is shared
 	typ, payload, next, err := readRecord(s.data, s.indexOff)
 	if err != nil || typ != recIndex {
 		return fmt.Errorf("provstore: %s: missing index record at %d", s.name, s.indexOff)
@@ -220,13 +210,22 @@ func (s *sealedSegment) parse() error {
 	return nil
 }
 
-// recordAt decodes (and CRC-verifies) the record at off.
-func (s *sealedSegment) recordAt(off int64) (byte, []byte, error) {
+// recordAt reads the record an index lookup found at off.
+func (s *sealedSegment) recordAt(off int64, want byte) ([]byte, error) {
 	typ, payload, _, err := readRecord(s.data, off)
+	return typedRecord(s.name, off, want, typ, payload, err)
+}
+
+// typedRecord checks a record an index lookup found at off: it must be
+// whole and of type want.
+func typedRecord(name string, off int64, want, typ byte, payload []byte, err error) ([]byte, error) {
 	if err != nil {
-		return 0, nil, fmt.Errorf("provstore: %s: corrupt record at %d", s.name, off)
+		return nil, fmt.Errorf("provstore: %s: corrupt record at %d", name, off)
 	}
-	return typ, payload, nil
+	if typ != want {
+		return nil, fmt.Errorf("provstore: %s: index points at record type %q at %d, want %q", name, typ, off, want)
+	}
+	return payload, nil
 }
 
 // blob returns the payload of the content-addressed blob, if stored
@@ -236,14 +235,8 @@ func (s *sealedSegment) blob(h rel.ID) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	typ, payload, err := s.recordAt(int64(off))
-	if err != nil {
-		return nil, true, err
-	}
-	if typ != recBlob {
-		return nil, true, fmt.Errorf("provstore: %s: blob index points at record type %q", s.name, typ)
-	}
-	return payload, true, nil
+	payload, err := s.recordAt(int64(off), recBlob)
+	return payload, true, err
 }
 
 // version returns the decoded version record, if stored here.
@@ -252,12 +245,9 @@ func (s *sealedSegment) version(v uint64, nOwned int) (*versionRecord, bool, err
 	if !ok {
 		return nil, false, nil
 	}
-	typ, payload, err := s.recordAt(int64(off))
+	payload, err := s.recordAt(int64(off), recVersion)
 	if err != nil {
 		return nil, true, err
-	}
-	if typ != recVersion {
-		return nil, true, fmt.Errorf("provstore: %s: version index points at record type %q", s.name, typ)
 	}
 	vr, err := unmarshalVersionRecord(payload, nOwned)
 	if err != nil {
@@ -276,10 +266,180 @@ func (s *sealedSegment) close() error {
 	return nil
 }
 
-// activeSegment is the append tail: an open file plus in-memory maps
-// playing the role the tries play in sealed segments. The maps are
-// rebuilt by scanning on recovery, which is why they need no
-// durability of their own.
+// readHead checks a segment's magic, its header record and that the
+// header names segment seq, and returns the header and the offset of
+// the first record after it. A segment that ends before its header
+// record is whole fails with errTorn: recovery recreates such a tail,
+// because the header is fsynced before any other record is written.
+func readHead(data []byte, name string, seq uint64) (*header, int64, error) {
+	if len(data) < len(segmentMagic) {
+		return nil, 0, fmt.Errorf("provstore: %s: ends before its header: %w", name, errTorn)
+	}
+	if string(data[:len(segmentMagic)]) != segmentMagic {
+		return nil, 0, fmt.Errorf("provstore: %s: bad magic", name)
+	}
+	typ, payload, next, err := readRecord(data, int64(len(segmentMagic)))
+	if err != nil {
+		return nil, 0, fmt.Errorf("provstore: %s: ends before its header: %w", name, err)
+	}
+	if typ != recHeader {
+		return nil, 0, fmt.Errorf("provstore: %s: missing header record", name)
+	}
+	hdr, err := unmarshalHeader(payload)
+	if err != nil {
+		return nil, 0, fmt.Errorf("provstore: %s: %w", name, err)
+	}
+	if hdr.seq != seq {
+		return nil, 0, fmt.Errorf("provstore: %s: header seq %d, expected %d", name, hdr.seq, seq)
+	}
+	return hdr, next, nil
+}
+
+// scanRecords is the one record loop. It reads the records of segment
+// name from off, just past the header, into x, handing each version
+// record to onVersion once x holds it and every blob before it. It
+// stops at the end of data, at the first torn record, or after a seal
+// record, and returns the offset it stopped at and the seal record's
+// offset (-1 when there is none). A whole record that cannot belong —
+// an unknown type, an undecodable version, a version that does not
+// follow the one before it — is an error.
+func scanRecords(name string, data []byte, off int64, owned []string, x *segIndex, onVersion func(*versionRecord)) (end, sealOff int64, err error) {
+	for off < int64(len(data)) {
+		typ, payload, next, err := readRecord(data, off)
+		if err != nil {
+			break
+		}
+		switch typ {
+		case recBlob:
+			x.blobOff[rel.HashBytes(payload)] = off
+		case recVersion:
+			vr, err := unmarshalVersionRecord(payload, len(owned))
+			if err != nil {
+				return off, -1, fmt.Errorf("provstore: %s: version record at %d: %w", name, off, err)
+			}
+			if x.last != 0 && vr.version != x.last+1 {
+				return off, -1, fmt.Errorf("provstore: %s: version %d follows %d", name, vr.version, x.last)
+			}
+			x.noteVersion(vr, off, owned)
+			onVersion(vr)
+		case recIndex:
+			return next, off, nil
+		default:
+			return off, -1, fmt.Errorf("provstore: %s: unknown record type %q at %d", name, typ, off)
+		}
+		off = next
+	}
+	return off, -1, nil
+}
+
+// segmentFiles sorts the segment files in dir that the manifest rows
+// do not list. tail is the path of segment tailSeq, the one after the
+// newest listed segment ("" when absent); strays are the others,
+// leftovers of an interrupted retention delete that recovery removes.
+// A segment numbered past the tail is an error: nothing says what it
+// holds.
+func segmentFiles(dir string, entries []manifestEntry) (tailSeq uint64, tail string, strays []string, err error) {
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil {
+		return 0, "", nil, err
+	}
+	tailSeq = 1
+	known := map[string]bool{}
+	for _, e := range entries {
+		known[e.name] = true
+		tailSeq = e.seq + 1
+	}
+	tailName := segmentName(tailSeq)
+	for _, path := range names {
+		base := filepath.Base(path)
+		if known[base] {
+			continue
+		}
+		if base == tailName {
+			tail = path
+			continue
+		}
+		var seq uint64
+		if _, err := fmt.Sscanf(base, "seg-%d.seg", &seq); err == nil && seq > tailSeq {
+			return 0, "", nil, fmt.Errorf("provstore: %s: segment %s beyond the recoverable tail %s", dir, base, tailName)
+		}
+		strays = append(strays, path)
+	}
+	return tailSeq, tail, strays, nil
+}
+
+// segIndex is a segment's index in memory: the offset of each blob and
+// version record, the first version in the segment at which each
+// firstSeenKey was seen, and the segment's version range. The active
+// segment keeps one as it appends, a scan rebuilds one, and build
+// renders one as the seal record's three tries.
+type segIndex struct {
+	blobOff     map[rel.ID]int64
+	verOff      map[uint64]int64
+	firstSeen   map[string]uint64
+	first, last uint64
+}
+
+func newSegIndex() segIndex {
+	return segIndex{blobOff: map[rel.ID]int64{}, verOff: map[uint64]int64{}, firstSeen: map[string]uint64{}}
+}
+
+// noteVersion indexes the version record at off.
+func (x *segIndex) noteVersion(vr *versionRecord, off int64, owned []string) {
+	x.verOff[vr.version] = off
+	if x.first == 0 {
+		x.first = vr.version
+	}
+	x.last = vr.version
+	for i := range vr.states {
+		se := &vr.states[i]
+		for _, vid := range se.firstSeen {
+			key := firstSeenKey(owned[se.ownedIdx], vid)
+			if old, ok := x.firstSeen[key]; !ok || vr.version < old {
+				x.firstSeen[key] = vr.version
+			}
+		}
+	}
+}
+
+// build renders the index as the seal record's payload.
+func (x *segIndex) build() ([]byte, error) {
+	blobTrie, err := buildIDTrie(x.blobOff)
+	if err != nil {
+		return nil, err
+	}
+	verKeys := make([][]byte, 0, len(x.verOff))
+	for v := range x.verOff {
+		verKeys = append(verKeys, versionKey(v))
+	}
+	sortKeys(verKeys)
+	verVals := make([]uint64, len(verKeys))
+	for i, k := range verKeys {
+		verVals[i] = uint64(x.verOff[versionOfKey(k)])
+	}
+	verTrie, err := BuildTrie(verKeys, verVals)
+	if err != nil {
+		return nil, err
+	}
+	fsKeys := make([][]byte, 0, len(x.firstSeen))
+	for k := range x.firstSeen {
+		fsKeys = append(fsKeys, []byte(k))
+	}
+	sortKeys(fsKeys)
+	fsVals := make([]uint64, len(fsKeys))
+	for i, k := range fsKeys {
+		fsVals[i] = x.firstSeen[string(k)]
+	}
+	fsTrie, err := BuildTrie(fsKeys, fsVals)
+	if err != nil {
+		return nil, err
+	}
+	return fsTrie.Marshal(verTrie.Marshal(blobTrie.Marshal(nil))), nil
+}
+
+// activeSegment is the append tail: an open file plus the in-memory
+// index that the tries hold for a sealed segment. Recovery rebuilds the
+// index by scanning, which is why it needs no durability of its own.
 type activeSegment struct {
 	f    *os.File
 	name string
@@ -288,17 +448,14 @@ type activeSegment struct {
 	// size is the committed length: every byte below it is a complete,
 	// CRC-valid record. Readers may ReadAt below size concurrently with
 	// appends at size.
-	size      int64
-	first     uint64
-	last      uint64
-	verCount  int
-	blobOff   map[rel.ID]int64
-	verOff    map[uint64]int64
-	firstSeen map[string]uint64 // firstSeenKey -> min version in this segment
+	size int64
+	segIndex
 }
 
-// createActiveSegment starts segment seq with its header record.
-func createActiveSegment(dir string, seq uint64, hdr *header) (*activeSegment, error) {
+// createActiveSegment starts segment seq with a header record carrying
+// ident's deployment identity.
+func createActiveSegment(dir string, seq uint64, ident *header) (*activeSegment, error) {
+	hdr := *ident
 	hdr.seq = seq
 	name := segmentName(seq)
 	f, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
@@ -318,12 +475,7 @@ func createActiveSegment(dir string, seq uint64, hdr *header) (*activeSegment, e
 		f.Close()
 		return nil, err
 	}
-	return &activeSegment{
-		f: f, name: name, seq: seq, hdr: hdr, size: int64(len(buf)),
-		blobOff:   map[rel.ID]int64{},
-		verOff:    map[uint64]int64{},
-		firstSeen: map[string]uint64{},
-	}, nil
+	return &activeSegment{f: f, name: name, seq: seq, hdr: &hdr, size: int64(len(buf)), segIndex: newSegIndex()}, nil
 }
 
 // write appends pre-framed record bytes at the committed tail. The
@@ -337,75 +489,17 @@ func (a *activeSegment) write(b []byte) error {
 	return nil
 }
 
-// recordAt reads one committed record from the active file.
-func (a *activeSegment) recordAt(off int64) (byte, []byte, error) {
+// recordAt reads the committed record an index lookup found at off.
+func (a *activeSegment) recordAt(off int64, want byte) ([]byte, error) {
 	if off < 0 || off >= a.size {
-		return 0, nil, fmt.Errorf("provstore: %s: record offset %d out of range", a.name, off)
+		return nil, fmt.Errorf("provstore: %s: record offset %d out of range", a.name, off)
 	}
 	buf := make([]byte, a.size-off)
 	if _, err := a.f.ReadAt(buf, off); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	typ, payload, _, err := readRecord(buf, 0)
-	if err != nil {
-		return 0, nil, fmt.Errorf("provstore: %s: corrupt record at %d", a.name, off)
-	}
-	return typ, payload, nil
-}
-
-// noteVersion indexes a just-written version record.
-func (a *activeSegment) noteVersion(vr *versionRecord, off int64, owned []string) {
-	a.verOff[vr.version] = off
-	if a.first == 0 {
-		a.first = vr.version
-	}
-	a.last = vr.version
-	a.verCount++
-	for i := range vr.states {
-		se := &vr.states[i]
-		addr := owned[se.ownedIdx]
-		for _, vid := range se.firstSeen {
-			key := firstSeenKey(addr, vid)
-			if old, ok := a.firstSeen[key]; !ok || vr.version < old {
-				a.firstSeen[key] = vr.version
-			}
-		}
-	}
-}
-
-// buildIndex renders the segment's three tries for sealing.
-func (a *activeSegment) buildIndex() ([]byte, error) {
-	blobTrie, err := buildIDTrie(a.blobOff)
-	if err != nil {
-		return nil, err
-	}
-	verKeys := make([][]byte, 0, len(a.verOff))
-	for v := range a.verOff {
-		verKeys = append(verKeys, versionKey(v))
-	}
-	sortKeys(verKeys)
-	verVals := make([]uint64, len(verKeys))
-	for i, k := range verKeys {
-		verVals[i] = uint64(a.verOff[versionOfKey(k)])
-	}
-	verTrie, err := BuildTrie(verKeys, verVals)
-	if err != nil {
-		return nil, err
-	}
-	fsKeys := make([][]byte, 0, len(a.firstSeen))
-	for k := range a.firstSeen {
-		fsKeys = append(fsKeys, []byte(k))
-	}
-	sortKeys(fsKeys)
-	fsVals := make([]uint64, len(fsKeys))
-	for i, k := range fsKeys {
-		fsVals[i] = a.firstSeen[string(k)]
-	}
-	fsTrie, err := BuildTrie(fsKeys, fsVals)
-	if err != nil {
-		return nil, err
-	}
-	return fsTrie.Marshal(verTrie.Marshal(blobTrie.Marshal(nil))), nil
+	return typedRecord(a.name, off, want, typ, payload, err)
 }
 
 func buildIDTrie(m map[rel.ID]int64) (*Trie, error) {

@@ -198,6 +198,9 @@ func extend[T any](s []T) ([]T, *T) {
 type Store struct {
 	dir  string
 	opts Options
+	// ident is the deployment identity (a header without a sequence
+	// number) every segment of the store carries.
+	ident *header
 
 	mu       sync.RWMutex
 	sealed   []*sealedSegment
@@ -254,7 +257,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.last = make([]nodeLast, len(opts.Owned))
 	s.scratch.staged = map[rel.ID]int64{}
 	s.scratch.refSeqs = map[uint64]bool{}
-	hdr := &header{
+	s.ident = &header{
 		format:   formatVersion,
 		shardIdx: opts.Shard.Index,
 		shardN:   opts.Shard.Total,
@@ -270,18 +273,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if err := s.checkIdentity(seg.hdr, seg.name); err != nil {
+		if err := seg.hdr.mismatch(s.ident, seg.name); err != nil {
 			seg.close()
 			return fail(err)
 		}
 		s.sealed = append(s.sealed, seg)
 		s.lastRefs[seg.seq] = e.lastRef
 	}
-	var maxSeq uint64
-	if n := len(entries); n > 0 {
-		maxSeq = entries[n-1].seq
-	}
-	if err := s.recoverActive(hdr, maxSeq); err != nil {
+	if err := s.recoverActive(entries); err != nil {
 		return fail(err)
 	}
 	// Resolution vectors: the newest version record holds them.
@@ -303,225 +302,102 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// checkIdentity rejects segments written by a different deployment.
-func (s *Store) checkIdentity(h *header, name string) error {
-	if h.shardIdx != s.opts.Shard.Index || h.shardN != s.opts.Shard.Total {
-		return fmt.Errorf("provstore: %s written by shard %d/%d, store opened as %d/%d",
-			name, h.shardIdx, h.shardN, s.opts.Shard.Index, s.opts.Shard.Total)
-	}
-	if !slices.Equal(h.allNodes, s.opts.AllNodes) || !slices.Equal(h.owned, s.opts.Owned) {
-		return fmt.Errorf("provstore: %s written for a different node set", name)
-	}
-	return nil
-}
-
-// recoverActive discovers and recovers the unsealed tail segment
-// (sequence maxSeq+1), creating a fresh one when none exists. A tail
-// that already ends in a seal record (the crash hit between fsync and
-// manifest update) is adopted as sealed. Segment files the manifest
-// does not know and the tail sequence does not claim are leftovers of
-// an interrupted retention delete and are removed.
-func (s *Store) recoverActive(hdr *header, maxSeq uint64) error {
-	names, err := filepath.Glob(filepath.Join(s.dir, "seg-*.seg"))
+// recoverActive recovers the tail segment, the one after the newest
+// sealed segment, or creates it when there is none. Segment files the
+// manifest does not list and the tail sequence does not claim are
+// leftovers of an interrupted retention delete and are removed.
+func (s *Store) recoverActive(entries []manifestEntry) error {
+	seq, tail, strays, err := segmentFiles(s.dir, entries)
 	if err != nil {
 		return err
 	}
-	known := map[string]bool{}
-	for _, seg := range s.sealed {
-		known[seg.name] = true
-	}
-	tailName := segmentName(maxSeq + 1)
-	tailPath := ""
-	for _, path := range names {
-		base := filepath.Base(path)
-		if known[base] {
-			continue
-		}
-		if base == tailName {
-			tailPath = path
-			continue
-		}
-		var seq uint64
-		if _, err := fmt.Sscanf(base, "seg-%d.seg", &seq); err == nil && seq > maxSeq+1 {
-			return fmt.Errorf("provstore: %s: segment %s beyond the recoverable tail %s", s.dir, base, tailName)
-		}
+	for _, path := range strays {
 		if err := os.Remove(path); err != nil {
 			return err
 		}
 	}
-	if tailPath == "" {
-		hc := *hdr
-		s.active, err = createActiveSegment(s.dir, maxSeq+1, &hc)
-		return err
-	}
-	adopted, torn, err := s.scanTail(tailPath, maxSeq+1)
-	if err != nil {
-		return err
-	}
-	if torn {
-		// The crash landed before the tail's header record was durable.
-		// createActiveSegment fsyncs the header before any record is
-		// appended, so a torn header proves the segment never held data:
-		// recreate it from scratch under the same sequence number.
-		if err := os.Remove(tailPath); err != nil {
+	if tail != "" {
+		if seq, err = s.scanTail(tail, seq); err != nil || s.active != nil {
 			return err
 		}
-		hc := *hdr
-		s.active, err = createActiveSegment(s.dir, maxSeq+1, &hc)
-		return err
 	}
-	if adopted {
-		hc := *hdr
-		s.active, err = createActiveSegment(s.dir, maxSeq+2, &hc)
-		return err
-	}
-	return nil
+	s.active, err = createActiveSegment(s.dir, seq, s.ident)
+	return err
 }
 
-// scanTail replays the tail segment: every record is CRC-checked and
-// indexed, the first invalid byte truncates the file, and sealed-blob
-// references re-bump lastRefs (they were only in memory when the
-// process died). Returns adopted=true when the tail was adopted as
-// sealed, or torn=true when even the header record is incomplete (the
-// caller recreates the segment — a torn header proves no record was
-// ever durable, because the header is fsynced before the first append).
-func (s *Store) scanTail(path string, seq uint64) (adopted, torn bool, err error) {
+// scanTail recovers tail segment seq at path. It reopens the tail as
+// the active segment, truncated after its last whole record, or returns
+// the sequence number of the active segment to create instead: seq when
+// the tail ends before its header (which is removed, since it never
+// held data), or seq+1 when the tail ends in a seal record, because
+// the crash hit between the seal's fsync and the manifest write: the
+// tail is adopted as sealed, with anything after the seal truncated.
+// Tail versions re-bump the lastRef of each sealed segment whose blobs
+// they reference; the bumps were only in memory when the process died.
+func (s *Store) scanTail(path string, seq uint64) (uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return false, false, err
+		return 0, err
 	}
 	name := filepath.Base(path)
-	if len(data) < len(segmentMagic) {
-		return false, true, nil
+	hdr, off, err := readHead(data, name, seq)
+	if errors.Is(err, errTorn) {
+		return seq, os.Remove(path)
 	}
-	if string(data[:len(segmentMagic)]) != segmentMagic {
-		return false, false, fmt.Errorf("provstore: %s: bad magic", name)
+	if err == nil {
+		err = hdr.mismatch(s.ident, name)
 	}
-	off := int64(len(segmentMagic))
-	typ, payload, next, err := readRecord(data, off)
 	if err != nil {
-		return false, true, nil
+		return 0, err
 	}
-	if typ != recHeader {
-		return false, false, fmt.Errorf("provstore: %s: missing header record", name)
-	}
-	hdr, err := unmarshalHeader(payload)
+	a := &activeSegment{name: name, seq: seq, hdr: hdr, segIndex: newSegIndex()}
+	end, sealOff, err := scanRecords(name, data, off, hdr.owned, &a.segIndex, func(vr *versionRecord) {
+		vr.eachBlob(func(h rel.ID) {
+			if _, ok := a.blobOff[h]; ok {
+				return
+			}
+			if seq, ok := s.locate(h); ok && s.lastRefs[seq] < vr.version {
+				s.lastRefs[seq] = vr.version
+			}
+		})
+	})
 	if err != nil {
-		return false, false, err
+		return 0, err
 	}
-	if hdr.seq != seq {
-		return false, false, fmt.Errorf("provstore: %s: header seq %d, expected %d", name, hdr.seq, seq)
+	for h := range a.blobOff {
+		s.loc[h] = seq
 	}
-	if err := s.checkIdentity(hdr, name); err != nil {
-		return false, false, err
-	}
-	a := &activeSegment{
-		name: name, seq: seq, hdr: hdr, size: next,
-		blobOff:   map[rel.ID]int64{},
-		verOff:    map[uint64]int64{},
-		firstSeen: map[string]uint64{},
-	}
-	indexOff := int64(-1)
-	off = next
-	for off < int64(len(data)) {
-		typ, payload, next, err := readRecord(data, off)
-		if err != nil {
-			break // torn tail: truncate here
-		}
-		switch typ {
-		case recBlob:
-			h := rel.HashBytes(payload)
-			a.blobOff[h] = off
-			s.loc[h] = seq
-		case recVersion:
-			vr, err := unmarshalVersionRecord(payload, len(s.opts.Owned))
-			if err != nil {
-				return false, false, fmt.Errorf("provstore: %s: version record at %d: %w", name, off, err)
-			}
-			if a.last != 0 && vr.version != a.last+1 {
-				return false, false, fmt.Errorf("provstore: %s: version %d follows %d", name, vr.version, a.last)
-			}
-			a.noteVersion(vr, off, s.opts.Owned)
-			s.rebumpRefs(vr, a)
-		case recIndex:
-			indexOff = off
-		default:
-			return false, false, fmt.Errorf("provstore: %s: unknown record type %q at %d", name, typ, off)
-		}
-		a.size = next
-		off = next
-		if typ == recIndex {
-			break // a seal record ends a segment
-		}
-	}
-	if indexOff >= 0 && a.size == indexOff+recordLen(data, indexOff) {
-		// The tail was fully sealed but the manifest write never
-		// landed: adopt it, truncating anything after the seal record.
-		if err := os.Truncate(path, a.size); err != nil {
-			return false, false, err
+	if sealOff >= 0 {
+		if err := os.Truncate(path, end); err != nil {
+			return 0, err
 		}
 		entry := manifestEntry{
 			name: name, seq: seq, first: a.first, last: a.last,
-			size: a.size, indexOff: indexOff, lastRef: a.last,
+			size: end, indexOff: sealOff, lastRef: a.last,
 		}
 		seg, err := openSealedSegment(s.dir, entry)
 		if err != nil {
-			return false, false, err
+			return 0, err
 		}
 		s.sealed = append(s.sealed, seg)
 		s.lastRefs[seq] = entry.lastRef
-		return true, false, s.writeManifestLocked()
+		return seq + 1, s.writeManifestLocked()
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
-		return false, false, err
+		return 0, err
 	}
-	if err := f.Truncate(a.size); err != nil {
+	if err := f.Truncate(end); err != nil {
 		f.Close()
-		return false, false, err
+		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return false, false, err
+		return 0, err
 	}
-	a.f = f
+	a.f, a.size = f, end
 	s.active = a
-	return false, false, nil
-}
-
-// recordLen returns the framed length of the record at off, which the
-// caller has already decoded successfully.
-func recordLen(data []byte, off int64) int64 {
-	_, _, next, err := readRecord(data, off)
-	if err != nil {
-		return 0
-	}
-	return next - off
-}
-
-// rebumpRefs re-applies the lastRef bumps a version record's blob
-// references imply, for recovery.
-func (s *Store) rebumpRefs(vr *versionRecord, a *activeSegment) {
-	bump := func(h rel.ID) {
-		if seq, ok := s.locate(h); ok && seq != a.seq && s.lastRefs[seq] < vr.version {
-			s.lastRefs[seq] = vr.version
-		}
-	}
-	for i := range vr.states {
-		se := &vr.states[i]
-		for _, te := range se.tables {
-			for _, h := range te.chunks {
-				bump(h)
-			}
-		}
-		for _, spine := range [][]blobRef{se.view.prov, se.view.exec, se.view.pins} {
-			for _, ref := range spine {
-				if ref.present {
-					bump(ref.hash)
-				}
-			}
-		}
-	}
+	return 0, nil
 }
 
 // newestVersionLocked returns the newest stored version, 0 when empty.
@@ -747,7 +623,7 @@ func (s *Store) Append(in VersionInput) error {
 			return err
 		}
 	}
-	if s.active.size >= s.opts.SegmentBytes || s.active.verCount >= s.opts.SealVersions {
+	if s.active.size >= s.opts.SegmentBytes || len(s.active.verOff) >= s.opts.SealVersions {
 		if err := s.sealLocked(); err != nil {
 			return fmt.Errorf("provstore: seal %s: %w", s.active.name, err)
 		}
@@ -804,10 +680,10 @@ func (s *Store) locate(h rel.ID) (uint64, bool) {
 // and a fresh active segment.
 func (s *Store) sealLocked() error {
 	a := s.active
-	if a.verCount == 0 {
+	if len(a.verOff) == 0 {
 		return nil
 	}
-	idx, err := a.buildIndex()
+	idx, err := a.build()
 	if err != nil {
 		return err
 	}
@@ -846,8 +722,7 @@ func (s *Store) sealLocked() error {
 			return err
 		}
 	}
-	hc := *a.hdr
-	s.active, err = createActiveSegment(s.dir, seg.seq+1, &hc)
+	s.active, err = createActiveSegment(s.dir, seg.seq+1, a.hdr)
 	return err
 }
 
@@ -921,12 +796,9 @@ func (s *Store) findVersionLocked(v uint64) (*versionRecord, error) {
 	}
 	if s.active != nil {
 		if off, ok := s.active.verOff[v]; ok {
-			typ, payload, err := s.active.recordAt(off)
+			payload, err := s.active.recordAt(off, recVersion)
 			if err != nil {
 				return nil, err
-			}
-			if typ != recVersion {
-				return nil, fmt.Errorf("provstore: %s: version index points at record type %q", s.active.name, typ)
 			}
 			return unmarshalVersionRecord(payload, len(s.opts.Owned))
 		}
@@ -952,14 +824,7 @@ func (s *Store) findVersionLocked(v uint64) (*versionRecord, error) {
 func (s *Store) blobLocked(h rel.ID) ([]byte, error) {
 	if s.active != nil {
 		if off, ok := s.active.blobOff[h]; ok {
-			typ, payload, err := s.active.recordAt(off)
-			if err != nil {
-				return nil, err
-			}
-			if typ != recBlob {
-				return nil, fmt.Errorf("provstore: %s: blob index points at record type %q", s.active.name, typ)
-			}
-			return payload, nil
+			return s.active.recordAt(off, recBlob)
 		}
 	}
 	seq, known := s.loc[h]

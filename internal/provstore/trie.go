@@ -152,9 +152,7 @@ func (t *Trie) findLabel(lo, hi int, b byte) (int, bool) {
 	return 0, false
 }
 
-// Walk visits every indexed key/value pair in lexicographic key order —
-// the integrity side of the index, used by fsck to prove the trie and
-// the scanned segment agree in both directions.
+// Walk visits every indexed key/value pair in lexicographic key order.
 func (t *Trie) Walk(fn func(key []byte, value uint64) error) error {
 	if t == nil || len(t.values) == 0 {
 		return nil
