@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all vet staticcheck govulncheck fmt-check build test race fuzz bench-check bench-compare serve-smoke scenarios scenarios-slow engine-dist docs-check ci clean
+.PHONY: all vet staticcheck govulncheck fmt-check build test race fuzz bench-check bench-compare serve-smoke scenarios scenarios-slow docs-check ci clean
 
 all: fmt-check vet build test
 
@@ -58,8 +58,8 @@ race:
 
 # fuzz gives the hand-written parsers (the provenance query language,
 # NDlog, the RouteViews table/AS-graph readers, the one wire.Reader and
-# the tuple, cluster-frame and provenance-bucket decoders built on it,
-# the snapshot store's segment/record decoders, and the TCP frame) a short native-fuzzing
+# the tuple and provenance-bucket decoders built on it, and the
+# snapshot store's segment/record decoders) a short native-fuzzing
 # shake, seeded from the test corpora and the golden vectors; FuzzShardReply feeds the
 # gateway arbitrary shard replies to /v1/prov/read. Override FUZZTIME for longer local
 # hunts. One -fuzz invocation per target: go test rejects a -fuzz
@@ -71,11 +71,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseASGraph$$' -fuzztime $(FUZZTIME) ./internal/routeviews
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalTuple$$' -fuzztime $(FUZZTIME) ./internal/rel
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBucket$$' -fuzztime $(FUZZTIME) ./internal/provenance
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVersionRecord$$' -fuzztime $(FUZZTIME) ./internal/provstore
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/nettransport
 	$(GO) test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime $(FUZZTIME) ./internal/gateway
 
 # bench-check vets and tests the end-to-end benchmark (bench/, declared
@@ -124,14 +122,6 @@ scenarios:
 scenarios-slow:
 	$(GO) test -count=1 -tags slow -run 'TestPrefixHijackRouteViewsScale' ./internal/scenario/
 
-# engine-dist boots the distributed engine as real OS processes: the
-# same convergence script runs as one plain process and as 2- and
-# 3-member TCP clusters, every member's per-node snapshot digests must
-# match the single-process run byte for byte (cmd/nettrailsdist; its
-# one-sample timing report goes to stdout).
-engine-dist:
-	$(GO) run ./cmd/nettrailsdist
-
 # docs-check fails when README.md or docs/ drift from the code: broken
 # relative links, commands naming missing binaries/flags, or make
 # targets that no longer exist (tools/docscheck). Last, the artifact
@@ -141,7 +131,7 @@ docs-check:
 	@out=$$(grep -rnE 'BENCH_[a-z]+\.json' README.md docs Makefile .github); \
 	if [ -n "$$out" ]; then echo "legacy BENCH_*.json artifact named outside bench/:"; echo "$$out"; exit 1; fi
 
-ci: fmt-check vet staticcheck govulncheck build race bench-check fuzz serve-smoke scenarios engine-dist docs-check
+ci: fmt-check vet staticcheck govulncheck build race bench-check fuzz serve-smoke scenarios docs-check
 
 clean:
 	rm -rf bin

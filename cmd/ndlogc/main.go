@@ -1,7 +1,10 @@
 // ndlogc is the NDlog compiler front-end: it shows a program's
 // compilation pipeline — the source, the localization rewrite
 // (link-restricted splitting), and the ExSPAN provenance rewrite
-// (prov/ruleExec maintenance rules).
+// (prov/ruleExec maintenance rules). Rules whose deletions the
+// counting engine cannot maintain exactly (nettrails.DeletionSafety)
+// are reported on stderr as warnings; they change neither the output
+// nor the exit status.
 //
 // Usage:
 //
@@ -54,6 +57,14 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ndlogc: %v\n", err)
 		os.Exit(1)
+	}
+	warnings, err := nettrails.DeletionSafety(src)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ndlogc: %v\n", err)
+		os.Exit(1)
+	}
+	for _, w := range warnings {
+		fmt.Fprintf(os.Stderr, "ndlogc: warning: %s\n", w)
 	}
 	show := func(title, body string) {
 		fmt.Printf("=== %s ===\n%s\n", title, body)

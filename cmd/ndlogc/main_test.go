@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -59,6 +60,44 @@ mc1 cost(@S,D,C) :- link(@S,D,C).
 	}
 	if !strings.Contains(string(out), "mc1") {
 		t.Errorf("localized output missing rule:\n%s", out)
+	}
+}
+
+// TestDeletionSafetyWarnings: a program whose recursion the counting
+// engine cannot retract exactly (the two-rule transitive closure) draws
+// a warning on stderr and still compiles with exit 0; a demo protocol
+// draws none.
+func TestDeletionSafetyWarnings(t *testing.T) {
+	bin := buildBinary(t)
+	run := func(args ...string) (stdout, stderr string) {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &out, &errOut
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("ndlogc %v: %v\n%s", args, err, errOut.String())
+		}
+		return out.String(), errOut.String()
+	}
+	file := filepath.Join(t.TempDir(), "reach.ndlog")
+	src := `
+materialize(edge, infinity, infinity, keys(1,2,3)).
+materialize(reach, infinity, infinity, keys(1,2,3)).
+r1 reach(@N,X,Y) :- edge(@N,X,Y).
+r2 reach(@N,X,Z) :- edge(@N,X,Y), reach(@N,Y,Z).
+`
+	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr := run(file)
+	if !strings.Contains(stderr, "ndlogc: warning: ") || !strings.Contains(stderr, "r2") {
+		t.Errorf("reach: want a deletion-safety warning naming r2 on stderr, got %q", stderr)
+	}
+	if strings.Contains(stdout, "warning") || !strings.Contains(stdout, "=== source ===") {
+		t.Errorf("reach: stdout carries a warning or lost its stages:\n%s", stdout)
+	}
+	if _, stderr := run("-protocol", "mincost"); stderr != "" {
+		t.Errorf("mincost: want no warnings, got %q", stderr)
 	}
 }
 

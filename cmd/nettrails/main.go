@@ -9,19 +9,9 @@
 //	nettrails -protocol pathvector -topology ring -nodes 6 -tables n1
 //	nettrails -protocol mincost -topology grid -nodes 9 \
 //	          -query count -tuple "mincost(@'n1','n9',4)" -threshold 1
-//
-// With -transport tcp the same run becomes one member of a
-// multi-process engine cluster: every process executes the identical
-// script and they exchange epoch-stamped delta frames over real TCP
-// sockets, so N processes converge to byte-identical state. Start one
-// process per peer address, e.g. for a 3-member cluster:
-//
-//	nettrails -transport tcp -peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \
-//	          -self 0 -protocol pathvector -topology grid -nodes 16 -digests
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +19,6 @@ import (
 
 	nettrails "repro"
 	"repro/internal/buildinfo"
-	"repro/internal/nettransport"
 	"repro/internal/protocols"
 	"repro/internal/provquery"
 	"repro/internal/server"
@@ -56,10 +45,7 @@ func main() {
 	showTopo := flag.Bool("topo", false, "print the topology after convergence")
 	textQuery := flag.String("q", "", `textual query, e.g. "lineage of mincost(@'n1','n3',2) with cache"`)
 	dot := flag.Bool("dot", false, "emit lineage results as Graphviz DOT instead of a text tree")
-	transport := flag.String("transport", "mem", "mem (single process) or tcp (one member of a multi-process engine cluster)")
-	peers := flag.String("peers", "", "comma-separated host:port list of every cluster member, in rank order (tcp only)")
-	self := flag.Int("self", 0, "this process's rank in -peers (tcp only)")
-	digests := flag.Bool("digests", false, "print per-node snapshot digests after convergence (this member's shard when clustered)")
+	digests := flag.Bool("digests", false, "print per-node snapshot digests after convergence")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 	if *showVersion {
@@ -83,39 +69,9 @@ func main() {
 		fail("%v", err)
 	}
 
-	// Cluster membership must be in place before the first link event:
-	// every epoch advance after EnableCluster is a barrier with the
-	// peer processes.
-	var tr *nettransport.Transport
-	shard := server.ShardSpec{}
-	if *transport == "tcp" {
-		if *query != "" || *textQuery != "" {
-			fail("-query/-q cannot run under -transport tcp; use -digests to compare state")
-		}
-		addrs, err := nettransport.SplitPeers(*peers)
-		if err != nil {
-			fail("%v", err)
-		}
-		if *self < 0 || *self >= len(addrs) {
-			fail("-self %d out of range for %d peers", *self, len(addrs))
-		}
-		tr, err = nettransport.Dial(context.Background(), *self, addrs, nettransport.Options{})
-		if err != nil {
-			fail("%v", err)
-		}
-		defer tr.Close()
-		if err := sys.Engine.EnableCluster(tr); err != nil {
-			fail("%v", err)
-		}
-		shard = server.ShardSpec{Index: *self, Total: len(addrs)}
-	} else if *transport != "mem" {
-		fail("unknown transport %q", *transport)
-	}
-
 	var pub *server.Publisher
 	if *digests {
-		pub, err = server.NewPublisherWithOptions(sys.Engine,
-			server.PublisherOptions{Retain: 1, Shard: shard})
+		pub, err = server.NewPublisher(sys.Engine, 1)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -131,11 +87,6 @@ func main() {
 	fmt.Printf("converged: %d nodes, %d links, protocol %s\n", n, len(edges), *protocol)
 	msgs, bytes, _ := sys.Engine.Net.Totals()
 	fmt.Printf("execution traffic: %d messages, %d bytes\n", msgs, bytes)
-	if tr != nil {
-		st := sys.Engine.ClusterStats()
-		fmt.Printf("cluster-stats member=%d epochs=%d rounds=%d frames_out=%d frames_in=%d bytes_out=%d bytes_in=%d wall_ns=%d\n",
-			*self, st.Epochs, st.Rounds, st.FramesOut, st.FramesIn, st.BytesOut, st.BytesIn, wall.Nanoseconds())
-	}
 	if pub != nil {
 		// The run-stats line is deliberately tied to -digests: the
 		// default output must stay byte-identical across runs of the

@@ -36,7 +36,6 @@ import (
 
 	nettrails "repro"
 	"repro/internal/buildinfo"
-	"repro/internal/nettransport"
 	"repro/internal/protocols"
 	"repro/internal/provstore"
 	"repro/internal/server"
@@ -72,7 +71,7 @@ func parseShard(s string) (server.ShardSpec, error) {
 }
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port)")
+	serve := server.DeclareServeFlags()
 	protocol := flag.String("protocol", "mincost", "mincost, pathvector, dsr, distancevector")
 	topology := flag.String("topology", "line", "line, ring, star, grid, random")
 	nodes := flag.Int("nodes", 4, "number of nodes (grid uses the nearest square)")
@@ -80,14 +79,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	churn := flag.Duration("churn", 200*time.Millisecond, "wall-clock interval between link flaps keeping the simulation advancing (0 disables)")
 	retain := flag.Int("retain", server.DefaultRetain, "how many recent snapshot versions stay pinnable")
-	drain := flag.Duration("drain", 5*time.Second, "how long shutdown waits for in-flight HTTP queries to finish")
-	maxDepth := flag.Int("maxdepth", 0, "cap the proof depth of every served query (0 = uncapped)")
-	maxNodes := flag.Int("maxnodes", 0, "cap the proof vertices of every served query (0 = uncapped)")
-	timeout := flag.Duration("timeout", 30*time.Second, "server-default deadline for each query's traversal and cap on per-request ?timeout= (0 disables)")
 	shard := flag.String("shard", "", "serve only shard i of N (\"i/N\", 0-based): publish this slice of the provenance partitions and answer wrong_shard for the rest; federate with nettrailsgw")
-	transport := flag.String("transport", "mem", "mem (single process) or tcp (one member of a multi-process engine cluster; implies the shard from -self/-peers)")
-	peers := flag.String("peers", "", "comma-separated host:port list of every cluster member's engine port, in rank order (tcp only)")
-	self := flag.Int("self", 0, "this process's rank in -peers (tcp only)")
 	data := flag.String("data", "", "directory for the on-disk snapshot store: every published version persists there, pinned reads of ring-evicted versions fall back to it, and a restart resumes the version sequence (empty disables)")
 	storeRetain := flag.Int("store-retain", 0, "how many newest versions the snapshot store keeps on disk; older segments are deleted whole (0 keeps everything; needs -data)")
 	storeSync := flag.Int("store-sync", 1, "fsync the snapshot store every N appended versions (1 = every version durable before it is served; needs -data)")
@@ -118,48 +110,6 @@ func main() {
 		fail("%v", err)
 	}
 
-	// Cluster membership must be in place before the first link event:
-	// every epoch advance after EnableCluster is a barrier with the
-	// peer processes, so all members replay the same boot script in
-	// lockstep and each serves the shard its rank owns.
-	var tr *nettransport.Transport
-	if *transport == "tcp" {
-		if *shard != "" {
-			fail("-shard conflicts with -transport tcp: the cluster rank implies the shard")
-		}
-		addrs, err := nettransport.SplitPeers(*peers)
-		if err != nil {
-			fail("%v", err)
-		}
-		if *self < 0 || *self >= len(addrs) {
-			fail("-self %d out of range for %d peers", *self, len(addrs))
-		}
-		churnSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "churn" {
-				churnSet = true
-			}
-		})
-		if churnSet && *churn > 0 {
-			fail("-churn %s cannot run under -transport tcp: wall-clock link flaps tick independently per process and desynchronize the epoch barriers; use -churn 0", *churn)
-		}
-		if *churn > 0 {
-			fmt.Println("nettrailsd: -transport tcp disables churn (epoch barriers need identical scripts in every process)")
-			*churn = 0
-		}
-		tr, err = nettransport.Dial(context.Background(), *self, addrs, nettransport.Options{})
-		if err != nil {
-			fail("%v", err)
-		}
-		defer tr.Close()
-		if err := sys.Engine.EnableCluster(tr); err != nil {
-			fail("%v", err)
-		}
-		spec = server.ShardSpec{Index: *self, Total: len(addrs)}
-	} else if *transport != "mem" {
-		fail("unknown transport %q", *transport)
-	}
-
 	for _, e := range edges {
 		if err := sys.AddLink(e.A, e.B, e.Cost); err != nil {
 			fail("%v", err)
@@ -186,14 +136,9 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	srv := server.New(pub, server.Info{
-		Protocol: *protocol,
-		MaxDepth: *maxDepth,
-		MaxNodes: *maxNodes,
-		Timeout:  *timeout,
-	})
+	srv := server.New(pub, serve.Info(*protocol))
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", *serve.Listen)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -253,18 +198,10 @@ func main() {
 
 	// Graceful shutdown stops the churn loop at an epoch boundary before
 	// the HTTP drain.
-	err = server.ServeUntilSignal(context.Background(), "nettrailsd", ln, srv.Handler(), *drain, func() {
+	err = server.ServeUntilSignal(context.Background(), "nettrailsd", ln, srv.Handler(), *serve.Drain, func() {
 		close(stop)
 		<-churnDone
 		pub.Detach()
-		if tr != nil {
-			// The simulation thread is stopped, so no exchange is in
-			// flight: drain the cluster transport now so peers see an
-			// orderly goodbye rather than a dead connection.
-			if err := tr.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "nettrailsd: transport close: %v\n", err)
-			}
-		}
 		if store != nil {
 			// The simulation thread is stopped; make everything published
 			// durable before the HTTP drain (readers may still hit the

@@ -37,13 +37,9 @@ func fail(format string, args ...interface{}) {
 }
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port)")
+	serve := server.DeclareServeFlags()
 	peers := flag.String("peers", "", "comma-separated base URLs of every nettrailsd shard (required)")
-	maxDepth := flag.Int("maxdepth", 0, "cap the proof depth of every served query (0 = uncapped)")
-	maxNodes := flag.Int("maxnodes", 0, "cap the proof vertices of every served query (0 = uncapped)")
-	timeout := flag.Duration("timeout", 30*time.Second, "server-default deadline for each query's traversal and cap on per-request ?timeout= (0 disables)")
 	requireData := flag.Bool("require-data", false, "refuse to start unless every shard runs a durable snapshot store (-data), so deep-history queries and disk-backed pins work deployment-wide")
-	drain := flag.Duration("drain", 5*time.Second, "how long shutdown waits for in-flight HTTP queries to finish")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 	if *showVersion {
@@ -89,18 +85,13 @@ func main() {
 		}
 	}
 
-	g, err := gateway.New(ctx, urls, gateway.WithInfo(server.Info{
-		Protocol: protocol,
-		MaxDepth: *maxDepth,
-		MaxNodes: *maxNodes,
-		Timeout:  *timeout,
-	}))
+	g, err := gateway.New(ctx, urls, gateway.WithInfo(serve.Info(protocol)))
 	cancel()
 	if err != nil {
 		fail("%v", err)
 	}
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", *serve.Listen)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -109,7 +100,7 @@ func main() {
 
 	// Graceful shutdown drains in-flight federated queries; their
 	// downstream reads abort with them.
-	if err := server.ServeUntilSignal(context.Background(), "nettrailsgw", ln, g.Handler(), *drain, nil); err != nil {
+	if err := server.ServeUntilSignal(context.Background(), "nettrailsgw", ln, g.Handler(), *serve.Drain, nil); err != nil {
 		fail("%v", err)
 	}
 	fmt.Println("nettrailsgw: stopped")

@@ -145,14 +145,8 @@ func (d *Deployment) wireTaps(as string, sp *Speaker, px *proxy.Proxy, node *eng
 			// Implicit replacement (or explicit withdraw) of the
 			// previous advertisement to this neighbor.
 			px.RetractOutput(old)
-			// Runtime-table writes are owner-only in a distributed
-			// engine (Engine.Owns is always true otherwise): BGP
-			// control traffic replays in every process, but each
-			// node's NDlog tables evolve only where the node is owned.
-			if d.Eng.Owns(as) {
-				if err := node.RT.DeleteBase(old); err != nil {
-					panic(fmt.Sprintf("bgp: %s: %v", as, err))
-				}
+			if err := node.RT.DeleteBase(old); err != nil {
+				panic(fmt.Sprintf("bgp: %s: %v", as, err))
 			}
 			delete(d.lastSent[as], key)
 		}
@@ -162,10 +156,8 @@ func (d *Deployment) wireTaps(as string, sp *Speaker, px *proxy.Proxy, node *eng
 		out := outputTuple(as, u)
 		d.lastSent[as][key] = out
 		px.ObserveOutput(out)
-		if d.Eng.Owns(as) {
-			if err := node.RT.InsertBase(out); err != nil {
-				panic(fmt.Sprintf("bgp: %s: %v", as, err))
-			}
+		if err := node.RT.InsertBase(out); err != nil {
+			panic(fmt.Sprintf("bgp: %s: %v", as, err))
 		}
 	}
 	sp.OnReceive = func(u Update) {
@@ -177,16 +169,9 @@ func (d *Deployment) wireTaps(as string, sp *Speaker, px *proxy.Proxy, node *eng
 		node.Touch()
 		senderNode.Touch()
 		if old, ok := d.lastIn[as][key]; ok {
-			// Both provenance writes stay unconditional: they land in
-			// whichever store holds the partition (receiver's input
-			// row, *sender's* transmission row), and in a distributed
-			// engine this tap replays in every process, so each owner
-			// records its own side.
 			px.RetractTransmitted(old.in, u.From, old.senderOut, senderNode.Prov)
-			if d.Eng.Owns(as) {
-				if err := node.RT.DeleteBase(old.in); err != nil {
-					panic(fmt.Sprintf("bgp: %s: %v", as, err))
-				}
+			if err := node.RT.DeleteBase(old.in); err != nil {
+				panic(fmt.Sprintf("bgp: %s: %v", as, err))
 			}
 			delete(d.lastIn[as], key)
 		}
@@ -199,10 +184,8 @@ func (d *Deployment) wireTaps(as string, sp *Speaker, px *proxy.Proxy, node *eng
 		senderOut := rel.NewTuple("outputRoute", rel.Addr(u.From), rel.Addr(as), rel.Str(u.Prefix), pathList(u.ASPath))
 		px.ObserveInput(in, u.From, &senderOut, senderNode.Prov)
 		d.lastIn[as][key] = inRecord{in: in, senderOut: senderOut}
-		if d.Eng.Owns(as) {
-			if err := node.RT.InsertBase(in); err != nil {
-				panic(fmt.Sprintf("bgp: %s: %v", as, err))
-			}
+		if err := node.RT.InsertBase(in); err != nil {
+			panic(fmt.Sprintf("bgp: %s: %v", as, err))
 		}
 	}
 }

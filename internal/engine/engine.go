@@ -122,10 +122,6 @@ type Engine struct {
 	// consistent cut. Snapshot publishers hook here; see
 	// SetEpochObserver.
 	epochObserver func()
-	// cluster, when non-nil, runs this engine as one member of a
-	// distributed deployment: every round of the epoch loop adds the
-	// cross-process exchanges (cluster.go). Set once by EnableCluster.
-	cluster *cluster
 	// captured is the epoch scheduler's send buffer, reused across
 	// delta runs (scheduler.go).
 	captured []simnet.Message
@@ -187,9 +183,6 @@ func NewFromProgram(prog *ndlog.Program, nodeAddrs []string, opts Options) (*Eng
 }
 
 func (e *Engine) addNode(addr string) error {
-	if e.cluster != nil {
-		return fmt.Errorf("engine: cannot add node %s after EnableCluster froze ownership", addr)
-	}
 	if _, ok := e.nodes[addr]; ok {
 		return fmt.Errorf("engine: duplicate node %s", addr)
 	}
@@ -386,14 +379,14 @@ func (e *Engine) LoadProgramFacts() error {
 }
 
 // RunQuiescent drains all pending network events on the caller's
-// goroutine. With an epoch observer attached or a cluster enabled it
-// runs the epoch loop (scheduler.go), which stops at every virtual
-// instant; otherwise it runs the classic serial discrete-event loop.
+// goroutine. With an epoch observer attached it runs the epoch loop
+// (scheduler.go), which stops at every virtual instant; otherwise it
+// runs the classic serial discrete-event loop.
 // Both drains converge to the same state for the same seed; traffic
 // counters differ by the epoch loop's per-link coalescing only, which
 // is why the serial loop stays (docs/ARCHITECTURE.md).
 func (e *Engine) RunQuiescent() {
-	if e.epochObserver == nil && e.cluster == nil {
+	if e.epochObserver == nil {
 		e.Net.Run(0)
 		return
 	}
@@ -404,11 +397,10 @@ func (e *Engine) RunQuiescent() {
 }
 
 // SetEpochObserver installs fn to run on the scheduler thread after
-// every fully-delivered epoch, i.e. at each consistent virtual instant
-// (in a cluster, at each cut every member agreed on); Changes tells fn
-// what changed there. While an observer is set, RunQuiescent drains
-// through the epoch loop so the observer fires at true epoch
-// granularity; per-node state is identical either way, only per-link
+// every fully-delivered epoch, i.e. at each consistent virtual instant;
+// Changes tells fn what changed there. While an observer is set,
+// RunQuiescent drains through the epoch loop so the observer fires at
+// true epoch granularity; per-node state is identical either way, only per-link
 // message coalescing differs. fn must not re-enter the engine's event
 // loop (RunQuiescent from fn is a no-op by design) and must confine
 // itself to reading engine state. A nil fn detaches. Attach and detach
@@ -421,12 +413,6 @@ func (e *Engine) SetEpochObserver(fn func()) { e.epochObserver = fn }
 // (finite materialize lifetime) schedule an expiry; re-insertion
 // refreshes it.
 func (n *Node) InsertFact(t rel.Tuple) error {
-	// In distributed mode the insertion script is replayed by every
-	// process; only the node's owner applies it. The caller still runs
-	// the (barrier-synchronized) drain, keeping all processes in step.
-	if n.eng.cluster != nil && !n.eng.Owns(n.Addr) {
-		return nil
-	}
 	n.Touch()
 	t = t.Identified()
 	if err := n.mirrorKeyReplacement(t); err != nil {
@@ -495,10 +481,6 @@ func (n *Node) mirrorKeyReplacement(t rel.Tuple) error {
 // been inserted as a fact here; retracting derived-only tuples corrupts
 // the count/provenance correspondence.
 func (n *Node) DeleteFact(t rel.Tuple) error {
-	// Owner-only, mirroring InsertFact: see the comment there.
-	if n.eng.cluster != nil && !n.eng.Owns(n.Addr) {
-		return nil
-	}
 	n.Touch()
 	t = t.Identified()
 	sch, hasSchema := n.RT.Store.Catalog().Lookup(t.Rel)

@@ -1,19 +1,20 @@
 // Epoch scheduler: the drain RunQuiescent uses when something needs to
 // see the execution one virtual instant at a time — an epoch observer
-// (the snapshot publisher) or a cluster (cluster.go). The simulated
-// network synchronizes protocol traffic into waves — after a topology
-// change, every node's deltas land at the same virtual instants — so
-// the scheduler drains the event queue epoch by epoch
-// (simnet.NextEpoch) on the caller's goroutine and gives each epoch
-// three properties the plain Net.Run loop does not have:
+// (the snapshot publisher). The simulated network synchronizes protocol
+// traffic into waves — after a topology change, every node's deltas
+// land at the same virtual instants — so the scheduler drains the event
+// queue epoch by epoch (simnet.NextEpoch) on the caller's goroutine and
+// gives each epoch three properties the plain Net.Run loop does not
+// have:
 //
 //   - Consistent cuts: between two epochs every event of the instant
 //     is delivered, so the observer reads a global state that some
 //     serial execution actually passes through. At each cut the change
 //     scan reports which nodes changed (Changes).
-//   - A cluster-stable delivery order: canonicalize sorts an instant's
-//     events by a key every process of a cluster agrees on, so one
-//     process and three execute the same schedule.
+//   - A canonical delivery order: canonicalize sorts an instant's
+//     events by endpoints and kind rather than by raw schedule
+//     sequence. compat-v1's digest and TestFiringOrderPinned pin the
+//     derivations that order produces.
 //   - Per-link coalescing: the sends a run of delta deliveries emits
 //     are captured instead of enqueued, and consecutive ones bound for
 //     the same src→dst link leave as one DeltaBatch message, without
@@ -45,35 +46,22 @@ func (n *Node) netSend(m simnet.Message) {
 }
 
 // runEpochs drains the network epoch by epoch, the counterpart of
-// Net.Run(0) for an engine with an epoch observer or a cluster. Each
-// round scans for changes, agrees on the next instant (in a cluster,
-// after the frames and propose exchanges of cluster.go), observes the
-// cut the previous instant left, and executes the next one.
-// Quiescence — no pending instant anywhere — ends the drain.
+// Net.Run(0) for an engine with an epoch observer. Each round scans for
+// changes, peeks at the next instant, observes the cut the previous
+// instant left, and advances to and executes the next one. Quiescence —
+// no pending instant — ends the drain.
 func (e *Engine) runEpochs() {
 	e.draining = true
 	defer func() { e.draining = false }()
-	c := e.cluster
-	if c != nil && len(e.nodes) != c.nodeCount {
-		panic(&ClusterError{Op: "drain", Err: fmt.Errorf("node set changed after EnableCluster (%d -> %d)", c.nodeCount, len(e.nodes))})
-	}
 	for r := 0; ; r++ {
-		if c != nil {
-			c.exchangeFrames(e)
-		}
 		e.scan()
-		next, hasNext := e.Net.PeekTime()
-		at, ok, changed := next, hasNext, e.changed
-		if c != nil {
-			at, ok, changed = c.propose(next, hasNext, changed)
-		}
+		_, ok := e.Net.PeekTime()
 		// The previous instant — or, in round 0 of an empty drain, the
 		// caller's mutations right before RunQuiescent (a fact whose
 		// derivations stay local) — is a consistent cut here. Round 0
 		// with pending events observes nothing: the first cut follows
 		// the first instant.
 		if r > 0 || !ok {
-			e.changed = changed
 			if e.epochObserver != nil {
 				e.epochObserver()
 			}
@@ -82,17 +70,14 @@ func (e *Engine) runEpochs() {
 		if !ok {
 			return
 		}
-		e.Net.AdvanceTo(at)
-		if hasNext && next == at {
-			ep, _ := e.Net.NextEpoch()
-			e.executeEpoch(ep.Events)
-		}
+		ep, _ := e.Net.NextEpoch()
+		e.executeEpoch(ep.Events)
 	}
 }
 
 // versions reads the node's state and provenance versions. Both are
 // minted only for visible state, so comparing them decides "changed"
-// identically in every process and deployment shape.
+// identically in every deployment shape.
 func (n *Node) versions() (state, prov uint64) {
 	if n.Prov != nil {
 		prov = n.Prov.Version()
@@ -100,15 +85,12 @@ func (n *Node) versions() (state, prov uint64) {
 	return n.RT.Store.StateVersion(), prov
 }
 
-// scan is the change scan: every touched node this process owns whose
-// versions moved since the last scan joins dirty, and changed is set.
-// Repeated scans before a cut accumulate (a cluster scans every round).
+// scan is the change scan: every touched node whose versions moved
+// since the last scan joins dirty, and changed is set. Repeated scans
+// before a report accumulate.
 func (e *Engine) scan() {
 	for _, n := range e.touched {
 		n.touched = false
-		if !e.Owns(n.Addr) {
-			continue
-		}
 		if sv, pv := n.versions(); sv != n.seenState || pv != n.seenProv {
 			n.seenState, n.seenProv = sv, pv
 			e.changed = true
@@ -119,9 +101,8 @@ func (e *Engine) scan() {
 }
 
 // Changes reports what changed since the last report: whether any
-// node's visible state changed — in a cluster, at any member, as the
-// propose exchange ORs it — and the ascending Nodes() positions of the
-// changed nodes this process owns. From the epoch observer it reports
+// node's visible state changed, and the ascending Nodes() positions of
+// the changed nodes. From the epoch observer it reports
 // the cut being observed; outside a drain it scans now. Either way the
 // report is consumed, and dirty is valid until the engine next runs.
 func (e *Engine) Changes() (changed bool, dirty []int) {
@@ -160,21 +141,18 @@ func (e *Engine) executeEpoch(events []simnet.EpochEvent) {
 	}
 }
 
-// canonicalize sorts one epoch's events into the cluster-stable order
-// and renumbers Seq to the canonical rank. Raw schedule sequence
-// numbers are process-local: a distributed engine mints fresh ones when
-// it injects remote deltas, so two processes never agree on absolute
-// seqs. They do agree on everything the canonical key uses — the
-// category of an event, its endpoints, and the relative seq order
-// within one (From, To, Kind) stream (messages of a stream are emitted
-// by exactly one process, in a replicated order). The order is:
+// canonicalize sorts one epoch's events into the canonical order:
 //
-//  1. timers/callbacks, by schedule order (they exist only in the
-//     owning process and fire before the instant's deliveries);
+//  1. timers/callbacks, by schedule order (they fire before the
+//     instant's deliveries);
 //  2. message deliveries, destination-major by (To, From, Kind, Seq),
 //     so one node's deliveries — and therefore its captured sends —
-//     form a contiguous block, which keeps per-link coalescing
-//     identical whether the epoch executes in one process or three.
+//     form a contiguous block, which is what lets per-link coalescing
+//     merge them.
+//
+// The order decides which derivation a node sees first, so compat-v1's
+// digest and TestFiringOrderPinned pin it: changing it is a format
+// break, not a refactor.
 func canonicalize(events []simnet.EpochEvent) {
 	sort.SliceStable(events, func(i, j int) bool {
 		a, b := events[i], events[j]
@@ -195,9 +173,6 @@ func canonicalize(events []simnet.EpochEvent) {
 		}
 		return a.Seq < b.Seq
 	})
-	for i := range events {
-		events[i].Seq = uint64(i)
-	}
 }
 
 // isDelta reports whether an epoch event is a tuple-delta delivery, the

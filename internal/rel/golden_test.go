@@ -7,9 +7,9 @@ import (
 )
 
 // Golden vectors for the canonical tuple encoding, generated by the
-// commit before internal/wire existed. VIDs, the cluster wire, chunk
-// blobs, pins buckets and the parity digests all hash or ship these
-// bytes: a change here is a format break, not a refactor.
+// commit before internal/wire existed. VIDs, chunk blobs, pins
+// buckets, the parity digests and /v1/prov/read replies all hash or
+// ship these bytes: a change here is a format break, not a refactor.
 var goldenTuples = []struct {
 	name    string
 	tuple   Tuple
@@ -74,7 +74,7 @@ func TestGoldenKeyHash(t *testing.T) {
 }
 
 // FuzzUnmarshalTuple feeds arbitrary bytes to the tuple decoder — what
-// a cluster peer or a gateway shard puts inside a frame. It must never
+// a shard puts in a /v1/prov/read reply to the gateway. It must never
 // panic, and whatever it accepts must re-encode to bytes that decode to
 // the same encoding (compared as bytes: NaN floats are not Equal to
 // themselves).

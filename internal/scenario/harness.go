@@ -11,14 +11,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
-	"sync"
 
 	"repro/client"
 	"repro/internal/gateway"
 	"repro/internal/provstore"
 	"repro/internal/rel"
 	"repro/internal/server"
-	"repro/internal/simnet"
 )
 
 // ShardCount is the sharded arm's size. Three shards is the smallest
@@ -57,14 +55,6 @@ type Deployment struct {
 	// from ONE goroutine, in lockstep, replaying identical events.
 	SinglePub *server.Publisher
 	ShardPubs []*server.Publisher
-
-	// ClusterPubs publishes the distributed arm: member i of a
-	// ShardCount-member engine cluster (each a real process's worth of
-	// engine, exchanging epoch frames over the in-memory transport)
-	// colocated with a shard-i publisher. Boot asserts every member's
-	// marks, versions, and per-node snapshot digests match the
-	// single-process arm. Empty when booted with Resume.
-	ClusterPubs []*server.Publisher
 
 	churnFact func(k int) rel.Tuple
 	closers   []func()
@@ -206,14 +196,6 @@ func BootWithOptions(sc Scenario, o BootOptions) (*Deployment, error) {
 		urls[i] = ts.URL
 	}
 
-	// Fifth arm: the distributed engine. Skipped on Resume boots (the
-	// arm replays; Resume boots serve purely from stores).
-	if !o.Resume {
-		if err := d.bootCluster(sc, retain); err != nil {
-			return nil, err
-		}
-	}
-
 	gw, err := gateway.New(context.Background(), urls, gateway.WithInfo(sc.Info))
 	if err != nil {
 		return nil, err
@@ -222,119 +204,6 @@ func BootWithOptions(sc Scenario, o BootOptions) (*Deployment, error) {
 	d.closers = append(d.closers, d.Gateway.Close)
 	ok = true
 	return d, nil
-}
-
-// bootCluster builds and replays the distributed arm: ShardCount full
-// engines, each clustered over one member of an in-memory transport and
-// publishing through a colocated shard publisher, replay the scenario
-// concurrently (the replays run in lockstep — every quiescent drive is
-// a sequence of transport barriers). The arm must be indistinguishable
-// from the others: identical marks, identical version sequence, and
-// per-node snapshot digests byte-equal to the single-process arm at
-// every mark and at the final state.
-func (d *Deployment) bootCluster(sc Scenario, retain int) error {
-	mc := simnet.NewMemCluster(ShardCount)
-	d.closers = append(d.closers, func() { mc.Close() })
-	type member struct {
-		inst  *Instance
-		pub   *server.Publisher
-		marks map[string]uint64
-	}
-	members := make([]*member, ShardCount)
-	for i := range members {
-		inst, err := sc.NewInstance()
-		if err != nil {
-			return fmt.Errorf("scenario %s: cluster member %d: %w", sc.Name, i, err)
-		}
-		// Enable before attaching the publisher: the constructor's
-		// initial publish must already know the member's owned slice,
-		// and the publisher attaches as the cut observer.
-		if err := inst.Eng.EnableCluster(mc.Member(i)); err != nil {
-			return fmt.Errorf("scenario %s: cluster member %d: %w", sc.Name, i, err)
-		}
-		pub, err := server.NewPublisherWithOptions(inst.Eng,
-			server.PublisherOptions{Retain: retain, Shard: server.ShardSpec{Index: i, Total: ShardCount}})
-		if err != nil {
-			return fmt.Errorf("scenario %s: cluster member %d: %w", sc.Name, i, err)
-		}
-		members[i] = &member{inst: inst, pub: pub, marks: map[string]uint64{}}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, ShardCount)
-	for i, m := range members {
-		wg.Add(1)
-		go func(rank int, m *member) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mc.Close() // unblock peers parked in a barrier
-					errs <- fmt.Errorf("scenario %s: cluster member %d: %v", sc.Name, rank, r)
-				}
-			}()
-			if err := m.inst.Replay(func(label string) {
-				m.marks[label] = m.pub.Current().Version
-			}); err != nil {
-				mc.Close()
-				errs <- fmt.Errorf("scenario %s: cluster member %d: replay: %w", sc.Name, rank, err)
-			}
-		}(i, m)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return err
-	}
-
-	single := d.SinglePub.Current()
-	for i, m := range members {
-		if !reflect.DeepEqual(m.marks, d.Marks) {
-			return fmt.Errorf("scenario %s: cluster member %d marks %v diverge from single-process marks %v",
-				sc.Name, i, m.marks, d.Marks)
-		}
-		if cv := m.pub.Current().Version; cv != single.Version {
-			return fmt.Errorf("scenario %s: cluster member %d at version %d, single process at %d",
-				sc.Name, i, cv, single.Version)
-		}
-		d.ClusterPubs = append(d.ClusterPubs, m.pub)
-	}
-
-	// Byte parity at every mark and at the final state: each member's
-	// owned partitions must hash identically to the single process's.
-	// (Versions evicted from a small retention ring cannot be pinned and
-	// are skipped; the final state always checks.)
-	versions := map[uint64]string{single.Version: "final state"}
-	for label, v := range d.Marks {
-		versions[v] = fmt.Sprintf("mark %q", label)
-	}
-	for v, what := range versions {
-		ss, ok := d.SinglePub.At(v)
-		if !ok {
-			continue
-		}
-		for i, m := range members {
-			ms, ok := m.pub.At(v)
-			if !ok {
-				continue
-			}
-			if ms.Time != ss.Time {
-				return fmt.Errorf("scenario %s: %s (version %d): cluster member %d at virtual time %d, single process at %d",
-					sc.Name, what, v, i, ms.Time, ss.Time)
-			}
-			for _, addr := range ms.Nodes {
-				md, _ := ms.NodeDigest(addr)
-				sd, ok := ss.NodeDigest(addr)
-				if !ok {
-					return fmt.Errorf("scenario %s: %s (version %d): single process lacks node %s", sc.Name, what, v, addr)
-				}
-				if md != sd {
-					return fmt.Errorf("scenario %s: %s (version %d): node %s digest diverges between single process and cluster member %d",
-						sc.Name, what, v, addr, i)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // CheckResult is one evaluated check: the shared status, the (parity

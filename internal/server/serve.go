@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -21,6 +22,32 @@ const (
 	ReadHeaderTimeout = 10 * time.Second
 	IdleTimeout       = 2 * time.Minute
 )
+
+// ServeFlags are the flags every serving command takes, declared once
+// by DeclareServeFlags.
+type ServeFlags struct {
+	Listen             *string
+	Drain, Timeout     *time.Duration
+	MaxDepth, MaxNodes *int
+}
+
+// DeclareServeFlags declares -listen, -drain, -maxdepth, -maxnodes and
+// -timeout on the command line, so nettrailsd and nettrailsgw name,
+// default and document them identically. Call it before flag.Parse.
+func DeclareServeFlags() ServeFlags {
+	return ServeFlags{
+		Listen:   flag.String("listen", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port)"),
+		Drain:    flag.Duration("drain", 5*time.Second, "how long shutdown waits for in-flight HTTP queries to finish"),
+		MaxDepth: flag.Int("maxdepth", 0, "cap the proof depth of every served query (0 = uncapped)"),
+		MaxNodes: flag.Int("maxnodes", 0, "cap the proof vertices of every served query (0 = uncapped)"),
+		Timeout:  flag.Duration("timeout", 30*time.Second, "server-default deadline for each query's traversal and cap on per-request ?timeout= (0 disables)"),
+	}
+}
+
+// Info is the Info the flags configure, serving protocol.
+func (f ServeFlags) Info(protocol string) Info {
+	return Info{Protocol: protocol, MaxDepth: *f.MaxDepth, MaxNodes: *f.MaxNodes, Timeout: *f.Timeout}
+}
 
 // NewHTTPServer is the http.Server a NetTrails process serves h with.
 func NewHTTPServer(h http.Handler) *http.Server {

@@ -40,7 +40,7 @@ func TestShardSpecOwnedNodes(t *testing.T) {
 
 func TestShardSpecRoundRobinCovers(t *testing.T) {
 	// Every node lands on exactly one shard, whatever the split — the
-	// shard engine.OwnerOf, the one partitioning rule, names.
+	// shard OwnerOf, the one partitioning rule, names.
 	nodes := []string{"a", "b", "c", "d", "e", "f", "g"}
 	pos := map[string]int{}
 	for i, n := range nodes {
@@ -51,7 +51,7 @@ func TestShardSpecRoundRobinCovers(t *testing.T) {
 		for i := 0; i < total; i++ {
 			for _, n := range (ShardSpec{Index: i, Total: total}).OwnedNodes(nodes) {
 				seen[n]++
-				if want := engine.OwnerOf(pos[n], total); want != i {
+				if want := OwnerOf(pos[n], total); want != i {
 					t.Fatalf("total=%d: node %s on shard %d, OwnerOf says %d", total, n, i, want)
 				}
 			}

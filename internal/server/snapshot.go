@@ -47,7 +47,7 @@ import (
 
 // ShardSpec places one serving process inside a sharded deployment:
 // it is shard Index of Total. Node ownership is positional and
-// deterministic — engine.OwnerOf, the one node-partitioning rule, deals
+// deterministic — OwnerOf, the one node-partitioning rule, deals
 // the network's sorted node list round-robin. Every shard and every
 // gateway derives the same routing table from the node list alone; no
 // coordination service is needed.
@@ -64,6 +64,17 @@ type ShardSpec struct {
 // (single-process) deployment.
 func (s ShardSpec) Unsharded() bool { return s.Total <= 1 }
 
+// OwnerOf is the one node-partitioning rule: the node at 0-based
+// position pos of the network's sorted node list belongs to shard
+// pos mod n — dealt round-robin; n <= 1 means a single owner. Only the
+// shards apply it: a gateway learns ownership from /v1/shards.
+func OwnerOf(pos, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return pos % n
+}
+
 // String renders the spec in the "index/total" form the -shard flag
 // accepts.
 func (s ShardSpec) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Total) }
@@ -76,7 +87,7 @@ func (s ShardSpec) OwnedNodes(sorted []string) []string {
 	}
 	var out []string
 	for i, addr := range sorted {
-		if engine.OwnerOf(i, s.Total) == s.Index {
+		if OwnerOf(i, s.Total) == s.Index {
 			out = append(out, addr)
 		}
 	}
@@ -227,7 +238,7 @@ func (s *Snapshot) misdirected(addr string) *APIError {
 		if a == addr {
 			return Errf(http.StatusMisdirectedRequest, ErrWrongShard,
 				"node %q is owned by shard %d/%d, not this shard (%s)",
-				addr, engine.OwnerOf(i, s.Shard.Total), s.Shard.Total, s.Shard)
+				addr, OwnerOf(i, s.Shard.Total), s.Shard.Total, s.Shard)
 		}
 	}
 	return nil
@@ -426,8 +437,8 @@ func (p *Publisher) Versions() (oldest, newest uint64) {
 // reading every node is race-free. When no node's state changed since
 // the last publish, the current snapshot is returned unchanged —
 // versions advance only with state. The engine's change verdict
-// (engine.Changes) spans the whole network, even on a sharded publisher
-// or a cluster member, so every shard of the same deterministic run
+// (engine.Changes) spans the whole network, even on a sharded publisher,
+// so every shard of the same deterministic run
 // mints the same version sequence (what lets a gateway pin one version
 // everywhere); only the freezing is restricted to owned nodes.
 func (p *Publisher) Publish() *Snapshot {

@@ -58,15 +58,8 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 		if n.Prov == nil {
 			return nil, fmt.Errorf("server: node %s has no provenance store", addr)
 		}
-		owns := engine.OwnerOf(i, shard.Total) == shard.Index
-		if eng.Clustered() && owns != eng.Owns(addr) {
-			// A cluster member executes deltas for its own slice only; the
-			// replicas of the rest miss that traffic, so a publisher must
-			// serve exactly the member's slice.
-			return nil, fmt.Errorf("server: shard %s is not this cluster member's slice (node %s)", shard, addr)
-		}
 		p.ownedIdx[i] = -1
-		if owns {
+		if OwnerOf(i, shard.Total) == shard.Index {
 			p.ownedIdx[i] = len(p.owned)
 			p.index[addr] = len(p.owned)
 			p.owned = append(p.owned, addr)
@@ -87,8 +80,8 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 	p.states = make([]*nodeState, len(p.owned))
 	p.cur.Store(&ring{})
 	// The initial snapshot is built by a direct Publish, which also
-	// consumes every change made before attach: every member of a
-	// cluster mints version 1 from the replayed, identical boot state.
+	// consumes every change made before attach: every shard of a
+	// deployment mints version 1 from the replayed, identical boot state.
 	p.Publish()
 	eng.SetEpochObserver(func() { p.Publish() })
 	return p, nil

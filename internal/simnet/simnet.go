@@ -151,16 +151,6 @@ type Network struct {
 	totalMsgs  int
 	totalBytes int
 	totalDrops int
-
-	// SendHook, when set, sees every message that survived routing and
-	// loss, immediately before it is enqueued. Returning true claims the
-	// message: it is NOT enqueued locally and no sequence number is
-	// consumed (sender-side accounting has already happened). A
-	// distributed engine uses this to intercept traffic addressed to
-	// nodes owned by a remote process; the claimed message re-enters the
-	// owning process via InjectAt. deliverAt is the virtual instant the
-	// message would have been delivered locally.
-	SendHook func(m Message, deliverAt Time) bool
 }
 
 // New creates an empty network with the given PRNG seed.
@@ -359,25 +349,9 @@ func (n *Network) Send(m Message) {
 		}
 	}
 	n.account(m, link)
-	if n.SendHook != nil && n.SendHook(m, n.now+latency) {
-		return
-	}
 	msg := m
 	n.seq++
 	heap.Push(&n.events, &event{at: n.now + latency, seq: n.seq, msg: &msg})
-}
-
-// InjectAt enqueues a delivery of m at the absolute virtual time at,
-// bypassing routing, loss, and sender-side accounting (the sending
-// process already accounted for it before its SendHook claimed the
-// message). at must not precede the current clock.
-func (n *Network) InjectAt(at Time, m Message) {
-	if at < n.now {
-		at = n.now
-	}
-	msg := m
-	n.seq++
-	heap.Push(&n.events, &event{at: at, seq: n.seq, msg: &msg})
 }
 
 // PeekTime returns the virtual timestamp of the earliest pending event;
@@ -387,15 +361,6 @@ func (n *Network) PeekTime() (Time, bool) {
 		return 0, false
 	}
 	return n.events[0].at, true
-}
-
-// AdvanceTo moves the clock forward to t without executing anything.
-// It is a no-op when t is in the past. Distributed engine processes use
-// it to stay in lockstep with peers that own the next virtual instant.
-func (n *Network) AdvanceTo(t Time) {
-	if t > n.now {
-		n.now = t
-	}
 }
 
 // Deliver invokes the destination handler of a message delivery event,

@@ -1,7 +1,7 @@
 // Package wire is the one varint/string codec under every NetTrails
 // byte format: the canonical value/tuple encoding (and so every VID and
-// RID), the cluster frames, the provenance bucket blobs and the
-// snapshot store's record payloads. Encoders are append-style — []byte
+// RID), the provenance bucket blobs and the snapshot store's record
+// payloads. Encoders are append-style — []byte
 // in, []byte out, no buffer type — and every decoder is a Reader.
 //
 // The primitives are fixed: a uvarint is encoding/binary's, a string or

@@ -7,11 +7,6 @@
 // ctxflow rule bans, and accepting a ctx parameter and never using it,
 // which silently drops the chain on the floor while the signature
 // still promises cancellation. This analyzer flags the second.
-//
-// The TCP cluster transport (internal/nettransport) is in scope too:
-// Dial's caller owns the lifetime of every dial retry and blocked
-// exchange, so the transport must thread the caller's ctx rather than
-// minting its own root.
 package ctxflow
 
 import (
@@ -36,7 +31,6 @@ var scope = []string{
 	"repro/internal/gateway",
 	"repro/internal/provgraph",
 	"repro/internal/provquery",
-	"repro/internal/nettransport",
 	"repro/client",
 }
 

@@ -44,10 +44,9 @@ type Rule struct {
 var seeded = map[string]bool{"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true}
 
 // core is a pure function of (program, trace, seed). The store writes
-// only virtual instants; the TCP transport's two loss-recovery timers
-// carry //lint:allow walltime.
+// only virtual instants.
 var core = []string{"repro/internal/simnet", "repro/internal/engine", "repro/internal/eval", "repro/internal/rel",
-	"repro/internal/wire", "repro/internal/provenance", "repro/internal/provstore", "repro/internal/nettransport"}
+	"repro/internal/wire", "repro/internal/provenance", "repro/internal/provstore"}
 
 // Rules is every banned use in the tree.
 var Rules = []Rule{
@@ -70,7 +69,7 @@ var Rules = []Rule{
 	{Name: "errenvelope", Scope: []string{"repro/internal/server", "repro/internal/gateway"}, Uses: []string{"net/http.Error", "net/http.NotFound"},
 		Why: "%s writes a plain-text error, bypassing the v1 envelope: use WriteErr/WriteAPIError with a catalog code"},
 	{Name: "ctxflow", Scope: []string{"repro/internal/server", "repro/internal/gateway", "repro/internal/provgraph",
-		"repro/internal/provquery", "repro/internal/nettransport", "repro/client"}, Uses: []string{"context.Background", "context.TODO"},
+		"repro/internal/provquery", "repro/client"}, Uses: []string{"context.Background", "context.TODO"},
 		Why: "%s starts a fresh root mid-chain: thread the caller's ctx instead so client disconnects still cancel the walk"},
 }
 

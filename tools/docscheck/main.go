@@ -5,7 +5,9 @@
 //   - relative markdown links must point at files that exist;
 //   - `go run ./cmd/<name>` commands inside shell code fences must
 //     name a real command, and every -flag they pass must be defined
-//     by that command's flag set;
+//     by that command's flag set (its own declarations, plus those in
+//     a function of this module it calls, such as the serving flags
+//     internal/server declares for nettrailsd and nettrailsgw);
 //   - `make <target>` commands must name a real Makefile target;
 //   - every HTTP route named in running text as `GET /path` or
 //     `POST /path` must be registered through s.route(...) in
@@ -24,9 +26,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -37,6 +43,7 @@ var (
 	makeRe     = regexp.MustCompile(`\bmake ([a-zA-Z0-9_.-]+)`)
 	flagDefRe  = regexp.MustCompile(`flag\.[A-Za-z0-9]+\("([a-zA-Z0-9_.-]+)"`)
 	flagUseRe  = regexp.MustCompile(`^-([a-zA-Z][a-zA-Z0-9_.-]*)`)
+	moduleRe   = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 	targetRe   = regexp.MustCompile(`(?m)^([A-Za-z0-9_.-]+):`)
 	routeUseRe = regexp.MustCompile("`(GET|POST) (/[^`\\s?]*)[^`]*`")
 	routeDefRe = regexp.MustCompile(`s\.route\("([A-Z]+)", "([^"]+)"`)
@@ -171,7 +178,7 @@ func checkCommand(root, path string, lineNo int, cmd string) []string {
 			add("go run %s: no such package directory", pkg)
 			return problems
 		}
-		defined, err := definedFlags(dir)
+		defined, err := definedFlags(root, dir)
 		if err != nil {
 			add("go run %s: %v", pkg, err)
 			return problems
@@ -207,30 +214,103 @@ func checkCommand(root, path string, lineNo int, cmd string) []string {
 	return problems
 }
 
-// definedFlags collects the flag names a command's package registers;
-// nil (no error) when the package defines no flags at all.
-func definedFlags(dir string) (map[string]bool, error) {
+// definedFlags collects the flag names a command's package registers:
+// its own declarations, plus those inside a function of one of this
+// module's packages that it calls (internal/server.DeclareServeFlags);
+// nil (no error) when it defines no flags at all.
+func definedFlags(root, dir string) (map[string]bool, error) {
+	files, err := parseDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	module := ""
+	if mod, err := os.ReadFile(filepath.Join(root, "go.mod")); err == nil {
+		if m := moduleRe.FindSubmatch(mod); m != nil {
+			module = string(m[1]) + "/"
+		}
+	}
+	var defined map[string]bool
+	collect := func(src []byte) {
+		for _, m := range flagDefRe.FindAllSubmatch(src, -1) {
+			if defined == nil {
+				defined = map[string]bool{}
+			}
+			defined[string(m[1])] = true
+		}
+	}
+	for _, f := range files {
+		collect(f.src)
+		local := map[string]string{} // import name -> package directory
+		for _, im := range f.ast.Imports {
+			path, _ := strconv.Unquote(im.Path.Value)
+			if module == "" || !strings.HasPrefix(path, module) {
+				continue
+			}
+			name := path[strings.LastIndex(path, "/")+1:]
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			local[name] = filepath.Join(root, strings.TrimPrefix(path, module))
+		}
+		var calls [][2]string // package directory, function name
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && local[id.Name] != "" {
+						calls = append(calls, [2]string{local[id.Name], sel.Sel.Name})
+					}
+				}
+			}
+			return true
+		})
+		for _, c := range calls {
+			deps, err := parseDir(c[0])
+			if err != nil {
+				return nil, err
+			}
+			for _, dep := range deps {
+				for _, d := range dep.ast.Decls {
+					if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == c[1] {
+						collect(dep.src[dep.fset.Position(fn.Pos()).Offset:dep.fset.Position(fn.End()).Offset])
+					}
+				}
+			}
+		}
+	}
+	return defined, nil
+}
+
+// goFile is one parsed non-test Go file and its source.
+type goFile struct {
+	fset *token.FileSet
+	ast  *ast.File
+	src  []byte
+}
+
+// parseDir parses a package directory's non-test Go files.
+func parseDir(dir string) ([]goFile, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var defined map[string]bool
+	var files []goFile
 	for _, e := range ents {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		name := filepath.Join(dir, e.Name())
+		src, err := os.ReadFile(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range flagDefRe.FindAllStringSubmatch(string(src), -1) {
-			if defined == nil {
-				defined = map[string]bool{}
-			}
-			defined[m[1]] = true
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
 		}
+		files = append(files, goFile{fset: fset, ast: f, src: src})
 	}
-	return defined, nil
+	return files, nil
 }
 
 func makefileHasTarget(root, target string) (bool, error) {

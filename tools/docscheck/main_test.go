@@ -69,6 +69,45 @@ func (s *Server) routes() {
 	}
 }
 
+// TestFlagsDeclaredThroughACall: a flag declared inside a function of
+// the module counts for exactly the commands that call that function.
+func TestFlagsDeclaredThroughACall(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod": "module demo\n\ngo 1.24\n",
+		"internal/srv/flags.go": `package srv
+import "flag"
+func Declare() *string { return flag.String("listen", "", "") }
+func Other() *bool     { return flag.Bool("ghost", false, "") }`,
+		"cmd/caller/main.go": `package main
+import (
+	"flag"
+	s "demo/internal/srv"
+)
+func main() {
+	_ = s.Declare()
+	_ = flag.Int("nodes", 4, "")
+}`,
+		"cmd/importer/main.go": `package main
+import (
+	"flag"
+	"demo/internal/srv"
+)
+var _ = srv.Declare
+func main() { _ = flag.Int("nodes", 4, "") }`,
+		"docs/run.md": "```sh\ngo run ./cmd/caller -listen :0 -nodes 9 -ghost\ngo run ./cmd/importer -listen :0\n```\n",
+	})
+	got := checkFile(root, filepath.Join(root, "docs", "run.md"))
+	want := []string{"./cmd/caller: flag -ghost", "./cmd/importer: flag -listen"}
+	if len(got) != len(want) {
+		t.Fatalf("got %d problems %v, want %d", len(got), got, len(want))
+	}
+	for i, w := range want {
+		if !strings.Contains(got[i], w) {
+			t.Fatalf("problem %d = %q, want mention of %q", i, got[i], w)
+		}
+	}
+}
+
 // TestRepoDocsAreClean runs the real checks over the repository's own
 // README and docs — the same gate `make docs-check` applies in CI.
 func TestRepoDocsAreClean(t *testing.T) {
