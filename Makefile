@@ -80,11 +80,10 @@ fuzz:
 # in BENCHMARK.json). It is a separate module, so `go test ./...` never
 # compiles it: this is what notices a change to internal/server's or
 # internal/gateway's exported API that breaks it. The paper's
-# experiments E2–E8 (the root package's benchmarks) then run once each,
-# so they cannot rot; they archive nothing.
+# experiments E2–E8 are not here: TestPaperClaims runs them in `make
+# test` and checks their counts against README.md.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # bench-compare is the gate between two commits: the benchmark runs on
 # BASE (unpacked under .bench_build/) and on the working tree, PAIRS

@@ -91,6 +91,9 @@ type Health struct {
 	// store (-data): the oldest version still on disk and the newest
 	// one made durable.
 	Store *StoreHealth `json:"store,omitempty"`
+	// Reason is present only when OK is false: why the daemon stopped
+	// publishing new versions. Retained versions stay readable.
+	Reason string `json:"reason,omitempty"`
 }
 
 // StoreHealth is the healthz view of a daemon's snapshot store.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -92,6 +93,12 @@ r2 reach(@N,X,Z) :- edge(@N,X,Y), reach(@N,Y,Z).
 	stdout, stderr := run(file)
 	if !strings.Contains(stderr, "ndlogc: warning: ") || !strings.Contains(stderr, "r2") {
 		t.Errorf("reach: want a deletion-safety warning naming r2 on stderr, got %q", stderr)
+	}
+	// A warning may cite a document only if the repo has it.
+	for _, doc := range regexp.MustCompile(`[\w./-]+\.(?:md|go|txt)\b`).FindAllString(stderr, -1) {
+		if _, err := os.Stat(filepath.Join("..", "..", doc)); err != nil {
+			t.Errorf("reach: the warning cites %s, which the repo does not have", doc)
+		}
 	}
 	if strings.Contains(stdout, "warning") || !strings.Contains(stdout, "=== source ===") {
 		t.Errorf("reach: stdout carries a warning or lost its stages:\n%s", stdout)

@@ -124,7 +124,7 @@ func DeletionSafety(p *ndlog.Program) []string {
 			continue
 		}
 		warnings = append(warnings, fmt.Sprintf(
-			"rule %s: recursive without aggregate or condition; deletions over cyclic data may leave self-supporting derivations (counting is exact only for derivation-height-monotone recursion; see DESIGN.md §5)",
+			"rule %s: recursive without aggregate or condition; deletions over cyclic data may leave self-supporting derivations (counting is exact only for derivation-height-monotone recursion)",
 			ruleName(r)))
 	}
 	sort.Strings(warnings)

@@ -211,6 +211,9 @@ func (p *Publisher) HealthzDoc(_ context.Context, protocol string) (interface{},
 	if st := p.Store(); st != nil {
 		out.Store = &client.StoreHealth{Oldest: st.OldestVersion(), Durable: st.DurableVersion()}
 	}
+	if err := p.failed.Load(); err != nil {
+		out.OK, out.Reason = false, "publishing stopped: "+(*err).Error()
+	}
 	return out, nil
 }
 

@@ -289,6 +289,10 @@ type Publisher struct {
 	// readers mutate, hence its own lock.
 	store   *provstore.Store
 	verBase uint64
+	// failed holds the first publish failure: a store append that did
+	// not complete. From then on the publisher mints nothing, reads of
+	// every retained version keep answering, and healthz reports it.
+	failed atomic.Pointer[error]
 
 	diskMu    sync.Mutex
 	diskCache map[uint64]*Snapshot
@@ -418,6 +422,24 @@ func (p *Publisher) atTime(pin uint64, t simnet.Time) (*Snapshot, error) {
 	return p.resolve(lo + uint64(n) - 1)
 }
 
+// newSnapshot builds the snapshot of one version over its per-node
+// states: the one constructor for minted and disk-rebuilt snapshots.
+func (p *Publisher) newSnapshot(version uint64, now simnet.Time, states []*nodeState) *Snapshot {
+	snap := &Snapshot{
+		Version:  version,
+		Time:     now,
+		Nodes:    p.owned,
+		AllNodes: p.allNodes,
+		Shard:    p.shard,
+		states:   states,
+		index:    p.index,
+	}
+	// The snapshot is its own view resolver: no per-publish view map.
+	snap.query = provquery.NewResolverClient(snap)
+	snap.cache = newResultCache(&p.bodies)
+	return snap
+}
+
 // Versions returns the oldest and newest retained versions — oldest
 // reaches back to the snapshot store's floor when one is attached.
 // Safe for concurrent use.
@@ -440,10 +462,14 @@ func (p *Publisher) Versions() (oldest, newest uint64) {
 // (engine.Changes) spans the whole network, even on a sharded publisher,
 // so every shard of the same deterministic run
 // mints the same version sequence (what lets a gateway pin one version
-// everywhere); only the freezing is restricted to owned nodes.
+// everywhere); only the freezing is restricted to owned nodes. Once a
+// store append has failed, Publish publishes nothing and returns nil.
 func (p *Publisher) Publish() *Snapshot {
 	prev := p.cur.Load().snaps
-	changed, dirty := p.eng.Changes()
+	changed, dirty := p.eng.Changes() // consumed even when stopped, so it cannot grow
+	if p.failed.Load() != nil {
+		return nil
+	}
 	p.dirty = p.dirty[:0]
 	if len(prev) == 0 {
 		// The first publish of a fresh deployment mints 1; after a restart
@@ -467,7 +493,9 @@ func (p *Publisher) Publish() *Snapshot {
 }
 
 // mint builds and publishes the snapshot with the given version,
-// rebuilding the owned positions listed in dirty (ascending).
+// rebuilding the owned positions listed in dirty (ascending). When the
+// store cannot take the version, mint records the failure in p.failed,
+// publishes nothing and returns nil.
 func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 	prev := p.cur.Load()
 	now := p.eng.Net.Now()
@@ -511,24 +539,15 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 			p.infoDirty = append(p.infoDirty, oi)
 		}
 	}
-	p.states = states
 	if p.store != nil {
-		p.teeToStore(version, now, states, dirty)
+		if err := p.teeToStore(version, now, states, dirty); err != nil {
+			p.failed.Store(&err)
+			return nil
+		}
 	}
+	p.states = states
 
-	snap := &Snapshot{
-		Version:  version,
-		Time:     now,
-		Nodes:    p.owned,
-		AllNodes: p.allNodes,
-		Shard:    p.shard,
-		states:   states,
-		index:    p.index,
-	}
-	// The snapshot is its own view resolver: no per-publish view map.
-	snap.query = provquery.NewResolverClient(snap)
-	snap.cache = newResultCache(&p.bodies)
-
+	snap := p.newSnapshot(version, now, states)
 	snaps := append(append([]*Snapshot{}, prev.snaps...), snap)
 	if drop := len(snaps) - p.retain; drop > 0 {
 		for _, old := range snaps[:drop] {

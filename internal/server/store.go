@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/engine"
-	"repro/internal/provquery"
 	"repro/internal/provstore"
 	"repro/internal/simnet"
 )
@@ -82,7 +81,9 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 	// The initial snapshot is built by a direct Publish, which also
 	// consumes every change made before attach: every shard of a
 	// deployment mints version 1 from the replayed, identical boot state.
-	p.Publish()
+	if p.Publish() == nil {
+		return nil, *p.failed.Load()
+	}
 	eng.SetEpochObserver(func() { p.Publish() })
 	return p, nil
 }
@@ -96,10 +97,10 @@ func (p *Publisher) Store() *provstore.Store { return p.store }
 // state entries for the rebuilt partitions, info updates for the
 // traffic-only refreshes (both already in ascending owned order). It
 // runs on the simulation thread, right after the states are built. A
-// failed append is fatal — the store was requested, and continuing
-// would silently break the no-eviction contract and leave a version
-// gap the store can never fill.
-func (p *Publisher) teeToStore(version uint64, now simnet.Time, states []*nodeState, dirty []int) {
+// failed append stops the publisher (see Publisher.failed): minting on
+// would break the no-eviction contract and leave a version gap the
+// store can never fill.
+func (p *Publisher) teeToStore(version uint64, now simnet.Time, states []*nodeState, dirty []int) error {
 	in := provstore.VersionInput{Version: version, Time: int64(now)}
 	for _, oi := range dirty {
 		st := states[oi]
@@ -114,8 +115,9 @@ func (p *Publisher) teeToStore(version uint64, now simnet.Time, states []*nodeSt
 		in.Infos = append(in.Infos, provstore.InfoUpdate{OwnedIdx: oi, Info: states[oi].info.Info})
 	}
 	if err := p.store.Append(in); err != nil {
-		panic(fmt.Sprintf("server: snapshot store append failed at version %d: %v", version, err))
+		return fmt.Errorf("server: snapshot store append failed at version %d: %w", version, err)
 	}
+	return nil
 }
 
 // diskCacheSize bounds the materialized historical snapshots kept
@@ -174,16 +176,5 @@ func (p *Publisher) snapshotFromDisk(vd *provstore.VersionData) *Snapshot {
 			stateTime: simnet.Time(nd.StateTime),
 		}
 	}
-	snap := &Snapshot{
-		Version:  vd.Version,
-		Time:     simnet.Time(vd.Time),
-		Nodes:    p.owned,
-		AllNodes: p.allNodes,
-		Shard:    p.shard,
-		states:   states,
-		index:    p.index,
-	}
-	snap.query = provquery.NewResolverClient(snap)
-	snap.cache = newResultCache(&p.bodies)
-	return snap
+	return p.newSnapshot(vd.Version, simnet.Time(vd.Time), states)
 }

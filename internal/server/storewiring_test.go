@@ -535,3 +535,34 @@ func TestHistoryFirstEndpoint(t *testing.T) {
 		t.Fatalf("storeless daemon: %d %s", code, body)
 	}
 }
+
+// TestStoreAppendFailureStopsPublishing: a store that refuses an append
+// stops the publisher instead of panicking the simulation thread. No
+// version is minted past the failure, healthz turns not-ok naming the
+// version and the store's error, and the current version still answers.
+func TestStoreAppendFailureStopsPublishing(t *testing.T) {
+	e := buildGrid(t, 2)
+	pub, err := NewPublisherWithOptions(e, PublisherOptions{Store: openTestStore(t, t.TempDir(), e, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, v := New(pub, Info{Protocol: "mincost"}), pub.Current().Version
+	pub.Store().Close()
+	if err := e.RemoveBiLink("n1", "n2", 1); err != nil {
+		t.Fatal(err)
+	}
+	e.RunQuiescent()
+	var h struct {
+		OK     bool
+		Reason string
+	}
+	rec := serve(srv, "GET", "/v1/healthz", "")
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil || h.OK || pub.Current().Version != v ||
+		!strings.Contains(h.Reason, fmt.Sprintf("version %d", v+1)) || !strings.Contains(h.Reason, "store closed") {
+		t.Fatalf("after the failed append of version %d: current %d, healthz %s", v+1, pub.Current().Version, rec.Body)
+	}
+	q := fmt.Sprintf(`{"q":"lineage of mincost(@'n1','n2',1)","version":%d}`, v)
+	if rec := serve(srv, "POST", "/v1/query", q); rec.Code != http.StatusOK {
+		t.Fatalf("query at version %d: %d %s", v, rec.Code, rec.Body)
+	}
+}

@@ -224,7 +224,7 @@ func (s *System) CommitProvenance() map[string]provenance.Commitment {
 
 // DeletionSafety reports rules of the program whose deletions the
 // counting-based engine cannot handle exactly (un-damped recursion over
-// cycles); see DESIGN.md §5.
+// cycles).
 func DeletionSafety(program string) ([]string, error) {
 	prog, err := ndlog.Parse(program)
 	if err != nil {
