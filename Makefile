@@ -61,7 +61,8 @@ race:
 # the tuple and provenance-bucket decoders built on it, and the
 # snapshot store's segment/record decoders) a short native-fuzzing
 # shake, seeded from the test corpora and the golden vectors; FuzzShardReply feeds the
-# gateway arbitrary shard replies to /v1/prov/read. Override FUZZTIME for longer local
+# gateway arbitrary shard replies to /v1/prov/read, and FuzzIndent holds the
+# body renderer's indenter to json.Indent. Override FUZZTIME for longer local
 # hunts. One -fuzz invocation per target: go test rejects a -fuzz
 # pattern matching more than one function.
 fuzz:
@@ -75,6 +76,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVersionRecord$$' -fuzztime $(FUZZTIME) ./internal/provstore
 	$(GO) test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime $(FUZZTIME) ./internal/gateway
+	$(GO) test -run '^$$' -fuzz '^FuzzIndent$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # bench-check vets and tests the end-to-end benchmark (bench/, declared
 # in BENCHMARK.json). It is a separate module, so `go test ./...` never

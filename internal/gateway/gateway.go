@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -179,25 +178,27 @@ func (g *Gateway) forEachShard(f func(i int, c *client.Client) error) error {
 // shardHealth asks every shard where it stands: newest is the newest
 // epoch every shard has reached (the minimum of their current
 // versions), oldest the oldest every shard still retains — the
-// pinnable range across the whole deployment. Learning oldest is also
-// what bounds g.times: a version below it can no longer be pinned on
-// every shard, so its entry is dropped.
-func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, apiErr *server.APIError) {
-	versions := make([]uint64, g.shards.Len())
-	oldests := make([]uint64, g.shards.Len())
-	err := g.forEachShard(func(i int, c *client.Client) error {
-		h, err := c.Health(ctx)
-		if err != nil {
-			return err
-		}
-		versions[i], oldests[i] = h.Version, h.Oldest
-		return nil
+// pinnable range across the whole deployment — and reason, when a
+// shard is not ok, why the first such shard says it is not. Learning
+// oldest is also what bounds g.times: a version below it can no longer
+// be pinned on every shard, so its entry is dropped.
+func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, reason string, apiErr *server.APIError) {
+	hs := make([]*client.Health, g.shards.Len())
+	err := g.forEachShard(func(i int, c *client.Client) (err error) {
+		hs[i], err = c.Health(ctx)
+		return err
 	})
 	addHops(ctx, g.shards.Len())
 	if err != nil {
-		return 0, 0, downstreamError(err)
+		return 0, 0, "", downstreamError(err)
 	}
-	oldest = slices.Max(oldests)
+	newest, oldest = hs[0].Version, hs[0].Oldest
+	for i, h := range hs {
+		newest, oldest = min(newest, h.Version), max(oldest, h.Oldest)
+		if !h.OK && reason == "" {
+			reason = fmt.Sprintf("shard %d: %s", i, h.Reason)
+		}
+	}
 	g.timesMu.Lock()
 	for v := range g.times {
 		if v < oldest {
@@ -205,7 +206,7 @@ func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, apiEr
 		}
 	}
 	g.timesMu.Unlock()
-	return slices.Min(versions), oldest, nil
+	return newest, oldest, reason, nil
 }
 
 // Pin implements server.Backend: an explicit version is pinned as-is;
@@ -213,7 +214,7 @@ func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, apiEr
 func (g *Gateway) Pin(ctx context.Context, version uint64) (server.Pin, *server.APIError) {
 	if version == 0 {
 		var apiErr *server.APIError
-		if version, _, apiErr = g.shardHealth(ctx); apiErr != nil {
+		if version, _, _, apiErr = g.shardHealth(ctx); apiErr != nil {
 			return server.Pin{}, apiErr
 		}
 	}
@@ -285,9 +286,8 @@ func (g *Gateway) runWalk(ctx context.Context, key server.CacheKey, t rel.Tuple)
 	}
 
 	w := provgraph.NewWalkContext(ctx, src, key.Type, key.Opts)
-	var out *provgraph.SubResult
-	w.ResolveTuple(at, vid, nil, func(r provgraph.SubResult) { out = &r })
-	for out == nil && src.err == nil && w.Err() == nil {
+	w.Start(at, vid)
+	for !w.Done() && src.err == nil && w.Err() == nil {
 		if len(src.pending) == 0 {
 			return nil, server.Errf(http.StatusInternalServerError, server.ErrInternal,
 				"gateway: walk stalled with no pending expansions")
@@ -301,11 +301,7 @@ func (g *Gateway) runWalk(ctx context.Context, key server.CacheKey, t rel.Tuple)
 	if src.err != nil {
 		return nil, downstreamError(src.err)
 	}
-	if out == nil {
-		return nil, server.Errf(http.StatusInternalServerError, server.ErrInternal,
-			"gateway: walk did not complete")
-	}
-	res := provgraph.NewResult(key.Type, *out)
+	res := provgraph.NewResult(key.Type, w.Out())
 	res.Stats = provquery.Stats{Messages: src.msgs, Bytes: src.bytes}
 	return res, nil
 }
@@ -320,14 +316,17 @@ type gwHealthzJSON struct {
 	Nodes    int    `json:"nodes"`
 	Shards   int    `json:"shards"`
 	Oldest   uint64 `json:"oldestVersion"`
+	Reason   string `json:"reason,omitempty"`
 }
 
-// HealthzDoc implements server.Backend by aggregating shard health.
+// HealthzDoc implements server.Backend by aggregating shard health: the
+// gateway is ok only while every shard is.
 func (g *Gateway) HealthzDoc(ctx context.Context, protocol string) (interface{}, *server.APIError) {
-	out := gwHealthzJSON{OK: true, Gateway: true, Protocol: protocol,
+	out := gwHealthzJSON{Gateway: true, Protocol: protocol,
 		Nodes: len(g.shards.Nodes()), Shards: g.shards.Len()}
 	var apiErr *server.APIError
-	out.Version, out.Oldest, apiErr = g.shardHealth(ctx)
+	out.Version, out.Oldest, out.Reason, apiErr = g.shardHealth(ctx)
+	out.OK = out.Reason == ""
 	return out, apiErr
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -332,6 +333,54 @@ func TestGatewayTimesBounded(t *testing.T) {
 		if n := d.gwG.CachedTimes(); n > retain {
 			t.Fatalf("round %d: gateway remembers %d version times, want <= %d (the retained window)", round, n, retain)
 		}
+	}
+}
+
+// TestHealthzReportsStoppedShard: a shard whose healthz says it stopped
+// publishing makes the gateway's healthz not ok, naming the shard and
+// its reason. The shard is a fake serving a real daemon's bytes, with
+// ok flipped once the test says so; while every shard is ok the
+// gateway's body has no reason.
+func TestHealthzReportsStoppedShard(t *testing.T) {
+	pub, err := server.NewPublisher(buildGrid(t, 2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon := httptest.NewServer(server.New(pub, server.Info{Protocol: "mincost"}))
+	defer daemon.Close()
+	_, shards := do(t, "GET", daemon.URL+"/v1/shards", "", nil)
+	_, healthy := do(t, "GET", daemon.URL+"/v1/healthz", "", nil)
+	stopped := bytes.Replace(healthy, []byte(`"ok": true`),
+		[]byte(`"ok": false, "reason": "publishing stopped: store closed"`), 1)
+	var stop atomic.Bool
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, _ *http.Request) { w.Write(shards) })
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		if stop.Load() {
+			w.Write(stopped)
+		} else {
+			w.Write(healthy)
+		}
+	})
+	shard := httptest.NewServer(mux)
+	defer shard.Close()
+	g, err := gateway.New(context.Background(), []string{shard.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(g)
+	defer gw.Close()
+
+	var h client.Health
+	_, body := do(t, "GET", gw.URL+"/v1/healthz", "", nil)
+	if err := json.Unmarshal(body, &h); err != nil || !h.OK || bytes.Contains(body, []byte(`"reason"`)) {
+		t.Fatalf("gateway over a healthy shard: %v %s", err, body)
+	}
+	stop.Store(true)
+	h = client.Health{}
+	_, body = do(t, "GET", gw.URL+"/v1/healthz", "", nil)
+	if err := json.Unmarshal(body, &h); err != nil || h.OK || h.Reason != "shard 0: publishing stopped: store closed" {
+		t.Fatalf("gateway over a stopped shard: %v %s", err, body)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // shards; vertex and execAt read on demand whatever a cut-off reach
 // left out.
 //
-// Cross-node hops are deferred: ExpandRemote queues the expansion and
-// the query driver flushes the queue in rounds, so sibling expansions
+// Cross-node hops are deferred: Cross parks the hop and the query
+// driver flushes the parked hops in rounds, so sibling expansions
 // landing on the same shard ride one batched read request instead of
 // one round trip each.
 //
@@ -46,7 +46,7 @@ type fedSource struct {
 	msgs  int // modeled ledger: simulated messages
 	bytes int // modeled ledger: simulated bytes
 
-	pending  []pendingExpand
+	pending  []*provgraph.Hop
 	perShard [][]client.ProvReadOp // flush's per-round read batches, by shard index
 
 	// err is the first transport/protocol failure; once set, the walk
@@ -72,13 +72,6 @@ type vertexData struct {
 type execData struct {
 	ok   bool
 	exec provenance.ExecEntry
-}
-
-type pendingExpand struct {
-	loc     string
-	rid     rel.ID
-	visited []rel.ID
-	cont    func(provgraph.SubResult)
 }
 
 func newFedSource(g *Gateway, ctx context.Context, version uint64) *fedSource {
@@ -208,59 +201,41 @@ func (s *fedSource) absorbExec(loc string, rid rel.ID, exec *client.ProvExec, in
 // vertex resolves (loc, vid) through the cache, with a synchronous
 // single read on a miss.
 func (s *fedSource) vertex(loc string, vid rel.ID) vertexData {
-	key := locID{loc, vid}
-	if vd, ok := s.verts[key]; ok {
-		return vd
+	if _, ok := s.verts[locID{loc, vid}]; !ok {
+		s.readOne(client.ProvReadOp{Op: client.ProvReadVertex, Loc: loc, ID: vid.String()})
 	}
-	if s.err != nil {
-		return vertexData{}
-	}
-	shard, ok := s.g.shards.OwnerOf(loc)
-	if !ok {
-		// The walk never reaches here for unknown nodes (derivation
-		// entries only name real nodes), but fail safe.
-		s.fail(fmt.Errorf("unknown node %q", loc))
-		return vertexData{}
-	}
-	op := client.ProvReadOp{Op: client.ProvReadVertex, Loc: loc, ID: vid.String()}
-	res, err := s.readShard(shard, []client.ProvReadOp{op})
-	if err != nil {
-		s.fail(err)
-		return vertexData{}
-	}
-	if err := s.absorb(shard, op, res[0]); err != nil {
-		s.fail(err)
-		return vertexData{}
-	}
-	return s.verts[key]
+	return s.verts[locID{loc, vid}]
 }
 
 // execAt resolves (loc, rid) through the cache, with a synchronous
 // single read on a miss (its input vertices arrive piggybacked).
 func (s *fedSource) execAt(loc string, rid rel.ID) execData {
-	key := locID{loc, rid}
-	if ed, ok := s.execs[key]; ok {
-		return ed
+	if _, ok := s.execs[locID{loc, rid}]; !ok {
+		s.readOne(client.ProvReadOp{Op: client.ProvReadExec, Loc: loc, ID: rid.String()})
 	}
+	return s.execs[locID{loc, rid}]
+}
+
+// readOne reads op alone from the shard owning its node and absorbs the
+// result; a failure leaves the caches without it.
+func (s *fedSource) readOne(op client.ProvReadOp) {
 	if s.err != nil {
-		return execData{}
+		return
 	}
-	shard, ok := s.g.shards.OwnerOf(loc)
+	shard, ok := s.g.shards.OwnerOf(op.Loc)
 	if !ok {
-		s.fail(fmt.Errorf("unknown node %q", loc))
-		return execData{}
+		// The walk never reaches here for unknown nodes (derivation
+		// entries only name real nodes), but fail safe.
+		s.fail(fmt.Errorf("unknown node %q", op.Loc))
+		return
 	}
-	op := client.ProvReadOp{Op: client.ProvReadExec, Loc: loc, ID: rid.String()}
 	res, err := s.readShard(shard, []client.ProvReadOp{op})
+	if err == nil {
+		err = s.absorb(shard, op, res[0])
+	}
 	if err != nil {
 		s.fail(err)
-		return execData{}
 	}
-	if err := s.absorb(shard, op, res[0]); err != nil {
-		s.fail(err)
-		return execData{}
-	}
-	return s.execs[key]
 }
 
 // ---- provgraph.Source ---------------------------------------------------
@@ -283,29 +258,27 @@ func (s *fedSource) Exec(loc string, rid rel.ID) (provenance.ExecEntry, bool) {
 	return ed.exec, ed.ok
 }
 
-// ExpandRemote charges the modeled request/response pair the live
-// traversal would have sent for the cross-node hop, then defers the
-// expansion so the flush can batch it with siblings landing on the
-// same shard.
-func (s *fedSource) ExpandRemote(w *provgraph.Walk, from, loc string, rid rel.ID, visited []rel.ID, cont func(provgraph.SubResult)) {
-	s.msgs++ // request
-	s.bytes += provgraph.RequestSize(len(visited))
-	s.pending = append(s.pending, pendingExpand{
-		loc: loc, rid: rid, visited: visited,
-		cont: func(r provgraph.SubResult) {
-			s.msgs++ // response
-			s.bytes += provgraph.ResponseSize(w.Type, r)
-			cont(r)
-		},
-	})
+// Cross charges the modeled request or response the live traversal
+// would have sent for the hop. A hop on its way out is parked, so the
+// flush can batch it with siblings landing on the same shard; one on
+// its way back resumes at once.
+func (s *fedSource) Cross(w *provgraph.Walk, h *provgraph.Hop) {
+	s.msgs++
+	if !h.Back() {
+		s.bytes += h.RequestSize()
+		s.pending = append(s.pending, h)
+		return
+	}
+	s.bytes += h.ResponseSize()
+	w.Resume(h)
 }
 
-// flush runs one round of deferred expansions: prefetch every missing
-// exec (one batched read per shard), then re-enter the walk for each
-// expansion in order. The per-shard reads go out in shard-index order,
-// so the downstream request sequence — and which failure a walk reports
-// when two shards fail in one round — is the same on every run. New
-// expansions queued by the re-entry wait for the next round.
+// flush runs one round of parked hops: prefetch every missing exec (one
+// batched read per shard), then resume the walk with each hop in order.
+// The per-shard reads go out in shard-index order, so the downstream
+// request sequence — and which failure a walk reports when two shards
+// fail in one round — is the same on every run. Hops the resumed walk
+// parks wait for the next round.
 func (s *fedSource) flush(w *provgraph.Walk) {
 	batch := s.pending
 	s.pending = nil
@@ -313,19 +286,19 @@ func (s *fedSource) flush(w *provgraph.Walk) {
 		s.perShard[i] = s.perShard[i][:0]
 	}
 	queued := map[locID]bool{}
-	for _, it := range batch {
-		key := locID{it.loc, it.rid}
+	for _, h := range batch {
+		key := locID{h.Loc(), h.RID()}
 		if _, ok := s.execs[key]; ok || queued[key] {
 			continue
 		}
-		shard, ok := s.g.shards.OwnerOf(it.loc)
+		shard, ok := s.g.shards.OwnerOf(h.Loc())
 		if !ok {
-			s.fail(fmt.Errorf("unknown node %q", it.loc))
+			s.fail(fmt.Errorf("unknown node %q", h.Loc()))
 			return
 		}
 		queued[key] = true
 		s.perShard[shard] = append(s.perShard[shard],
-			client.ProvReadOp{Op: client.ProvReadExec, Loc: it.loc, ID: it.rid.String()})
+			client.ProvReadOp{Op: client.ProvReadExec, Loc: h.Loc(), ID: h.RID().String()})
 	}
 	for shard, ops := range s.perShard {
 		if len(ops) == 0 {
@@ -343,11 +316,11 @@ func (s *fedSource) flush(w *provgraph.Walk) {
 			}
 		}
 	}
-	for _, it := range batch {
+	for _, h := range batch {
 		if s.err != nil {
 			return
 		}
-		w.ExpandExecLocal(it.loc, it.rid, it.visited, it.cont)
+		w.Resume(h)
 	}
 }
 

@@ -30,7 +30,7 @@ func (c *cancellingSource) Derivations(loc string, vid rel.ID) ([]provenance.Ent
 
 // TestWalkCancelledMidWalkStopsExpanding: cancelling the context while
 // the walk is deep inside a long chain aborts the remaining expansion
-// — the walk still unwinds (the continuation fires) but resolves only
+// — the walk still unwinds (its root finishes) but resolves only
 // the vertices visited before the cancellation, and Err reports why.
 func TestWalkCancelledMidWalkStopsExpanding(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -44,10 +44,9 @@ func TestWalkCancelledMidWalkStopsExpanding(t *testing.T) {
 	src := &cancellingSource{fakeSource: f, after: after, cancel: cancel}
 	w := NewWalkContext(ctx, src, Lineage, Options{})
 
-	done := false
-	w.ResolveTuple(loc, vid, nil, func(SubResult) { done = true })
-	if !done {
-		t.Fatal("aborted walk never fired its continuation")
+	w.Start(loc, vid)
+	if !w.Done() {
+		t.Fatal("aborted walk never finished")
 	}
 	if err := w.Err(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Err() = %v, want context.Canceled", err)
@@ -73,10 +72,9 @@ func TestWalkExpiredDeadlineResolvesNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	w := NewWalkContext(ctx, f, Lineage, Options{})
-	done := false
-	w.ResolveTuple(loc, vid, nil, func(SubResult) { done = true })
-	if !done {
-		t.Fatal("aborted walk never fired its continuation")
+	w.Start(loc, vid)
+	if !w.Done() {
+		t.Fatal("aborted walk never finished")
 	}
 	if w.Resolved() != 0 {
 		t.Fatalf("walk resolved %d vertices under a dead context", w.Resolved())
@@ -99,7 +97,7 @@ func TestWalkAbortNeverCaches(t *testing.T) {
 	defer cancel()
 	src := &cancellingSource{fakeSource: f, after: 3, cancel: cancel}
 	w := NewWalkContext(ctx, src, Lineage, Options{UseCache: true})
-	w.ResolveTuple(loc, vid, nil, func(SubResult) {})
+	w.Start(loc, vid)
 	if w.Err() == nil {
 		t.Fatal("walk was not aborted")
 	}

@@ -1,18 +1,23 @@
 // Package provgraph is the single traversal core of the provenance
-// query engine: one recursive graph-walk over the distributed
-// provenance graph G(V,E), shared by every evaluation mode. The walk is
-// written in continuation-passing style and parameterized by a Source,
-// so the same merge/cycle/threshold/limit logic serves
+// query engine: one walk over the distributed provenance graph G(V,E),
+// shared by every evaluation mode. The walk keeps an explicit stack of
+// frames, one per tuple vertex and one per rule execution, and is
+// parameterized by a Source, so the same merge/cycle/threshold/limit
+// logic serves
 //
 //   - the live distributed traversal (internal/provquery.Client), where
-//     cross-node expansions become request/response messages over the
-//     simulated network and continuations fire on message delivery, and
+//     a frame that crosses to another node rides a request message over
+//     the simulated network and resumes when the message is delivered,
 //   - the snapshot traversal (internal/provquery.SnapshotClient), where
-//     continuations fire synchronously against frozen partition views
-//     and the network cost is modeled instead of measured.
+//     every crossing resumes at once against frozen partition views and
+//     the network cost is modeled instead of measured, and
+//   - the federated traversal (internal/gateway), where crossings wait
+//     for batched, version-pinned shard reads.
 //
-// Query features — new query types, traversal limits, caching — are
-// implemented here exactly once and inherited by both adapters.
+// A frame accumulates only what the query type asks for: the proof tree
+// for lineage, the base tuples, the node set, or the derivation count.
+// Query features (new query types, traversal limits, caching) are
+// implemented here exactly once and inherited by every source.
 package provgraph
 
 import (
@@ -164,13 +169,24 @@ type Result struct {
 	Stats     Stats
 }
 
-// SubResult is the partial result a walk accumulates per subtree; on
-// the live path it is what travels between nodes.
+// Base is one base-tuple leaf the walk reached, with the VID it was
+// reached by, so deduplication never hashes the tuple again.
+type Base struct {
+	VID rel.ID
+	TupleAt
+}
+
+// SubResult is what a walk computed for one tuple vertex: the field of
+// the walk's query type, the other fields left zero, plus the limit
+// flags. It is the walk's answer and the value of the live per-node
+// cache.
 type SubResult struct {
-	Node      *ProofNode
-	Bases     []TupleAt
-	Nodes     map[string]bool
-	Count     int
+	Node      *ProofNode // Lineage: the vertex and its sub-proof
+	Size      int        // Lineage: tuple vertices in Node's tree
+	Bases     []Base     // BaseTuples: every base leaf reached, repeats kept
+	BaseBytes int        // BaseTuples: the wire size of Bases
+	Nodes     []string   // Nodes: the participating nodes, each once
+	Count     int        // DerivCount
 	Pruned    bool
 	Truncated bool
 }
@@ -186,9 +202,7 @@ func NewResult(typ QueryType, out SubResult) *Result {
 	case BaseTuples:
 		res.Bases = DedupBases(out.Bases)
 	case Nodes:
-		for n := range out.Nodes {
-			res.Nodes = append(res.Nodes, n)
-		}
+		res.Nodes = out.Nodes
 		sort.Strings(res.Nodes)
 	case DerivCount:
 		res.Count = out.Count
@@ -197,136 +211,15 @@ func NewResult(typ QueryType, out SubResult) *Result {
 }
 
 // DedupBases drops duplicate base tuples and sorts deterministically.
-func DedupBases(in []TupleAt) []TupleAt {
-	seen := map[rel.ID]bool{}
+func DedupBases(in []Base) []TupleAt {
+	seen := make(map[rel.ID]bool, len(in))
 	var out []TupleAt
 	for _, b := range in {
-		vid := b.Tuple.VID()
-		if !seen[vid] {
-			seen[vid] = true
-			out = append(out, b)
+		if !seen[b.VID] {
+			seen[b.VID] = true
+			out = append(out, b.TupleAt)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Compare(out[j].Tuple) < 0 })
 	return out
-}
-
-// CycleResult is the sub-result for a tuple the walk met again on its
-// own derivation path: a leaf marked Cycle contributing no derivations.
-func CycleResult(vid rel.ID, tuple rel.Tuple, loc string) SubResult {
-	return SubResult{
-		Node:  &ProofNode{VID: vid, Tuple: tuple, Loc: loc, Cycle: true},
-		Nodes: map[string]bool{loc: true},
-		Count: 0,
-	}
-}
-
-// MissingResult is the sub-result for an id with no provenance at loc.
-func MissingResult(id rel.ID, loc string) SubResult {
-	return SubResult{
-		Node:  &ProofNode{VID: id, Loc: loc},
-		Nodes: map[string]bool{loc: true},
-		Count: 0,
-	}
-}
-
-// TruncatedResult is the sub-result for a tuple the walk refused to
-// expand because a traversal limit (maxdepth/maxnodes) was reached.
-func TruncatedResult(vid rel.ID, tuple rel.Tuple, loc string) SubResult {
-	return SubResult{
-		Node:      &ProofNode{VID: vid, Tuple: tuple, Loc: loc, Truncated: true},
-		Nodes:     map[string]bool{loc: true},
-		Count:     0,
-		Truncated: true,
-	}
-}
-
-// MergeInto folds a derivation-level result into a tuple-level result.
-func MergeInto(acc *SubResult, r SubResult) {
-	if r.Node != nil && acc.Node != nil {
-		acc.Node.Derivs = append(acc.Node.Derivs, r.Node.Derivs...)
-	}
-	acc.Bases = append(acc.Bases, r.Bases...)
-	for n := range r.Nodes {
-		acc.Nodes[n] = true
-	}
-	acc.Count += r.Count
-	acc.Pruned = acc.Pruned || r.Pruned
-	acc.Truncated = acc.Truncated || r.Truncated
-}
-
-// Thunk is a deferred sub-query: invoked, it eventually calls cont with
-// its sub-result (immediately on snapshots, on message delivery live).
-type Thunk func(cont func(SubResult))
-
-// RunAll executes thunks either concurrently (all issued before any
-// completion) or sequentially (each issued from the previous one's
-// continuation), then calls done with results in order.
-func RunAll(thunks []Thunk, sequential bool, done func([]SubResult)) {
-	n := len(thunks)
-	if n == 0 {
-		done(nil)
-		return
-	}
-	results := make([]SubResult, n)
-	if sequential {
-		var step func(i int)
-		step = func(i int) {
-			if i == n {
-				done(results)
-				return
-			}
-			thunks[i](func(r SubResult) {
-				results[i] = r
-				step(i + 1)
-			})
-		}
-		step(0)
-		return
-	}
-	remaining := n
-	for i, th := range thunks {
-		i := i
-		th(func(r SubResult) {
-			results[i] = r
-			remaining--
-			if remaining == 0 {
-				done(results)
-			}
-		})
-	}
-}
-
-// RequestSize approximates the wire size of a query request carrying a
-// visited path of the given length.
-func RequestSize(visited int) int { return 64 + 20*visited }
-
-// ResponseSize approximates the wire size of a sub-result by type:
-// lineage ships tree structure, base-tuples ships tuples, nodes ships
-// addresses, counts ship integers. This is what makes the cheaper query
-// types measurably cheaper, as in ExSPAN.
-func ResponseSize(typ QueryType, r SubResult) int {
-	switch typ {
-	case Lineage:
-		n := 0
-		if r.Node != nil {
-			for _, d := range r.Node.Derivs {
-				for _, c := range d.Children {
-					n += c.Size()
-				}
-			}
-		}
-		return 48 + 96*n
-	case BaseTuples:
-		n := 48
-		for _, b := range r.Bases {
-			n += len(rel.MarshalTuple(b.Tuple)) + 8
-		}
-		return n
-	case Nodes:
-		return 48 + 16*len(r.Nodes)
-	case DerivCount:
-		return 56
-	}
-	return 48
 }

@@ -83,9 +83,11 @@ func (f *fakeSource) Exec(loc string, rid rel.ID) (provenance.ExecEntry, bool) {
 	return e, ok
 }
 
-func (f *fakeSource) ExpandRemote(w *Walk, from, loc string, rid rel.ID, visited []rel.ID, cont func(SubResult)) {
-	f.hops++
-	w.ExpandExecLocal(loc, rid, visited, cont)
+func (f *fakeSource) Cross(w *Walk, h *Hop) {
+	if !h.Back() {
+		f.hops++
+	}
+	w.Resume(h)
 }
 
 func (f *fakeSource) CacheGet(loc string, key CacheKey) (SubResult, bool) {
@@ -128,12 +130,11 @@ func chain(f *fakeSource, length int) (rel.ID, string) {
 
 func run(t *testing.T, w *Walk, loc string, vid rel.ID) SubResult {
 	t.Helper()
-	var out *SubResult
-	w.ResolveTuple(loc, vid, nil, func(r SubResult) { out = &r })
-	if out == nil {
+	w.Start(loc, vid)
+	if !w.Done() {
 		t.Fatal("walk did not complete synchronously")
 	}
-	return *out
+	return w.Out()
 }
 
 func TestWalkLineageChain(t *testing.T) {
@@ -296,5 +297,96 @@ func TestWalkMissingVertex(t *testing.T) {
 	out := run(t, NewWalk(f, Lineage, Options{}), "a", ghost)
 	if out.Node == nil || out.Node.VID != ghost || out.Count != 0 {
 		t.Fatalf("missing vertex result = %+v", out)
+	}
+}
+
+// layered builds a graph in which every derived tuple has two
+// derivations, one executed at its own node and one at the next node,
+// each over the two tuples of the layer below at that node. It returns
+// a top tuple and its node.
+func layered(f *fakeSource, levels int) (rel.ID, string) {
+	locs := []string{"a", "b", "c"}
+	below := map[string][]rel.ID{}
+	for i, loc := range locs {
+		below[loc] = []rel.ID{f.base(loc, fmt.Sprintf("g%d", 2*i)), f.base(loc, fmt.Sprintf("g%d", 2*i+1))}
+	}
+	for l := 1; l <= levels; l++ {
+		layer := map[string][]rel.ID{}
+		for i, loc := range locs {
+			next := locs[(i+1)%len(locs)]
+			for k := 0; k < 2; k++ {
+				vid := f.derived(loc, fmt.Sprintf("t%d_%d", l, k), fmt.Sprintf("r%d", l), loc, below[loc]...)
+				rid := rel.HashParts([]byte("alt"), []byte(next), vid[:])
+				f.derivs[loc][vid] = append(f.derivs[loc][vid], provenance.Entry{VID: vid, RID: rid, RLoc: next})
+				f.execs[next][rid] = provenance.ExecEntry{RID: rid, Rule: "alt", VIDs: below[next]}
+				layer[loc] = append(layer[loc], vid)
+			}
+		}
+		below = layer
+	}
+	return below["a"][0], "a"
+}
+
+// shape renders a proof's structure: vertices with their cycle (@) and
+// truncation (!) marks, derivations with their inputs, in order.
+func shape(p *ProofNode) string {
+	s := p.VID.Short()
+	if p.Cycle {
+		s += "@"
+	}
+	if p.Truncated {
+		s += "!"
+	}
+	for _, d := range p.Derivs {
+		s += "(" + d.RID.Short() + ":"
+		for _, c := range d.Children {
+			s += " " + shape(c)
+		}
+		s += ")"
+	}
+	return s
+}
+
+// reference is the walk's semantics as plain recursion in derivation
+// and input order, spending a MaxNodes budget as it goes: the order a
+// source that resumes every hop at once must visit in, concurrent or
+// Sequential.
+func reference(f *fakeSource, loc string, vid rel.ID, path []rel.ID, budget *int) string {
+	s := vid.Short()
+	for _, seen := range path {
+		if seen == vid {
+			return s + "@"
+		}
+	}
+	if *budget == 0 {
+		return s + "!"
+	}
+	*budget--
+	for _, d := range f.derivs[loc][vid] {
+		if e, ok := f.execs[d.RLoc][d.RID]; ok && !d.RID.IsZero() {
+			s += "(" + d.RID.Short() + ":"
+			for _, in := range e.VIDs {
+				s += " " + reference(f, d.RLoc, in, append(path[:len(path):len(path)], vid), budget)
+			}
+			s += ")"
+		}
+	}
+	return s
+}
+
+// TestWalkMaxNodesFrontierMatchesReference pins the visit order: under
+// every budget the truncation frontier is the one the plain recursion
+// reaches, so issuing siblings in any other order fails here.
+func TestWalkMaxNodesFrontierMatchesReference(t *testing.T) {
+	f := newFakeSource()
+	vid, loc := layered(f, 3)
+	for budget := 1; budget <= 90; budget++ {
+		for _, seq := range []bool{false, true} {
+			out := run(t, NewWalk(f, Lineage, Options{MaxNodes: budget, Sequential: seq}), loc, vid)
+			left := budget
+			if got, want := shape(out.Node), reference(f, loc, vid, nil, &left); got != want {
+				t.Fatalf("maxnodes %d (sequential %v):\nwalk      %s\nreference %s", budget, seq, got, want)
+			}
+		}
 	}
 }

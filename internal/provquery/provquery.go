@@ -9,10 +9,10 @@
 // threshold-based pruning, and uniform traversal limits.
 //
 // The traversal itself — merge, cycle detection, pruning, limits —
-// lives in internal/provgraph as a single continuation-passing walk
-// over a Source. This package provides its two faces: the live Client,
-// whose queries execute as messages over the same simulated network as
-// the protocols themselves (so the traffic reductions from the
+// lives in internal/provgraph as a single walk over a Source. This
+// package provides two of its faces: the live Client, whose walk
+// crosses nodes as messages over the same simulated network as the
+// protocols themselves (so the traffic reductions from the
 // optimizations are directly measurable), and the SnapshotClient in
 // snapshot.go, which evaluates against frozen partition views.
 package provquery
@@ -76,29 +76,11 @@ var (
 	ErrNotOwned = errors.New("partition not held here")
 )
 
-type request struct {
-	qid     uint64
-	typ     QueryType
-	opts    Options
-	rid     rel.ID   // rule execution to expand at the receiver
-	visited []rel.ID // tuple VIDs on the path, for cycle detection
-	replyTo string
-}
-
-type response struct {
-	qid uint64
-	res provgraph.SubResult
-}
-
-// Service handles query traffic at one node.
+// Service is one node's query state: its provenance partition and its
+// per-node result cache.
 type Service struct {
-	addr    string
-	store   *provenance.Store
-	net     *simnet.Network
-	client  *Client
-	nextQID uint64
-	pending map[uint64]func(provgraph.SubResult)
-	cache   map[provgraph.CacheKey]*cacheVal
+	store *provenance.Store
+	cache map[provgraph.CacheKey]*cacheVal
 }
 
 type cacheVal struct {
@@ -109,7 +91,7 @@ type cacheVal struct {
 // Client coordinates queries over an engine's nodes. It is the live
 // asynchronous adapter of the provgraph walk: cross-node expansions
 // travel as request/response messages over the simulated network, and
-// the walk's continuations fire on message delivery.
+// the walk resumes each hop on message delivery.
 type Client struct {
 	eng      *engine.Engine
 	services map[string]*Service
@@ -129,21 +111,10 @@ func Attach(eng *engine.Engine) (*Client, error) {
 		if n.Prov == nil {
 			return nil, fmt.Errorf("provquery: node %s has no provenance store", addr)
 		}
-		c.services[addr] = &Service{
-			addr:    addr,
-			store:   n.Prov,
-			net:     eng.Net,
-			client:  c,
-			pending: map[uint64]func(provgraph.SubResult){},
-			cache:   map[provgraph.CacheKey]*cacheVal{},
-		}
+		c.services[addr] = &Service{store: n.Prov, cache: map[provgraph.CacheKey]*cacheVal{}}
 	}
-	err := eng.RegisterService(MsgKind, func(n *engine.Node, m simnet.Message) {
-		svc, ok := c.services[n.Addr]
-		if !ok {
-			panic("provquery: message for unattached node " + n.Addr)
-		}
-		svc.handle(m)
+	err := eng.RegisterService(MsgKind, func(_ *engine.Node, m simnet.Message) {
+		c.walk.Resume(m.Payload.(*provgraph.Hop))
 	})
 	if err != nil {
 		return nil, err
@@ -159,9 +130,8 @@ func (c *Client) Query(typ QueryType, at string, t rel.Tuple, opts Options) (*Re
 }
 
 // QueryContext is Query with cancellation: once ctx is cancelled or
-// its deadline passes, the walk stops expanding — every in-flight
-// sub-query unwinds with an empty result — and the call returns an
-// error wrapping ctx.Err() instead of a partial Result.
+// its deadline passes, the walk stops expanding and unwinds, and the
+// call returns an error wrapping ctx.Err() instead of a partial Result.
 func (c *Client) QueryContext(ctx context.Context, typ QueryType, at string, t rel.Tuple, opts Options) (*Result, error) {
 	svc, ok := c.services[at]
 	if !ok {
@@ -172,35 +142,28 @@ func (c *Client) QueryContext(ctx context.Context, typ QueryType, at string, t r
 		return nil, fmt.Errorf("provquery: tuple %s has %w at %s", t, ErrNoProvenance, at)
 	}
 	c.cacheHits = 0
-	startMsgs, startBytes, _ := kindTotals(c.eng.Net)
-	startTime := c.eng.Net.Now()
+	start, startTime := c.eng.Net.KindTotals()[MsgKind], c.eng.Net.Now()
 
 	w := provgraph.NewWalkContext(ctx, liveSource{c}, typ, opts)
 	c.walk = w
 	defer func() { c.walk = nil }()
-	var out *provgraph.SubResult
-	w.ResolveTuple(at, vid, nil, func(r provgraph.SubResult) { out = &r })
+	w.Start(at, vid)
 	c.eng.Net.Run(0)
 	if err := w.Err(); err != nil {
 		return nil, fmt.Errorf("provquery: query for %s aborted after %d vertices: %w", t, w.Resolved(), err)
 	}
-	if out == nil {
+	if !w.Done() {
 		return nil, fmt.Errorf("provquery: query for %s did not complete", t)
 	}
-	endMsgs, endBytes, _ := kindTotals(c.eng.Net)
-	res := provgraph.NewResult(typ, *out)
+	end := c.eng.Net.KindTotals()[MsgKind]
+	res := provgraph.NewResult(typ, w.Out())
 	res.Stats = Stats{
-		Messages:  endMsgs - startMsgs,
-		Bytes:     endBytes - startBytes,
+		Messages:  end.Messages - start.Messages,
+		Bytes:     end.Bytes - start.Bytes,
 		Latency:   c.eng.Net.Now() - startTime,
 		CacheHits: c.cacheHits,
 	}
 	return res, nil
-}
-
-func kindTotals(net *simnet.Network) (msgs, bytes, drops int) {
-	k := net.KindTotals()[MsgKind]
-	return k.Messages, k.Bytes, 0
 }
 
 // InvalidateCaches clears every node's query cache (tests/benches).
@@ -230,22 +193,17 @@ func (ls liveSource) Exec(loc string, rid rel.ID) (provenance.ExecEntry, bool) {
 	return ls.c.services[loc].store.Exec(rid)
 }
 
-// ExpandRemote sends the expansion request to the executing node; the
-// continuation is parked in the requesting service's pending table and
-// fires when the response message is delivered.
-func (ls liveSource) ExpandRemote(w *provgraph.Walk, from, loc string, rid rel.ID, visited []rel.ID, cont func(provgraph.SubResult)) {
-	s := ls.c.services[from]
-	qid := s.nextQIDFn()
-	s.pending[qid] = cont
-	req := request{qid: qid, typ: w.Type, opts: w.Opts, rid: rid, visited: visited, replyTo: s.addr}
-	s.net.Send(simnet.Message{
-		From:     s.addr,
-		To:       loc,
-		Kind:     MsgKind,
-		Reliable: true,
-		Payload:  req,
-		Size:     requestSize(req),
-	})
+// Cross sends the hop as a message: out, the request to expand its rule
+// execution at the node where it ran; back, the response. Every node
+// shares the client's walk, so the hop itself is the payload, standing
+// in for what a real request carries (the execution and the visited
+// path, which the message size charges).
+func (ls liveSource) Cross(_ *provgraph.Walk, h *provgraph.Hop) {
+	m := simnet.Message{From: h.From(), To: h.Loc(), Kind: MsgKind, Reliable: true, Payload: h, Size: h.RequestSize()}
+	if h.Back() {
+		m.From, m.To, m.Size = h.Loc(), h.From(), h.ResponseSize()
+	}
+	ls.c.eng.Net.Send(m)
 }
 
 func (ls liveSource) CacheGet(loc string, key provgraph.CacheKey) (provgraph.SubResult, bool) {
@@ -261,51 +219,3 @@ func (ls liveSource) CachePut(loc string, key provgraph.CacheKey, res provgraph.
 	s := ls.c.services[loc]
 	s.cache[key] = &cacheVal{res: res, version: s.store.Version()}
 }
-
-// ---- service internals -------------------------------------------------
-
-func (s *Service) handle(m simnet.Message) {
-	switch p := m.Payload.(type) {
-	case request:
-		s.expandExec(p)
-	case response:
-		cont, ok := s.pending[p.qid]
-		if !ok {
-			return // stale response (should not happen in simulation)
-		}
-		delete(s.pending, p.qid)
-		cont(p.res)
-	default:
-		panic(fmt.Sprintf("provquery: bad payload %T", m.Payload))
-	}
-}
-
-func (s *Service) nextQIDFn() uint64 {
-	s.nextQID++
-	return s.nextQID
-}
-
-// expandExec handles a remote expansion request by re-entering the
-// query's walk at this node. The request carries the query parameters a
-// real deployment would rebuild its walk from; in the simulation all
-// services share the client's single active walk (which also carries
-// the query-wide node budget).
-func (s *Service) expandExec(req request) {
-	s.client.walk.ExpandExecLocal(s.addr, req.rid, req.visited, func(r provgraph.SubResult) {
-		resp := response{qid: req.qid, res: r}
-		s.net.Send(simnet.Message{
-			From:     s.addr,
-			To:       req.replyTo,
-			Kind:     MsgKind,
-			Reliable: true,
-			Payload:  resp,
-			Size:     responseSize(req.typ, r),
-		})
-	})
-}
-
-// requestSize approximates the wire size of a query request.
-func requestSize(r request) int { return provgraph.RequestSize(len(r.visited)) }
-
-// responseSize approximates the wire size of a sub-result by type.
-func responseSize(typ QueryType, r provgraph.SubResult) int { return provgraph.ResponseSize(typ, r) }

@@ -118,15 +118,14 @@ func (c *SnapshotClient) QueryContext(ctx context.Context, typ QueryType, at str
 	}
 	src := &snapSource{src: c.src}
 	w := provgraph.NewWalkContext(ctx, src, typ, opts)
-	var out provgraph.SubResult
-	w.ResolveTuple(at, vid, nil, func(r provgraph.SubResult) { out = r })
+	w.Start(at, vid)
 	if err := w.Err(); err != nil {
 		return nil, fmt.Errorf("provquery: query for %s aborted after %d vertices: %w", t, w.Resolved(), err)
 	}
 	if src.notOwned != "" {
 		return nil, fmt.Errorf("provquery: query for %s crossed to node %s: %w", t, src.notOwned, ErrNotOwned)
 	}
-	res := provgraph.NewResult(typ, out)
+	res := provgraph.NewResult(typ, w.Out())
 	res.Stats = Stats{Messages: src.msgs, Bytes: src.bytes}
 	return res, nil
 }
@@ -140,9 +139,9 @@ func (c *SnapshotClient) Run(src string) (*Result, error) {
 	return c.Query(q.Type, q.At, q.Tuple, q.Opts)
 }
 
-// snapSource adapts frozen per-node views to the provgraph walk. All
-// continuations fire synchronously, and each cross-node hop charges the
-// modeled request/response pair the live traversal would have sent.
+// snapSource adapts frozen per-node views to the provgraph walk. Every
+// hop resumes at once, and each cross-node hop charges the modeled
+// request/response pair the live traversal would have sent.
 // One snapSource serves exactly one query; its counters are the walk's
 // traffic model.
 type snapSource struct {
@@ -165,43 +164,39 @@ func (s *snapSource) view(loc string) (PartitionView, bool) {
 }
 
 func (s *snapSource) TupleOf(loc string, vid rel.ID) (rel.Tuple, bool) {
-	v, ok := s.view(loc)
-	if !ok {
-		return rel.Tuple{}, false
+	if v, ok := s.view(loc); ok {
+		return v.TupleOf(vid)
 	}
-	return v.TupleOf(vid)
+	return rel.Tuple{}, false
 }
 
 func (s *snapSource) Derivations(loc string, vid rel.ID) ([]provenance.Entry, bool) {
-	v, ok := s.view(loc)
-	if !ok {
-		return nil, false
+	if v, ok := s.view(loc); ok {
+		return v.Derivations(vid)
 	}
-	return v.Derivations(vid)
+	return nil, false
 }
 
 func (s *snapSource) Exec(loc string, rid rel.ID) (provenance.ExecEntry, bool) {
-	v, ok := s.view(loc)
-	if !ok {
-		return provenance.ExecEntry{}, false
+	if v, ok := s.view(loc); ok {
+		return v.Exec(rid)
 	}
-	return v.Exec(rid)
+	return provenance.ExecEntry{}, false
 }
 
-// ExpandRemote re-enters the walk at the executing node's view,
-// charging one simulated request/response pair for the hop.
-func (s *snapSource) ExpandRemote(w *provgraph.Walk, from, loc string, rid rel.ID, visited []rel.ID, cont func(provgraph.SubResult)) {
-	if _, ok := s.view(loc); !ok {
-		cont(provgraph.MissingResult(rid, loc))
-		return
+// Cross resumes the hop at once, charging the simulated request and
+// response for it. A hop to a node whose view is not held charges
+// nothing: its execution is not found there, so nothing would be sent.
+func (s *snapSource) Cross(w *provgraph.Walk, h *provgraph.Hop) {
+	if _, ok := s.view(h.Loc()); ok {
+		s.msgs++
+		if h.Back() {
+			s.bytes += h.ResponseSize()
+		} else {
+			s.bytes += h.RequestSize()
+		}
 	}
-	s.msgs++ // request
-	s.bytes += provgraph.RequestSize(len(visited))
-	w.ExpandExecLocal(loc, rid, visited, func(r provgraph.SubResult) {
-		s.msgs++ // response
-		s.bytes += provgraph.ResponseSize(w.Type, r)
-		cont(r)
-	})
+	w.Resume(h)
 }
 
 // Snapshots have no per-node caches: views are immutable, so the

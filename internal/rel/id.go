@@ -25,10 +25,18 @@ func (id ID) Compare(o ID) int { return bytes.Compare(id[:], o[:]) }
 func (id ID) IsZero() bool { return id == ZeroID }
 
 // String returns the full hex form.
-func (id ID) String() string { return hex.EncodeToString(id[:]) }
+func (id ID) String() string {
+	var b [2 * len(ID{})]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // Short returns an abbreviated hex form for display.
-func (id ID) Short() string { return hex.EncodeToString(id[:4]) }
+func (id ID) Short() string {
+	var b [8]byte
+	hex.Encode(b[:], id[:4])
+	return string(b[:])
+}
 
 // ParseID parses a full 40-hex-digit ID.
 func ParseID(s string) (ID, error) {

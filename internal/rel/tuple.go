@@ -96,20 +96,25 @@ func (t Tuple) Identified() Tuple {
 // String renders the tuple in NDlog syntax, marking the location
 // attribute of column 0 when it is an address: rel(@loc, v1, ...).
 func (t Tuple) String() string {
-	var b strings.Builder
-	b.WriteString(t.Rel)
-	b.WriteByte('(')
+	var buf [128]byte
+	return string(t.AppendLiteral(buf[:0]))
+}
+
+// AppendLiteral appends the tuple in NDlog syntax, as String renders
+// it, to b.
+func (t Tuple) AppendLiteral(b []byte) []byte {
+	b = append(b, t.Rel...)
+	b = append(b, '(')
 	for i, v := range t.Vals {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
 		if i == 0 && v.kind == KindAddr {
-			b.WriteByte('@')
+			b = append(b, '@')
 		}
-		b.WriteString(v.String())
+		b = v.AppendLiteral(b)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(b, ')')
 }
 
 // Loc returns the tuple's location attribute per the schema; ok is false

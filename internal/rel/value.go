@@ -231,29 +231,53 @@ func (v Value) hashInto(h hasher) {
 // String renders the value in NDlog literal syntax.
 func (v Value) String() string {
 	switch v.kind {
+	case KindFloat, KindString, KindList:
+		var buf [64]byte
+		return string(v.AppendLiteral(buf[:0]))
+	}
+	return v.scalarString()
+}
+
+// scalarString renders the kinds whose literal needs no formatting
+// buffer.
+func (v Value) scalarString() string {
+	switch v.kind {
 	case KindInt:
 		return strconv.FormatInt(v.num, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
 	case KindBool:
 		if v.num != 0 {
 			return "true"
 		}
 		return "false"
-	case KindString:
-		return strconv.Quote(v.str)
 	case KindAddr:
 		return v.str
 	case KindID:
 		return v.id.Short()
+	}
+	return "<invalid>"
+}
+
+// AppendLiteral appends the value's NDlog literal, as String renders
+// it, to b.
+func (v Value) AppendLiteral(b []byte) []byte {
+	switch v.kind {
+	case KindInt:
+		return strconv.AppendInt(b, v.num, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
+	case KindString:
+		return strconv.AppendQuote(b, v.str)
 	case KindList:
-		parts := make([]string, len(v.list))
+		b = append(b, '[')
 		for i, e := range v.list {
-			parts[i] = e.String()
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = e.AppendLiteral(b)
 		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		return append(b, ']')
 	default:
-		return "<invalid>"
+		return append(b, v.scalarString()...)
 	}
 }
 

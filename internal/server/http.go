@@ -182,12 +182,29 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // schema once, and both tiers render it.
 
 // JSONTuple renders one tuple as its wire form: the relation name, each
-// attribute as its NDlog literal, and the full literal text.
+// attribute as its NDlog literal, and the full literal text, built from
+// the attribute strings.
 func JSONTuple(t rel.Tuple) client.Tuple {
-	out := client.Tuple{Rel: t.Rel, Vals: make([]string, len(t.Vals)), Text: t.String()}
+	out := client.Tuple{Rel: t.Rel, Vals: make([]string, len(t.Vals))}
+	n := len(t.Rel) + 3
 	for i, v := range t.Vals {
 		out.Vals[i] = v.String()
+		n += len(out.Vals[i]) + 2
 	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(t.Rel)
+	b.WriteByte('(')
+	for i, s := range out.Vals {
+		if i > 0 {
+			b.WriteString(", ")
+		} else if t.Vals[0].Kind() == rel.KindAddr {
+			b.WriteByte('@')
+		}
+		b.WriteString(s)
+	}
+	b.WriteByte(')')
+	out.Text = b.String()
 	return out
 }
 
@@ -206,33 +223,38 @@ func JSONProof(p *provquery.ProofNode) client.ProofNode {
 		t := JSONTuple(p.Tuple)
 		out.Tuple = &t
 	}
-	for _, d := range p.Derivs {
-		dj := client.Deriv{Rule: d.Rule, Loc: d.RLoc, RID: d.RID.Short()}
-		for _, c := range d.Children {
-			dj.Children = append(dj.Children, JSONProof(c))
+	if len(p.Derivs) > 0 {
+		out.Derivs = make([]client.Deriv, len(p.Derivs))
+	}
+	for i, d := range p.Derivs {
+		dj := &out.Derivs[i]
+		*dj = client.Deriv{Rule: d.Rule, Loc: d.RLoc, RID: d.RID.Short()}
+		if len(d.Children) > 0 {
+			dj.Children = make([]client.ProofNode, len(d.Children))
 		}
-		out.Derivs = append(out.Derivs, dj)
+		for j, c := range d.Children {
+			dj.Children[j] = JSONProof(c)
+		}
 	}
 	return out
 }
 
 // scratch is what rendering one JSON body needs and can reuse: the
-// output buffer and an indenting Encoder over it, whose indent buffer a
-// fresh Encoder would regrow from nothing on every response.
+// compact encoding with its Encoder, and the indented body.
 type scratch struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	compact bytes.Buffer
+	enc     *json.Encoder
+	body    []byte
 }
 
 var scratchPool = sync.Pool{New: func() any {
 	sc := new(scratch)
-	sc.enc = json.NewEncoder(&sc.buf)
-	sc.enc.SetIndent("", "  ")
+	sc.enc = json.NewEncoder(&sc.compact)
 	return sc
 }}
 
-// maxScratchBytes is the largest scratch the pool takes back, so one
-// huge proof does not stay pinned behind small responses.
+// maxScratchBytes is the largest scratch buffer the pool takes back, so
+// one huge proof does not stay pinned behind small responses.
 const maxScratchBytes = 1 << 20
 
 // WriteJSON writes v as the canonical two-space-indented JSON body
@@ -247,18 +269,98 @@ func WriteJSON(w http.ResponseWriter, code int, v interface{}) { writeJSON(w, co
 // before it is written and must copy what it retains.
 func writeJSON(w http.ResponseWriter, code int, v interface{}, keep func(body []byte)) {
 	sc := scratchPool.Get().(*scratch)
-	sc.buf.Reset()
+	sc.compact.Reset()
 	if err := sc.enc.Encode(v); err != nil {
 		WriteErr(w, http.StatusInternalServerError, ErrInternal, "encode response: %v", err)
 		return
 	}
+	sc.body = appendIndent(sc.body[:0], sc.compact.Bytes())
 	if keep != nil {
-		keep(sc.buf.Bytes())
+		keep(sc.body)
 	}
-	writeBody(w, code, sc.buf.Bytes())
-	if sc.buf.Cap() <= maxScratchBytes {
+	writeBody(w, code, sc.body)
+	if sc.compact.Cap() <= maxScratchBytes && cap(sc.body) <= maxScratchBytes {
 		scratchPool.Put(sc)
 	}
+}
+
+// indent is one level of a body's indentation; blanks holds the deepest
+// run appendNewline copies at once.
+const (
+	indent = "  "
+	blanks = "                                                                "
+)
+
+// appendIndent appends src, compact JSON as json.Encoder writes it, to
+// dst indented exactly as json.Indent(dst, src, "", indent) would: a
+// newline and the depth's indentation after each opening bracket and
+// comma and before each closing bracket, except that an empty object or
+// array stays {} or [], and ": " after a key. Strings are copied as they
+// are. It is one pass over the bytes, with no scanner state per byte.
+func appendIndent(dst, src []byte) []byte {
+	depth := 0
+	opened := false // the last byte opened an object or array
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if opened && c != '}' && c != ']' {
+			opened = false
+			depth++
+			dst = appendNewline(dst, depth)
+		}
+		switch c {
+		case '"':
+			end := stringEnd(src, i+1)
+			dst = append(dst, src[i:end]...)
+			i = end - 1
+		case '{', '[':
+			opened = true
+			dst = append(dst, c)
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, c, ' ')
+		case '}', ']':
+			if opened {
+				opened = false
+			} else {
+				depth--
+				dst = appendNewline(dst, depth)
+			}
+			dst = append(dst, c)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// stringEnd returns the index just past the closing quote of the JSON
+// string whose contents start at src[i]: the first quote not escaped by
+// an odd run of backslashes.
+func stringEnd(src []byte, i int) int {
+	for {
+		q := bytes.IndexByte(src[i:], '"')
+		if q < 0 {
+			return len(src)
+		}
+		q += i
+		k := q
+		for k > i && src[k-1] == '\\' {
+			k--
+		}
+		if (q-k)%2 == 0 {
+			return q + 1
+		}
+		i = q + 1
+	}
+}
+
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for n := depth * len(indent); n > 0; n -= len(blanks) {
+		dst = append(dst, blanks[:min(n, len(blanks))]...)
+	}
+	return dst
 }
 
 // writeBody sends a rendered JSON body.

@@ -98,67 +98,90 @@ type ProofTreeOptions struct {
 
 // ProofTree renders a provenance proof tree.
 func ProofTree(root *provquery.ProofNode, opts ProofTreeOptions) string {
-	var b strings.Builder
-	renderNode(&b, root, "", true, 1, opts)
-	return b.String()
+	r := treeRenderer{opts: opts}
+	r.node(root, true, 1)
+	return r.b.String()
 }
 
-func renderNode(b *strings.Builder, p *provquery.ProofNode, prefix string, last bool, depth int, opts ProofTreeOptions) {
-	connector := "+-"
-	childPrefix := prefix + "| "
-	if last {
-		childPrefix = prefix + "  "
+// treeRenderer writes one proof tree. The indentation of the line being
+// written is one buffer shared down the recursion: a vertex appends its
+// children's part and cuts it off again on return.
+type treeRenderer struct {
+	b      strings.Builder
+	opts   ProofTreeOptions
+	prefix []byte
+	label  []byte // scratch for a tuple's literal
+}
+
+func (r *treeRenderer) node(p *provquery.ProofNode, last bool, depth int) {
+	b := &r.b
+	n := len(r.prefix)
+	b.Write(r.prefix)
+	if depth > 1 {
+		b.WriteString("+-")
 	}
-	if prefix == "" {
-		connector = ""
-		childPrefix = "  "
-	}
-	label := p.Tuple.String()
 	if p.Tuple.Rel == "" {
-		label = "<unresolved " + p.VID.Short() + ">"
+		b.WriteString("<unresolved ")
+		b.WriteString(p.VID.Short())
+		b.WriteByte('>')
+	} else {
+		r.label = p.Tuple.AppendLiteral(r.label[:0])
+		b.Write(r.label)
 	}
-	var marks []string
-	if p.Base {
-		marks = append(marks, "base")
+	b.WriteString(" @")
+	b.WriteString(p.Loc)
+	sep := " ["
+	for _, m := range [...]struct {
+		on   bool
+		name string
+	}{{p.Base, "base"}, {p.Cycle, "cycle"}, {p.Pruned, "pruned"}, {p.Truncated, "truncated"}} {
+		if m.on {
+			b.WriteString(sep)
+			b.WriteString(m.name)
+			sep = ","
+		}
 	}
-	if p.Cycle {
-		marks = append(marks, "cycle")
+	if sep == "," {
+		b.WriteByte(']')
 	}
-	if p.Pruned {
-		marks = append(marks, "pruned")
+	if r.opts.ShowVIDs {
+		b.WriteString(" #")
+		b.WriteString(p.VID.Short())
 	}
-	if p.Truncated {
-		marks = append(marks, "truncated")
+	b.WriteByte('\n')
+	if last || depth == 1 {
+		r.prefix = append(r.prefix, "  "...)
+	} else {
+		r.prefix = append(r.prefix, "| "...)
 	}
-	mark := ""
-	if len(marks) > 0 {
-		mark = " [" + strings.Join(marks, ",") + "]"
-	}
-	vid := ""
-	if opts.ShowVIDs {
-		vid = " #" + p.VID.Short()
-	}
-	fmt.Fprintf(b, "%s%s%s @%s%s%s\n", prefix, connector, label, p.Loc, mark, vid)
-	if opts.MaxDepth > 0 && depth >= opts.MaxDepth && len(p.Derivs) > 0 {
-		fmt.Fprintf(b, "%s+- ...\n", childPrefix)
+	if r.opts.MaxDepth > 0 && depth >= r.opts.MaxDepth && len(p.Derivs) > 0 {
+		b.Write(r.prefix)
+		b.WriteString("+- ...\n")
+		r.prefix = r.prefix[:n]
 		return
 	}
+	child := len(r.prefix)
 	for di, d := range p.Derivs {
-		lastDeriv := di == len(p.Derivs)-1
-		dConnector := "+-"
-		dChildPrefix := childPrefix + "| "
-		if lastDeriv {
-			dChildPrefix = childPrefix + "  "
+		b.Write(r.prefix[:child])
+		b.WriteString("+-via rule ")
+		b.WriteString(d.Rule)
+		b.WriteString(" @")
+		b.WriteString(d.RLoc)
+		if r.opts.ShowVIDs {
+			b.WriteString(" #")
+			b.WriteString(d.RID.Short())
 		}
-		rid := ""
-		if opts.ShowVIDs {
-			rid = " #" + d.RID.Short()
+		b.WriteByte('\n')
+		if di == len(p.Derivs)-1 {
+			r.prefix = append(r.prefix[:child], "  "...)
+		} else {
+			r.prefix = append(r.prefix[:child], "| "...)
 		}
-		fmt.Fprintf(b, "%s%svia rule %s @%s%s\n", childPrefix, dConnector, d.Rule, d.RLoc, rid)
 		for ci, c := range d.Children {
-			renderNode(b, c, dChildPrefix, ci == len(d.Children)-1, depth+1, opts)
+			r.node(c, ci == len(d.Children)-1, depth+1)
 		}
 	}
+	r.prefix = r.prefix[:n]
 }
 
 // SnapshotSummary one-lines the given nodes of a snapshot published at

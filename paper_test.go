@@ -82,7 +82,7 @@ func TestPaperClaims(t *testing.T) {
 		s := query(sys, typ+" of mincost(@'n1','n6',5)").Stats
 		put("E5 "+typ, "msgs,bytes", s.Messages, s.Bytes)
 		claim(got["E5 lineage / msgs"] == int64(s.Messages) && (typ == "lineage" || got["E5 lineage / bytes"] > int64(s.Bytes)),
-			"E5: %s should send lineage's messages in fewer bytes (provgraph.ResponseSize)", typ)
+			"E5: %s should send lineage's messages in fewer bytes (provgraph.Hop.ResponseSize)", typ)
 	}
 
 	stack := slices.Concat(diamond, []protocols.Edge{{A: "n4", B: "n5", Cost: 1}, {A: "n4", B: "n6", Cost: 1},

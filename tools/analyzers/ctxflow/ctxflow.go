@@ -1,6 +1,6 @@
 // Package ctxflow keeps the cancellation chain of the serving stack
 // unbroken. PR 4 threaded context cancellation from the HTTP client
-// through the gateway fan-out, the walk core's continuations, and the
+// through the gateway fan-out, the provenance walk core, and the
 // SDK: a client disconnect or ?timeout= deadline aborts the traversal
 // everywhere. That chain has two statically-detectable failure modes:
 // minting a fresh root context mid-chain, which the forbid analyzer's
@@ -20,7 +20,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "forbid dropped ctx parameters in the serving stack " +
-		"(server handlers, gateway fan-out, walk continuations, SDK calls), where the " +
+		"(server handlers, gateway fan-out, the provenance walk, SDK calls), where the " +
 		"client-disconnect cancellation chain must stay unbroken",
 	Run: run,
 }
