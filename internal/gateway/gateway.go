@@ -270,39 +270,18 @@ func (g *Gateway) Cache(server.Pin) *server.ResultCache { return g.cache }
 // snapshot traversal of the same state produces: same walk, same
 // modeled costs, only the partition reads travel.
 func (g *Gateway) runWalk(ctx context.Context, key server.CacheKey, t rel.Tuple) (*provquery.Result, *server.APIError) {
-	at, vid := key.At, key.VID
-	if _, ok := g.shards.OwnerOf(at); !ok {
+	if _, ok := g.shards.OwnerOf(key.At); !ok {
 		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode,
-			"provquery: unknown node %s", at)
+			"provquery: unknown node %s", key.At)
 	}
 	src := newFedSource(g, ctx, key.Version)
-	start := src.vertex(at, vid)
-	if src.err != nil {
-		return nil, downstreamError(src.err)
+	res, err := provgraph.Run(ctx, src, key.Type, key.At, t, key.Opts, src.flush)
+	if src.err != nil { // a shard read failed: err is that failure or the walk's cancellation
+		return nil, downstreamError(err)
 	}
-	if !start.derivsOK {
-		return nil, server.Errf(http.StatusNotFound, server.ErrNoProvenance,
-			"provquery: tuple %s has no provenance at %s", t, at)
+	if err != nil {
+		return nil, server.QueryError(err)
 	}
-
-	w := provgraph.NewWalkContext(ctx, src, key.Type, key.Opts)
-	w.Start(at, vid)
-	for !w.Done() && src.err == nil && w.Err() == nil {
-		if len(src.pending) == 0 {
-			return nil, server.Errf(http.StatusInternalServerError, server.ErrInternal,
-				"gateway: walk stalled with no pending expansions")
-		}
-		src.flush(w)
-	}
-	if err := w.Err(); err != nil {
-		return nil, server.QueryError(
-			fmt.Errorf("provquery: query for %s aborted after %d vertices: %w", t, w.Resolved(), err))
-	}
-	if src.err != nil {
-		return nil, downstreamError(src.err)
-	}
-	res := provgraph.NewResult(key.Type, w.Out())
-	res.Stats = provquery.Stats{Messages: src.msgs, Bytes: src.bytes}
 	return res, nil
 }
 

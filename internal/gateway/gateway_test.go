@@ -534,3 +534,27 @@ func (d *deployment) churnAll(t testing.TB) {
 		e.RunQuiescent()
 	}
 }
+
+// TestWithCacheTwinSharesEntry: "with cache" selects the live per-node
+// caches, which neither a daemon nor a gateway walks, so on both tiers
+// a query's "with cache" twin is served the entry the plain query left
+// at the same version, with the same body.
+func TestWithCacheTwinSharesEntry(t *testing.T) {
+	d := deployGrid(t, 3, 3, 0)
+	v := d.singlePub.Current().Version
+	plain := fmt.Sprintf(`{"q":"lineage of mincost(@'n1','n9',4)","version":%d}`, v)
+	twin := fmt.Sprintf(`{"q":"lineage of mincost(@'n1','n9',4) with cache","version":%d}`, v)
+	for _, tier := range []struct{ name, url string }{{"daemon", d.single.URL}, {"gateway", d.gw.URL}} {
+		first, want := post(t, tier.url+"/v1/query", plain)
+		if first.StatusCode != http.StatusOK || first.Header.Get("X-Cache") != "MISS" {
+			t.Fatalf("%s plain query: %d X-Cache %q, want 200 MISS", tier.name, first.StatusCode, first.Header.Get("X-Cache"))
+		}
+		resp, body := post(t, tier.url+"/v1/query", twin)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "HIT" {
+			t.Fatalf("%s with-cache twin: %d X-Cache %q, want 200 HIT", tier.name, resp.StatusCode, resp.Header.Get("X-Cache"))
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("%s with-cache twin body differs:\n%s\nvs\n%s", tier.name, body, want)
+		}
+	}
+}

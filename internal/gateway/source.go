@@ -24,14 +24,9 @@ import (
 // landing on the same shard ride one batched read request instead of
 // one round trip each.
 //
-// Cost accounting is two-ledger. The modeled ledger (msgs/bytes)
-// charges every cross-node hop the identical request/response sizes
-// the snapshot adapter charges, so a federated answer's stats — and
-// therefore its whole response body — stay byte-identical to the
-// single-process answer. The real ledger (addHops on the request
-// context) counts downstream HTTP requests actually issued, surfaced as
-// the X-Shard-Hops header: what federation really cost, next to what
-// the simulated network would have charged.
+// The walk models each hop's traffic as over a snapshot, so federated
+// bodies stay byte-identical to single-process ones; what federation
+// really cost, each downstream request, addHops counts (X-Shard-Hops).
 //
 // One fedSource serves exactly one walk and is not safe for
 // concurrent use, mirroring the walk itself.
@@ -42,9 +37,6 @@ type fedSource struct {
 
 	verts map[locID]vertexData
 	execs map[locID]execData
-
-	msgs  int // modeled ledger: simulated messages
-	bytes int // modeled ledger: simulated bytes
 
 	pending  []*provgraph.Hop
 	perShard [][]client.ProvReadOp // flush's per-round read batches, by shard index
@@ -258,19 +250,18 @@ func (s *fedSource) Exec(loc string, rid rel.ID) (provenance.ExecEntry, bool) {
 	return ed.exec, ed.ok
 }
 
-// Cross charges the modeled request or response the live traversal
-// would have sent for the hop. A hop on its way out is parked, so the
-// flush can batch it with siblings landing on the same shard; one on
-// its way back resumes at once.
-func (s *fedSource) Cross(w *provgraph.Walk, h *provgraph.Hop) {
-	s.msgs++
-	if !h.Back() {
-		s.bytes += h.RequestSize()
-		s.pending = append(s.pending, h)
+// Err is the first downstream failure.
+func (s *fedSource) Err() error { return s.err }
+
+// Cross parks a hop on its way out, so the flush can batch it with
+// siblings landing on the same shard; one on its way back resumes at
+// once.
+func (s *fedSource) Cross(h *provgraph.Hop) {
+	if h.Back() {
+		h.Resume()
 		return
 	}
-	s.bytes += h.ResponseSize()
-	w.Resume(h)
+	s.pending = append(s.pending, h)
 }
 
 // flush runs one round of parked hops: prefetch every missing exec (one
@@ -279,7 +270,7 @@ func (s *fedSource) Cross(w *provgraph.Walk, h *provgraph.Hop) {
 // request sequence — and which failure a walk reports when two shards
 // fail in one round — is the same on every run. Hops the resumed walk
 // parks wait for the next round.
-func (s *fedSource) flush(w *provgraph.Walk) {
+func (s *fedSource) flush() {
 	batch := s.pending
 	s.pending = nil
 	for i := range s.perShard {
@@ -320,16 +311,6 @@ func (s *fedSource) flush(w *provgraph.Walk) {
 		if s.err != nil {
 			return
 		}
-		w.Resume(h)
+		h.Resume()
 	}
 }
-
-// CacheGet always misses: per-node caching is a live-engine feature;
-// federated evaluation memoizes whole results per pinned version at
-// the gateway instead.
-func (s *fedSource) CacheGet(string, provgraph.CacheKey) (provgraph.SubResult, bool) {
-	return provgraph.SubResult{}, false
-}
-
-// CachePut is a no-op; see CacheGet.
-func (s *fedSource) CachePut(string, provgraph.CacheKey, provgraph.SubResult) {}

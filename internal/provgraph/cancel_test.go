@@ -107,7 +107,7 @@ func TestWalkAbortNeverCaches(t *testing.T) {
 
 	// The same walk run to completion afterwards sees clean caches and
 	// produces the full proof.
-	out := run(t, NewWalk(f, Lineage, Options{UseCache: true}), loc, vid)
+	out := run(t, NewWalkContext(context.Background(), f, Lineage, Options{UseCache: true}), loc, vid)
 	if res := NewResult(Lineage, out); res.Root == nil || res.Root.Size() != depth+1 {
 		t.Fatalf("post-abort walk damaged: got %d vertices, want %d", res.Root.Size(), depth+1)
 	}

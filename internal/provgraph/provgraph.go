@@ -16,16 +16,21 @@
 //
 // A frame accumulates only what the query type asks for: the proof tree
 // for lineage, the base tuples, the node set, or the derivation count.
-// Query features (new query types, traversal limits, caching) are
-// implemented here exactly once and inherited by every source.
+// Query features (new query types, traversal limits, caching) and the
+// one query driver, Run, are written here once for every source.
 package provgraph
 
 import (
+	"errors"
 	"sort"
 
 	"repro/internal/rel"
 	"repro/internal/simnet"
 )
+
+// ErrNoProvenance: the start node records no provenance for the
+// queried tuple.
+var ErrNoProvenance = errors.New("no provenance")
 
 // QueryType selects what the traversal computes.
 type QueryType int
@@ -149,12 +154,6 @@ type Stats struct {
 	// CacheHits counts sub-results served from per-node caches during
 	// the traversal itself (Options.UseCache on the live path).
 	CacheHits int
-	// SubProofHits / SubProofMisses report the serving-layer sub-proof
-	// cache counters observed when this result was produced (set by
-	// internal/server when answering from a pinned snapshot; zero on
-	// direct traversals).
-	SubProofHits   int
-	SubProofMisses int
 }
 
 // Result is a completed query.
@@ -191,9 +190,8 @@ type SubResult struct {
 	Truncated bool
 }
 
-// NewResult assembles a finished Result from the root sub-result.
-// Stats are left zero: each adapter fills in its own cost measurement
-// (measured traffic live, modeled traffic on snapshots).
+// NewResult assembles a finished Result from the root sub-result,
+// with Stats left zero.
 func NewResult(typ QueryType, out SubResult) *Result {
 	res := &Result{Type: typ, Pruned: out.Pruned, Truncated: out.Truncated}
 	switch typ {

@@ -1,6 +1,7 @@
 package provgraph
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -83,12 +84,14 @@ func (f *fakeSource) Exec(loc string, rid rel.ID) (provenance.ExecEntry, bool) {
 	return e, ok
 }
 
-func (f *fakeSource) Cross(w *Walk, h *Hop) {
+func (f *fakeSource) Cross(h *Hop) {
 	if !h.Back() {
 		f.hops++
 	}
-	w.Resume(h)
+	h.Resume()
 }
+
+func (f *fakeSource) Err() error { return nil }
 
 func (f *fakeSource) CacheGet(loc string, key CacheKey) (SubResult, bool) {
 	f.gets++
@@ -140,7 +143,7 @@ func run(t *testing.T, w *Walk, loc string, vid rel.ID) SubResult {
 func TestWalkLineageChain(t *testing.T) {
 	f := newFakeSource()
 	vid, loc := chain(f, 3)
-	out := run(t, NewWalk(f, Lineage, Options{}), loc, vid)
+	out := run(t, NewWalkContext(context.Background(), f, Lineage, Options{}), loc, vid)
 	res := NewResult(Lineage, out)
 	if res.Root == nil || res.Root.Size() != 4 {
 		t.Fatalf("expected 4-vertex proof, got %+v", res.Root)
@@ -170,16 +173,16 @@ func TestWalkBasesNodesCount(t *testing.T) {
 	f.execs["c"][rid2] = provenance.ExecEntry{RID: rid2, Rule: "ra2", VIDs: []rel.ID{m2}}
 	_ = tt
 
-	out := run(t, NewWalk(f, DerivCount, Options{}), "a", top)
+	out := run(t, NewWalkContext(context.Background(), f, DerivCount, Options{}), "a", top)
 	if out.Count != 2 {
 		t.Fatalf("count = %d, want 2", out.Count)
 	}
-	out = run(t, NewWalk(f, BaseTuples, Options{}), "a", top)
+	out = run(t, NewWalkContext(context.Background(), f, BaseTuples, Options{}), "a", top)
 	bases := DedupBases(out.Bases)
 	if len(bases) != 1 || bases[0].Tuple.Rel != "ground" {
 		t.Fatalf("bases = %v", bases)
 	}
-	res := NewResult(Nodes, run(t, NewWalk(f, Nodes, Options{}), "a", top))
+	res := NewResult(Nodes, run(t, NewWalkContext(context.Background(), f, Nodes, Options{}), "a", top))
 	if got := fmt.Sprint(res.Nodes); got != "[a b c]" {
 		t.Fatalf("nodes = %s, want [a b c]", got)
 	}
@@ -193,7 +196,7 @@ func TestWalkThresholdPrunes(t *testing.T) {
 	f.derivs["a"][top] = append(f.derivs["a"][top], provenance.Entry{VID: top, RID: rid2, RLoc: "a"})
 	f.execs["a"][rid2] = provenance.ExecEntry{RID: rid2, Rule: "r2", VIDs: []rel.ID{base}}
 
-	out := run(t, NewWalk(f, DerivCount, Options{Threshold: 1}), "a", top)
+	out := run(t, NewWalkContext(context.Background(), f, DerivCount, Options{Threshold: 1}), "a", top)
 	if out.Count != 1 || !out.Pruned {
 		t.Fatalf("threshold run = count %d pruned %v, want 1/true", out.Count, out.Pruned)
 	}
@@ -214,7 +217,7 @@ func TestWalkCycleDetection(t *testing.T) {
 	f.execs["a"][ra] = provenance.ExecEntry{RID: ra, Rule: "ra", VIDs: []rel.ID{vb}}
 	f.execs["a"][rb] = provenance.ExecEntry{RID: rb, Rule: "rb", VIDs: []rel.ID{va}}
 
-	out := run(t, NewWalk(f, Lineage, Options{}), "a", va)
+	out := run(t, NewWalkContext(context.Background(), f, Lineage, Options{}), "a", va)
 	leaf := out.Node.Derivs[0].Children[0].Derivs[0].Children[0]
 	if leaf.VID != va || !leaf.Cycle {
 		t.Fatalf("expected cycle leaf back at the root tuple, got %+v", leaf)
@@ -227,7 +230,7 @@ func TestWalkCycleDetection(t *testing.T) {
 func TestWalkMaxDepthTruncates(t *testing.T) {
 	f := newFakeSource()
 	vid, loc := chain(f, 5)
-	out := run(t, NewWalk(f, Lineage, Options{MaxDepth: 2}), loc, vid)
+	out := run(t, NewWalkContext(context.Background(), f, Lineage, Options{MaxDepth: 2}), loc, vid)
 	if !out.Truncated {
 		t.Fatal("expected Truncated")
 	}
@@ -242,7 +245,7 @@ func TestWalkMaxDepthTruncates(t *testing.T) {
 		t.Fatal("truncated vertex should still carry its tuple for display")
 	}
 	// Unlimited walk on the same graph is not truncated.
-	if out := run(t, NewWalk(f, Lineage, Options{}), loc, vid); out.Truncated {
+	if out := run(t, NewWalkContext(context.Background(), f, Lineage, Options{}), loc, vid); out.Truncated {
 		t.Fatal("unlimited walk reported truncation")
 	}
 }
@@ -250,14 +253,14 @@ func TestWalkMaxDepthTruncates(t *testing.T) {
 func TestWalkMaxNodesTruncates(t *testing.T) {
 	f := newFakeSource()
 	vid, loc := chain(f, 5)
-	out := run(t, NewWalk(f, Lineage, Options{MaxNodes: 3, Sequential: true}), loc, vid)
+	out := run(t, NewWalkContext(context.Background(), f, Lineage, Options{MaxNodes: 3, Sequential: true}), loc, vid)
 	if !out.Truncated {
 		t.Fatal("expected Truncated")
 	}
 	if got := out.Node.Size(); got != 4 { // 3 resolved + 1 truncated frontier vertex
 		t.Fatalf("size = %d, want 4", got)
 	}
-	if out := run(t, NewWalk(f, Lineage, Options{MaxNodes: 100}), loc, vid); out.Truncated {
+	if out := run(t, NewWalkContext(context.Background(), f, Lineage, Options{MaxNodes: 100}), loc, vid); out.Truncated {
 		t.Fatal("generous budget reported truncation")
 	}
 }
@@ -273,7 +276,7 @@ func TestWalkCacheHooks(t *testing.T) {
 	f.derivs["a"][top] = append(f.derivs["a"][top], provenance.Entry{VID: top, RID: rid2, RLoc: "a"})
 	f.execs["a"][rid2] = provenance.ExecEntry{RID: rid2, Rule: "r2", VIDs: []rel.ID{mid}}
 
-	out := run(t, NewWalk(f, DerivCount, Options{UseCache: true}), "a", top)
+	out := run(t, NewWalkContext(context.Background(), f, DerivCount, Options{UseCache: true}), "a", top)
 	if out.Count != 2 {
 		t.Fatalf("count = %d, want 2", out.Count)
 	}
@@ -283,7 +286,7 @@ func TestWalkCacheHooks(t *testing.T) {
 
 	// With a traversal limit set the cache must be bypassed entirely.
 	f.gets, f.puts = 0, 0
-	_ = run(t, NewWalk(f, DerivCount, Options{UseCache: true, MaxDepth: 10}), "a", top)
+	_ = run(t, NewWalkContext(context.Background(), f, DerivCount, Options{UseCache: true, MaxDepth: 10}), "a", top)
 	if f.gets != 0 || f.puts != 0 {
 		t.Fatalf("limited walk touched the cache: %d gets, %d puts", f.gets, f.puts)
 	}
@@ -294,7 +297,7 @@ func TestWalkMissingVertex(t *testing.T) {
 	f.node("a")
 	var ghost rel.ID
 	ghost[0] = 0xff
-	out := run(t, NewWalk(f, Lineage, Options{}), "a", ghost)
+	out := run(t, NewWalkContext(context.Background(), f, Lineage, Options{}), "a", ghost)
 	if out.Node == nil || out.Node.VID != ghost || out.Count != 0 {
 		t.Fatalf("missing vertex result = %+v", out)
 	}
@@ -382,7 +385,7 @@ func TestWalkMaxNodesFrontierMatchesReference(t *testing.T) {
 	vid, loc := layered(f, 3)
 	for budget := 1; budget <= 90; budget++ {
 		for _, seq := range []bool{false, true} {
-			out := run(t, NewWalk(f, Lineage, Options{MaxNodes: budget, Sequential: seq}), loc, vid)
+			out := run(t, NewWalkContext(context.Background(), f, Lineage, Options{MaxNodes: budget, Sequential: seq}), loc, vid)
 			left := budget
 			if got, want := shape(out.Node), reference(f, loc, vid, nil, &left); got != want {
 				t.Fatalf("maxnodes %d (sequential %v):\nwalk      %s\nreference %s", budget, seq, got, want)

@@ -2,6 +2,7 @@ package provgraph
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -13,8 +14,10 @@ import (
 // Source supplies a Walk with one system's provenance partitions and
 // its cross-node hop mechanism. The walk only ever reads partition data
 // for the location it is currently at; it crosses to another node
-// exclusively through Cross, so an implementation decides what a hop
-// costs (real messages live, modeled counters on snapshots).
+// exclusively through Cross, so an implementation decides how a hop
+// travels (a simnet message live, at once on snapshots, a batched shard
+// read at the gateway). The walk itself counts each leg's modeled
+// traffic.
 type Source interface {
 	// TupleOf resolves a pinned VID to its tuple value at loc.
 	TupleOf(loc string, vid rel.ID) (rel.Tuple, bool)
@@ -26,13 +29,19 @@ type Source interface {
 	// Exec returns the rule execution recorded for rid at loc.
 	Exec(loc string, rid rel.ID) (provenance.ExecEntry, bool)
 	// Cross carries hop h out to h.Loc(), where its rule execution is
-	// expanded, and then back to h.From() with the result (h.Back()).
-	// The source accounts each leg (RequestSize out, ResponseSize back)
-	// and hands h to w.Resume, at once or when its reply arrives.
-	Cross(w *Walk, h *Hop)
-	// CacheGet/CachePut back Options.UseCache with a per-node
-	// sub-result cache. Implementations that do not cache return
-	// ok=false and ignore puts.
+	// expanded, and then back to h.From() with the result (h.Back()),
+	// and calls h.Resume, at once or when the leg arrives.
+	Cross(h *Hop)
+	// Err is the source's first failure (a partition not held here, a
+	// shard that did not answer). Once it is set the walk starts no
+	// further frame and the query fails with it.
+	Err() error
+}
+
+// Cache backs Options.UseCache with a per-node sub-result cache. It is
+// optional: a Source that implements it is consulted for each tuple
+// vertex; the walk never caches over any other source.
+type Cache interface {
 	CacheGet(loc string, key CacheKey) (SubResult, bool)
 	CachePut(loc string, key CacheKey, res SubResult)
 }
@@ -54,12 +63,16 @@ type CacheKey struct {
 // exactly one evaluation at a time (the simulation thread live, one
 // goroutine on snapshots) and is not safe for concurrent use.
 type Walk struct {
-	Type QueryType
-	Opts Options
-	src  Source
-	ctx  context.Context
+	Type  QueryType
+	Opts  Options
+	src   Source
+	cache Cache // src's per-node cache, if it has one
+	ctx   context.Context
 
 	resolved int // tuple vertices resolved so far (MaxNodes budget)
+	msgs     int // modeled hop legs: a request out, a response back
+	bytes    int // their modeled wire size
+	resumes  int // hop legs the source has delivered
 	err      error
 	running  bool
 	done     bool
@@ -108,20 +121,50 @@ type kid struct {
 	loc string
 }
 
-// NewWalk prepares a traversal of the given type over src, without a
-// cancellation context (the walk runs to completion).
-func NewWalk(src Source, typ QueryType, opts Options) *Walk {
-	//lint:allow ctxflow context-free compatibility entry point: a walk without cancellation runs to completion by design
-	return NewWalkContext(context.Background(), src, typ, opts)
+// Run answers one query over src: it checks that at records provenance
+// for t, walks, and calls wait (nil when Cross resumes every hop at
+// once) to deliver the hops src holds until the walk is done or wait
+// delivers none. A cancelled walk is waited out, so none of its hops
+// outlives the call; a failed source is not. Run returns one error or a
+// Result whose Stats hold the modeled traffic, never a partial result.
+func Run(ctx context.Context, src Source, typ QueryType, at string, t rel.Tuple, opts Options, wait func()) (*Result, error) {
+	vid := t.VID()
+	if _, ok := src.Derivations(at, vid); !ok {
+		if err := src.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("provquery: tuple %s has %w at %s", t, ErrNoProvenance, at)
+	}
+	w := NewWalkContext(ctx, src, typ, opts)
+	w.Start(at, vid)
+	for !w.done && wait != nil && src.Err() == nil {
+		n := w.resumes
+		wait()
+		if w.resumes == n {
+			break
+		}
+	}
+	switch srcErr := src.Err(); {
+	case w.err != nil:
+		return nil, fmt.Errorf("provquery: query for %s aborted after %d vertices: %w", t, w.resolved, w.err)
+	case srcErr != nil:
+		return nil, srcErr
+	case !w.done:
+		return nil, fmt.Errorf("provquery: query for %s did not complete", t)
+	}
+	res := NewResult(typ, w.out)
+	res.Stats = Stats{Messages: w.msgs, Bytes: w.bytes}
+	return res, nil
 }
 
 // NewWalkContext prepares a traversal whose expansion aborts once ctx
-// is cancelled or its deadline passes: no frame starts and no child is
-// issued after that, so the walk unwinds at once, but its result is
-// partial and Err reports why; adapters must turn an aborted walk into
-// an error, never into a Result.
+// is cancelled or its deadline passes, or src reports an error: no
+// frame starts and no child is issued after that, so the walk unwinds
+// at once, but its result is partial; Run turns it into an error.
 func NewWalkContext(ctx context.Context, src Source, typ QueryType, opts Options) *Walk {
-	return &Walk{Type: typ, Opts: opts, src: src, ctx: ctx, frames: framePool.Get().(*frames)}
+	w := &Walk{Type: typ, Opts: opts, src: src, ctx: ctx, frames: framePool.Get().(*frames)}
+	w.cache, _ = src.(Cache)
+	return w
 }
 
 // Err returns nil while the walk is live, and the context's error once
@@ -135,7 +178,7 @@ func (w *Walk) Resolved() int { return w.resolved }
 
 // Start walks from the tuple vid stored at loc. Under a source that
 // resumes every hop at once the walk is Done when Start returns;
-// otherwise it goes on in Resume as the source's replies arrive.
+// otherwise it goes on in Hop.Resume as the source's replies arrive.
 func (w *Walk) Start(loc string, vid rel.ID) {
 	w.startTuple(w.newFrame(nil, 0, kid{vid, loc}))
 	w.run()
@@ -146,20 +189,6 @@ func (w *Walk) Done() bool { return w.done }
 
 // Out returns the root's sub-result once the walk is Done.
 func (w *Walk) Out() SubResult { return w.out }
-
-// Resume continues the walk with hop h, which the source has carried
-// across: out, h's execution is expanded at h.Loc(); back, its result
-// is delivered to the frame that issued it.
-func (w *Walk) Resume(h *Hop) {
-	if f := (*frame)(h); f.back {
-		w.push(f)
-	} else {
-		w.startExec(f)
-	}
-	if !w.running {
-		w.run()
-	}
-}
 
 // run works the stack until each frame on it has finished or waits for
 // a parked hop. The innermost frame issues its next child, which runs
@@ -228,27 +257,41 @@ func (w *Walk) issue(f *frame) {
 		w.startExec(c)
 	default:
 		c.exec, c.hop, c.depth = true, true, f.depth+1
-		w.src.Cross(w, (*Hop)(c))
+		w.cross(c)
 	}
 }
 
-// aborted checks the walk's context. The deadline is compared directly
-// instead of waiting for ctx.Err(), so a passed deadline aborts at the
-// very next frame regardless of timer granularity.
+// cross charges the hop f's next leg, the request out or the response
+// back, to the walk's traffic model and hands it to the source.
+func (w *Walk) cross(f *frame) {
+	h := (*Hop)(f)
+	size := h.RequestSize()
+	if f.back {
+		size = h.ResponseSize()
+	}
+	w.msgs, w.bytes = w.msgs+1, w.bytes+size
+	w.src.Cross(h)
+}
+
+// aborted checks the source and the walk's context. The deadline is
+// compared directly instead of waiting for ctx.Err(), so a passed
+// deadline aborts at the very next frame regardless of timer
+// granularity.
 func (w *Walk) aborted() bool {
-	if w.err == nil {
-		if err := w.ctx.Err(); err != nil {
-			w.err = err
-		} else if d, ok := w.ctx.Deadline(); ok && !time.Now().Before(d) {
-			w.err = context.DeadlineExceeded
-		}
+	if w.err != nil || w.src.Err() != nil {
+		return true
+	}
+	if err := w.ctx.Err(); err != nil {
+		w.err = err
+	} else if d, ok := w.ctx.Deadline(); ok && !time.Now().Before(d) {
+		w.err = context.DeadlineExceeded
 	}
 	return w.err != nil
 }
 
 // cacheKey is f's key in the per-node cache, when the walk uses it.
 func (w *Walk) cacheKey(f *frame) (CacheKey, bool) {
-	return CacheKey{VID: f.id, Type: w.Type, Threshold: w.Opts.Threshold}, w.Opts.UseCache && !w.Opts.Limited()
+	return CacheKey{VID: f.id, Type: w.Type, Threshold: w.Opts.Threshold}, w.cache != nil && w.Opts.UseCache && !w.Opts.Limited()
 }
 
 // startTuple resolves the tuple vertex f: cycle detection on the
@@ -271,7 +314,7 @@ func (w *Walk) startTuple(f *frame) {
 	}
 	w.resolved++
 	if key, ok := w.cacheKey(f); ok {
-		if r, ok := w.src.CacheGet(f.loc, key); ok {
+		if r, ok := w.cache.CacheGet(f.loc, key); ok {
 			bases, nodes := append(f.acc.Bases, r.Bases...), append(f.acc.Nodes, r.Nodes...)
 			f.acc = r // its lists stay the cache's: copy them into f's own
 			f.acc.Bases, f.acc.Nodes = bases, nodes
@@ -363,8 +406,8 @@ func (w *Walk) close(f *frame) {
 		f.acc.Node.Derivs = slices.DeleteFunc(f.acc.Node.Derivs, func(d *ProofDeriv) bool { return d == nil })
 	}
 	// An aborted walk's accumulator is partial: never cache it.
-	if key, ok := w.cacheKey(f); ok && !f.exec && w.err == nil {
-		w.src.CachePut(f.loc, key, w.result(f, false))
+	if key, ok := w.cacheKey(f); ok && !f.exec && w.err == nil && w.src.Err() == nil {
+		w.cache.CachePut(f.loc, key, w.result(f, false))
 	}
 	w.finish(f)
 }
@@ -379,7 +422,7 @@ func (w *Walk) finish(f *frame) {
 		w.release(f)
 	case f.hop && !f.back:
 		f.back = true
-		w.src.Cross(w, (*Hop)(f))
+		w.cross(f)
 	default:
 		w.deliver(f)
 	}
@@ -443,6 +486,22 @@ func (h *Hop) From() string { return h.parent.loc }
 func (h *Hop) Loc() string  { return h.loc }
 func (h *Hop) RID() rel.ID  { return h.id }
 func (h *Hop) Back() bool   { return h.back }
+
+// Resume continues h's walk once the source has carried h across: out,
+// h's execution is expanded at h.Loc(); back, its result is delivered
+// to the frame that issued it.
+func (h *Hop) Resume() {
+	w, f := h.w, (*frame)(h)
+	w.resumes++
+	if f.back {
+		w.push(f)
+	} else {
+		w.startExec(f)
+	}
+	if !w.running {
+		w.run()
+	}
+}
 
 // RequestSize approximates the wire size of the hop's request, which
 // carries the visited path (the VIDs of the tuple frames above it).

@@ -92,3 +92,47 @@ func TestLiveQueryCancelled(t *testing.T) {
 		t.Fatalf("query after aborted query: %v", err)
 	}
 }
+
+// TestLiveQueryCancelledMidWalk: a live query cancelled by a simnet
+// timer while its hops are in flight returns the context's error, and
+// its walk is drained before the call returns: nothing is left queued
+// on the network, and the next identical query measures the traffic of
+// an uninterrupted one.
+func TestLiveQueryCancelledMidWalk(t *testing.T) {
+	e, c, err := buildGrid(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corner := rel.NewTuple("mincost", rel.Addr("n1"), rel.Addr("n16"), rel.Int(6))
+	full, err := c.Query(Lineage, "n1", corner, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Stats.Latency < 4 {
+		t.Fatalf("proof too shallow to cancel mid-walk: latency %d", full.Stats.Latency)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e.Net.After(full.Stats.Latency/4, cancel)
+	before := e.Net.KindTotals()[MsgKind]
+	res, err := c.QueryContext(ctx, Lineage, "n1", corner, Options{})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("QueryContext = (%v, %v), want context.Canceled", res, err)
+	}
+	if n := e.Net.Pending(); n != 0 {
+		t.Fatalf("cancelled query left %d events queued", n)
+	}
+	sent := e.Net.KindTotals()[MsgKind].Messages - before.Messages
+	if sent == 0 || sent >= full.Stats.Messages {
+		t.Fatalf("cancelled query sent %d messages, full query %d: not cancelled mid-walk", sent, full.Stats.Messages)
+	}
+
+	again, err := c.Query(Lineage, "n1", corner, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Stats != full.Stats {
+		t.Fatalf("query after a cancelled one measured %+v, uninterrupted %+v", again.Stats, full.Stats)
+	}
+}

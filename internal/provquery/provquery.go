@@ -69,7 +69,7 @@ var (
 	ErrUnknownNode = errors.New("unknown node")
 	// ErrNoProvenance: the node exists but records no provenance for
 	// the queried tuple.
-	ErrNoProvenance = errors.New("no provenance")
+	ErrNoProvenance = provgraph.ErrNoProvenance
 	// ErrNotOwned: the node exists in the network but its provenance
 	// partition is not held by this (sharded) snapshot — the query
 	// must be answered by the owning shard or a federating gateway.
@@ -95,10 +95,6 @@ type cacheVal struct {
 type Client struct {
 	eng      *engine.Engine
 	services map[string]*Service
-	// walk is the active traversal; queries run one at a time on the
-	// simulation thread, so every service handling a message belongs to
-	// the same walk.
-	walk *provgraph.Walk
 	// cacheHits accumulates across the most recent query.
 	cacheHits int
 }
@@ -114,7 +110,7 @@ func Attach(eng *engine.Engine) (*Client, error) {
 		c.services[addr] = &Service{store: n.Prov, cache: map[provgraph.CacheKey]*cacheVal{}}
 	}
 	err := eng.RegisterService(MsgKind, func(_ *engine.Node, m simnet.Message) {
-		c.walk.Resume(m.Payload.(*provgraph.Hop))
+		m.Payload.(*provgraph.Hop).Resume()
 	})
 	if err != nil {
 		return nil, err
@@ -132,31 +128,19 @@ func (c *Client) Query(typ QueryType, at string, t rel.Tuple, opts Options) (*Re
 // QueryContext is Query with cancellation: once ctx is cancelled or
 // its deadline passes, the walk stops expanding and unwinds, and the
 // call returns an error wrapping ctx.Err() instead of a partial Result.
+// Either way the network is run until the walk's last hop is delivered.
+// Stats are the measured query traffic.
 func (c *Client) QueryContext(ctx context.Context, typ QueryType, at string, t rel.Tuple, opts Options) (*Result, error) {
-	svc, ok := c.services[at]
-	if !ok {
+	if _, ok := c.services[at]; !ok {
 		return nil, fmt.Errorf("provquery: %w %s", ErrUnknownNode, at)
-	}
-	vid := t.VID()
-	if _, ok := svc.store.Derivations(vid); !ok {
-		return nil, fmt.Errorf("provquery: tuple %s has %w at %s", t, ErrNoProvenance, at)
 	}
 	c.cacheHits = 0
 	start, startTime := c.eng.Net.KindTotals()[MsgKind], c.eng.Net.Now()
-
-	w := provgraph.NewWalkContext(ctx, liveSource{c}, typ, opts)
-	c.walk = w
-	defer func() { c.walk = nil }()
-	w.Start(at, vid)
-	c.eng.Net.Run(0)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("provquery: query for %s aborted after %d vertices: %w", t, w.Resolved(), err)
-	}
-	if !w.Done() {
-		return nil, fmt.Errorf("provquery: query for %s did not complete", t)
+	res, err := provgraph.Run(ctx, liveSource{c}, typ, at, t, opts, func() { c.eng.Net.Run(0) })
+	if err != nil {
+		return nil, err
 	}
 	end := c.eng.Net.KindTotals()[MsgKind]
-	res := provgraph.NewResult(typ, w.Out())
 	res.Stats = Stats{
 		Messages:  end.Messages - start.Messages,
 		Bytes:     end.Bytes - start.Bytes,
@@ -194,17 +178,19 @@ func (ls liveSource) Exec(loc string, rid rel.ID) (provenance.ExecEntry, bool) {
 }
 
 // Cross sends the hop as a message: out, the request to expand its rule
-// execution at the node where it ran; back, the response. Every node
-// shares the client's walk, so the hop itself is the payload, standing
-// in for what a real request carries (the execution and the visited
-// path, which the message size charges).
-func (ls liveSource) Cross(_ *provgraph.Walk, h *provgraph.Hop) {
+// execution at the node where it ran; back, the response. The hop
+// itself is the payload, standing in for what a real request carries
+// (the execution and the visited path, which the message size charges).
+func (ls liveSource) Cross(h *provgraph.Hop) {
 	m := simnet.Message{From: h.From(), To: h.Loc(), Kind: MsgKind, Reliable: true, Payload: h, Size: h.RequestSize()}
 	if h.Back() {
 		m.From, m.To, m.Size = h.Loc(), h.From(), h.ResponseSize()
 	}
 	ls.c.eng.Net.Send(m)
 }
+
+// Err is always nil: every node's store is local to the engine.
+func (liveSource) Err() error { return nil }
 
 func (ls liveSource) CacheGet(loc string, key provgraph.CacheKey) (provgraph.SubResult, bool) {
 	s := ls.c.services[loc]

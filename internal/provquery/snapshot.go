@@ -105,63 +105,35 @@ func (c *SnapshotClient) Query(typ QueryType, at string, t rel.Tuple, opts Optio
 // next vertex and the call returns an error wrapping ctx.Err() instead
 // of a partial Result.
 func (c *SnapshotClient) QueryContext(ctx context.Context, typ QueryType, at string, t rel.Tuple, opts Options) (*Result, error) {
-	v, ok := c.src.PartitionView(at)
-	if !ok {
+	if _, ok := c.src.PartitionView(at); !ok {
 		if c.src.KnownNode(at) {
 			return nil, fmt.Errorf("provquery: node %s: %w", at, ErrNotOwned)
 		}
 		return nil, fmt.Errorf("provquery: %w %s", ErrUnknownNode, at)
 	}
-	vid := t.VID()
-	if _, ok := v.Derivations(vid); !ok {
-		return nil, fmt.Errorf("provquery: tuple %s has %w at %s", t, ErrNoProvenance, at)
-	}
-	src := &snapSource{src: c.src}
-	w := provgraph.NewWalkContext(ctx, src, typ, opts)
-	w.Start(at, vid)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("provquery: query for %s aborted after %d vertices: %w", t, w.Resolved(), err)
-	}
-	if src.notOwned != "" {
-		return nil, fmt.Errorf("provquery: query for %s crossed to node %s: %w", t, src.notOwned, ErrNotOwned)
-	}
-	res := provgraph.NewResult(typ, w.Out())
-	res.Stats = Stats{Messages: src.msgs, Bytes: src.bytes}
-	return res, nil
+	return provgraph.Run(ctx, &snapSource{src: c.src}, typ, at, t, opts, nil)
 }
 
-// Run parses and executes a textual query (see ParseQuery).
-func (c *SnapshotClient) Run(src string) (*Result, error) {
-	q, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return c.Query(q.Type, q.At, q.Tuple, q.Opts)
-}
-
-// snapSource adapts frozen per-node views to the provgraph walk. Every
-// hop resumes at once, and each cross-node hop charges the modeled
-// request/response pair the live traversal would have sent.
-// One snapSource serves exactly one query; its counters are the walk's
-// traffic model.
+// snapSource adapts frozen per-node views to the provgraph walk: every
+// hop resumes at once. One snapSource serves exactly one query.
 type snapSource struct {
-	src   ViewResolver
-	msgs  int
-	bytes int
-	// notOwned records the first known-but-unheld node the walk read,
-	// turning the whole query into an ErrNotOwned failure.
-	notOwned string
+	src ViewResolver
+	// err is set when the walk reads a known node whose partition is
+	// not held here, turning the whole query into an ErrNotOwned failure.
+	err error
 }
 
 // view resolves loc's partition view, recording a cross-shard escape
 // when loc is a known network node whose partition is not held here.
 func (s *snapSource) view(loc string) (PartitionView, bool) {
 	v, ok := s.src.PartitionView(loc)
-	if !ok && s.src.KnownNode(loc) && s.notOwned == "" {
-		s.notOwned = loc
+	if !ok && s.src.KnownNode(loc) && s.err == nil {
+		s.err = fmt.Errorf("provquery: query crossed to node %s: %w", loc, ErrNotOwned)
 	}
 	return v, ok
 }
+
+func (s *snapSource) Err() error { return s.err }
 
 func (s *snapSource) TupleOf(loc string, vid rel.ID) (rel.Tuple, bool) {
 	if v, ok := s.view(loc); ok {
@@ -184,25 +156,5 @@ func (s *snapSource) Exec(loc string, rid rel.ID) (provenance.ExecEntry, bool) {
 	return provenance.ExecEntry{}, false
 }
 
-// Cross resumes the hop at once, charging the simulated request and
-// response for it. A hop to a node whose view is not held charges
-// nothing: its execution is not found there, so nothing would be sent.
-func (s *snapSource) Cross(w *provgraph.Walk, h *provgraph.Hop) {
-	if _, ok := s.view(h.Loc()); ok {
-		s.msgs++
-		if h.Back() {
-			s.bytes += h.ResponseSize()
-		} else {
-			s.bytes += h.RequestSize()
-		}
-	}
-	w.Resume(h)
-}
-
-// Snapshots have no per-node caches: views are immutable, so the
-// serving layer (internal/server) memoizes whole sub-proofs per
-// snapshot version instead.
-func (s *snapSource) CacheGet(string, provgraph.CacheKey) (provgraph.SubResult, bool) {
-	return provgraph.SubResult{}, false
-}
-func (s *snapSource) CachePut(string, provgraph.CacheKey, provgraph.SubResult) {}
+// Cross resumes the hop at once.
+func (s *snapSource) Cross(h *provgraph.Hop) { h.Resume() }

@@ -142,7 +142,11 @@ func TestSnapshotTextQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := snapClientOf(t, e)
-	res, err := snap.Run("bases of mincost(@'n1','n4',2)")
+	q, err := ParseQuery("bases of mincost(@'n1','n4',2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := snap.Query(q.Type, q.At, q.Tuple, q.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -647,9 +647,10 @@ func QueryError(err error) *APIError {
 		return Errf(http.StatusMisdirectedRequest, ErrWrongShard,
 			"%v (query a gateway, or the owning shard)", err)
 	}
-	// Unknown tuples surface here; the snapshot simply has no
-	// provenance for them.
-	return Errf(http.StatusNotFound, ErrNoProvenance, "%v", err)
+	if errors.Is(err, provquery.ErrNoProvenance) {
+		return Errf(http.StatusNotFound, ErrNoProvenance, "%v", err)
+	}
+	return Errf(http.StatusInternalServerError, ErrInternal, "%v", err)
 }
 
 // RenderQueryResponse renders a finished traversal as the /v1/query
@@ -686,9 +687,13 @@ func RenderQueryResponse(version uint64, timeUs int64, res *provquery.Result) *c
 }
 
 // key is the result-cache key of one resolved query at pin, with the
-// server's traversal caps applied to its options.
+// server's traversal caps applied to its options. UseCache is dropped:
+// it selects the live per-node caches, which no backend walks, so a
+// query and its "with cache" twin share one entry.
 func (s *Server) key(pin Pin, typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) CacheKey {
-	return CacheKey{Version: pin.Version, At: at, VID: t.VID(), Type: typ, Opts: s.info.ClampOptions(opts)}
+	opts = s.info.ClampOptions(opts)
+	opts.UseCache = false
+	return CacheKey{Version: pin.Version, At: at, VID: t.VID(), Type: typ, Opts: opts}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *APIError {

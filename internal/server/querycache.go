@@ -191,34 +191,18 @@ func (c *ResultCache) Counters() (hits, misses int64) {
 // both traverse (identical immutable state gives identical results)
 // and the cache keeps one of them.
 //
-// The returned Result's proof structures are shared with every other
-// caller for the same key and MUST be treated as read-only. hit reports
-// whether this call was served from the cache, and the result's
-// Stats.SubProofHits/SubProofMisses carry the cache's cumulative
-// counters at serve time. Errors (unknown tuples/nodes) are never
+// The returned Result is shared with every other caller for the same
+// key and MUST be treated as read-only. hit reports whether this call
+// was served from the cache. Errors (unknown tuples/nodes) are never
 // cached; they are cheap to recompute.
 func (s *Snapshot) CachedQuery(typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) (res *provquery.Result, hit bool, err error) {
-	//lint:allow ctxflow context-free compatibility entry point: callers who opt out of cancellation get a walk that runs to completion by design
-	return s.CachedQueryContext(context.Background(), typ, at, t, opts)
-}
-
-// CachedQueryContext is CachedQuery with cancellation: a cancelled or
-// expired ctx aborts a cache-missed traversal mid-walk (the partial
-// result is discarded, never cached, and not counted as a miss) and
-// returns an error wrapping ctx.Err(). A cache hit is served even
-// under an expired context — it costs nothing.
-func (s *Snapshot) CachedQueryContext(ctx context.Context, typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) (res *provquery.Result, hit bool, err error) {
 	key := CacheKey{Version: s.Version, At: at, VID: t.VID(), Type: typ, Opts: opts}
-	cached, hit, err := s.cachedQuery(ctx, key, t)
+	//lint:allow ctxflow context-free compatibility entry point: callers who opt out of cancellation get a walk that runs to completion by design
+	cached, hit, err := s.cachedQuery(context.Background(), key, t)
 	if err != nil {
 		return nil, false, err
 	}
-	// Hand back a shallow copy so the hit/miss counters can be stamped
-	// into Stats without mutating the shared cached value.
-	out := *cached.Result
-	hits, misses := s.cache.Counters()
-	out.Stats.SubProofHits, out.Stats.SubProofMisses = int(hits), int(misses)
-	return &out, hit, nil
+	return cached.Result, hit, nil
 }
 
 // cachedQuery answers key (whose VID is t's) through the snapshot's

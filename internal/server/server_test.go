@@ -508,17 +508,14 @@ func TestQueryCacheServesRepeatedPinnedQueries(t *testing.T) {
 		t.Fatalf("proof.dot after cached lineage X-Cache = %q, want HIT", got)
 	}
 
-	// Go-level counters surface in Stats on the copy CachedQuery returns.
+	// CachedQuery answers from the same cache.
 	mc, err := nettrailsParse("mincost(@'n1','n9',4)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, hit, err := pub.Current().CachedQuery(provquery.Lineage, "n1", mc, provquery.Options{})
+	_, hit, err := pub.Current().CachedQuery(provquery.Lineage, "n1", mc, provquery.Options{})
 	if err != nil || !hit {
 		t.Fatalf("CachedQuery hit=%v err=%v", hit, err)
-	}
-	if res.Stats.SubProofHits == 0 || res.Stats.SubProofMisses == 0 {
-		t.Fatalf("Stats cache counters not set: %+v", res.Stats)
 	}
 }
 

@@ -194,12 +194,6 @@ func (s *Snapshot) Query(typ provquery.QueryType, at string, t rel.Tuple, opts p
 	return s.query.Query(typ, at, t, opts)
 }
 
-// QueryText evaluates a textual provenance query (provquery.ParseQuery
-// grammar) against this snapshot. Safe for concurrent use.
-func (s *Snapshot) QueryText(src string) (*provquery.Result, error) {
-	return s.query.Run(src)
-}
-
 // NodeTables returns a node's frozen tables (persistent views keyed by
 // relation); ok is false for unknown nodes.
 func (s *Snapshot) NodeTables(addr string) (map[string]*rel.Frozen, bool) {

@@ -1,6 +1,6 @@
 // docscheck keeps the documentation honest: it walks the repo's
 // operator-facing markdown (README.md plus docs/) and fails when the
-// docs drift from the code they describe. Five checks:
+// docs drift from the code they describe. Seven checks:
 //
 //   - relative markdown links must point at files that exist;
 //   - `go run ./cmd/<name>` commands inside shell code fences must
@@ -14,7 +14,11 @@
 //     internal/server/http.go (a {param} segment of the registered
 //     pattern matches any one segment; a ?query suffix is ignored);
 //   - a backticked or bold path that starts internal/<pkg>, cmd/<name>
-//     or tools/<name> in running text must name a directory that exists.
+//     or tools/<name> in running text must name a directory that exists;
+//   - a backticked `layer.metric` name in running text whose layer has
+//     a per-layer metric in BENCHMARK.json must be one BENCHMARK.json
+//     defines;
+//   - docs/*.md together must stay within docsBudget bytes.
 //
 // It is wired up as `make docs-check` and runs in CI, so a renamed
 // flag, a deleted doc, a removed route, a deleted package, or a stale
@@ -24,6 +28,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -48,7 +53,11 @@ var (
 	routeUseRe = regexp.MustCompile("`(GET|POST) (/[^`\\s?]*)[^`]*`")
 	routeDefRe = regexp.MustCompile(`s\.route\("([A-Z]+)", "([^"]+)"`)
 	pkgPathRe  = regexp.MustCompile("(?:`|\\*\\*)((?:internal|cmd|tools)/[A-Za-z0-9_]+)")
+	metricRe   = regexp.MustCompile("`([a-z]+)\\.([a-z][a-z0-9_]*)`")
 )
+
+// docsBudget is the byte budget of docs/*.md together.
+const docsBudget = 110_000
 
 func main() {
 	root := flag.String("root", ".", "repository root the docs and commands resolve against")
@@ -82,7 +91,7 @@ func main() {
 		}
 	}
 
-	var problems []string
+	problems := checkBudget(*root)
 	for _, f := range files {
 		problems = append(problems, checkFile(*root, f)...)
 	}
@@ -107,6 +116,10 @@ func checkFile(root, path string) []string {
 		problems = append(problems, fmt.Sprintf("%s:%d: %s", path, line, fmt.Sprintf(format, args...)))
 	}
 
+	metrics, layers, err := benchMetrics(root)
+	if err != nil {
+		return []string{err.Error()}
+	}
 	lines := strings.Split(string(data), "\n")
 	inFence := false
 	for i, line := range lines {
@@ -148,6 +161,13 @@ func checkFile(root, path string) []string {
 					add(lineNo, "%s: no such directory", m[1])
 				}
 			}
+			// Named per-layer metrics must be defined (a Go file name
+			// such as engine.go is not a metric).
+			for _, m := range metricRe.FindAllStringSubmatch(line, -1) {
+				if layers[m[1]] && !metrics[m[1]+"."+m[2]] && m[2] != "go" {
+					add(lineNo, "%s.%s: no such per-layer metric in BENCHMARK.json", m[1], m[2])
+				}
+			}
 			continue
 		}
 		// Inside a code fence: join continuation lines, then check the
@@ -162,6 +182,46 @@ func checkFile(root, path string) []string {
 		problems = append(problems, checkCommand(root, path, lineNo, cmd)...)
 	}
 	return problems
+}
+
+// checkBudget reports docs/*.md when together they exceed docsBudget.
+func checkBudget(root string) []string {
+	files, _ := filepath.Glob(filepath.Join(root, "docs", "*.md")) // the pattern is well-formed
+	var total int64
+	for _, f := range files {
+		if st, err := os.Stat(f); err == nil {
+			total += st.Size()
+		}
+	}
+	if total > docsBudget {
+		return []string{fmt.Sprintf("docs/*.md: %d bytes, over the %d-byte budget", total, docsBudget)}
+	}
+	return nil
+}
+
+// benchMetrics reads the per-layer metric names BENCHMARK.json defines
+// and the layers they name; both are nil when root has no BENCHMARK.json.
+func benchMetrics(root string) (metrics, layers map[string]bool, err error) {
+	data, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if os.IsNotExist(err) {
+		return nil, nil, nil
+	}
+	var bench struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err == nil {
+		err = json.Unmarshal(data, &bench)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	metrics, layers = map[string]bool{}, map[string]bool{}
+	for _, m := range bench.PerLayer {
+		metrics[m.Name] = true
+		layer, _, _ := strings.Cut(m.Name, ".")
+		layers[layer] = true
+	}
+	return metrics, layers, nil
 }
 
 // checkCommand validates one joined shell command from a code fence.

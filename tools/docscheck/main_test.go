@@ -136,3 +136,35 @@ func TestRepoDocsAreClean(t *testing.T) {
 		t.Error(p)
 	}
 }
+
+// TestUndefinedMetricNamed: a backticked metric of a layer BENCHMARK.json
+// measures must be one it defines; other layers, Go identifiers, file
+// names and fenced code are not metrics.
+func TestUndefinedMetricNamed(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"BENCHMARK.json": `{"per_layer": [{"name": "engine.converge_s"}, {"name": "server.http_ms"}]}`,
+		"docs/m.md": "`engine.converge_s` and `server.http_ms` are measured; `engine.epochs_s` is not.\n" +
+			"`gateway.hops_per_query`, `server.Server`, `engine.go` and `server.http_ms.x` name no metric.\n" +
+			"```\n`server.render_ms`\n```\n",
+	})
+	got := checkFile(root, filepath.Join(root, "docs", "m.md"))
+	if len(got) != 1 || !strings.Contains(got[0], "m.md:1: engine.epochs_s: no such per-layer metric") {
+		t.Fatalf("got %v, want one problem naming engine.epochs_s on line 1", got)
+	}
+}
+
+// TestDocsBudget: docs/*.md together may fill the budget, not exceed it.
+func TestDocsBudget(t *testing.T) {
+	half := strings.Repeat("x", docsBudget/2)
+	root := writeTree(t, map[string]string{"docs/a.md": half, "docs/b.md": half, "docs/c.txt": "not a doc"})
+	if got := checkBudget(root); len(got) != 0 {
+		t.Fatalf("docs at the budget flagged: %v", got)
+	}
+	root = writeTree(t, map[string]string{"docs/a.md": half, "docs/b.md": half + "x"})
+	if got := checkBudget(root); len(got) != 1 || !strings.Contains(got[0], "over the 110000-byte budget") {
+		t.Fatalf("docs over the budget: got %v", got)
+	}
+	if got := checkBudget("../.."); len(got) != 0 {
+		t.Fatalf("the repository's docs: %v", got)
+	}
+}
