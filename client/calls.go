@@ -174,8 +174,8 @@ type BatchResult struct {
 	TimeUs  int64
 	Results []BatchItem
 	// CacheHits counts how many of this batch's queries were answered
-	// from the snapshot's sub-proof cache (X-Batch-Cache-Hits); Cache
-	// carries the snapshot's cumulative counters.
+	// from the result cache (X-Batch-Cache-Hits); Cache carries the
+	// serving process's cumulative counters.
 	CacheHits int
 	Cache     CacheInfo
 }

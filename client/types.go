@@ -46,9 +46,9 @@ type Stats struct {
 	Bytes    int `json:"bytes"`
 }
 
-// CacheInfo reports the server's per-snapshot sub-proof cache as
-// observed by one call (from the X-Cache* response headers): whether
-// this query was a hit, plus the snapshot's cumulative counters.
+// CacheInfo reports the server's result cache as observed by one call
+// (from the X-Cache* response headers): whether this query was a hit,
+// plus the serving process's cumulative counters.
 type CacheInfo struct {
 	Hit    bool
 	Hits   int64

@@ -2,7 +2,7 @@
 // v1 HTTP API: it boots the quickstart scenario (MINCOST on a 3-node
 // line) behind an in-process HTTP server, then drives it exactly like
 // a remote consumer of cmd/nettrailsd would — typed queries, snapshot
-// pinning, batch evaluation with the shared sub-proof cache, Graphviz
+// pinning, batch evaluation with the shared result cache, Graphviz
 // export, and context-aware cancellation.
 //
 // Run it with:
@@ -84,7 +84,7 @@ func main() {
 	}
 	fmt.Printf("   nodes %v\n", batch.Results[1].Result.Nodes)
 	fmt.Printf("   derivations %d\n", *batch.Results[2].Result.Count)
-	fmt.Printf("   (%d of %d served from the snapshot's sub-proof cache)\n",
+	fmt.Printf("   (%d of %d served from the result cache)\n",
 		batch.CacheHits, len(batch.Results))
 
 	fmt.Println("\n== proof as Graphviz DOT (first line) ==")

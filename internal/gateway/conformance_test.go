@@ -47,9 +47,10 @@ func errorCode(body []byte) string {
 }
 
 // sharedHeaders are the response headers both tiers must agree on.
-// X-Shard-Hops is the gateway's alone, and the cache counters belong
-// to caches with different lifetimes (per snapshot, per gateway).
-var sharedHeaders = []string{"ETag", "X-Cache", "Content-Type", "Allow", "X-Snapshot-Version"}
+// X-Shard-Hops is the gateway's alone. The cache counters are shared:
+// each tier keeps one result cache for the life of the process, so the
+// same request list moves both tiers' counters alike.
+var sharedHeaders = []string{"ETag", "X-Cache", "X-Cache-Hits", "X-Cache-Misses", "Content-Type", "Allow", "X-Snapshot-Version"}
 
 // TestTierConformance sends one request list to a daemon and to a
 // 3-shard gateway over the same converged state: the /v1 surface is one
@@ -110,6 +111,9 @@ func TestTierConformance(t *testing.T) {
 		{"bases structured", "POST", "/v1/query", `{"type":"bases","tuple":"` + tuple + `","at":"n1"}`, 200, "", false},
 		{"nodes structured", "POST", "/v1/query", `{"type":"nodes","tuple":"` + tuple + `"}`, 200, "", false},
 		{"count structured pinned", "POST", "/v1/query", fmt.Sprintf(`{"type":"count","tuple":"%s","options":{"maxdepth":3},"version":%d}`, tuple, v), 200, "", false},
+		// An earlier version's walk counts in the same process-wide
+		// counters as the current version's.
+		{"bases pinned earlier", "POST", "/v1/query", fmt.Sprintf(`{"q":"bases of %s","version":%d}`, tuple, v-1), 200, "", false},
 		{"batch", "POST", "/v1/query/batch", `{"queries":[{"q":"lineage of ` + tuple + `"},{"q":"bases of mincost(@'n4','n9',3)"},` +
 			`{"q":"count of mincost(@'n1','n9',99)"},{"type":"lineage","tuple":"` + tuple + `","options":{"maxdepth":-3}},{"q":"lineage of ` + tuple + `"}]}`, 200, "", false},
 		{"proof.dot", "GET", "/v1/proof.dot?tuple=" + tuple, "", 200, "", false},

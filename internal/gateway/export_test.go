@@ -11,3 +11,7 @@ func (g *Gateway) CachedTimes() int {
 // CachedBodyBytes is how many bytes of rendered bodies the gateway's
 // result cache retains.
 func (g *Gateway) CachedBodyBytes() int64 { return g.cache.BodyBytes() }
+
+// CachedVersion is how many entries, and how many body bytes, the
+// gateway's result cache holds for one version.
+func (g *Gateway) CachedVersion(v uint64) (entries int, bodyBytes int64) { return g.cache.Held(v) }

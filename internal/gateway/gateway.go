@@ -180,8 +180,8 @@ func (g *Gateway) forEachShard(f func(i int, c *client.Client) error) error {
 // versions), oldest the oldest every shard still retains — the
 // pinnable range across the whole deployment — and reason, when a
 // shard is not ok, why the first such shard says it is not. Learning
-// oldest is also what bounds g.times: a version below it can no longer
-// be pinned on every shard, so its entry is dropped.
+// oldest is also what bounds g.times and the result cache: a version
+// below it can no longer be pinned on every shard, so both drop it.
 func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, reason string, apiErr *server.APIError) {
 	hs := make([]*client.Health, g.shards.Len())
 	err := g.forEachShard(func(i int, c *client.Client) (err error) {
@@ -203,6 +203,7 @@ func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, reaso
 	for v := range g.times {
 		if v < oldest {
 			delete(g.times, v)
+			g.cache.Drop(v)
 		}
 	}
 	g.timesMu.Unlock()
@@ -249,41 +250,24 @@ func (g *Gateway) timeOf(ctx context.Context, version uint64) (simnet.Time, *ser
 
 // ---- query evaluation ---------------------------------------------------
 
-// Query implements server.Backend through the gateway's result cache.
-func (g *Gateway) Query(ctx context.Context, _ server.Pin, key server.CacheKey, t rel.Tuple) (server.Cached, bool, *server.APIError) {
-	if e, ok := g.cache.Get(key); ok {
-		return e, true, nil
-	}
-	res, apiErr := g.runWalk(ctx, key, t)
-	if apiErr != nil {
-		return server.Cached{}, false, apiErr
-	}
-	g.cache.Put(key, res)
-	return server.Cached{Result: res}, false, nil
-}
-
-// Cache implements server.Backend: one cache serves every pin.
-func (g *Gateway) Cache(server.Pin) *server.ResultCache { return g.cache }
-
-// runWalk executes the shared provgraph walk over the federated
-// source. The result is byte-for-byte the one a single-process
-// snapshot traversal of the same state produces: same walk, same
-// modeled costs, only the partition reads travel.
-func (g *Gateway) runWalk(ctx context.Context, key server.CacheKey, t rel.Tuple) (*provquery.Result, *server.APIError) {
+// Walk implements server.Backend: it executes the shared provgraph walk
+// over the federated source. The result is byte-for-byte the one a
+// single-process snapshot traversal of the same state produces: same
+// walk, same modeled costs, only the partition reads travel.
+func (g *Gateway) Walk(ctx context.Context, _ server.Pin, key server.CacheKey, t rel.Tuple) (*provquery.Result, error) {
 	if _, ok := g.shards.OwnerOf(key.At); !ok {
-		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode,
-			"provquery: unknown node %s", key.At)
+		return nil, fmt.Errorf("provquery: %w %s", provquery.ErrUnknownNode, key.At)
 	}
 	src := newFedSource(g, ctx, key.Version)
 	res, err := provgraph.Run(ctx, src, key.Type, key.At, t, key.Opts, src.flush)
 	if src.err != nil { // a shard read failed: err is that failure or the walk's cancellation
 		return nil, downstreamError(err)
 	}
-	if err != nil {
-		return nil, server.QueryError(err)
-	}
-	return res, nil
+	return res, err
 }
+
+// ResultCache implements server.Backend: one cache serves every pin.
+func (g *Gateway) ResultCache() *server.ResultCache { return g.cache }
 
 // ---- federated documents ------------------------------------------------
 

@@ -336,6 +336,44 @@ func TestGatewayTimesBounded(t *testing.T) {
 	}
 }
 
+// TestGatewayCacheDropsUnretainedVersion: the gateway's result cache
+// keeps a version's entries only while the shards retain the version.
+// Once churn pushes it out of every shard's ring, the next health sweep
+// drops its entries and gives back its body bytes, long before the
+// entry cap would.
+func TestGatewayCacheDropsUnretainedVersion(t *testing.T) {
+	d := deployGrid(t, 3, 3, 2) // retain only 2 versions per shard
+	v := d.shardPubs[0].Current().Version
+	q := fmt.Sprintf(`{"q":"lineage of mincost(@'n1','n9',4)","version":%d}`, v)
+	for _, verdict := range []string{"MISS", "HIT"} { // the hit admits the body
+		if resp, body := post(t, d.gw.URL+"/v1/query", q); resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != verdict {
+			t.Fatalf("pinned query: %d X-Cache %q, want 200 %s: %s", resp.StatusCode, resp.Header.Get("X-Cache"), verdict, body)
+		}
+	}
+	if entries, held := d.gwG.CachedVersion(v); entries != 1 || held == 0 {
+		t.Fatalf("version %d holds %d entries, %d body bytes; want 1 entry and its body", v, entries, held)
+	}
+
+	for retained := true; retained; {
+		d.churnAll(t)
+		retained = false
+		for _, pub := range d.shardPubs {
+			if _, ok := pub.At(v); ok {
+				retained = true
+			}
+		}
+	}
+	if resp, body := get(t, d.gw.URL+"/v1/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %d %s", resp.StatusCode, body)
+	}
+	if entries, held := d.gwG.CachedVersion(v); entries != 0 || held != 0 {
+		t.Fatalf("after no shard retains version %d the cache holds %d entries, %d body bytes for it", v, entries, held)
+	}
+	if kept := d.gwG.CachedBodyBytes(); kept != 0 {
+		t.Fatalf("%d body bytes still charged", kept)
+	}
+}
+
 // TestHealthzReportsStoppedShard: a shard whose healthz says it stopped
 // publishing makes the gateway's healthz not ok, naming the shard and
 // its reason. The shard is a fake serving a real daemon's bytes, with

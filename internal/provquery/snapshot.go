@@ -93,8 +93,8 @@ func NewSnapshotClient(views map[string]PartitionView) *SnapshotClient {
 // traffic the live traversal would have sent (each cross-node expansion
 // is one request plus one response); Latency is zero because no virtual
 // time passes in a snapshot. Options.UseCache is a no-op here: the
-// per-node caches belong to live nodes, and serving-layer memoization
-// is provided per snapshot version by internal/server instead.
+// per-node caches belong to live nodes, and internal/server memoizes
+// whole results per version in its result cache instead.
 func (c *SnapshotClient) Query(typ QueryType, at string, t rel.Tuple, opts Options) (*Result, error) {
 	//lint:allow ctxflow context-free compatibility entry point: callers who opt out of cancellation get a walk that runs to completion by design
 	return c.QueryContext(context.Background(), typ, at, t, opts)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"repro/client"
+	"repro/internal/provquery"
 	"repro/internal/provstore"
 	"repro/internal/rel"
 	"repro/internal/simnet"
@@ -16,20 +17,18 @@ import (
 // answers from its snapshot ring and store, and gateway.Gateway, which
 // answers by fanning out over the shards of a deployment. Everything
 // that is HTTP — routing, decoding, validation and its order, caps,
-// conditional GETs, the batch loop, rendering, cache headers — lives
-// above this interface, once.
+// conditional GETs, the batch loop, the result cache's get → walk →
+// put, rendering, cache headers — lives above this interface, once.
 type Backend interface {
 	// Pin resolves a request's version (0 means current) to the
 	// coordinates the whole response is computed at; a version no longer
 	// retained is the snapshot_evicted 410.
 	Pin(ctx context.Context, version uint64) (Pin, *APIError)
-	// Query evaluates one resolved query at pin through the backend's
-	// result cache; hit reports a cache-served answer. key.VID is t's.
-	// The entry is shared and read-only.
-	Query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (e Cached, hit bool, apiErr *APIError)
-	// Cache is the result cache that serves pin: the handler set reads
-	// its counters and hands it the body of a key asked again.
-	Cache(pin Pin) *ResultCache
+	// Walk evaluates one resolved query at pin; key.VID is t's. An error
+	// is an *APIError or a walk failure QueryError maps.
+	Walk(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (*provquery.Result, error)
+	// ResultCache is the process's one result cache, for every pin.
+	ResultCache() *ResultCache
 
 	// NodesDoc is the GET /v1/nodes document at pin.
 	NodesDoc(ctx context.Context, pin Pin) (*client.Nodes, *APIError)
@@ -85,17 +84,13 @@ func unreadable(version uint64) *APIError {
 		"version %d is unreadable from the snapshot store (check the data directory with nettrailsfsck)", version)
 }
 
-// Query implements Backend through the pinned snapshot's result cache.
-func (p *Publisher) Query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (Cached, bool, *APIError) {
-	e, hit, err := pin.snap.cachedQuery(ctx, key, t)
-	if err != nil {
-		return Cached{}, false, QueryError(err)
-	}
-	return e, hit, nil
+// Walk implements Backend over the pinned snapshot.
+func (p *Publisher) Walk(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (*provquery.Result, error) {
+	return pin.snap.query.QueryContext(ctx, key.Type, key.At, t, key.Opts)
 }
 
-// Cache implements Backend: the pinned snapshot's own cache.
-func (p *Publisher) Cache(pin Pin) *ResultCache { return pin.snap.cache }
+// ResultCache implements Backend.
+func (p *Publisher) ResultCache() *ResultCache { return p.cache }
 
 // NodesDoc implements Backend.
 func (p *Publisher) NodesDoc(_ context.Context, pin Pin) (*client.Nodes, *APIError) {

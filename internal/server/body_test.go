@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/provquery"
@@ -118,7 +119,7 @@ func TestConcurrentFirstHitsChargeOnce(t *testing.T) {
 			t.Fatalf("concurrent hit %d diverged from the miss body", i)
 		}
 	}
-	if got := pub.bodies.used.Load(); got != int64(len(first)) {
+	if got := pub.cache.BodyBytes(); got != int64(len(first)) {
 		t.Fatalf("budget charged %d bytes for one %d-byte body", got, len(first))
 	}
 }
@@ -147,11 +148,11 @@ func TestBodyBudget(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		ask(i) // the miss (a hit for key 0)
 		ask(i) // the first hit: admitted while the budget has room
-		if used := pub.bodies.used.Load(); used > maxBodyBytes {
+		if used := pub.cache.BodyBytes(); used > maxBodyBytes {
 			t.Fatalf("after key %d: %d body bytes retained, budget %d", i, used, maxBodyBytes)
 		}
 	}
-	if used, want := pub.bodies.used.Load(), int64(maxBodyBytes/len(ref)*len(ref)); used != want {
+	if used, want := pub.cache.BodyBytes(), int64(maxBodyBytes/len(ref)*len(ref)); used != want {
 		t.Fatalf("retained %d body bytes, want %d (every body that fits)", used, want)
 	}
 	for _, i := range []int{0, keys - 1} { // a stored body, and one the budget declined
@@ -175,8 +176,70 @@ func TestBodyBudget(t *testing.T) {
 	if _, ok := pub.At(v); ok {
 		t.Fatalf("version %d still retained", v)
 	}
-	if used := pub.bodies.used.Load(); used != 0 {
+	if used := pub.cache.BodyBytes(); used != 0 {
 		t.Fatalf("%d body bytes still charged after their snapshot left the ring", used)
+	}
+}
+
+// TestBodyChargeMatchesHeldUnderEviction: readers hit and admit bodies
+// on pinned versions while the simulation thread mints them out of a
+// two-version ring, so admissions race the drops. Once the readers
+// stop, the bytes the cache charges are exactly the bytes of the
+// bodies it holds, version by version. Run with -race.
+func TestBodyChargeMatchesHeldUnderEviction(t *testing.T) {
+	e := buildGrid(t, 3)
+	pub, err := NewPublisherWithOptions(e, PublisherOptions{Retain: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(pub, Info{Protocol: "mincost"})
+	var hits atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 150; i++ {
+				// Each request pins the version current when it arrives.
+				rec := serve(srv, "POST", "/v1/query", fmt.Sprintf(
+					`{"type":"lineage","tuple":"mincost(@'n1','n9',4)","options":{"maxnodes":%d}}`, 1000+(r+i)%4))
+				if rec.Header().Get("X-Cache") == "HIT" {
+					hits.Add(1)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ { // each flap mints versions, dropping older ones
+		if err := e.RemoveBiLink("n4", "n5", 1); err != nil {
+			t.Fatal(err)
+		}
+		e.RunQuiescent()
+		if err := e.AddBiLink("n4", "n5", 1); err != nil {
+			t.Fatal(err)
+		}
+		e.RunQuiescent()
+	}
+	wg.Wait()
+	if hits.Load() == 0 {
+		t.Fatal("no reader hit: nothing was admitted")
+	}
+
+	c := pub.cache
+	var held int64
+	entries := 0
+	for v, g := range c.versions {
+		var inGroup int64
+		for _, e := range g.m {
+			inGroup += int64(len(e.Body))
+		}
+		if inGroup != g.bodies {
+			t.Fatalf("version %d charges %d body bytes, holds %d", v, g.bodies, inGroup)
+		}
+		held += inGroup
+		entries += len(g.m)
+	}
+	if held != c.BodyBytes() || entries != c.entries {
+		t.Fatalf("cache charges %d body bytes over %d entries, holds %d over %d", c.BodyBytes(), c.entries, held, entries)
 	}
 }
 

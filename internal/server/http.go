@@ -566,7 +566,7 @@ type QueryRequest struct {
 	Options client.Options `json:"options"`
 }
 
-// setCacheHeaders reports a Backend.Query outcome on the response.
+// setCacheHeaders reports a Server.query outcome on the response.
 func setCacheHeaders(w http.ResponseWriter, cache *ResultCache, hit bool) {
 	verdict := "MISS"
 	if hit {
@@ -636,7 +636,13 @@ func ResolveQueryRequest(req *QueryRequest) (typ provquery.QueryType, t rel.Tupl
 // QueryError maps a traversal failure to its stable API error: the
 // one mapping shared by every query-evaluating endpoint on both tiers,
 // so the same defect never earns different codes on different routes.
+// An error that already is an *APIError (a gateway's failed shard
+// read) passes through.
 func QueryError(err error) *APIError {
+	var ae *APIError
+	if errors.As(err, &ae) {
+		return ae
+	}
 	if ce, ok := CtxError(err); ok {
 		return ce
 	}
@@ -696,6 +702,18 @@ func (s *Server) key(pin Pin, typ provquery.QueryType, at string, t rel.Tuple, o
 	return CacheKey{Version: pin.Version, At: at, VID: t.VID(), Type: typ, Opts: opts}
 }
 
+// query answers key (whose VID is t's) at pin through the process's
+// result cache, walking the backend on a miss.
+func (s *Server) query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (Cached, bool, *APIError) {
+	e, hit, err := s.b.ResultCache().answer(key, func() (*provquery.Result, error) {
+		return s.b.Walk(ctx, pin, key, t)
+	})
+	if err != nil {
+		return Cached{}, false, QueryError(err)
+	}
+	return e, hit, nil
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *APIError {
 	var req QueryRequest
 	if apiErr := decodeBody(w, r, &req); apiErr != nil {
@@ -715,11 +733,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *APIError {
 		return apiErr
 	}
 	key := s.key(pin, typ, at, t, opts)
-	e, hit, apiErr := s.b.Query(ctx, pin, key, t)
+	e, hit, apiErr := s.query(ctx, pin, key, t)
 	if apiErr != nil {
 		return apiErr
 	}
-	cache := s.b.Cache(pin)
+	cache := s.b.ResultCache()
 	setCacheHeaders(w, cache, hit)
 	if e.Body != nil {
 		writeBody(w, http.StatusOK, e.Body)
@@ -738,7 +756,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *APIError {
 // ---- POST /v1/query/batch ----------------------------------------------
 
 // batchRequest evaluates many queries against one pinned snapshot. All
-// queries share the backend's result cache, so repeated or overlapping
+// queries share the process's result cache, so repeated or overlapping
 // queries inside one batch are answered without re-traversal — and the
 // whole batch costs one HTTP round trip.
 type batchRequest struct {
@@ -817,7 +835,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *APIEr
 				results = append(results, cached)
 				continue
 			}
-			e, hit, evalErr := s.b.Query(ctx, pin, key, t)
+			e, hit, evalErr := s.query(ctx, pin, key, t)
 			if evalErr == nil {
 				if hit {
 					hits++
@@ -844,7 +862,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *APIEr
 		results = append(results, MarshalError(itemErr))
 	}
 
-	hitsTotal, missesTotal := s.b.Cache(pin).Counters()
+	hitsTotal, missesTotal := s.b.ResultCache().Counters()
 	w.Header().Set("X-Batch-Cache-Hits", strconv.Itoa(hits))
 	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hitsTotal, 10))
 	w.Header().Set("X-Cache-Misses", strconv.FormatInt(missesTotal, 10))
@@ -873,11 +891,11 @@ func (s *Server) handleProofDOT(w http.ResponseWriter, r *http.Request) *APIErro
 	if !fresh {
 		return apiErr
 	}
-	e, hit, apiErr := s.b.Query(ctx, pin, s.key(pin, provquery.Lineage, at, t, provquery.Options{}), t)
+	e, hit, apiErr := s.query(ctx, pin, s.key(pin, provquery.Lineage, at, t, provquery.Options{}), t)
 	if apiErr != nil {
 		return apiErr
 	}
-	setCacheHeaders(w, s.b.Cache(pin), hit)
+	setCacheHeaders(w, s.b.ResultCache(), hit)
 	w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
 	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(pin.Version, 10))
 	fmt.Fprint(w, viz.ProofDOT(e.Result.Root))

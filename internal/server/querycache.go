@@ -34,80 +34,61 @@ type Cached struct {
 	Body []byte
 }
 
-// ResultCache memoizes whole query results. It is the one result cache
-// of the serving tier, with two owners: every Snapshot has its own (it
-// lives and dies with its version, so eviction is the retention ring
-// dropping old snapshots), and a Gateway has one across the versions it
-// has pinned. Results are immutable per version, so entries never need
-// invalidation.
+// ResultCache memoizes whole query results: the one result cache of a
+// serving process. A Publisher keeps one for every version it serves,
+// ring and disk cache alike, and a Gateway one for every version it has
+// pinned. Results are immutable per version, so entries never need
+// invalidation; they are grouped by version, and the owner drops a
+// version's group where it stops retaining the version.
 //
 // Because option values are request-controlled, distinct keys are
 // unbounded from the client's point of view; maxQueryCacheEntries caps
 // the memoized results so a client cycling option values (or a
-// never-churning daemon whose snapshot never ages out) cannot grow
-// server memory without bound. A full cache first drops the entries of
-// versions older than the incoming key, then declines new keys, which
-// simply evaluate uncached.
+// never-churning daemon whose version never ages out) cannot grow
+// server memory without bound. A full cache first drops the versions
+// older than the incoming key, then declines new keys, which simply
+// evaluate uncached.
 //
 // A rendered body is a pure function of its key, and rendering it is
 // most of what a hit costs, so a key that is asked again keeps its body
 // too. Bodies are admitted on the first hit, not on the miss — nothing
 // is evicted inside a version, so a key asked once must not spend the
-// budget — and are charged by length against the owner's bodyBudget.
+// budget — and are charged by length against maxBodyBytes.
 type ResultCache struct {
-	mu sync.RWMutex
-	m  map[CacheKey]Cached
-	// floor is a version no entry is older than: a full cache whose
-	// incoming key is not newer has nothing to drop and skips the scan.
-	floor uint64
-
-	// budget is the owner's; charged is this cache's share of it, given
-	// back when entries are dropped or the cache is released.
-	budget   *bodyBudget
-	charged  int64
-	released bool
+	mu       sync.RWMutex
+	versions map[uint64]versionEntries
+	entries  int   // across every version
+	bodies   int64 // body bytes held, across every version
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// maxQueryCacheEntries bounds one cache's memoized results.
-const maxQueryCacheEntries = 4096
-
-// maxBodyBytes bounds the rendered bodies one owner — a Publisher
-// across its ring and disk-cache snapshots, or a Gateway — retains.
-// Past it a hit renders from the Result.
-const maxBodyBytes = 64 << 20
-
-// bodyBudget counts the body bytes one owner's caches retain.
-type bodyBudget struct{ used atomic.Int64 }
-
-// take charges n bytes, or reports that they do not fit.
-func (b *bodyBudget) take(n int64) bool {
-	for {
-		u := b.used.Load()
-		if u+n > maxBodyBytes {
-			return false
-		}
-		if b.used.CompareAndSwap(u, u+n) {
-			return true
-		}
-	}
+// versionEntries is one version's group of entries and the body bytes
+// they hold. The zero value is an empty group, so a lookup needs no
+// presence check.
+type versionEntries struct {
+	m      map[CacheKey]Cached
+	bodies int64
 }
 
-// NewResultCache returns an empty cache that owns its body budget.
-func NewResultCache() *ResultCache { return newResultCache(new(bodyBudget)) }
+// maxQueryCacheEntries bounds the memoized results of one process.
+const maxQueryCacheEntries = 4096
 
-// newResultCache returns an empty cache charging bodies to budget.
-func newResultCache(budget *bodyBudget) *ResultCache {
-	return &ResultCache{m: map[CacheKey]Cached{}, budget: budget}
+// maxBodyBytes bounds the rendered bodies one process retains. Past it
+// a hit renders from the Result.
+const maxBodyBytes = 64 << 20
+
+// NewResultCache returns an empty cache.
+func NewResultCache() *ResultCache {
+	return &ResultCache{versions: map[uint64]versionEntries{}}
 }
 
 // Get returns the entry memoized for key, counting a hit when there is
 // one.
 func (c *ResultCache) Get(key CacheKey) (Cached, bool) {
 	c.mu.RLock()
-	e, ok := c.m[key]
+	e, ok := c.versions[key.Version].m[key]
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
@@ -119,64 +100,84 @@ func (c *ResultCache) Get(key CacheKey) (Cached, bool) {
 // result while the cache has room. Of two racing misses the first is
 // kept (identical immutable state gives identical results). Failed or
 // aborted walks are never put, so they are neither cached nor counted.
+// A version already dropped is stored like any other: it counts toward
+// the cap and leaves with the next drop of older versions.
 func (c *ResultCache) Put(key CacheKey, r *provquery.Result) {
 	c.misses.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.m[key]; ok {
+	g := c.versions[key.Version]
+	if _, ok := g.m[key]; ok {
 		return
 	}
-	if len(c.m) >= maxQueryCacheEntries {
-		if key.Version > c.floor {
-			var freed int64
-			for k, e := range c.m {
-				if k.Version < key.Version {
-					freed += int64(len(e.Body))
-					delete(c.m, k)
-				}
+	if c.entries >= maxQueryCacheEntries {
+		for v := range c.versions {
+			if v < key.Version {
+				c.drop(v)
 			}
-			c.floor = key.Version
-			c.charged -= freed
-			c.budget.used.Add(-freed)
 		}
-		if len(c.m) >= maxQueryCacheEntries {
+		if c.entries >= maxQueryCacheEntries {
 			return // full: serve this key uncached rather than grow
 		}
 	}
-	c.m[key] = Cached{Result: r}
+	if g.m == nil {
+		g.m = map[CacheKey]Cached{}
+		c.versions[key.Version] = g
+	}
+	g.m[key] = Cached{Result: r}
+	c.entries++
 }
 
 // AdmitBody keeps a copy of body, the rendered response of key's cached
-// result, while the owner's budget has room. It is called on a hit that
-// found no body; of racing callers one is charged.
+// result, while maxBodyBytes has room. It is called on a hit that found
+// no body; of racing callers one is charged.
 func (c *ResultCache) AdmitBody(key CacheKey, body []byte) {
+	n := int64(len(body))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok || e.Body != nil || c.released || !c.budget.take(int64(len(body))) {
+	g := c.versions[key.Version]
+	e, ok := g.m[key]
+	if !ok || e.Body != nil || c.bodies+n > maxBodyBytes {
 		return
 	}
 	e.Body = bytes.Clone(body)
-	c.m[key] = e
-	c.charged += int64(len(body))
+	g.m[key] = e
+	g.bodies += n
+	c.versions[key.Version] = g
+	c.bodies += n
 }
 
-// BodyBytes returns how many bytes of rendered bodies the cache holds
-// against its owner's budget. Safe for concurrent use.
+// Drop removes every entry of version and gives back its body bytes:
+// the owner no longer retains the version (a request still pinned to
+// it walks afresh). O(1), so mint can afford it.
+func (c *ResultCache) Drop(version uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.drop(version)
+}
+
+func (c *ResultCache) drop(version uint64) {
+	g := c.versions[version]
+	c.entries -= len(g.m)
+	c.bodies -= g.bodies
+	delete(c.versions, version)
+}
+
+// BodyBytes returns how many bytes of rendered bodies the cache holds.
+// Safe for concurrent use.
 func (c *ResultCache) BodyBytes() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.charged
+	return c.bodies
 }
 
-// release gives the cache's charge back to the budget: its snapshot has
-// left the ring (or the disk cache), and what in-flight requests still
-// pinned to it read dies with them. O(1), so mint can afford it.
-func (c *ResultCache) release() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.budget.used.Add(-c.charged)
-	c.charged, c.released = 0, true
+// Held returns how many entries, and how many body bytes, the cache
+// holds for version. Safe for concurrent use.
+func (c *ResultCache) Held(version uint64) (entries int, bodyBytes int64) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	g := c.versions[version]
+	return len(g.m), g.bodies
 }
 
 // Counters returns the cumulative hit and miss (completed walk) counts.
@@ -185,8 +186,24 @@ func (c *ResultCache) Counters() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
+// answer is the serving tier's one get → walk → put: the entry the
+// cache holds for key, or walk's result, which it records. hit reports
+// a cache-served answer; the entry is shared and read-only. A failed
+// walk is neither cached nor counted: failures are cheap to recompute.
+func (c *ResultCache) answer(key CacheKey, walk func() (*provquery.Result, error)) (e Cached, hit bool, err error) {
+	if e, ok := c.Get(key); ok {
+		return e, true, nil
+	}
+	r, err := walk()
+	if err != nil {
+		return Cached{}, false, err
+	}
+	c.Put(key, r)
+	return Cached{Result: r}, false, nil
+}
+
 // CachedQuery evaluates a provenance query against this snapshot,
-// serving repeated identical queries from the snapshot's result cache
+// serving repeated identical queries from the publisher's result cache
 // instead of re-traversing. Safe for concurrent use; two racing misses
 // both traverse (identical immutable state gives identical results)
 // and the cache keeps one of them.
@@ -197,29 +214,14 @@ func (c *ResultCache) Counters() (hits, misses int64) {
 // cached; they are cheap to recompute.
 func (s *Snapshot) CachedQuery(typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) (res *provquery.Result, hit bool, err error) {
 	key := CacheKey{Version: s.Version, At: at, VID: t.VID(), Type: typ, Opts: opts}
-	//lint:allow ctxflow context-free compatibility entry point: callers who opt out of cancellation get a walk that runs to completion by design
-	cached, hit, err := s.cachedQuery(context.Background(), key, t)
-	if err != nil {
-		return nil, false, err
-	}
-	return cached.Result, hit, nil
+	e, hit, err := s.cache.answer(key, func() (*provquery.Result, error) {
+		//lint:allow ctxflow context-free compatibility entry point: callers who opt out of cancellation get a walk that runs to completion by design
+		return s.query.QueryContext(context.Background(), typ, at, t, opts)
+	})
+	return e.Result, hit, err
 }
 
-// cachedQuery answers key (whose VID is t's) through the snapshot's
-// result cache, walking on a miss. The entry is the shared cached
-// value.
-func (s *Snapshot) cachedQuery(ctx context.Context, key CacheKey, t rel.Tuple) (Cached, bool, error) {
-	if e, ok := s.cache.Get(key); ok {
-		return e, true, nil
-	}
-	r, err := s.query.QueryContext(ctx, key.Type, key.At, t, key.Opts)
-	if err != nil {
-		return Cached{}, false, err
-	}
-	s.cache.Put(key, r)
-	return Cached{Result: r}, false, nil
-}
-
-// CacheCounters returns the snapshot's cumulative result-cache hit and
-// miss counts. Safe for concurrent use.
+// CacheCounters returns the cumulative hit and miss counts of the
+// publisher's result cache, which serves every version. Safe for
+// concurrent use.
 func (s *Snapshot) CacheCounters() (hits, misses int64) { return s.cache.Counters() }

@@ -622,10 +622,10 @@ func TestServerTraversalCaps(t *testing.T) {
 	}
 }
 
-// TestQueryCacheBounded: the per-snapshot sub-proof cache stops
-// growing at its entry cap — request-controlled option values must not
-// let a client grow server memory without bound — while already-cached
-// keys keep hitting.
+// TestQueryCacheBounded: the process's result cache stops growing at
+// its entry cap — request-controlled option values must not let a
+// client grow server memory without bound — while already-cached keys
+// keep hitting, and a newer version displaces older ones.
 func TestQueryCacheBounded(t *testing.T) {
 	e := buildGrid(t, 2)
 	pub, err := NewPublisher(e, 0)
@@ -644,7 +644,7 @@ func TestQueryCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(snap.cache.m); got > maxQueryCacheEntries {
+	if got := snap.cache.entries; got > maxQueryCacheEntries {
 		t.Fatalf("cache grew to %d entries past the %d cap", got, maxQueryCacheEntries)
 	}
 	// A fresh key against the full cache evaluates but is not stored.
@@ -659,5 +659,48 @@ func TestQueryCacheBounded(t *testing.T) {
 	if _, hit, err := snap.CachedQuery(provquery.DerivCount, "n1", mc,
 		provquery.Options{Threshold: 1000}); err != nil || !hit {
 		t.Fatalf("pre-cap entry: hit=%v err=%v", hit, err)
+	}
+
+	// The cap is the process's: with it filled at v, a key at a newer
+	// version is stored, and v's entries are gone.
+	if err := e.RemoveBiLink("n1", "n2", 1); err != nil {
+		t.Fatal(err)
+	}
+	e.RunQuiescent()
+	next := pub.Current()
+	if next.Version <= snap.Version {
+		t.Fatalf("link removal minted no version past %d", snap.Version)
+	}
+	mc2, err := provquery.ParseTupleLiteral("mincost(@'n1','n2',3)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{false, true} {
+		if _, hit, err := next.CachedQuery(provquery.DerivCount, "n1", mc2, provquery.Options{}); err != nil || hit != want {
+			t.Fatalf("newer version, ask %d: hit=%v err=%v, want hit=%v", i+1, hit, err, want)
+		}
+	}
+	if n, _ := pub.cache.Held(snap.Version); n != 0 || pub.cache.entries != 1 {
+		t.Fatalf("version %d kept %d entries (%d in all) past a newer key on a full cache", snap.Version, n, pub.cache.entries)
+	}
+
+	// A walk that finishes after its version was dropped still puts: the
+	// entry counts toward the cap, and leaves with the next drop.
+	c := NewResultCache()
+	r := &provquery.Result{}
+	c.Drop(1)
+	c.Put(CacheKey{Version: 1}, r)
+	for i := 1; i < maxQueryCacheEntries; i++ {
+		c.Put(CacheKey{Version: 2, Opts: provquery.Options{Threshold: i}}, r)
+	}
+	if c.entries != maxQueryCacheEntries {
+		t.Fatalf("%d entries, want the late one plus %d at the cap", c.entries, maxQueryCacheEntries-1)
+	}
+	c.Put(CacheKey{Version: 2, Opts: provquery.Options{Threshold: maxQueryCacheEntries}}, r)
+	if late, _ := c.Held(1); late != 0 {
+		t.Fatal("the late entry survived a full cache's drop of older versions")
+	}
+	if n, _ := c.Held(2); n != maxQueryCacheEntries || c.entries != maxQueryCacheEntries {
+		t.Fatalf("version 2 holds %d of %d entries, want all %d", n, c.entries, maxQueryCacheEntries)
 	}
 }

@@ -152,10 +152,7 @@ type Snapshot struct {
 	states []*nodeState
 	index  map[string]int
 	query  *provquery.SnapshotClient
-	// cache memoizes whole query results for this (immutable) version;
-	// see querycache.go. It is evicted together with the snapshot when
-	// the version ages out of the retention ring.
-	cache *ResultCache
+	cache  *ResultCache // the publisher's, shared by every version
 }
 
 // stateOf returns the frozen state of an owned node, nil otherwise.
@@ -267,9 +264,9 @@ type Publisher struct {
 
 	cur atomic.Pointer[ring]
 
-	// bodies is the one budget every snapshot's result cache — ring and
-	// disk cache alike — charges its rendered bodies to.
-	bodies bodyBudget
+	// cache is the one result cache of every version served, ring and
+	// disk cache alike; a version leaving either is dropped from it.
+	cache *ResultCache
 
 	states    []*nodeState // parallel to owned; spine copied per publish
 	dirty     []int        // scratch: owned positions to rebuild this publish
@@ -427,10 +424,10 @@ func (p *Publisher) newSnapshot(version uint64, now simnet.Time, states []*nodeS
 		Shard:    p.shard,
 		states:   states,
 		index:    p.index,
+		cache:    p.cache,
 	}
 	// The snapshot is its own view resolver: no per-publish view map.
 	snap.query = provquery.NewResolverClient(snap)
-	snap.cache = newResultCache(&p.bodies)
 	return snap
 }
 
@@ -545,7 +542,7 @@ func (p *Publisher) mint(version uint64, dirty []int) *Snapshot {
 	snaps := append(append([]*Snapshot{}, prev.snaps...), snap)
 	if drop := len(snaps) - p.retain; drop > 0 {
 		for _, old := range snaps[:drop] {
-			old.cache.release()
+			p.cache.Drop(old.Version)
 		}
 		snaps = snaps[drop:]
 	}

@@ -46,6 +46,7 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 	}
 	p := &Publisher{
 		eng:      eng,
+		cache:    NewResultCache(),
 		retain:   retain,
 		shard:    shard,
 		allNodes: all,
@@ -147,13 +148,13 @@ func (p *Publisher) diskAt(version uint64) (*Snapshot, error) {
 	p.diskMu.Lock()
 	defer p.diskMu.Unlock()
 	if cached, ok := p.diskCache[version]; ok {
-		// A concurrent reader built it first; share its query cache.
+		// A concurrent reader built it first; share its snapshot.
 		return cached, nil
 	}
 	p.diskCache[version] = snap
 	p.diskOrder = append(p.diskOrder, version)
 	if len(p.diskOrder) > diskCacheSize {
-		p.diskCache[p.diskOrder[0]].cache.release()
+		p.cache.Drop(p.diskOrder[0])
 		delete(p.diskCache, p.diskOrder[0])
 		p.diskOrder = p.diskOrder[1:]
 	}
