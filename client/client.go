@@ -57,9 +57,6 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // own cap clamp looser values down.
 func WithTimeout(d time.Duration) Option { return func(c *Client) { c.timeout = d } }
 
-// WithVersion starts the client pinned to a snapshot version.
-func WithVersion(v uint64) Option { return func(c *Client) { c.pinned = v } }
-
 // WithSnapshotAffinity makes the client adopt the first snapshot
 // version a response reports as its pin, so all subsequent calls read
 // the same immutable snapshot until Unpin.

@@ -3,8 +3,10 @@ package client_test
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -261,5 +263,57 @@ func TestProofDOT(t *testing.T) {
 	}
 	if !strings.Contains(dot.Graph, "digraph provenance") || dot.Version == 0 {
 		t.Fatalf("dot = %+v", dot)
+	}
+}
+
+// TestAtNodeMatchesTextualAt checks that AtNode sends a structured
+// query's start node: at the tuple's home and at another node, the
+// answer equals the textual query's with the same "at" clause. At n2
+// the tuple has no provenance, so a dropped AtNode would answer n1's
+// proof instead of the error.
+func TestAtNodeMatchesTextualAt(t *testing.T) {
+	c, _, _ := startServer(t, 2)
+	ctx := context.Background()
+	const tuple = "mincost(@'n1','n4',2)"
+
+	home, err := c.Lineage(ctx, tuple, client.AtNode("n1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	textual, err := c.Query(ctx, "lineage of "+tuple+" at n1")
+	if err != nil || textual.Text != home.Text {
+		t.Fatalf("at n1: textual %+v (%v), structured text %q", textual, err, home.Text)
+	}
+
+	_, serr := c.Lineage(ctx, tuple, client.AtNode("n2"))
+	_, terr := c.Query(ctx, "lineage of "+tuple+" at n2")
+	var se, te *client.APIError
+	if !errors.As(serr, &se) || !errors.As(terr, &te) || *se != *te || se.Code != client.CodeNoProvenance {
+		t.Fatalf("at n2: structured %v, textual %v; want the same no_provenance error", serr, terr)
+	}
+}
+
+// countingTransport counts the requests it forwards.
+type countingTransport struct{ n atomic.Int64 }
+
+func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	ct.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestWithHTTPClientCarriesRequests checks that every request of a
+// client built WithHTTPClient goes through the supplied transport.
+func TestWithHTTPClientCarriesRequests(t *testing.T) {
+	ct := &countingTransport{}
+	c, _, _ := startServer(t, 2, client.WithHTTPClient(&http.Client{Transport: ct}))
+	ctx := context.Background()
+	if _, err := c.Health(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Lineage(ctx, "mincost(@'n1','n4',2)"); err != nil {
+		t.Fatal(err)
+	}
+	if got := ct.n.Load(); got != 2 {
+		t.Fatalf("transport carried %d requests, want 2", got)
 	}
 }

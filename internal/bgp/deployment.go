@@ -109,7 +109,7 @@ func NewDeployment(ases []string, links []ASLink, opts engine.Options) (*Deploym
 		}
 		sa.AddNeighbor(l.B, l.Rel)
 		sb.AddNeighbor(l.A, invert(l.Rel))
-		if _, err := eng.Net.Connect(l.A, l.B, simnet.Millisecond); err != nil {
+		if _, err := eng.Net.Connect(l.A, l.B, simnet.LinkLatency); err != nil {
 			return nil, err
 		}
 	}

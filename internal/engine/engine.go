@@ -44,17 +44,17 @@ type DeltaBatch struct {
 	Msgs []DeltaMsg
 }
 
-// Options configures an Engine.
+// Options configures an Engine. Every link it connects carries
+// simnet.LinkLatency.
 type Options struct {
-	Seed        int64
-	LinkLatency simnet.Time
+	Seed int64
 	// Provenance enables ExSPAN maintenance (on by default via New).
 	Provenance bool
 }
 
 // DefaultOptions returns the standard configuration.
 func DefaultOptions() Options {
-	return Options{Seed: 1, LinkLatency: simnet.Millisecond, Provenance: true}
+	return Options{Seed: 1, Provenance: true}
 }
 
 // Node is one simulated NetTrails node: an NDlog runtime plus a
@@ -144,9 +144,6 @@ func New(src string, nodeAddrs []string, opts Options) (*Engine, error) {
 
 // NewFromProgram builds an engine from a parsed program.
 func NewFromProgram(prog *ndlog.Program, nodeAddrs []string, opts Options) (*Engine, error) {
-	if opts.LinkLatency <= 0 {
-		opts.LinkLatency = simnet.Millisecond
-	}
 	if _, err := ndlog.Analyze(prog); err != nil {
 		return nil, fmt.Errorf("engine: source program: %w", err)
 	}
@@ -512,7 +509,7 @@ func (n *Node) Tuples(relName string) ([]rel.Tuple, error) {
 // link(@a,b,cost) tuples, the common base topology of the demo
 // protocols. It runs to quiescence.
 func (e *Engine) AddBiLink(a, b string, cost int64) error {
-	if _, err := e.Net.Connect(a, b, e.opts.LinkLatency); err != nil {
+	if _, err := e.Net.Connect(a, b, simnet.LinkLatency); err != nil {
 		return err
 	}
 	if err := e.InsertFact(rel.NewTuple("link", rel.Addr(a), rel.Addr(b), rel.Int(cost))); err != nil {

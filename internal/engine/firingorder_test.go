@@ -12,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/protocols"
-	"repro/internal/simnet"
 )
 
 // orderTrace hashes the in-order stream of every rule firing and every
@@ -84,7 +83,7 @@ func TestFiringOrderPinned(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := &orderTrace{h: sha256.New()}
 			eng, err := engine.New(tc.program, protocols.NodeNames(16), engine.Options{
-				Seed: 3, LinkLatency: simnet.Millisecond, Provenance: true,
+				Seed: 3, Provenance: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -124,7 +123,7 @@ func TestFiringOrderPinned(t *testing.T) {
 			{A: "AS4", B: "AS2", Rel: bgp.Customer},
 			{A: "AS3", B: "AS4", Rel: bgp.Peer},
 			{A: "AS4", B: "AS5", Rel: bgp.Customer},
-		}, engine.Options{Seed: 5, LinkLatency: simnet.Millisecond, Provenance: true})
+		}, engine.Options{Seed: 5, Provenance: true})
 		if err != nil {
 			t.Fatal(err)
 		}

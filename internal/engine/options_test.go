@@ -104,18 +104,3 @@ func TestGlobalTuplesAggregatesAcrossNodes(t *testing.T) {
 		t.Fatalf("nonexistent relation = %v", got)
 	}
 }
-
-func TestDefaultLinkLatencyApplied(t *testing.T) {
-	opts := Options{Seed: 1, Provenance: true} // zero latency -> defaulted
-	e, err := New(mincostSrc, []string{"n1", "n2"}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddBiLink("n1", "n2", 1); err != nil {
-		t.Fatal(err)
-	}
-	l, ok := e.Net.LinkBetween("n1", "n2")
-	if !ok || l.Latency <= 0 {
-		t.Fatalf("link latency = %+v", l)
-	}
-}

@@ -26,7 +26,7 @@ func tupleAddr2(relName, a, b string) rel.Tuple {
 func newEngine(t testing.TB, program string, nodes []string, seed int64, epochLoop bool) *engine.Engine {
 	t.Helper()
 	eng, err := engine.New(program, nodes, engine.Options{
-		Seed: seed, LinkLatency: simnet.Millisecond, Provenance: true,
+		Seed: seed, Provenance: true,
 	})
 	if err != nil {
 		t.Fatal(err)

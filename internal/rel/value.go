@@ -77,12 +77,8 @@ func Bool(v bool) Value {
 	return Value{kind: KindBool, num: n}
 }
 
-// String_ returns a string value. (Named with a trailing underscore to
-// leave Value.String free for fmt.Stringer.)
-func String_(v string) Value { return Value{kind: KindString, str: v} }
-
-// Str is shorthand for String_.
-func Str(v string) Value { return String_(v) }
+// Str returns a string value. (Value.String is fmt.Stringer's.)
+func Str(v string) Value { return Value{kind: KindString, str: v} }
 
 // Addr returns a node-address value used for location attributes.
 func Addr(v string) Value { return Value{kind: KindAddr, str: v} }

@@ -13,14 +13,6 @@ const (
 	RuleExecRel = "ruleExec" // ruleExec(@RLoc, RID, Rule, VIDList)
 )
 
-// ProvenanceOptions configures the rewrite.
-type ProvenanceOptions struct {
-	// SkipAggregates leaves aggregate rules out of the rewrite (their
-	// provenance is maintained by the runtime's aggregate machinery,
-	// which knows the winning contributions). Default true.
-	SkipAggregates bool
-}
-
 // Provenance applies ExSPAN's automatic rule rewriting: it returns a new
 // program containing the input program plus, for every executable rule,
 // two provenance-maintenance rules that define ruleExec and prov as
@@ -36,8 +28,10 @@ type ProvenanceOptions struct {
 //	       VID := f_mkvid("h", H, ...), VIDs := ..., RID := ....
 //
 // Base tuples get prov entries with the zero RID from the engine, not
-// from rewrite rules.
-func Provenance(p *ndlog.Program, opts ProvenanceOptions) (*ndlog.Program, error) {
+// from rewrite rules. Aggregate rules are left out: rewrite rules cannot
+// express their provenance, which the runtime's aggregate machinery
+// maintains, since it knows the winning contributions.
+func Provenance(p *ndlog.Program) (*ndlog.Program, error) {
 	out := &ndlog.Program{Name: p.Name}
 	for _, m := range p.Materialized {
 		out.Materialized = append(out.Materialized, m)
@@ -50,14 +44,8 @@ func Provenance(p *ndlog.Program, opts ProvenanceOptions) (*ndlog.Program, error
 	)
 
 	for _, r := range p.Rules {
-		if r.Maybe || len(r.Body) == 0 {
+		if r.Maybe || len(r.Body) == 0 || r.Head.HasAgg() {
 			continue
-		}
-		if r.Head.HasAgg() && opts.SkipAggregates {
-			continue
-		}
-		if r.Head.HasAgg() {
-			return nil, fmt.Errorf("rewrite: rule %s: aggregate provenance cannot be expressed as rewrite rules; use the runtime hook", ruleName(r))
 		}
 		pr1, pr2, err := provRulesFor(r)
 		if err != nil {

@@ -20,7 +20,7 @@ materialize(reach, infinity, infinity, keys(1,2)).
 r1 reach(@S,D) :- link(@S,D,_).
 `
 	p := ndlog.MustParse(src)
-	out, err := Provenance(p, ProvenanceOptions{SkipAggregates: true})
+	out, err := Provenance(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,17 +55,13 @@ m1 best(@S,D,min<C>) :- cost(@S,D,C).
 br1 outr(@S,R2) ?- inr(@S,R1), f_isExtend(R2,R1,S) == 1.
 `
 	p := ndlog.MustParse(src)
-	out, err := Provenance(p, ProvenanceOptions{SkipAggregates: true})
+	out, err := Provenance(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Only the original 3 rules; no _pr rules.
 	if len(out.Rules) != 3 {
 		t.Fatalf("rules = %d:\n%s", len(out.Rules), out)
-	}
-	// With SkipAggregates=false the aggregate rule is an error.
-	if _, err := Provenance(p, ProvenanceOptions{SkipAggregates: false}); err == nil {
-		t.Fatal("aggregate provenance rewrite should be rejected")
 	}
 }
 
@@ -82,7 +78,7 @@ r1 reach(@S,D) :- link(@S,D,_).
 r2 reach(@S,D) :- link(@S,D,_), link(@S,D,_).
 `
 	p := ndlog.MustParse(src)
-	aug, err := Provenance(p, ProvenanceOptions{SkipAggregates: true})
+	aug, err := Provenance(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,45 +37,23 @@ type ASGraph struct {
 	Edges []ASEdge
 }
 
-// ASGraphOptions tunes the synthetic AS-graph generator.
+// ASGraphOptions selects one synthetic AS graph.
 type ASGraphOptions struct {
 	// Nodes is the total AS count (>= 4).
 	Nodes int
-	// Tier1 is the size of the fully-meshed transit-free core
-	// (values < 2 mean a default of min(4, Nodes)).
-	Tier1 int
-	// TransitFrac is the fraction of non-core ASes that are mid-tier
-	// transit providers rather than stubs (default 0.15).
-	TransitFrac float64
-	// MaxProviders bounds how many upstreams a non-core AS buys
-	// transit from; the actual count is 1 + geometric-ish noise
-	// (default 2). Larger values densify the graph.
-	MaxProviders int
-	// PeerP is the probability that a mid-tier AS peers with another
-	// randomly chosen mid-tier AS (default 0.2).
-	PeerP float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
 
-func (o ASGraphOptions) withDefaults() ASGraphOptions {
-	if o.Tier1 < 2 {
-		o.Tier1 = 4
-	}
-	if o.Tier1 > o.Nodes {
-		o.Tier1 = o.Nodes
-	}
-	if o.TransitFrac <= 0 {
-		o.TransitFrac = 0.15
-	}
-	if o.MaxProviders < 1 {
-		o.MaxProviders = 2
-	}
-	if o.PeerP < 0 {
-		o.PeerP = 0
-	}
-	return o
-}
+// The generator's shape: a fully-meshed transit-free core of tier1
+// ASes; transitFrac of the rest are mid-tier transit providers, the
+// others stubs; a non-core AS buys transit from 1 to maxProviders
+// upstreams (each one past the first with probability 0.35).
+const (
+	tier1        = 4
+	transitFrac  = 0.15
+	maxProviders = 2
+)
 
 // ASName returns the canonical zero-padded AS name used by the
 // generator: padding keeps the engine's lexicographic node order equal
@@ -92,12 +70,11 @@ func ASName(i, total int) string {
 // a fully-meshed tier-1 core of peers, a layer of mid-tier transit
 // providers, and a majority of stub ASes, with providers drawn by
 // preferential attachment so customer-cone sizes follow the heavy
-// tail seen in real RouteViews/CAIDA graphs. The result is connected
-// (every AS has an all-customer path from the core) and deterministic
-// for a given options value.
-func GenerateASGraph(opts ASGraphOptions) (*ASGraph, error) {
-	o := opts.withDefaults()
-	if o.Nodes < 4 {
+// tail seen in real RouteViews/CAIDA graphs. The core's mesh is the
+// only peering. The result is connected (every AS has an all-customer
+// path from the core) and deterministic for a given options value.
+func GenerateASGraph(o ASGraphOptions) (*ASGraph, error) {
+	if o.Nodes < tier1 {
 		return nil, fmt.Errorf("routeviews: AS graph needs >= 4 nodes, got %d", o.Nodes)
 	}
 	rng := rand.New(rand.NewSource(o.Seed))
@@ -107,14 +84,14 @@ func GenerateASGraph(opts ASGraphOptions) (*ASGraph, error) {
 	}
 
 	// Tier-1 core: full peer mesh.
-	for i := 0; i < o.Tier1; i++ {
-		for j := i + 1; j < o.Tier1; j++ {
+	for i := 0; i < tier1; i++ {
+		for j := i + 1; j < tier1; j++ {
 			g.Edges = append(g.Edges, ASEdge{A: g.ASes[i], B: g.ASes[j], Kind: PeerToPeer})
 		}
 	}
 
-	nTransit := int(float64(o.Nodes-o.Tier1) * o.TransitFrac)
-	transitEnd := o.Tier1 + nTransit // ASes [Tier1, transitEnd) are mid-tier
+	nTransit := int(float64(o.Nodes-tier1) * transitFrac)
+	transitEnd := tier1 + nTransit // ASes [tier1, transitEnd) are mid-tier
 
 	// weight[i] tracks 1 + customer count for preferential attachment.
 	weight := make([]int, o.Nodes)
@@ -145,7 +122,7 @@ func GenerateASGraph(opts ASGraphOptions) (*ASGraph, error) {
 	}
 
 	seen := map[[2]string]bool{}
-	link := func(a, b int, kind LinkKind) bool {
+	link := func(a, b int) bool {
 		ka, kb := g.ASes[a], g.ASes[b]
 		if ka > kb {
 			ka, kb = kb, ka
@@ -155,39 +132,37 @@ func GenerateASGraph(opts ASGraphOptions) (*ASGraph, error) {
 			return false
 		}
 		seen[key] = true
-		g.Edges = append(g.Edges, ASEdge{A: g.ASes[a], B: g.ASes[b], Kind: kind})
+		g.Edges = append(g.Edges, ASEdge{A: g.ASes[a], B: g.ASes[b], Kind: ProviderToCustomer})
 		return true
 	}
 
-	for i := o.Tier1; i < o.Nodes; i++ {
+	for i := tier1; i < o.Nodes; i++ {
 		// Mid-tier ASes attach under the core or other mid-tiers that
 		// came before them; stubs attach under anything non-stub.
 		limit := transitEnd
 		if i < transitEnd {
 			limit = i
-			if limit < o.Tier1 {
-				limit = o.Tier1
+			if limit < tier1 {
+				limit = tier1
 			}
 		}
 		if limit > i {
 			limit = i
 		}
 		nProv := 1
-		for nProv < o.MaxProviders && rng.Float64() < 0.35 {
+		for nProv < maxProviders && rng.Float64() < 0.35 {
 			nProv++
 		}
 		for p := 0; p < nProv; p++ {
 			prov := pickProvider(limit, i)
-			if link(prov, i, ProviderToCustomer) {
+			if link(prov, i) {
 				weight[prov]++
 			}
 		}
-		// Occasional lateral peering between mid-tier ASes.
-		if i >= o.Tier1 && i < transitEnd && i > o.Tier1 && rng.Float64() < o.PeerP {
-			peer := o.Tier1 + rng.Intn(i-o.Tier1)
-			if peer != i {
-				link(peer, i, PeerToPeer)
-			}
+		// This draw once chose lateral peering between mid-tier ASes, at
+		// probability 0; it stays so each seed keeps producing its graph.
+		if i > tier1 && i < transitEnd {
+			rng.Float64()
 		}
 	}
 	return g, nil

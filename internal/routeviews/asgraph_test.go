@@ -2,6 +2,8 @@ package routeviews
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -144,4 +146,32 @@ func sortedStrings(s []string) bool {
 		}
 	}
 	return true
+}
+
+// TestASGraphPinned pins the serialized graph of every size the
+// scenarios, tests and benchmark generate. The constants were taken
+// from a generator that still had tunable tier sizes and peering; a
+// change to the generator's random draws shows here first.
+func TestASGraphPinned(t *testing.T) {
+	want := map[int]string{
+		12:   "4883360fc09b244563fb3235b444f7446e4ecbdd9174fa78eadda6a340e86527",
+		24:   "e14b5c32cb288d4a3dbca0761b0fd82fc99dff79e96842e8322dac96a20154f2",
+		100:  "ff5bed3d403c23af657e337c5e83bd28a502b36a0829787d7a8596c13310a89c",
+		200:  "b3583543ed5647ceca41dd1d29096202e24fb96da00dd12b3e02215e30a01ce6",
+		320:  "bd0cd79f878c2652bfcac24280cdc512c4363ce1b406526f23bfd9a4552329ba",
+		1000: "e346a243383258f54abc8fd18db3e146dcf7074237dcb187e6b1c7433f4ae99e",
+	}
+	for n, sum := range want {
+		g, err := GenerateASGraph(ASGraphOptions{Nodes: n, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteASGraph(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != sum {
+			t.Errorf("%d ASes, seed 1: sha256 %s, want %s", n, got, sum)
+		}
+	}
 }

@@ -18,7 +18,7 @@ func FuzzParseRouteViews(f *testing.F) {
 	f.Add("0 A p o\n0 W p o\n")
 	f.Add("-3 A x y\n")
 	f.Add("00 A é ☃\n")
-	events, err := Generate(DefaultGenOptions([]string{"AS1", "AS2", "AS3"}))
+	events, err := Generate(GenOptions{Events: 200, Origins: []string{"AS1", "AS2", "AS3"}, Seed: 1})
 	if err != nil {
 		f.Fatal(err)
 	}

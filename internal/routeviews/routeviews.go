@@ -49,40 +49,34 @@ func (e Event) String() string {
 	return fmt.Sprintf("%d %s %s %s", e.Seq, e.Type, e.Prefix, e.Origin)
 }
 
-// GenOptions tunes the synthetic generator.
+// GenOptions selects one synthetic trace.
 type GenOptions struct {
-	Events     int
-	Prefixes   int      // distinct prefixes in the pool
-	Origins    []string // candidate origin ASes
-	WithdrawP  float64  // probability an event withdraws a live prefix
-	FlapBursts int      // number of instability bursts (announce/withdraw churn)
-	Seed       int64
+	Events  int
+	Origins []string // candidate origin ASes
+	Seed    int64
 }
 
-// DefaultGenOptions returns a sensible small trace configuration.
-func DefaultGenOptions(origins []string) GenOptions {
-	return GenOptions{
-		Events:     200,
-		Prefixes:   32,
-		Origins:    origins,
-		WithdrawP:  0.25,
-		FlapBursts: 3,
-		Seed:       1,
-	}
-}
+// The trace's shape: a pool of prefixes, the probability that an event
+// withdraws a live prefix, and the number of instability bursts
+// (announce/withdraw churn) spread evenly over the trace.
+const (
+	prefixes   = 32
+	withdrawP  = 0.25
+	flapBursts = 3
+)
 
 // Generate produces a synthetic trace. Invariants: withdrawals only
 // target currently announced prefixes and come from the AS currently
 // originating them; re-announcements may move a prefix to a new origin
 // (origin churn, as seen in real tables).
 func Generate(opts GenOptions) ([]Event, error) {
-	if opts.Events <= 0 || opts.Prefixes <= 0 || len(opts.Origins) == 0 {
+	if opts.Events <= 0 || len(opts.Origins) == 0 {
 		return nil, fmt.Errorf("routeviews: invalid options %+v", opts)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	prefixes := make([]string, opts.Prefixes)
-	for i := range prefixes {
-		prefixes[i] = fmt.Sprintf("10.%d.%d.0/24", i/256, i%256)
+	pool := make([]string, prefixes)
+	for i := range pool {
+		pool[i] = fmt.Sprintf("10.%d.%d.0/24", i/256, i%256)
 	}
 	liveOrigin := map[string]string{} // prefix -> current origin
 	var out []Event
@@ -91,10 +85,7 @@ func Generate(opts GenOptions) ([]Event, error) {
 		out = append(out, Event{Seq: seq, Type: t, Prefix: prefix, Origin: origin})
 		seq++
 	}
-	burstEvery := 0
-	if opts.FlapBursts > 0 {
-		burstEvery = opts.Events / (opts.FlapBursts + 1)
-	}
+	burstEvery := opts.Events / (flapBursts + 1)
 	for seq < opts.Events {
 		// Instability burst: flap one live prefix a few times.
 		if burstEvery > 0 && seq > 0 && seq%burstEvery == 0 && len(liveOrigin) > 0 {
@@ -107,13 +98,13 @@ func Generate(opts GenOptions) ([]Event, error) {
 			liveOrigin[p] = o
 			continue
 		}
-		if rng.Float64() < opts.WithdrawP && len(liveOrigin) > 0 {
+		if rng.Float64() < withdrawP && len(liveOrigin) > 0 {
 			p := livePick(rng, liveOrigin)
 			emit(Withdraw, p, liveOrigin[p])
 			delete(liveOrigin, p)
 			continue
 		}
-		p := prefixes[rng.Intn(len(prefixes))]
+		p := pool[rng.Intn(len(pool))]
 		if o, live := liveOrigin[p]; live {
 			// Origin churn: withdraw from the old origin first.
 			emit(Withdraw, p, o)

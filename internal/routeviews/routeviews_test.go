@@ -7,7 +7,7 @@ import (
 )
 
 func TestGenerateValidates(t *testing.T) {
-	opts := DefaultGenOptions([]string{"AS1", "AS2", "AS3"})
+	opts := GenOptions{Events: 200, Origins: []string{"AS1", "AS2", "AS3"}, Seed: 1}
 	events, err := Generate(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestGenerateValidates(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	opts := DefaultGenOptions([]string{"AS1", "AS2"})
+	opts := GenOptions{Events: 200, Origins: []string{"AS1", "AS2"}, Seed: 1}
 	e1, _ := Generate(opts)
 	e2, _ := Generate(opts)
 	if len(e1) != len(e2) {
@@ -65,13 +65,13 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(GenOptions{}); err == nil {
 		t.Fatal("zero options must error")
 	}
-	if _, err := Generate(GenOptions{Events: 1, Prefixes: 1}); err == nil {
+	if _, err := Generate(GenOptions{Events: 1}); err == nil {
 		t.Fatal("no origins must error")
 	}
 }
 
 func TestWriteParseRoundTrip(t *testing.T) {
-	events, _ := Generate(DefaultGenOptions([]string{"AS1", "AS2"}))
+	events, _ := Generate(GenOptions{Events: 200, Origins: []string{"AS1", "AS2"}, Seed: 1})
 	var buf bytes.Buffer
 	if err := Write(&buf, events); err != nil {
 		t.Fatal(err)

@@ -678,7 +678,7 @@ func RenderQueryResponse(version uint64, timeUs int64, res *provquery.Result) *c
 	case provquery.Lineage:
 		pj := JSONProof(res.Root)
 		out.Proof = &pj
-		out.Text = viz.ProofTree(res.Root, viz.ProofTreeOptions{})
+		out.Text = viz.ProofTree(res.Root, 0)
 	case provquery.BaseTuples:
 		out.Bases = []client.Tuple{}
 		for _, b := range res.Bases {

@@ -3,7 +3,6 @@ package server
 import (
 	"net/http"
 	"slices"
-	"sort"
 
 	"repro/client"
 	"repro/internal/provenance"
@@ -109,8 +108,7 @@ type reacher struct {
 func (r *reacher) read(op client.ProvReadOp) client.ProvReadResult {
 	v := r.s.viewOf(op.Loc)
 	if v == nil {
-		pos := sort.SearchStrings(r.s.AllNodes, op.Loc)
-		if pos < len(r.s.AllNodes) && r.s.AllNodes[pos] == op.Loc {
+		if _, ok := r.s.nodeIndex(op.Loc); ok {
 			return client.ProvReadResult{Err: ErrWrongShard}
 		}
 		return client.ProvReadResult{Err: ErrUnknownNode}

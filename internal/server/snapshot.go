@@ -33,6 +33,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -181,8 +182,14 @@ func (s *Snapshot) KnownNode(addr string) bool {
 	if s.Shard.Unsharded() {
 		return false
 	}
-	pos := sort.SearchStrings(s.AllNodes, addr)
-	return pos < len(s.AllNodes) && s.AllNodes[pos] == addr
+	_, ok := s.nodeIndex(addr)
+	return ok
+}
+
+// nodeIndex returns addr's position in the sorted AllNodes, which
+// decides the shard that owns it; ok is false outside the network.
+func (s *Snapshot) nodeIndex(addr string) (int, bool) {
+	return slices.BinarySearch(s.AllNodes, addr)
 }
 
 // Query evaluates a provenance query against this snapshot. Safe for
@@ -225,14 +232,13 @@ func (s *Snapshot) misdirected(addr string) *APIError {
 	if s.Shard.Unsharded() || s.stateOf(addr) != nil {
 		return nil
 	}
-	for i, a := range s.AllNodes {
-		if a == addr {
-			return Errf(http.StatusMisdirectedRequest, ErrWrongShard,
-				"node %q is owned by shard %d/%d, not this shard (%s)",
-				addr, OwnerOf(i, s.Shard.Total), s.Shard.Total, s.Shard)
-		}
+	i, ok := s.nodeIndex(addr)
+	if !ok {
+		return nil
 	}
-	return nil
+	return Errf(http.StatusMisdirectedRequest, ErrWrongShard,
+		"node %q is owned by shard %d/%d, not this shard (%s)",
+		addr, OwnerOf(i, s.Shard.Total), s.Shard.Total, s.Shard)
 }
 
 // ring is the immutable list of retained snapshots, ascending by

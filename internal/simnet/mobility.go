@@ -122,7 +122,7 @@ func (m *MobilityModel) refreshLinks() {
 	}
 	for _, k := range ups {
 		if _, ok := m.net.LinkBetween(k.a, k.b); !ok {
-			_, _ = m.net.Connect(k.a, k.b, 1*Millisecond)
+			_, _ = m.net.Connect(k.a, k.b, LinkLatency)
 		} else {
 			m.net.SetLinkUp(k.a, k.b, true)
 		}

@@ -4,17 +4,17 @@ import "testing"
 
 func TestReliableDeliversOverDownLink(t *testing.T) {
 	n, got := twoNodes(t)
-	n.DefaultLatency = 9 * Millisecond
-	l, _ := n.Connect("a", "b", Millisecond)
+	l, _ := n.Connect("a", "b", 9*Millisecond)
 	n.SetLinkUp("a", "b", false)
 	n.Send(Message{From: "a", To: "b", Reliable: true})
 	n.Run(0)
 	if len(*got) != 1 {
 		t.Fatal("reliable message dropped over down link")
 	}
-	// Rerouted: default latency, and the link's stats do not count it.
-	if n.Now() != 9*Millisecond {
-		t.Fatalf("now = %d, want default-latency delivery", n.Now())
+	// Rerouted: LinkLatency, not the link's own, and the link's stats
+	// do not count it.
+	if n.Now() != LinkLatency {
+		t.Fatalf("now = %d, want rerouted delivery at %d", n.Now(), LinkLatency)
 	}
 	if l.Stats.Messages != 0 || l.Stats.Drops != 0 {
 		t.Fatalf("down link accounted rerouted traffic: %+v", l.Stats)
@@ -46,16 +46,6 @@ func TestReliableIgnoresLoss(t *testing.T) {
 	}
 }
 
-func TestReliableOverridesDirectOnly(t *testing.T) {
-	n, got := twoNodes(t)
-	n.DirectOnly = true
-	n.Send(Message{From: "a", To: "b", Reliable: true})
-	n.Run(0)
-	if len(*got) != 1 {
-		t.Fatal("reliable message dropped under DirectOnly")
-	}
-}
-
 func TestReliableToUnknownNodeStillDrops(t *testing.T) {
 	n, _ := twoNodes(t)
 	n.Send(Message{From: "a", To: "zz", Reliable: true})
@@ -67,7 +57,6 @@ func TestReliableToUnknownNodeStillDrops(t *testing.T) {
 
 func TestReliableUsesLinkLatencyWhenUp(t *testing.T) {
 	n, got := twoNodes(t)
-	n.DefaultLatency = 9 * Millisecond
 	n.Connect("a", "b", 2*Millisecond)
 	n.Send(Message{From: "a", To: "b", Reliable: true})
 	n.Run(0)

@@ -29,6 +29,12 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
+// LinkLatency is the latency of every link the system connects, and of
+// traffic between nodes without a direct link, which models IP
+// connectivity between non-adjacent nodes (provenance queries travel
+// over IP, not over protocol links).
+const LinkLatency = Millisecond
+
 // Message is one network message between nodes.
 type Message struct {
 	From    string
@@ -38,9 +44,8 @@ type Message struct {
 	Size    int // bytes, for traffic accounting
 	// Reliable marks control-plane traffic carried over a reliable
 	// transport (RapidNet ships tuple deltas over TCP): it is never
-	// dropped by link loss or link-down state and falls back to
-	// DefaultLatency routing when the direct link is unavailable,
-	// overriding DirectOnly.
+	// dropped by link loss or link-down state and is routed around a
+	// down link at LinkLatency.
 	Reliable bool
 }
 
@@ -139,13 +144,6 @@ type Network struct {
 	adj map[string][]string
 	rng *rand.Rand
 
-	// DefaultLatency applies to node pairs without a direct link,
-	// modelling IP connectivity between non-adjacent nodes (provenance
-	// queries travel over IP, not over protocol links). Set
-	// DirectOnly to drop such traffic instead.
-	DefaultLatency Time
-	DirectOnly     bool
-
 	kinds map[string]*KindStats
 
 	totalMsgs  int
@@ -156,12 +154,11 @@ type Network struct {
 // New creates an empty network with the given PRNG seed.
 func New(seed int64) *Network {
 	return &Network{
-		nodes:          map[string]*node{},
-		links:          map[linkKey]*Link{},
-		adj:            map[string][]string{},
-		rng:            rand.New(rand.NewSource(seed)),
-		DefaultLatency: 1 * Millisecond,
-		kinds:          map[string]*KindStats{},
+		nodes: map[string]*node{},
+		links: map[linkKey]*Link{},
+		adj:   map[string][]string{},
+		rng:   rand.New(rand.NewSource(seed)),
+		kinds: map[string]*KindStats{},
 	}
 }
 
@@ -312,8 +309,7 @@ func (n *Network) InRange(a, b string, r float64) bool {
 }
 
 // Send schedules delivery of a message. Direct links use their latency
-// and loss; node pairs without a link use DefaultLatency unless
-// DirectOnly is set, in which case the message is dropped. Local sends
+// and loss; node pairs without a link use LinkLatency. Local sends
 // (from == to) are delivered after a zero-latency scheduling step.
 func (n *Network) Send(m Message) {
 	if _, ok := n.nodes[m.To]; !ok {
@@ -333,7 +329,7 @@ func (n *Network) Send(m Message) {
 					return
 				}
 				link = nil // rerouted around the down link
-				latency = n.DefaultLatency
+				latency = LinkLatency
 			case !m.Reliable && l.Loss > 0 && n.rng.Float64() < l.Loss:
 				l.Stats.Drops++
 				n.totalDrops++
@@ -341,11 +337,8 @@ func (n *Network) Send(m Message) {
 			default:
 				latency = l.Latency
 			}
-		} else if n.DirectOnly && !m.Reliable {
-			n.totalDrops++
-			return
 		} else {
-			latency = n.DefaultLatency
+			latency = LinkLatency
 		}
 	}
 	n.account(m, link)

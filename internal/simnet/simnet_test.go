@@ -60,25 +60,10 @@ func TestSendOverLink(t *testing.T) {
 
 func TestSendWithoutLinkUsesDefaultLatency(t *testing.T) {
 	n, got := twoNodes(t)
-	n.DefaultLatency = 7 * Millisecond
 	n.Send(Message{From: "a", To: "b"})
 	n.Run(0)
-	if len(*got) != 1 || n.Now() != 7*Millisecond {
+	if len(*got) != 1 || n.Now() != LinkLatency {
 		t.Fatalf("got=%d now=%d", len(*got), n.Now())
-	}
-}
-
-func TestDirectOnlyDropsUnlinked(t *testing.T) {
-	n, got := twoNodes(t)
-	n.DirectOnly = true
-	n.Send(Message{From: "a", To: "b"})
-	n.Run(0)
-	if len(*got) != 0 {
-		t.Fatal("message should be dropped")
-	}
-	_, _, drops := n.Totals()
-	if drops != 1 {
-		t.Fatalf("drops = %d", drops)
 	}
 }
 

@@ -86,19 +86,12 @@ func TupleCard(t rel.Tuple, loc string) string {
 	return b.String()
 }
 
-// ProofTreeOptions controls proof rendering.
-type ProofTreeOptions struct {
-	// MaxDepth limits rendered tuple levels (0 = unlimited). Beyond the
-	// limit an ellipsis marks elided structure — the text analogue of
-	// the hypertree's focus+context view.
-	MaxDepth int
-	// ShowVIDs includes vertex ids.
-	ShowVIDs bool
-}
-
-// ProofTree renders a provenance proof tree.
-func ProofTree(root *provquery.ProofNode, opts ProofTreeOptions) string {
-	r := treeRenderer{opts: opts}
+// ProofTree renders a provenance proof tree. maxDepth limits rendered
+// tuple levels (0 = unlimited). Beyond the limit an ellipsis marks
+// elided structure — the text analogue of the hypertree's focus+context
+// view.
+func ProofTree(root *provquery.ProofNode, maxDepth int) string {
+	r := treeRenderer{maxDepth: maxDepth}
 	r.node(root, true, 1)
 	return r.b.String()
 }
@@ -107,10 +100,10 @@ func ProofTree(root *provquery.ProofNode, opts ProofTreeOptions) string {
 // written is one buffer shared down the recursion: a vertex appends its
 // children's part and cuts it off again on return.
 type treeRenderer struct {
-	b      strings.Builder
-	opts   ProofTreeOptions
-	prefix []byte
-	label  []byte // scratch for a tuple's literal
+	b        strings.Builder
+	maxDepth int
+	prefix   []byte
+	label    []byte // scratch for a tuple's literal
 }
 
 func (r *treeRenderer) node(p *provquery.ProofNode, last bool, depth int) {
@@ -144,17 +137,13 @@ func (r *treeRenderer) node(p *provquery.ProofNode, last bool, depth int) {
 	if sep == "," {
 		b.WriteByte(']')
 	}
-	if r.opts.ShowVIDs {
-		b.WriteString(" #")
-		b.WriteString(p.VID.Short())
-	}
 	b.WriteByte('\n')
 	if last || depth == 1 {
 		r.prefix = append(r.prefix, "  "...)
 	} else {
 		r.prefix = append(r.prefix, "| "...)
 	}
-	if r.opts.MaxDepth > 0 && depth >= r.opts.MaxDepth && len(p.Derivs) > 0 {
+	if r.maxDepth > 0 && depth >= r.maxDepth && len(p.Derivs) > 0 {
 		b.Write(r.prefix)
 		b.WriteString("+- ...\n")
 		r.prefix = r.prefix[:n]
@@ -167,10 +156,6 @@ func (r *treeRenderer) node(p *provquery.ProofNode, last bool, depth int) {
 		b.WriteString(d.Rule)
 		b.WriteString(" @")
 		b.WriteString(d.RLoc)
-		if r.opts.ShowVIDs {
-			b.WriteString(" #")
-			b.WriteString(d.RID.Short())
-		}
 		b.WriteByte('\n')
 		if di == len(p.Derivs)-1 {
 			r.prefix = append(r.prefix[:child], "  "...)

@@ -45,7 +45,7 @@ func TestTopologyView(t *testing.T) {
 
 func TestProofTreeRendering(t *testing.T) {
 	_, res := buildQueried(t)
-	out := ProofTree(res.Root, ProofTreeOptions{})
+	out := ProofTree(res.Root, 0)
 	for _, want := range []string{
 		"mincost(@n1, n3, 2) @n1",
 		"via rule mc3 @n1",
@@ -70,21 +70,13 @@ func TestProofTreeRendering(t *testing.T) {
 
 func TestProofTreeDepthLimitFocusContext(t *testing.T) {
 	_, res := buildQueried(t)
-	full := ProofTree(res.Root, ProofTreeOptions{})
-	shallow := ProofTree(res.Root, ProofTreeOptions{MaxDepth: 1})
+	full := ProofTree(res.Root, 0)
+	shallow := ProofTree(res.Root, 1)
 	if !strings.Contains(shallow, "...") {
 		t.Fatalf("depth-limited view should elide:\n%s", shallow)
 	}
 	if len(shallow) >= len(full) {
 		t.Fatal("depth limit did not shrink output")
-	}
-}
-
-func TestProofTreeShowVIDs(t *testing.T) {
-	_, res := buildQueried(t)
-	out := ProofTree(res.Root, ProofTreeOptions{ShowVIDs: true})
-	if !strings.Contains(out, "#") {
-		t.Fatalf("VIDs not shown:\n%s", out)
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"repro/internal/rel"
 	"repro/internal/rewrite"
 	"repro/internal/routeviews"
-	"repro/internal/simnet"
 	"repro/internal/viz"
 )
 
@@ -92,10 +91,9 @@ func ParseTuple(src string) (rel.Tuple, error) {
 // QueryOptions re-exports provenance query tuning.
 type QueryOptions = provquery.Options
 
-// Config tunes a System.
+// Config tunes a System. Every link has a fixed 1 ms latency.
 type Config struct {
-	Seed        int64
-	LinkLatency simnet.Time
+	Seed int64
 }
 
 // System is a running NetTrails instance.
@@ -106,16 +104,11 @@ type System struct {
 
 // NewSystem compiles the NDlog program and boots a node per address.
 func NewSystem(program string, nodes []string, cfg ...Config) (*System, error) {
-	c := Config{Seed: 1, LinkLatency: simnet.Millisecond}
+	c := Config{Seed: 1}
 	if len(cfg) > 0 {
 		c = cfg[0]
-		if c.LinkLatency <= 0 {
-			c.LinkLatency = simnet.Millisecond
-		}
 	}
-	eng, err := engine.New(program, nodes, engine.Options{
-		Seed: c.Seed, LinkLatency: c.LinkLatency, Provenance: true,
-	})
+	eng, err := engine.New(program, nodes, engine.Options{Seed: c.Seed, Provenance: true})
 	if err != nil {
 		return nil, err
 	}
@@ -235,13 +228,13 @@ func DeletionSafety(program string) ([]string, error) {
 
 // RenderProof renders a proof tree as text (full depth).
 func RenderProof(root *provquery.ProofNode) string {
-	return viz.ProofTree(root, viz.ProofTreeOptions{})
+	return viz.ProofTree(root, 0)
 }
 
 // RenderProofFocused renders a proof tree limited to maxDepth tuple
 // levels — the text analogue of the hypertree focus view.
 func RenderProofFocused(root *provquery.ProofNode, maxDepth int) string {
-	return viz.ProofTree(root, viz.ProofTreeOptions{MaxDepth: maxDepth})
+	return viz.ProofTree(root, maxDepth)
 }
 
 // RenderProofDOT exports a proof tree as a Graphviz DOT graph (tuple
@@ -268,7 +261,7 @@ func CompileReport(program string) (source, localized, withProvenance string, er
 	if err != nil {
 		return "", "", "", err
 	}
-	aug, err := rewrite.Provenance(loc, rewrite.ProvenanceOptions{SkipAggregates: true})
+	aug, err := rewrite.Provenance(loc)
 	if err != nil {
 		return "", "", "", err
 	}
@@ -299,13 +292,11 @@ type BGPDeployment struct {
 // NewBGPDeployment builds speakers, proxies, and the monitoring engine
 // over an AS topology.
 func NewBGPDeployment(ases []string, links []ASLink, cfg ...Config) (*BGPDeployment, error) {
-	c := Config{Seed: 1, LinkLatency: simnet.Millisecond}
+	c := Config{Seed: 1}
 	if len(cfg) > 0 {
 		c = cfg[0]
 	}
-	d, err := bgp.NewDeployment(ases, links, engine.Options{
-		Seed: c.Seed, LinkLatency: c.LinkLatency, Provenance: true,
-	})
+	d, err := bgp.NewDeployment(ases, links, engine.Options{Seed: c.Seed, Provenance: true})
 	if err != nil {
 		return nil, err
 	}
@@ -337,11 +328,8 @@ func (d *BGPDeployment) ReplayTrace(events []routeviews.Event) error {
 // GenerateTrace builds a synthetic RouteViews-style trace over the
 // deployment's ASes.
 func (d *BGPDeployment) GenerateTrace(events int, seed int64) ([]routeviews.Event, error) {
-	ases := d.Eng.Nodes() // sorted: keeps generation deterministic
-	opts := routeviews.DefaultGenOptions(ases)
-	opts.Events = events
-	opts.Seed = seed
-	return routeviews.Generate(opts)
+	// Nodes is sorted, which keeps generation deterministic.
+	return routeviews.Generate(routeviews.GenOptions{Events: events, Origins: d.Eng.Nodes(), Seed: seed})
 }
 
 // RouteLineage queries the derivation history of an AS's routing entry

@@ -1,6 +1,8 @@
 package nettrails_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os/exec"
 	"strings"
 	"testing"
@@ -257,6 +259,32 @@ func TestBGPDeploymentFacade(t *testing.T) {
 		if !strings.Contains(proof, want) {
 			t.Fatalf("BGP proof missing %q:\n%s", want, proof)
 		}
+	}
+}
+
+// TestTracePinned pins the trace E4 replays (README's "E4 BGP trace"
+// row): 200 events, seed 1, over the paper's 5-AS deployment. The
+// constant was taken from a generator whose prefix pool, withdrawal
+// probability and burst count were still options.
+func TestTracePinned(t *testing.T) {
+	d, err := nettrails.NewBGPDeployment([]string{"AS1", "AS2", "AS3", "AS4", "AS5"}, []nettrails.ASLink{
+		{A: "AS1", B: "AS2", Rel: nettrails.PeerOf}, {A: "AS1", B: "AS3", Rel: nettrails.CustomerOf},
+		{A: "AS2", B: "AS4", Rel: nettrails.CustomerOf}, {A: "AS3", B: "AS5", Rel: nettrails.CustomerOf},
+		{A: "AS4", B: "AS5", Rel: nettrails.CustomerOf}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := d.GenerateTrace(200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, ev := range events {
+		fmt.Fprintln(h, ev)
+	}
+	const want = "0960b020373b5233fc4f03ff89fc03006c1294131b6a3d7e08a1e6cdab576168"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("GenerateTrace(200, 1): sha256 %s, want %s", got, want)
 	}
 }
 
