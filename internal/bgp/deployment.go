@@ -116,10 +116,13 @@ func NewDeployment(ases []string, links []ASLink, opts engine.Options) (*Deploym
 	return d, nil
 }
 
+// pathList builds an AS path value; a path that fits the stack buffer
+// is allocated once, by List's copy.
 func pathList(path []string) rel.Value {
-	vs := make([]rel.Value, len(path))
-	for i, p := range path {
-		vs[i] = rel.Addr(p)
+	var buf [16]rel.Value
+	vs := buf[:0]
+	for _, p := range path {
+		vs = append(vs, rel.Addr(p))
 	}
 	return rel.List(vs...)
 }

@@ -68,6 +68,13 @@ func RuleExecID(rule, loc string, vids []rel.ID) rel.ID {
 	return rel.HashBytes(b)
 }
 
+// concatList returns the list a ++ b. Lists that fit the stack buffer
+// are allocated once, by List's copy.
+func concatList(a, b []rel.Value) rel.Value {
+	var buf [16]rel.Value
+	return rel.List(append(append(buf[:0], a...), b...)...)
+}
+
 var builtins = map[string]Func{
 	// f_append(list, v) -> list ++ [v]
 	"f_append": func(args []rel.Value) (rel.Value, error) {
@@ -78,10 +85,7 @@ var builtins = map[string]Func{
 		if !ok {
 			return rel.Value{}, fmt.Errorf("eval: f_append: first arg must be list, got %s", args[0].Kind())
 		}
-		out := make([]rel.Value, 0, len(l)+1)
-		out = append(out, l...)
-		out = append(out, args[1])
-		return rel.List(out...), nil
+		return concatList(l, args[1:]), nil
 	},
 	// f_prepend(v, list) -> [v] ++ list
 	"f_prepend": func(args []rel.Value) (rel.Value, error) {
@@ -92,10 +96,7 @@ var builtins = map[string]Func{
 		if !ok {
 			return rel.Value{}, fmt.Errorf("eval: f_prepend: second arg must be list, got %s", args[1].Kind())
 		}
-		out := make([]rel.Value, 0, len(l)+1)
-		out = append(out, args[0])
-		out = append(out, l...)
-		return rel.List(out...), nil
+		return concatList(args[:1], l), nil
 	},
 	// f_concat(list1, list2)
 	"f_concat": func(args []rel.Value) (rel.Value, error) {
@@ -107,10 +108,7 @@ var builtins = map[string]Func{
 		if !ok1 || !ok2 {
 			return rel.Value{}, fmt.Errorf("eval: f_concat: both args must be lists")
 		}
-		out := make([]rel.Value, 0, len(a)+len(b))
-		out = append(out, a...)
-		out = append(out, b...)
-		return rel.List(out...), nil
+		return concatList(a, b), nil
 	},
 	// f_member(list, v) -> 1 if v in list else 0
 	"f_member": func(args []rel.Value) (rel.Value, error) {
@@ -204,10 +202,7 @@ var builtins = map[string]Func{
 		if !ok {
 			return rel.Value{}, fmt.Errorf("eval: f_extend: second arg must be list")
 		}
-		out := make([]rel.Value, 0, len(l)+1)
-		out = append(out, args[0])
-		out = append(out, l...)
-		return rel.List(out...), nil
+		return concatList(args[:1], l), nil
 	},
 	// f_min(a,b) / f_max(a,b) by value order.
 	"f_min": func(args []rel.Value) (rel.Value, error) {

@@ -2,6 +2,7 @@ package provstore
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -286,6 +287,44 @@ func TestStoreSealAndDeepRead(t *testing.T) {
 		}
 		if got := vd.Nodes[0].Tables["link"].Len(); got != int(v) {
 			t.Fatalf("version %d: %d tuples", v, got)
+		}
+	}
+}
+
+// TestMaterializedTuplesOutliveClose renders every tuple of a version
+// read from a sealed, mmap'd segment, closes the store (unmapping the
+// segment) and renders them again: a decoder that kept pointers into
+// the mapping would fault or read other bytes here.
+func TestMaterializedTuplesOutliveClose(t *testing.T) {
+	st, err := Open(t.TempDir(), testOptions([]string{"n0"}, func(o *Options) { o.SealVersions = 5 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newTestNode("n0")
+	for v := uint64(1); v <= 12; v++ {
+		n.tbl.Apply(rel.NewTuple("link", rel.Addr("n0"), rel.List(rel.Str(fmt.Sprintf("path-%d", v)), rel.IDValue(rel.HashBytes([]byte{byte(v)})))), 1)
+		if err := st.Append(VersionInput{Version: v, Time: int64(v), States: []NodeState{n.state(0)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vd, err := st.Materialize(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := vd.Nodes[0].Tables["link"].Tuples()
+	if len(tuples) != 4 {
+		t.Fatalf("version 4 has %d tuples, want 4", len(tuples))
+	}
+	before := make([]string, len(tuples))
+	for i, tp := range tuples {
+		before[i] = tp.String()
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, tp := range tuples {
+		if got := tp.String(); got != before[i] {
+			t.Fatalf("tuple %d renders %s after Close, %s before", i, got, before[i])
 		}
 	}
 }

@@ -17,17 +17,16 @@ import (
 func AppendValue(b []byte, v Value) []byte {
 	b = append(b, byte(v.kind))
 	switch v.kind {
-	case KindInt, KindBool:
-		b = wire.AppendUint64(b, uint64(v.num))
-	case KindFloat:
-		b = wire.AppendUint64(b, math.Float64bits(v.f))
+	case KindInt, KindBool, KindFloat:
+		b = wire.AppendUint64(b, v.w)
 	case KindString, KindAddr:
-		b = wire.AppendString(b, v.str)
+		b = wire.AppendString(b, v.str())
 	case KindID:
-		b = append(b, v.id[:]...)
+		id := v.id()
+		b = append(b, id[:]...)
 	case KindList:
-		b = wire.AppendUvarint(b, uint64(len(v.list)))
-		for _, e := range v.list {
+		b = wire.AppendUvarint(b, v.w)
+		for _, e := range v.list() {
 			b = AppendValue(b, e)
 		}
 	}
@@ -45,18 +44,19 @@ const maxListDepth = 32
 var ErrTooDeep = errors.New("rel: lists nested too deep")
 
 // decodeValue takes one value from r; a failure is recorded on r and
-// the returned value is then meaningless.
+// the returned value is then meaningless. What it keeps is copied out
+// of r's buffer, which may be a read-only mapping closed later.
 func decodeValue(r *wire.Reader, depth int) Value {
 	k := Kind(r.Byte("value kind"))
 	switch k {
 	case KindInt, KindBool:
-		return Value{kind: k, num: int64(r.Uint64("int value"))}
+		return Value{kind: k, w: r.Uint64("int value")}
 	case KindFloat:
-		return Value{kind: k, f: math.Float64frombits(r.Uint64("float value"))}
+		return Value{kind: k, w: r.Uint64("float value")}
 	case KindString, KindAddr:
-		return Value{kind: k, str: r.String("string value")}
+		return strValue(k, r.String("string value"))
 	case KindID:
-		return Value{kind: k, id: DecodeID(r, "id value")}
+		return IDValue(DecodeID(r, "id value"))
 	case KindList:
 		if depth == maxListDepth {
 			r.Failf("%w", ErrTooDeep)
@@ -67,7 +67,7 @@ func decodeValue(r *wire.Reader, depth int) Value {
 		for i := 0; i < n && r.Err() == nil; i++ {
 			list = append(list, decodeValue(r, depth+1))
 		}
-		return Value{kind: k, list: list}
+		return listValue(list)
 	default:
 		r.Failf("unknown value kind %d", k)
 		return Value{}

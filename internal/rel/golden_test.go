@@ -3,6 +3,7 @@ package rel
 import (
 	"bytes"
 	"encoding/hex"
+	"math"
 	"testing"
 )
 
@@ -75,12 +76,21 @@ func TestGoldenKeyHash(t *testing.T) {
 
 // FuzzUnmarshalTuple feeds arbitrary bytes to the tuple decoder — what
 // a shard puts in a /v1/prov/read reply to the gateway. It must never
-// panic, and whatever it accepts must re-encode to bytes that decode to
-// the same encoding (compared as bytes: NaN floats are not Equal to
-// themselves).
+// panic, and whatever it accepts must re-encode to its input (or, when
+// the input pads a uvarint, to shorter bytes), compare equal to itself,
+// keep its VID across decode → encode → decode, and render. Equal is
+// implied by byte-equal encodings but does not imply them: 0.0 and
+// -0.0 are Equal and encode differently.
 func FuzzUnmarshalTuple(f *testing.F) {
 	for _, g := range goldenTuples {
 		f.Add(MarshalTuple(g.tuple))
+	}
+	nested := Str("")
+	for range maxListDepth {
+		nested = List(nested)
+	}
+	for _, v := range []Value{Str(""), List(), nested, Float(math.NaN()), Float(math.Copysign(0, -1)), IDValue(HashBytes([]byte("x")))} {
+		f.Add(MarshalTuple(NewTuple("seed", v)))
 	}
 	f.Add([]byte{1, 'r', 1, byte(KindList), 1, byte(KindList), 1})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
@@ -89,13 +99,25 @@ func FuzzUnmarshalTuple(f *testing.F) {
 		if err != nil {
 			return
 		}
+		_ = tp.String()
+		if tp.Compare(tp) != 0 {
+			t.Fatalf("Compare(t, t) != 0 for %x", in)
+		}
 		enc := MarshalTuple(tp)
+		// A padded uvarint is the only non-canonical encoding the
+		// decoder accepts, and it re-encodes shorter.
+		if !bytes.Equal(enc, in) && len(enc) >= len(in) {
+			t.Fatalf("re-encoding of %x is %x", in, enc)
+		}
 		again, err := UnmarshalTuple(enc)
 		if err != nil {
 			t.Fatalf("re-decode of %x: %v", enc, err)
 		}
 		if !bytes.Equal(MarshalTuple(again), enc) || again.VID() != tp.VID() {
 			t.Fatalf("tuple did not round-trip: %x vs %x", MarshalTuple(again), enc)
+		}
+		if !again.Equal(tp) {
+			t.Fatalf("byte-equal encodings %x decode to unequal tuples", enc)
 		}
 	})
 }

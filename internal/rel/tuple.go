@@ -109,7 +109,7 @@ func (t Tuple) AppendLiteral(b []byte) []byte {
 		if i > 0 {
 			b = append(b, ", "...)
 		}
-		if i == 0 && v.kind == KindAddr {
+		if i == 0 && v.Kind() == KindAddr {
 			b = append(b, '@')
 		}
 		b = v.AppendLiteral(b)

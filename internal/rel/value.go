@@ -5,13 +5,16 @@
 package rel
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the value types supported by NDlog.
@@ -53,45 +56,72 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed NDlog value. The zero Value is invalid.
 // Values are immutable once constructed; List never aliases caller slices.
+//
+// A Value is a 24-byte tagged union: the kind, one word w and one
+// pointer p. w holds an int or bool, a float's bits, or a string's or
+// list's length; p points at a string's bytes, a list's first element
+// (its capacity equals its length) or a boxed ID. Two Values cannot be
+// compared with ==, and reflect.DeepEqual compares their pointers, not
+// what they point at: compare with Equal or by encoding.
 type Value struct {
+	_    [0]func() // not comparable
 	kind Kind
-	num  int64 // int; bool (0/1)
-	f    float64
-	str  string // string; addr
-	id   ID
-	list []Value
+	w    uint64
+	p    unsafe.Pointer
 }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, num: v} }
+func Int(v int64) Value { return Value{kind: KindInt, w: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, w: math.Float64bits(v)} }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
-	var n int64
+	var n uint64
 	if v {
 		n = 1
 	}
-	return Value{kind: KindBool, num: n}
+	return Value{kind: KindBool, w: n}
 }
 
 // Str returns a string value. (Value.String is fmt.Stringer's.)
-func Str(v string) Value { return Value{kind: KindString, str: v} }
+func Str(v string) Value { return strValue(KindString, v) }
 
 // Addr returns a node-address value used for location attributes.
-func Addr(v string) Value { return Value{kind: KindAddr, str: v} }
+func Addr(v string) Value { return strValue(KindAddr, v) }
+
+func strValue(k Kind, s string) Value {
+	return Value{kind: k, w: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // IDValue wraps a content hash as a value.
-func IDValue(id ID) Value { return Value{kind: KindID, id: id} }
+func IDValue(id ID) Value {
+	box := new(ID)
+	*box = id
+	return Value{kind: KindID, p: unsafe.Pointer(box)}
+}
 
 // List returns a list value holding a copy of vs.
 func List(vs ...Value) Value {
 	cp := make([]Value, len(vs))
 	copy(cp, vs)
-	return Value{kind: KindList, list: cp}
+	return listValue(cp)
 }
+
+// listValue wraps list without copying it; only its first len elements
+// stay reachable.
+func listValue(list []Value) Value {
+	return Value{kind: KindList, w: uint64(len(list)), p: unsafe.Pointer(unsafe.SliceData(list))}
+}
+
+// str, id and list read the payload of a value already known to be of
+// their kind.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.w)) }
+
+func (v Value) id() ID { return *(*ID)(v.p) }
+
+func (v Value) list() []Value { return unsafe.Slice((*Value)(v.p), int(v.w)) }
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -100,35 +130,64 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsValid() bool { return v.kind != KindInvalid }
 
 // AsInt returns the integer payload.
-func (v Value) AsInt() (int64, bool) { return v.num, v.kind == KindInt }
+func (v Value) AsInt() (int64, bool) {
+	if v.kind != KindInt {
+		return 0, false
+	}
+	return int64(v.w), true
+}
 
 // AsFloat returns the float payload; integers convert implicitly.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindFloat:
-		return v.f, true
+		return math.Float64frombits(v.w), true
 	case KindInt:
-		return float64(v.num), true
+		return float64(int64(v.w)), true
 	}
 	return 0, false
 }
 
 // AsBool returns the boolean payload.
-func (v Value) AsBool() (bool, bool) { return v.num != 0, v.kind == KindBool }
+func (v Value) AsBool() (bool, bool) {
+	if v.kind != KindBool {
+		return false, false
+	}
+	return v.w != 0, true
+}
 
 // AsString returns the string payload of a string or addr value.
 func (v Value) AsString() (string, bool) {
-	return v.str, v.kind == KindString || v.kind == KindAddr
+	if v.kind != KindString && v.kind != KindAddr {
+		return "", false
+	}
+	return v.str(), true
 }
 
 // AsAddr returns the address payload.
-func (v Value) AsAddr() (string, bool) { return v.str, v.kind == KindAddr }
+func (v Value) AsAddr() (string, bool) {
+	if v.kind != KindAddr {
+		return "", false
+	}
+	return v.str(), true
+}
 
 // AsID returns the content-hash payload.
-func (v Value) AsID() (ID, bool) { return v.id, v.kind == KindID }
+func (v Value) AsID() (ID, bool) {
+	if v.kind != KindID {
+		return ID{}, false
+	}
+	return v.id(), true
+}
 
-// AsList returns the list payload. The returned slice must not be mutated.
-func (v Value) AsList() ([]Value, bool) { return v.list, v.kind == KindList }
+// AsList returns the list payload. The returned slice must not be
+// mutated; its capacity equals its length, so appending to it copies.
+func (v Value) AsList() ([]Value, bool) {
+	if v.kind != KindList {
+		return nil, false
+	}
+	return v.list(), true
+}
 
 // Numeric reports whether the value is an int or float.
 func (v Value) Numeric() bool { return v.kind == KindInt || v.kind == KindFloat }
@@ -148,46 +207,16 @@ func (v Value) Compare(o Value) int {
 	}
 	switch v.kind {
 	case KindInt, KindBool:
-		switch {
-		case v.num < o.num:
-			return -1
-		case v.num > o.num:
-			return 1
-		}
-		return 0
+		return cmp.Compare(int64(v.w), int64(o.w))
 	case KindFloat:
-		switch {
-		case v.f < o.f:
-			return -1
-		case v.f > o.f:
-			return 1
-		case math.IsNaN(v.f) && !math.IsNaN(o.f):
-			return -1
-		case !math.IsNaN(v.f) && math.IsNaN(o.f):
-			return 1
-		}
-		return 0
+		// cmp.Compare orders NaN first and -0.0 equal to 0.0.
+		return cmp.Compare(math.Float64frombits(v.w), math.Float64frombits(o.w))
 	case KindString, KindAddr:
-		return strings.Compare(v.str, o.str)
+		return strings.Compare(v.str(), o.str())
 	case KindID:
-		return v.id.Compare(o.id)
+		return v.id().Compare(o.id())
 	case KindList:
-		n := len(v.list)
-		if len(o.list) < n {
-			n = len(o.list)
-		}
-		for i := 0; i < n; i++ {
-			if c := v.list[i].Compare(o.list[i]); c != 0 {
-				return c
-			}
-		}
-		switch {
-		case len(v.list) < len(o.list):
-			return -1
-		case len(v.list) > len(o.list):
-			return 1
-		}
-		return 0
+		return slices.CompareFunc(v.list(), o.list(), Value.Compare)
 	}
 	return 0
 }
@@ -205,20 +234,17 @@ func (v Value) hashInto(h hasher) {
 	var kindByte = [1]byte{byte(v.kind)}
 	h.Write(kindByte[:])
 	switch v.kind {
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindFloat:
 		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v.num))
-		h.Write(b[:])
-	case KindFloat:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.f))
+		binary.LittleEndian.PutUint64(b[:], v.w)
 		h.Write(b[:])
 	case KindString, KindAddr:
-		h.Write([]byte(v.str))
+		h.Write([]byte(v.str()))
 	case KindID:
-		h.Write(v.id[:])
+		id := v.id()
+		h.Write(id[:])
 	case KindList:
-		for _, e := range v.list {
+		for _, e := range v.list() {
 			e.hashInto(h)
 		}
 	}
@@ -239,16 +265,16 @@ func (v Value) String() string {
 func (v Value) scalarString() string {
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.num, 10)
+		return strconv.FormatInt(int64(v.w), 10)
 	case KindBool:
-		if v.num != 0 {
+		if v.w != 0 {
 			return "true"
 		}
 		return "false"
 	case KindAddr:
-		return v.str
+		return v.str()
 	case KindID:
-		return v.id.Short()
+		return v.id().Short()
 	}
 	return "<invalid>"
 }
@@ -258,14 +284,14 @@ func (v Value) scalarString() string {
 func (v Value) AppendLiteral(b []byte) []byte {
 	switch v.kind {
 	case KindInt:
-		return strconv.AppendInt(b, v.num, 10)
+		return strconv.AppendInt(b, int64(v.w), 10)
 	case KindFloat:
-		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(b, math.Float64frombits(v.w), 'g', -1, 64)
 	case KindString:
-		return strconv.AppendQuote(b, v.str)
+		return strconv.AppendQuote(b, v.str())
 	case KindList:
 		b = append(b, '[')
-		for i, e := range v.list {
+		for i, e := range v.list() {
 			if i > 0 {
 				b = append(b, ", "...)
 			}
@@ -290,7 +316,7 @@ func Arith(op string, a, b Value) (Value, error) {
 		return Value{}, fmt.Errorf("rel: arithmetic %q on non-numeric operands %s, %s", op, a.Kind(), b.Kind())
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		x, y := a.num, b.num
+		x, y := int64(a.w), int64(b.w)
 		switch op {
 		case "+":
 			return Int(x + y), nil

@@ -3,8 +3,10 @@ package rel
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/wire"
 )
@@ -55,6 +57,37 @@ func TestListCopiesInput(t *testing.T) {
 	vs, _ := l.AsList()
 	if got, _ := vs[0].AsInt(); got != 1 {
 		t.Fatalf("List aliased caller slice: got %d", got)
+	}
+}
+
+// TestValueLayout pins the union's size and that == on Values stays a
+// compile error: a field change that grows the value or makes it
+// comparable (so == would compare payload pointers) fails here.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 24 {
+		t.Errorf("sizeof(Value) = %d, want 24", got)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Error("Value is comparable; == would compare pointers, not values")
+	}
+}
+
+// TestAsListAppendsDoNotShare checks that a list's backing array is
+// never reachable for writing: two appends to one AsList result must
+// give two independent lists and leave the value unchanged.
+func TestAsListAppendsDoNotShare(t *testing.T) {
+	l := List(Int(1), Int(2))
+	vs, _ := l.AsList()
+	a := append(vs, Int(3))
+	b := append(vs, Int(4))
+	if got, _ := a[2].AsInt(); got != 3 {
+		t.Fatalf("first append reads %d, want 3", got)
+	}
+	if got, _ := b[2].AsInt(); got != 4 {
+		t.Fatalf("second append reads %d, want 4", got)
+	}
+	if !l.Equal(List(Int(1), Int(2))) {
+		t.Fatalf("appends changed the list: %s", l)
 	}
 }
 
