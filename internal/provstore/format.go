@@ -480,10 +480,10 @@ func firstSeenKey(addr string, vid rel.ID) string {
 }
 
 // appendChunkBlob appends one frozen-table chunk run's blob to b.
-func appendChunkBlob(b []byte, run []rel.Tuple) []byte {
+func appendChunkBlob(b []byte, run []*rel.Tuple) []byte {
 	b = wire.AppendUvarint(b, uint64(len(run)))
 	for _, t := range run {
-		b = rel.AppendTuple(b, t)
+		b = rel.AppendTuple(b, *t)
 	}
 	return b
 }

@@ -39,7 +39,7 @@ func TestGoldenRecordEncoding(t *testing.T) {
 			"05320400010000010001047065657201000000000001046c696e6b03010fd0bcfb44f83e7d5ac7a8922578276b9af4874603" +
 				"01010fd0bcfb44f83e7d5ac7a8922578276b9af48746010001010fd0bcfb44f83e7d5ac7a8922578276b9af48746010fd0bc" +
 				"fb44f83e7d5ac7a8922578276b9af48746010100000000000700"},
-		{"chunk blob", appendChunkBlob(nil, run), "02046c696e6b0305026e3105026e3201030000000000000005726f7574650305026e31070205026e3207000400"},
+		{"chunk blob", appendChunkBlob(nil, []*rel.Tuple{&run[0], &run[1]}), "02046c696e6b0305026e3105026e3201030000000000000005726f7574650305026e31070205026e3207000400"},
 		{"empty chunk blob", appendChunkBlob(nil, nil), "00"},
 		{"framed record", appendRecord(nil, recBlob, []byte("payload")), "42077061796c6f61645d83e8c3"},
 		{"index", index,

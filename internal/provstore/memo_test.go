@@ -21,9 +21,9 @@ func stateDigest(tables map[string]*rel.Frozen, view *provenance.View) rel.ID {
 	var b []byte
 	for _, name := range slices.Sorted(maps.Keys(tables)) {
 		b = wire.AppendString(b, name)
-		tables[name].Runs(func(run []rel.Tuple) {
+		tables[name].Runs(func(run []*rel.Tuple) {
 			for _, t := range run {
-				b = wire.AppendBytes(b, rel.MarshalTuple(t))
+				b = wire.AppendBytes(b, rel.MarshalTuple(*t))
 			}
 		})
 	}
@@ -70,7 +70,7 @@ func TestAppendMemoSound(t *testing.T) {
 			se := vr.states[i]
 			for _, te := range se.tables {
 				var want []rel.ID
-				ns.Tables[te.name].Runs(func(run []rel.Tuple) {
+				ns.Tables[te.name].Runs(func(run []*rel.Tuple) {
 					want = append(want, rel.HashBytes(appendChunkBlob(nil, run)))
 				})
 				if !slices.Equal(te.chunks, want) {
@@ -244,7 +244,7 @@ func TestAppendAllocsScaleWithDelta(t *testing.T) {
 		for k := 0; ; k += 2 {
 			n.add(k)
 			runLen = runLen[:0]
-			n.tbl.Freeze().Runs(func(run []rel.Tuple) { runLen = append(runLen, len(run)) })
+			n.tbl.Freeze().Runs(func(run []*rel.Tuple) { runLen = append(runLen, len(run)) })
 			if len(runLen) == chunks && runLen[chunks-1] >= 64 {
 				break
 			}

@@ -532,7 +532,7 @@ func (s *Store) Append(in VersionInput) error {
 			var te *tableEntry
 			se.tables, te = extend(se.tables)
 			te.name, te.version, te.chunks = name, f.Version(), te.chunks[:0]
-			f.Runs(func(run []rel.Tuple) {
+			f.Runs(func(run []*rel.Tuple) {
 				h, fresh := s.ref(nl, containerKey{&run[0], len(run)},
 					func(b []byte) []byte { return appendChunkBlob(b, run) })
 				te.chunks = append(te.chunks, h)

@@ -12,7 +12,10 @@ import (
 // mutation copies only the touched chunk (and the spine once per
 // generation), so a publish after a k-tuple delta shares every
 // untouched chunk with the previous version instead of re-copying and
-// re-sorting the relation. Distinct tuples never compare equal (Compare
+// re-sorting the relation. A chunk is a run of pointers into the
+// table's own rows (&Row.Tuple, never written after the row is made),
+// so that copy moves one word a tuple, and a frozen version keeps the
+// rows it points at alive after the table deletes them. Distinct tuples never compare equal (Compare
 // is total over content, and identical content means the same VID and
 // the same row), so insertion-maintained order is byte-identical to the
 // sort.Slice output the eager path used to produce.
@@ -33,7 +36,7 @@ const (
 // before the next edit.
 type chunk struct {
 	gen uint64
-	ts  []Tuple
+	ts  []*Tuple
 }
 
 // Frozen is one immutable version of a table's visible tuple set,
@@ -80,16 +83,10 @@ func (f *Frozen) Tuples() []Tuple {
 		return nil
 	}
 	f.flatOnce.Do(func() {
-		var flat []Tuple
-		if len(f.chunks) == 1 {
-			// Single chunk: share its run directly. The table never
-			// mutates a chunk of a frozen generation in place, so the
-			// capped reslice stays valid forever.
-			flat = f.chunks[0].ts[:f.n:f.n]
-		} else {
-			flat = make([]Tuple, 0, f.n)
-			for _, c := range f.chunks {
-				flat = append(flat, c.ts...)
+		flat := make([]Tuple, 0, f.n)
+		for _, c := range f.chunks {
+			for _, tp := range c.ts {
+				flat = append(flat, *tp)
 			}
 		}
 		//lint:allow frozenwrite sync.Once memoization: the field is written exactly once, before Do returns, and no reader sees it earlier
@@ -106,7 +103,7 @@ func (f *Frozen) Scan(fn func(Tuple) bool) {
 	}
 	for _, c := range f.chunks {
 		for _, tp := range c.ts {
-			if !fn(tp) {
+			if !fn(*tp) {
 				return
 			}
 		}
@@ -142,10 +139,10 @@ func (t *Table) ensureSpine() {
 
 // findChunk returns the index of the first chunk whose last tuple
 // orders at or after tp — the only chunk that can contain tp.
-func (t *Table) findChunk(tp Tuple) int {
+func (t *Table) findChunk(tp *Tuple) int {
 	return sort.Search(len(t.chunks), func(i int) bool {
 		run := t.chunks[i].ts
-		return run[len(run)-1].Compare(tp) >= 0
+		return run[len(run)-1].Compare(*tp) >= 0
 	})
 }
 
@@ -157,18 +154,19 @@ func (t *Table) writableChunk(i int) *chunk {
 		return c
 	}
 	t.ensureSpine()
-	ts := make([]Tuple, len(c.ts), len(c.ts)+chunkSlack)
+	ts := make([]*Tuple, len(c.ts), len(c.ts)+chunkSlack)
 	copy(ts, c.ts)
 	c = &chunk{gen: t.gen, ts: ts}
 	t.chunks[i] = c
 	return c
 }
 
-// chunkInsert places a newly visible tuple into the sorted spine.
-func (t *Table) chunkInsert(tp Tuple) {
+// chunkInsert places a newly visible row's tuple into the sorted
+// spine; tp is &row.Tuple, which the chunk keeps.
+func (t *Table) chunkInsert(tp *Tuple) {
 	if len(t.chunks) == 0 {
 		t.ensureSpine()
-		t.chunks = append(t.chunks, &chunk{gen: t.gen, ts: []Tuple{tp}})
+		t.chunks = append(t.chunks, &chunk{gen: t.gen, ts: []*Tuple{tp}})
 		return
 	}
 	i := t.findChunk(tp)
@@ -176,8 +174,8 @@ func (t *Table) chunkInsert(tp Tuple) {
 		i--
 	}
 	c := t.writableChunk(i)
-	pos := sort.Search(len(c.ts), func(k int) bool { return c.ts[k].Compare(tp) >= 0 })
-	c.ts = append(c.ts, Tuple{})
+	pos := sort.Search(len(c.ts), func(k int) bool { return c.ts[k].Compare(*tp) >= 0 })
+	c.ts = append(c.ts, nil)
 	copy(c.ts[pos+1:], c.ts[pos:])
 	c.ts[pos] = tp
 	if len(c.ts) > chunkMax {
@@ -187,18 +185,18 @@ func (t *Table) chunkInsert(tp Tuple) {
 
 // chunkRemove deletes a no-longer-visible tuple from the sorted spine.
 // The caller has already established presence via the row map.
-func (t *Table) chunkRemove(tp Tuple) {
+func (t *Table) chunkRemove(tp *Tuple) {
 	i := t.findChunk(tp)
 	if i == len(t.chunks) {
 		return // unreachable when row bookkeeping is consistent
 	}
 	c := t.writableChunk(i)
-	pos := sort.Search(len(c.ts), func(k int) bool { return c.ts[k].Compare(tp) >= 0 })
-	if pos == len(c.ts) || c.ts[pos].Compare(tp) != 0 {
+	pos := sort.Search(len(c.ts), func(k int) bool { return c.ts[k].Compare(*tp) >= 0 })
+	if pos == len(c.ts) || c.ts[pos] != tp {
 		return // unreachable when row bookkeeping is consistent
 	}
 	copy(c.ts[pos:], c.ts[pos+1:])
-	c.ts[len(c.ts)-1] = Tuple{} // release the value for GC
+	c.ts[len(c.ts)-1] = nil // release the row for GC
 	c.ts = c.ts[:len(c.ts)-1]
 	if len(c.ts) == 0 {
 		t.ensureSpine()
@@ -240,7 +238,7 @@ func (t *Table) maybeMerge(i int) {
 	}
 	t.ensureSpine()
 	a, b := t.chunks[j], t.chunks[j+1]
-	ts := make([]Tuple, 0, len(a.ts)+len(b.ts)+chunkSlack)
+	ts := make([]*Tuple, 0, len(a.ts)+len(b.ts)+chunkSlack)
 	ts = append(append(ts, a.ts...), b.ts...)
 	t.chunks[j] = &chunk{gen: t.gen, ts: ts}
 	t.chunks = append(t.chunks[:j+1], t.chunks[j+2:]...)

@@ -1,10 +1,14 @@
 package rel
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func newFrozenTestTable(t *testing.T) *Table {
@@ -264,5 +268,125 @@ func TestFreezeDeltaAllocs(t *testing.T) {
 	// table size.
 	if allocs > 40 {
 		t.Fatalf("per-delta freeze allocates %v allocs/op (want O(delta), not O(table))", allocs)
+	}
+}
+
+// TestChunkCopyIsPointerSized: the first edit after a freeze copies the
+// touched chunk, and that copy costs a pointer a tuple, not the tuple.
+// The chunk here holds 256 tuples at its fullest, so a 48-byte-a-tuple
+// copy alone would cost 12 kB a cycle.
+func TestChunkCopyIsPointerSized(t *testing.T) {
+	tbl := newFrozenTestTable(t)
+	for i := 0; i < chunkMax-1; i++ {
+		tbl.Apply(routeTuple(i), 1)
+	}
+	extra := routeTuple(chunkMax).Identified()
+	cycle := func() {
+		tbl.Freeze()
+		tbl.Apply(extra, 1)
+		tbl.Apply(extra, -1)
+	}
+	cycle()
+	if n := len(tbl.Freeze().chunks); n != 1 {
+		t.Fatalf("table spans %d chunks, want 1", n)
+	}
+	const cycles = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range cycles {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
+	if tupleCopy := uint64(chunkMax) * uint64(unsafe.Sizeof(Tuple{})); perCycle >= tupleCopy {
+		t.Fatalf("a freeze/insert/delete cycle allocates %d B, want under the %d B of one tuple-sized chunk copy", perCycle, tupleCopy)
+	}
+}
+
+// TestFrozenOutlivesRowDeletion: a frozen version points at the rows
+// the table held when it froze. Deleting every row, reinserting the
+// same tuples as new rows and inserting others must leave what the old
+// version reads, through every accessor, untouched — also for readers
+// running concurrently with the edits (run under -race).
+func TestFrozenOutlivesRowDeletion(t *testing.T) {
+	tbl := newFrozenTestTable(t)
+	const n = 700
+	want := make([]Tuple, n)
+	for i := range want {
+		want[i] = routeTuple(i)
+		tbl.Apply(want[i], 1+i%3)
+	}
+	slices.SortFunc(want, Tuple.Compare)
+	f := tbl.Freeze()
+
+	check := func(f *Frozen) error {
+		if got := f.Tuples(); !slices.EqualFunc(got, want, Tuple.Equal) {
+			return fmt.Errorf("Tuples: %d tuples, differ from the %d frozen", len(got), len(want))
+		}
+		k := 0
+		f.Scan(func(tp Tuple) bool {
+			if k < len(want) && tp.Equal(want[k]) {
+				k++
+				return true
+			}
+			return false
+		})
+		if k != len(want) {
+			return fmt.Errorf("Scan: diverged at %d", k)
+		}
+		var run []*Tuple
+		f.Runs(func(r []*Tuple) { run = append(run, r...) })
+		if !slices.EqualFunc(run, want, func(a *Tuple, b Tuple) bool { return a.Equal(b) }) {
+			return fmt.Errorf("Runs: differ from the frozen tuples")
+		}
+		var absent int
+		f.EachAbsent(run, func(Tuple) { absent++ })
+		if absent != 0 {
+			return fmt.Errorf("EachAbsent: %d of its own tuples absent", absent)
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := check(f); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := range n {
+		tp := routeTuple(i)
+		if tr := tbl.Apply(tp, -(1 + i%3)); tr != Disappeared {
+			t.Fatalf("delete %v: %v, want disappeared", tp, tr)
+		}
+	}
+	for i := range n {
+		tbl.Apply(routeTuple(i), 1)
+		tbl.Apply(routeTuple(n+i), 1)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := check(f); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Len(); got != 2*n {
+		t.Fatalf("live table holds %d tuples, want %d", got, 2*n)
 	}
 }

@@ -76,8 +76,8 @@ func TestGoldenKeyHash(t *testing.T) {
 
 // FuzzUnmarshalTuple feeds arbitrary bytes to the tuple decoder — what
 // a shard puts in a /v1/prov/read reply to the gateway. It must never
-// panic, and whatever it accepts must re-encode to its input (or, when
-// the input pads a uvarint, to shorter bytes), compare equal to itself,
+// panic, and whatever it accepts must re-encode to exactly its input
+// (each tuple has one accepted encoding), compare equal to itself,
 // keep its VID across decode → encode → decode, and render. Equal is
 // implied by byte-equal encodings but does not imply them: 0.0 and
 // -0.0 are Equal and encode differently.
@@ -94,6 +94,7 @@ func FuzzUnmarshalTuple(f *testing.F) {
 	}
 	f.Add([]byte{1, 'r', 1, byte(KindList), 1, byte(KindList), 1})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{0x81, 0x00, 0x72, 0x00}) // r() behind a padded name length
 	f.Fuzz(func(t *testing.T, in []byte) {
 		tp, err := UnmarshalTuple(in)
 		if err != nil {
@@ -104,9 +105,7 @@ func FuzzUnmarshalTuple(f *testing.F) {
 			t.Fatalf("Compare(t, t) != 0 for %x", in)
 		}
 		enc := MarshalTuple(tp)
-		// A padded uvarint is the only non-canonical encoding the
-		// decoder accepts, and it re-encodes shorter.
-		if !bytes.Equal(enc, in) && len(enc) >= len(in) {
+		if !bytes.Equal(enc, in) {
 			t.Fatalf("re-encoding of %x is %x", in, enc)
 		}
 		again, err := UnmarshalTuple(enc)

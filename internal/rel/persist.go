@@ -12,10 +12,10 @@ import (
 // materializing a historical version from disk.
 
 // Runs visits each chunk's sorted run in spine order. The visited
-// slices are shared with the frozen version (and possibly with the live
-// table): callers must treat them as read-only. A nil or empty Frozen
-// visits nothing.
-func (f *Frozen) Runs(fn func([]Tuple)) {
+// slices, and the tuples they point at, are shared with the frozen
+// version (and possibly with the live table): callers must treat both
+// as read-only. A nil or empty Frozen visits nothing.
+func (f *Frozen) Runs(fn func([]*Tuple)) {
 	if f == nil {
 		return
 	}
@@ -29,7 +29,7 @@ func (f *Frozen) Runs(fn func([]Tuple)) {
 // chunk run. One binary search places run[0] in the set; from there the
 // run and the set are walked together, so each tuple costs the
 // comparisons that pass it rather than a search of its own.
-func (f *Frozen) EachAbsent(run []Tuple, fn func(Tuple)) {
+func (f *Frozen) EachAbsent(run []*Tuple, fn func(Tuple)) {
 	if len(run) == 0 {
 		return
 	}
@@ -39,18 +39,18 @@ func (f *Frozen) EachAbsent(run []Tuple, fn func(Tuple)) {
 	}
 	ci := sort.Search(len(chunks), func(i int) bool {
 		ts := chunks[i].ts
-		return ts[len(ts)-1].Compare(run[0]) >= 0
+		return ts[len(ts)-1].Compare(*run[0]) >= 0
 	})
 	k := 0
 	if ci < len(chunks) {
 		ts := chunks[ci].ts
-		k = sort.Search(len(ts), func(k int) bool { return ts[k].Compare(run[0]) >= 0 })
+		k = sort.Search(len(ts), func(k int) bool { return ts[k].Compare(*run[0]) >= 0 })
 	}
 	for _, t := range run {
 		c := 1 // the set's cursor orders after t, or the set is exhausted
 		for ci < len(chunks) {
 			ts := chunks[ci].ts
-			if c = ts[k].Compare(t); c >= 0 {
+			if c = ts[k].Compare(*t); c >= 0 {
 				break
 			}
 			if k++; k == len(ts) {
@@ -58,7 +58,7 @@ func (f *Frozen) EachAbsent(run []Tuple, fn func(Tuple)) {
 			}
 		}
 		if c != 0 {
-			fn(t)
+			fn(*t)
 		}
 	}
 }
@@ -68,24 +68,30 @@ func (f *Frozen) EachAbsent(run []Tuple, fn func(Tuple)) {
 // and globally ascending (strictly — distinct tuples never compare
 // equal); violations mean a corrupt or mis-assembled record and are
 // rejected rather than silently producing a table whose binary searches
-// lie. The run slices are retained (capacity-capped) — callers must not
-// mutate them afterwards.
+// lie. The chunks point into the runs' tuples through one pointer array
+// for the whole table — callers must not mutate the runs afterwards.
 func RebuildFrozen(version uint64, runs [][]Tuple) (*Frozen, error) {
-	chunks := make([]*chunk, 0, len(runs))
 	n := 0
-	var last Tuple
 	for ri, run := range runs {
 		if len(run) == 0 {
 			return nil, fmt.Errorf("rel: rebuild frozen: empty run %d", ri)
 		}
-		for k, tp := range run {
-			if (ri > 0 || k > 0) && last.Compare(tp) >= 0 {
+		n += len(run)
+	}
+	ptrs := make([]*Tuple, 0, n)
+	chunks := make([]*chunk, 0, len(runs))
+	var last *Tuple
+	for ri, run := range runs {
+		start := len(ptrs)
+		for k := range run {
+			tp := &run[k]
+			if last != nil && last.Compare(*tp) >= 0 {
 				return nil, fmt.Errorf("rel: rebuild frozen: tuples out of order at run %d index %d", ri, k)
 			}
+			ptrs = append(ptrs, tp)
 			last = tp
 		}
-		n += len(run)
-		chunks = append(chunks, &chunk{ts: run[:len(run):len(run)]})
+		chunks = append(chunks, &chunk{ts: ptrs[start:len(ptrs):len(ptrs)]})
 	}
 	return &Frozen{version: version, chunks: chunks, n: n}, nil
 }

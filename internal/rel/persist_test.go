@@ -17,8 +17,12 @@ func TestFrozenRunsRebuildRoundtrip(t *testing.T) {
 		}
 		f := tbl.Freeze()
 		var runs [][]Tuple
-		f.Runs(func(run []Tuple) {
-			runs = append(runs, run)
+		f.Runs(func(run []*Tuple) {
+			ts := make([]Tuple, len(run))
+			for i, tp := range run {
+				ts[i] = *tp
+			}
+			runs = append(runs, ts)
 		})
 		got, err := RebuildFrozen(f.Version(), runs)
 		if err != nil {
@@ -47,8 +51,9 @@ func TestFrozenRunsAreCapacityCapped(t *testing.T) {
 	}
 	f := tbl.Freeze()
 	want := f.Tuples()
-	f.Runs(func(run []Tuple) {
-		_ = append(run, persistTuple(999999))
+	f.Runs(func(run []*Tuple) {
+		extra := persistTuple(999999)
+		_ = append(run, &extra)
 	})
 	have := f.Tuples()
 	for i := range want {
@@ -65,9 +70,10 @@ func TestFrozenEachAbsent(t *testing.T) {
 	}
 	f := tbl.Freeze()
 	absent := func(f *Frozen, ks []int) []int {
-		run := make([]Tuple, len(ks))
+		run := make([]*Tuple, len(ks))
 		for i, k := range ks {
-			run[i] = persistTuple(k)
+			tp := persistTuple(k)
+			run[i] = &tp
 		}
 		var out []int
 		f.EachAbsent(run, func(tp Tuple) {

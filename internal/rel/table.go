@@ -37,7 +37,9 @@ func (tr Transition) String() string {
 
 // Row is one materialized tuple with its derivation count (the number of
 // currently valid derivations supporting it — counting-based incremental
-// view maintenance per ExSPAN).
+// view maintenance per ExSPAN). Tuple is never written once the row
+// exists: the table's chunks, and every frozen version, point at it
+// (enforced by the frozenwrite analyzer).
 type Row struct {
 	Tuple Tuple
 	Count int
@@ -208,7 +210,7 @@ func (t *Table) Apply(tp Tuple, delta int) Transition {
 			r = &Row{Tuple: tp, Count: delta}
 			t.rows[vid] = r
 			t.indexAdd(vid, tp)
-			t.chunkInsert(tp)
+			t.chunkInsert(&r.Tuple)
 			t.version++
 			return Appeared
 		}
@@ -223,7 +225,7 @@ func (t *Table) Apply(tp Tuple, delta int) Transition {
 		if r.Count <= 0 {
 			delete(t.rows, vid)
 			t.indexRemove(vid, r.Tuple)
-			t.chunkRemove(r.Tuple)
+			t.chunkRemove(&r.Tuple)
 			t.version++
 			return Disappeared
 		}

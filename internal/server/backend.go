@@ -148,10 +148,11 @@ func (p *Publisher) StateDoc(_ context.Context, pin Pin, node, relFilter string,
 		if relFilter != "" && name != relFilter {
 			continue
 		}
-		rows := make([]client.Tuple, ts.Len())
-		for i, t := range ts.Tuples() {
-			rows[i] = JSONTuple(t)
-		}
+		rows := make([]client.Tuple, 0, ts.Len())
+		ts.Scan(func(t rel.Tuple) bool {
+			rows = append(rows, JSONTuple(t))
+			return true
+		})
 		out.Tables[name] = rows
 	}
 	return out, nil

@@ -72,9 +72,9 @@ func (s *Snapshot) NodeDigest(addr string) (rel.ID, bool) {
 	putU64(w, uint64(len(names)))
 	for _, name := range names {
 		putStr(w, name)
-		st.tables[name].Runs(func(ts []rel.Tuple) {
+		st.tables[name].Runs(func(ts []*rel.Tuple) {
 			for _, t := range ts {
-				w.frame(rel.MarshalTuple(t))
+				w.frame(rel.MarshalTuple(*t))
 			}
 		})
 	}

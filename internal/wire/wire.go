@@ -82,7 +82,9 @@ func (r *Reader) Byte(what string) byte {
 	return 0
 }
 
-// Uvarint takes one uvarint.
+// Uvarint takes one uvarint in its minimal form: a padded encoding,
+// whose last byte adds no bits, is rejected, so every value has exactly
+// one accepted byte string.
 func (r *Reader) Uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
@@ -90,6 +92,10 @@ func (r *Reader) Uvarint(what string) uint64 {
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
 		r.Failf("wire: truncated or malformed %s", what)
+		return 0
+	}
+	if n > 1 && r.b[n-1] == 0 {
+		r.Failf("wire: non-minimal %s", what)
 		return 0
 	}
 	r.b = r.b[n:]

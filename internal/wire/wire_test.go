@@ -50,6 +50,9 @@ func TestReaderRejects(t *testing.T) {
 		{"empty uvarint", nil, func(r *Reader) { r.Uvarint("x") }},
 		{"unterminated uvarint", []byte{0x80, 0x80}, func(r *Reader) { r.Uvarint("x") }},
 		{"overlong uvarint", bytes.Repeat([]byte{0xff}, 11), func(r *Reader) { r.Uvarint("x") }},
+		{"padded uvarint", []byte{0x81, 0x00}, func(r *Reader) { r.Uvarint("x") }},
+		{"padded zero", []byte{0x80, 0x80, 0x00}, func(r *Reader) { r.Uvarint("x") }},
+		{"padded length", []byte{0x81, 0x00, 'r'}, func(r *Reader) { _ = r.String("x") }},
 		{"empty byte", nil, func(r *Reader) { r.Byte("x") }},
 		{"short fixed", []byte{1, 2}, func(r *Reader) { r.Fixed("x", 3) }},
 		{"negative fixed", []byte{1, 2}, func(r *Reader) { r.Fixed("x", -1) }},
@@ -110,6 +113,7 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, AppendString(AppendUvarint([]byte{7}, 300), "abc"))
 	f.Add([]byte{6, 6, 6}, []byte{0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{4, 2}, []byte{})
+	f.Add([]byte{1, 1, 1}, []byte{0x81, 0x00, 0x72, 0x00})
 	f.Fuzz(func(t *testing.T, script, in []byte) {
 		r := NewReader(in)
 		for _, op := range script {
@@ -124,8 +128,9 @@ func FuzzReader(f *testing.F) {
 				}
 			case 1:
 				v := r.Uvarint("uvarint")
-				again = NewReader(AppendUvarint(nil, v))
-				if r.Err() == nil && again.Uvarint("uvarint") != v {
+				enc := AppendUvarint(nil, v)
+				again = NewReader(enc)
+				if r.Err() == nil && (again.Uvarint("uvarint") != v || before-r.Len() != len(enc)) {
 					t.Fatal("uvarint round trip")
 				}
 			case 2:

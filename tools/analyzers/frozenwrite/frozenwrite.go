@@ -14,7 +14,9 @@
 //
 // Frozen types are the registry below plus any same-package type whose
 // doc comment carries a `nettrails:frozen` marker, so new frozen view
-// types opt in with one doc line.
+// types opt in with one doc line. A second registry names read-only
+// fields: frozen views point into them, so every store to one is
+// flagged, builder or not; a composite literal is not a store.
 package frozenwrite
 
 import (
@@ -36,6 +38,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 var scope = []string{
+	"repro/internal/eval",
+	"repro/internal/engine",
 	"repro/internal/server",
 	"repro/internal/gateway",
 	"repro/internal/provenance",
@@ -62,6 +66,14 @@ var frozen = map[string]bool{
 	// with no locks — immutable from seal to close.
 	"repro/internal/provstore.Trie":          true,
 	"repro/internal/provstore.sealedSegment": true,
+}
+
+// readOnly is the registry of fields no code may store to once their
+// value exists, written "import/path.Type.Field".
+var readOnly = map[string]bool{
+	// A table chunk points at its row's tuple (&Row.Tuple), so every
+	// frozen version holding the chunk reads through the field.
+	"repro/internal/rel.Row.Tuple": true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -140,10 +152,18 @@ func markedTypes(pass *analysis.Pass, files []*ast.File) map[types.Object]bool {
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, isFrozen func(types.Type) (string, bool)) {
 	fresh := freshLocals(pass, body, isFrozen)
 
-	report := func(pos token.Pos, target ast.Expr, typeName string) {
-		pass.Reportf(pos,
-			"write to %s mutates frozen %s after the freeze point: snapshots are copy-on-publish — build a fresh value and swap it in (or //lint:allow frozenwrite <why> if provably pre-publish)",
-			types.ExprString(target), typeName)
+	check := func(pos token.Pos, target ast.Expr) {
+		if field, ok := readOnlyTarget(pass, target); ok {
+			pass.Reportf(pos,
+				"write to %s stores to read-only field %s: frozen versions point into it — build a new value instead",
+				types.ExprString(target), field)
+			return
+		}
+		if name, root, ok := frozenTarget(pass, target, isFrozen); ok && !fresh[root] {
+			pass.Reportf(pos,
+				"write to %s mutates frozen %s after the freeze point: snapshots are copy-on-publish — build a fresh value and swap it in (or //lint:allow frozenwrite <why> if provably pre-publish)",
+				types.ExprString(target), name)
+		}
 	}
 
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -155,26 +175,69 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, isFrozen func(types.Typ
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if name, root, ok := frozenTarget(pass, lhs, isFrozen); ok && !fresh[root] {
-					report(n.Pos(), lhs, name)
-				}
+				check(n.Pos(), lhs)
 			}
 		case *ast.IncDecStmt:
-			if name, root, ok := frozenTarget(pass, n.X, isFrozen); ok && !fresh[root] {
-				report(n.Pos(), n.X, name)
-			}
+			check(n.Pos(), n.X)
 		case *ast.CallExpr:
 			if id, ok := n.Fun.(*ast.Ident); ok && len(n.Args) > 0 {
 				if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin &&
 					(id.Name == "delete" || id.Name == "copy" || id.Name == "clear") {
-					if name, root, ok := frozenTarget(pass, n.Args[0], isFrozen); ok && !fresh[root] {
-						report(n.Pos(), n.Args[0], name)
-					}
+					check(n.Pos(), n.Args[0])
 				}
 			}
 		}
 		return true
 	})
+}
+
+// readOnlyTarget reports whether writing through expr stores into a
+// registered read-only field: some selector of its selector/index
+// chain picks that field. It returns the field's registry name.
+func readOnlyTarget(pass *analysis.Pass, expr ast.Expr) (string, bool) {
+	for e := expr; ; {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			if key := fieldKey(pass.TypesInfo.Selections[x]); readOnly[key] {
+				return key, true
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return "", false
+		}
+	}
+}
+
+// fieldKey names a field selection "import/path.Type.Field" after the
+// struct type that declares the field (so a field promoted through an
+// embedding keeps its own name); "" for anything but a field of a
+// named struct.
+func fieldKey(sel *types.Selection) string {
+	if sel == nil || sel.Kind() != types.FieldVal {
+		return ""
+	}
+	var owner *types.Named
+	t := sel.Recv()
+	for _, i := range sel.Index() {
+		if owner = analysis.NamedOf(t); owner == nil {
+			return ""
+		}
+		st, ok := owner.Underlying().(*types.Struct)
+		if !ok {
+			return ""
+		}
+		t = st.Field(i).Type()
+	}
+	if owner == nil || owner.Obj().Pkg() == nil {
+		return ""
+	}
+	return owner.Obj().Pkg().Path() + "." + owner.Obj().Name() + "." + sel.Obj().Name()
 }
 
 // frozenTarget reports whether writing through expr mutates shared

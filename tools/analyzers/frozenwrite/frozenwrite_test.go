@@ -21,6 +21,15 @@ func TestFrozenwriteRelFrozen(t *testing.T) {
 		"repro/internal/rel", frozenwrite.Analyzer)
 }
 
+// TestFrozenwriteRowTuple type-checks a consumer of the real rel.Row as
+// repro/internal/eval, proving the evaluator is in scope and that the
+// field-level registry entry flags every store to Row.Tuple while a
+// composite literal stays legal.
+func TestFrozenwriteRowTuple(t *testing.T) {
+	analyzertest.Run(t, "testdata/src/evalfixture",
+		"repro/internal/eval", frozenwrite.Analyzer)
+}
+
 // TestFrozenwriteProvstore type-checks a mirror of the snapshot
 // store's read-path types as repro/internal/provstore, proving the
 // registry entries for the mmap-backed sealed segment and its succinct

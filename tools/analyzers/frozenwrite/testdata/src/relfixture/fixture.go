@@ -14,7 +14,7 @@ type Tuple struct {
 
 type chunk struct {
 	gen uint64
-	ts  []Tuple
+	ts  []*Tuple
 }
 
 // Frozen is the registry-protected persistent view (no doc marker on
@@ -45,10 +45,11 @@ func (t *Table) freeze(chunks []*chunk, n int) *Frozen {
 // mutatePublished writes through a Frozen that arrived from outside:
 // every shape must be flagged via the registry alone.
 func mutatePublished(f *Frozen) {
-	f.n = 9                     // want `write to f\.n mutates frozen Frozen`
-	f.version++                 // want `write to f\.version mutates frozen Frozen`
-	f.flat = nil                // want `write to f\.flat mutates frozen Frozen`
-	f.chunks[0].ts[0] = Tuple{} // want `write to f\.chunks\[0\]\.ts\[0\] mutates frozen Frozen`
+	f.n = 9                      // want `write to f\.n mutates frozen Frozen`
+	f.version++                  // want `write to f\.version mutates frozen Frozen`
+	f.flat = nil                 // want `write to f\.flat mutates frozen Frozen`
+	f.chunks[0].ts[0] = nil      // want `write to f\.chunks\[0\]\.ts\[0\] mutates frozen Frozen`
+	*f.chunks[0].ts[1] = Tuple{} // want `write to \*f\.chunks\[0\]\.ts\[1\] mutates frozen Frozen`
 }
 
 // memoize documents why its single write is safe, the same pattern the
@@ -57,7 +58,9 @@ func memoize(f *Frozen) []Tuple {
 	if f.flat == nil {
 		flat := make([]Tuple, 0, f.n)
 		for _, c := range f.chunks {
-			flat = append(flat, c.ts...)
+			for _, tp := range c.ts {
+				flat = append(flat, *tp)
+			}
 		}
 		//lint:allow frozenwrite fixture mirror of the sync.Once memoization in the real Frozen.Tuples
 		f.flat = flat
