@@ -112,7 +112,9 @@ serve-smoke:
 # scenarios runs the adversarial scenario acceptance suite at its
 # tier-1 size: every catalog scenario boots both deployment shapes
 # (single daemon and 3-shard gateway), replays its fault, and must
-# answer every oracle check byte-identically on both. The soak tests
+# answer every oracle check byte-identically on both; every lineage
+# served must pass the proof checker (proofcheck_test.go), which
+# re-fires each derivation against the program. The soak tests
 # (oracle suite, then churn under concurrent queries) run with them.
 scenarios:
 	$(GO) test -count=1 ./internal/scenario/

@@ -67,7 +67,7 @@ func TestGoldenPersistBuckets(t *testing.T) {
 	}
 }
 
-// The audit commitment hashes the partition's rendered prov/ruleExec
+// Store.Digest hashes the partition's rendered prov/ruleExec
 // tuples in the canonical tuple encoding.
 func TestGoldenStoreDigest(t *testing.T) {
 	s := NewStore("n0")

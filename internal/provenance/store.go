@@ -325,6 +325,43 @@ func (s *Store) ExecTuples() []rel.Tuple {
 	return out
 }
 
+// Digest computes a deterministic hash over the partition's rendered
+// prov and ruleExec relations (sorted canonical encodings).
+func (s *Store) Digest() rel.ID {
+	var b []byte
+	for _, t := range s.ProvTuples() {
+		b = rel.AppendTuple(b, t)
+	}
+	for _, t := range s.ExecTuples() {
+		b = rel.AppendTuple(b, t)
+	}
+	return rel.HashBytes(b)
+}
+
+// TamperAddProv injects a forged prov entry, bypassing maintenance.
+// Test-only hook for exercising traversal over adversarial graphs.
+func (s *Store) TamperAddProv(t rel.Tuple, e Entry) {
+	s.addEntry(t, e)
+}
+
+// TamperAddExec injects a forged rule execution, bypassing maintenance.
+// Test-only hook for exercising traversal over adversarial graphs.
+func (s *Store) TamperAddExec(rid rel.ID, rule string, inputs []rel.Tuple) {
+	vids := make([]rel.ID, len(inputs))
+	for i, in := range inputs {
+		vids[i] = in.VID()
+		s.pinTuple(in)
+	}
+	e := &ExecEntry{RID: rid, Rule: rule, VIDs: vids}
+	if b, pos, ok := s.exec.locate(rid); ok {
+		s.exec.set(b, pos, e)
+		s.exec.side[b][pos] = 1
+	} else {
+		s.exec.insert(b, pos, rid, e, 1)
+	}
+	s.version++
+}
+
 // CheckInvariants validates internal consistency: every prov/exec
 // reference resolves to a pin; counts are positive; every bucket holds
 // its keys where their hash says, in ascending order, with a count

@@ -250,3 +250,17 @@ func TestSharedInputPinsSurvivePartialRetraction(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestDigestChangesWithContent(t *testing.T) {
+	a := NewStore("a")
+	d0 := a.Digest()
+	a.AddBase(linkT("a", "b", 1))
+	d1 := a.Digest()
+	if d0 == d1 {
+		t.Fatal("digest must change with content")
+	}
+	a.RemoveBase(linkT("a", "b", 1))
+	if a.Digest() != d0 {
+		t.Fatal("digest must return to the empty-partition value")
+	}
+}

@@ -32,9 +32,7 @@ func TestDeepChainLineage(t *testing.T) {
 	if len(bres.Bases) != n-1 {
 		t.Fatalf("bases = %d, want %d", len(bres.Bases), n-1)
 	}
-	// Sequential traversal agrees and has higher latency than parallel
-	// on a deep chain... actually on a pure chain they are equal; just
-	// verify agreement.
+	// A sequential traversal finds as many bases.
 	sres, err := c.Query(BaseTuples, "n1", mc, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
@@ -99,12 +97,6 @@ r1 b(@N,X) :- a(@N,X).
 	}
 	if cres.Count != 0 {
 		t.Fatalf("cyclic-only derivation count = %d, want 0", cres.Count)
-	}
-	// And the auditor is fine with it structurally (execs exist), so
-	// cycle detection is the query engine's job — assert both layers
-	// behave independently.
-	if findings := provenance.Audit(map[string]*provenance.Store{"n1": n1.Prov}); len(findings) != 0 {
-		t.Fatalf("audit findings = %v", findings)
 	}
 }
 

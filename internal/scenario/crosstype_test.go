@@ -16,9 +16,10 @@ import (
 )
 
 // checkQueryTypesAgree is the cross-type oracle: for every tuple of
-// the engine's converged state it asks all four query types, unpruned
-// and untruncated, and derives the other three answers from the
-// lineage alone:
+// the engine's converged state, each of which must have provenance, it
+// asks all four query types, unpruned and untruncated, passes the
+// lineage through the proof checker, and derives the other three
+// answers from the lineage alone:
 //   - bases: the tuples of the Base-marked vertices;
 //   - nodes: every vertex's Loc and every derivation's RLoc;
 //   - count: Base?1:0 + Σ over derivations of Π over children, where
@@ -35,6 +36,7 @@ func checkQueryTypesAgree(t *testing.T, name string, eng *engine.Engine) int {
 	}
 	defer pub.Detach()
 	snap := pub.Current()
+	proofs := newProofChecker(eng, snap)
 	checked := 0
 	for _, addr := range snap.Nodes {
 		tables, _ := snap.NodeTables(addr)
@@ -47,10 +49,15 @@ func checkQueryTypesAgree(t *testing.T, name string, eng *engine.Engine) int {
 			for _, tup := range tables[relName].Tuples() {
 				lin, err := snap.Query(provquery.Lineage, addr, tup, provquery.Options{})
 				if errors.Is(err, provquery.ErrNoProvenance) {
+					t.Errorf("%s: %s is visible at %s but has no provenance", name, tup, addr)
 					continue
 				}
 				if err != nil {
 					t.Fatalf("%s: lineage of %s: %v", name, tup, err)
+				}
+				body := server.JSONProof(lin.Root)
+				if err := proofs.check(&body); err != nil {
+					t.Errorf("%s: the lineage of %s is wrong:\n%v", name, tup, err)
 				}
 				var bases, nodes []string
 				count := derive(lin.Root, &bases, &nodes)

@@ -12,7 +12,8 @@ import (
 // TestCatalog is the adversarial acceptance suite: every scenario of
 // the catalog boots four engine builds (single process + 3 shards
 // behind the gateway), replays its fault, and answers every oracle
-// check byte-identically on both arms.
+// check byte-identically on both arms; every lineage it serves must
+// pass the proof checker.
 func TestCatalog(t *testing.T) {
 	for _, sc := range Catalog() {
 		t.Run(sc.Name, func(t *testing.T) {
@@ -32,6 +33,7 @@ func TestCatalog(t *testing.T) {
 			if len(results) != len(d.Checks) {
 				t.Fatalf("ran %d of %d checks", len(results), len(d.Checks))
 			}
+			t.Logf("%d lineage bodies pass the proof checker", checkProofs(t, d, results))
 		})
 	}
 }

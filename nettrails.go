@@ -30,7 +30,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ndlog"
 	"repro/internal/protocols"
-	"repro/internal/provenance"
 	"repro/internal/provquery"
 	"repro/internal/rel"
 	"repro/internal/rewrite"
@@ -187,33 +186,6 @@ func first(opts []QueryOptions) QueryOptions {
 //
 //	sys.QueryText("lineage of mincost(@'n1','n3',2) with cache")
 func (s *System) QueryText(src string) (*provquery.Result, error) { return s.Query.Run(src) }
-
-// AuditProvenance cross-checks every node's provenance partition for
-// distributed referential integrity (forged derivations, missing rule
-// executions, orphan executions). Empty result = consistent.
-func (s *System) AuditProvenance() []string {
-	stores := map[string]*provenance.Store{}
-	for _, addr := range s.Engine.Nodes() {
-		n, _ := s.Engine.Node(addr)
-		if n.Prov != nil {
-			stores[addr] = n.Prov
-		}
-	}
-	return provenance.Audit(stores)
-}
-
-// CommitProvenance returns tamper-evident commitments for every node's
-// partition; verify later with provenance.VerifyCommitment.
-func (s *System) CommitProvenance() map[string]provenance.Commitment {
-	out := map[string]provenance.Commitment{}
-	for _, addr := range s.Engine.Nodes() {
-		n, _ := s.Engine.Node(addr)
-		if n.Prov != nil {
-			out[addr] = n.Prov.Commit()
-		}
-	}
-	return out
-}
 
 // DeletionSafety reports rules of the program whose deletions the
 // counting-based engine cannot handle exactly (un-damped recursion over

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	nettrails "repro"
-	"repro/internal/provenance"
 	"repro/internal/provquery"
 	"repro/internal/routeviews"
 	"repro/internal/server"
@@ -166,34 +165,6 @@ func TestQueryTextFacade(t *testing.T) {
 	}
 	if _, err := sys.QueryText("gibberish"); err == nil {
 		t.Fatal("bad query must error")
-	}
-}
-
-func TestAuditAndCommitmentsFacade(t *testing.T) {
-	sys, err := nettrails.NewSystem(nettrails.MinCost, nettrails.NodeNames(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.AddLink("n1", "n2", 1)
-	sys.AddLink("n2", "n3", 1)
-	if findings := sys.AuditProvenance(); len(findings) != 0 {
-		t.Fatalf("audit findings on healthy system: %v", findings)
-	}
-	commits := sys.CommitProvenance()
-	if len(commits) != 3 {
-		t.Fatalf("commitments = %d", len(commits))
-	}
-	for addr, c := range commits {
-		n, _ := sys.Engine.Node(addr)
-		if err := provenance.VerifyCommitment(n.Prov, c); err != nil {
-			t.Fatalf("%s: %v", addr, err)
-		}
-	}
-	// Churn keeps the audit clean.
-	sys.RemoveLink("n1", "n2", 1)
-	sys.AddLink("n1", "n2", 2)
-	if findings := sys.AuditProvenance(); len(findings) != 0 {
-		t.Fatalf("audit findings after churn: %v", findings)
 	}
 }
 
