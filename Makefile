@@ -56,27 +56,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz gives the hand-written parsers (the provenance query language,
-# NDlog, the RouteViews table/AS-graph readers, the one wire.Reader and
-# the tuple and provenance-bucket decoders built on it, and the
-# snapshot store's segment/record decoders) a short native-fuzzing
-# shake, seeded from the test corpora and the golden vectors; FuzzShardReply feeds the
-# gateway arbitrary shard replies to /v1/prov/read, and FuzzIndent holds the
-# body renderer's indenter to json.Indent. Override FUZZTIME for longer local
-# hunts. One -fuzz invocation per target: go test rejects a -fuzz
-# pattern matching more than one function.
+# fuzz gives every native fuzz target a short shake, seeded from the
+# test corpora and the golden vectors: each `func Fuzz...` in a package's
+# _test.go files is found by scanning them, so a new target cannot be
+# skipped and a deleted one leaves no line behind. Override FUZZTIME for
+# longer local hunts. One -fuzz invocation per target: go test rejects a
+# -fuzz pattern matching more than one function.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseQuery$$' -fuzztime $(FUZZTIME) ./internal/provquery
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/ndlog
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRouteViews$$' -fuzztime $(FUZZTIME) ./internal/routeviews
-	$(GO) test -run '^$$' -fuzz '^FuzzParseASGraph$$' -fuzztime $(FUZZTIME) ./internal/routeviews
-	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalTuple$$' -fuzztime $(FUZZTIME) ./internal/rel
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBucket$$' -fuzztime $(FUZZTIME) ./internal/provenance
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSegment$$' -fuzztime $(FUZZTIME) ./internal/provstore
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVersionRecord$$' -fuzztime $(FUZZTIME) ./internal/provstore
-	$(GO) test -run '^$$' -fuzz '^FuzzShardReply$$' -fuzztime $(FUZZTIME) ./internal/gateway
-	$(GO) test -run '^$$' -fuzz '^FuzzIndent$$' -fuzztime $(FUZZTIME) ./internal/server
+	@set -e; pkgs=$$($(GO) list -f '{{.ImportPath}}:{{.Dir}}' ./...); \
+	for entry in $$pkgs; do \
+		pkg=$${entry%%:*}; dir=$${entry#*:}; \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$dir"/*_test.go 2>/dev/null); do \
+			echo "fuzz $$target ($$pkg)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) "$$pkg"; \
+		done; \
+	done
 
 # bench-check vets and tests the end-to-end benchmark (bench/, declared
 # in BENCHMARK.json). It is a separate module, so `go test ./...` never

@@ -170,24 +170,6 @@ func (s *Speaker) WithdrawPrefix(prefix string) {
 	s.recomputeBest(prefix)
 }
 
-// ResetSession models a BGP session failure toward a neighbor: every
-// route learned from it is dropped and best routes are recomputed (and
-// withdrawn downstream where necessary), as a real speaker does when
-// the TCP session dies.
-func (s *Speaker) ResetSession(neighbor string) {
-	var prefixes []string
-	for prefix, in := range s.adjIn {
-		if _, ok := in[neighbor]; ok {
-			prefixes = append(prefixes, prefix)
-		}
-	}
-	sort.Strings(prefixes)
-	for _, prefix := range prefixes {
-		delete(s.adjIn[prefix], neighbor)
-		s.recomputeBest(prefix)
-	}
-}
-
 // SetSessionDown fails the BGP session toward a neighbor: everything
 // learned from it is treated as implicitly withdrawn (per RFC 4271
 // session-loss semantics, flowing through the OnReceive tap so

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/simnet"
@@ -192,8 +193,9 @@ func TestFailoverOnWithdraw(t *testing.T) {
 
 func TestResetSessionFailsOver(t *testing.T) {
 	// AS4 learns the prefix from customers AS2 and AS3; killing the
-	// AS2 session fails over to AS3, and restoring connectivity is a
-	// matter of AS2 re-advertising.
+	// AS2 session fails over to AS3, and the implicit withdrawal of
+	// AS2's route passes through the OnReceive tap, so a proxy
+	// watching AS4 sees it.
 	net, sps := rig(t, []ASLink{
 		{A: "AS4", B: "AS2", Rel: Customer},
 		{A: "AS4", B: "AS3", Rel: Customer},
@@ -205,14 +207,20 @@ func TestResetSessionFailsOver(t *testing.T) {
 	if from, _ := sps["AS4"].BestFrom("10.0.0.0/24"); from != "AS2" {
 		t.Fatalf("initial best from %s", from)
 	}
-	sps["AS4"].ResetSession("AS2")
+	var tapped []Update
+	sps["AS4"].OnReceive = func(u Update) { tapped = append(tapped, u) }
+	sps["AS4"].SetSessionDown("AS2")
+	want := Update{From: "AS2", To: "AS4", Prefix: "10.0.0.0/24", Withdraw: true}
+	if len(tapped) != 1 || !reflect.DeepEqual(tapped[0], want) {
+		t.Fatalf("OnReceive saw %+v, want the one implicit withdrawal %+v", tapped, want)
+	}
 	net.Run(0)
 	from, ok := sps["AS4"].BestFrom("10.0.0.0/24")
 	if !ok || from != "AS3" {
 		t.Fatalf("after reset: from=%s ok=%v", from, ok)
 	}
-	// Resetting a session with no routes is a no-op.
-	sps["AS4"].ResetSession("AS9")
+	// Failing a session to an unknown neighbor is a no-op.
+	sps["AS4"].SetSessionDown("AS9")
 	net.Run(0)
 	if _, ok := sps["AS4"].BestPath("10.0.0.0/24"); !ok {
 		t.Fatal("no-op reset dropped routes")
@@ -229,7 +237,7 @@ func TestResetSessionWithdrawsDownstream(t *testing.T) {
 	if _, ok := sps["AS3"].BestPath("10.0.0.0/24"); !ok {
 		t.Fatal("AS3 should have the route")
 	}
-	sps["AS2"].ResetSession("AS1")
+	sps["AS2"].SetSessionDown("AS1")
 	net.Run(0)
 	if _, ok := sps["AS3"].BestPath("10.0.0.0/24"); ok {
 		t.Fatal("AS3 kept a route withdrawn after session reset")

@@ -10,7 +10,6 @@ package eval
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/rel"
 )
@@ -24,23 +23,9 @@ type FuncRegistry struct {
 	m map[string]Func
 }
 
-// NewFuncRegistry returns a registry preloaded with the standard
-// builtins.
+// NewFuncRegistry returns a registry of the standard builtins.
 func NewFuncRegistry() *FuncRegistry {
-	r := &FuncRegistry{m: map[string]Func{}}
-	for name, fn := range builtins {
-		r.m[name] = fn
-	}
-	return r
-}
-
-// Register adds or replaces a function. Names must start with "f_".
-func (r *FuncRegistry) Register(name string, fn Func) error {
-	if !strings.HasPrefix(name, "f_") {
-		return fmt.Errorf("eval: function name %q must start with f_", name)
-	}
-	r.m[name] = fn
-	return nil
+	return &FuncRegistry{m: builtins}
 }
 
 // Lookup finds a function.

@@ -172,25 +172,3 @@ func TestFunctionErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestRegistryRegister(t *testing.T) {
-	r := NewFuncRegistry()
-	if err := r.Register("nope", nil); err == nil {
-		t.Fatal("names must start with f_")
-	}
-	called := false
-	err := r.Register("f_custom", func(args []rel.Value) (rel.Value, error) {
-		called = true
-		return rel.Int(1), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn, ok := r.Lookup("f_custom")
-	if !ok {
-		t.Fatal("custom function not found")
-	}
-	if _, err := fn(nil); err != nil || !called {
-		t.Fatal("custom function not invoked")
-	}
-}

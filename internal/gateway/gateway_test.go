@@ -62,8 +62,8 @@ func deployGrid(t testing.TB, side, total int, retain int) *deployment {
 
 	urls := make([]string, total)
 	for i := 0; i < total; i++ {
-		pub, err := server.NewShardedPublisher(buildGrid(t, side), retain,
-			server.ShardSpec{Index: i, Total: total})
+		pub, err := server.NewPublisherWithOptions(buildGrid(t, side),
+			server.PublisherOptions{Retain: retain, Shard: server.ShardSpec{Index: i, Total: total}})
 		if err != nil {
 			t.Fatal(err)
 		}

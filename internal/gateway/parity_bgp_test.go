@@ -70,8 +70,8 @@ func TestShardedParityBGPTrace(t *testing.T) {
 	urls := make([]string, 3)
 	var shardPubs []*server.Publisher
 	for i := 0; i < 3; i++ {
-		pub, err := server.NewShardedPublisher(buildBGP(t, events).Eng, 0,
-			server.ShardSpec{Index: i, Total: 3})
+		pub, err := server.NewPublisherWithOptions(buildBGP(t, events).Eng,
+			server.PublisherOptions{Shard: server.ShardSpec{Index: i, Total: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,14 +105,6 @@ func (p *Proxy) ObserveInput(t rel.Tuple, senderAddr string, senderOutput *rel.T
 	p.prov.ApplyRemote(f.Output, e, 1)
 }
 
-// RetractInput removes a previously observed input (e.g. a withdrawn
-// route) and its base provenance. Transmission-derived inputs should be
-// retracted with RetractTransmitted.
-func (p *Proxy) RetractInput(t rel.Tuple) {
-	p.removeInput(t)
-	p.prov.RemoveBase(t)
-}
-
 // RetractTransmitted removes an input that carried a transmission edge.
 func (p *Proxy) RetractTransmitted(t rel.Tuple, senderAddr string, senderOutput rel.Tuple, senderProv *provenance.Store) {
 	p.removeInput(t)
@@ -242,7 +234,3 @@ func (p *Proxy) matchRule(r *ndlog.Rule, out rel.Tuple) []eval.Firing {
 	walk(r.Body, nil)
 	return firings
 }
-
-// InputCount returns the number of currently observed inputs for a
-// relation.
-func (p *Proxy) InputCount(relName string) int { return len(p.inputs[relName]) }

@@ -122,14 +122,17 @@ func TestMultipleCandidateInputs(t *testing.T) {
 }
 
 func TestRetractOutputReplaysRecordedBatch(t *testing.T) {
+	_, sa := newProxy(t, "AS1")
 	p, st := newProxy(t, "AS2")
+	senderOut := outR("AS1", "AS2", "10.0.0.0/24", path("AS1"))
+	sa.AddBase(senderOut)
 	in := inR("AS2", "AS1", "10.0.0.0/24", path("AS1"))
-	p.ObserveInput(in, "", nil, nil)
+	p.ObserveInput(in, "AS1", &senderOut, sa)
 	out := outR("AS2", "AS3", "10.0.0.0/24", path("AS2", "AS1"))
 	p.ObserveOutput(out)
 	// Retract the input FIRST (withdrawal cascades run cause-first),
 	// then the output: the derivation must still be cleaned up.
-	p.RetractInput(in)
+	p.RetractTransmitted(in, "AS1", senderOut, sa)
 	p.RetractOutput(out)
 	if _, ok := st.Derivations(out.VID()); ok {
 		t.Fatal("output derivation leaked")
@@ -192,19 +195,6 @@ func TestTransmissionEdgeLinksNodes(t *testing.T) {
 	}
 	if err := sb.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInputCountTracking(t *testing.T) {
-	p, _ := newProxy(t, "AS2")
-	in := inR("AS2", "AS1", "p", path("AS1"))
-	p.ObserveInput(in, "", nil, nil)
-	if p.InputCount("inputRoute") != 1 {
-		t.Fatal("input not tracked")
-	}
-	p.RetractInput(in)
-	if p.InputCount("inputRoute") != 0 {
-		t.Fatal("input not removed")
 	}
 }
 

@@ -1,9 +1,6 @@
 package rel
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Persistent sorted storage for Table: the visible tuple set is kept in
 // deterministic Tuple.Compare order *incrementally*, as a spine of
@@ -50,12 +47,6 @@ type Frozen struct {
 	version uint64
 	chunks  []*chunk
 	n       int
-
-	// flat memoizes the flattened sorted tuple slice; it is built by
-	// the first reader that needs the contiguous form and shared by all
-	// later ones, so rendering cost is paid per version, not per call.
-	flatOnce sync.Once
-	flat     []Tuple
 }
 
 // Version returns the table visibility version this view was frozen at.
@@ -74,25 +65,19 @@ func (f *Frozen) Len() int {
 	return f.n
 }
 
-// Tuples returns all visible tuples in deterministic sorted order. The
-// slice is memoized per frozen version and shared: callers must treat
-// it as read-only. Two calls at the same version return the identical
-// slice (no re-sort, no re-copy).
+// Tuples returns a fresh copy of all visible tuples in deterministic
+// sorted order. Scan visits them without the copy.
 func (f *Frozen) Tuples() []Tuple {
 	if f == nil {
 		return nil
 	}
-	f.flatOnce.Do(func() {
-		flat := make([]Tuple, 0, f.n)
-		for _, c := range f.chunks {
-			for _, tp := range c.ts {
-				flat = append(flat, *tp)
-			}
+	flat := make([]Tuple, 0, f.n)
+	for _, c := range f.chunks {
+		for _, tp := range c.ts {
+			flat = append(flat, *tp)
 		}
-		//lint:allow frozenwrite sync.Once memoization: the field is written exactly once, before Do returns, and no reader sees it earlier
-		f.flat = flat
-	})
-	return f.flat
+	}
+	return flat
 }
 
 // Scan visits the tuples in sorted order without materializing the

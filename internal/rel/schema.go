@@ -28,11 +28,6 @@ func NewSchema(name string, arity int, keyCols ...int) *Schema {
 	return &Schema{Name: name, Arity: arity, LocIndex: 0, KeyCols: keyCols, Persistent: true}
 }
 
-// EventSchema builds a transient (event) schema with location column 0.
-func EventSchema(name string, arity int) *Schema {
-	return &Schema{Name: name, Arity: arity, LocIndex: 0, Persistent: false}
-}
-
 // Validate checks internal consistency.
 func (s *Schema) Validate() error {
 	if s.Name == "" {

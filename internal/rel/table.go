@@ -295,10 +295,8 @@ func (t *Table) Scan(f func(*Row) bool) {
 	}
 }
 
-// Tuples returns all visible tuples sorted deterministically. The
-// result is the current frozen version's shared slice: already sorted,
-// memoized while the table's Version() is unchanged, and read-only to
-// callers.
+// Tuples returns a fresh copy of all visible tuples, sorted
+// deterministically.
 func (t *Table) Tuples() []Tuple {
 	return t.Freeze().Tuples()
 }

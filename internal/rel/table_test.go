@@ -57,7 +57,7 @@ func TestCatalog(t *testing.T) {
 	if _, ok := c.Lookup("nope"); ok {
 		t.Fatal("phantom relation")
 	}
-	if err := c.Define(EventSchema("ev", 2)); err != nil {
+	if err := c.Define(&Schema{Name: "ev", Arity: 2}); err != nil {
 		t.Fatal(err)
 	}
 	names := c.Names()

@@ -158,16 +158,3 @@ func (id ID) Hash64() uint64 {
 	}
 	return u
 }
-
-// KeyEqual reports whether two tuples agree on the given columns.
-func KeyEqual(a, b Tuple, cols []int) bool {
-	for _, c := range cols {
-		if c >= len(a.Vals) || c >= len(b.Vals) {
-			return false
-		}
-		if !a.Vals[c].Equal(b.Vals[c]) {
-			return false
-		}
-	}
-	return true
-}

@@ -91,11 +91,10 @@ func TestKeyHashAndKeyEqual(t *testing.T) {
 	if ha != hb {
 		t.Fatal("tuples agreeing on key columns must hash equal")
 	}
-	if !KeyEqual(a, b, []int{0, 1}) {
-		t.Fatal("KeyEqual on shared key failed")
-	}
-	if KeyEqual(a, b, []int{2}) {
-		t.Fatal("KeyEqual must detect differing column")
+	ha2, _ := a.KeyHash([]int{2})
+	hb2, _ := b.KeyHash([]int{2})
+	if ha2 == hb2 {
+		t.Fatal("tuples differing on a key column must hash apart")
 	}
 	if _, err := a.KeyHash([]int{5}); err == nil {
 		t.Fatal("out-of-range key column must error")

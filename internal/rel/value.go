@@ -6,12 +6,9 @@ package rel
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -221,35 +218,6 @@ func (v Value) Compare(o Value) int {
 	return 0
 }
 
-// Hash64 returns an FNV-1a hash of the value, suitable for join indexes.
-func (v Value) Hash64() uint64 {
-	h := fnv.New64a()
-	v.hashInto(h)
-	return h.Sum64()
-}
-
-type hasher interface{ Write(p []byte) (int, error) }
-
-func (v Value) hashInto(h hasher) {
-	var kindByte = [1]byte{byte(v.kind)}
-	h.Write(kindByte[:])
-	switch v.kind {
-	case KindInt, KindBool, KindFloat:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v.w)
-		h.Write(b[:])
-	case KindString, KindAddr:
-		h.Write([]byte(v.str()))
-	case KindID:
-		id := v.id()
-		h.Write(id[:])
-	case KindList:
-		for _, e := range v.list() {
-			e.hashInto(h)
-		}
-	}
-}
-
 // String renders the value in NDlog literal syntax.
 func (v Value) String() string {
 	switch v.kind {
@@ -301,11 +269,6 @@ func (v Value) AppendLiteral(b []byte) []byte {
 	default:
 		return append(b, v.scalarString()...)
 	}
-}
-
-// SortValues sorts a slice of values in place by Compare order.
-func SortValues(vs []Value) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i].Compare(vs[j]) < 0 })
 }
 
 // Arith applies a binary arithmetic operator to two numeric values.

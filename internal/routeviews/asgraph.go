@@ -1,13 +1,9 @@
 package routeviews
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
-	"strings"
-	"unicode"
 )
 
 // LinkKind classifies one inter-AS adjacency in the CAIDA
@@ -190,153 +186,4 @@ func (g *ASGraph) Customers(as string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// WriteASGraph serializes the graph in the CAIDA serial-1 relationship
-// format (`a|b|-1` provider-to-customer, `a|b|0` peer-to-peer), one
-// edge per line, preceded by a comment naming every AS so isolated
-// nodes survive a round trip.
-func WriteASGraph(w io.Writer, g *ASGraph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# ases %s\n", strings.Join(g.ASes, " ")); err != nil {
-		return err
-	}
-	for _, e := range g.Edges {
-		if _, err := fmt.Fprintf(bw, "%s|%s|%d\n", e.A, e.B, e.Kind); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ParseASGraph reads the CAIDA-style relationship format produced by
-// WriteASGraph (and by externally derived RouteViews/CAIDA fixtures):
-// `a|b|-1` or `a|b|0` records, '#' comments (a `# ases ...` comment
-// declares the node list explicitly; otherwise it is inferred from the
-// edges), blank lines skipped.
-func ParseASGraph(r io.Reader) (*ASGraph, error) {
-	g := &ASGraph{}
-	declared := false
-	names := map[string]bool{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if fields := strings.Fields(strings.TrimPrefix(line, "#")); len(fields) > 1 && fields[0] == "ases" {
-				declared = true
-				for _, as := range fields[1:] {
-					if !names[as] {
-						names[as] = true
-						g.ASes = append(g.ASes, as)
-					}
-				}
-			}
-			continue
-		}
-		parts := strings.Split(line, "|")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("routeviews: as-graph line %d: want a|b|rel, got %q", lineNo, line)
-		}
-		a, b := parts[0], parts[1]
-		if a == "" || b == "" {
-			return nil, fmt.Errorf("routeviews: as-graph line %d: empty AS name", lineNo)
-		}
-		// Names are whitespace-separated in the `# ases` header, so a
-		// name containing whitespace could never round-trip.
-		if strings.ContainsFunc(a+b, unicode.IsSpace) {
-			return nil, fmt.Errorf("routeviews: as-graph line %d: AS name contains whitespace", lineNo)
-		}
-		if a == b {
-			return nil, fmt.Errorf("routeviews: as-graph line %d: self-loop %s", lineNo, a)
-		}
-		var kind LinkKind
-		switch parts[2] {
-		case "-1":
-			kind = ProviderToCustomer
-		case "0":
-			kind = PeerToPeer
-		default:
-			return nil, fmt.Errorf("routeviews: as-graph line %d: bad relationship %q", lineNo, parts[2])
-		}
-		if declared && (!names[a] || !names[b]) {
-			return nil, fmt.Errorf("routeviews: as-graph line %d: edge references undeclared AS", lineNo)
-		}
-		if !declared {
-			for _, as := range []string{a, b} {
-				if !names[as] {
-					names[as] = true
-					g.ASes = append(g.ASes, as)
-				}
-			}
-		}
-		g.Edges = append(g.Edges, ASEdge{A: a, B: b, Kind: kind})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !declared {
-		sort.Strings(g.ASes)
-	}
-	if len(g.ASes) == 0 {
-		return nil, fmt.Errorf("routeviews: as-graph is empty")
-	}
-	return g, nil
-}
-
-// ValidateASGraph checks structural invariants: no duplicate edges, no
-// self-loops, and (when connected is set) every AS reachable from
-// every other over the undirected adjacency.
-func ValidateASGraph(g *ASGraph, connected bool) error {
-	names := map[string]bool{}
-	for _, as := range g.ASes {
-		if names[as] {
-			return fmt.Errorf("routeviews: duplicate AS %s", as)
-		}
-		names[as] = true
-	}
-	adj := map[string][]string{}
-	seen := map[[2]string]bool{}
-	for _, e := range g.Edges {
-		if !names[e.A] || !names[e.B] {
-			return fmt.Errorf("routeviews: edge %s|%s references unknown AS", e.A, e.B)
-		}
-		if e.A == e.B {
-			return fmt.Errorf("routeviews: self-loop at %s", e.A)
-		}
-		a, b := e.A, e.B
-		if a > b {
-			a, b = b, a
-		}
-		k := [2]string{a, b}
-		if seen[k] {
-			return fmt.Errorf("routeviews: duplicate edge %s|%s", e.A, e.B)
-		}
-		seen[k] = true
-		adj[e.A] = append(adj[e.A], e.B)
-		adj[e.B] = append(adj[e.B], e.A)
-	}
-	if connected && len(g.ASes) > 0 {
-		visited := map[string]bool{g.ASes[0]: true}
-		frontier := []string{g.ASes[0]}
-		for len(frontier) > 0 {
-			n := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			for _, m := range adj[n] {
-				if !visited[m] {
-					visited[m] = true
-					frontier = append(frontier, m)
-				}
-			}
-		}
-		if len(visited) != len(g.ASes) {
-			return fmt.Errorf("routeviews: graph not connected (%d of %d reachable)", len(visited), len(g.ASes))
-		}
-	}
-	return nil
 }

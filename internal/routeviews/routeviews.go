@@ -3,21 +3,13 @@
 // archives are not redistributable here, so the package contains a
 // deterministic synthetic generator producing realistic
 // announce/withdraw sequences (prefix reuse, bursts of instability,
-// origin churn) plus a parser/serializer for a simple text format so
-// externally obtained traces can be replayed too:
-//
-//	# comment
-//	<seq> A <prefix> <originAS>
-//	<seq> W <prefix> <originAS>
+// origin churn), and a generator of internet-like AS topologies to
+// replay them on.
 package routeviews
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
-	"strconv"
-	"strings"
 )
 
 // EventType is announce or withdraw.
@@ -44,7 +36,7 @@ type Event struct {
 	Origin string // originating AS
 }
 
-// String renders the event in trace format.
+// String renders the event as "<seq> <A|W> <prefix> <originAS>".
 func (e Event) String() string {
 	return fmt.Sprintf("%d %s %s %s", e.Seq, e.Type, e.Prefix, e.Origin)
 }
@@ -136,79 +128,4 @@ func sortStrings(s []string) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-// Write serializes events in trace format.
-func Write(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		if _, err := fmt.Fprintln(bw, e.String()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Parse reads a trace. Blank lines and lines starting with '#' are
-// skipped.
-func Parse(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("routeviews: line %d: want 4 fields, got %d", lineNo, len(fields))
-		}
-		seq, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("routeviews: line %d: bad seq %q", lineNo, fields[0])
-		}
-		var typ EventType
-		switch fields[1] {
-		case "A":
-			typ = Announce
-		case "W":
-			typ = Withdraw
-		default:
-			return nil, fmt.Errorf("routeviews: line %d: bad type %q", lineNo, fields[1])
-		}
-		out = append(out, Event{Seq: seq, Type: typ, Prefix: fields[2], Origin: fields[3]})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Validate checks trace invariants: withdrawals target live prefixes
-// from their current origin; sequence numbers are strictly increasing.
-func Validate(events []Event) error {
-	live := map[string]string{}
-	lastSeq := -1
-	for i, e := range events {
-		if e.Seq <= lastSeq {
-			return fmt.Errorf("routeviews: event %d: non-increasing seq %d", i, e.Seq)
-		}
-		lastSeq = e.Seq
-		switch e.Type {
-		case Announce:
-			live[e.Prefix] = e.Origin
-		case Withdraw:
-			o, ok := live[e.Prefix]
-			if !ok {
-				return fmt.Errorf("routeviews: event %d withdraws dead prefix %s", i, e.Prefix)
-			}
-			if o != e.Origin {
-				return fmt.Errorf("routeviews: event %d withdraws %s from %s, but origin is %s", i, e.Prefix, e.Origin, o)
-			}
-			delete(live, e.Prefix)
-		}
-	}
-	return nil
 }

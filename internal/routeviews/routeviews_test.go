@@ -1,8 +1,7 @@
 package routeviews
 
 import (
-	"bytes"
-	"strings"
+	"fmt"
 	"testing"
 )
 
@@ -70,47 +69,6 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
-func TestWriteParseRoundTrip(t *testing.T) {
-	events, _ := Generate(GenOptions{Events: 200, Origins: []string{"AS1", "AS2"}, Seed: 1})
-	var buf bytes.Buffer
-	if err := Write(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(events) {
-		t.Fatalf("round trip lost events: %d vs %d", len(back), len(events))
-	}
-	for i := range back {
-		if back[i] != events[i] {
-			t.Fatalf("event %d differs", i)
-		}
-	}
-}
-
-func TestParseCommentsAndErrors(t *testing.T) {
-	good := "# header\n\n0 A 10.0.0.0/24 AS1\n1 W 10.0.0.0/24 AS1\n"
-	events, err := Parse(strings.NewReader(good))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 || events[1].Type != Withdraw {
-		t.Fatalf("events = %v", events)
-	}
-	bad := []string{
-		"x A 10.0.0.0/24 AS1",
-		"0 Z 10.0.0.0/24 AS1",
-		"0 A 10.0.0.0/24",
-	}
-	for _, line := range bad {
-		if _, err := Parse(strings.NewReader(line)); err == nil {
-			t.Errorf("Parse(%q) should fail", line)
-		}
-	}
-}
-
 func TestValidateCatchesViolations(t *testing.T) {
 	cases := [][]Event{
 		{{Seq: 0, Type: Withdraw, Prefix: "p", Origin: "AS1"}},
@@ -122,4 +80,31 @@ func TestValidateCatchesViolations(t *testing.T) {
 			t.Errorf("case %d should fail validation", i)
 		}
 	}
+}
+
+// Validate checks trace invariants: withdrawals target live prefixes
+// from their current origin; sequence numbers are strictly increasing.
+func Validate(events []Event) error {
+	live := map[string]string{}
+	lastSeq := -1
+	for i, e := range events {
+		if e.Seq <= lastSeq {
+			return fmt.Errorf("routeviews: event %d: non-increasing seq %d", i, e.Seq)
+		}
+		lastSeq = e.Seq
+		switch e.Type {
+		case Announce:
+			live[e.Prefix] = e.Origin
+		case Withdraw:
+			o, ok := live[e.Prefix]
+			if !ok {
+				return fmt.Errorf("routeviews: event %d withdraws dead prefix %s", i, e.Prefix)
+			}
+			if o != e.Origin {
+				return fmt.Errorf("routeviews: event %d withdraws %s from %s, but origin is %s", i, e.Prefix, e.Origin, o)
+			}
+			delete(live, e.Prefix)
+		}
+	}
+	return nil
 }

@@ -15,7 +15,7 @@ import (
 // and a budget cuts that same sequence short without touching the
 // reads' own results.
 func TestProvReadReach(t *testing.T) {
-	pub, err := NewShardedPublisher(buildGrid(t, 3), 0, ShardSpec{Index: 0, Total: 3})
+	pub, err := NewPublisherWithOptions(buildGrid(t, 3), PublisherOptions{Shard: ShardSpec{Index: 0, Total: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestShardSpecRoundRobinCovers(t *testing.T) {
 	}
 }
 
-// TestNewShardedPublisherRejects pins the constructor's edge cases:
+// TestNewShardedPublisherRejects pins a sharded publisher's edge cases:
 // more shards than nodes (an empty shard can never serve its slice),
 // and malformed specs.
 func TestNewShardedPublisherRejects(t *testing.T) {
@@ -86,13 +86,13 @@ func TestNewShardedPublisherRejects(t *testing.T) {
 		{"negative-total", ShardSpec{Index: 0, Total: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewShardedPublisher(eng, 1, tc.spec); err == nil {
-				t.Fatalf("NewShardedPublisher(%s) succeeded, want error", tc.spec)
+			if _, err := NewPublisherWithOptions(eng, PublisherOptions{Retain: 1, Shard: tc.spec}); err == nil {
+				t.Fatalf("NewPublisherWithOptions(shard %s) succeeded, want error", tc.spec)
 			}
 		})
 	}
 	// The boundary case that must work: exactly one node per shard.
-	pub, err := NewShardedPublisher(eng, 1, ShardSpec{Index: 2, Total: 3})
+	pub, err := NewPublisherWithOptions(eng, PublisherOptions{Retain: 1, Shard: ShardSpec{Index: 2, Total: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,21 +305,7 @@ const DefaultRetain = 64
 // nil. retain bounds how many recent versions stay pinnable (values
 // < 1 mean DefaultRetain).
 func NewPublisher(eng *engine.Engine, retain int) (*Publisher, error) {
-	return NewShardedPublisher(eng, retain, ShardSpec{})
-}
-
-// NewShardedPublisher is NewPublisher for one shard of a sharded
-// deployment: the publisher freezes and retains only the partitions of
-// the nodes the spec owns (round-robin over the sorted node list), so
-// snapshot memory and caches scale with the shard, not the
-// network. Version numbering stays global: a snapshot is published
-// whenever any node's state changed, owned or not, so every shard of
-// the same deterministic run mints the same dense version sequence and
-// a gateway can pin one version across all of them. Queries served
-// from a sharded snapshot fail with a wrong-shard error if their
-// traversal leaves the owned partitions.
-func NewShardedPublisher(eng *engine.Engine, retain int, shard ShardSpec) (*Publisher, error) {
-	return NewPublisherWithOptions(eng, PublisherOptions{Retain: retain, Shard: shard})
+	return NewPublisherWithOptions(eng, PublisherOptions{Retain: retain})
 }
 
 // Shard returns which slice of the deployment this publisher serves

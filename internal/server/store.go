@@ -17,7 +17,15 @@ type PublisherOptions struct {
 	// (values < 1 mean DefaultRetain).
 	Retain int
 	// Shard places the publisher in a sharded deployment (the zero
-	// value means unsharded).
+	// value means unsharded): it freezes and retains only the
+	// partitions of the nodes the spec owns (round-robin over the
+	// sorted node list), so snapshot memory and caches scale with the
+	// shard, not the network. Version numbering stays global: a
+	// snapshot is published whenever any node's state changed, owned
+	// or not, so every shard of the same deterministic run mints the
+	// same dense version sequence and a gateway can pin one version
+	// across all of them. A query whose walk leaves the owned
+	// partitions fails with a wrong-shard error.
 	Shard ShardSpec
 	// Store, when non-nil, persists every published version. Reads of
 	// versions that aged out of the in-memory ring fall back to it, so
@@ -30,7 +38,7 @@ type PublisherOptions struct {
 }
 
 // NewPublisherWithOptions is the fully-optioned publisher constructor;
-// NewPublisher and NewShardedPublisher are shorthands for it.
+// NewPublisher is the shorthand for an unsharded, memory-only one.
 func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publisher, error) {
 	retain := opts.Retain
 	if retain < 1 {

@@ -62,20 +62,27 @@ func TestNextEpochGroupsEarliestTimestamp(t *testing.T) {
 
 func TestNextEpochDeliverMatchesRun(t *testing.T) {
 	build := func() (*Network, *[]string) {
-		n, log := twoNodeNet(t, 3)
+		n := New(1)
+		var log []string
 		// A chain: delivering m1 at b triggers a reply, plus a timer
 		// in the same instant as the reply's arrival.
-		if err := n.SetHandler("b", func(m Message) {
-			*log = append(*log, "b:"+m.Payload.(string))
+		if err := n.AddNode("a", func(m Message) { log = append(log, "a:"+m.Payload.(string)) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.AddNode("b", func(m Message) {
+			log = append(log, "b:"+m.Payload.(string))
 			if m.Payload.(string) == "ping" {
 				n.Send(Message{From: "b", To: "a", Kind: "x", Payload: "pong"})
 			}
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := n.Connect("a", "b", 3); err != nil {
+			t.Fatal(err)
+		}
 		n.Send(Message{From: "a", To: "b", Kind: "x", Payload: "ping"})
-		n.After(6, func() { *log = append(*log, "timer") })
-		return n, log
+		n.After(6, func() { log = append(log, "timer") })
+		return n, &log
 	}
 
 	serial, serialLog := build()

@@ -177,16 +177,6 @@ func (n *Network) AddNode(name string, h Handler) error {
 	return nil
 }
 
-// SetHandler replaces a node's message handler.
-func (n *Network) SetHandler(name string, h Handler) error {
-	nd, ok := n.nodes[name]
-	if !ok {
-		return fmt.Errorf("simnet: unknown node %s", name)
-	}
-	nd.handler = h
-	return nil
-}
-
 // Nodes returns all node names, sorted.
 func (n *Network) Nodes() []string {
 	out := make([]string, 0, len(n.nodes))
@@ -221,12 +211,6 @@ func (n *Network) Connect(a, b string, latency Time) (*Link, error) {
 	l := &Link{A: k.a, B: k.b, Latency: latency, Up: true}
 	n.links[k] = l
 	return l, nil
-}
-
-// Disconnect removes a link entirely.
-func (n *Network) Disconnect(a, b string) {
-	n.setAdjacent(a, b, false)
-	delete(n.links, keyFor(a, b))
 }
 
 // SetLinkUp marks a link up or down; unknown links are ignored.

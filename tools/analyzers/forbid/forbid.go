@@ -63,7 +63,7 @@ var Rules = []Rule{
 	{Name: "identity", Scope: []string{"repro/internal/eval"}, Uses: []string{"repro/internal/rel.HashParts"},
 		Why: "%s hashes a slice per part: frame the parts into one buffer with rel.AppendPart and hash it with rel.HashBytes"},
 	{Name: "corethread", Scope: []string{"repro/internal/engine", "repro/internal/eval", "repro/internal/rel", "repro/internal/provenance"},
-		Uses: []string{"go", "sync.WaitGroup", "sync.Mutex", "sync.RWMutex", "sync/atomic.*", "sync/atomic.Bool", "sync/atomic.Int32",
+		Uses: []string{"go", "sync.WaitGroup", "sync.Mutex", "sync.RWMutex", "sync.Once", "sync/atomic.*", "sync/atomic.Bool", "sync/atomic.Int32",
 			"sync/atomic.Int64", "sync/atomic.Uint32", "sync/atomic.Uint64", "sync/atomic.Uintptr", "sync/atomic.Pointer", "sync/atomic.Value"},
 		Why: "%s in the single-threaded core: the simulated core runs on the goroutine that calls RunQuiescent and nowhere else"},
 	{Name: "errenvelope", Scope: []string{"repro/internal/server", "repro/internal/gateway"}, Uses: []string{"net/http.Error", "net/http.NotFound"},

@@ -27,18 +27,17 @@ func spawn(ch chan func()) {
 }
 
 // group embeds a sync.WaitGroup, so its methods are the WaitGroup's;
-// a comment naming sync.WaitGroup is not a use. A sync.Once is allowed:
-// rel.Frozen memoizes its flatten with one for the HTTP readers.
+// a comment naming sync.WaitGroup is not a use.
 type group struct {
 	sync.WaitGroup              // want `^corethread: sync\.WaitGroup in the single-threaded core`
 	mu             sync.Mutex   // want `^corethread: sync\.Mutex in the single-threaded core`
 	rw             sync.RWMutex // want `^corethread: sync\.RWMutex in the single-threaded core`
-	once           sync.Once
+	once           sync.Once    // want `^corethread: sync\.Once in the single-threaded core`
 }
 
 func (g *group) finish() {
-	g.mu.Lock()  // want `^corethread: sync\.Mutex in the single-threaded core`
-	g.Done()     // want `^corethread: sync\.WaitGroup in the single-threaded core`
-	g.rw.RLock() // want `^corethread: sync\.RWMutex in the single-threaded core`
-	g.once.Do(func() {})
+	g.mu.Lock()          // want `^corethread: sync\.Mutex in the single-threaded core`
+	g.Done()             // want `^corethread: sync\.WaitGroup in the single-threaded core`
+	g.rw.RLock()         // want `^corethread: sync\.RWMutex in the single-threaded core`
+	g.once.Do(func() {}) // want `^corethread: sync\.Once in the single-threaded core`
 }
