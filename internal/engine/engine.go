@@ -183,7 +183,7 @@ func (e *Engine) addNode(addr string) error {
 	if _, ok := e.nodes[addr]; ok {
 		return fmt.Errorf("engine: duplicate node %s", addr)
 	}
-	rt, err := eval.NewRuntime(addr, e.compiled, nil)
+	rt, err := eval.NewRuntime(addr, e.compiled)
 	if err != nil {
 		return err
 	}

@@ -63,7 +63,7 @@ func MatchAtom(a *ndlog.Atom, t rel.Tuple, b Binding, trail *Trail) bool {
 }
 
 // EvalExpr evaluates an expression under the binding.
-func EvalExpr(e ndlog.Expr, b Binding, funcs *FuncRegistry) (rel.Value, error) {
+func EvalExpr(e ndlog.Expr, b Binding) (rel.Value, error) {
 	switch e := e.(type) {
 	case *ndlog.ConstExpr:
 		return e.Val, nil
@@ -74,23 +74,23 @@ func EvalExpr(e ndlog.Expr, b Binding, funcs *FuncRegistry) (rel.Value, error) {
 		}
 		return v, nil
 	case *ndlog.BinExpr:
-		l, err := EvalExpr(e.L, b, funcs)
+		l, err := EvalExpr(e.L, b)
 		if err != nil {
 			return rel.Value{}, err
 		}
-		r, err := EvalExpr(e.R, b, funcs)
+		r, err := EvalExpr(e.R, b)
 		if err != nil {
 			return rel.Value{}, err
 		}
 		return rel.Arith(e.Op, l, r)
 	case *ndlog.CallExpr:
-		fn, ok := funcs.Lookup(e.Func)
+		fn, ok := builtins[e.Func]
 		if !ok {
 			return rel.Value{}, fmt.Errorf("eval: unknown function %s", e.Func)
 		}
 		args := make([]rel.Value, len(e.Args))
 		for i, a := range e.Args {
-			v, err := EvalExpr(a, b, funcs)
+			v, err := EvalExpr(a, b)
 			if err != nil {
 				return rel.Value{}, err
 			}
@@ -102,12 +102,12 @@ func EvalExpr(e ndlog.Expr, b Binding, funcs *FuncRegistry) (rel.Value, error) {
 }
 
 // EvalCond evaluates a comparison under the binding.
-func EvalCond(c *ndlog.Cond, b Binding, funcs *FuncRegistry) (bool, error) {
-	l, err := EvalExpr(c.Left, b, funcs)
+func EvalCond(c *ndlog.Cond, b Binding) (bool, error) {
+	l, err := EvalExpr(c.Left, b)
 	if err != nil {
 		return false, err
 	}
-	r, err := EvalExpr(c.Right, b, funcs)
+	r, err := EvalExpr(c.Right, b)
 	if err != nil {
 		return false, err
 	}

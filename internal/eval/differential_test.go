@@ -23,7 +23,6 @@ import (
 // rounds until a global fixpoint.
 func naiveEval(t *testing.T, c *Compiled, base []rel.Tuple) map[rel.ID]rel.Tuple {
 	t.Helper()
-	funcs := NewFuncRegistry()
 	visible := map[rel.ID]rel.Tuple{}
 	for _, b := range base {
 		visible[b.VID()] = b
@@ -48,7 +47,7 @@ func naiveEval(t *testing.T, c *Compiled, base []rel.Tuple) map[rel.ID]rel.Tuple
 				if cr.Agg != nil {
 					continue
 				}
-				for _, out := range naiveFireRule(t, cr, rels, funcs) {
+				for _, out := range naiveFireRule(t, cr, rels) {
 					vid := out.VID()
 					if _, ok := visible[vid]; !ok {
 						visible[vid] = out
@@ -78,7 +77,7 @@ func naiveEval(t *testing.T, c *Compiled, base []rel.Tuple) map[rel.ID]rel.Tuple
 			rels := byRel()
 			groups := map[uint64][]rel.Value{}   // group key -> agg values
 			headVals := map[uint64][]rel.Value{} // group key -> head template
-			for _, res := range naiveJoinResults(t, cr, rels, funcs) {
+			for _, res := range naiveJoinResults(t, cr, rels) {
 				gv, err := groupProject(cr.Rule.Head, res, cr.Agg.ArgIdx)
 				if err != nil {
 					t.Fatal(err)
@@ -173,9 +172,9 @@ func naiveEval(t *testing.T, c *Compiled, base []rel.Tuple) map[rel.ID]rel.Tuple
 }
 
 // naiveFireRule returns all head tuples derivable in one step.
-func naiveFireRule(t *testing.T, cr *CRule, rels map[string][]rel.Tuple, funcs *FuncRegistry) []rel.Tuple {
+func naiveFireRule(t *testing.T, cr *CRule, rels map[string][]rel.Tuple) []rel.Tuple {
 	var out []rel.Tuple
-	for _, b := range naiveJoinResults(t, cr, rels, funcs) {
+	for _, b := range naiveJoinResults(t, cr, rels) {
 		head, err := ProjectHead(cr.Rule.Head, b, rel.Value{})
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +187,7 @@ func naiveFireRule(t *testing.T, cr *CRule, rels map[string][]rel.Tuple, funcs *
 // naiveJoinResults enumerates complete bindings of the rule body. It
 // copies the binding per candidate rather than undoing in place: the
 // reference stays independent of the runtime's trail.
-func naiveJoinResults(t *testing.T, cr *CRule, rels map[string][]rel.Tuple, funcs *FuncRegistry) []Binding {
+func naiveJoinResults(t *testing.T, cr *CRule, rels map[string][]rel.Tuple) []Binding {
 	var results []Binding
 	var walk func(i int, b Binding)
 	walk = func(i int, b Binding) {
@@ -206,7 +205,7 @@ func naiveJoinResults(t *testing.T, cr *CRule, rels map[string][]rel.Tuple, func
 				}
 			}
 		case *ndlog.Cond:
-			ok, err := EvalCond(term, b, funcs)
+			ok, err := EvalCond(term, b)
 			if err != nil {
 				return // failed bindings are skipped, like the runtime
 			}
@@ -214,7 +213,7 @@ func naiveJoinResults(t *testing.T, cr *CRule, rels map[string][]rel.Tuple, func
 				walk(i+1, b)
 			}
 		case *ndlog.Assign:
-			v, err := EvalExpr(term.Expr, b, funcs)
+			v, err := EvalExpr(term.Expr, b)
 			if err != nil {
 				return
 			}
@@ -274,7 +273,7 @@ func runDifferential(t *testing.T, src string, mkTuple func(r *rand.Rand) rel.Tu
 	c := compileFor(t, src)
 	return func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		rt, err := NewRuntime("n", c, nil)
+		rt, err := NewRuntime("n", c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +379,7 @@ func TestDifferentialReachabilityDAG(t *testing.T) {
 // protocols are in the safe (derivation-height-monotone) class.
 func TestCountingLimitationCyclicReachability(t *testing.T) {
 	c := compileFor(t, reachProgram)
-	rt, err := NewRuntime("n", c, nil)
+	rt, err := NewRuntime("n", c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +498,7 @@ a1 agg(@N,X,%s) :- edge(@N,X,Y,C).
 func runAggregateTies(t *testing.T, c *Compiled, fn string, seed int64) (extremaRetracted, copiesRetracted int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	rt, err := NewRuntime("n", c, nil)
+	rt, err := NewRuntime("n", c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,23 +17,6 @@ import (
 // Func is a builtin NDlog function (the f_* family).
 type Func func(args []rel.Value) (rel.Value, error)
 
-// FuncRegistry maps function names to implementations. A nil registry
-// falls back to the default builtins.
-type FuncRegistry struct {
-	m map[string]Func
-}
-
-// NewFuncRegistry returns a registry of the standard builtins.
-func NewFuncRegistry() *FuncRegistry {
-	return &FuncRegistry{m: builtins}
-}
-
-// Lookup finds a function.
-func (r *FuncRegistry) Lookup(name string) (Func, bool) {
-	fn, ok := r.m[name]
-	return fn, ok
-}
-
 func argErr(name string, want string, args []rel.Value) error {
 	return fmt.Errorf("eval: %s expects %s, got %d args", name, want, len(args))
 }

@@ -3,13 +3,13 @@ package eval
 import (
 	"testing"
 
+	"repro/internal/ndlog"
 	"repro/internal/rel"
 )
 
 func call(t *testing.T, name string, args ...rel.Value) rel.Value {
 	t.Helper()
-	r := NewFuncRegistry()
-	fn, ok := r.Lookup(name)
+	fn, ok := builtins[name]
 	if !ok {
 		t.Fatalf("function %s not registered", name)
 	}
@@ -22,13 +22,30 @@ func call(t *testing.T, name string, args ...rel.Value) rel.Value {
 
 func callErr(t *testing.T, name string, args ...rel.Value) error {
 	t.Helper()
-	r := NewFuncRegistry()
-	fn, ok := r.Lookup(name)
+	fn, ok := builtins[name]
 	if !ok {
 		t.Fatalf("function %s not registered", name)
 	}
 	_, err := fn(args)
 	return err
+}
+
+// TestEvalExprCallsBuiltins: a function call evaluates against the
+// package's builtins, with no registry in scope; an unknown name is an
+// error, not a panic.
+func TestEvalExprCallsBuiltins(t *testing.T) {
+	call := &ndlog.CallExpr{Func: "f_append", Args: []ndlog.Expr{&ndlog.VarExpr{Name: "L"}, &ndlog.ConstExpr{Val: rel.Int(3)}}}
+	got, err := EvalExpr(call, Binding{"L": rel.List(rel.Int(1))})
+	if err != nil || got.String() != "[1, 3]" {
+		t.Fatalf("f_append(L, 3) = %v, %v; want [1, 3]", got, err)
+	}
+	ok, err := EvalCond(&ndlog.Cond{Op: "==", Left: call, Right: &ndlog.ConstExpr{Val: rel.List(rel.Int(1), rel.Int(3))}}, Binding{"L": rel.List(rel.Int(1))})
+	if err != nil || !ok {
+		t.Fatalf("f_append(L, 3) == [1, 3]: %v, %v", ok, err)
+	}
+	if _, err := EvalExpr(&ndlog.CallExpr{Func: "f_nope"}, nil); err == nil {
+		t.Fatal("unknown function evaluated")
+	}
 }
 
 func TestListFunctions(t *testing.T) {

@@ -58,17 +58,16 @@ type Stats struct {
 // Confinement contract: all of a Runtime's state (store, delta queue,
 // aggregate states, stats) is owned by whichever goroutine is driving
 // the node. The engine drains on one goroutine, the caller of
-// RunQuiescent, so Runtimes never need locks. The Compiled program and
-// FuncRegistry a Runtime reads are shared across nodes and must stay
-// immutable while any runtime is executing. The hooks run mid-join:
-// they must not apply deltas to this runtime's tables.
+// RunQuiescent, so Runtimes never need locks. The Compiled program a
+// Runtime reads is shared across nodes and must stay immutable while
+// any runtime is executing. The hooks run mid-join: they must not
+// apply deltas to this runtime's tables.
 type Runtime struct {
 	Addr  string
 	Store *Store
 
-	prog  *Compiled
-	funcs *FuncRegistry
-	aggs  map[string]*aggState
+	prog *Compiled
+	aggs map[string]*aggState
 
 	queue []Delta
 	stats Stats
@@ -92,15 +91,11 @@ type Runtime struct {
 }
 
 // NewRuntime builds a runtime for one node over a compiled program.
-func NewRuntime(addr string, prog *Compiled, funcs *FuncRegistry) (*Runtime, error) {
-	if funcs == nil {
-		funcs = NewFuncRegistry()
-	}
+func NewRuntime(addr string, prog *Compiled) (*Runtime, error) {
 	rt := &Runtime{
 		Addr:  addr,
 		Store: NewStore(prog.Analysis.Catalog),
 		prog:  prog,
-		funcs: funcs,
 		aggs:  map[string]*aggState{},
 	}
 	for _, req := range prog.IndexRequests {
@@ -283,7 +278,7 @@ func (rt *Runtime) joinStep(tr *trigger, stepIdx int, b Binding, inputs []rel.Tu
 	st := tr.seq[stepIdx]
 	switch term := st.term.(type) {
 	case *ndlog.Cond:
-		ok, err := EvalCond(term, b, rt.funcs)
+		ok, err := EvalCond(term, b)
 		if err != nil {
 			rt.errf("eval: rule %s: %v", tr.rule.Name, err)
 			return
@@ -292,7 +287,7 @@ func (rt *Runtime) joinStep(tr *trigger, stepIdx int, b Binding, inputs []rel.Tu
 			rt.joinStep(tr, stepIdx+1, b, inputs, delta, sign)
 		}
 	case *ndlog.Assign:
-		v, err := EvalExpr(term.Expr, b, rt.funcs)
+		v, err := EvalExpr(term.Expr, b)
 		if err != nil {
 			rt.errf("eval: rule %s: %v", tr.rule.Name, err)
 			return

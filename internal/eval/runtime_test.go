@@ -25,7 +25,7 @@ func newRT(t *testing.T, addr, src string) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(addr, c, nil)
+	rt, err := NewRuntime(addr, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -76,7 +77,7 @@ func (b Bucket) Key() (first any, n int) {
 	}
 }
 
-func bucketKey[V any](bucket []kv[V]) (any, int) {
+func bucketKey[V keyed](bucket []kv[V]) (any, int) {
 	if len(bucket) == 0 {
 		return nil, 0
 	}
@@ -84,14 +85,15 @@ func bucketKey[V any](bucket []kv[V]) (any, int) {
 }
 
 // AppendTo appends the bucket's persisted encoding to dst: the key
-// count, then each key in ID order followed by its value.
+// count, then each key in ID order followed by its value. A slot keeps
+// only its key's prefix, so the key is read from the value.
 func (b Bucket) AppendTo(dst []byte) []byte {
 	switch b.Spine {
 	case SpineProv:
 		bucket := b.v.prov.m[b.Index]
 		dst = wire.AppendUvarint(dst, uint64(len(bucket)))
 		for _, e := range bucket {
-			dst = append(dst, e.id[:]...)
+			dst = append(dst, e.v[0].VID[:]...)
 			dst = wire.AppendUvarint(dst, uint64(len(e.v)))
 			for _, d := range e.v {
 				dst = append(dst, d.RID[:]...)
@@ -102,7 +104,7 @@ func (b Bucket) AppendTo(dst []byte) []byte {
 		bucket := b.v.exec.m[b.Index]
 		dst = wire.AppendUvarint(dst, uint64(len(bucket)))
 		for _, e := range bucket {
-			dst = append(dst, e.id[:]...)
+			dst = append(dst, e.v.RID[:]...)
 			dst = wire.AppendString(dst, e.v.Rule)
 			dst = wire.AppendUvarint(dst, uint64(len(e.v.VIDs)))
 			for _, vid := range e.v.VIDs {
@@ -113,8 +115,8 @@ func (b Bucket) AppendTo(dst []byte) []byte {
 		bucket := b.v.pins.m[b.Index]
 		dst = wire.AppendUvarint(dst, uint64(len(bucket)))
 		for _, e := range bucket {
-			dst = append(dst, e.id[:]...)
-			dst = rel.AppendTuple(dst, *e.v)
+			dst = append(dst, e.v.vid[:]...)
+			dst = rel.AppendTuple(dst, e.v.t)
 		}
 	}
 	return dst
@@ -156,14 +158,17 @@ func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View,
 	if err := checkSpine("pins", len(pins)); err != nil {
 		return nil, err
 	}
-	v.prov = buckets[[]Entry]{mask: uint32(len(prov) - 1), m: make([][]kv[[]Entry], len(prov))}
+	v.prov = buckets[entryList]{mask: uint32(len(prov) - 1), m: make([][]kv[entryList], len(prov))}
 	for i, enc := range prov {
 		if enc == nil {
 			continue
 		}
-		bucket, err := decodeBucket(enc, uint32(i), v.prov.mask, func(r *wire.Reader, vid rel.ID) []Entry {
+		bucket, err := decodeBucket(enc, uint32(i), v.prov.mask, func(r *wire.Reader, vid rel.ID) entryList {
 			n := r.Count("prov entry count", math.MaxInt)
-			list := make([]Entry, 0, wire.Prealloc(n))
+			if n == 0 {
+				r.Failf("prov key %s: %w", vid.Short(), errNoDerivation)
+			}
+			list := make(entryList, 0, wire.Prealloc(n))
 			for k := 0; k < n && r.Err() == nil; k++ {
 				list = append(list, Entry{VID: vid, RID: rel.DecodeID(r, "prov rid"), RLoc: r.String("prov rloc")})
 			}
@@ -197,14 +202,14 @@ func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View,
 		v.exec.m[i] = bucket
 		v.execEntries += len(bucket)
 	}
-	v.pins = buckets[*rel.Tuple]{mask: uint32(len(pins) - 1), m: make([][]kv[*rel.Tuple], len(pins))}
+	v.pins = buckets[*pin]{mask: uint32(len(pins) - 1), m: make([][]kv[*pin], len(pins))}
 	for i, enc := range pins {
 		if enc == nil {
 			continue
 		}
-		bucket, err := decodeBucket(enc, uint32(i), v.pins.mask, func(r *wire.Reader, _ rel.ID) *rel.Tuple {
-			t := rel.DecodeTuple(r)
-			return &t
+		bucket, err := decodeBucket(enc, uint32(i), v.pins.mask, func(r *wire.Reader, vid rel.ID) *pin {
+			// The persisted key is kept, not re-hashed from the tuple.
+			return &pin{vid: vid, t: rel.DecodeTuple(r)}
 		})
 		if err != nil {
 			return nil, fmt.Errorf("provenance: rebuild pins bucket %d: %w", i, err)
@@ -222,26 +227,34 @@ func checkSpine(name string, n int) error {
 	return nil
 }
 
+// errNoDerivation rejects a persisted prov key with an empty
+// derivation list: the store never holds one, and a prov slot's key is
+// its list's first entry's VID.
+var errNoDerivation = errors.New("no derivation")
+
 // decodeBucket decodes one bucket's key/value pairs, verifying each key
 // hashes into this bucket, that keys ascend strictly (the order a bucket
 // is searched in; a repeat is out of order too) and that the encoding
-// is fully consumed.
-func decodeBucket[V any](enc []byte, idx, mask uint32, dec func(*wire.Reader, rel.ID) V) ([]kv[V], error) {
+// is fully consumed. dec is handed each key, which the value it returns
+// must name: the slot keeps only the key's prefix.
+func decodeBucket[V keyed](enc []byte, idx, mask uint32, dec func(*wire.Reader, rel.ID) V) ([]kv[V], error) {
 	r := wire.NewReader(enc)
 	n := r.Count("key count", math.MaxInt)
 	if n == 0 {
 		r.Failf("empty bucket encoded non-nil")
 	}
 	bucket := make([]kv[V], 0, wire.Prealloc(n))
+	var last rel.ID
 	for k := 0; k < n && r.Err() == nil; k++ {
 		id := rel.DecodeID(&r, "key")
 		if bucketIdx(id, mask) != idx {
 			r.Failf("key %s does not belong in bucket %d", id.Short(), idx)
 		}
-		if k > 0 && bucket[k-1].id.Compare(id) >= 0 {
+		if k > 0 && last.Compare(id) >= 0 {
 			r.Failf("key %s is not above the key before it", id.Short())
 		}
-		bucket = append(bucket, kv[V]{id, dec(&r, id)})
+		bucket = append(bucket, kv[V]{prefix(id), dec(&r, id)})
+		last = id
 	}
 	if err := r.Done("bucket"); err != nil {
 		return nil, err

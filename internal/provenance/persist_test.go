@@ -1,6 +1,8 @@
 package provenance
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/eval"
@@ -135,9 +137,38 @@ func pinsBucket(tuples ...rel.Tuple) []byte {
 	return b
 }
 
-func decodePinsBucket(enc []byte) ([]kv[rel.Tuple], error) {
+func decodePinsBucket(enc []byte) ([]kv[*pin], error) {
 	// One bucket, mask 0: every key belongs, so only order can reject.
-	return decodeBucket(enc, 0, 0, func(r *wire.Reader, _ rel.ID) rel.Tuple { return rel.DecodeTuple(r) })
+	return decodeBucket(enc, 0, 0, func(r *wire.Reader, vid rel.ID) *pin { return &pin{vid: vid, t: rel.DecodeTuple(r)} })
+}
+
+// provBucket encodes a prov bucket of one key with n derivations.
+func provBucket(vid rel.ID, n int) []byte {
+	b := wire.AppendUvarint(nil, 1)
+	b = append(b, vid[:]...)
+	b = wire.AppendUvarint(b, uint64(n))
+	for range n {
+		b = append(b, rel.ZeroID[:]...)
+		b = wire.AppendString(b, "")
+	}
+	return b
+}
+
+// A prov slot's key is its list's first VID, and the store never holds
+// an empty list: a persisted key with no derivation is corrupt.
+func TestRebuildViewRejectsEmptyDerivationList(t *testing.T) {
+	vid := viewTestTuple(1).VID()
+	one := [][]byte{nil}
+	v, err := RebuildView("n0", 1, [][]byte{provBucket(vid, 1)}, one, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ents, ok := v.Derivations(vid); !ok || len(ents) != 1 || ents[0].VID != vid {
+		t.Fatalf("Derivations = %v, %v", ents, ok)
+	}
+	if _, err := RebuildView("n0", 1, [][]byte{provBucket(vid, 0)}, one, one); !errors.Is(err, errNoDerivation) {
+		t.Fatalf("a prov key with no derivation: err = %v, want errNoDerivation", err)
+	}
 }
 
 // orderedPair returns two tuples in ascending VID order.
@@ -167,8 +198,11 @@ func TestDecodeBucketRejectsUnorderedKeys(t *testing.T) {
 	}
 }
 
-// FuzzDecodeBucket: whatever the bytes, a bucket that decodes is one
-// every key of which the bisecting lookup finds.
+// FuzzDecodeBucket: whatever the bytes, a bucket that decodes, as a
+// one-bucket prov, exec or pins spine, is one every key of which sits
+// beside its own prefix and the bisecting lookup finds, and it
+// re-encodes to exactly its input: the persisted form is the one the
+// bucket was decoded from.
 func FuzzDecodeBucket(f *testing.F) {
 	lo, hi := orderedPair()
 	f.Add(pinsBucket(lo, hi))
@@ -177,19 +211,48 @@ func FuzzDecodeBucket(f *testing.F) {
 	f.Add(pinsBucket())
 	_, _, pins := persistFixtureView(f, 5).PersistBuckets()
 	f.Add(pins[0])
+	f.Add(provBucket(lo.VID(), 0))
 	f.Fuzz(func(t *testing.T, enc []byte) {
-		bucket, err := decodePinsBucket(enc)
-		if err != nil {
+		if enc == nil {
 			return
 		}
-		dir := buckets[rel.Tuple]{m: [][]kv[rel.Tuple]{bucket}}
-		for k, e := range bucket {
-			if k > 0 && bucket[k-1].id.Compare(e.id) >= 0 {
-				t.Fatalf("accepted bucket is not strictly ascending at %d", k)
+		for spine := SpineProv; spine <= SpinePins; spine++ {
+			dirs := [3][][]byte{{nil}, {nil}, {nil}}
+			dirs[spine][0] = enc
+			v, err := RebuildView("n0", 1, dirs[SpineProv], dirs[SpineExec], dirs[SpinePins])
+			if err != nil {
+				continue
 			}
-			if _, ok := dir.get(e.id); !ok {
-				t.Fatalf("accepted bucket does not find its own key %s", e.id.Short())
+			switch spine {
+			case SpineProv:
+				checkDecoded(t, v.prov)
+			case SpineExec:
+				checkDecoded(t, v.exec)
+			default:
+				checkDecoded(t, v.pins)
+			}
+			if got := (Bucket{Spine: spine, v: v}).AppendTo(nil); !bytes.Equal(got, enc) {
+				t.Fatalf("spine %d: bucket %x re-encodes as %x", spine, enc, got)
 			}
 		}
 	})
+}
+
+// checkDecoded checks a one-bucket directory: each slot's prefix is its
+// key's, keys ascend strictly, and get finds every key.
+func checkDecoded[V keyed](t *testing.T, b buckets[V]) {
+	t.Helper()
+	bucket := b.m[0]
+	for k, e := range bucket {
+		id := e.v.key()
+		if e.pre != prefix(id) {
+			t.Fatalf("slot %d holds prefix %016x beside key %s", k, e.pre, id.Short())
+		}
+		if k > 0 && bucket[k-1].v.key().Compare(id) >= 0 {
+			t.Fatalf("accepted bucket is not strictly ascending at %d", k)
+		}
+		if _, ok := b.get(id); !ok {
+			t.Fatalf("accepted bucket does not find its own key %s", id.Short())
+		}
+	}
 }

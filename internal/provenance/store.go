@@ -43,6 +43,25 @@ type ExecEntry struct {
 	VIDs []rel.ID
 }
 
+func (e *ExecEntry) key() rel.ID { return e.RID }
+
+// entryList is a prov slot's value: one tuple's derivations, never
+// empty, each naming the slot's VID.
+type entryList []Entry
+
+func (l entryList) key() rel.ID { return l[0].VID }
+
+// pin is a pins slot's record: a tuple under the VID it is pinned by. A
+// recorded pin is never written: published views point at it.
+//
+// nettrails:frozen (enforced by the frozenwrite analyzer)
+type pin struct {
+	vid rel.ID
+	t   rel.Tuple
+}
+
+func (p *pin) key() rel.ID { return p.vid }
+
 // Store is one node's partition of the provenance graph. Its three
 // bucket directories are the representation views are handed, so a
 // view costs a generation bump (view.go). Like the rest of the
@@ -50,12 +69,12 @@ type ExecEntry struct {
 type Store struct {
 	addr string
 	// prov: VID -> derivation entries in compareEntry order.
-	prov dir[[]Entry, derivs]
+	prov dir[entryList, derivs]
 	// exec: RID -> rule execution, with its firing count.
 	exec dir[*ExecEntry, int32]
 	// pins: VID -> tuple value, refcounted by prov entries and by exec
 	// input references.
-	pins dir[*rel.Tuple, int32]
+	pins dir[*pin, int32]
 	// version increments on every mutation; the query cache uses it for
 	// conservative invalidation.
 	version uint64
@@ -79,9 +98,9 @@ type derivs struct {
 func NewStore(addr string) *Store {
 	return &Store{
 		addr: addr,
-		prov: newDir[[]Entry, derivs](1, 1),
+		prov: newDir[entryList, derivs](1, 1),
 		exec: newDir[*ExecEntry, int32](1, 1),
-		pins: newDir[*rel.Tuple, int32](1, 1),
+		pins: newDir[*pin, int32](1, 1),
 	}
 }
 
@@ -98,8 +117,7 @@ func (s *Store) pinTuple(t rel.Tuple) {
 		s.pins.side[b][pos]++ // refcount-only change: the view's pinned value is the same
 		return
 	}
-	tp := t.Identified()
-	s.pins.insert(b, pos, vid, &tp, 1)
+	s.pins.insert(b, pos, vid, &pin{vid: vid, t: t.Identified()}, 1)
 }
 
 func (s *Store) unpin(vid rel.ID) {
@@ -130,7 +148,7 @@ func (s *Store) addEntry(t rel.Tuple, e Entry) {
 	s.pinTuple(t)
 	b, pos, ok := s.prov.locate(e.VID)
 	if !ok {
-		s.prov.insert(b, pos, e.VID, []Entry{e}, derivs{counts: []int32{1}, gen: s.prov.now})
+		s.prov.insert(b, pos, e.VID, entryList{e}, derivs{counts: []int32{1}, gen: s.prov.now})
 		s.provCount++
 		return
 	}
@@ -170,9 +188,9 @@ func (s *Store) removeEntry(vid rel.ID, e Entry) {
 
 // ownList returns a derivation list writable in the current
 // generation, copying it (with room for one insert) on its first edit.
-func (s *Store) ownList(list []Entry, d *derivs) []Entry {
+func (s *Store) ownList(list entryList, d *derivs) entryList {
 	if d.gen != s.prov.now {
-		list = append(make([]Entry, 0, len(list)+1), list...)
+		list = append(make(entryList, 0, len(list)+1), list...)
 		d.gen = s.prov.now
 	}
 	return list
@@ -274,7 +292,10 @@ func (s *Store) SupportCount(vid rel.ID) int {
 func (s *Store) Exec(rid rel.ID) (ExecEntry, bool) { return deref(s.exec.get(rid)) }
 
 // TupleOf resolves a pinned VID to its tuple value.
-func (s *Store) TupleOf(vid rel.ID) (rel.Tuple, bool) { return deref(s.pins.get(vid)) }
+func (s *Store) TupleOf(vid rel.ID) (rel.Tuple, bool) {
+	p, ok := deref(s.pins.get(vid))
+	return p.t, ok
+}
 
 // Stats summarizes the partition's size.
 type Stats struct {
@@ -368,16 +389,20 @@ func (s *Store) TamperAddExec(rid rel.ID, rule string, inputs []rel.Tuple) {
 // beside each slot; each prov list is in derivation order. Used by
 // tests and failure-injection suites.
 func (s *Store) CheckInvariants() error {
+	// A prov slot's key is its list's first VID, so the lists are
+	// checked for an entry before any key is read.
+	for e, side := range s.prov.all() {
+		if len(e.v) == 0 || len(side.counts) != len(e.v) {
+			return fmt.Errorf("provenance: prov list at prefix %016x has %d entries and %d counts", e.pre, len(e.v), len(side.counts))
+		}
+	}
 	if err := errors.Join(checkDir("prov", &s.prov), checkDir("exec", &s.exec), checkDir("pins", &s.pins)); err != nil {
 		return err
 	}
 	total := 0
 	for e, side := range s.prov.all() {
-		vid, list, counts := e.id, e.v, side.counts
+		vid, list, counts := e.v.key(), e.v, side.counts
 		total += len(list)
-		if len(list) == 0 || len(counts) != len(list) {
-			return fmt.Errorf("provenance: prov list for %s has %d entries and %d counts", vid.Short(), len(list), len(counts))
-		}
 		if _, ok := s.pins.get(vid); !ok {
 			return fmt.Errorf("provenance: prov entry for unpinned tuple %s", vid.Short())
 		}
@@ -397,12 +422,12 @@ func (s *Store) CheckInvariants() error {
 		return fmt.Errorf("provenance: provCount drift: counted %d, tracked %d", total, s.provCount)
 	}
 	for e, count := range s.exec.all() {
-		rid := e.id
+		rid := e.v.RID
 		if count <= 0 {
 			return fmt.Errorf("provenance: non-positive exec count for %s", rid.Short())
 		}
 		// RecordFiring stores the RID a firing carries; re-derive it here.
-		if e.v.RID != rid || eval.RuleExecID(e.v.Rule, s.addr, e.v.VIDs) != rid {
+		if eval.RuleExecID(e.v.Rule, s.addr, e.v.VIDs) != rid {
 			return fmt.Errorf("provenance: exec %s is not the hash of its rule, node and inputs", rid.Short())
 		}
 		for _, vid := range e.v.VIDs {
@@ -413,29 +438,33 @@ func (s *Store) CheckInvariants() error {
 	}
 	for e, refs := range s.pins.all() {
 		if refs <= 0 {
-			return fmt.Errorf("provenance: non-positive pin refs for %s", e.id.Short())
+			return fmt.Errorf("provenance: non-positive pin refs for %s", e.v.vid.Short())
 		}
 		// Re-hash from the attributes: the VID a pin carries is the key
 		// it was stored under, so reading it back would check nothing.
-		if (rel.Tuple{Rel: e.v.Rel, Vals: e.v.Vals}).VID() != e.id {
-			return fmt.Errorf("provenance: pin key mismatch for %s", e.id.Short())
+		if (rel.Tuple{Rel: e.v.t.Rel, Vals: e.v.t.Vals}).VID() != e.v.vid {
+			return fmt.Errorf("provenance: pin key mismatch for %s", e.v.vid.Short())
 		}
 	}
 	return nil
 }
 
 // checkDir checks one directory's shape: every key in the bucket its
-// hash names, strictly ascending, one side value per slot, and the key
-// count tracked.
-func checkDir[V, C any](name string, d *dir[V, C]) error {
+// hash names, beside its own prefix, strictly ascending, one side value
+// per slot, and the key count tracked.
+func checkDir[V keyed, C any](name string, d *dir[V, C]) error {
 	keys := 0
 	for b, bucket := range d.m {
 		if len(d.side[b]) != len(bucket) {
 			return fmt.Errorf("provenance: %s bucket %d has %d slots and %d counts", name, b, len(bucket), len(d.side[b]))
 		}
 		for pos, e := range bucket {
-			if bucketIdx(e.id, d.mask) != uint32(b) || pos > 0 && bucket[pos-1].id.Compare(e.id) >= 0 {
-				return fmt.Errorf("provenance: %s key %s is out of place in bucket %d", name, e.id.Short(), b)
+			id := e.v.key()
+			if e.pre != prefix(id) {
+				return fmt.Errorf("provenance: %s key %s is beside prefix %016x", name, id.Short(), e.pre)
+			}
+			if bucketIdx(id, d.mask) != uint32(b) || pos > 0 && bucket[pos-1].v.key().Compare(id) >= 0 {
+				return fmt.Errorf("provenance: %s key %s is out of place in bucket %d", name, id.Short(), b)
 			}
 		}
 		keys += len(bucket)

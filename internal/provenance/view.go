@@ -1,6 +1,7 @@
 package provenance
 
 import (
+	"encoding/binary"
 	"iter"
 	"slices"
 
@@ -15,24 +16,44 @@ const bucketTarget = 16
 // buckets is a persistent hash directory: a power-of-two spine of small
 // key-sorted slices. Successive views share every bucket the mutations
 // between them did not touch. An empty bucket is nil.
-type buckets[V any] struct {
+type buckets[V keyed] struct {
 	mask uint32
 	m    [][]kv[V]
 }
 
-// kv is one bucket entry; a bucket holds them in ascending id order.
-type kv[V any] struct {
-	id rel.ID
-	v  V
+// keyed is a slot value that names its own key, so a slot need only
+// keep the key's prefix beside it.
+type keyed interface{ key() rel.ID }
+
+// kv is one bucket slot: the value's key prefix and the value. A bucket
+// holds its slots in ascending key order; prefix order is byte order,
+// so only slots whose prefixes tie compare full keys.
+type kv[V keyed] struct {
+	pre uint64
+	v   V
 }
+
+// prefix is a key's first 8 bytes, read big-endian.
+func prefix(id rel.ID) uint64 { return binary.BigEndian.Uint64(id[:8]) }
 
 func bucketIdx(id rel.ID, mask uint32) uint32 {
 	return uint32(id.Hash64()) & mask
 }
 
-// find returns id's position in the sorted bucket and whether it is there.
-func find[V any](bucket []kv[V], id rel.ID) (int, bool) {
-	return slices.BinarySearchFunc(bucket, id, func(e kv[V], id rel.ID) int { return e.id.Compare(id) })
+// find returns id's position in the sorted bucket and whether it is
+// there. It bisects the prefixes and reads a full key only on a tie.
+func find[V keyed](bucket []kv[V], id rel.ID) (int, bool) {
+	p := prefix(id)
+	lo, hi := 0, len(bucket)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if pre := bucket[h].pre; pre < p || pre == p && bucket[h].v.key().Compare(id) < 0 {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(bucket) && bucket[lo].pre == p && bucket[lo].v.key() == id
 }
 
 func (b buckets[V]) get(id rel.ID) (V, bool) {
@@ -67,7 +88,7 @@ func bucketCountFor(n, prev int) int {
 // mutation copies a bucket (and the spine) at most once per generation
 // and edits it in place after that, and handing the directory to a
 // view is a generation bump.
-type dir[V, C any] struct {
+type dir[V keyed, C any] struct {
 	buckets[V]
 	// side holds, parallel to each bucket's slots, what the view never
 	// reads (derivation counts, refcounts). It is never handed over, so
@@ -91,7 +112,7 @@ const overload = 4
 
 // newDir returns an empty directory of nb buckets, all owned by the
 // generation now: no view holds them yet.
-func newDir[V, C any](nb int, now uint64) dir[V, C] {
+func newDir[V keyed, C any](nb int, now uint64) dir[V, C] {
 	gen := make([]uint64, nb)
 	for i := range gen {
 		gen[i] = now
@@ -129,7 +150,7 @@ func (d *dir[V, C]) own(b uint32) []kv[V] {
 }
 
 func (d *dir[V, C]) insert(b uint32, pos int, id rel.ID, v V, c C) {
-	d.m[b] = slices.Insert(d.own(b), pos, kv[V]{id, v})
+	d.m[b] = slices.Insert(d.own(b), pos, kv[V]{prefix(id), v})
 	d.side[b] = slices.Insert(d.side[b], pos, c)
 	if d.keys++; d.keys > len(d.m)*bucketTarget*overload {
 		d.resize(bucketCountFor(d.keys, len(d.m)))
@@ -180,7 +201,7 @@ func (d *dir[V, C]) handoff() buckets[V] {
 func (d *dir[V, C]) resize(nb int) {
 	out := newDir[V, C](nb, d.now)
 	for e, c := range d.all() {
-		b, pos, _ := out.locate(e.id)
+		b, pos, _ := out.locate(e.v.key())
 		out.m[b] = slices.Insert(out.m[b], pos, e)
 		out.side[b] = slices.Insert(out.side[b], pos, c)
 	}
@@ -200,12 +221,12 @@ func (d *dir[V, C]) resize(nb int) {
 type View struct {
 	addr    string
 	version uint64
-	prov    buckets[[]Entry] // per-VID lists in compareEntry order
+	prov    buckets[entryList] // per-VID lists in compareEntry order
 	// exec and pins point at the store's own records, which nothing
-	// writes once recorded, so copying a bucket moves 32-byte pairs
-	// instead of the rows.
+	// writes once recorded, so copying a bucket moves 16-byte slots (a
+	// key prefix and a pointer) instead of the rows.
 	exec        buckets[*ExecEntry]
-	pins        buckets[*rel.Tuple]
+	pins        buckets[*pin]
 	provEntries int
 	execEntries int
 	pinEntries  int
@@ -250,7 +271,10 @@ func (v *View) Derivations(vid rel.ID) ([]Entry, bool) {
 func (v *View) Exec(rid rel.ID) (ExecEntry, bool) { return deref(v.exec.get(rid)) }
 
 // TupleOf resolves a pinned VID to its tuple value.
-func (v *View) TupleOf(vid rel.ID) (rel.Tuple, bool) { return deref(v.pins.get(vid)) }
+func (v *View) TupleOf(vid rel.ID) (rel.Tuple, bool) {
+	p, ok := deref(v.pins.get(vid))
+	return p.t, ok
+}
 
 // deref copies out a record an exec or pins bucket points at.
 func deref[T any](p *T, ok bool) (T, bool) {

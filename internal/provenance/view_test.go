@@ -346,7 +346,7 @@ func TestViewIncrementalEquivalence(t *testing.T) {
 
 // bucketPointers extracts the identity of every per-bucket map so tests
 // can prove structural sharing across view versions.
-func bucketPointers[V any](b buckets[V]) []uintptr {
+func bucketPointers[V keyed](b buckets[V]) []uintptr {
 	out := make([]uintptr, len(b.m))
 	for i, m := range b.m {
 		out[i] = reflect.ValueOf(m).Pointer()
@@ -566,5 +566,111 @@ func TestHeldViewSurvivesRerecording(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tieRID returns a hand-made RID with first bytes 0x10 and b7 (through
+// byte 7) and byte 8 set to b8. Every RID it makes lands in one bucket
+// at any spine size below 256; those with equal b7 tie on the 8-byte
+// prefix and sort by b8.
+func tieRID(b7, b8 byte) rel.ID {
+	var id rel.ID
+	id[0], id[7], id[8] = 0x10, b7, b8
+	return id
+}
+
+// TestDirPrefixTies: three RIDs share their 8-byte prefix, with the
+// middle one inserted last between the other two, and two neighbours in
+// the same bucket have a lower and a higher prefix. Every directory
+// operation keeps ascending ID order and finds each key, and a persisted
+// and rebuilt view finds them too.
+func TestDirPrefixTies(t *testing.T) {
+	low, a, mid, c, high := tieRID(1, 9), tieRID(5, 1), tieRID(5, 2), tieRID(5, 3), tieRID(9, 0)
+	want := []rel.ID{low, a, mid, c, high}
+	d := newDir[*ExecEntry, int32](1, 1)
+	check := func(step string, want []rel.ID) {
+		t.Helper()
+		if err := checkDir("exec", &d); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		var got []rel.ID
+		for e := range d.all() {
+			got = append(got, e.v.RID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: directory holds %x, want %x", step, got, want)
+		}
+		for _, id := range want {
+			if b, pos, ok := d.locate(id); !ok || d.m[b][pos].v.RID != id {
+				t.Fatalf("%s: locate(%x) = %d, %d, %v", step, id, b, pos, ok)
+			}
+		}
+	}
+	for _, id := range []rel.ID{c, a, high, low, mid} {
+		b, pos, ok := d.locate(id)
+		if ok {
+			t.Fatalf("locate(%x) found a key not yet inserted", id)
+		}
+		d.insert(b, pos, id, &ExecEntry{RID: id, Rule: "r1"}, 1)
+	}
+	check("insert", want)
+
+	b, pos, _ := d.locate(mid)
+	d.set(b, pos, &ExecEntry{RID: mid, Rule: "r2"})
+	check("set", want)
+	v1 := d.handoff()
+	for _, id := range want {
+		if e, ok := v1.get(id); !ok || e.RID != id {
+			t.Fatalf("handed-off get(%x) = %v, %v", id, e, ok)
+		}
+	}
+	if e, _ := v1.get(mid); e.Rule != "r2" {
+		t.Fatalf("get(mid) reads rule %q after set, want r2", e.Rule)
+	}
+	d.resize(8)
+	check("resize", want)
+
+	b, pos, _ = d.locate(a)
+	d.remove(b, pos)
+	rest := []rel.ID{low, mid, c, high}
+	check("remove", rest)
+	if _, ok := v1.get(a); !ok {
+		t.Fatal("a remove after handoff reached the handed-off bucket")
+	}
+
+	v := &View{
+		prov: buckets[entryList]{m: make([][]kv[entryList], 1)},
+		exec: d.handoff(),
+		pins: buckets[*pin]{m: make([][]kv[*pin], 1)},
+	}
+	prov, exec, pins := v.PersistBuckets()
+	got, err := RebuildView("n0", 1, prov, exec, pins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range rest {
+		if e, ok := got.Exec(id); !ok || e.RID != id {
+			t.Fatalf("rebuilt Exec(%x) = %v, %v", id, e, ok)
+		}
+	}
+	if _, ok := got.Exec(a); ok {
+		t.Fatal("rebuilt view finds a removed key")
+	}
+	if _, again, _ := got.PersistBuckets(); !reflect.DeepEqual(again, exec) {
+		t.Fatal("rebuilt exec buckets persist to different bytes")
+	}
+}
+
+// TestCheckInvariantsCatchesWrongPrefix plants one slot whose prefix is
+// not its key's: the directory check must name it.
+func TestCheckInvariantsCatchesWrongPrefix(t *testing.T) {
+	s := NewStore("n1")
+	s.RecordFiring(eval.NewFiring("r1", "n1", []rel.Tuple{viewTestTuple(1)}, viewTestTuple(2), "n1", 1))
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	s.exec.m[0][0].pre ^= 1
+	if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "prefix") {
+		t.Fatalf("a slot beside a wrong prefix: CheckInvariants = %v", err)
 	}
 }

@@ -36,7 +36,6 @@ const TransmitRule = "proxy_transmit"
 type Proxy struct {
 	addr  string
 	rules []*ndlog.Rule
-	funcs *eval.FuncRegistry
 	prov  *provenance.Store
 
 	// inputs: relation -> observed input tuples currently valid.
@@ -67,7 +66,6 @@ func New(addr string, prog *ndlog.Program, prov *provenance.Store) (*Proxy, erro
 	}
 	p := &Proxy{
 		addr:   addr,
-		funcs:  eval.NewFuncRegistry(),
 		prov:   prov,
 		inputs: map[string][]rel.Tuple{},
 		outs:   map[rel.ID][][]eval.Firing{},
@@ -206,7 +204,7 @@ func (p *Proxy) matchRule(r *ndlog.Rule, out rel.Tuple) []eval.Firing {
 				}
 			}
 		case *ndlog.Cond:
-			ok, err := eval.EvalCond(term, b, p.funcs)
+			ok, err := eval.EvalCond(term, b)
 			if err != nil {
 				if p.OnError != nil {
 					p.OnError(fmt.Errorf("proxy: rule %s: %w", r.Label, err))
@@ -217,7 +215,7 @@ func (p *Proxy) matchRule(r *ndlog.Rule, out rel.Tuple) []eval.Firing {
 				walk(terms[1:], inputs)
 			}
 		case *ndlog.Assign:
-			v, err := eval.EvalExpr(term.Expr, b, p.funcs)
+			v, err := eval.EvalExpr(term.Expr, b)
 			if err != nil {
 				if p.OnError != nil {
 					p.OnError(fmt.Errorf("proxy: rule %s: %w", r.Label, err))

@@ -39,7 +39,7 @@ r1 report(@O,S,D) :- link(@S,Z,_), owner(@Z,O), D := Z.
 	}
 	var inflight []msg
 	for _, n := range []string{"s", "z", "o"} {
-		rt, err := eval.NewRuntime(n, c, nil)
+		rt, err := eval.NewRuntime(n, c)
 		if err != nil {
 			t.Fatal(err)
 		}

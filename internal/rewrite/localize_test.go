@@ -189,7 +189,7 @@ func TestLocalizedMincostExecutesDistributed(t *testing.T) {
 	}
 	var inflight []msg
 	for _, n := range []string{"a", "b", "c"} {
-		rt, err := eval.NewRuntime(n, c, nil)
+		rt, err := eval.NewRuntime(n, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,7 +90,7 @@ r2 reach(@S,D) :- link(@S,D,_), link(@S,D,_).
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := eval.NewRuntime("a", c, nil)
+	rt, err := eval.NewRuntime("a", c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ import (
 type proofChecker struct {
 	snap  *server.Snapshot
 	rules map[string]*ndlog.Rule
-	funcs *eval.FuncRegistry
 	live  map[string]map[rel.ID]bool // node -> VIDs in its tables, filled on first use
 	// parsed memoizes parseWireTuple by literal text, VID carried.
 	parsed map[string]rel.Tuple
@@ -49,7 +48,7 @@ const maxProofErrors = 20
 // program eng runs, named the way eval.Compile names them.
 func newProofChecker(eng *engine.Engine, snap *server.Snapshot) *proofChecker {
 	n, _ := eng.Node(eng.Nodes()[0])
-	c := &proofChecker{snap: snap, rules: map[string]*ndlog.Rule{}, funcs: eval.NewFuncRegistry(),
+	c := &proofChecker{snap: snap, rules: map[string]*ndlog.Rule{},
 		live: map[string]map[rel.ID]bool{}, parsed: map[string]rel.Tuple{}}
 	for i, r := range n.RT.Program().Analysis.Program.Rules {
 		name := r.Label
@@ -192,13 +191,13 @@ func (c *proofChecker) refire(name string, kids []rel.Tuple, parent rel.Tuple) e
 	for _, term := range r.Body {
 		switch term := term.(type) {
 		case *ndlog.Assign:
-			v, err := eval.EvalExpr(term.Expr, b, c.funcs)
+			v, err := eval.EvalExpr(term.Expr, b)
 			if err != nil {
 				return err
 			}
 			b[term.Var] = v
 		case *ndlog.Cond:
-			ok, err := eval.EvalCond(term, b, c.funcs)
+			ok, err := eval.EvalCond(term, b)
 			if err != nil {
 				return err
 			}

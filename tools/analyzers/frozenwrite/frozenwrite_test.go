@@ -38,3 +38,12 @@ func TestFrozenwriteProvstore(t *testing.T) {
 	analyzertest.Run(t, "testdata/src/provstorefixture",
 		"repro/internal/provstore", frozenwrite.Analyzer)
 }
+
+// TestFrozenwriteProvenancePin type-checks a mirror of the pins
+// directory's record as repro/internal/provenance, proving its
+// nettrails:frozen marker flags a write to a recorded pin while the
+// composite literal that records one stays legal.
+func TestFrozenwriteProvenancePin(t *testing.T) {
+	analyzertest.Run(t, "testdata/src/provenancefixture",
+		"repro/internal/provenance", frozenwrite.Analyzer)
+}
