@@ -72,7 +72,7 @@ type Node struct {
 	// cap, when non-nil, redirects this node's outbound sends into the
 	// epoch scheduler's capture buffer. It is set only while the
 	// scheduler delivers a delta to this node (scheduler.go).
-	cap *[]simnet.Message
+	cap *[]sentDelta
 	// The change scan's per-node part (scheduler.go): pos is the node's
 	// Nodes() position, touched puts it on the engine's touched list
 	// until the next scan, and seenState/seenProv are the versions that
@@ -124,7 +124,7 @@ type Engine struct {
 	epochObserver func()
 	// captured is the epoch scheduler's send buffer, reused across
 	// delta runs (scheduler.go).
-	captured []simnet.Message
+	captured []sentDelta
 	// The change scan's verdict until Changes or the next cut consumes
 	// it (scheduler.go); touched lists the nodes to scan.
 	touched []*Node
@@ -211,23 +211,16 @@ func (e *Engine) addNode(addr string) error {
 			}
 		}
 	}
-	rt.SendFn = func(dst string, d eval.Delta, f *eval.Firing) {
-		msg := DeltaMsg{Delta: d}
-		if n.Prov != nil && f != nil {
+	rt.SendFn = func(dst string, d eval.Delta, f eval.Firing) {
+		sd := sentDelta{from: addr, to: dst, dm: DeltaMsg{Delta: d}, size: wireSize(d.Tuple)}
+		if n.Prov != nil {
 			if sch, ok := rt.Store.Catalog().Lookup(d.Tuple.Rel); ok && sch.Persistent {
 				// The entry RecordFiring stored for f, from what f carries.
-				msg.Prov = provenance.Entry{VID: d.Tuple.VID(), RID: f.RID, RLoc: addr}
-				msg.HasProv = true
+				sd.dm.Prov = provenance.Entry{VID: d.Tuple.VID(), RID: f.RID, RLoc: addr}
+				sd.dm.HasProv = true
 			}
 		}
-		n.netSend(simnet.Message{
-			From:     addr,
-			To:       dst,
-			Kind:     KindDelta,
-			Reliable: true,
-			Payload:  msg,
-			Size:     wireSize(d.Tuple),
-		})
+		n.netSend(sd)
 	}
 	if err := e.Net.AddNode(addr, func(m simnet.Message) { e.dispatch(n, m) }); err != nil {
 		return err

@@ -38,7 +38,7 @@ func (tr *orderTrace) tap(e *engine.Engine) {
 			fmt.Fprintln(tr.h)
 			fire(f)
 		}
-		n.RT.SendFn = func(dst string, d eval.Delta, f *eval.Firing) {
+		n.RT.SendFn = func(dst string, d eval.Delta, f eval.Firing) {
 			tr.events++
 			fmt.Fprintf(tr.h, "send %s %s %s %d\n", addr, dst, d.Tuple.VID(), d.Sign)
 			send(dst, d, f)

@@ -16,7 +16,7 @@
 //     sequence. compat-v1's digest and TestFiringOrderPinned pin the
 //     derivations that order produces.
 //   - Per-link coalescing: the sends a run of delta deliveries emits
-//     are captured instead of enqueued, and consecutive ones bound for
+//     are captured, typed, instead of enqueued, and consecutive ones bound for
 //     the same src→dst link leave as one DeltaBatch message, without
 //     reordering any destination's delivery sequence.
 //
@@ -26,23 +26,37 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
 	"repro/internal/simnet"
 )
 
-// netSend routes an outbound message: straight onto the network, or,
+// sentDelta is one outbound tuple delta, typed until it ships: only
+// then is its DeltaMsg boxed into a message payload, once per singleton
+// and once per DeltaBatch.
+type sentDelta struct {
+	from, to string
+	dm       DeltaMsg
+	size     int
+}
+
+// message carries payload over sd's link: sd's own DeltaMsg, or the
+// DeltaBatch sd heads.
+func (sd *sentDelta) message(payload any, size int) simnet.Message {
+	return simnet.Message{From: sd.from, To: sd.to, Kind: KindDelta, Reliable: true, Payload: payload, Size: size}
+}
+
+// netSend routes an outbound delta: straight onto the network, or,
 // while the epoch scheduler is delivering a delta to this node, into
 // the scheduler's capture buffer (enqueued, coalesced, when the run
 // ends).
-func (n *Node) netSend(m simnet.Message) {
+func (n *Node) netSend(sd sentDelta) {
 	if n.cap != nil {
-		*n.cap = append(*n.cap, m)
+		*n.cap = append(*n.cap, sd)
 		return
 	}
-	n.eng.Net.Send(m)
+	n.eng.Net.Send(sd.message(sd.dm, sd.size))
 }
 
 // runEpochs drains the network epoch by epoch, the counterpart of
@@ -207,42 +221,31 @@ func (e *Engine) deliverCaptured(n *Node, m *simnet.Message) {
 	e.Net.Deliver(m)
 }
 
-// enqueueCoalesced sends the captured messages, coalescing maximal
+// enqueueCoalesced sends the captured deltas, coalescing maximal
 // consecutive runs bound for the same src→dst link into one DeltaBatch
 // message. Because only globally-consecutive sends merge, every
 // destination still observes its deltas in the exact serial order;
 // the batch merely rides as one wire message (its size is the sum of
 // its members, so byte accounting is preserved — message counts drop,
 // which is the point).
-func (e *Engine) enqueueCoalesced(sends []simnet.Message) {
+func (e *Engine) enqueueCoalesced(sends []sentDelta) {
 	for i := 0; i < len(sends); {
 		j := i + 1
-		for j < len(sends) && sends[j].From == sends[i].From && sends[j].To == sends[i].To {
+		for j < len(sends) && sends[j].from == sends[i].from && sends[j].to == sends[i].to {
 			j++
 		}
 		if j-i == 1 {
-			e.Net.Send(sends[i])
+			e.Net.Send(sends[i].message(sends[i].dm, sends[i].size))
 			i = j
 			continue
 		}
 		batch := DeltaBatch{Msgs: make([]DeltaMsg, 0, j-i)}
 		size := 0
-		for _, m := range sends[i:j] {
-			dm, ok := m.Payload.(DeltaMsg)
-			if !ok {
-				panic(fmt.Sprintf("engine: captured non-delta payload %T on delta path", m.Payload))
-			}
-			batch.Msgs = append(batch.Msgs, dm)
-			size += m.Size
+		for k := range sends[i:j] {
+			batch.Msgs = append(batch.Msgs, sends[i+k].dm)
+			size += sends[i+k].size
 		}
-		e.Net.Send(simnet.Message{
-			From:     sends[i].From,
-			To:       sends[i].To,
-			Kind:     KindDelta,
-			Reliable: true,
-			Payload:  batch,
-			Size:     size,
-		})
+		e.Net.Send(sends[i].message(batch, size))
 		i = j
 	}
 }

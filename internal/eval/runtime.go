@@ -78,10 +78,9 @@ type Runtime struct {
 	binding Binding
 	trail   Trail
 
-	// SendFn delivers a head tuple whose location is another node. The
-	// firing pointer carries provenance context (may be nil for base
-	// tuples relayed by the engine).
-	SendFn func(dst string, d Delta, f *Firing)
+	// SendFn delivers a head tuple whose location is another node,
+	// with the firing that derived it as provenance context.
+	SendFn func(dst string, d Delta, f Firing)
 	// FireFn observes every rule execution (+1) and retraction (-1);
 	// the provenance layer maintains prov/ruleExec from it.
 	FireFn func(Firing)
@@ -188,11 +187,21 @@ func (rt *Runtime) ReceiveRemoteBatch(ds []Delta) {
 	rt.Flush()
 }
 
-// Flush drains the local delta queue to fixpoint.
+// Flush drains the local delta queue to fixpoint. processDelta
+// appends as it goes, so the walk is by index, and the drained queue
+// keeps its capacity for the next flush. The drained slots are cleared,
+// so they pin no tuple; a panicking delta leaves the queue with those
+// before it, and the rest stay queued.
 func (rt *Runtime) Flush() {
-	for len(rt.queue) > 0 {
-		d := rt.queue[0]
-		rt.queue = rt.queue[1:]
+	next := 0
+	defer func() {
+		rest := copy(rt.queue, rt.queue[next:])
+		clear(rt.queue[rest:])
+		rt.queue = rt.queue[:rest]
+	}()
+	for next < len(rt.queue) {
+		d := rt.queue[next]
+		next++
 		rt.processDelta(d)
 	}
 }
@@ -388,7 +397,6 @@ func (rt *Runtime) deliver(cr *CRule, head rel.Tuple, inputs []rel.Tuple, sign i
 	}
 	rt.stats.TuplesSent++
 	if rt.SendFn != nil {
-		sent := f // only a firing that is sent moves to the heap
-		rt.SendFn(loc, Delta{Tuple: f.Output, Sign: sign}, &sent)
+		rt.SendFn(loc, Delta{Tuple: f.Output, Sign: sign}, f)
 	}
 }

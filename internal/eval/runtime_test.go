@@ -30,7 +30,7 @@ func newRT(t *testing.T, addr, src string) *Runtime {
 		t.Fatal(err)
 	}
 	rt.ErrFn = func(err error) { t.Errorf("eval error: %v", err) }
-	rt.SendFn = func(dst string, d Delta, f *Firing) {
+	rt.SendFn = func(dst string, d Delta, f Firing) {
 		t.Errorf("unexpected send to %s: %v", dst, d.Tuple)
 	}
 	return rt
@@ -230,10 +230,10 @@ r1 back(@D,S) :- link(@S,D,_).
 	rt := newRT(t, "a", src)
 	var sent []Delta
 	var dsts []string
-	rt.SendFn = func(dst string, d Delta, f *Firing) {
+	rt.SendFn = func(dst string, d Delta, f Firing) {
 		dsts = append(dsts, dst)
 		sent = append(sent, d)
-		if f == nil || f.RuleName != "r1" || f.OutputLoc != dst {
+		if f.RuleName != "r1" || f.OutputLoc != dst {
 			t.Errorf("firing context wrong: %+v", f)
 		}
 	}
@@ -502,4 +502,40 @@ func allocsPerRun(runs int, f func()) allocs {
 	}
 	runtime.ReadMemStats(&after)
 	return allocs{(after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)}
+}
+
+// TestFlushAfterPanicDropsOnlyWhatRan: when a delta's evaluation
+// panics, the deltas up to and including it leave the queue and the
+// rest stay queued, so a caller that recovers and flushes again applies
+// no delta twice.
+func TestFlushAfterPanicDropsOnlyWhatRan(t *testing.T) {
+	rt := newRT(t, "a", `
+materialize(in, infinity, infinity, keys(1,2)).
+materialize(out, infinity, infinity, keys(1,2)).
+r1 out(@S,X) :- in(@S,L), X := f_first(L).
+`)
+	rt.ErrFn = func(err error) { panic(err) }
+	empty := rel.NewTuple("in", rel.Addr("a"), rel.List())
+	five := rel.NewTuple("in", rel.Addr("a"), rel.List(rel.Int(5)))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("f_first of an empty list did not panic")
+			}
+		}()
+		rt.ReceiveRemoteBatch([]Delta{{Tuple: empty, Sign: 1}, {Tuple: five, Sign: 1}})
+	}()
+	rt.Flush()
+	tbl, err := rt.Store.Table("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range []rel.Tuple{empty, five} {
+		if row, ok := tbl.Get(tp.VID()); !ok || row.Count != 1 {
+			t.Errorf("%s: row %v, present %v; want count 1", tp, row, ok)
+		}
+	}
+	if got := mustTuples(t, rt, "out"); len(got) != 1 || got[0].String() != "out(@a, 5)" {
+		t.Errorf("out = %v, want [out(@a, 5)]", got)
+	}
 }

@@ -143,8 +143,9 @@ func (v *View) PersistBuckets() (prov, exec, pins [][]byte) {
 
 // RebuildView reconstructs a View from persisted bucket encodings, as
 // produced by PersistBuckets (nil entries are empty buckets). The spine
-// lengths must be positive powers of two, and every decoded key must
-// hash to the bucket it was stored in — violations mean corrupt or
+// lengths must be positive powers of two, every decoded key must hash
+// to the bucket it was stored in, and a key's derivations must ascend
+// strictly in derivation order — violations mean corrupt or
 // mis-assembled blobs and are rejected. Aggregate statistics are
 // recomputed from the decoded contents.
 func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View, error) {
@@ -170,7 +171,11 @@ func RebuildView(addr string, version uint64, prov, exec, pins [][]byte) (*View,
 			}
 			list := make(entryList, 0, wire.Prealloc(n))
 			for k := 0; k < n && r.Err() == nil; k++ {
-				list = append(list, Entry{VID: vid, RID: rel.DecodeID(r, "prov rid"), RLoc: r.String("prov rloc")})
+				e := Entry{VID: vid, RID: rel.DecodeID(r, "prov rid"), RLoc: r.String("prov rloc")}
+				if k > 0 && compareEntry(list[k-1], e) >= 0 {
+					r.Failf("prov key %s: %w", vid.Short(), errDerivationOrder)
+				}
+				list = append(list, e)
 			}
 			return list
 		})
@@ -231,6 +236,11 @@ func checkSpine(name string, n int) error {
 // derivation list: the store never holds one, and a prov slot's key is
 // its list's first entry's VID.
 var errNoDerivation = errors.New("no derivation")
+
+// errDerivationOrder rejects a persisted derivation list that is not
+// strictly ascending in compareEntry order, the order the store keeps
+// and bisects (a repeated entry is out of order too).
+var errDerivationOrder = errors.New("derivations out of order")
 
 // decodeBucket decodes one bucket's key/value pairs, verifying each key
 // hashes into this bucket, that keys ascend strictly (the order a bucket

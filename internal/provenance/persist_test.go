@@ -144,14 +144,43 @@ func decodePinsBucket(enc []byte) ([]kv[*pin], error) {
 
 // provBucket encodes a prov bucket of one key with n derivations.
 func provBucket(vid rel.ID, n int) []byte {
+	return provBucketOf(vid, make([]rel.ID, n)...)
+}
+
+// provBucketOf encodes a prov bucket of one key with one derivation per
+// RID, in the order given, each executed at n1.
+func provBucketOf(vid rel.ID, rids ...rel.ID) []byte {
 	b := wire.AppendUvarint(nil, 1)
 	b = append(b, vid[:]...)
-	b = wire.AppendUvarint(b, uint64(n))
-	for range n {
-		b = append(b, rel.ZeroID[:]...)
-		b = wire.AppendString(b, "")
+	b = wire.AppendUvarint(b, uint64(len(rids)))
+	for _, rid := range rids {
+		b = append(b, rid[:]...)
+		b = wire.AppendString(b, "n1")
 	}
 	return b
+}
+
+// A derivation list is bisected in compareEntry order, so a decoded one
+// must ascend strictly, as CheckInvariants demands of the store.
+func TestRebuildViewRejectsUnorderedDerivations(t *testing.T) {
+	vid := viewTestTuple(1).VID()
+	lo, hi := orderedPair()
+	one := [][]byte{nil}
+	v, err := RebuildView("n0", 1, [][]byte{provBucketOf(vid, lo.VID(), hi.VID())}, one, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ents, ok := v.Derivations(vid); !ok || len(ents) != 2 || ents[0].RID != lo.VID() || ents[1].RID != hi.VID() {
+		t.Fatalf("Derivations = %v, %v", ents, ok)
+	}
+	for name, rids := range map[string][]rel.ID{
+		"descending": {hi.VID(), lo.VID()},
+		"repeated":   {lo.VID(), lo.VID()},
+	} {
+		if _, err := RebuildView("n0", 1, [][]byte{provBucketOf(vid, rids...)}, one, one); !errors.Is(err, errDerivationOrder) {
+			t.Errorf("%s RIDs: err = %v, want errDerivationOrder", name, err)
+		}
+	}
 }
 
 // A prov slot's key is its list's first VID, and the store never holds
@@ -212,6 +241,7 @@ func FuzzDecodeBucket(f *testing.F) {
 	_, _, pins := persistFixtureView(f, 5).PersistBuckets()
 	f.Add(pins[0])
 	f.Add(provBucket(lo.VID(), 0))
+	f.Add(provBucketOf(lo.VID(), hi.VID(), lo.VID()))
 	f.Fuzz(func(t *testing.T, enc []byte) {
 		if enc == nil {
 			return

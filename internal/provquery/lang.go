@@ -110,7 +110,7 @@ func ParseQuery(src string) (*ParsedQuery, error) {
 	}
 	tupleLit := strings.TrimSpace(rest[:end+1])
 	tail := strings.TrimSpace(rest[end+1:])
-	t, err := parseTupleLiteral(tupleLit)
+	t, err := ParseTupleLiteral(tupleLit)
 	if err != nil {
 		return nil, err
 	}
@@ -213,9 +213,7 @@ func optInt(name string, fields []string) (int, error) {
 // ParseTupleLiteral parses an NDlog fact literal such as
 // mincost(@'n1','n3',2) into a tuple (addresses in single quotes,
 // strings in double quotes) — the tuple syntax of the query language.
-func ParseTupleLiteral(src string) (rel.Tuple, error) { return parseTupleLiteral(src) }
-
-func parseTupleLiteral(src string) (rel.Tuple, error) {
+func ParseTupleLiteral(src string) (rel.Tuple, error) {
 	// The literal must name its relation: without this check an input
 	// like ('x') would parse as a fact of the synthetic label below.
 	if i := strings.IndexByte(src, '('); i <= 0 || strings.TrimSpace(src[:i]) == "" {

@@ -44,7 +44,7 @@ r1 report(@O,S,D) :- link(@S,Z,_), owner(@Z,O), D := Z.
 			t.Fatal(err)
 		}
 		rt.ErrFn = func(e error) { t.Errorf("eval: %v", e) }
-		rt.SendFn = func(dst string, d eval.Delta, f *eval.Firing) {
+		rt.SendFn = func(dst string, d eval.Delta, f eval.Firing) {
 			inflight = append(inflight, msg{dst, d})
 		}
 		rts[n] = rt

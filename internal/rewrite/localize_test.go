@@ -194,7 +194,7 @@ func TestLocalizedMincostExecutesDistributed(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.ErrFn = func(e error) { t.Errorf("eval: %v", e) }
-		rt.SendFn = func(dst string, d eval.Delta, f *eval.Firing) {
+		rt.SendFn = func(dst string, d eval.Delta, f eval.Firing) {
 			inflight = append(inflight, msg{dst, d})
 		}
 		rts[n] = rt

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -130,5 +132,80 @@ func TestDeliverAccountsReceiveTraffic(t *testing.T) {
 	_, recv, ok := n.NodeTraffic("b")
 	if !ok || recv.Messages != 1 || recv.Bytes != 40 {
 		t.Fatalf("recv stats = %+v", recv)
+	}
+}
+
+// TestMessagePathAllocatesNothing: once the event queue and the epoch
+// buffers have grown, sending a message and delivering it — drained
+// through NextEpoch and Deliver, or executed by Step — allocates
+// nothing. A message queued behind a pointer, or an epoch drained into
+// a fresh slice, fails here.
+func TestMessagePathAllocatesNothing(t *testing.T) {
+	n := New(1)
+	delivered := 0
+	count := func(Message) { delivered++ }
+	for _, name := range []string{"a", "b"} {
+		if err := n.AddNode(name, count); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := n.Connect("a", "b", 2); err != nil {
+		t.Fatal(err)
+	}
+	var payload any = []int{1, 2} // boxed once, outside the measured runs
+	msg := Message{From: "a", To: "b", Kind: "x", Payload: payload, Size: 40}
+	for _, path := range []struct {
+		name string
+		run  func()
+	}{
+		{"NextEpoch+Deliver", func() {
+			n.Send(msg)
+			ep, _ := n.NextEpoch()
+			for _, ev := range ep.Events {
+				n.Deliver(ev.Msg)
+			}
+		}},
+		{"Step", func() {
+			n.Send(msg)
+			n.Step()
+		}},
+	} {
+		path.run() // warm-up: the queue and the buffers grow here
+		before := delivered
+		if got := testing.AllocsPerRun(100, path.run); got != 0 {
+			t.Errorf("%s: one message allocates %.1f times, want 0", path.name, got)
+		}
+		if delivered-before != 101 {
+			t.Errorf("%s: delivered %d messages, want 101", path.name, delivered-before)
+		}
+	}
+}
+
+// TestEventHeapPopsInScheduleOrder: pushes and pops interleaved at
+// random, the event heap always pops the pending event least in
+// (at, seq), the order Step and NextEpoch rely on.
+func TestEventHeapPopsInScheduleOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h eventHeap
+	var pending []event
+	for seq := uint64(1); seq <= 2000 || len(h) > 0; {
+		if seq <= 2000 && (len(h) == 0 || rng.Intn(3) > 0) {
+			e := event{at: Time(rng.Intn(50)), seq: seq}
+			seq++
+			h.push(e)
+			pending = append(pending, e)
+			continue
+		}
+		i := 0
+		for k := range pending {
+			if pending[k].before(&pending[i]) {
+				i = k
+			}
+		}
+		want := pending[i]
+		pending = slices.Delete(pending, i, i+1)
+		if got := h.pop(); got.at != want.at || got.seq != want.seq {
+			t.Fatalf("popped (%d, %d), want (%d, %d)", got.at, got.seq, want.at, want.seq)
+		}
 	}
 }

@@ -11,7 +11,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -81,32 +80,59 @@ func keyFor(a, b string) linkKey {
 type event struct {
 	at  Time
 	seq uint64
-	// Exactly one of fn/msg is set: fn for timers and callbacks, msg
-	// for message deliveries. Keeping deliveries first-class (instead
-	// of closing over them) lets NextEpoch hand them to an external
-	// scheduler that reorders and batches one virtual instant's events.
+	// fn is set for timers and callbacks and nil for a message
+	// delivery, which carries msg. Keeping deliveries first-class
+	// (instead of closing over them) lets NextEpoch hand them to an
+	// external scheduler that reorders and batches one virtual
+	// instant's events.
 	fn  func()
-	msg *Message
+	msg Message
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap on (at, seq) holding events by value,
+// so scheduling one allocates nothing once the slice has grown.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	i := len(q) - 1
+	for i > 0 && e.before(&q[(i-1)/2]) {
+		q[i] = q[(i-1)/2]
+		i = (i - 1) / 2
+	}
+	q[i] = e
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = event{} // unpin the payload
+	q = q[:n]
+	*h = q
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	return top
 }
 
 // Position is a 2-D coordinate for radio-range connectivity.
@@ -149,6 +175,10 @@ type Network struct {
 	totalMsgs  int
 	totalBytes int
 	totalDrops int
+
+	// drained and epoch are NextEpoch's buffers, reused epoch to epoch.
+	drained []event
+	epoch   []EpochEvent
 }
 
 // New creates an empty network with the given PRNG seed.
@@ -326,15 +356,14 @@ func (n *Network) Send(m Message) {
 		}
 	}
 	n.account(m, link)
-	msg := m
 	n.seq++
-	heap.Push(&n.events, &event{at: n.now + latency, seq: n.seq, msg: &msg})
+	n.events.push(event{at: n.now + latency, seq: n.seq, msg: m})
 }
 
 // PeekTime returns the virtual timestamp of the earliest pending event;
 // ok is false when the queue is empty.
 func (n *Network) PeekTime() (Time, bool) {
-	if n.events.Len() == 0 {
+	if len(n.events) == 0 {
 		return 0, false
 	}
 	return n.events[0].at, true
@@ -384,19 +413,19 @@ func (n *Network) After(delay Time, fn func()) {
 
 func (n *Network) schedule(delay Time, fn func()) {
 	n.seq++
-	heap.Push(&n.events, &event{at: n.now + delay, seq: n.seq, fn: fn})
+	n.events.push(event{at: n.now + delay, seq: n.seq, fn: fn})
 }
 
 // Step executes the next event; it reports false when the queue is
 // empty.
 func (n *Network) Step() bool {
-	if n.events.Len() == 0 {
+	if len(n.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&n.events).(*event)
+	e := n.events.pop()
 	n.now = e.at
-	if e.msg != nil {
-		n.Deliver(e.msg)
+	if e.fn == nil {
+		n.Deliver(&e.msg)
 	} else {
 		e.fn()
 	}
@@ -414,7 +443,10 @@ type EpochEvent struct {
 }
 
 // Epoch is the batch of all events sharing the earliest pending
-// virtual timestamp, in schedule (Seq) order.
+// virtual timestamp, in schedule (Seq) order. Events and the messages
+// they point to live in buffers the Network reuses: they stay valid
+// until the next NextEpoch call, and a caller that keeps one longer
+// must copy it.
 type Epoch struct {
 	At     Time
 	Events []EpochEvent
@@ -430,17 +462,28 @@ type Epoch struct {
 // its own canonical order (destination-major, Seq order within each
 // message stream). Events the caller drops are lost.
 func (n *Network) NextEpoch() (Epoch, bool) {
-	if n.events.Len() == 0 {
+	clear(n.drained) // unpin the previous epoch's payloads and timers
+	clear(n.epoch)
+	n.drained = n.drained[:0]
+	if len(n.events) == 0 {
 		return Epoch{}, false
 	}
 	at := n.events[0].at
-	ep := Epoch{At: at}
-	for n.events.Len() > 0 && n.events[0].at == at {
-		e := heap.Pop(&n.events).(*event)
-		ep.Events = append(ep.Events, EpochEvent{Seq: e.seq, Msg: e.msg, Fn: e.fn})
+	for len(n.events) > 0 && n.events[0].at == at {
+		n.drained = append(n.drained, n.events.pop())
+	}
+	// Pointers into drained are taken once it has stopped growing.
+	n.epoch = n.epoch[:0]
+	for i := range n.drained {
+		e := &n.drained[i]
+		ev := EpochEvent{Seq: e.seq, Fn: e.fn}
+		if e.fn == nil {
+			ev.Msg = &e.msg
+		}
+		n.epoch = append(n.epoch, ev)
 	}
 	n.now = at
-	return ep, true
+	return Epoch{At: at, Events: n.epoch}, true
 }
 
 // Run drains the event queue up to maxEvents (0 = unlimited) and returns
@@ -459,7 +502,7 @@ func (n *Network) Run(maxEvents int) int {
 // RunUntil executes events with time <= deadline and returns the count.
 func (n *Network) RunUntil(deadline Time) int {
 	count := 0
-	for n.events.Len() > 0 && n.events[0].at <= deadline {
+	for len(n.events) > 0 && n.events[0].at <= deadline {
 		n.Step()
 		count++
 	}
@@ -470,7 +513,7 @@ func (n *Network) RunUntil(deadline Time) int {
 }
 
 // Pending reports the number of queued events.
-func (n *Network) Pending() int { return n.events.Len() }
+func (n *Network) Pending() int { return len(n.events) }
 
 // Totals returns total messages, bytes, and drops since creation.
 func (n *Network) Totals() (msgs, bytes, drops int) {

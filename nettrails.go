@@ -66,26 +66,9 @@ func NodeNames(n int) []string { return protocols.NodeNames(n) }
 
 // ParseTuple parses a tuple literal in NDlog fact syntax, e.g.
 // mincost(@'n1','n3',2) — addresses quoted with single quotes, strings
-// with double quotes.
-func ParseTuple(src string) (rel.Tuple, error) {
-	prog, err := ndlog.Parse("q " + src + ".")
-	if err != nil {
-		return rel.Tuple{}, fmt.Errorf("nettrails: bad tuple literal %q: %w", src, err)
-	}
-	if len(prog.Rules) != 1 || len(prog.Rules[0].Body) != 0 {
-		return rel.Tuple{}, fmt.Errorf("nettrails: %q is not a single fact", src)
-	}
-	head := prog.Rules[0].Head
-	vals := make([]rel.Value, len(head.Args))
-	for i, a := range head.Args {
-		c, ok := a.(*ndlog.ConstArg)
-		if !ok {
-			return rel.Tuple{}, fmt.Errorf("nettrails: tuple literal %q has non-constant argument %s", src, a)
-		}
-		vals[i] = c.Val
-	}
-	return rel.Tuple{Rel: head.Rel, Vals: vals}, nil
-}
+// with double quotes. It is the query language's tuple syntax
+// (provquery.ParseTupleLiteral).
+func ParseTuple(src string) (rel.Tuple, error) { return provquery.ParseTupleLiteral(src) }
 
 // QueryOptions re-exports provenance query tuning.
 type QueryOptions = provquery.Options
