@@ -137,32 +137,16 @@ func main() {
 	if *tupleLit == "" {
 		fail("-query requires -tuple")
 	}
-	t, err := nettrails.ParseTuple(*tupleLit)
+	typ, err := provquery.ParseQueryType(*query)
 	if err != nil {
 		fail("%v", err)
 	}
-	where := *at
-	if where == "" {
-		loc, ok := t.LocCol0()
-		if !ok {
-			fail("tuple has no location; pass -at")
-		}
-		where = loc
+	t, where, err := server.ResolveTupleAt(*tupleLit, *at)
+	if err != nil {
+		fail("%v", err)
 	}
 	opts := nettrails.QueryOptions{UseCache: *cache, Threshold: *threshold, Sequential: *sequential}
-	var res *provquery.Result
-	switch *query {
-	case "lineage":
-		res, err = sys.Lineage(where, t, opts)
-	case "bases":
-		res, err = sys.BaseTuples(where, t, opts)
-	case "nodes":
-		res, err = sys.ParticipatingNodes(where, t, opts)
-	case "count":
-		res, err = sys.DerivationCount(where, t, opts)
-	default:
-		fail("unknown query %q", *query)
-	}
+	res, err := sys.Query.Query(typ, where, t, opts)
 	if err != nil {
 		fail("%v", err)
 	}

@@ -353,15 +353,11 @@ func (e *Engine) LoadProgramFacts() error {
 		if len(r.Body) != 0 || r.Maybe {
 			continue
 		}
-		vals := make([]rel.Value, len(r.Head.Args))
-		for i, a := range r.Head.Args {
-			c, ok := a.(*ndlog.ConstArg)
-			if !ok {
-				return fmt.Errorf("engine: fact %s has non-constant argument", r.Head.Rel)
-			}
-			vals[i] = c.Val
+		t, err := r.Head.Fact()
+		if err != nil {
+			return fmt.Errorf("engine: %w", err)
 		}
-		if err := e.InsertFact(rel.Tuple{Rel: r.Head.Rel, Vals: vals}); err != nil {
+		if err := e.InsertFact(t); err != nil {
 			return err
 		}
 	}

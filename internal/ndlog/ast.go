@@ -199,6 +199,20 @@ func (a *Atom) HasAgg() bool {
 	return false
 }
 
+// Fact converts an atom whose arguments are all constants to the tuple
+// it denotes: the one conversion from NDlog fact syntax to a tuple.
+func (a *Atom) Fact() (rel.Tuple, error) {
+	vals := make([]rel.Value, len(a.Args))
+	for i, arg := range a.Args {
+		c, ok := arg.(*ConstArg)
+		if !ok {
+			return rel.Tuple{}, fmt.Errorf("ndlog: fact %s has non-constant argument %s", a.Rel, arg)
+		}
+		vals[i] = c.Val
+	}
+	return rel.Tuple{Rel: a.Rel, Vals: vals}, nil
+}
+
 // BodyAtoms returns the rule's body atoms in order.
 func (r *Rule) BodyAtoms() []*Atom {
 	var out []*Atom

@@ -3,6 +3,7 @@ package ndlog
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lexer tokenizes NDlog source text. Comments run from "//" or "%%" to
@@ -187,7 +188,8 @@ func (l *Lexer) Next() (Token, error) {
 	return Token{}, errf(line, col, "unexpected character %q", string(c))
 }
 
-func isIdentStart(r rune) bool { return unicode.IsLetter(r) }
+// isIdentStart admits ASCII letters: a UTF-8 lead byte is no letter.
+func isIdentStart(r rune) bool { return r < utf8.RuneSelf && unicode.IsLetter(r) }
 
 func isIdentPart(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')

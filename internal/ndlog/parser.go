@@ -1,6 +1,7 @@
 package ndlog
 
 import (
+	"cmp"
 	"strconv"
 
 	"repro/internal/rel"
@@ -13,25 +14,22 @@ type Parser struct {
 	err error
 }
 
-// Parse parses a complete NDlog program.
+// Parse parses a complete NDlog program. A lexical error is reported
+// as itself, not as the parse error the EOF token after it causes.
 func Parse(src string) (*Program, error) {
-	p := &Parser{lex: NewLexer(src)}
-	p.next()
+	p := NewParser(src)
 	prog := &Program{}
 	for p.tok.Kind != TokEOF {
-		if p.err != nil {
-			return nil, p.err
-		}
 		if p.tok.Kind == TokIdent && p.tok.Text == "materialize" {
 			m, err := p.parseMaterialize()
-			if err != nil {
+			if err = cmp.Or(p.err, err); err != nil {
 				return nil, err
 			}
 			prog.Materialized = append(prog.Materialized, m)
 			continue
 		}
 		r, err := p.parseRule()
-		if err != nil {
+		if err = cmp.Or(p.err, err); err != nil {
 			return nil, err
 		}
 		prog.Rules = append(prog.Rules, r)
@@ -49,6 +47,39 @@ func MustParse(src string) *Program {
 		panic(err)
 	}
 	return p
+}
+
+// NewParser returns a parser at src's first token, for a caller that
+// reads its own grammar around NDlog fact literals with Tok, Next and
+// Fact.
+func NewParser(src string) *Parser {
+	p := &Parser{lex: NewLexer(src)}
+	p.next()
+	return p
+}
+
+// Tok returns the current token; it is TokEOF after a lexical error.
+func (p *Parser) Tok() Token { return p.tok }
+
+// Next advances to the next token.
+func (p *Parser) Next() { p.next() }
+
+// Err returns the lexical error that ended the token stream, if any.
+func (p *Parser) Err() error { return p.err }
+
+// Fact parses a fact atom, a relation name and constant arguments, at
+// the current token and returns the tuple it denotes. A lexical error
+// up to and including the token after the fact is returned first.
+func (p *Parser) Fact() (rel.Tuple, error) {
+	name, err := p.expect(TokIdent)
+	if err != nil {
+		return rel.Tuple{}, err
+	}
+	a, err := p.parseAtomArgs(name.Text, false)
+	if err = cmp.Or(p.err, err); err != nil {
+		return rel.Tuple{}, err
+	}
+	return a.Fact()
 }
 
 func (p *Parser) next() {

@@ -71,7 +71,7 @@ func TestLexStringEscapes(t *testing.T) {
 }
 
 func TestLexErrors(t *testing.T) {
-	for _, src := range []string{":x", "?x", "=x", "!x", "#"} {
+	for _, src := range []string{":x", "?x", "=x", "!x", "#", "\xc3"} {
 		if _, err := LexAll(src); err == nil {
 			t.Errorf("LexAll(%q) should error", src)
 		}
@@ -253,6 +253,10 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should error", src)
 		}
+	}
+	// A lexical error inside an atom is reported as itself.
+	if _, err := Parse(`f1 r(@'n1',"a\qb").`); err == nil || !strings.Contains(err.Error(), `bad escape \q`) {
+		t.Errorf("bad escape reported as %v", err)
 	}
 }
 

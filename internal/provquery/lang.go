@@ -2,6 +2,7 @@ package provquery
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -10,26 +11,16 @@ import (
 )
 
 // A small textual provenance query language, a first step toward the
-// distributed ProQL variant the paper lists as ongoing work. Queries
-// name a query type, a tuple pattern, and optional execution knobs:
+// distributed ProQL variant the paper lists as ongoing work:
 //
 //	lineage of mincost(@'n1','n3',2)
-//	bases   of mincost(@'n1','n3',2) at 'n1'
-//	nodes   of routeEntry(@'AS3',"10.0.0.0/24")
-//	count   of mincost(@'n1','n4',2) with cache, threshold 2, dfs
-//	lineage of mincost(@'n1','n9',4) with maxdepth 3, maxnodes 50
+//	count   of mincost(@'n1','n4',2) at 'n1' with cache, threshold 2, dfs
 //
-// Grammar:
-//
-//	query   := type "of" tuple [ "at" addr ] [ "with" opt { "," opt } ]
-//	type    := "lineage" | "bases" | "nodes" | "count"
-//	tuple   := NDlog fact literal (addresses in single quotes)
-//	opt     := "cache" | "dfs" | "threshold" INT
-//	         | "maxdepth" INT | "maxnodes" INT
-//
-// maxdepth bounds the derivation chain below the queried tuple;
-// maxnodes bounds the total tuple vertices resolved. Either limit
-// leaves unexplored structure marked Truncated in the result.
+// Its grammar is in docs/API.md ("The provenance query language");
+// TestGrammarDocumented holds that grammar to the keyword tables below.
+// A query is read as NDlog tokens: a keyword is an identifier or
+// variable token, compared case-insensitively, the tuple is an NDlog
+// fact read by ndlog's parser, and any token left over is an error.
 
 // ParsedQuery is the outcome of ParseQuery.
 type ParsedQuery struct {
@@ -40,102 +31,95 @@ type ParsedQuery struct {
 	Opts Options
 }
 
+// queryTypes is the query-type keyword table, aliases included.
+var queryTypes = map[string]QueryType{
+	"lineage":     Lineage,
+	"bases":       BaseTuples,
+	"basetuples":  BaseTuples,
+	"nodes":       Nodes,
+	"count":       DerivCount,
+	"derivations": DerivCount,
+}
+
+// queryOption is one entry of the with clause's keyword table. Its
+// first word names it in errors; an option with an INT argument sets
+// its field from a positive value.
+type queryOption struct {
+	words  []string
+	hasArg bool
+	set    func(o *Options, n int)
+}
+
+var queryOptions = []queryOption{
+	{[]string{"cache", "cached", "caching"}, false, func(o *Options, _ int) { o.UseCache = true }},
+	{[]string{"dfs", "sequential"}, false, func(o *Options, _ int) { o.Sequential = true }},
+	{[]string{"bfs", "parallel"}, false, func(o *Options, _ int) { o.Sequential = false }},
+	{[]string{"threshold", "prune"}, true, func(o *Options, n int) { o.Threshold = n }},
+	{[]string{"maxdepth", "max-depth"}, true, func(o *Options, n int) { o.MaxDepth = n }},
+	{[]string{"maxnodes", "max-nodes"}, true, func(o *Options, n int) { o.MaxNodes = n }},
+}
+
 // ParseQueryType resolves a query-type keyword (with its aliases,
 // case-insensitively) to a QueryType. It is the single name table for
 // both the textual grammar and structured API requests.
 func ParseQueryType(word string) (QueryType, error) {
-	switch strings.ToLower(word) {
-	case "lineage":
-		return Lineage, nil
-	case "bases", "basetuples":
-		return BaseTuples, nil
-	case "nodes":
-		return Nodes, nil
-	case "count", "derivations":
-		return DerivCount, nil
+	if t, ok := queryTypes[strings.ToLower(word)]; ok {
+		return t, nil
 	}
 	return 0, fmt.Errorf("provquery: unknown query type %q (want lineage/bases/nodes/count)", word)
 }
 
 // ParseQuery parses a textual provenance query.
 func ParseQuery(src string) (*ParsedQuery, error) {
-	s := strings.TrimSpace(src)
-	typWord, rest, ok := cutWord(s)
-	if !ok {
+	p := ndlog.NewParser(src)
+	q, err := parseQuery(p)
+	if lexErr := p.Err(); lexErr != nil {
+		return nil, fmt.Errorf("provquery: %v", lexErr)
+	}
+	return q, err
+}
+
+func parseQuery(p *ndlog.Parser) (*ParsedQuery, error) {
+	if p.Tok().Kind == ndlog.TokEOF {
 		return nil, fmt.Errorf("provquery: empty query")
 	}
-	q := &ParsedQuery{}
-	typ, err := ParseQueryType(typWord)
+	typ, err := ParseQueryType(word(p.Tok()))
 	if err != nil {
 		return nil, err
 	}
-	q.Type = typ
-	ofWord, rest, ok := cutWord(rest)
-	if !ok || strings.ToLower(ofWord) != "of" {
+	p.Next()
+	if !strings.EqualFold(word(p.Tok()), "of") {
 		return nil, fmt.Errorf("provquery: expected 'of' after query type")
 	}
-	// The tuple literal ends at the matching close paren.
-	open := strings.IndexByte(rest, '(')
-	if open < 0 {
-		return nil, fmt.Errorf("provquery: expected tuple literal, got %q", rest)
-	}
-	depth := 0
-	end := -1
-	inStr := byte(0)
-	for i := open; i < len(rest); i++ {
-		c := rest[i]
-		if inStr != 0 {
-			if c == inStr {
-				inStr = 0
-			}
-			continue
-		}
-		switch c {
-		case '\'', '"':
-			inStr = c
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 {
-				end = i
-			}
-		}
-		if end >= 0 {
-			break
-		}
-	}
-	if end < 0 {
-		return nil, fmt.Errorf("provquery: unterminated tuple literal in %q", src)
-	}
-	tupleLit := strings.TrimSpace(rest[:end+1])
-	tail := strings.TrimSpace(rest[end+1:])
-	t, err := ParseTupleLiteral(tupleLit)
+	p.Next()
+	t, err := p.Fact()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("provquery: bad tuple literal: %v", err)
 	}
-	q.Tuple = t
-
-	for tail != "" {
-		word, rest2, _ := cutWord(tail)
-		switch strings.ToLower(word) {
-		case "at":
-			addr, rest3, ok := cutWord(rest2)
-			if !ok {
-				return nil, fmt.Errorf("provquery: expected node after 'at'")
-			}
-			q.At = strings.Trim(addr, "'\"")
-			tail = rest3
-		case "with":
-			opts, err := parseOpts(rest2)
-			if err != nil {
+	q := &ParsedQuery{Type: typ, Tuple: t}
+	if strings.EqualFold(word(p.Tok()), "at") {
+		p.Next()
+		switch tok := p.Tok(); tok.Kind {
+		case ndlog.TokIdent, ndlog.TokVariable, ndlog.TokInt, ndlog.TokAddr, ndlog.TokString:
+			q.At = tok.Text
+			p.Next()
+		default:
+			return nil, fmt.Errorf("provquery: expected node after 'at'")
+		}
+	}
+	if strings.EqualFold(word(p.Tok()), "with") {
+		for {
+			p.Next()
+			if err := parseOpt(p, &q.Opts); err != nil {
 				return nil, err
 			}
-			q.Opts = opts
-			tail = ""
-		default:
-			return nil, fmt.Errorf("provquery: unexpected token %q", word)
+			if p.Tok().Kind != ndlog.TokComma {
+				break
+			}
 		}
+	}
+	if p.Tok().Kind != ndlog.TokEOF {
+		return nil, fmt.Errorf("provquery: unexpected token %q", word(p.Tok()))
 	}
 	if q.At == "" {
 		loc, ok := q.Tuple.LocCol0()
@@ -147,95 +131,78 @@ func ParseQuery(src string) (*ParsedQuery, error) {
 	return q, nil
 }
 
-func cutWord(s string) (word, rest string, ok bool) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return "", "", false
+// parseOpt reads one option of the with clause into o.
+func parseOpt(p *ndlog.Parser, o *Options) error {
+	if k := p.Tok().Kind; k == ndlog.TokEOF || k == ndlog.TokComma {
+		return fmt.Errorf("provquery: expected option after 'with' or ','")
 	}
-	i := strings.IndexAny(s, " \t\n")
+	name := word(p.Tok())
+	p.Next()
+	// A hyphenated alias (max-depth) is three tokens.
+	if p.Tok().Kind == ndlog.TokMinus && optionIndex(name) < 0 {
+		p.Next()
+		name += "-" + word(p.Tok())
+		p.Next()
+	}
+	i := optionIndex(name)
 	if i < 0 {
-		return s, "", true
+		return fmt.Errorf("provquery: unknown option %q", name)
 	}
-	return s[:i], strings.TrimSpace(s[i:]), true
-}
-
-func parseOpts(s string) (Options, error) {
-	var o Options
-	for _, part := range strings.Split(s, ",") {
-		fields := strings.Fields(strings.TrimSpace(part))
-		if len(fields) == 0 {
-			continue
+	opt := queryOptions[i]
+	n := 0
+	if opt.hasArg {
+		arg := word(p.Tok())
+		switch p.Tok().Kind {
+		case ndlog.TokEOF, ndlog.TokComma:
+			return fmt.Errorf("provquery: %s needs a value", opt.words[0])
+		case ndlog.TokMinus:
+			p.Next()
+			arg += word(p.Tok())
 		}
-		switch strings.ToLower(fields[0]) {
-		case "cache", "cached", "caching":
-			o.UseCache = true
-		case "dfs", "sequential":
-			o.Sequential = true
-		case "bfs", "parallel":
-			o.Sequential = false
-		case "threshold", "prune":
-			n, err := optInt("threshold", fields)
-			if err != nil {
-				return o, err
-			}
-			o.Threshold = n
-		case "maxdepth", "max-depth":
-			n, err := optInt("maxdepth", fields)
-			if err != nil {
-				return o, err
-			}
-			o.MaxDepth = n
-		case "maxnodes", "max-nodes":
-			n, err := optInt("maxnodes", fields)
-			if err != nil {
-				return o, err
-			}
-			o.MaxNodes = n
-		default:
-			return o, fmt.Errorf("provquery: unknown option %q", fields[0])
+		p.Next()
+		var err error
+		if n, err = strconv.Atoi(arg); err != nil || n < 1 {
+			return fmt.Errorf("provquery: bad %s %q", opt.words[0], arg)
 		}
 	}
-	return o, nil
+	opt.set(o, n)
+	return nil
 }
 
-// optInt parses the single positive integer argument of an option.
-func optInt(name string, fields []string) (int, error) {
-	if len(fields) != 2 {
-		return 0, fmt.Errorf("provquery: %s needs a value", name)
+func optionIndex(name string) int {
+	return slices.IndexFunc(queryOptions, func(o queryOption) bool { return slices.Contains(o.words, strings.ToLower(name)) })
+}
+
+// word renders a token as query text, for keyword lookup and error
+// messages. A quoted token keeps its quotes, so it never matches a
+// keyword or an integer.
+func word(t ndlog.Token) string {
+	switch t.Kind {
+	case ndlog.TokEOF:
+		return ""
+	case ndlog.TokString:
+		return `"` + t.Text + `"`
+	case ndlog.TokAddr:
+		return "'" + t.Text + "'"
+	case ndlog.TokIdent, ndlog.TokVariable, ndlog.TokInt, ndlog.TokFloat:
+		return t.Text
 	}
-	n, err := strconv.Atoi(fields[1])
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("provquery: bad %s %q", name, fields[1])
-	}
-	return n, nil
+	return t.Kind.String()
 }
 
 // ParseTupleLiteral parses an NDlog fact literal such as
 // mincost(@'n1','n3',2) into a tuple (addresses in single quotes,
 // strings in double quotes) — the tuple syntax of the query language.
 func ParseTupleLiteral(src string) (rel.Tuple, error) {
-	// The literal must name its relation: without this check an input
-	// like ('x') would parse as a fact of the synthetic label below.
-	if i := strings.IndexByte(src, '('); i <= 0 || strings.TrimSpace(src[:i]) == "" {
-		return rel.Tuple{}, fmt.Errorf("provquery: %q is not a fact literal", src)
+	p := ndlog.NewParser(src)
+	t, err := p.Fact()
+	if err == nil && p.Tok().Kind != ndlog.TokEOF {
+		err = fmt.Errorf("unexpected token %q after the fact", word(p.Tok()))
 	}
-	prog, err := ndlog.Parse("q " + src + ".")
 	if err != nil {
 		return rel.Tuple{}, fmt.Errorf("provquery: bad tuple literal %q: %v", src, err)
 	}
-	if len(prog.Rules) != 1 || len(prog.Rules[0].Body) != 0 {
-		return rel.Tuple{}, fmt.Errorf("provquery: %q is not a fact literal", src)
-	}
-	head := prog.Rules[0].Head
-	vals := make([]rel.Value, len(head.Args))
-	for i, a := range head.Args {
-		c, ok := a.(*ndlog.ConstArg)
-		if !ok {
-			return rel.Tuple{}, fmt.Errorf("provquery: tuple literal %q has non-constant argument", src)
-		}
-		vals[i] = c.Val
-	}
-	return rel.Tuple{Rel: head.Rel, Vals: vals}, nil
+	return t, nil
 }
 
 // Run parses and executes a textual query.

@@ -1,6 +1,9 @@
 package provquery
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -112,6 +115,97 @@ func TestParseQueryErrors(t *testing.T) {
 		if _, err := ParseQuery(src); err == nil {
 			t.Errorf("ParseQuery(%q) should fail", src)
 		}
+	}
+}
+
+// TestParseRegressions holds one case per defect of the reader that
+// scanned query text by hand and wrapped a tuple literal as a one-rule
+// program; each case failed or misparsed there.
+func TestParseRegressions(t *testing.T) {
+	// An escaped quote ended the string for the hand scanner, which
+	// then found no closing paren.
+	q, err := ParseQuery(`lineage of r(@'n1',"a\"b")`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := q.Tuple.Vals[1].AsString(); s != `a"b` {
+		t.Fatalf("string arg = %q", s)
+	}
+	for _, c := range []struct{ src, wantErr string }{
+		// Words after an option were dropped: an at clause, a second
+		// option without its comma, plain junk.
+		{"lineage of x(@'n1') with dfs at 'n2'", `unexpected token "at"`},
+		{"lineage of x(@'n1') with dfs maxdepth 3", `unexpected token "maxdepth"`},
+		{"lineage of x(@'n1') with cache garbage here", `unexpected token "garbage"`},
+		// Mismatched quotes around the node were trimmed away.
+		{`lineage of x(@'n1') at 'n2"`, "unterminated string"},
+		// Literal errors name the query's own column.
+		{"lineage of r(@'n1',true)", "line 1:20:"},
+	} {
+		if _, err := ParseQuery(c.src); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("ParseQuery(%q) = %v, want an error containing %q", c.src, err, c.wantErr)
+		}
+	}
+	for _, c := range []struct{ lit, wantErr string }{
+		// The "q " wrapper put positions two columns late; booleans
+		// are not NDlog literals, whatever the docs once said.
+		{"r(@'n1',true)", `line 1:9: unexpected identifier "true"`},
+		// Trailing junk was reported as a rule missing ':-', '?-' or '.'.
+		{"r(@'n1') junk", `unexpected token "junk" after the fact`},
+	} {
+		if _, err := ParseTupleLiteral(c.lit); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("ParseTupleLiteral(%q) = %v, want an error containing %q", c.lit, err, c.wantErr)
+		}
+	}
+}
+
+// TestGrammarDocumented holds docs/API.md's query grammar to the
+// parser's keyword tables: the quoted words of the grammar block are
+// exactly the structural keywords, the query types and the options,
+// and every query of the Examples block parses.
+func TestGrammarDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(doc)
+	section = section[strings.Index(section, "## The provenance query language"):]
+	block := func(heading string) string {
+		s := section[strings.Index(section, heading):]
+		s = s[strings.Index(s, "```\n")+4:]
+		return s[:strings.Index(s, "```")]
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile(`"([a-z-]+)"`).FindAllStringSubmatch(block("### Grammar"), -1) {
+		documented[m[1]] = true
+	}
+	tables := map[string]bool{"of": true, "at": true, "with": true}
+	for w := range queryTypes {
+		tables[w] = true
+	}
+	for _, opt := range queryOptions {
+		for _, w := range opt.words {
+			tables[w] = true
+		}
+	}
+	for w := range tables {
+		if !documented[w] {
+			t.Errorf("keyword %q is not in docs/API.md's grammar", w)
+		}
+	}
+	for w := range documented {
+		if !tables[w] {
+			t.Errorf("docs/API.md's grammar has %q, which the parser does not accept", w)
+		}
+	}
+	examples := strings.Split(strings.TrimSpace(block("### Examples")), "\n")
+	for _, src := range examples {
+		if _, err := ParseQuery(src); err != nil {
+			t.Errorf("documented example %q: %v", src, err)
+		}
+	}
+	if len(examples) < 5 {
+		t.Fatalf("found %d examples; is the Examples block still there?", len(examples))
 	}
 }
 
