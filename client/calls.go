@@ -65,18 +65,8 @@ func (c *Client) State(ctx context.Context, node string, opts ...CallOption) (*S
 	return &out, nil
 }
 
-// queryWire is the POST /v1/query body (and one batch element).
-type queryWire struct {
-	Q       string   `json:"q,omitempty"`
-	Type    string   `json:"type,omitempty"`
-	Tuple   string   `json:"tuple,omitempty"`
-	At      string   `json:"at,omitempty"`
-	Version uint64   `json:"version,omitempty"`
-	Options *Options `json:"options,omitempty"`
-}
-
-func (c *Client) runQuery(ctx context.Context, wire queryWire) (*QueryResult, error) {
-	body, err := json.Marshal(wire)
+func (c *Client) runQuery(ctx context.Context, req QueryRequest) (*QueryResult, error) {
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
@@ -96,17 +86,15 @@ func (c *Client) runQuery(ctx context.Context, wire queryWire) (*QueryResult, er
 //	res, err := c.Query(ctx, "lineage of mincost(@'n1','n3',2)")
 func (c *Client) Query(ctx context.Context, q string, opts ...CallOption) (*QueryResult, error) {
 	o := applyCallOpts(opts)
-	return c.runQuery(ctx, queryWire{Q: q, Version: c.resolveVersion(o)})
+	return c.runQuery(ctx, QueryRequest{Q: q, Version: c.resolveVersion(o)})
 }
 
 // structuredQuery runs one structured query of the given type.
 func (c *Client) structuredQuery(ctx context.Context, typ, tuple string, opts []CallOption) (*QueryResult, error) {
 	o := applyCallOpts(opts)
-	wire := queryWire{Type: typ, Tuple: tuple, At: o.at, Version: c.resolveVersion(o)}
-	if o.hasOptions {
-		wire.Options = &o.options
-	}
-	return c.runQuery(ctx, wire)
+	return c.runQuery(ctx, QueryRequest{
+		Type: typ, Tuple: tuple, At: o.at, Version: c.resolveVersion(o), Options: o.options,
+	})
 }
 
 // Lineage returns the full proof tree of a tuple literal, e.g.
@@ -189,39 +177,30 @@ type BatchResult struct {
 // timeout, cancellation) fail the whole call.
 func (c *Client) QueryBatch(ctx context.Context, queries []BatchQuery, opts ...CallOption) (*BatchResult, error) {
 	o := applyCallOpts(opts)
-	wire := struct {
-		Version uint64      `json:"version,omitempty"`
-		Queries []queryWire `json:"queries"`
-	}{Version: c.resolveVersion(o)}
+	req := BatchRequest{Version: c.resolveVersion(o)}
 	for _, q := range queries {
-		wire.Queries = append(wire.Queries, queryWire{
+		req.Queries = append(req.Queries, QueryRequest{
 			Q: q.Q, Type: q.Type, Tuple: q.Tuple, At: q.At, Options: q.Options,
 		})
 	}
-	body, err := json.Marshal(wire)
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	var resp struct {
-		Version uint64            `json:"version"`
-		TimeUs  int64             `json:"virtualTimeUs"`
-		Results []json.RawMessage `json:"results"`
-	}
+	var resp BatchResponse
 	h, err := c.do(ctx, "POST", c.url("/v1/query/batch", c.queryParams()), body, &resp)
 	if err != nil {
 		return nil, err
 	}
 	out := &BatchResult{Version: resp.Version, TimeUs: resp.TimeUs, Cache: cacheInfo(h)}
-	out.CacheHits, _ = strconv.Atoi(h.Get("X-Batch-Cache-Hits"))
+	out.CacheHits, _ = strconv.Atoi(h.Get(HeaderBatchCacheHits))
 	for i, raw := range resp.Results {
-		var probe struct {
-			Error *APIError `json:"error"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
+		var env ErrorEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil {
 			return nil, fmt.Errorf("client: decode batch result %d: %w", i, err)
 		}
-		if probe.Error != nil {
-			out.Results = append(out.Results, BatchItem{Err: probe.Error})
+		if env.Error.Code != "" {
+			out.Results = append(out.Results, BatchItem{Err: &env.Error})
 			continue
 		}
 		var qr QueryResult
@@ -250,7 +229,7 @@ func (c *Client) ProofDOT(ctx context.Context, tuple string, opts ...CallOption)
 	if err != nil {
 		return nil, err
 	}
-	version, _ := strconv.ParseUint(h.Get("X-Snapshot-Version"), 10, 64)
+	version, _ := strconv.ParseUint(h.Get(HeaderSnapshotVersion), 10, 64)
 	c.observe(version)
 	return &DOT{Graph: string(data), Version: version, Cache: cacheInfo(h)}, nil
 }

@@ -123,12 +123,11 @@ func (c *Client) observe(version uint64) {
 
 // callOpts carries per-call overrides.
 type callOpts struct {
-	version    *uint64
-	rel        string
-	atTimeUs   *int64
-	at         string
-	options    Options
-	hasOptions bool
+	version  *uint64
+	rel      string
+	atTimeUs *int64
+	at       string
+	options  *Options
 }
 
 // CallOption adjusts one call.
@@ -151,7 +150,7 @@ func AtNode(addr string) CallOption { return func(o *callOpts) { o.at = addr } }
 
 // WithOptions sets a structured query's traversal options.
 func WithOptions(opts Options) CallOption {
-	return func(o *callOpts) { o.options = opts; o.hasOptions = true }
+	return func(o *callOpts) { o.options = &opts }
 }
 
 func applyCallOpts(opts []CallOption) callOpts {
@@ -268,9 +267,7 @@ func readBody(resp *http.Response) ([]byte, error) {
 // decodeAPIError turns an error response into an *APIError, falling
 // back to a generic one for non-envelope bodies.
 func decodeAPIError(status int, body []byte) error {
-	var env struct {
-		Error APIError `json:"error"`
-	}
+	var env ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
 		e := env.Error
 		e.Status = status
@@ -281,7 +278,7 @@ func decodeAPIError(status int, body []byte) error {
 
 // cacheInfo extracts the X-Cache* headers.
 func cacheInfo(h http.Header) CacheInfo {
-	hits, _ := strconv.ParseInt(h.Get("X-Cache-Hits"), 10, 64)
-	misses, _ := strconv.ParseInt(h.Get("X-Cache-Misses"), 10, 64)
-	return CacheInfo{Hit: h.Get("X-Cache") == "HIT", Hits: hits, Misses: misses}
+	hits, _ := strconv.ParseInt(h.Get(HeaderCacheHits), 10, 64)
+	misses, _ := strconv.ParseInt(h.Get(HeaderCacheMisses), 10, 64)
+	return CacheInfo{Hit: h.Get(HeaderCache) == "HIT", Hits: hits, Misses: misses}
 }

@@ -147,10 +147,7 @@ type ProvReads struct {
 // protocol the gateway traverses cross-shard provenance with; most
 // applications want the query endpoints instead.
 func (c *Client) ProvRead(ctx context.Context, version uint64, reads []ProvReadOp) (*ProvReads, error) {
-	body, err := json.Marshal(struct {
-		Version uint64       `json:"version,omitempty"`
-		Reads   []ProvReadOp `json:"reads"`
-	}{Version: version, Reads: reads})
+	body, err := json.Marshal(ProvReadRequest{Version: version, Reads: reads})
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}

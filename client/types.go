@@ -1,14 +1,68 @@
 package client
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 )
 
 // Wire types of the v1 API. These types are the v1 schema (docs/API.md
-// describes it): the daemon and the gateway render exactly these
-// documents, so a response decodes into them field for field. The SDK
-// imports nothing but the standard library.
+// describes it): the SDK encodes the request bodies and the daemon and
+// the gateway decode them, and both tiers render exactly these response
+// documents and error envelopes, so a body decodes into them field for
+// field. Two documents are a gateway's own: its GET /v1/healthz and
+// GET /v1/shards, which carry gateway fields in their own order. The
+// SDK imports nothing but the standard library.
+
+// Response headers of the v1 API: the result cache's verdict on one
+// query ("HIT" or "MISS") and the serving process's cumulative
+// counters, how many of one batch's queries the cache answered, and
+// the snapshot a proof.dot rendering was computed against.
+const (
+	HeaderCache           = "X-Cache"
+	HeaderCacheHits       = "X-Cache-Hits"
+	HeaderCacheMisses     = "X-Cache-Misses"
+	HeaderBatchCacheHits  = "X-Batch-Cache-Hits"
+	HeaderSnapshotVersion = "X-Snapshot-Version"
+)
+
+// QueryRequest is the POST /v1/query body, and one element of a
+// batch's queries. Either Q (the textual query language) or Type+Tuple
+// (the structured form, with optional At and Options) is set. Inside a
+// batch Version must be unset: the batch pins one snapshot for every
+// query it carries.
+type QueryRequest struct {
+	Q       string   `json:"q,omitempty"`
+	Type    string   `json:"type,omitempty"`
+	Tuple   string   `json:"tuple,omitempty"`
+	At      string   `json:"at,omitempty"`
+	Version uint64   `json:"version,omitempty"`
+	Options *Options `json:"options,omitempty"`
+}
+
+// BatchRequest is the POST /v1/query/batch body.
+type BatchRequest struct {
+	Version uint64         `json:"version,omitempty"`
+	Queries []QueryRequest `json:"queries"`
+}
+
+// BatchResponse is the POST /v1/query/batch answer: one result per
+// query, in order. Each is either the QueryResult document the
+// equivalent single POST /v1/query answers or an ErrorEnvelope.
+type BatchResponse struct {
+	Version uint64            `json:"version"`
+	TimeUs  int64             `json:"virtualTimeUs"`
+	Results []json.RawMessage `json:"results"`
+}
+
+// ProvReadRequest is the POST /v1/prov/read body.
+type ProvReadRequest struct {
+	// Version pins the snapshot every read resolves against (0 means
+	// current; sharded federation always pins explicitly).
+	Version uint64 `json:"version,omitempty"`
+	// Reads are executed independently, results in request order.
+	Reads []ProvReadOp `json:"reads"`
+}
 
 // Tuple is one tuple as the API renders it: the relation name, each
 // attribute as its NDlog literal, and the full literal text.
@@ -168,12 +222,21 @@ type Options struct {
 	MaxNodes   int  `json:"maxnodes,omitempty"`
 }
 
+// ErrorEnvelope is the body of every v1 failure, and of a failed
+// element of a batch's results:
+//
+//	{"error": {"code": "snapshot_evicted", "message": "version 3 not retained ..."}}
+type ErrorEnvelope struct {
+	Error APIError `json:"error"`
+}
+
 // APIError is a structured failure from the v1 error envelope. Code is
 // the stable machine-readable contract (e.g. "snapshot_evicted",
 // "query_timeout"); Status is the HTTP status (0 inside a batch result,
-// where elements have no status of their own).
+// where elements have no status of their own), which travels in the
+// status line, never in the envelope.
 type APIError struct {
-	Status  int
+	Status  int    `json:"-"`
 	Code    string `json:"code"`
 	Message string `json:"message"`
 }

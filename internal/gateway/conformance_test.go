@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/client"
 	"repro/internal/server"
 )
 
@@ -37,11 +38,7 @@ func do(t testing.TB, method, url, body string, hdr http.Header) (*http.Response
 // errorCode extracts the code of the uniform error envelope ("" when
 // the body is not one).
 func errorCode(body []byte) string {
-	var e struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
+	var e client.ErrorEnvelope
 	_ = json.Unmarshal(body, &e) // a non-envelope body is reported as code ""
 	return e.Error.Code
 }

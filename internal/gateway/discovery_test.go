@@ -47,9 +47,7 @@ func TestGatewayRejectsMalformedExec(t *testing.T) {
 	}
 	rid := strings.Repeat("ab", 20)
 	mux.HandleFunc("POST /v1/prov/read", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Reads []client.ProvReadOp `json:"reads"`
-		}
+		var req client.ProvReadRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Error(err)
 		}

@@ -251,11 +251,7 @@ func TestShardRejectsCrossShardQuery(t *testing.T) {
 		if resp.StatusCode != wantStatus {
 			t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, wantStatus, body)
 		}
-		var e struct {
-			Error struct {
-				Code string `json:"code"`
-			} `json:"error"`
-		}
+		var e client.ErrorEnvelope
 		if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != wantCode {
 			t.Fatalf("error code = %q, want %q (%s)", e.Error.Code, wantCode, body)
 		}

@@ -202,6 +202,7 @@ func (l *Lexer) lexString(line, col int, quote byte, kind TokKind) (Token, error
 		if l.pos >= len(l.src) {
 			return Token{}, errf(line, col, "unterminated string")
 		}
+		cline, ccol := l.line, l.col
 		c := l.advance()
 		if c == quote {
 			return Token{Kind: kind, Text: b.String(), Line: line, Col: col}, nil
@@ -219,7 +220,7 @@ func (l *Lexer) lexString(line, col int, quote byte, kind TokKind) (Token, error
 			case '\\', '"', '\'':
 				b.WriteByte(e)
 			default:
-				return Token{}, errf(l.line, l.col, "bad escape \\%c", e)
+				return Token{}, errf(cline, ccol, "bad escape \\%c", e)
 			}
 			continue
 		}

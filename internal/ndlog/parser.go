@@ -369,7 +369,11 @@ func (p *Parser) parseArg(isHead bool) (Arg, error) {
 	case TokIdent:
 		name := p.tok
 		if !aggFuncs[name.Text] {
-			return nil, errf(name.Line, name.Col, "unexpected identifier %q in argument (aggregates: min/max/count/sum/avg)", name.Text)
+			hint := ""
+			if isHead {
+				hint = " (aggregates: min/max/count/sum/avg)"
+			}
+			return nil, errf(name.Line, name.Col, "unexpected identifier %q in argument%s", name.Text, hint)
 		}
 		if !isHead {
 			return nil, errf(name.Line, name.Col, "aggregate %s<> only allowed in rule head", name.Text)

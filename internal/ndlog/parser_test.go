@@ -76,6 +76,10 @@ func TestLexErrors(t *testing.T) {
 			t.Errorf("LexAll(%q) should error", src)
 		}
 	}
+	// A bad escape is reported at its backslash.
+	if _, err := LexAll(`r(@'n1',"a\qb")`); err == nil || !strings.Contains(err.Error(), `line 1:11: bad escape \q`) {
+		t.Errorf("bad escape reported as %v", err)
+	}
 }
 
 func TestLexPositions(t *testing.T) {
@@ -257,6 +261,18 @@ func TestParseErrors(t *testing.T) {
 	// A lexical error inside an atom is reported as itself.
 	if _, err := Parse(`f1 r(@'n1',"a\qb").`); err == nil || !strings.Contains(err.Error(), `bad escape \q`) {
 		t.Errorf("bad escape reported as %v", err)
+	}
+	// Only a rule head may hold an aggregate, so only a head's error
+	// suggests one.
+	const hint = "(aggregates:"
+	if _, err := Parse(`r1 a(@S,c) :- b(@S).`); err == nil || !strings.Contains(err.Error(), hint) {
+		t.Errorf("rule head error %v lacks the aggregate hint", err)
+	}
+	if _, err := Parse(`r1 a(@S) :- b(@S,c).`); err == nil || strings.Contains(err.Error(), hint) {
+		t.Errorf("body atom error %v carries the aggregate hint", err)
+	}
+	if _, err := NewParser(`r(@'n1',true)`).Fact(); err == nil || strings.Contains(err.Error(), hint) {
+		t.Errorf("fact error %v carries the aggregate hint", err)
 	}
 }
 

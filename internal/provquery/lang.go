@@ -121,14 +121,23 @@ func parseQuery(p *ndlog.Parser) (*ParsedQuery, error) {
 	if p.Tok().Kind != ndlog.TokEOF {
 		return nil, fmt.Errorf("provquery: unexpected token %q", word(p.Tok()))
 	}
-	if q.At == "" {
-		loc, ok := q.Tuple.LocCol0()
-		if !ok || loc == "" {
-			return nil, fmt.Errorf("provquery: tuple has no location attribute; add 'at NODE'")
-		}
-		q.At = loc
+	if q.At, err = QueryAt(q.Tuple, q.At); err != nil {
+		return nil, err
 	}
 	return q, nil
+}
+
+// QueryAt resolves the node a query of t starts at: at when it is set,
+// else t's location attribute. It is the location rule of both query
+// forms, the textual and the structured.
+func QueryAt(t rel.Tuple, at string) (string, error) {
+	if at != "" {
+		return at, nil
+	}
+	if loc, ok := t.LocCol0(); ok && loc != "" {
+		return loc, nil
+	}
+	return "", fmt.Errorf("provquery: tuple has no location attribute; name the node to query at")
 }
 
 // parseOpt reads one option of the with clause into o.

@@ -222,7 +222,7 @@ func (d *Deployment) RunCheck(c Check) (*CheckResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("check %s: %w", c.Name, err)
 	}
-	req := server.QueryRequest{Q: c.Query, Version: version}
+	req := client.QueryRequest{Q: c.Query, Version: version}
 	body, err := json.Marshal(&req)
 	if err != nil {
 		return nil, err
@@ -250,12 +250,7 @@ func (d *Deployment) RunCheck(c Check) (*CheckResult, error) {
 	}
 	res := &CheckResult{Check: c, Status: sStatus, Body: sBody}
 	if sStatus != http.StatusOK {
-		var env struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
+		var env client.ErrorEnvelope
 		if err := json.Unmarshal(sBody, &env); err != nil {
 			return nil, fmt.Errorf("check %s: undecodable error envelope %s: %w", c.Name, sBody, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/client"
 	"repro/internal/server"
 )
 
@@ -97,7 +98,7 @@ func (d *Deployment) Soak(opts SoakOptions) (*SoakReport, error) {
 			// churn loop advances the current version underneath.
 			version = d.SinglePub.Current().Version
 		}
-		b, err := json.Marshal(&server.QueryRequest{Q: c.Query, Version: version})
+		b, err := json.Marshal(&client.QueryRequest{Q: c.Query, Version: version})
 		if err != nil {
 			return nil, err
 		}
@@ -127,14 +128,14 @@ func (d *Deployment) Soak(opts SoakOptions) (*SoakReport, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client := &http.Client{}
+			hc := &http.Client{}
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= o.Queries {
 					return
 				}
 				j := jobs[k%len(jobs)]
-				status, verdict, err := d.soakQuery(client, j.body)
+				status, verdict, err := d.soakQuery(hc, j.body)
 				if err != nil {
 					errc <- fmt.Errorf("soak: query %s: %w", j.name, err)
 					return
@@ -176,8 +177,8 @@ func (d *Deployment) Soak(opts SoakOptions) (*SoakReport, error) {
 	return report, nil
 }
 
-func (d *Deployment) soakQuery(client *http.Client, body []byte) (status int, cacheVerdict string, err error) {
-	resp, err := client.Post(d.Gateway.URL+"/v1/query", "application/json", bytes.NewReader(body))
+func (d *Deployment) soakQuery(hc *http.Client, body []byte) (status int, cacheVerdict string, err error) {
+	resp, err := hc.Post(d.Gateway.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return 0, "", err
 	}
@@ -187,7 +188,7 @@ func (d *Deployment) soakQuery(client *http.Client, body []byte) (status int, ca
 	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		return 0, "", err
 	}
-	return resp.StatusCode, resp.Header.Get("X-Cache"), nil
+	return resp.StatusCode, resp.Header.Get(client.HeaderCache), nil
 }
 
 // churn inserts and retracts the scenario's synthetic base facts

@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"testing"
 
+	"repro/client"
 	"repro/internal/provstore"
-	"repro/internal/server"
 	"repro/internal/testutil"
 )
 
@@ -34,7 +34,7 @@ func pinnedJobs(t *testing.T, d *Deployment) []pinnedJob {
 		if version == 0 {
 			version = d.SinglePub.Current().Version
 		}
-		body, err := json.Marshal(&server.QueryRequest{Q: c.Query, Version: version})
+		body, err := json.Marshal(&client.QueryRequest{Q: c.Query, Version: version})
 		if err != nil {
 			t.Fatal(err)
 		}

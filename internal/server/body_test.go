@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/client"
 	"repro/internal/provquery"
 )
 
@@ -285,9 +286,7 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}
-	var env struct {
-		Error struct{ Code string } `json:"error"`
-	}
+	var env client.ErrorEnvelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != ErrInternal {
 		t.Fatalf("body %q is not the %s envelope (%v)", rec.Body.Bytes(), ErrInternal, err)
 	}

@@ -10,13 +10,11 @@ import (
 	"repro/client"
 )
 
-// The v1 API reports every failure as one machine-readable envelope:
-//
-//	{"error": {"code": "snapshot_evicted", "message": "version 3 not retained ..."}}
-//
-// The code is a stable contract — clients branch on it; the message is
-// human-readable detail and may change freely. Each code is spelled once,
-// as the SDK's Code* constant; this catalog says when the server uses it.
+// The v1 API reports every failure as one machine-readable envelope,
+// client.ErrorEnvelope. The code is a stable contract — clients branch
+// on it; the message is human-readable detail and may change freely.
+// Each code is spelled once, as the SDK's Code* constant; this catalog
+// says when the server uses it.
 const (
 	// ErrInvalidRequest: malformed body or parameters (400), or a body
 	// over MaxBodyBytes (413).
@@ -68,15 +66,6 @@ const (
 // gone, so the code is for logs and tests, not for the caller.
 const StatusClientClosedRequest = 499
 
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
 // APIError is a failure travelling inside a handler before it is
 // rendered: HTTP status code, stable machine-readable error code, and
 // human-readable message. It is exported so the gateway tier
@@ -112,7 +101,7 @@ func CtxError(err error) (*APIError, bool) {
 
 // WriteAPIError renders an APIError as the uniform envelope.
 func WriteAPIError(w http.ResponseWriter, e *APIError) {
-	WriteJSON(w, e.Status, errorEnvelope{Error: errorBody{Code: e.Code, Message: e.Message}})
+	WriteJSON(w, e.Status, client.ErrorEnvelope{Error: client.APIError{Code: e.Code, Message: e.Message}})
 }
 
 // WriteErr is the one-shot form of WriteAPIError.
@@ -123,6 +112,6 @@ func WriteErr(w http.ResponseWriter, status int, code, format string, args ...in
 // MarshalError renders an APIError as a compact JSON envelope — the
 // per-item error form inside a batch response.
 func MarshalError(e *APIError) json.RawMessage {
-	b, _ := json.Marshal(errorEnvelope{Error: errorBody{Code: e.Code, Message: e.Message}})
+	b, _ := json.Marshal(client.ErrorEnvelope{Error: client.APIError{Code: e.Code, Message: e.Message}})
 	return b
 }

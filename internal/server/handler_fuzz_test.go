@@ -80,12 +80,10 @@ func checkResponse(t *testing.T, req string, status int, body []byte) {
 	if status < 300 {
 		return
 	}
-	var env struct {
-		Error *struct{ Code, Message string } `json:"error"`
-	}
+	var env client.ErrorEnvelope
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil || env.Error == nil || !catalogCodes[env.Error.Code] {
+	if err := dec.Decode(&env); err != nil || !catalogCodes[env.Error.Code] {
 		t.Fatalf("%s: status %d with a body that is not a catalog envelope (%v): %s", req, status, err, body)
 	}
 }

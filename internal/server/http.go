@@ -553,18 +553,8 @@ func tupleParams(r *http.Request) (lit string, t rel.Tuple, at string, apiErr *A
 	return lit, t, at, nil
 }
 
-// QueryRequest is the /query body (and one element of a batch's
-// queries array). Either q (the textual query language) or type+tuple
-// (structured form) must be set. Inside a batch, version must be unset
-// — the batch pins one snapshot for every query it carries.
-type QueryRequest struct {
-	Q       string         `json:"q,omitempty"`
-	Type    string         `json:"type,omitempty"`
-	Tuple   string         `json:"tuple,omitempty"`
-	At      string         `json:"at,omitempty"`
-	Version uint64         `json:"version,omitempty"`
-	Options client.Options `json:"options"`
-}
+// QueryRequest is the POST /v1/query body, as the SDK declares it.
+type QueryRequest = client.QueryRequest
 
 // setCacheHeaders reports a Server.query outcome on the response.
 func setCacheHeaders(w http.ResponseWriter, cache *ResultCache, hit bool) {
@@ -573,26 +563,19 @@ func setCacheHeaders(w http.ResponseWriter, cache *ResultCache, hit bool) {
 		verdict = "HIT"
 	}
 	hits, misses := cache.Counters()
-	w.Header().Set("X-Cache", verdict)
-	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hits, 10))
-	w.Header().Set("X-Cache-Misses", strconv.FormatInt(misses, 10))
+	w.Header().Set(client.HeaderCache, verdict)
+	w.Header().Set(client.HeaderCacheHits, strconv.FormatInt(hits, 10))
+	w.Header().Set(client.HeaderCacheMisses, strconv.FormatInt(misses, 10))
 }
 
 // ResolveTupleAt parses a tuple literal and resolves the node to query
-// at: the explicit at argument, else the tuple's location attribute.
+// at by provquery.QueryAt's rule.
 func ResolveTupleAt(lit, at string) (rel.Tuple, string, error) {
 	t, err := provquery.ParseTupleLiteral(lit)
-	if err != nil {
-		return rel.Tuple{}, "", err
+	if err == nil {
+		at, err = provquery.QueryAt(t, at)
 	}
-	if at == "" {
-		loc, ok := t.LocCol0()
-		if !ok {
-			return rel.Tuple{}, "", fmt.Errorf("tuple has no location attribute; pass an explicit node")
-		}
-		at = loc
-	}
-	return t, at, nil
+	return t, at, err
 }
 
 // ResolveQueryRequest turns one query request body into walk inputs:
@@ -617,11 +600,8 @@ func ResolveQueryRequest(req *QueryRequest) (typ provquery.QueryType, t rel.Tupl
 		if err != nil {
 			return 0, rel.Tuple{}, "", opts, Errf(http.StatusBadRequest, ErrInvalidQuery, "%v", err)
 		}
-		opts = provquery.Options{
-			Threshold:  req.Options.Threshold,
-			Sequential: req.Options.Sequential,
-			MaxDepth:   req.Options.MaxDepth,
-			MaxNodes:   req.Options.MaxNodes,
+		if o := req.Options; o != nil {
+			opts = provquery.Options{Threshold: o.Threshold, Sequential: o.Sequential, MaxDepth: o.MaxDepth, MaxNodes: o.MaxNodes}
 		}
 	default:
 		return 0, rel.Tuple{}, "", opts,
@@ -755,30 +735,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *APIError {
 
 // ---- POST /v1/query/batch ----------------------------------------------
 
-// batchRequest evaluates many queries against one pinned snapshot. All
-// queries share the process's result cache, so repeated or overlapping
-// queries inside one batch are answered without re-traversal — and the
-// whole batch costs one HTTP round trip.
-type batchRequest struct {
-	Version uint64         `json:"version,omitempty"`
-	Queries []QueryRequest `json:"queries"`
-}
-
-// batchResponse carries one result element per query, in order. Each
-// element is either the exact QueryResult document the equivalent
-// individual POST /v1/query would have returned (identical JSON modulo
-// indentation depth) or an error envelope in the uniform shape.
-type batchResponse struct {
-	Version uint64            `json:"version"`
-	Time    int64             `json:"virtualTimeUs"`
-	Results []json.RawMessage `json:"results"`
-}
-
 // MaxBatchQueries bounds one batch request.
 const MaxBatchQueries = 1024
 
 // batchShapeError rejects a batch the loop must not start on.
-func batchShapeError(req *batchRequest) *APIError {
+func batchShapeError(req *client.BatchRequest) *APIError {
 	if len(req.Queries) == 0 {
 		return Errf(http.StatusBadRequest, ErrInvalidRequest, "empty batch: need at least one query")
 	}
@@ -795,8 +756,15 @@ func batchShapeError(req *batchRequest) *APIError {
 	return nil
 }
 
+// handleQueryBatch evaluates many queries against one pinned snapshot.
+// All queries share the process's result cache, so repeated or
+// overlapping queries inside one batch are answered without
+// re-traversal — and the whole batch costs one HTTP round trip. A
+// result is the exact document the equivalent single POST /v1/query
+// answers (identical JSON modulo indentation depth) or an error
+// envelope.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *APIError {
-	var req batchRequest
+	var req client.BatchRequest
 	if apiErr := decodeBody(w, r, &req); apiErr != nil {
 		return apiErr
 	}
@@ -863,12 +831,12 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *APIEr
 	}
 
 	hitsTotal, missesTotal := s.b.ResultCache().Counters()
-	w.Header().Set("X-Batch-Cache-Hits", strconv.Itoa(hits))
-	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hitsTotal, 10))
-	w.Header().Set("X-Cache-Misses", strconv.FormatInt(missesTotal, 10))
-	WriteJSON(w, http.StatusOK, batchResponse{
+	w.Header().Set(client.HeaderBatchCacheHits, strconv.Itoa(hits))
+	w.Header().Set(client.HeaderCacheHits, strconv.FormatInt(hitsTotal, 10))
+	w.Header().Set(client.HeaderCacheMisses, strconv.FormatInt(missesTotal, 10))
+	WriteJSON(w, http.StatusOK, client.BatchResponse{
 		Version: pin.Version,
-		Time:    int64(pin.Time),
+		TimeUs:  int64(pin.Time),
 		Results: results,
 	})
 	return nil
@@ -897,7 +865,7 @@ func (s *Server) handleProofDOT(w http.ResponseWriter, r *http.Request) *APIErro
 	}
 	setCacheHeaders(w, s.b.ResultCache(), hit)
 	w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
-	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(pin.Version, 10))
+	w.Header().Set(client.HeaderSnapshotVersion, strconv.FormatUint(pin.Version, 10))
 	fmt.Fprint(w, viz.ProofDOT(e.Result.Root))
 	return nil
 }

@@ -38,15 +38,6 @@ const (
 // carry, and how many reach entries one response ships.
 const MaxProvReads = 4096
 
-// ProvReadRequest is the POST /v1/prov/read body.
-type ProvReadRequest struct {
-	// Version pins the snapshot every read resolves against (0 means
-	// current; sharded federation always pins explicitly).
-	Version uint64 `json:"version,omitempty"`
-	// Reads are executed independently, results in request order.
-	Reads []client.ProvReadOp `json:"reads"`
-}
-
 // vertexOf assembles the wire vertex of vid at the given view.
 func vertexOf(v *provenance.View, vid rel.ID) client.ProvVertex {
 	var out client.ProvVertex
@@ -199,7 +190,7 @@ func execOf(v *provenance.View, exec provenance.ExecEntry) (client.ProvExec, []c
 // gateway resolves remote-shard walk steps with. Only New mounts it, so
 // the backend is a Publisher and every pin carries its snapshot.
 func (s *Server) handleProvRead(w http.ResponseWriter, r *http.Request) *APIError {
-	var req ProvReadRequest
+	var req client.ProvReadRequest
 	if apiErr := decodeBody(w, r, &req); apiErr != nil {
 		return apiErr
 	}

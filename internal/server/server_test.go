@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/client"
 	"repro/internal/engine"
 	"repro/internal/protocols"
 	"repro/internal/provquery"
@@ -265,6 +267,26 @@ func TestProofDOTEndpoint(t *testing.T) {
 	for _, want := range []string{"digraph provenance", "shape=box", "shape=ellipse", "cluster_"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("DOT missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestLocationRuleOneForBothForms: the textual query, the structured
+// query and the ?tuple= GET resolve the node to query at by one rule,
+// so a tuple whose location is empty is the same 400 on all three.
+func TestLocationRuleOneForBothForms(t *testing.T) {
+	e := buildGrid(t, 2)
+	_, ts := newServer(t, e, 0)
+	const lit = `mincost(@'','n4',2)`
+	for _, send := range []func() (int, []byte){
+		func() (int, []byte) { return post(t, ts.URL+"/v1/query", `{"q":"lineage of `+lit+`"}`) },
+		func() (int, []byte) { return post(t, ts.URL+"/v1/query", `{"type":"lineage","tuple":"`+lit+`"}`) },
+		func() (int, []byte) { return get(t, ts.URL+"/v1/proof.dot?tuple="+url.QueryEscape(lit)) },
+	} {
+		status, body := send()
+		var env client.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || status != http.StatusBadRequest || env.Error.Code != ErrInvalidQuery {
+			t.Errorf("%d %s, want 400 %s", status, body, ErrInvalidQuery)
 		}
 	}
 }
@@ -540,12 +562,7 @@ func TestUnknownRoutesAndMethodsAreStructuredJSON(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("Content-Type = %q, want application/json", ct)
 		}
-		var e struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
+		var e client.ErrorEnvelope
 		if err := json.Unmarshal(body, &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
 			t.Fatalf("not a structured error envelope: %s", body)
 		}

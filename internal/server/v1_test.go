@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/buildinfo"
 	"repro/internal/provquery"
 	"repro/internal/testutil"
@@ -20,12 +21,7 @@ import (
 // decodeEnvelope parses the uniform v1 error envelope.
 func decodeEnvelope(t *testing.T, body []byte) (code, msg string) {
 	t.Helper()
-	var e struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
+	var e client.ErrorEnvelope
 	if err := json.Unmarshal(body, &e); err != nil || e.Error.Code == "" {
 		t.Fatalf("not an error envelope: %s", body)
 	}
