@@ -14,7 +14,6 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 	if _, err := c.do(ctx, "GET", c.url("/v1/healthz", nil), nil, &out); err != nil {
 		return nil, err
 	}
-	c.observe(out.Version)
 	return &out, nil
 }
 
@@ -27,19 +26,18 @@ func (c *Client) ServerVersion(ctx context.Context) (*BuildInfo, error) {
 	return &out, nil
 }
 
-// Nodes returns the per-node summary of the pinned (or current)
-// snapshot.
+// Nodes returns the per-node summary of the current snapshot, or of
+// the one At pins.
 func (c *Client) Nodes(ctx context.Context, opts ...CallOption) (*Nodes, error) {
 	o := applyCallOpts(opts)
 	p := url.Values{}
-	if v := c.resolveVersion(o); v > 0 {
-		p.Set("version", strconv.FormatUint(v, 10))
+	if o.version > 0 {
+		p.Set("version", strconv.FormatUint(o.version, 10))
 	}
 	var out Nodes
 	if _, err := c.do(ctx, "GET", c.url("/v1/nodes", p), nil, &out); err != nil {
 		return nil, err
 	}
-	c.observe(out.Version)
 	return &out, nil
 }
 
@@ -48,8 +46,8 @@ func (c *Client) Nodes(ctx context.Context, opts ...CallOption) (*Nodes, error) 
 func (c *Client) State(ctx context.Context, node string, opts ...CallOption) (*State, error) {
 	o := applyCallOpts(opts)
 	p := url.Values{}
-	if v := c.resolveVersion(o); v > 0 {
-		p.Set("version", strconv.FormatUint(v, 10))
+	if o.version > 0 {
+		p.Set("version", strconv.FormatUint(o.version, 10))
 	}
 	if o.rel != "" {
 		p.Set("rel", o.rel)
@@ -61,7 +59,6 @@ func (c *Client) State(ctx context.Context, node string, opts ...CallOption) (*S
 	if _, err := c.do(ctx, "GET", c.url("/v1/state/"+url.PathEscape(node), p), nil, &out); err != nil {
 		return nil, err
 	}
-	c.observe(out.Version)
 	return &out, nil
 }
 
@@ -76,7 +73,6 @@ func (c *Client) runQuery(ctx context.Context, req QueryRequest) (*QueryResult, 
 		return nil, err
 	}
 	out.Cache = cacheInfo(h)
-	c.observe(out.Version)
 	return &out, nil
 }
 
@@ -86,14 +82,14 @@ func (c *Client) runQuery(ctx context.Context, req QueryRequest) (*QueryResult, 
 //	res, err := c.Query(ctx, "lineage of mincost(@'n1','n3',2)")
 func (c *Client) Query(ctx context.Context, q string, opts ...CallOption) (*QueryResult, error) {
 	o := applyCallOpts(opts)
-	return c.runQuery(ctx, QueryRequest{Q: q, Version: c.resolveVersion(o)})
+	return c.runQuery(ctx, QueryRequest{Q: q, Version: o.version})
 }
 
 // structuredQuery runs one structured query of the given type.
 func (c *Client) structuredQuery(ctx context.Context, typ, tuple string, opts []CallOption) (*QueryResult, error) {
 	o := applyCallOpts(opts)
 	return c.runQuery(ctx, QueryRequest{
-		Type: typ, Tuple: tuple, At: o.at, Version: c.resolveVersion(o), Options: o.options,
+		Type: typ, Tuple: tuple, At: o.at, Version: o.version, Options: o.options,
 	})
 }
 
@@ -115,7 +111,6 @@ func (c *Client) NodesOf(ctx context.Context, tuple string, opts ...CallOption) 
 	return c.structuredQuery(ctx, "nodes", tuple, opts)
 }
 
-// Count returns the number of alternative derivations of the tuple.
 // HistoryFirst asks the earliest retained version at which the tuple
 // was visible — at its location attribute, or at the explicit at node.
 // It needs a daemon running with a snapshot store (-data); without one
@@ -133,6 +128,7 @@ func (c *Client) HistoryFirst(ctx context.Context, tuple, at string) (*HistoryFi
 	return &out, nil
 }
 
+// Count returns the number of alternative derivations of the tuple.
 func (c *Client) Count(ctx context.Context, tuple string, opts ...CallOption) (*QueryResult, error) {
 	return c.structuredQuery(ctx, "count", tuple, opts)
 }
@@ -168,6 +164,13 @@ type BatchResult struct {
 	Cache     CacheInfo
 }
 
+// batchElem decodes one batch result in one pass: json allocates the
+// envelope only when the element has an "error" key.
+type batchElem struct {
+	*ErrorEnvelope
+	QueryResult
+}
+
 // QueryBatch evaluates many queries against one pinned snapshot in a
 // single round trip. All queries share the snapshot's sub-proof
 // cache, so repeated or overlapping queries inside the batch are
@@ -177,7 +180,7 @@ type BatchResult struct {
 // timeout, cancellation) fail the whole call.
 func (c *Client) QueryBatch(ctx context.Context, queries []BatchQuery, opts ...CallOption) (*BatchResult, error) {
 	o := applyCallOpts(opts)
-	req := BatchRequest{Version: c.resolveVersion(o)}
+	req := BatchRequest{Version: o.version}
 	for _, q := range queries {
 		req.Queries = append(req.Queries, QueryRequest{
 			Q: q.Q, Type: q.Type, Tuple: q.Tuple, At: q.At, Options: q.Options,
@@ -194,22 +197,19 @@ func (c *Client) QueryBatch(ctx context.Context, queries []BatchQuery, opts ...C
 	}
 	out := &BatchResult{Version: resp.Version, TimeUs: resp.TimeUs, Cache: cacheInfo(h)}
 	out.CacheHits, _ = strconv.Atoi(h.Get(HeaderBatchCacheHits))
+	elems := make([]batchElem, len(resp.Results))
+	out.Results = make([]BatchItem, len(resp.Results))
 	for i, raw := range resp.Results {
-		var env ErrorEnvelope
-		if err := json.Unmarshal(raw, &env); err != nil {
+		el := &elems[i]
+		if err := json.Unmarshal(raw, el); err != nil {
 			return nil, fmt.Errorf("client: decode batch result %d: %w", i, err)
 		}
-		if env.Error.Code != "" {
-			out.Results = append(out.Results, BatchItem{Err: &env.Error})
-			continue
+		if el.ErrorEnvelope != nil {
+			out.Results[i].Err = &el.Error
+		} else {
+			out.Results[i].Result = &el.QueryResult
 		}
-		var qr QueryResult
-		if err := json.Unmarshal(raw, &qr); err != nil {
-			return nil, fmt.Errorf("client: decode batch result %d: %w", i, err)
-		}
-		out.Results = append(out.Results, BatchItem{Result: &qr})
 	}
-	c.observe(out.Version)
 	return out, nil
 }
 
@@ -222,14 +222,13 @@ func (c *Client) ProofDOT(ctx context.Context, tuple string, opts ...CallOption)
 	if o.at != "" {
 		p.Set("at", o.at)
 	}
-	if v := c.resolveVersion(o); v > 0 {
-		p.Set("version", strconv.FormatUint(v, 10))
+	if o.version > 0 {
+		p.Set("version", strconv.FormatUint(o.version, 10))
 	}
 	data, h, err := c.doRaw(ctx, c.url("/v1/proof.dot", p))
 	if err != nil {
 		return nil, err
 	}
 	version, _ := strconv.ParseUint(h.Get(HeaderSnapshotVersion), 10, 64)
-	c.observe(version)
 	return &DOT{Graph: string(data), Version: version, Cache: cacheInfo(h)}, nil
 }

@@ -10,13 +10,16 @@
 // the local wait. A client-wide traversal timeout (WithTimeout) rides
 // as the ?timeout= parameter on query calls.
 //
-// Snapshot pinning gives version affinity across calls: Pin (or
-// WithSnapshotAffinity, which adopts the first version the server
-// answers with) makes every subsequent call read the same immutable
-// snapshot, so multi-call workflows see one consistent instant no
-// matter how far the simulation advances in between. A pinned version
-// that ages out of the server's retention ring surfaces as an APIError
-// with CodeSnapshotEvicted.
+// A call reads the server's current snapshot unless At pins it to a
+// version. Passing the same At to several calls makes them read one
+// immutable snapshot, so a multi-call workflow sees one consistent
+// instant no matter how far the simulation advances in between:
+//
+//	h, _ := c.Health(ctx)
+//	at := client.At(h.Version)
+//
+// A pinned version the server no longer retains surfaces as an
+// APIError with CodeSnapshotEvicted.
 package client
 
 import (
@@ -29,19 +32,15 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
-// Client talks to one NetTrails server. It is safe for concurrent use.
+// Client talks to one NetTrails server. It is immutable after New and
+// safe for concurrent use.
 type Client struct {
 	base    string
 	hc      *http.Client
 	timeout time.Duration
-
-	mu       sync.Mutex
-	pinned   uint64
-	affinity bool
 }
 
 // Option configures a Client at construction.
@@ -57,11 +56,6 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // own cap clamp looser values down.
 func WithTimeout(d time.Duration) Option { return func(c *Client) { c.timeout = d } }
 
-// WithSnapshotAffinity makes the client adopt the first snapshot
-// version a response reports as its pin, so all subsequent calls read
-// the same immutable snapshot until Unpin.
-func WithSnapshotAffinity() Option { return func(c *Client) { c.affinity = true } }
-
 // New builds a client for the server at baseURL (e.g. the address
 // nettrailsd prints on startup, "http://127.0.0.1:8080").
 func New(baseURL string, opts ...Option) (*Client, error) {
@@ -76,54 +70,9 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// Pin makes every subsequent call read the given snapshot version.
-func (c *Client) Pin(v uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pinned = v
-}
-
-// Unpin returns the client to reading the current snapshot (and
-// re-arms WithSnapshotAffinity, if configured).
-func (c *Client) Unpin() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pinned = 0
-}
-
-// Pinned returns the pinned snapshot version; 0 means current.
-func (c *Client) Pinned() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pinned
-}
-
-// PinCurrent pins the server's current snapshot version and returns
-// it — the explicit form of WithSnapshotAffinity.
-func (c *Client) PinCurrent(ctx context.Context) (uint64, error) {
-	h, err := c.Health(ctx)
-	if err != nil {
-		return 0, err
-	}
-	c.Pin(h.Version)
-	return h.Version, nil
-}
-
-// observe records a response's snapshot version for affinity pinning.
-func (c *Client) observe(version uint64) {
-	if version == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.affinity && c.pinned == 0 {
-		c.pinned = version
-	}
-}
-
 // callOpts carries per-call overrides.
 type callOpts struct {
-	version  *uint64
+	version  uint64 // 0 means current
 	rel      string
 	atTimeUs *int64
 	at       string
@@ -133,9 +82,8 @@ type callOpts struct {
 // CallOption adjusts one call.
 type CallOption func(*callOpts)
 
-// At pins this one call to a snapshot version, overriding the
-// client-wide pin (0 = explicitly current).
-func At(version uint64) CallOption { return func(o *callOpts) { o.version = &version } }
+// At pins this one call to a snapshot version (0 means current).
+func At(version uint64) CallOption { return func(o *callOpts) { o.version = version } }
 
 // Rel restricts a State call to one relation.
 func Rel(rel string) CallOption { return func(o *callOpts) { o.rel = rel } }
@@ -159,15 +107,6 @@ func applyCallOpts(opts []CallOption) callOpts {
 		f(&o)
 	}
 	return o
-}
-
-// resolveVersion picks the snapshot version for one call: explicit
-// per-call override, else the client pin, else current.
-func (c *Client) resolveVersion(o callOpts) uint64 {
-	if o.version != nil {
-		return *o.version
-	}
-	return c.Pinned()
 }
 
 // url assembles an endpoint URL with query parameters.

@@ -138,61 +138,66 @@ func TestQueriesAndCacheStats(t *testing.T) {
 	}
 }
 
+// TestSnapshotAffinity: a read At a version keeps returning that
+// version after the simulation advances, and a read without At returns
+// the current one.
 func TestSnapshotAffinity(t *testing.T) {
-	c, pub, e := startServer(t, 2, client.WithSnapshotAffinity())
+	c, pub, e := startServer(t, 2)
 	ctx := context.Background()
 
 	h, err := c.Health(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Pinned(); got != h.Version {
-		t.Fatalf("affinity pinned %d, health reported %d", got, h.Version)
-	}
+	at := client.At(h.Version)
 
 	// Advance the simulation; pinned calls must stay on the old version.
 	if err := e.RemoveBiLink("n1", "n2", 1); err != nil {
 		t.Fatal(err)
 	}
 	e.RunQuiescent()
-	if cur := pub.Current().Version; cur == h.Version {
+	cur := pub.Current().Version
+	if cur == h.Version {
 		t.Fatal("simulation did not advance")
 	}
-	ns, err := c.Nodes(ctx)
+	ns, err := c.Nodes(ctx, at)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ns.Version != h.Version {
-		t.Fatalf("pinned Nodes read version %d, want %d", ns.Version, h.Version)
+		t.Fatalf("Nodes At(%d) read version %d", h.Version, ns.Version)
 	}
-	// A per-call override escapes the pin; Unpin drops it.
-	cur, err := c.Nodes(ctx, client.At(0))
+	res, err := c.Lineage(ctx, "mincost(@'n1','n4',2)", at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur.Version == h.Version {
-		t.Fatal("At(0) did not read the current snapshot")
+	if res.Version != h.Version {
+		t.Fatalf("Lineage At(%d) read version %d", h.Version, res.Version)
 	}
-	c.Unpin()
-	if got := c.Pinned(); got != 0 {
-		t.Fatalf("Unpin left pin %d", got)
+	now, err := c.Nodes(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now.Version != cur {
+		t.Fatalf("Nodes without At read version %d, current is %d", now.Version, cur)
 	}
 }
 
 func TestBatch(t *testing.T) {
 	c, _, _ := startServer(t, 3)
 	ctx := context.Background()
-	v, err := c.PinCurrent(ctx)
+	h, err := c.Health(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := h.Version
 
 	res, err := c.QueryBatch(ctx, []client.BatchQuery{
 		{Q: "lineage of mincost(@'n1','n9',4)"},
 		{Type: "count", Tuple: "mincost(@'n1','n9',4)"},
 		{Q: "count of mincost(@'n1','n9',99)"}, // no provenance
 		{Q: "lineage of mincost(@'n1','n9',4)"},
-	})
+	}, client.At(v))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,14 +46,13 @@ type Shards struct {
 func (c *Client) Shards(ctx context.Context, opts ...CallOption) (*Shards, error) {
 	o := applyCallOpts(opts)
 	p := url.Values{}
-	if v := c.resolveVersion(o); v > 0 {
-		p.Set("version", strconv.FormatUint(v, 10))
+	if o.version > 0 {
+		p.Set("version", strconv.FormatUint(o.version, 10))
 	}
 	var out Shards
 	if _, err := c.do(ctx, "GET", c.url("/v1/shards", p), nil, &out); err != nil {
 		return nil, err
 	}
-	c.observe(out.Version)
 	return &out, nil
 }
 
@@ -158,7 +157,6 @@ func (c *Client) ProvRead(ctx context.Context, version uint64, reads []ProvReadO
 	if len(out.Results) != len(reads) {
 		return nil, fmt.Errorf("client: prov read answered %d results for %d reads", len(out.Results), len(reads))
 	}
-	c.observe(out.Version)
 	return &out, nil
 }
 

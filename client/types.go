@@ -256,20 +256,35 @@ func IsCode(err error, code string) bool {
 	return errors.As(err, &ae) && ae.Code == code
 }
 
-// Stable error codes of the v1 API (see docs/API.md for the catalog).
+// Stable error codes of the v1 API (see docs/API.md for the catalog),
+// each with the HTTP status the servers answer it with.
 const (
-	CodeInvalidRequest   = "invalid_request"
-	CodeInvalidQuery     = "invalid_query"
-	CodeInvalidOption    = "invalid_option"
-	CodeUnknownNode      = "unknown_node"
-	CodeNoProvenance     = "no_provenance"
-	CodeUnknownEndpoint  = "unknown_endpoint"
+	// CodeInvalidRequest: malformed body or parameters (400), or a body over the size cap (413).
+	CodeInvalidRequest = "invalid_request"
+	// CodeInvalidQuery: the query text, tuple literal or query type failed to parse (400).
+	CodeInvalidQuery = "invalid_query"
+	// CodeInvalidOption: maxdepth, maxnodes, threshold or ?timeout= is out of range (400).
+	CodeInvalidOption = "invalid_option"
+	// CodeUnknownNode: no such node in the snapshot (404).
+	CodeUnknownNode = "unknown_node"
+	// CodeNoProvenance: the tuple has no provenance at the queried node in the pinned snapshot (404).
+	CodeNoProvenance = "no_provenance"
+	// CodeUnknownEndpoint: unmatched path (404).
+	CodeUnknownEndpoint = "unknown_endpoint"
+	// CodeMethodNotAllowed: wrong HTTP method (405, with an Allow header).
 	CodeMethodNotAllowed = "method_not_allowed"
-	CodeSnapshotEvicted  = "snapshot_evicted"
-	CodeNoHistory        = "no_history"
-	CodeQueryCancelled   = "query_cancelled"
-	CodeQueryTimeout     = "query_timeout"
-	CodeInternal         = "internal_error"
-	CodeWrongShard       = "wrong_shard"
+	// CodeSnapshotEvicted: the pinned version is not retained (410).
+	CodeSnapshotEvicted = "snapshot_evicted"
+	// CodeNoHistory: no snapshot store is attached (501), or it never saw the tuple (404).
+	CodeNoHistory = "no_history"
+	// CodeQueryCancelled: the client went away mid-walk (499, nginx's client-closed-request).
+	CodeQueryCancelled = "query_cancelled"
+	// CodeQueryTimeout: the ?timeout= or server-default deadline expired mid-walk (504).
+	CodeQueryTimeout = "query_timeout"
+	// CodeInternal: a server-side fault the client cannot fix by changing the request (500).
+	CodeInternal = "internal_error"
+	// CodeWrongShard: this shard does not own the node's partition; ask its owner or a gateway (421).
+	CodeWrongShard = "wrong_shard"
+	// CodeShardUnreachable: a gateway could not reach a shard, or it answered malformed (502).
 	CodeShardUnreachable = "shard_unreachable"
 )

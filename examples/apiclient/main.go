@@ -40,6 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer ln.Close()
 	go func() { _ = http.Serve(ln, server.New(pub, server.Info{Protocol: "mincost"}).Handler()) }()
 
 	// The SDK part — everything below works unchanged against a real
@@ -56,14 +57,12 @@ func main() {
 	}
 	fmt.Printf("== connected: %s, %d nodes, snapshot version %d ==\n", h.Protocol, h.Nodes, h.Version)
 
-	// Pin the current snapshot: every call below reads the same
+	// Pin the current snapshot: every call given at reads the same
 	// immutable instant, no matter how far the simulation advances.
-	if _, err := c.PinCurrent(ctx); err != nil {
-		log.Fatal(err)
-	}
+	at := client.At(h.Version)
 
 	fmt.Println("\n== lineage of mincost(@'n1','n3',2) ==")
-	res, err := c.Lineage(ctx, "mincost(@'n1','n3',2)")
+	res, err := c.Lineage(ctx, "mincost(@'n1','n3',2)", at)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func main() {
 		{Q: "bases of mincost(@'n1','n3',2)"},
 		{Q: "nodes of mincost(@'n1','n3',2)"},
 		{Type: "count", Tuple: "mincost(@'n1','n3',2)"},
-	})
+	}, at)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func main() {
 		batch.CacheHits, len(batch.Results))
 
 	fmt.Println("\n== proof as Graphviz DOT (first line) ==")
-	dot, err := c.ProofDOT(ctx, "mincost(@'n1','n3',2)")
+	dot, err := c.ProofDOT(ctx, "mincost(@'n1','n3',2)", at)
 	if err != nil {
 		log.Fatal(err)
 	}

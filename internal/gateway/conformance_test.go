@@ -125,49 +125,49 @@ func TestTierConformance(t *testing.T) {
 		{"state at an earlier instant, pinned", "GET", fmt.Sprintf("/v1/state/n4?version=%d&t=%d", v-1, first.Time), "", 200, "", false},
 
 		// Free 400s.
-		{"bad JSON", "POST", "/v1/query", `{`, 400, server.ErrInvalidRequest, false},
-		{"neither request form", "POST", "/v1/query", `{"at":"n1"}`, 400, server.ErrInvalidRequest, false},
-		{"unknown query type", "POST", "/v1/query", `{"type":"explain","tuple":"` + tuple + `"}`, 400, server.ErrInvalidQuery, false},
-		{"unknown textual type", "POST", "/v1/query", `{"q":"explain of ` + tuple + `"}`, 400, server.ErrInvalidQuery, false},
-		{"negative option", "POST", "/v1/query", `{"type":"lineage","tuple":"` + tuple + `","options":{"maxdepth":-1}}`, 400, server.ErrInvalidOption, false},
-		{"absurd option", "POST", "/v1/query", `{"type":"lineage","tuple":"` + tuple + `","options":{"maxnodes":99999999}}`, 400, server.ErrInvalidOption, false},
-		{"bad timeout", "POST", "/v1/query?timeout=banana", `{"q":"count of ` + tuple + `"}`, 400, server.ErrInvalidOption, false},
-		{"negative timeout", "GET", "/v1/proof.dot?timeout=-5s&tuple=" + tuple, "", 400, server.ErrInvalidOption, false},
-		{"bad version", "GET", "/v1/nodes?version=banana", "", 400, server.ErrInvalidRequest, false},
-		{"bad virtual time", "GET", "/v1/state/n1?t=banana", "", 400, server.ErrInvalidRequest, false},
-		{"missing tuple", "GET", "/v1/proof.dot", "", 400, server.ErrInvalidRequest, false},
-		{"empty batch", "POST", "/v1/query/batch", `{"queries":[]}`, 400, server.ErrInvalidRequest, false},
-		{"1025-query batch", "POST", "/v1/query/batch", bigBatch.String(), 400, server.ErrInvalidRequest, false},
-		{"batch element with version", "POST", "/v1/query/batch", `{"queries":[{"q":"count of ` + tuple + `","version":1}]}`, 400, server.ErrInvalidRequest, false},
-		{"oversized body", "POST", "/v1/query", oversized, 413, server.ErrInvalidRequest, false},
-		{"oversized batch", "POST", "/v1/query/batch", oversized, 413, server.ErrInvalidRequest, false},
+		{"bad JSON", "POST", "/v1/query", `{`, 400, client.CodeInvalidRequest, false},
+		{"neither request form", "POST", "/v1/query", `{"at":"n1"}`, 400, client.CodeInvalidRequest, false},
+		{"unknown query type", "POST", "/v1/query", `{"type":"explain","tuple":"` + tuple + `"}`, 400, client.CodeInvalidQuery, false},
+		{"unknown textual type", "POST", "/v1/query", `{"q":"explain of ` + tuple + `"}`, 400, client.CodeInvalidQuery, false},
+		{"negative option", "POST", "/v1/query", `{"type":"lineage","tuple":"` + tuple + `","options":{"maxdepth":-1}}`, 400, client.CodeInvalidOption, false},
+		{"absurd option", "POST", "/v1/query", `{"type":"lineage","tuple":"` + tuple + `","options":{"maxnodes":99999999}}`, 400, client.CodeInvalidOption, false},
+		{"bad timeout", "POST", "/v1/query?timeout=banana", `{"q":"count of ` + tuple + `"}`, 400, client.CodeInvalidOption, false},
+		{"negative timeout", "GET", "/v1/proof.dot?timeout=-5s&tuple=" + tuple, "", 400, client.CodeInvalidOption, false},
+		{"bad version", "GET", "/v1/nodes?version=banana", "", 400, client.CodeInvalidRequest, false},
+		{"bad virtual time", "GET", "/v1/state/n1?t=banana", "", 400, client.CodeInvalidRequest, false},
+		{"missing tuple", "GET", "/v1/proof.dot", "", 400, client.CodeInvalidRequest, false},
+		{"empty batch", "POST", "/v1/query/batch", `{"queries":[]}`, 400, client.CodeInvalidRequest, false},
+		{"1025-query batch", "POST", "/v1/query/batch", bigBatch.String(), 400, client.CodeInvalidRequest, false},
+		{"batch element with version", "POST", "/v1/query/batch", `{"queries":[{"q":"count of ` + tuple + `","version":1}]}`, 400, client.CodeInvalidRequest, false},
+		{"oversized body", "POST", "/v1/query", oversized, 413, client.CodeInvalidRequest, false},
+		{"oversized batch", "POST", "/v1/query/batch", oversized, 413, client.CodeInvalidRequest, false},
 
 		// Malformed and pinned to an evicted version: the 400 wins.
-		{"malformed query, evicted version", "POST", "/v1/query", fmt.Sprintf(`{"q":"explain of %s","version":%d}`, tuple, evicted), 400, server.ErrInvalidQuery, false},
-		{"empty batch, evicted version", "POST", "/v1/query/batch", fmt.Sprintf(`{"version":%d,"queries":[]}`, evicted), 400, server.ErrInvalidRequest, false},
-		{"missing tuple, evicted version", "GET", fmt.Sprintf("/v1/proof.dot?version=%d", evicted), "", 400, server.ErrInvalidRequest, false},
-		{"bad virtual time, evicted version", "GET", fmt.Sprintf("/v1/state/n1?t=banana&version=%d", evicted), "", 400, server.ErrInvalidRequest, false},
+		{"malformed query, evicted version", "POST", "/v1/query", fmt.Sprintf(`{"q":"explain of %s","version":%d}`, tuple, evicted), 400, client.CodeInvalidQuery, false},
+		{"empty batch, evicted version", "POST", "/v1/query/batch", fmt.Sprintf(`{"version":%d,"queries":[]}`, evicted), 400, client.CodeInvalidRequest, false},
+		{"missing tuple, evicted version", "GET", fmt.Sprintf("/v1/proof.dot?version=%d", evicted), "", 400, client.CodeInvalidRequest, false},
+		{"bad virtual time, evicted version", "GET", fmt.Sprintf("/v1/state/n1?t=banana&version=%d", evicted), "", 400, client.CodeInvalidRequest, false},
 
 		// The pin.
-		{"evicted query", "POST", "/v1/query", fmt.Sprintf(`{"q":"count of %s","version":%d}`, tuple, evicted), 410, server.ErrSnapshotEvicted, true},
-		{"evicted batch", "POST", "/v1/query/batch", fmt.Sprintf(`{"version":%d,"queries":[{"q":"count of %s"}]}`, evicted, tuple), 410, server.ErrSnapshotEvicted, true},
-		{"evicted state, unknown node", "GET", fmt.Sprintf("/v1/state/ghost?version=%d", evicted), "", 410, server.ErrSnapshotEvicted, true},
-		{"evicted state, good virtual time", "GET", fmt.Sprintf("/v1/state/n5?version=%d&t=%d", evicted, cur.Time), "", 410, server.ErrSnapshotEvicted, true},
+		{"evicted query", "POST", "/v1/query", fmt.Sprintf(`{"q":"count of %s","version":%d}`, tuple, evicted), 410, client.CodeSnapshotEvicted, true},
+		{"evicted batch", "POST", "/v1/query/batch", fmt.Sprintf(`{"version":%d,"queries":[{"q":"count of %s"}]}`, evicted, tuple), 410, client.CodeSnapshotEvicted, true},
+		{"evicted state, unknown node", "GET", fmt.Sprintf("/v1/state/ghost?version=%d", evicted), "", 410, client.CodeSnapshotEvicted, true},
+		{"evicted state, good virtual time", "GET", fmt.Sprintf("/v1/state/n5?version=%d&t=%d", evicted, cur.Time), "", 410, client.CodeSnapshotEvicted, true},
 
 		// Evaluation.
-		{"unknown node query", "POST", "/v1/query", `{"type":"lineage","tuple":"mincost(@'ghost','n4',2)"}`, 404, server.ErrUnknownNode, false},
-		{"unknown node proof.dot", "GET", "/v1/proof.dot?tuple=mincost(@'ghost','n4',2)", "", 404, server.ErrUnknownNode, false},
-		{"unknown node state", "GET", "/v1/state/ghost", "", 404, server.ErrUnknownNode, false},
-		{"virtual time before anything retained", "GET", fmt.Sprintf("/v1/state/n5?t=%d", first.Time-1), "", 404, server.ErrUnknownNode, true},
-		{"no provenance query", "POST", "/v1/query", `{"q":"lineage of mincost(@'n1','n9',99)"}`, 404, server.ErrNoProvenance, false},
-		{"no provenance proof.dot", "GET", "/v1/proof.dot?tuple=mincost(@'n1','n9',99)", "", 404, server.ErrNoProvenance, false},
-		{"expired deadline", "POST", "/v1/query?timeout=1ns", fmt.Sprintf(`{"type":"lineage","tuple":"%s","options":{"threshold":4242},"version":%d}`, tuple, v), 504, server.ErrQueryTimeout, true},
+		{"unknown node query", "POST", "/v1/query", `{"type":"lineage","tuple":"mincost(@'ghost','n4',2)"}`, 404, client.CodeUnknownNode, false},
+		{"unknown node proof.dot", "GET", "/v1/proof.dot?tuple=mincost(@'ghost','n4',2)", "", 404, client.CodeUnknownNode, false},
+		{"unknown node state", "GET", "/v1/state/ghost", "", 404, client.CodeUnknownNode, false},
+		{"virtual time before anything retained", "GET", fmt.Sprintf("/v1/state/n5?t=%d", first.Time-1), "", 404, client.CodeUnknownNode, true},
+		{"no provenance query", "POST", "/v1/query", `{"q":"lineage of mincost(@'n1','n9',99)"}`, 404, client.CodeNoProvenance, false},
+		{"no provenance proof.dot", "GET", "/v1/proof.dot?tuple=mincost(@'n1','n9',99)", "", 404, client.CodeNoProvenance, false},
+		{"expired deadline", "POST", "/v1/query?timeout=1ns", fmt.Sprintf(`{"type":"lineage","tuple":"%s","options":{"threshold":4242},"version":%d}`, tuple, v), 504, client.CodeQueryTimeout, true},
 
 		// Routing.
-		{"wrong method on a GET route", "POST", "/v1/nodes", `{}`, 405, server.ErrMethodNotAllowed, false},
-		{"wrong method on a POST route", "GET", "/v1/query/batch", "", 405, server.ErrMethodNotAllowed, false},
-		{"unknown path", "GET", "/v1/nope", "", 404, server.ErrUnknownEndpoint, false},
-		{"unversioned path", "GET", "/nodes", "", 404, server.ErrUnknownEndpoint, false},
+		{"wrong method on a GET route", "POST", "/v1/nodes", `{}`, 405, client.CodeMethodNotAllowed, false},
+		{"wrong method on a POST route", "GET", "/v1/query/batch", "", 405, client.CodeMethodNotAllowed, false},
+		{"unknown path", "GET", "/v1/nope", "", 404, client.CodeUnknownEndpoint, false},
+		{"unversioned path", "GET", "/nodes", "", 404, client.CodeUnknownEndpoint, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

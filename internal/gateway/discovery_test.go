@@ -12,7 +12,6 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/provquery"
 	"repro/internal/rel"
-	"repro/internal/server"
 )
 
 // fakeShard serves one fixed GET /v1/shards document: a server the
@@ -69,8 +68,8 @@ func TestGatewayRejectsMalformedExec(t *testing.T) {
 	gw := httptest.NewServer(g)
 	t.Cleanup(gw.Close)
 	resp, body := post(t, gw.URL+"/v1/query", `{"q":"lineage of `+tuple+`"}`)
-	if resp.StatusCode != http.StatusBadGateway || errorCode(body) != server.ErrShardUnreachable {
-		t.Fatalf("malformed exec reply: %d %s, want 502 %s", resp.StatusCode, body, server.ErrShardUnreachable)
+	if resp.StatusCode != http.StatusBadGateway || errorCode(body) != client.CodeShardUnreachable {
+		t.Fatalf("malformed exec reply: %d %s, want 502 %s", resp.StatusCode, body, client.CodeShardUnreachable)
 	}
 }
 

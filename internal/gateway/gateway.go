@@ -136,7 +136,7 @@ func (g *Gateway) Shards() int { return g.shards.Len() }
 // error: structured shard answers pass through with their code and
 // status, context failures become the standard cancellation errors,
 // and everything else is a 502 shard_unreachable.
-func downstreamError(err error) *server.APIError {
+func downstreamError(err error) *client.APIError {
 	var ae *client.APIError
 	if errors.As(err, &ae) {
 		status := ae.Status
@@ -148,7 +148,7 @@ func downstreamError(err error) *server.APIError {
 	if ce, ok := server.CtxError(err); ok {
 		return ce
 	}
-	return server.Errf(http.StatusBadGateway, server.ErrShardUnreachable, "%v", err)
+	return server.Errf(http.StatusBadGateway, client.CodeShardUnreachable, "%v", err)
 }
 
 // ---- version pinning ----------------------------------------------------
@@ -182,7 +182,7 @@ func (g *Gateway) forEachShard(f func(i int, c *client.Client) error) error {
 // shard is not ok, why the first such shard says it is not. Learning
 // oldest is also what bounds g.times and the result cache: a version
 // below it can no longer be pinned on every shard, so both drop it.
-func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, reason string, apiErr *server.APIError) {
+func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, reason string, apiErr *client.APIError) {
 	hs := make([]*client.Health, g.shards.Len())
 	err := g.forEachShard(func(i int, c *client.Client) (err error) {
 		hs[i], err = c.Health(ctx)
@@ -212,9 +212,9 @@ func (g *Gateway) shardHealth(ctx context.Context) (newest, oldest uint64, reaso
 
 // Pin implements server.Backend: an explicit version is pinned as-is;
 // version 0 resolves to the newest epoch every shard has reached.
-func (g *Gateway) Pin(ctx context.Context, version uint64) (server.Pin, *server.APIError) {
+func (g *Gateway) Pin(ctx context.Context, version uint64) (server.Pin, *client.APIError) {
 	if version == 0 {
-		var apiErr *server.APIError
+		var apiErr *client.APIError
 		if version, _, _, apiErr = g.shardHealth(ctx); apiErr != nil {
 			return server.Pin{}, apiErr
 		}
@@ -229,7 +229,7 @@ func (g *Gateway) Pin(ctx context.Context, version uint64) (server.Pin, *server.
 // timeOf resolves the virtual time of a pinned version (identical on
 // every shard of a deterministic run) and remembers it while the
 // version stays pinnable — versions are immutable.
-func (g *Gateway) timeOf(ctx context.Context, version uint64) (simnet.Time, *server.APIError) {
+func (g *Gateway) timeOf(ctx context.Context, version uint64) (simnet.Time, *client.APIError) {
 	g.timesMu.Lock()
 	t, ok := g.times[version]
 	g.timesMu.Unlock()
@@ -284,10 +284,10 @@ type gwHealthzJSON struct {
 
 // HealthzDoc implements server.Backend by aggregating shard health: the
 // gateway is ok only while every shard is.
-func (g *Gateway) HealthzDoc(ctx context.Context, protocol string) (interface{}, *server.APIError) {
+func (g *Gateway) HealthzDoc(ctx context.Context, protocol string) (interface{}, *client.APIError) {
 	out := gwHealthzJSON{Gateway: true, Protocol: protocol,
 		Nodes: len(g.shards.Nodes()), Shards: g.shards.Len()}
-	var apiErr *server.APIError
+	var apiErr *client.APIError
 	out.Version, out.Oldest, out.Reason, apiErr = g.shardHealth(ctx)
 	out.OK = out.Reason == ""
 	return out, apiErr
@@ -324,7 +324,7 @@ func (g *Gateway) ShardsDoc(server.Pin) interface{} {
 // NodesDoc implements server.Backend: it merges every shard's owned-node
 // summaries at the pinned version into the same document a
 // single-process daemon serves.
-func (g *Gateway) NodesDoc(ctx context.Context, pin server.Pin) (*client.Nodes, *server.APIError) {
+func (g *Gateway) NodesDoc(ctx context.Context, pin server.Pin) (*client.Nodes, *client.APIError) {
 	perShard := make([]*client.Nodes, g.shards.Len())
 	err := g.forEachShard(func(i int, c *client.Client) error {
 		ns, err := c.Nodes(ctx, client.At(pin.Version))
@@ -352,10 +352,10 @@ func (g *Gateway) NodesDoc(ctx context.Context, pin server.Pin) (*client.Nodes, 
 
 // StateDoc implements server.Backend: it routes the read to the shard
 // owning the node and returns that shard's document as it came.
-func (g *Gateway) StateDoc(ctx context.Context, pin server.Pin, node, relFilter string, atTime *int64) (*client.State, *server.APIError) {
+func (g *Gateway) StateDoc(ctx context.Context, pin server.Pin, node, relFilter string, atTime *int64) (*client.State, *client.APIError) {
 	shard, ok := g.shards.ForNode(node)
 	if !ok {
-		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", node)
+		return nil, server.Errf(http.StatusNotFound, client.CodeUnknownNode, "unknown node %q", node)
 	}
 	opts := []client.CallOption{client.At(pin.Version)}
 	if relFilter != "" {
@@ -376,10 +376,10 @@ func (g *Gateway) StateDoc(ctx context.Context, pin server.Pin, node, relFilter 
 // shard owning the tuple's node and returns that shard's document as it
 // came — every shard's snapshot store mints the same dense version
 // sequence, so the owning shard's answer is the deployment's answer.
-func (g *Gateway) HistoryFirstDoc(ctx context.Context, lit string, _ rel.Tuple, at string) (*client.HistoryFirst, *server.APIError) {
+func (g *Gateway) HistoryFirstDoc(ctx context.Context, lit string, _ rel.Tuple, at string) (*client.HistoryFirst, *client.APIError) {
 	shard, ok := g.shards.ForNode(at)
 	if !ok {
-		return nil, server.Errf(http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", at)
+		return nil, server.Errf(http.StatusNotFound, client.CodeUnknownNode, "unknown node %q", at)
 	}
 	hf, err := shard.HistoryFirst(ctx, lit, at)
 	addHops(ctx, 1)

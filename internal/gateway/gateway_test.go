@@ -259,15 +259,15 @@ func TestShardRejectsCrossShardQuery(t *testing.T) {
 
 	// Shard 0 of 3 owns n1, n4, n7. n2 belongs to shard 1.
 	resp, body := post(t, d.shards[0].URL+"/v1/query", `{"q":"lineage of mincost(@'n2','n3',1)"}`)
-	assertCode(resp, body, http.StatusMisdirectedRequest, server.ErrWrongShard)
+	assertCode(resp, body, http.StatusMisdirectedRequest, client.CodeWrongShard)
 
 	resp, body = get(t, d.shards[0].URL+"/v1/state/n2")
-	assertCode(resp, body, http.StatusMisdirectedRequest, server.ErrWrongShard)
+	assertCode(resp, body, http.StatusMisdirectedRequest, client.CodeWrongShard)
 
 	// n1 is owned, but its corner-to-corner proof spans the grid: the
 	// traversal escapes and must fail, not truncate.
 	resp, body = post(t, d.shards[0].URL+"/v1/query", `{"q":"lineage of mincost(@'n1','n9',4)"}`)
-	assertCode(resp, body, http.StatusMisdirectedRequest, server.ErrWrongShard)
+	assertCode(resp, body, http.StatusMisdirectedRequest, client.CodeWrongShard)
 
 	// A fully node-local query on an owned node still answers.
 	resp, body = post(t, d.shards[0].URL+"/v1/query", `{"q":"lineage of link(@'n1','n2',1)"}`)
@@ -277,7 +277,7 @@ func TestShardRejectsCrossShardQuery(t *testing.T) {
 
 	// Unknown nodes keep their own error, distinct from wrong_shard.
 	resp, body = get(t, d.shards[0].URL+"/v1/state/ghost")
-	assertCode(resp, body, http.StatusNotFound, server.ErrUnknownNode)
+	assertCode(resp, body, http.StatusNotFound, client.CodeUnknownNode)
 }
 
 // TestGatewayPinnedVersionEviction: a version pinned at the gateway
@@ -299,7 +299,7 @@ func TestGatewayPinnedVersionEviction(t *testing.T) {
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("evicted pin: %d %s", resp.StatusCode, body)
 	}
-	if !bytes.Contains(body, []byte(server.ErrSnapshotEvicted)) {
+	if !bytes.Contains(body, []byte(client.CodeSnapshotEvicted)) {
 		t.Fatalf("evicted pin body: %s", body)
 	}
 

@@ -233,8 +233,8 @@ func TestGatewayRejectsBadReach(t *testing.T) {
 			gw := httptest.NewServer(g)
 			t.Cleanup(gw.Close)
 			resp, body := post(t, gw.URL+"/v1/query", `{"q":"lineage of `+tuple+`"}`)
-			if resp.StatusCode != http.StatusBadGateway || errorCode(body) != server.ErrShardUnreachable {
-				t.Fatalf("reach %+v: %d %s, want 502 %s", tc.reach, resp.StatusCode, body, server.ErrShardUnreachable)
+			if resp.StatusCode != http.StatusBadGateway || errorCode(body) != client.CodeShardUnreachable {
+				t.Fatalf("reach %+v: %d %s, want 502 %s", tc.reach, resp.StatusCode, body, client.CodeShardUnreachable)
 			}
 		})
 	}

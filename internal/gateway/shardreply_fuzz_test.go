@@ -85,8 +85,8 @@ func FuzzShardReply(f *testing.F) {
 			if err := json.Unmarshal(got, &res); err != nil {
 				t.Fatalf("200 with a body that is no query result: %v\n%s", err, got)
 			}
-		case rec.Code == http.StatusBadGateway && code == server.ErrShardUnreachable,
-			rec.Code == http.StatusNotFound && code == server.ErrNoProvenance:
+		case rec.Code == http.StatusBadGateway && code == client.CodeShardUnreachable,
+			rec.Code == http.StatusNotFound && code == client.CodeNoProvenance:
 		default:
 			t.Fatalf("reply %q: %d %s", body, rec.Code, got)
 		}

@@ -23,25 +23,25 @@ type Backend interface {
 	// Pin resolves a request's version (0 means current) to the
 	// coordinates the whole response is computed at; a version no longer
 	// retained is the snapshot_evicted 410.
-	Pin(ctx context.Context, version uint64) (Pin, *APIError)
+	Pin(ctx context.Context, version uint64) (Pin, *client.APIError)
 	// Walk evaluates one resolved query at pin; key.VID is t's. An error
-	// is an *APIError or a walk failure QueryError maps.
+	// is a *client.APIError or a walk failure QueryError maps.
 	Walk(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (*provquery.Result, error)
 	// ResultCache is the process's one result cache, for every pin.
 	ResultCache() *ResultCache
 
 	// NodesDoc is the GET /v1/nodes document at pin.
-	NodesDoc(ctx context.Context, pin Pin) (*client.Nodes, *APIError)
+	NodesDoc(ctx context.Context, pin Pin) (*client.Nodes, *client.APIError)
 	// StateDoc is the GET /v1/state/{node} document at pin: one relation
 	// when relFilter is set, and — when atTime is non-nil — the node's
 	// state at the latest version <= pin published at or before *atTime
 	// (virtual µs) instead of at the pin itself.
-	StateDoc(ctx context.Context, pin Pin, node, relFilter string, atTime *int64) (*client.State, *APIError)
+	StateDoc(ctx context.Context, pin Pin, node, relFilter string, atTime *int64) (*client.State, *client.APIError)
 	// HistoryFirstDoc is the GET /v1/history/first document for the tuple t
 	// (parsed from lit) at node at. Deep history is not pinned.
-	HistoryFirstDoc(ctx context.Context, lit string, t rel.Tuple, at string) (*client.HistoryFirst, *APIError)
+	HistoryFirstDoc(ctx context.Context, lit string, t rel.Tuple, at string) (*client.HistoryFirst, *client.APIError)
 	// HealthzDoc is the GET /v1/healthz document.
-	HealthzDoc(ctx context.Context, protocol string) (interface{}, *APIError)
+	HealthzDoc(ctx context.Context, protocol string) (interface{}, *client.APIError)
 	// ShardsDoc is the GET /v1/shards document at pin.
 	ShardsDoc(pin Pin) interface{}
 }
@@ -62,11 +62,11 @@ type Pin struct {
 // Pin implements Backend over the retention ring, falling back to the
 // snapshot store. Only a version that is not retained is evicted; one
 // the store holds but cannot read is the server's fault.
-func (p *Publisher) Pin(_ context.Context, version uint64) (Pin, *APIError) {
+func (p *Publisher) Pin(_ context.Context, version uint64) (Pin, *client.APIError) {
 	snap, err := p.resolve(version)
 	if errors.Is(err, provstore.ErrNotRetained) {
 		oldest, newest := p.Versions()
-		return Pin{}, Errf(http.StatusGone, ErrSnapshotEvicted,
+		return Pin{}, Errf(http.StatusGone, client.CodeSnapshotEvicted,
 			"version %d not retained (oldest %d, newest %d)", version, oldest, newest)
 	}
 	if err != nil {
@@ -79,8 +79,8 @@ func (p *Publisher) Pin(_ context.Context, version uint64) (Pin, *APIError) {
 // fails to read back (CRC or decode failure, store closed). The message
 // names the version only: the cause carries file names and offsets that
 // belong in nettrailsfsck's output, not in an API response.
-func unreadable(version uint64) *APIError {
-	return Errf(http.StatusInternalServerError, ErrInternal,
+func unreadable(version uint64) *client.APIError {
+	return Errf(http.StatusInternalServerError, client.CodeInternal,
 		"version %d is unreadable from the snapshot store (check the data directory with nettrailsfsck)", version)
 }
 
@@ -93,7 +93,7 @@ func (p *Publisher) Walk(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple
 func (p *Publisher) ResultCache() *ResultCache { return p.cache }
 
 // NodesDoc implements Backend.
-func (p *Publisher) NodesDoc(_ context.Context, pin Pin) (*client.Nodes, *APIError) {
+func (p *Publisher) NodesDoc(_ context.Context, pin Pin) (*client.Nodes, *client.APIError) {
 	snap := pin.snap
 	// Nodes is always a JSON array, never null.
 	out := &client.Nodes{Version: snap.Version, TimeUs: int64(snap.Time), Nodes: []client.Node{}}
@@ -114,17 +114,17 @@ func (p *Publisher) NodesDoc(_ context.Context, pin Pin) (*client.Nodes, *APIErr
 
 // unowned is the error for a node this snapshot holds no partition of:
 // wrong_shard when another shard owns it, unknown_node otherwise.
-func (s *Snapshot) unowned(addr string) *APIError {
+func (s *Snapshot) unowned(addr string) *client.APIError {
 	if apiErr := s.misdirected(addr); apiErr != nil {
 		return apiErr
 	}
-	return Errf(http.StatusNotFound, ErrUnknownNode, "unknown node %q", addr)
+	return Errf(http.StatusNotFound, client.CodeUnknownNode, "unknown node %q", addr)
 }
 
 // StateDoc implements Backend. A non-nil atTime time-travels by version:
 // the node is read from the snapshot atTime resolves to, the document
 // keeps the pin's version and reports when that state was published.
-func (p *Publisher) StateDoc(_ context.Context, pin Pin, node, relFilter string, atTime *int64) (*client.State, *APIError) {
+func (p *Publisher) StateDoc(_ context.Context, pin Pin, node, relFilter string, atTime *int64) (*client.State, *client.APIError) {
 	snap := pin.snap
 	st := snap.stateOf(node)
 	if st == nil {
@@ -134,7 +134,7 @@ func (p *Publisher) StateDoc(_ context.Context, pin Pin, node, relFilter string,
 	if atTime != nil {
 		then, err := p.atTime(snap.Version, simnet.Time(*atTime))
 		if errors.Is(err, provstore.ErrNotRetained) {
-			return nil, Errf(http.StatusNotFound, ErrUnknownNode,
+			return nil, Errf(http.StatusNotFound, client.CodeUnknownNode,
 				"no retained version at or before t=%dus to read %q from", *atTime, node)
 		}
 		if err != nil {
@@ -161,18 +161,18 @@ func (p *Publisher) StateDoc(_ context.Context, pin Pin, node, relFilter string,
 // HistoryFirstDoc implements Backend from the snapshot store's per-segment
 // first-seen indexes, not from any retained snapshot, so the answer can
 // extend further back than the in-memory ring.
-func (p *Publisher) HistoryFirstDoc(_ context.Context, _ string, t rel.Tuple, at string) (*client.HistoryFirst, *APIError) {
+func (p *Publisher) HistoryFirstDoc(_ context.Context, _ string, t rel.Tuple, at string) (*client.HistoryFirst, *client.APIError) {
 	if snap := p.Current(); snap.stateOf(at) == nil {
 		return nil, snap.unowned(at)
 	}
 	st := p.Store()
 	if st == nil {
-		return nil, Errf(http.StatusNotImplemented, ErrNoHistory,
+		return nil, Errf(http.StatusNotImplemented, client.CodeNoHistory,
 			"no snapshot store attached; first-version queries need the daemon started with -data")
 	}
 	v, ok := st.FirstVersion(at, t.VID())
 	if !ok {
-		return nil, Errf(http.StatusNotFound, ErrNoHistory,
+		return nil, Errf(http.StatusNotFound, client.CodeNoHistory,
 			"tuple %s was never seen at %q in the retained history", t, at)
 	}
 	out := &client.HistoryFirst{
@@ -190,7 +190,7 @@ func (p *Publisher) HistoryFirstDoc(_ context.Context, _ string, t rel.Tuple, at
 }
 
 // HealthzDoc implements Backend.
-func (p *Publisher) HealthzDoc(_ context.Context, protocol string) (interface{}, *APIError) {
+func (p *Publisher) HealthzDoc(_ context.Context, protocol string) (interface{}, *client.APIError) {
 	snap := p.Current()
 	oldest, _ := p.Versions()
 	out := client.Health{

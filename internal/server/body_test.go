@@ -287,8 +287,8 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}
 	var env client.ErrorEnvelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != ErrInternal {
-		t.Fatalf("body %q is not the %s envelope (%v)", rec.Body.Bytes(), ErrInternal, err)
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != client.CodeInternal {
+		t.Fatalf("body %q is not the %s envelope (%v)", rec.Body.Bytes(), client.CodeInternal, err)
 	}
 }
 

@@ -20,10 +20,10 @@ var catalogStatus = map[int]bool{
 }
 
 var catalogCodes = map[string]bool{
-	ErrInvalidRequest: true, ErrInvalidQuery: true, ErrInvalidOption: true, ErrUnknownNode: true,
-	ErrNoProvenance: true, ErrUnknownEndpoint: true, ErrMethodNotAllowed: true, ErrSnapshotEvicted: true,
-	ErrNoHistory: true, ErrQueryCancelled: true, ErrQueryTimeout: true, ErrInternal: true,
-	ErrWrongShard: true, ErrShardUnreachable: true,
+	client.CodeInvalidRequest: true, client.CodeInvalidQuery: true, client.CodeInvalidOption: true, client.CodeUnknownNode: true,
+	client.CodeNoProvenance: true, client.CodeUnknownEndpoint: true, client.CodeMethodNotAllowed: true, client.CodeSnapshotEvicted: true,
+	client.CodeNoHistory: true, client.CodeQueryCancelled: true, client.CodeQueryTimeout: true, client.CodeInternal: true,
+	client.CodeWrongShard: true, client.CodeShardUnreachable: true,
 }
 
 // FuzzHandler drives one daemon's handler, over a 2x2 MINCOST grid

@@ -82,7 +82,7 @@ func NewOver(b Backend, info Info) *Server {
 	// Anything else is a structured JSON 404, not the mux's plain-text
 	// default.
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		WriteErr(w, http.StatusNotFound, ErrUnknownEndpoint, "unknown endpoint %s", r.URL.Path)
+		WriteErr(w, http.StatusNotFound, client.CodeUnknownEndpoint, "unknown endpoint %s", r.URL.Path)
 	})
 	return s
 }
@@ -90,7 +90,7 @@ func NewOver(b Backend, info Info) *Server {
 // endpoint is one route's handler. It writes its own success response;
 // a failure it returns instead, so every error envelope of the surface
 // leaves through the one WriteAPIError call in route.
-type endpoint func(w http.ResponseWriter, r *http.Request) *APIError
+type endpoint func(w http.ResponseWriter, r *http.Request) *client.APIError
 
 // route registers an endpoint for one method on pattern, and a
 // structured JSON 405 (with the Allow header) for every other method
@@ -103,7 +103,7 @@ func (s *Server) route(method, pattern string, h endpoint) {
 	})
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Allow", method)
-		WriteErr(w, http.StatusMethodNotAllowed, ErrMethodNotAllowed,
+		WriteErr(w, http.StatusMethodNotAllowed, client.CodeMethodNotAllowed,
 			"method %s not allowed on %s (allow %s)", r.Method, r.URL.Path, method)
 	})
 }
@@ -131,17 +131,17 @@ const maxOptionValue = 1 << 20
 // boundary: negative values (which the walk would silently treat as
 // "unlimited") and absurdly large ones. The textual grammar rejects
 // these at parse time; this guards the structured form.
-func validateOptions(o provquery.Options) *APIError {
+func validateOptions(o provquery.Options) *client.APIError {
 	for _, f := range []struct {
 		name string
 		v    int
 	}{{"threshold", o.Threshold}, {"maxdepth", o.MaxDepth}, {"maxnodes", o.MaxNodes}} {
 		if f.v < 0 {
-			return Errf(http.StatusBadRequest, ErrInvalidOption,
+			return Errf(http.StatusBadRequest, client.CodeInvalidOption,
 				"%s must be >= 0, got %d", f.name, f.v)
 		}
 		if f.v > maxOptionValue {
-			return Errf(http.StatusBadRequest, ErrInvalidOption,
+			return Errf(http.StatusBadRequest, client.CodeInvalidOption,
 				"%s %d exceeds the maximum %d", f.name, f.v, maxOptionValue)
 		}
 	}
@@ -151,12 +151,12 @@ func validateOptions(o provquery.Options) *APIError {
 // RequestContext derives the traversal context for one request: the
 // client's own context (so a disconnect cancels the walk) bounded by
 // the ?timeout= deadline or the serverDefault, whichever is tighter.
-func RequestContext(r *http.Request, serverDefault time.Duration) (context.Context, context.CancelFunc, *APIError) {
+func RequestContext(r *http.Request, serverDefault time.Duration) (context.Context, context.CancelFunc, *client.APIError) {
 	d := serverDefault
 	if raw := r.URL.Query().Get("timeout"); raw != "" {
 		td, err := time.ParseDuration(raw)
 		if err != nil || td <= 0 {
-			return nil, nil, Errf(http.StatusBadRequest, ErrInvalidOption,
+			return nil, nil, Errf(http.StatusBadRequest, client.CodeInvalidOption,
 				"bad timeout %q (want a positive Go duration like 500ms)", raw)
 		}
 		if d == 0 || td < d {
@@ -271,7 +271,7 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}, keep func(body []
 	sc := scratchPool.Get().(*scratch)
 	sc.compact.Reset()
 	if err := sc.enc.Encode(v); err != nil {
-		WriteErr(w, http.StatusInternalServerError, ErrInternal, "encode response: %v", err)
+		WriteErr(w, http.StatusInternalServerError, client.CodeInternal, "encode response: %v", err)
 		return
 	}
 	sc.body = appendIndent(sc.body[:0], sc.compact.Bytes())
@@ -378,35 +378,35 @@ const MaxBodyBytes = 8 << 20
 
 // decodeBody decodes a POST body into v under the MaxBodyBytes bound —
 // the one place request bodies are read.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) *APIError {
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) *client.APIError {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
 	if err == nil {
 		return nil
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		return Errf(http.StatusRequestEntityTooLarge, ErrInvalidRequest,
+		return Errf(http.StatusRequestEntityTooLarge, client.CodeInvalidRequest,
 			"request body exceeds %d bytes", tooLarge.Limit)
 	}
-	return Errf(http.StatusBadRequest, ErrInvalidRequest, "bad request body: %v", err)
+	return Errf(http.StatusBadRequest, client.CodeInvalidRequest, "bad request body: %v", err)
 }
 
 // writeDoc writes a backend document, unless producing it failed.
-func writeDoc(w http.ResponseWriter, doc interface{}, apiErr *APIError) *APIError {
+func writeDoc(w http.ResponseWriter, doc interface{}, apiErr *client.APIError) *client.APIError {
 	if apiErr == nil {
 		WriteJSON(w, http.StatusOK, doc)
 	}
 	return apiErr
 }
 
-func versionParam(r *http.Request) (uint64, *APIError) {
+func versionParam(r *http.Request) (uint64, *client.APIError) {
 	raw := r.URL.Query().Get("version")
 	if raw == "" {
 		return 0, nil
 	}
 	v, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
-		return 0, Errf(http.StatusBadRequest, ErrInvalidRequest, "bad version %q", raw)
+		return 0, Errf(http.StatusBadRequest, client.CodeInvalidRequest, "bad version %q", raw)
 	}
 	return v, nil
 }
@@ -456,7 +456,7 @@ func etagMatches(ifNoneMatch, etag string) bool {
 // machinery — the response's ETag is always set, and a matching
 // If-None-Match is answered 304 with no body. fresh reports that the
 // body is still wanted.
-func (s *Server) pinGET(ctx context.Context, w http.ResponseWriter, r *http.Request) (pin Pin, fresh bool, apiErr *APIError) {
+func (s *Server) pinGET(ctx context.Context, w http.ResponseWriter, r *http.Request) (pin Pin, fresh bool, apiErr *client.APIError) {
 	version, apiErr := versionParam(r)
 	if apiErr == nil {
 		pin, apiErr = s.b.Pin(ctx, version)
@@ -475,7 +475,7 @@ func (s *Server) pinGET(ctx context.Context, w http.ResponseWriter, r *http.Requ
 
 // ---- endpoints ---------------------------------------------------------
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) *APIError {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) *client.APIError {
 	doc, apiErr := s.b.HealthzDoc(r.Context(), s.info.Protocol)
 	return writeDoc(w, doc, apiErr)
 }
@@ -483,12 +483,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) *APIError
 // handleVersion reports the server binary's build metadata
 // (debug.ReadBuildInfo): module path/version, Go toolchain, and build
 // settings.
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) *APIError {
+func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) *client.APIError {
 	return writeDoc(w, buildinfo.Get(), nil)
 }
 
 // handleShards is GET /v1/shards: the routing table of the tier.
-func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) *APIError {
+func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) *client.APIError {
 	pin, fresh, apiErr := s.pinGET(r.Context(), w, r)
 	if !fresh {
 		return apiErr
@@ -496,7 +496,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) *APIError 
 	return writeDoc(w, s.b.ShardsDoc(pin), nil)
 }
 
-func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) *APIError {
+func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) *client.APIError {
 	pin, fresh, apiErr := s.pinGET(r.Context(), w, r)
 	if !fresh {
 		return apiErr
@@ -505,7 +505,7 @@ func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) *APIError {
 	return writeDoc(w, doc, apiErr)
 }
 
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) *APIError {
+func (s *Server) handleState(w http.ResponseWriter, r *http.Request) *client.APIError {
 	// ?t=<virtual time in us> time-travels instead of reading the
 	// pinned snapshot's own instant.
 	q := r.URL.Query()
@@ -513,7 +513,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) *APIError {
 	if raw := q.Get("t"); raw != "" {
 		us, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil {
-			return Errf(http.StatusBadRequest, ErrInvalidRequest, "bad virtual time %q", raw)
+			return Errf(http.StatusBadRequest, client.CodeInvalidRequest, "bad virtual time %q", raw)
 		}
 		atTime = &us
 	}
@@ -529,7 +529,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) *APIError {
 // version where tuple X exists at a node. There is no version pinning
 // and no ETag — the answer can extend further back than any retained
 // snapshot.
-func (s *Server) handleHistoryFirst(w http.ResponseWriter, r *http.Request) *APIError {
+func (s *Server) handleHistoryFirst(w http.ResponseWriter, r *http.Request) *client.APIError {
 	lit, t, at, apiErr := tupleParams(r)
 	if apiErr != nil {
 		return apiErr
@@ -540,15 +540,15 @@ func (s *Server) handleHistoryFirst(w http.ResponseWriter, r *http.Request) *API
 
 // tupleParams parses the ?tuple= literal (and optional ?at= node) of a
 // GET that names one tuple.
-func tupleParams(r *http.Request) (lit string, t rel.Tuple, at string, apiErr *APIError) {
+func tupleParams(r *http.Request) (lit string, t rel.Tuple, at string, apiErr *client.APIError) {
 	q := r.URL.Query()
 	lit = q.Get("tuple")
 	if lit == "" {
-		return "", rel.Tuple{}, "", Errf(http.StatusBadRequest, ErrInvalidRequest, "missing ?tuple= literal")
+		return "", rel.Tuple{}, "", Errf(http.StatusBadRequest, client.CodeInvalidRequest, "missing ?tuple= literal")
 	}
 	t, at, err := ResolveTupleAt(lit, q.Get("at"))
 	if err != nil {
-		return "", rel.Tuple{}, "", Errf(http.StatusBadRequest, ErrInvalidQuery, "%v", err)
+		return "", rel.Tuple{}, "", Errf(http.StatusBadRequest, client.CodeInvalidQuery, "%v", err)
 	}
 	return lit, t, at, nil
 }
@@ -582,30 +582,30 @@ func ResolveTupleAt(lit, at string) (rel.Tuple, string, error) {
 // both request forms reduce to (type, tuple, at, opts) before any
 // evaluation, so every malformed query is a 400 and only missing
 // provenance is a 404.
-func ResolveQueryRequest(req *QueryRequest) (typ provquery.QueryType, t rel.Tuple, at string, opts provquery.Options, apiErr *APIError) {
+func ResolveQueryRequest(req *QueryRequest) (typ provquery.QueryType, t rel.Tuple, at string, opts provquery.Options, apiErr *client.APIError) {
 	switch {
 	case req.Q != "":
 		parsed, err := provquery.ParseQuery(req.Q)
 		if err != nil {
-			return 0, rel.Tuple{}, "", opts, Errf(http.StatusBadRequest, ErrInvalidQuery, "%v", err)
+			return 0, rel.Tuple{}, "", opts, Errf(http.StatusBadRequest, client.CodeInvalidQuery, "%v", err)
 		}
 		typ, t, at, opts = parsed.Type, parsed.Tuple, parsed.At, parsed.Opts
 	case req.Type != "" && req.Tuple != "":
 		var err error
 		typ, err = provquery.ParseQueryType(req.Type)
 		if err != nil {
-			return 0, rel.Tuple{}, "", opts, Errf(http.StatusBadRequest, ErrInvalidQuery, "%v", err)
+			return 0, rel.Tuple{}, "", opts, Errf(http.StatusBadRequest, client.CodeInvalidQuery, "%v", err)
 		}
 		t, at, err = ResolveTupleAt(req.Tuple, req.At)
 		if err != nil {
-			return 0, rel.Tuple{}, "", opts, Errf(http.StatusBadRequest, ErrInvalidQuery, "%v", err)
+			return 0, rel.Tuple{}, "", opts, Errf(http.StatusBadRequest, client.CodeInvalidQuery, "%v", err)
 		}
 		if o := req.Options; o != nil {
 			opts = provquery.Options{Threshold: o.Threshold, Sequential: o.Sequential, MaxDepth: o.MaxDepth, MaxNodes: o.MaxNodes}
 		}
 	default:
 		return 0, rel.Tuple{}, "", opts,
-			Errf(http.StatusBadRequest, ErrInvalidRequest, `need "q" or "type"+"tuple"`)
+			Errf(http.StatusBadRequest, client.CodeInvalidRequest, `need "q" or "type"+"tuple"`)
 	}
 	if apiErr := validateOptions(opts); apiErr != nil {
 		return 0, rel.Tuple{}, "", opts, apiErr
@@ -616,10 +616,10 @@ func ResolveQueryRequest(req *QueryRequest) (typ provquery.QueryType, t rel.Tupl
 // QueryError maps a traversal failure to its stable API error: the
 // one mapping shared by every query-evaluating endpoint on both tiers,
 // so the same defect never earns different codes on different routes.
-// An error that already is an *APIError (a gateway's failed shard
+// An error that already is a *client.APIError (a gateway's failed shard
 // read) passes through.
-func QueryError(err error) *APIError {
-	var ae *APIError
+func QueryError(err error) *client.APIError {
+	var ae *client.APIError
 	if errors.As(err, &ae) {
 		return ae
 	}
@@ -627,16 +627,16 @@ func QueryError(err error) *APIError {
 		return ce
 	}
 	if errors.Is(err, provquery.ErrUnknownNode) {
-		return Errf(http.StatusNotFound, ErrUnknownNode, "%v", err)
+		return Errf(http.StatusNotFound, client.CodeUnknownNode, "%v", err)
 	}
 	if errors.Is(err, provquery.ErrNotOwned) {
-		return Errf(http.StatusMisdirectedRequest, ErrWrongShard,
+		return Errf(http.StatusMisdirectedRequest, client.CodeWrongShard,
 			"%v (query a gateway, or the owning shard)", err)
 	}
 	if errors.Is(err, provquery.ErrNoProvenance) {
-		return Errf(http.StatusNotFound, ErrNoProvenance, "%v", err)
+		return Errf(http.StatusNotFound, client.CodeNoProvenance, "%v", err)
 	}
-	return Errf(http.StatusInternalServerError, ErrInternal, "%v", err)
+	return Errf(http.StatusInternalServerError, client.CodeInternal, "%v", err)
 }
 
 // RenderQueryResponse renders a finished traversal as the /v1/query
@@ -684,7 +684,7 @@ func (s *Server) key(pin Pin, typ provquery.QueryType, at string, t rel.Tuple, o
 
 // query answers key (whose VID is t's) at pin through the process's
 // result cache, walking the backend on a miss.
-func (s *Server) query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (Cached, bool, *APIError) {
+func (s *Server) query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) (Cached, bool, *client.APIError) {
 	e, hit, err := s.b.ResultCache().answer(key, func() (*provquery.Result, error) {
 		return s.b.Walk(ctx, pin, key, t)
 	})
@@ -694,7 +694,7 @@ func (s *Server) query(ctx context.Context, pin Pin, key CacheKey, t rel.Tuple) 
 	return e, hit, nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *APIError {
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *client.APIError {
 	var req QueryRequest
 	if apiErr := decodeBody(w, r, &req); apiErr != nil {
 		return apiErr
@@ -739,17 +739,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) *APIError {
 const MaxBatchQueries = 1024
 
 // batchShapeError rejects a batch the loop must not start on.
-func batchShapeError(req *client.BatchRequest) *APIError {
+func batchShapeError(req *client.BatchRequest) *client.APIError {
 	if len(req.Queries) == 0 {
-		return Errf(http.StatusBadRequest, ErrInvalidRequest, "empty batch: need at least one query")
+		return Errf(http.StatusBadRequest, client.CodeInvalidRequest, "empty batch: need at least one query")
 	}
 	if len(req.Queries) > MaxBatchQueries {
-		return Errf(http.StatusBadRequest, ErrInvalidRequest,
+		return Errf(http.StatusBadRequest, client.CodeInvalidRequest,
 			"batch of %d queries exceeds the maximum %d", len(req.Queries), MaxBatchQueries)
 	}
 	for i := range req.Queries {
 		if req.Queries[i].Version != 0 {
-			return Errf(http.StatusBadRequest, ErrInvalidRequest,
+			return Errf(http.StatusBadRequest, client.CodeInvalidRequest,
 				"queries[%d] sets version; the batch-level version pins the snapshot for every query", i)
 		}
 	}
@@ -763,7 +763,7 @@ func batchShapeError(req *client.BatchRequest) *APIError {
 // result is the exact document the equivalent single POST /v1/query
 // answers (identical JSON modulo indentation depth) or an error
 // envelope.
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *APIError {
+func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *client.APIError {
 	var req client.BatchRequest
 	if apiErr := decodeBody(w, r, &req); apiErr != nil {
 		return apiErr
@@ -815,14 +815,14 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *APIEr
 				if b == nil {
 					var err error
 					if b, err = json.Marshal(RenderQueryResponse(pin.Version, int64(pin.Time), e.Result)); err != nil {
-						return Errf(http.StatusInternalServerError, ErrInternal, "encode: %v", err)
+						return Errf(http.StatusInternalServerError, client.CodeInternal, "encode: %v", err)
 					}
 				}
 				local[key] = b
 				results = append(results, b)
 				continue
 			}
-			if evalErr.Code == ErrQueryCancelled || evalErr.Code == ErrQueryTimeout {
+			if evalErr.Code == client.CodeQueryCancelled || evalErr.Code == client.CodeQueryTimeout {
 				return evalErr
 			}
 			itemErr = evalErr
@@ -845,7 +845,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *APIEr
 // handleProofDOT renders the lineage of ?tuple= (optionally ?at=,
 // ?version=) as a Graphviz DOT document, sharing the result cache with
 // /v1/query.
-func (s *Server) handleProofDOT(w http.ResponseWriter, r *http.Request) *APIError {
+func (s *Server) handleProofDOT(w http.ResponseWriter, r *http.Request) *client.APIError {
 	_, t, at, apiErr := tupleParams(r)
 	if apiErr != nil {
 		return apiErr

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/client"
 	"repro/internal/rel"
 )
 
@@ -196,7 +197,7 @@ func TestChurnLoopBounded(t *testing.T) {
 	}
 	// Reach ends with the ring: one instant earlier is not retained.
 	before := int64(first.Time) - 1
-	if _, apiErr := pub.StateDoc(ctx, pin, "n1", "", &before); apiErr == nil || apiErr.Code != ErrUnknownNode {
-		t.Fatalf("t before the oldest retained version: %v, want %s", apiErr, ErrUnknownNode)
+	if _, apiErr := pub.StateDoc(ctx, pin, "n1", "", &before); apiErr == nil || apiErr.Code != client.CodeUnknownNode {
+		t.Fatalf("t before the oldest retained version: %v, want %s", apiErr, client.CodeUnknownNode)
 	}
 }

@@ -18,21 +18,8 @@ import (
 // snapshot state, so responses are immutable per version and freely
 // cacheable downstream.
 
-// Prov-read op kinds: a "vertex" read resolves one tuple VID at a node
-// (its pinned tuple value plus its derivation entries); an "exec" read
-// resolves one rule execution RID at the node where it ran, and
-// piggybacks the vertex data of every input tuple — inputs are local
-// to the executing node, so one exec read hands the walk everything it
-// needs to keep going there. A result's TupleOK/DerivsOK/ExecOK mirror
-// the independent partition lookups, so a federated walk reproduces
-// the exact missing-data behaviour of a local one; its Err is a stable
-// code only when the op itself was misdirected or malformed. Every
-// result also carries its reach (ProvRead), so the gateway pays a round
-// trip only where a proof leaves this shard.
-const (
-	ProvReadVertex = client.ProvReadVertex
-	ProvReadExec   = client.ProvReadExec
-)
+// ProvReadVertex is the vertex op kind, as the SDK declares it.
+const ProvReadVertex = client.ProvReadVertex
 
 // MaxProvReads bounds how many ops one POST /v1/prov/read request may
 // carry, and how many reach entries one response ships.
@@ -96,23 +83,32 @@ type reacher struct {
 	budget int // reach entries still allowed in this response
 }
 
+// read answers one op. A "vertex" read resolves one tuple VID at a node
+// (its pinned tuple value plus its derivation entries); an "exec" read
+// resolves one rule execution RID at the node where it ran, and
+// piggybacks the vertex data of every input tuple — inputs are local
+// to the executing node, so one exec read hands the walk everything it
+// needs to keep going there. TupleOK/DerivsOK/ExecOK mirror the
+// independent partition lookups, so a federated walk reproduces the
+// exact missing-data behaviour of a local one; Err is a stable code
+// only when the op itself was misdirected or malformed.
 func (r *reacher) read(op client.ProvReadOp) client.ProvReadResult {
 	v := r.s.viewOf(op.Loc)
 	if v == nil {
 		if _, ok := r.s.nodeIndex(op.Loc); ok {
-			return client.ProvReadResult{Err: ErrWrongShard}
+			return client.ProvReadResult{Err: client.CodeWrongShard}
 		}
-		return client.ProvReadResult{Err: ErrUnknownNode}
+		return client.ProvReadResult{Err: client.CodeUnknownNode}
 	}
 	id, err := rel.ParseID(op.ID)
 	if err != nil {
-		return client.ProvReadResult{Err: ErrInvalidRequest}
+		return client.ProvReadResult{Err: client.CodeInvalidRequest}
 	}
 	switch op.Op {
-	case ProvReadVertex:
+	case client.ProvReadVertex:
 		r.follow(v, id)
 		return client.ProvReadResult{ProvVertex: vertexOf(v, id)}
-	case ProvReadExec:
+	case client.ProvReadExec:
 		exec, ok := v.Exec(id)
 		if !ok {
 			return client.ProvReadResult{}
@@ -122,7 +118,7 @@ func (r *reacher) read(op client.ProvReadOp) client.ProvReadResult {
 		pe, inputs := execOf(v, exec)
 		return client.ProvReadResult{ExecOK: true, Exec: &pe, Inputs: inputs}
 	default:
-		return client.ProvReadResult{Err: ErrInvalidRequest}
+		return client.ProvReadResult{Err: client.CodeInvalidRequest}
 	}
 }
 
@@ -189,16 +185,16 @@ func execOf(v *provenance.View, exec provenance.ExecEntry) (client.ProvExec, []c
 // against one pinned snapshot — the wire protocol a federating
 // gateway resolves remote-shard walk steps with. Only New mounts it, so
 // the backend is a Publisher and every pin carries its snapshot.
-func (s *Server) handleProvRead(w http.ResponseWriter, r *http.Request) *APIError {
+func (s *Server) handleProvRead(w http.ResponseWriter, r *http.Request) *client.APIError {
 	var req client.ProvReadRequest
 	if apiErr := decodeBody(w, r, &req); apiErr != nil {
 		return apiErr
 	}
 	if len(req.Reads) == 0 {
-		return Errf(http.StatusBadRequest, ErrInvalidRequest, "empty read batch")
+		return Errf(http.StatusBadRequest, client.CodeInvalidRequest, "empty read batch")
 	}
 	if len(req.Reads) > MaxProvReads {
-		return Errf(http.StatusBadRequest, ErrInvalidRequest,
+		return Errf(http.StatusBadRequest, client.CodeInvalidRequest,
 			"%d reads exceed the maximum %d", len(req.Reads), MaxProvReads)
 	}
 	pin, apiErr := s.b.Pin(r.Context(), req.Version)

@@ -30,7 +30,7 @@ func TestProvReadReach(t *testing.T) {
 		{Op: ProvReadVertex, Loc: "n2", ID: vid}, // shard 1's node: no reach
 	}
 	full := snap.provRead(ops, MaxProvReads)
-	if full[1].Err != ErrWrongShard || full[1].Reach != nil {
+	if full[1].Err != client.CodeWrongShard || full[1].Reach != nil {
 		t.Fatalf("misdirected read answered %+v", full[1])
 	}
 
@@ -96,7 +96,7 @@ func TestProvReadReach(t *testing.T) {
 	}
 	rid := d.RID
 	ops = []client.ProvReadOp{
-		{Op: ProvReadExec, Loc: d.RLoc, ID: rid},
+		{Op: client.ProvReadExec, Loc: d.RLoc, ID: rid},
 		{Op: ProvReadVertex, Loc: "n1", ID: vid},
 	}
 	res := snap.provRead(ops, MaxProvReads)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/provquery"
 )
 
@@ -25,12 +26,12 @@ func TestQueryErrorMapping(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"unknown node", fmt.Errorf("provquery: %w n7", provquery.ErrUnknownNode), http.StatusNotFound, ErrUnknownNode},
-		{"not owned", fmt.Errorf("provquery: node n7: %w", provquery.ErrNotOwned), http.StatusMisdirectedRequest, ErrWrongShard},
-		{"no provenance", fmt.Errorf("provquery: tuple t has %w at n1", provquery.ErrNoProvenance), http.StatusNotFound, ErrNoProvenance},
-		{"cancelled", fmt.Errorf("provquery: query aborted: %w", cancelled.Err()), StatusClientClosedRequest, ErrQueryCancelled},
-		{"deadline", fmt.Errorf("provquery: query aborted: %w", expired.Err()), http.StatusGatewayTimeout, ErrQueryTimeout},
-		{"unclassified", errors.New("provquery: query for t did not complete"), http.StatusInternalServerError, ErrInternal},
+		{"unknown node", fmt.Errorf("provquery: %w n7", provquery.ErrUnknownNode), http.StatusNotFound, client.CodeUnknownNode},
+		{"not owned", fmt.Errorf("provquery: node n7: %w", provquery.ErrNotOwned), http.StatusMisdirectedRequest, client.CodeWrongShard},
+		{"no provenance", fmt.Errorf("provquery: tuple t has %w at n1", provquery.ErrNoProvenance), http.StatusNotFound, client.CodeNoProvenance},
+		{"cancelled", fmt.Errorf("provquery: query aborted: %w", cancelled.Err()), StatusClientClosedRequest, client.CodeQueryCancelled},
+		{"deadline", fmt.Errorf("provquery: query aborted: %w", expired.Err()), http.StatusGatewayTimeout, client.CodeQueryTimeout},
+		{"unclassified", errors.New("provquery: query for t did not complete"), http.StatusInternalServerError, client.CodeInternal},
 	} {
 		got := QueryError(tc.err)
 		if got.Status != tc.status || got.Code != tc.code {

@@ -285,8 +285,8 @@ func TestLocationRuleOneForBothForms(t *testing.T) {
 	} {
 		status, body := send()
 		var env client.ErrorEnvelope
-		if err := json.Unmarshal(body, &env); err != nil || status != http.StatusBadRequest || env.Error.Code != ErrInvalidQuery {
-			t.Errorf("%d %s, want 400 %s", status, body, ErrInvalidQuery)
+		if err := json.Unmarshal(body, &env); err != nil || status != http.StatusBadRequest || env.Error.Code != client.CodeInvalidQuery {
+			t.Errorf("%d %s, want 400 %s", status, body, client.CodeInvalidQuery)
 		}
 	}
 }
@@ -572,25 +572,25 @@ func TestUnknownRoutesAndMethodsAreStructuredJSON(t *testing.T) {
 	}
 
 	resp, body := getFull(t, ts.URL+"/v1/nope")
-	assertJSONError(resp, body, http.StatusNotFound, ErrUnknownEndpoint)
+	assertJSONError(resp, body, http.StatusNotFound, client.CodeUnknownEndpoint)
 	// The pre-v1 unversioned aliases are gone, not redirected.
 	resp, body = getFull(t, ts.URL+"/nodes")
-	assertJSONError(resp, body, http.StatusNotFound, ErrUnknownEndpoint)
+	assertJSONError(resp, body, http.StatusNotFound, client.CodeUnknownEndpoint)
 
 	resp, body = postFull(t, ts.URL+"/v1/nodes", `{}`)
-	assertJSONError(resp, body, http.StatusMethodNotAllowed, ErrMethodNotAllowed)
+	assertJSONError(resp, body, http.StatusMethodNotAllowed, client.CodeMethodNotAllowed)
 	if allow := resp.Header.Get("Allow"); allow != "GET" {
 		t.Fatalf("Allow = %q, want GET", allow)
 	}
 	resp, body = getFull(t, ts.URL+"/v1/query")
-	assertJSONError(resp, body, http.StatusMethodNotAllowed, ErrMethodNotAllowed)
+	assertJSONError(resp, body, http.StatusMethodNotAllowed, client.CodeMethodNotAllowed)
 
 	resp, body = getFull(t, ts.URL+"/v1/nodes?version=banana")
-	assertJSONError(resp, body, http.StatusBadRequest, ErrInvalidRequest)
+	assertJSONError(resp, body, http.StatusBadRequest, client.CodeInvalidRequest)
 	resp, body = getFull(t, ts.URL+"/v1/state/n1?version=999999")
-	assertJSONError(resp, body, http.StatusGone, ErrSnapshotEvicted)
+	assertJSONError(resp, body, http.StatusGone, client.CodeSnapshotEvicted)
 	resp, body = getFull(t, ts.URL+"/v1/state/ghost")
-	assertJSONError(resp, body, http.StatusNotFound, ErrUnknownNode)
+	assertJSONError(resp, body, http.StatusNotFound, client.CodeUnknownNode)
 
 	// proof.dot success still carries the Graphviz content type.
 	resp, _ = getFull(t, ts.URL+"/v1/proof.dot?tuple=mincost(@'n1','n4',2)")

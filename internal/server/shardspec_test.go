@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"repro/client"
 	"repro/internal/engine"
 	"repro/internal/protocols"
 	"repro/internal/provquery"
@@ -132,11 +133,11 @@ func TestValidateOptionsTable(t *testing.T) {
 	}{
 		{"zero-valid", provquery.Options{}, ""},
 		{"max-boundary-valid", provquery.Options{MaxDepth: maxOptionValue}, ""},
-		{"negative-threshold", provquery.Options{Threshold: -1}, ErrInvalidOption},
-		{"negative-maxdepth", provquery.Options{MaxDepth: -5}, ErrInvalidOption},
-		{"negative-maxnodes", provquery.Options{MaxNodes: -1}, ErrInvalidOption},
-		{"absurd-maxnodes", provquery.Options{MaxNodes: maxOptionValue + 1}, ErrInvalidOption},
-		{"absurd-threshold", provquery.Options{Threshold: 1 << 30}, ErrInvalidOption},
+		{"negative-threshold", provquery.Options{Threshold: -1}, client.CodeInvalidOption},
+		{"negative-maxdepth", provquery.Options{MaxDepth: -5}, client.CodeInvalidOption},
+		{"negative-maxnodes", provquery.Options{MaxNodes: -1}, client.CodeInvalidOption},
+		{"absurd-maxnodes", provquery.Options{MaxNodes: maxOptionValue + 1}, client.CodeInvalidOption},
+		{"absurd-threshold", provquery.Options{Threshold: 1 << 30}, client.CodeInvalidOption},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := validateOptions(tc.in)

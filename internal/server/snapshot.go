@@ -38,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/client"
 	"repro/internal/engine"
 	"repro/internal/provenance"
 	"repro/internal/provquery"
@@ -228,7 +229,7 @@ func (s *Snapshot) viewOf(addr string) *provenance.View {
 
 // misdirected returns the wrong-shard error for a node that exists in
 // the network but is owned by another shard, and nil otherwise.
-func (s *Snapshot) misdirected(addr string) *APIError {
+func (s *Snapshot) misdirected(addr string) *client.APIError {
 	if s.Shard.Unsharded() || s.stateOf(addr) != nil {
 		return nil
 	}
@@ -236,7 +237,7 @@ func (s *Snapshot) misdirected(addr string) *APIError {
 	if !ok {
 		return nil
 	}
-	return Errf(http.StatusMisdirectedRequest, ErrWrongShard,
+	return Errf(http.StatusMisdirectedRequest, client.CodeWrongShard,
 		"node %q is owned by shard %d/%d, not this shard (%s)",
 		addr, OwnerOf(i, s.Shard.Total), s.Shard.Total, s.Shard)
 }

@@ -399,8 +399,8 @@ func TestUnreadableVersionIsNotEvicted(t *testing.T) {
 		if err := json.Unmarshal(body, &env); err != nil {
 			t.Fatalf("GET %s: %d %s", url, code, body)
 		}
-		if code != http.StatusInternalServerError || env.Error.Code != ErrInternal {
-			t.Fatalf("GET %s: %d %s, want 500 %s", url, code, body, ErrInternal)
+		if code != http.StatusInternalServerError || env.Error.Code != client.CodeInternal {
+			t.Fatalf("GET %s: %d %s, want 500 %s", url, code, body, client.CodeInternal)
 		}
 		if msg := env.Error.Message; !strings.Contains(msg, fmt.Sprintf("version %d", version)) ||
 			strings.Contains(msg, dir) || strings.Contains(msg, ".seg") {
@@ -513,12 +513,12 @@ func TestHistoryFirstEndpoint(t *testing.T) {
 
 	// A tuple the network never saw: 404 no_history.
 	code, body = get(t, ts.URL+"/v1/history/first?tuple="+queryEscape("link(@'n1','n1',424242)"))
-	if code != http.StatusNotFound || !bytes.Contains(body, []byte(ErrNoHistory)) {
+	if code != http.StatusNotFound || !bytes.Contains(body, []byte(client.CodeNoHistory)) {
 		t.Fatalf("unseen tuple: %d %s", code, body)
 	}
 	// Unknown node: 404 unknown_node.
 	code, body = get(t, ts.URL+"/v1/history/first?tuple="+queryEscape("link(@'zz','zz',1)"))
-	if code != http.StatusNotFound || !bytes.Contains(body, []byte(ErrUnknownNode)) {
+	if code != http.StatusNotFound || !bytes.Contains(body, []byte(client.CodeUnknownNode)) {
 		t.Fatalf("unknown node: %d %s", code, body)
 	}
 	// Missing tuple parameter: 400.
@@ -531,7 +531,7 @@ func TestHistoryFirstEndpoint(t *testing.T) {
 	e2 := buildGrid(t, 2)
 	_, bare := newServer(t, e2, 4)
 	code, body = get(t, bare.URL+"/v1/history/first?tuple="+queryEscape(markerLit))
-	if code != http.StatusNotImplemented || !bytes.Contains(body, []byte(ErrNoHistory)) {
+	if code != http.StatusNotImplemented || !bytes.Contains(body, []byte(client.CodeNoHistory)) {
 		t.Fatalf("storeless daemon: %d %s", code, body)
 	}
 }

@@ -128,7 +128,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 	huge := `{"q":"` + strings.Repeat("a", MaxBodyBytes) + `"}`
 	for _, path := range []string{"/v1/query", "/v1/query/batch", "/v1/prov/read"} {
 		resp, body := postFull(t, ts.URL+path, huge)
-		if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusRequestEntityTooLarge || code != ErrInvalidRequest {
+		if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusRequestEntityTooLarge || code != client.CodeInvalidRequest {
 			t.Fatalf("%s: oversized body = %d %s", path, resp.StatusCode, body)
 		}
 	}
@@ -295,11 +295,11 @@ func TestBatchErrors(t *testing.T) {
 	if err := json.Unmarshal(batch.Results[0], &ok0); err != nil || ok0.Count == nil {
 		t.Fatalf("results[0] = %s", batch.Results[0])
 	}
-	if code, _ := decodeEnvelope(t, batch.Results[1]); code != ErrNoProvenance {
-		t.Fatalf("results[1] code = %q, want %q", code, ErrNoProvenance)
+	if code, _ := decodeEnvelope(t, batch.Results[1]); code != client.CodeNoProvenance {
+		t.Fatalf("results[1] code = %q, want %q", code, client.CodeNoProvenance)
 	}
-	if code, _ := decodeEnvelope(t, batch.Results[2]); code != ErrInvalidOption {
-		t.Fatalf("results[2] code = %q, want %q", code, ErrInvalidOption)
+	if code, _ := decodeEnvelope(t, batch.Results[2]); code != client.CodeInvalidOption {
+		t.Fatalf("results[2] code = %q, want %q", code, client.CodeInvalidOption)
 	}
 	var ok3 struct {
 		Nodes []string `json:"nodes"`
@@ -328,7 +328,7 @@ func TestQueryDeadlineAndCancellationStructured(t *testing.T) {
 	// corner-to-corner proof.
 	resp, body := postFull(t, ts.URL+"/v1/query?timeout=1ns",
 		`{"q":"lineage of mincost(@'n1','n16',6)"}`)
-	if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusGatewayTimeout || code != ErrQueryTimeout {
+	if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusGatewayTimeout || code != client.CodeQueryTimeout {
 		t.Fatalf("expired deadline: %d %s", resp.StatusCode, body)
 	}
 
@@ -339,14 +339,14 @@ func TestQueryDeadlineAndCancellationStructured(t *testing.T) {
 	cancel()
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req.WithContext(ctx))
-	if code, _ := decodeEnvelope(t, rec.Body.Bytes()); rec.Code != StatusClientClosedRequest || code != ErrQueryCancelled {
+	if code, _ := decodeEnvelope(t, rec.Body.Bytes()); rec.Code != StatusClientClosedRequest || code != client.CodeQueryCancelled {
 		t.Fatalf("cancelled request: %d %s", rec.Code, rec.Body.Bytes())
 	}
 
 	// The batch endpoint reports the same envelopes.
 	resp, body = postFull(t, ts.URL+"/v1/query/batch?timeout=1ns",
 		`{"queries":[{"q":"lineage of mincost(@'n1','n16',6)"}]}`)
-	if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusGatewayTimeout || code != ErrQueryTimeout {
+	if code, _ := decodeEnvelope(t, body); resp.StatusCode != http.StatusGatewayTimeout || code != client.CodeQueryTimeout {
 		t.Fatalf("batch expired deadline: %d %s", resp.StatusCode, body)
 	}
 
@@ -495,7 +495,7 @@ func TestEvictionRacingPinnedReaders(t *testing.T) {
 					mu.Unlock()
 				case http.StatusGone:
 					code, msg := decodeEnvelope(t, body)
-					if code != ErrSnapshotEvicted || !strings.Contains(msg, "not retained") {
+					if code != client.CodeSnapshotEvicted || !strings.Contains(msg, "not retained") {
 						t.Errorf("410 body not a clean snapshot_evicted envelope: %s", body)
 						return
 					}

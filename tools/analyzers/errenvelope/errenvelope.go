@@ -2,16 +2,19 @@
 // serving tiers. Every failure leaving internal/server or
 // internal/gateway must be the uniform machine-readable envelope
 // ({"error":{"code":...,"message":...}}) with a code drawn from the
-// stable catalog in internal/server/errors.go — clients branch on
-// those strings, so an ad-hoc http.Error body or a typo'd code literal
-// is a silent contract break no test may happen to cover. Three checks:
+// stable catalog, the SDK's Code* constants in client/types.go —
+// clients branch on those strings, so an ad-hoc http.Error body or a
+// typo'd code literal is a silent contract break no test may happen to
+// cover. Four checks:
 //
 //   - direct WriteHeader calls with 4xx/5xx constants are flagged: the
 //     envelope helpers (WriteErr, WriteAPIError, Errf) are the only
 //     sanctioned way to report failure (the plain-text escape hatches
 //     are banned by the forbid analyzer's errenvelope rule);
 //   - the code argument of Errf/WriteErr must reference a catalog
-//     constant (Err*), never a raw string literal;
+//     constant (Code*), never a raw string literal;
+//   - a client.APIError composite literal outside Errf is flagged, since
+//     it would carry any code past the previous check;
 //   - every catalog constant must appear in docs/API.md, so the
 //     documented contract and the compiled one cannot drift.
 package errenvelope
@@ -37,10 +40,14 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-var scope = []string{
+// tiers are the serving packages whose failures must be envelopes.
+var tiers = []string{
 	"repro/internal/server",
 	"repro/internal/gateway",
 }
+
+// catalogPkg declares the Code* catalog and the APIError type.
+const catalogPkg = "repro/client"
 
 // codeArg maps envelope helpers to the index of their error-code
 // argument.
@@ -50,23 +57,43 @@ var codeArg = map[string]int{
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !analysis.InScope(pass.Pkg.Path(), scope...) {
+	inTiers := analysis.InScope(pass.Pkg.Path(), tiers...)
+	if !inTiers && pass.Pkg.Path() != catalogPkg {
 		return nil, nil
 	}
 	files := pass.NonTestFiles()
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			checkWriteHeader(pass, call)
-			checkCodeArg(pass, call)
-			return true
-		})
-	}
 	checkCatalogDocs(pass, files)
+	if !inTiers {
+		return nil, nil
+	}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			inErrf := ok && fd.Recv == nil && fd.Name.Name == "Errf"
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					checkWriteHeader(pass, n)
+					checkCodeArg(pass, n)
+				case *ast.CompositeLit:
+					if !inErrf {
+						checkLiteral(pass, n)
+					}
+				}
+				return true
+			})
+		}
+	}
 	return nil, nil
+}
+
+// checkLiteral flags a client.APIError composite literal: Errf is the
+// one constructor, so every code passes checkCodeArg.
+func checkLiteral(pass *analysis.Pass, lit *ast.CompositeLit) {
+	n := analysis.NamedOf(pass.TypesInfo.Types[lit].Type)
+	if n != nil && n.Obj().Name() == "APIError" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == catalogPkg {
+		pass.Reportf(lit.Pos(), "client.APIError literal: build API errors with Errf so the code is checked against the catalog")
+	}
 }
 
 // checkWriteHeader flags WriteHeader calls with a constant 4xx/5xx
@@ -146,7 +173,7 @@ func checkCodeArg(pass *analysis.Pass, call *ast.CallExpr) {
 	switch a := arg.(type) {
 	case *ast.BasicLit:
 		pass.Reportf(arg.Pos(),
-			"raw error-code literal %s: reference a catalog constant (Err*) so the stable contract stays greppable and typo-proof", a.Value)
+			"raw error-code literal %s: reference a catalog constant (Code*) so the stable contract stays greppable and typo-proof", a.Value)
 	case *ast.Ident, *ast.SelectorExpr:
 		var obj types.Object
 		if id, ok := a.(*ast.Ident); ok {
@@ -154,15 +181,15 @@ func checkCodeArg(pass *analysis.Pass, call *ast.CallExpr) {
 		} else {
 			obj = pass.TypesInfo.Uses[a.(*ast.SelectorExpr).Sel]
 		}
-		if c, ok := obj.(*types.Const); ok && !strings.HasPrefix(c.Name(), "Err") {
+		if c, ok := obj.(*types.Const); ok && !strings.HasPrefix(c.Name(), "Code") {
 			pass.Reportf(arg.Pos(),
-				"error code %s is a constant outside the Err* catalog: add it to the catalog (and docs/API.md) or use an existing code", c.Name())
+				"error code %s is a constant outside the Code* catalog: add it to the catalog (and docs/API.md) or use an existing code", c.Name())
 		}
 	}
 }
 
 // checkCatalogDocs cross-checks the catalog against docs/API.md in the
-// package that declares Err* string constants.
+// package that declares Code* string constants.
 func checkCatalogDocs(pass *analysis.Pass, files []*ast.File) {
 	type code struct {
 		name  string
@@ -182,7 +209,7 @@ func checkCatalogDocs(pass *analysis.Pass, files []*ast.File) {
 					continue
 				}
 				for _, name := range vs.Names {
-					if !strings.HasPrefix(name.Name, "Err") {
+					if !strings.HasPrefix(name.Name, "Code") {
 						continue
 					}
 					c, ok := pass.TypesInfo.Defs[name].(*types.Const)
