@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -289,6 +292,60 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	var env client.ErrorEnvelope
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != client.CodeInternal {
 		t.Fatalf("body %q is not the %s envelope (%v)", rec.Body.Bytes(), client.CodeInternal, err)
+	}
+}
+
+// countingWriter is a ResponseWriter that keeps its headers as they
+// were at WriteHeader and counts the body bytes written.
+type countingWriter struct {
+	h, sent http.Header
+	n       int
+}
+
+func (w *countingWriter) Header() http.Header         { return w.h }
+func (w *countingWriter) WriteHeader(int)             { w.sent = w.h.Clone() }
+func (w *countingWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
+
+// TestWriteJSONLargeBodyAllocations: a body of several MiB rendered
+// again and again allocates per call a small fraction of its size. No
+// buffer grows to the body's size for one response and is dropped after
+// it: the body streams through the pooled chunk under its Content-Length.
+func TestWriteJSONLargeBodyAllocations(t *testing.T) {
+	leaf := client.ProofNode{VID: "0123abcd", Loc: "n7", Base: true,
+		Tuple: &client.Tuple{Rel: "link", Vals: []string{"n7", "n8", "3"}, Text: "link(@n7, n8, 3)"}}
+	root := client.ProofNode{VID: "89abcdef", Loc: "n1", Derivs: []client.Deriv{{Rule: "r1", Loc: "n1", RID: "4567cdef"}}}
+	root.Derivs[0].Children = slices.Repeat([]client.ProofNode{leaf}, 4000)
+	doc := client.QueryResult{Version: 7, Type: "lineage", Proof: &root,
+		Text: strings.Repeat("mincost(@'n1', 'n16', 6)\n  <- rule r2 @n1\n", 32<<10)}
+	w := &countingWriter{h: http.Header{}}
+	WriteJSON(w, http.StatusOK, doc) // fill the pools
+	size := w.n
+	if size < 2<<20 || w.sent.Get("Content-Length") != strconv.Itoa(size) {
+		t.Fatalf("body %d bytes under Content-Length %q, want one of 2 MiB or more under its length",
+			size, w.sent.Get("Content-Length"))
+	}
+	per := make([]uint64, 15)
+	var ms runtime.MemStats
+	for i := range per {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		w.n = 0
+		WriteJSON(w, http.StatusOK, doc)
+		runtime.ReadMemStats(&ms)
+		per[i] = ms.TotalAlloc - before
+		if w.n != size {
+			t.Fatalf("call %d wrote %d bytes, want %d", i, w.n, size)
+		}
+	}
+	// The fewest: a call that finds a pool emptied — by a collection, on
+	// another P than the last call, or by the race detector, which drops
+	// a quarter of what pools are given — allocates its buffers afresh.
+	// Rendered through a per-body buffer, every call allocated over four
+	// times the body.
+	slices.Sort(per)
+	if least := per[0]; least > uint64(size/16) {
+		t.Fatalf("a %d-byte body allocates at least %d bytes per call (all %v), want at most %d",
+			size, least, per, size/16)
 	}
 }
 

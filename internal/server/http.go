@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/client"
 	"repro/internal/buildinfo"
@@ -182,30 +183,31 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // schema once, and both tiers render it.
 
 // JSONTuple renders one tuple as its wire form: the relation name, each
-// attribute as its NDlog literal, and the full literal text, built from
-// the attribute strings.
+// attribute as its NDlog literal, and the full literal text. The text is
+// rendered once, as rel.Tuple.AppendLiteral does, and each attribute is
+// the span of it that its literal took.
 func JSONTuple(t rel.Tuple) client.Tuple {
-	out := client.Tuple{Rel: t.Rel, Vals: make([]string, len(t.Vals))}
-	n := len(t.Rel) + 3
+	var (
+		buf   [256]byte
+		spans [8][2]int
+	)
+	b, at := append(append(buf[:0], t.Rel...), '('), spans[:0]
 	for i, v := range t.Vals {
-		out.Vals[i] = v.String()
-		n += len(out.Vals[i]) + 2
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(t.Rel)
-	b.WriteByte('(')
-	for i, s := range out.Vals {
 		if i > 0 {
-			b.WriteString(", ")
-		} else if t.Vals[0].Kind() == rel.KindAddr {
-			b.WriteByte('@')
+			b = append(b, ", "...)
+		} else if v.Kind() == rel.KindAddr {
+			b = append(b, '@')
 		}
-		b.WriteString(s)
+		start := len(b)
+		b = v.AppendLiteral(b)
+		at = append(at, [2]int{start, len(b)})
 	}
-	b.WriteByte(')')
-	out.Text = b.String()
-	return out
+	text := string(append(b, ')'))
+	vals := make([]string, len(at))
+	for i, sp := range at {
+		vals[i] = text[sp[0]:sp[1]]
+	}
+	return client.Tuple{Rel: t.Rel, Vals: vals, Text: text}
 }
 
 // JSONProof renders one proof-tree vertex (recursively) as its wire
@@ -239,49 +241,105 @@ func JSONProof(p *provquery.ProofNode) client.ProofNode {
 	return out
 }
 
-// scratch is what rendering one JSON body needs and can reuse: the
-// compact encoding with its Encoder, and the indented body.
-type scratch struct {
-	compact bytes.Buffer
-	enc     *json.Encoder
-	body    []byte
+// chunkSize is the size of a body sink's one buffer. A body that fits
+// all of it but the last countRoom bytes leaves in one Write. A larger
+// one is counted on through those bytes, while the head stays in the
+// rest, and then streamed through the whole buffer.
+const (
+	chunkSize = 128 << 10
+	countRoom = 16 << 10
+)
+
+// bodySink is the json.Encoder's writer. The Encoder hands it a value's
+// whole compact encoding in one Write, and only once encoding has
+// succeeded; the sink indents that onto the response through its one
+// chunk, so no body needs a buffer of its own but the one keep is given.
+type bodySink struct {
+	enc   *json.Encoder // encodes into this sink
+	chunk []byte        // the indentation buffer, cap chunkSize
+
+	// The response being written.
+	w    http.ResponseWriter
+	code int
+	keep func(body []byte)
+
+	mode sinkMode
+	n    int // bytes counted
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	sc := new(scratch)
-	sc.enc = json.NewEncoder(&sc.compact)
-	return sc
-}}
+// sinkMode is what indent does when the room left in its buffer may not
+// hold the next byte's output.
+type sinkMode uint8
 
-// maxScratchBytes is the largest scratch buffer the pool takes back, so
-// one huge proof does not stay pinned behind small responses.
-const maxScratchBytes = 1 << 20
+const (
+	fill  sinkMode = iota // stop there
+	whole                 // go on: the buffer is the body's counted size
+	count                 // count the buffer in n and start it over
+	send                  // write the buffer to the response and start it over
+)
+
+var sinkPool = sync.Pool{New: func() any {
+	s := &bodySink{chunk: make([]byte, 0, chunkSize)}
+	s.enc = json.NewEncoder(s)
+	return s
+}}
 
 // WriteJSON writes v as the canonical two-space-indented JSON body
 // every tier of the API serves, so shard and gateway bodies can be
-// compared byte for byte. The body is rendered before the status line
-// leaves, so it goes out in one Write under its Content-Length, and a
-// value that does not encode is the internal_error 500, not a 200 cut
-// short.
+// compared byte for byte. The body's length is known before the status
+// line leaves, so it goes out under its Content-Length, and a value that
+// does not encode is the internal_error 500, not a 200 cut short.
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) { writeJSON(w, code, v, nil) }
 
-// writeJSON is WriteJSON; keep, when non-nil, sees the rendered body
-// before it is written and must copy what it retains.
+// writeJSON is WriteJSON; keep, when non-nil, is handed the whole body
+// in a buffer of exactly its size, which keep then owns: it may retain
+// the bytes, and nothing else writes them.
 func writeJSON(w http.ResponseWriter, code int, v interface{}, keep func(body []byte)) {
-	sc := scratchPool.Get().(*scratch)
-	sc.compact.Reset()
-	if err := sc.enc.Encode(v); err != nil {
+	s := sinkPool.Get().(*bodySink)
+	s.w, s.code, s.keep = w, code, keep
+	// Write fails nothing, so an error is a value that did not encode,
+	// and nothing of it was written.
+	err := s.enc.Encode(v)
+	*s = bodySink{enc: s.enc, chunk: s.chunk}
+	sinkPool.Put(s)
+	if err != nil {
 		WriteErr(w, http.StatusInternalServerError, client.CodeInternal, "encode response: %v", err)
-		return
 	}
-	sc.body = appendIndent(sc.body[:0], sc.compact.Bytes())
-	if keep != nil {
-		keep(sc.body)
+}
+
+// Write indents src, one value's compact encoding, onto the response.
+// The chunk is filled first, and a body that fits is sent from it in
+// one Write. A larger body is sized by counting on from where the chunk
+// filled; then the head is sent under that length and the rest streamed
+// through the chunk or, when keep wants the body, both are indented into
+// one buffer of exactly that size.
+func (s *bodySink) Write(src []byte) (int, error) {
+	head, at, done := s.indent(s.chunk[:0:chunkSize-countRoom], src, indentState{})
+	size := len(head)
+	if !done {
+		s.mode = count
+		rest, _, _ := s.indent(s.chunk[size:size], src, at)
+		s.emit(rest)
+		size += s.n
 	}
-	writeBody(w, code, sc.body)
-	if sc.compact.Cap() <= maxScratchBytes && cap(sc.body) <= maxScratchBytes {
-		scratchPool.Put(sc)
+	switch {
+	case s.keep != nil:
+		s.mode = whole
+		body, _, _ := s.indent(append(make([]byte, 0, size), head...), src, at)
+		// Kept before it is sent: a client that has the response finds
+		// the body admitted.
+		s.keep(body)
+		writeBody(s.w, s.code, body)
+	case done:
+		writeBody(s.w, s.code, head)
+	default:
+		startBody(s.w, s.code, size)
+		s.mode = send
+		s.emit(head)
+		rest, _, _ := s.indent(s.chunk[:0], src, at)
+		s.emit(rest)
 	}
+	return len(src), nil
 }
 
 // indent is one level of a body's indentation; blanks holds the deepest
@@ -291,26 +349,53 @@ const (
 	blanks = "                                                                "
 )
 
-// appendIndent appends src, compact JSON as json.Encoder writes it, to
-// dst indented exactly as json.Indent(dst, src, "", indent) would: a
-// newline and the depth's indentation after each opening bracket and
-// comma and before each closing bracket, except that an empty object or
-// array stays {} or [], and ": " after a key. Strings are copied as they
-// are. It is one pass over the bytes, with no scanner state per byte.
-func appendIndent(dst, src []byte) []byte {
-	depth := 0
-	opened := false // the last byte opened an object or array
-	for i := 0; i < len(src); i++ {
+// indentState is where the indenter stands in a compact encoding: the
+// next byte, the depth, and whether the last byte opened an object or
+// array.
+type indentState struct {
+	i      int
+	depth  int
+	opened bool
+}
+
+// indent is the one indentation state machine. From at, it appends
+// src, compact JSON as json.Encoder writes it, to dst indented exactly
+// as json.Indent(dst, src, "", indent) would: a newline and the depth's
+// indentation after each opening bracket and comma and before each
+// closing bracket, except that an empty object or array stays {} or [],
+// and ": " after a key. Strings are copied as they are. It is one pass
+// over the bytes, with no scanner state per byte.
+//
+// Before each byte, and before each string's bytes, it checks that dst
+// has room for them. When it has not and the sink cannot make room, a
+// fill stops: indent returns dst, the state there, and done false.
+func (s *bodySink) indent(dst, src []byte, at indentState) (out []byte, stop indentState, done bool) {
+	depth, opened := at.depth, at.opened
+	ok := true
+	// dst holds a byte's output outside a string, at most two newlines,
+	// while its length is within limit.
+	limit := cap(dst) - 4*(depth+2)
+	for i := at.i; i < len(src); i++ {
+		if len(dst) > limit {
+			if dst, ok = s.makeRoom(dst); !ok {
+				return dst, indentState{i, depth, opened}, false
+			}
+		}
 		c := src[i]
 		if opened && c != '}' && c != ']' {
 			opened = false
 			depth++
+			limit -= 4
 			dst = appendNewline(dst, depth)
 		}
 		switch c {
 		case '"':
 			end := stringEnd(src, i+1)
-			dst = append(dst, src[i:end]...)
+			if str := src[i:end]; len(str) <= cap(dst)-len(dst) {
+				dst = append(dst, str...)
+			} else if dst, ok = s.spillString(dst, str); !ok {
+				return dst, indentState{i, depth, opened}, false
+			}
 			i = end - 1
 		case '{', '[':
 			opened = true
@@ -324,6 +409,7 @@ func appendIndent(dst, src []byte) []byte {
 				opened = false
 			} else {
 				depth--
+				limit += 4
 				dst = appendNewline(dst, depth)
 			}
 			dst = append(dst, c)
@@ -331,7 +417,53 @@ func appendIndent(dst, src []byte) []byte {
 			dst = append(dst, c)
 		}
 	}
+	return dst, indentState{len(src), depth, opened}, true
+}
+
+// makeRoom is what the sink's mode does when dst may be short of room:
+// a fill has none to give (ok false), a count or a send empties dst,
+// and the body's own buffer, of its counted size, holds the rest.
+func (s *bodySink) makeRoom(dst []byte) ([]byte, bool) {
+	switch s.mode {
+	case fill:
+		return dst, false
+	case count, send:
+		s.emit(dst)
+		dst = dst[:0]
+	}
+	return dst, true
+}
+
+// spillString puts a string token longer than the room left in dst. One
+// longer than an emptied dst leaves straight from the encoder's bytes: a
+// long string is never copied into a grown buffer.
+func (s *bodySink) spillString(dst, str []byte) ([]byte, bool) {
+	dst, ok := s.makeRoom(dst)
+	switch {
+	case !ok:
+		return dst, false
+	case len(str) <= cap(dst)-len(dst):
+		return append(dst, str...), true
+	}
+	s.emit(str)
+	return dst, true
+}
+
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for n := depth * len(indent); n > 0; n -= len(blanks) {
+		dst = append(dst, blanks[:min(n, len(blanks))]...)
+	}
 	return dst
+}
+
+// emit counts b or writes it to the response.
+func (s *bodySink) emit(b []byte) {
+	if s.mode == count {
+		s.n += len(b)
+	} else if len(b) > 0 {
+		_, _ = s.w.Write(b) // a failed write is a client that has left
+	}
 }
 
 // stringEnd returns the index just past the closing quote of the JSON
@@ -355,20 +487,37 @@ func stringEnd(src []byte, i int) int {
 	}
 }
 
-func appendNewline(dst []byte, depth int) []byte {
-	dst = append(dst, '\n')
-	for n := depth * len(indent); n > 0; n -= len(blanks) {
-		dst = append(dst, blanks[:min(n, len(blanks))]...)
-	}
-	return dst
+// Header values shared by every response that sets them. net/http only
+// reads a header's value slice, so one slice serves every response.
+var (
+	jsonContentType = []string{"application/json"}
+	cacheHit        = []string{"HIT"}
+	cacheMiss       = []string{"MISS"}
+)
+
+// setDecimal sets the canonical header key to the decimal form of n,
+// with one allocation for the value's slice and its digits together.
+func setDecimal(h http.Header, key string, n int64) {
+	v := new(struct {
+		vals   [1]string
+		digits [20]byte
+	})
+	d := strconv.AppendInt(v.digits[:0], n, 10)
+	v.vals[0] = unsafe.String(&d[0], len(d))
+	h[key] = v.vals[:]
+}
+
+// startBody sends the status line of a JSON body of size bytes.
+func startBody(w http.ResponseWriter, code int, size int) {
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	setDecimal(h, "Content-Length", int64(size))
+	w.WriteHeader(code)
 }
 
 // writeBody sends a rendered JSON body.
 func writeBody(w http.ResponseWriter, code int, body []byte) {
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
+	startBody(w, code, len(body))
 	_, _ = w.Write(body) // a failed write is a client that has left
 }
 
@@ -558,14 +707,15 @@ type QueryRequest = client.QueryRequest
 
 // setCacheHeaders reports a Server.query outcome on the response.
 func setCacheHeaders(w http.ResponseWriter, cache *ResultCache, hit bool) {
-	verdict := "MISS"
+	h := w.Header()
+	verdict := cacheMiss
 	if hit {
-		verdict = "HIT"
+		verdict = cacheHit
 	}
+	h[client.HeaderCache] = verdict
 	hits, misses := cache.Counters()
-	w.Header().Set(client.HeaderCache, verdict)
-	w.Header().Set(client.HeaderCacheHits, strconv.FormatInt(hits, 10))
-	w.Header().Set(client.HeaderCacheMisses, strconv.FormatInt(misses, 10))
+	setDecimal(h, client.HeaderCacheHits, hits)
+	setDecimal(h, client.HeaderCacheMisses, misses)
 }
 
 // ResolveTupleAt parses a tuple literal and resolves the node to query
@@ -831,9 +981,10 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) *clien
 	}
 
 	hitsTotal, missesTotal := s.b.ResultCache().Counters()
-	w.Header().Set(client.HeaderBatchCacheHits, strconv.Itoa(hits))
-	w.Header().Set(client.HeaderCacheHits, strconv.FormatInt(hitsTotal, 10))
-	w.Header().Set(client.HeaderCacheMisses, strconv.FormatInt(missesTotal, 10))
+	h := w.Header()
+	setDecimal(h, client.HeaderBatchCacheHits, int64(hits))
+	setDecimal(h, client.HeaderCacheHits, hitsTotal)
+	setDecimal(h, client.HeaderCacheMisses, missesTotal)
 	WriteJSON(w, http.StatusOK, client.BatchResponse{
 		Version: pin.Version,
 		TimeUs:  int64(pin.Time),

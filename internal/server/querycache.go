@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"sync"
 	"sync/atomic"
@@ -128,9 +127,11 @@ func (c *ResultCache) Put(key CacheKey, r *provquery.Result) {
 	c.entries++
 }
 
-// AdmitBody keeps a copy of body, the rendered response of key's cached
-// result, while maxBodyBytes has room. It is called on a hit that found
-// no body; of racing callers one is charged.
+// AdmitBody keeps body, the rendered response of key's cached result,
+// while maxBodyBytes has room. It takes ownership of body, which is
+// shared read-only from then on: the caller must not write it again. It
+// is called on a hit that found no body; of racing callers one is
+// charged.
 func (c *ResultCache) AdmitBody(key CacheKey, body []byte) {
 	n := int64(len(body))
 	c.mu.Lock()
@@ -140,7 +141,7 @@ func (c *ResultCache) AdmitBody(key CacheKey, body []byte) {
 	if !ok || e.Body != nil || c.bodies+n > maxBodyBytes {
 		return
 	}
-	e.Body = bytes.Clone(body)
+	e.Body = body
 	g.m[key] = e
 	g.bodies += n
 	c.versions[key.Version] = g
